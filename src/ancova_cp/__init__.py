@@ -36,6 +36,7 @@ from .montecarlo import (
     default_workers,
     estimate_conditioned,
     estimate_naive,
+    estimate_points,
     event_probabilities,
     gate_probability,
     sample_stats,

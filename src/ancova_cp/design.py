@@ -324,47 +324,9 @@ def build_geometry(layout: AncovaLayout, contrast: ContrastSpec) -> GeometryBund
 
 
 # ---------------------------------------------------------------------------
-# Quantiles.
-#
-# Both F and t critical points reduce to the inverse of the regularized
-# incomplete beta function; the closed-form transform of betaincinv gives a
-# starting point that a plain bisection on the CDF then pins down to an
-# absolute tolerance of 1e-10.  The bisection keeps the result reproducible
-# across library versions.
+# Quantiles: scipy's inverse F and t distribution functions, which agree with
+# an arbitrary-precision inversion to a few ulp.
 # ---------------------------------------------------------------------------
-
-_QUANTILE_TOL = 1e-10
-
-
-def _f_cdf(x: float, d1: float, d2: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    z = d1 * x / (d1 * x + d2)
-    return float(special.betainc(0.5 * d1, 0.5 * d2, z))
-
-
-def _t_cdf(x: float, df: float) -> float:
-    tail = 0.5 * float(special.betainc(0.5 * df, 0.5, df / (df + x * x)))
-    return tail if x < 0.0 else 1.0 - tail
-
-
-def _bisect_cdf(cdf, p: float, x0: float) -> float:
-    """Refine a quantile guess x0 by bisection on the CDF."""
-    h = max(1e-6 * abs(x0), 1e-9)
-    lo, hi = x0 - h, x0 + h
-    while cdf(lo) > p:
-        h *= 4.0
-        lo -= h
-    while cdf(hi) < p:
-        h *= 4.0
-        hi += h
-    while hi - lo > _QUANTILE_TOL:
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def f_quantile(p: float, d1: int, d2: int) -> float:
@@ -373,10 +335,7 @@ def f_quantile(p: float, d1: int, d2: int) -> float:
         raise DomainError(f"quantile level must be in (0, 1), got {p}")
     if d1 < 1 or d2 < 1:
         raise DomainError(f"degrees of freedom must be positive, got ({d1}, {d2})")
-    y = float(special.betaincinv(0.5 * d1, 0.5 * d2, p))
-    y = min(max(y, 1e-300), 1.0 - 1e-16)
-    x0 = d2 * y / (d1 * (1.0 - y))
-    return _bisect_cdf(lambda x: _f_cdf(x, d1, d2), p, x0)
+    return float(special.fdtri(d1, d2, p))
 
 
 def t_quantile(p: float, df: int) -> float:
@@ -385,14 +344,9 @@ def t_quantile(p: float, df: int) -> float:
         raise DomainError(f"quantile level must be in (0, 1), got {p}")
     if df < 1:
         raise DomainError(f"degrees of freedom must be positive, got {df}")
-    if p == 0.5:
-        return 0.0
     if p < 0.5:
         return -t_quantile(1.0 - p, df)
-    y = float(special.betaincinv(0.5 * df, 0.5, 2.0 * (1.0 - p)))
-    y = min(max(y, 1e-300), 1.0)
-    x0 = math.sqrt(df * (1.0 - y) / y) if y > 0.0 else 1e8
-    return _bisect_cdf(lambda x: _t_cdf(x, df), p, x0)
+    return float(special.stdtrit(df, p))
 
 
 def critical_values(

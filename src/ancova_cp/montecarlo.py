@@ -6,11 +6,14 @@ closed-form conditional coverage given the slope estimate and residual
 scale, which never has larger variance.
 
 Randomness is organized as counter-based Philox streams keyed by
-(seed, hash of estimator tag and point, chunk index).  Runs are split into
-fixed-size chunks, each chunk draws from its own stream, and chunk partial
-sums are merged in chunk order, so results are bit-identical whether chunks
-run serially or on a thread pool, and are fully determined by
-(seed, runs, point, chunk size).
+(seed, estimator tag, chunk index) and nothing else.  Runs are split into
+fixed-size chunks; each chunk's noise is drawn once and every slope point of
+a call is evaluated against it (common random numbers), in blocks of at most
+BLOCK_CELLS (point, draw) cells.  Per-point moments are merged in chunk
+order, so results are bit-identical for every thread count and block size,
+and are fully determined by (seed, tag, runs, point, chunk size).  Estimates
+at different points with the same seed share their draws on purpose; the
+tags keep different estimators independent of each other.
 
 True intercepts are fixed to zero internally: on every draw the coverage
 indicator is a function of the estimation noise, the true slopes and the
@@ -23,23 +26,30 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .conditional import ConditionalKernel
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError
-from .selection import ScaledSufficientStats, _batch_f, batch_events
+from .selection import ScaledSufficientStats, SlopeNoise, batch_events, block_f
 
 __all__ = [
     "CHUNK_SIZE",
+    "BLOCK_CELLS",
     "SlopePoint",
     "CoverageEstimate",
     "default_workers",
+    "thread_pool",
     "sample_stats",
+    "estimate_points",
     "estimate_naive",
     "estimate_conditioned",
     "gate_probability",
@@ -47,10 +57,8 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 8192
+BLOCK_CELLS = 2 * CHUNK_SIZE
 THREADS_ENV_VAR = "ANCOVA_CP_THREADS"
-
-# chi-square draws: sum of squared normals at small df, gamma sampling above
-_CHI2_SUMSQ_MAX_DF = 64
 
 
 @dataclass(frozen=True)
@@ -92,41 +100,51 @@ def default_workers() -> int:
         return 1
 
 
-def _parallel_map(fn, items, n_jobs):
-    if n_jobs is None:
-        n_jobs = default_workers()
-    if n_jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(fn, items))
+# (width, executor or None) of the enclosing top-level call
+_ACTIVE: ContextVar[tuple | None] = ContextVar("ancova_cp_workers", default=None)
 
 
-def _chunk_sizes(runs: int) -> list[int]:
-    full, rem = divmod(runs, CHUNK_SIZE)
+@contextmanager
+def thread_pool(n_jobs=None):
+    """(width, executor) for one top-level call; a call made inside another reuses its pool.
+
+    ``n_jobs`` (default: ANCOVA_CP_THREADS) sets the thread count of a new
+    pool; one worker means serial evaluation and no executor at all.
+    """
+    if _ACTIVE.get() is not None:
+        yield _ACTIVE.get()
+        return
+    width = default_workers() if n_jobs is None else max(1, int(n_jobs))
+    pool = ThreadPoolExecutor(max_workers=width) if width > 1 else None
+    token = _ACTIVE.set((width, pool))
+    try:
+        yield width, pool
+    finally:
+        _ACTIVE.reset(token)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _check_count(name: str, value, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _chunk_sizes(runs) -> list[int]:
+    full, rem = divmod(_check_count("runs", runs, 1), CHUNK_SIZE)
     return [CHUNK_SIZE] * full + ([rem] if rem else [])
 
 
-def _stream(seed: int, tag: str, point: np.ndarray, chunk: int) -> np.random.Generator:
-    """Philox generator for one chunk of one estimation task."""
-    digest = hashlib.blake2b(tag.encode("ascii") + point.tobytes(), digest_size=8).digest()
-    key = int.from_bytes(digest, "little")
+def _stream(seed: int, tag: str, chunk: int) -> np.random.Generator:
+    """Philox generator for one chunk of one estimator's draws."""
+    key = int.from_bytes(hashlib.blake2b(tag.encode("ascii"), digest_size=8).digest(), "little")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(key, chunk))
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _check_common(point, geom, seed, runs, a):
-    if not isinstance(point, SlopePoint):
-        point = SlopePoint.of(point)
-    slopes = point.as_array()
-    if slopes.shape != (geom.k,):
-        raise DomainError(f"slope point must have length {geom.k}, got {slopes.shape}")
-    if not (isinstance(seed, int) and seed >= 0):
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    if runs < 1:
-        raise DomainError(f"runs must be at least 1, got {runs}")
-    if a is not None and not np.array_equal(np.asarray(a, dtype=float), geom.a):
-        raise DomainError("contrast does not match the one the geometry was built with")
-    return point, slopes
+def _chi2(rng: np.random.Generator, df: int, size: int):
+    return 2.0 * rng.standard_gamma(0.5 * df, size=size)
 
 
 def _check_intercepts(intercepts, k):
@@ -137,11 +155,12 @@ def _check_intercepts(intercepts, k):
         raise DomainError(f"intercept override must be {k} finite values, got {intercepts!r}")
 
 
-def _chi2(rng: np.random.Generator, df: int, n: int) -> np.ndarray:
-    if df <= _CHI2_SUMSQ_MAX_DF:
-        z = rng.standard_normal((n, df))
-        return np.einsum("ij,ij->i", z, z)
-    return 2.0 * rng.standard_gamma(0.5 * df, size=n)
+def _slope_points(points, k: int) -> list[SlopePoint]:
+    out = [p if isinstance(p, SlopePoint) else SlopePoint.of(p) for p in points]
+    for p in out:
+        if len(p.values) != k:
+            raise DomainError(f"slope point must have length {k}, got {len(p.values)}")
+    return out
 
 
 def sample_stats(
@@ -151,16 +170,137 @@ def sample_stats(
 
     gamma_hat = gamma + L z with L the Cholesky factor of (X'X)^-1 and
     z standard normal, then d drawn as a chi-square with m degrees of
-    freedom (sum of squares of m normals for m <= 64, gamma sampling
-    above).  The intercept block of gamma is zero unless overridden.
+    freedom (twice a gamma variate of shape m/2).  The intercept block of
+    gamma is zero unless overridden.
     """
-    point, slopes = _check_common(point, geom, 0, 1, None)
+    (point,) = _slope_points([point], geom.k)
     _check_intercepts(intercepts, geom.k)
     inter = np.zeros(geom.k) if intercepts is None else np.asarray(intercepts, dtype=float)
-    gamma = np.concatenate([inter, slopes])
-    delta = geom.noise_chol @ rng.standard_normal(2 * geom.k)
-    d = float(_chi2(rng, geom.m, 1)[0])
-    return ScaledSufficientStats.from_gamma_hat(gamma + delta, d)
+    delta, d = _draw_full(rng, geom, 1)
+    return ScaledSufficientStats.from_gamma_hat(np.concatenate([inter, point.as_array()]) + delta[0], float(d[0]))
+
+
+# ---------------------------------------------------------------------------
+# the batch evaluation core: per-chunk draws, per-block values, one reducer
+# ---------------------------------------------------------------------------
+
+
+def _draw_slopes(rng, geom, size):
+    """Slope noise z ~ N(0, V22) and d ~ chi2_m, all the conditioned and gate values need."""
+    z = rng.standard_normal((size, geom.k)) @ geom.v22_chol.T
+    return z, SlopeNoise.of(z, _chi2(rng, geom.m, size), geom)
+
+
+def _draw_full(rng, geom, size):
+    """The full 2k-dimensional estimation noise and d, for the raw coverage events."""
+    return rng.standard_normal((size, 2 * geom.k)) @ geom.noise_chol.T, _chi2(rng, geom.m, size)
+
+
+def _event_values(slopes, draws, geom, cfg):
+    ev = batch_events(*draws, slopes, geom, cfg)
+    return np.stack([ev.covers_tau, ev.covers_tau & ev.in_a, ~ev.in_a], axis=1)
+
+
+# estimator tag -> (per-chunk draws, per-draw values of a block of slope points)
+_ESTIMATORS = {
+    "naive": (_draw_full, lambda s, draws, geom, cfg: batch_events(*draws, s, geom, cfg).covers_selected),
+    "conditioned": (_draw_slopes, lambda s, draws, geom, cfg: ConditionalKernel(geom, cfg, s).block(*draws)),
+    "gate_tau": (_draw_slopes, lambda s, draws, geom, cfg: block_f(draws[1], s, geom)[0] <= cfg.l_tau),
+    "gate_xi": (_draw_slopes, lambda s, draws, geom, cfg: block_f(draws[1], s, geom)[1] <= cfg.l_xi),
+}
+
+
+class _Moments(NamedTuple):
+    """Count, mean and sum of squared deviations of values along their last axis."""
+
+    n: int
+    mean: np.ndarray
+    m2: np.ndarray
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "_Moments":
+        values = np.asarray(values, dtype=float)
+        mean = values.mean(axis=-1)
+        dev = values - mean[..., None]
+        return cls(values.shape[-1], mean, np.square(dev, out=dev).sum(axis=-1))
+
+    def merge(self, other: "_Moments") -> "_Moments":
+        """Pairwise update of Chan, Golub & LeVeque (1983): no sum-of-squares cancellation."""
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        mean = self.mean + delta * (other.n / n)
+        return _Moments(n, mean, self.m2 + other.m2 + delta * delta * (self.n * other.n / n))
+
+
+def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs) -> _Moments:
+    """Per-point moments of ``values`` over ``runs`` draws made by ``draw``.
+
+    The one chunk loop.  The slope points (P, k) are cut into blocks of at
+    most BLOCK_CELLS cells, and the blocks into at most as many contiguous
+    groups as the pool has threads.  Each (chunk, group) task makes the
+    chunk's draws from the stream (seed, tag, chunk) and evaluates its blocks
+    against them, so a chunk is drawn once per group, never once per point,
+    and tasks need no barrier between drawing and evaluating.  Every value
+    depends only on its point and its chunk's draws, so neither grouping nor
+    thread count can change a result; moments are merged in chunk order.
+    """
+    seed = _check_count("seed", seed, 0)
+    sizes = _chunk_sizes(runs)
+    step = max(1, BLOCK_CELLS // sizes[0])
+    blocks = [slopes[i : i + step] for i in range(0, len(slopes), step)]
+
+    def task(job):
+        chunk, size, group = job
+        draws = draw(_stream(seed, tag, chunk), geom, size)
+        return [_Moments.of(values(block, draws, geom, cfg)) for block in group]
+
+    total = None
+    with thread_pool(n_jobs) as (width, pool):
+        per = -(-len(blocks) // width)
+        groups = [blocks[i : i + per] for i in range(0, len(blocks), per)]
+        jobs = [(chunk, size, group) for chunk, size in enumerate(sizes) for group in groups]
+        parts = (map if pool is None else pool.map)(task, jobs)
+        for _ in sizes:
+            mine = [part for _ in groups for part in next(parts)]
+            chunk = _Moments(mine[0].n, *(np.concatenate(field) for field in list(zip(*mine))[1:]))
+            total = chunk if total is None else total.merge(chunk)
+    return total
+
+
+def estimate_points(
+    points,
+    geom: GeometryBundle,
+    cfg: TwoStageConfig,
+    estimator: str = "conditioned",
+    a=None,
+    runs: int = 10_000,
+    seed: int = 0,
+    n_jobs=None,
+) -> list[CoverageEstimate]:
+    """Estimate at every slope point in one pass over shared draws.
+
+    ``estimator`` is "naive", "conditioned", "gate_tau" or "gate_xi".  Every
+    point is evaluated against the same chunks of draws, so estimates at
+    different points are correlated (common random numbers) and each one is
+    bit-identical to the same point estimated alone.
+    The standard error is the unbiased sample standard deviation of the
+    per-draw values divided by sqrt(runs).
+    """
+    if estimator not in _ESTIMATORS:
+        raise DomainError(f"estimator must be one of {sorted(_ESTIMATORS)}, got {estimator!r}")
+    if a is not None and not np.array_equal(np.asarray(a, dtype=float), geom.a):
+        raise DomainError("contrast does not match the one the geometry was built with")
+    points = _slope_points(points, geom.k)
+    if not points:
+        raise DomainError("need at least one slope point")
+    slopes = np.asarray([p.values for p in points], dtype=float)
+    moments = _reduce(estimator, *_ESTIMATORS[estimator], slopes, geom, cfg, runs, seed, n_jobs)
+    var = moments.m2 / (moments.n - 1) if moments.n > 1 else np.zeros_like(moments.m2)
+    se = np.sqrt(var / moments.n)
+    return [
+        CoverageEstimate(float(mean), float(err), moments.n, estimator, int(seed), point)
+        for point, mean, err in zip(points, moments.mean, se)
+    ]
 
 
 def estimate_naive(
@@ -175,30 +315,11 @@ def estimate_naive(
 ) -> CoverageEstimate:
     """Average of raw coverage indicators over simulated two-stage fits.
 
-    The standard error is the binomial one, sqrt(p(1-p)/runs).  The result
-    depends only on (seed, runs, point, chunk size); ``intercepts`` is
-    validated but cannot move the estimate, because each indicator is a
-    function of the noise, the true slopes and d alone.
+    ``intercepts`` is validated but cannot move the estimate, because each
+    indicator is a function of the noise, the true slopes and d alone.
     """
-    point, slopes = _check_common(point, geom, seed, runs, a)
     _check_intercepts(intercepts, geom.k)
-
-    def run_chunk(job):
-        chunk, size = job
-        rng = _stream(seed, "naive", slopes, chunk)
-        delta = rng.standard_normal((size, 2 * geom.k)) @ geom.noise_chol.T
-        d = _chi2(rng, geom.m, size)
-        ev = batch_events(delta, d, slopes, geom, cfg)
-        covered = np.where(ev.in_a, ev.covers_tau, np.where(ev.in_b, ev.covers_xi, ev.covers_full))
-        return int(covered.sum())
-
-    totals = _parallel_map(run_chunk, list(enumerate(_chunk_sizes(runs))), n_jobs)
-    hits = 0
-    for t in totals:
-        hits += t
-    p_hat = hits / runs
-    se = math.sqrt(p_hat * (1.0 - p_hat) / runs)
-    return CoverageEstimate(p_hat, se, runs, "naive", seed, point)
+    return estimate_points([point], geom, cfg, "naive", a, runs, seed, n_jobs)[0]
 
 
 def estimate_conditioned(
@@ -214,34 +335,10 @@ def estimate_conditioned(
     """Average of conditional coverage values over draws of (q, d).
 
     q is drawn from its marginal N(true slopes, V22) and d as a chi-square
-    with m degrees of freedom.  The standard error is the unbiased sample
-    standard deviation of the per-draw values divided by sqrt(runs).
+    with m degrees of freedom.
     """
-    point, slopes = _check_common(point, geom, seed, runs, a)
     _check_intercepts(intercepts, geom.k)
-    kernel = ConditionalKernel(geom, cfg, slopes)
-
-    def run_chunk(job):
-        chunk, size = job
-        rng = _stream(seed, "conditioned", slopes, chunk)
-        q = slopes + rng.standard_normal((size, geom.k)) @ geom.v22_chol.T
-        d = _chi2(rng, geom.m, size)
-        p = kernel.conditional_cp_batch(q, d)
-        return float(p.sum()), float((p * p).sum())
-
-    partials = _parallel_map(run_chunk, list(enumerate(_chunk_sizes(runs))), n_jobs)
-    s1 = 0.0
-    s2 = 0.0
-    for p1, p2 in partials:
-        s1 += p1
-        s2 += p2
-    mean = s1 / runs
-    if runs > 1:
-        var = max(0.0, (s2 - s1 * s1 / runs) / (runs - 1))
-        se = math.sqrt(var / runs)
-    else:
-        se = 0.0
-    return CoverageEstimate(mean, se, runs, "conditioned", seed, point)
+    return estimate_points([point], geom, cfg, "conditioned", a, runs, seed, n_jobs)[0]
 
 
 def gate_probability(
@@ -262,24 +359,7 @@ def gate_probability(
     """
     if which not in ("tau", "xi"):
         raise DomainError(f'which must be "tau" or "xi", got {which!r}')
-    point, slopes = _check_common(point, geom, seed, runs, None)
-
-    def run_chunk(job):
-        chunk, size = job
-        rng = _stream(seed, f"gate_{which}", slopes, chunk)
-        q = slopes + rng.standard_normal((size, geom.k)) @ geom.v22_chol.T
-        d = _chi2(rng, geom.m, size)
-        f_tau, f_xi, _, _ = _batch_f(q, d, geom)
-        accepted = f_tau <= cfg.l_tau if which == "tau" else f_xi <= cfg.l_xi
-        return int(accepted.sum())
-
-    totals = _parallel_map(run_chunk, list(enumerate(_chunk_sizes(runs))), n_jobs)
-    hits = 0
-    for t in totals:
-        hits += t
-    p_hat = hits / runs
-    se = math.sqrt(p_hat * (1.0 - p_hat) / runs)
-    return CoverageEstimate(p_hat, se, runs, f"gate_{which}", seed, point)
+    return estimate_points([point], geom, cfg, f"gate_{which}", None, runs, seed, n_jobs)[0]
 
 
 def event_probabilities(
@@ -292,21 +372,12 @@ def event_probabilities(
     first test rejecting, all from common draws.  Supports bound checks of
     the form 0 <= Pr(S) - Pr(S and accept) <= Pr(reject).
     """
-    point, slopes = _check_common(point, geom, seed, runs, None)
-    hits_s = 0
-    hits_s_and_a = 0
-    hits_reject = 0
-    for chunk, size in enumerate(_chunk_sizes(runs)):
-        rng = _stream(seed, "events", slopes, chunk)
-        delta = rng.standard_normal((size, 2 * geom.k)) @ geom.noise_chol.T
-        d = _chi2(rng, geom.m, size)
-        ev = batch_events(delta, d, slopes, geom, cfg)
-        hits_s += int(ev.covers_tau.sum())
-        hits_s_and_a += int((ev.covers_tau & ev.in_a).sum())
-        hits_reject += int((~ev.in_a).sum())
+    (point,) = _slope_points([point], geom.k)
+    moments = _reduce("events", _draw_full, _event_values, point.as_array()[None, :], geom, cfg, runs, seed, 1)
+    covers, covers_and_accept, reject = (float(v) for v in moments.mean[0])
     return {
-        "covers_tau": hits_s / runs,
-        "covers_tau_and_accept": hits_s_and_a / runs,
-        "reject_tau": hits_reject / runs,
-        "runs": runs,
+        "covers_tau": covers,
+        "covers_tau_and_accept": covers_and_accept,
+        "reject_tau": reject,
+        "runs": moments.n,
     }

@@ -21,8 +21,8 @@ import numpy as np
 
 from .design import AncovaLayout, ContrastSpec, TwoStageConfig, build_design
 from .errors import DomainError
-from .montecarlo import CoverageEstimate, SlopePoint, _chunk_sizes, _stream
-from .selection import ScaledSufficientStats, coverage_indicator
+from .montecarlo import CHUNK_SIZE, CoverageEstimate, SlopePoint, _chunk_sizes, _stream
+from .selection import batch_events, coverage_indicator  # noqa: F401  perfbench/spans.py traces the name
 
 __all__ = ["RawFit", "AgreementReport", "simulate_and_fit", "estimate_cp_raw", "agreement_with_events"]
 
@@ -134,53 +134,52 @@ def _raw_run(pipe: _RawPipeline, cfg: TwoStageConfig, a, scalars, theta, y):
 
 
 def _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=None):
-    """Common loop; yields per-run raw indicators and, when geom is given,
-    the event-path indicators computed from the same noise plus the worst
-    relative error of the zero-slopes residual-sum identity."""
+    """Common loop; yields the raw estimate, per-run raw indicators and, when
+    geom is given, the event-path indicators computed from the same noise plus
+    the worst relative error of the zero-slopes residual-sum identity."""
     beta = _check_beta(beta, layout)
     a = np.asarray(a, dtype=float)
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    if runs < 1:
-        raise DomainError(f"runs must be at least 1, got {runs}")
+    sizes = _chunk_sizes(runs)
     pipe = _RawPipeline(layout)
     scalars = pipe.contrast_scalars(a)
     theta = float(a @ beta)
-    key = np.concatenate([beta, [sigma]])
     gamma = beta / sigma
 
     raw_hits = np.zeros(runs, dtype=bool)
     event_hits = np.zeros(runs, dtype=bool) if geom is not None else None
+    gamma_hat = np.empty((CHUNK_SIZE, 2 * pipe.k))
+    d = np.empty(CHUNK_SIZE)
     worst_rss_rel = 0.0
     r = 0
-    for chunk, size in enumerate(_chunk_sizes(runs)):
-        rng = _stream(seed, "oracle", key, chunk)
-        for _ in range(size):
+    for chunk, size in enumerate(sizes):
+        rng = _stream(seed, "oracle", chunk)
+        for i in range(size):
             eps = sigma * rng.standard_normal(layout.n_total)
             y = pipe.x_design @ beta + eps
             raw_hits[r], fit = _raw_run(pipe, cfg, a, scalars, theta, y)
             slopes_hat = fit.beta_hat[pipe.k :]
             rss_tau_pred = fit.rss_full + float(slopes_hat @ pipe.v22_inv @ slopes_hat)
             worst_rss_rel = max(worst_rss_rel, abs(fit.rss_tau - rss_tau_pred) / fit.rss_tau)
-            if geom is not None:
-                stats = ScaledSufficientStats.from_gamma_hat(
-                    fit.beta_hat / sigma, fit.rss_full / sigma**2
-                )
-                event_hits[r] = coverage_indicator(stats, geom, cfg, gamma)
+            gamma_hat[i] = fit.beta_hat / sigma
+            d[i] = fit.rss_full / sigma**2
             r += 1
-    return raw_hits, event_hits, worst_rss_rel
+        if geom is not None:
+            # the event path sees each run's scale-free statistics, a chunk at a time
+            ev = batch_events(gamma_hat[:size] - gamma, d[:size], gamma[pipe.k :], geom, cfg)
+            event_hits[r - size : r] = ev.covers_selected
+    p_hat = float(raw_hits.mean())
+    se = math.sqrt(p_hat * (1.0 - p_hat) / runs)
+    raw = CoverageEstimate(p_hat, se, int(runs), "oracle", seed, SlopePoint.of(gamma[pipe.k :]))
+    return raw, raw_hits, event_hits, worst_rss_rel
 
 
 def estimate_cp_raw(
     beta, sigma: float, layout: AncovaLayout, cfg: TwoStageConfig, a, runs: int, seed: int
 ) -> CoverageEstimate:
     """Coverage probability estimated entirely from raw simulated fits."""
-    raw_hits, _, _ = _simulate(beta, sigma, layout, cfg, a, runs, seed)
-    p_hat = float(raw_hits.mean())
-    se = math.sqrt(p_hat * (1.0 - p_hat) / runs)
-    beta = _check_beta(beta, layout)
-    point = SlopePoint.of(beta[layout.k :] / sigma)
-    return CoverageEstimate(p_hat, se, runs, "oracle", seed, point)
+    return _simulate(beta, sigma, layout, cfg, a, runs, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -204,13 +203,7 @@ def agreement_with_events(
     response units.  Disagreements can only come from rounding at event
     boundaries, so the agreement rate should be essentially one.
     """
-    raw_hits, event_hits, worst_rss = _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=geom)
-    p_hat = float(raw_hits.mean())
-    se = math.sqrt(p_hat * (1.0 - p_hat) / runs)
-    beta = _check_beta(beta, layout)
-    raw_est = CoverageEstimate(
-        p_hat, se, runs, "oracle", seed, SlopePoint.of(beta[layout.k :] / sigma)
-    )
+    raw_est, raw_hits, event_hits, worst_rss = _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=geom)
     return AgreementReport(
         raw=raw_est,
         event_rate=float(event_hits.mean()),

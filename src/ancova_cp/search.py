@@ -33,10 +33,11 @@ from .errors import DomainError, InsufficientLowCPPoints
 from .montecarlo import (
     CoverageEstimate,
     SlopePoint,
-    _parallel_map,
     estimate_conditioned,
     estimate_naive,
-    gate_probability,
+    estimate_points,
+    gate_probability,  # noqa: F401  kept importable here: perfbench/spans.py traces this name
+    thread_pool,
 )
 
 __all__ = [
@@ -63,6 +64,12 @@ def _resolve_estimator(name: str):
         return _ESTIMATORS[name]
     except KeyError:
         raise DomainError(f'estimator must be one of {sorted(_ESTIMATORS)}, got {name!r}') from None
+
+
+def _estimate_at(points, estimator: str, geom, cfg, a, runs, seed, n_jobs):
+    """Naive or conditioned estimates at every point, from one shared set of draws."""
+    _resolve_estimator(estimator)
+    return estimate_points(points, geom, cfg, estimator, a, runs=runs, seed=seed, n_jobs=n_jobs)
 
 
 @dataclass(frozen=True)
@@ -110,18 +117,11 @@ def grid_eval(
 ) -> list[tuple[SlopePoint, CoverageEstimate]]:
     """Estimate the coverage probability at every lattice point.
 
-    Points are evaluated independently (safe to fan out over threads); each
-    estimate is keyed by (spec.seed, spec.runs, point), so the table does
-    not depend on evaluation order.
+    Every point is evaluated against the same draws of (spec.seed,
+    spec.runs), and each entry equals the estimate of that point alone.
     """
-    estimate = _resolve_estimator(estimator)
     points = grid_points(spec, geom.k)
-    results = _parallel_map(
-        lambda pt: estimate(pt, geom, cfg, a, runs=spec.runs, seed=spec.seed),
-        points,
-        n_jobs,
-    )
-    return list(zip(points, results))
+    return list(zip(points, _estimate_at(points, estimator, geom, cfg, a, spec.runs, spec.seed, n_jobs)))
 
 
 @dataclass(frozen=True)
@@ -205,13 +205,8 @@ def line_profile(
     """
     if n_points < 3:
         raise DomainError(f"a profile needs at least 3 points, got {n_points}")
-    estimate = _resolve_estimator(estimator)
     cs = np.linspace(line.c_range[0], line.c_range[1], n_points)
-    ests = _parallel_map(
-        lambda c: estimate(line.point_at(c), geom, cfg, a, runs=runs, seed=seed),
-        list(cs),
-        n_jobs,
-    )
+    ests = _estimate_at([line.point_at(c) for c in cs], estimator, geom, cfg, a, runs, seed, n_jobs)
     values = np.asarray([e.estimate for e in ests])
     order = np.argsort(values, kind="stable")[:3]
     quad = np.polyfit(cs[order], values[order], 2)
@@ -242,14 +237,18 @@ def second_test_only_cp(
     1000) and the remaining slopes at offset + deltas, which drives the
     first-stage rejection probability to one.
     """
+    estimate = _resolve_estimator(estimator)
+    return estimate(_far_point(deltas, offset, geom.k), geom, cfg, a, runs=runs, seed=seed)
+
+
+def _far_point(deltas, offset: float, k: int) -> SlopePoint:
+    """The slope point (offset, offset + deltas) that realizes second-stage-only coverage."""
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.shape != (geom.k - 1,):
-        raise DomainError(f"deltas must have length {geom.k - 1}, got {deltas.shape}")
+    if deltas.shape != (k - 1,):
+        raise DomainError(f"deltas must have length {k - 1}, got {deltas.shape}")
     if not math.isfinite(offset):
         raise DomainError(f"offset must be finite, got {offset}")
-    estimate = _resolve_estimator(estimator)
-    slopes = np.concatenate([[offset], offset + deltas])
-    return estimate(SlopePoint.of(slopes), geom, cfg, a, runs=runs, seed=seed)
+    return SlopePoint.of(np.concatenate([[offset], offset + deltas]))
 
 
 @dataclass(frozen=True)
@@ -298,11 +297,16 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     square.  Boundary gate probabilities that do not clear
     ``gate_warn_below`` become warnings in the diagnostics, never errors.
     """
+    with thread_pool(config.n_jobs):
+        return _min_cp_search(config)
+
+
+def _min_cp_search(config: SearchConfig) -> MinSearchReport:
     geom, cfg, a = config.geom, config.cfg, config.geom.a
-    estimate = _resolve_estimator(config.estimator)
+    cube, square = config.cube, config.square
     warnings: list[str] = []
 
-    cube_table = grid_eval(config.cube, config.estimator, geom, cfg, a, n_jobs=config.n_jobs)
+    cube_table = grid_eval(cube, config.estimator, geom, cfg, a, n_jobs=config.n_jobs)
     candidates = [min((est for _, est in cube_table), key=lambda e: e.estimate)]
 
     lines = None
@@ -312,78 +316,51 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     except InsufficientLowCPPoints as exc:
         warnings.append(f"line fitting skipped: {exc}")
     if lines is not None:
-        fitted = []
-        for line in lines:
-            profile = line_profile(
+        profiles = tuple(
+            line_profile(
                 line,
                 geom,
                 cfg,
                 a,
                 n_points=config.profile_points,
-                runs=config.cube.runs,
-                seed=config.cube.seed,
+                runs=cube.runs,
+                seed=cube.seed,
                 estimator=config.estimator,
                 n_jobs=config.n_jobs,
             )
-            fitted.append(profile)
-            candidates.append(
-                estimate(
-                    line.point_at(profile.c_min),
-                    geom,
-                    cfg,
-                    a,
-                    runs=config.cube.runs,
-                    seed=config.cube.seed,
-                )
-            )
-        profiles = tuple(fitted)
+            for line in lines
+        )
+        minima = [p.line.point_at(p.c_min) for p in profiles]
+        candidates += _estimate_at(minima, config.estimator, geom, cfg, a, cube.runs, cube.seed, config.n_jobs)
     min1 = min(candidates, key=lambda e: e.estimate)
 
-    square_axes = config.square.axes(geom.k - 1)
-    square_table = []
-    for deltas in itertools.product(*square_axes):
-        est = second_test_only_cp(
-            deltas,
-            geom,
-            cfg,
-            a,
-            runs=config.square.runs,
-            seed=config.square.seed,
-            estimator=config.estimator,
-            offset=config.offset,
-        )
-        square_table.append((deltas, est))
-    min2 = min((est for _, est in square_table), key=lambda e: e.estimate)
+    square_axes = square.axes(geom.k - 1)
+    deltas = list(itertools.product(*square_axes))
+    far = [_far_point(delta, config.offset, geom.k) for delta in deltas]
+    square_ests = _estimate_at(far, config.estimator, geom, cfg, a, square.runs, square.seed, config.n_jobs)
+    square_table = list(zip(deltas, square_ests))
+    min2 = min(square_ests, key=lambda e: e.estimate)
 
     overall = min1 if min1.estimate <= min2.estimate else min2
 
     # the cube restriction needs the first test to reject on its boundary,
     # the square restriction needs the second test to reject on its own
     gates = []
-    for corner in _boundary_points(config.cube.axes(geom.k)):
-        est = gate_probability(
-            SlopePoint.of(corner), geom, cfg, "tau", runs=config.cube.runs, seed=config.cube.seed
-        )
-        reject = 1.0 - est.estimate
-        gates.append({"test": "tau", "point": corner, "reject_prob": reject})
-        if reject < config.gate_warn_below:
-            warnings.append(
-                f"first-stage rejection probability {reject:.4f} at cube corner {corner} "
-                f"is below {config.gate_warn_below}"
-            )
-    for corner in _boundary_points(square_axes):
-        slopes = tuple(np.concatenate([[config.offset], config.offset + np.asarray(corner)]))
-        est = gate_probability(
-            SlopePoint.of(slopes), geom, cfg, "xi", runs=config.square.runs, seed=config.square.seed
-        )
-        reject = 1.0 - est.estimate
-        gates.append({"test": "xi", "point": corner, "reject_prob": reject})
-        if reject < config.gate_warn_below:
-            warnings.append(
-                f"second-stage rejection probability {reject:.4f} at square corner {corner} "
-                f"is below {config.gate_warn_below}"
-            )
-
+    cube_corners = _boundary_points(cube.axes(geom.k))
+    square_corners = _boundary_points(square_axes)
+    for test, stage, region, spec, corners, points in (
+        ("tau", "first", "cube", cube, cube_corners, cube_corners),
+        ("xi", "second", "square", square, square_corners, [_far_point(c, config.offset, geom.k) for c in square_corners]),
+    ):
+        ests = estimate_points(points, geom, cfg, f"gate_{test}", runs=spec.runs, seed=spec.seed, n_jobs=config.n_jobs)
+        for corner, est in zip(corners, ests):
+            reject = 1.0 - est.estimate
+            gates.append({"test": test, "point": corner, "reject_prob": reject})
+            if reject < config.gate_warn_below:
+                warnings.append(
+                    f"{stage}-stage rejection probability {reject:.4f} at {region} corner {corner} "
+                    f"is below {config.gate_warn_below}"
+                )
     return MinSearchReport(
         min1=min1,
         min2=min2,

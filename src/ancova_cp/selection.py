@@ -84,16 +84,64 @@ class EventBatch(NamedTuple):
     f_tau: np.ndarray
     f_xi: np.ndarray
 
+    @property
+    def covers_selected(self) -> np.ndarray:
+        """Whether the interval the two-stage rule picks covers, per draw."""
+        return np.where(self.in_a, self.covers_tau, np.where(self.in_b, self.covers_xi, self.covers_full))
 
-def _batch_f(q: np.ndarray, d: np.ndarray, geom: GeometryBundle):
-    """F statistics for rows of q against scaled residuals d; returns the quadratic forms too."""
-    if geom.k < 2:
-        raise DomainError("F statistics need at least two groups")
-    quad_v = np.einsum("ij,ij->i", q @ geom.v22_inv, q)
-    uq = q @ geom.u.T
-    quad_w = np.einsum("ij,ij->i", uq @ geom.w22_inv, uq)
-    f_tau = (geom.m / geom.k) * quad_v / d
-    f_xi = (geom.m / (geom.k - 1)) * quad_w / d
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[..., j] * b[..., j] in a fixed order of elementwise operations.
+
+    Unlike a BLAS product, it rounds every output element the same way for any
+    number of rows, so a point evaluated in a block matches it evaluated alone.
+    """
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out
+
+
+class SlopeNoise(NamedTuple):
+    """The point-free parts of the two F quadratic forms for a block of draws.
+
+    With q = s + z (true slopes s, slope noise z) and A symmetric,
+    q'Aq = s'As + 2 s'(Az) + z'Az.  The z terms are computed once per block
+    of draws and shared by every slope point evaluated against it, and the
+    point only enters through s, so no slope - q difference ever cancels.
+    """
+
+    d: np.ndarray  # (n,) scaled residual sums of squares
+    vz: np.ndarray  # (k, n) V22^-1 z, one row per coordinate
+    zvz: np.ndarray  # (n,) z' V22^-1 z
+    wuz: np.ndarray  # (k-1, n) W22^-1 U z
+    zwz: np.ndarray  # (n,) (U z)' W22^-1 (U z)
+
+    @classmethod
+    def of(cls, z: np.ndarray, d: np.ndarray, geom: GeometryBundle) -> "SlopeNoise":
+        if geom.k < 2:
+            raise DomainError("F statistics need at least two groups")
+        vz = z @ geom.v22_inv
+        uz = z @ geom.u.T
+        wuz = uz @ geom.w22_inv
+        return cls(d, vz.T.copy(), _inner(vz, z), wuz.T.copy(), _inner(wuz, uz))
+
+
+def _quad(s: np.ndarray, mat: np.ndarray, mat_z: np.ndarray, z_mat_z: np.ndarray) -> np.ndarray:
+    """(s + z)' mat (s + z) for every (row of s, draw) pair, shape (P, n)."""
+    quad = _inner(s[:, None, :], mat_z.T[None])
+    quad *= 2.0
+    quad += _inner(_inner(s[:, None, :], mat), s)[:, None]
+    quad += z_mat_z
+    return quad
+
+
+def block_f(noise: SlopeNoise, slopes: np.ndarray, geom: GeometryBundle):
+    """F statistics and quadratic forms for slope points (P, k) against shared draws; each (P, n)."""
+    quad_v = _quad(slopes, geom.v22_inv, noise.vz, noise.zvz)
+    quad_w = _quad(_inner(slopes[:, None, :], geom.u), geom.w22_inv, noise.wuz, noise.zwz)
+    f_tau = (geom.m / geom.k) * quad_v / noise.d
+    f_xi = (geom.m / (geom.k - 1)) * quad_w / noise.d
     return f_tau, f_xi, quad_v, quad_w
 
 
@@ -108,33 +156,39 @@ def batch_events(
 
     delta has one row per draw (the 2k-dimensional estimation noise), d is the
     vector of scaled residual sums of squares, slopes the true slope block of
-    gamma.  Intervals are closed, so coverage comparisons use <=.
+    gamma: one point (k,) gives fields of shape (n,), a block of points (P, k)
+    fields of shape (P, n), every point evaluated against the same draws.
+    Intervals are closed, so coverage comparisons use <=.
     """
     m, k = geom.m, geom.k
-    q = slopes + delta[:, k:]
-    f_tau, f_xi, quad_v, quad_w = _batch_f(q, d, geom)
+    block = np.atleast_2d(np.asarray(slopes, dtype=float))
+    f_tau, f_xi, quad_v, quad_w = block_f(SlopeNoise.of(delta[:, k:], d, geom), block, geom)
     in_a = f_tau <= cfg.l_tau
     in_b = ~in_a & (f_xi <= cfg.l_xi)
 
-    center_tau = delta @ geom.ga_tau - float(geom.vproj @ slopes)
+    center_tau = delta @ geom.ga_tau - _inner(block, geom.vproj)[:, None]
     half_tau = cfg.t_mk * np.sqrt((d + quad_v) / (m + k)) * np.sqrt(geom.v_star)
-    center_xi = delta @ geom.ga_xi - float(geom.wproj @ (geom.u @ slopes))
+    center_xi = delta @ geom.ga_xi - _inner(_inner(block[:, None, :], geom.u), geom.wproj)[:, None]
     half_xi = cfg.t_mk1 * np.sqrt((d + quad_w) / (m + k - 1)) * np.sqrt(geom.w_star)
     center_full = delta @ geom.a
     half_full = cfg.t_m * np.sqrt(d / m) * np.sqrt(geom.v11)
 
-    return EventBatch(
-        in_a=in_a,
-        in_b=in_b,
-        covers_tau=np.abs(center_tau) <= half_tau,
-        covers_xi=np.abs(center_xi) <= half_xi,
-        covers_full=np.abs(center_full) <= half_full,
-        f_tau=f_tau,
-        f_xi=f_xi,
+    fields = (
+        in_a,
+        in_b,
+        np.abs(center_tau) <= half_tau,
+        np.abs(center_xi) <= half_xi,
+        np.broadcast_to(np.abs(center_full) <= half_full, in_a.shape),
+        f_tau,
+        f_xi,
     )
+    if np.ndim(slopes) == 1:
+        fields = tuple(f[0] for f in fields)
+    return EventBatch(*fields)
 
 
-def _check_scalar_inputs(stats: ScaledSufficientStats, geom: GeometryBundle, gamma, a):
+def _scalar_batch(stats: ScaledSufficientStats, geom: GeometryBundle, cfg, gamma, a) -> EventBatch:
+    """Validate one draw and its true gamma, then evaluate its events as a one-row batch."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (2 * geom.k,):
         raise DomainError(f"gamma must have length {2 * geom.k}, got {gamma.shape}")
@@ -142,21 +196,17 @@ def _check_scalar_inputs(stats: ScaledSufficientStats, geom: GeometryBundle, gam
         raise DomainError("contrast does not match the one the geometry was built with")
     if stats.d <= 0.0:
         raise DomainError(f"d must be positive, got {stats.d}")
-    return gamma
-
-
-def _scalar_batch(stats: ScaledSufficientStats, geom: GeometryBundle, cfg, gamma) -> EventBatch:
     delta = (stats.gamma_hat - gamma)[None, :]
-    d = np.asarray([stats.d])
-    return batch_events(delta, d, gamma[geom.k :], geom, cfg)
+    return batch_events(delta, np.asarray([stats.d]), gamma[geom.k :], geom, cfg)
 
 
 def f_statistics(stats: ScaledSufficientStats, geom: GeometryBundle) -> tuple[float, float]:
     """First- and second-stage F statistics of one draw."""
     if stats.d <= 0.0:
         raise DomainError(f"d must be positive, got {stats.d}")
-    f_tau, f_xi, _, _ = _batch_f(np.asarray(stats.q, dtype=float)[None, :], np.asarray([stats.d]), geom)
-    return float(f_tau[0]), float(f_xi[0])
+    noise = SlopeNoise.of(np.asarray(stats.q, dtype=float)[None, :], np.asarray([stats.d]), geom)
+    f_tau, f_xi, _, _ = block_f(noise, np.zeros((1, geom.k)), geom)
+    return float(f_tau[0, 0]), float(f_xi[0, 0])
 
 
 def select_region(
@@ -175,28 +225,19 @@ def select_region(
 
 def covers_tau(stats, geom, cfg, gamma, a=None) -> bool:
     """Whether the zero-slopes interval covers a'gamma for this draw."""
-    gamma = _check_scalar_inputs(stats, geom, gamma, a)
-    return bool(_scalar_batch(stats, geom, cfg, gamma).covers_tau[0])
+    return bool(_scalar_batch(stats, geom, cfg, gamma, a).covers_tau[0])
 
 
 def covers_xi(stats, geom, cfg, gamma, a=None) -> bool:
     """Whether the common-slope interval covers a'gamma for this draw."""
-    gamma = _check_scalar_inputs(stats, geom, gamma, a)
-    return bool(_scalar_batch(stats, geom, cfg, gamma).covers_xi[0])
+    return bool(_scalar_batch(stats, geom, cfg, gamma, a).covers_xi[0])
 
 
 def covers_full(stats, geom, cfg, gamma, a=None) -> bool:
     """Whether the separate-slopes interval covers a'gamma for this draw."""
-    gamma = _check_scalar_inputs(stats, geom, gamma, a)
-    return bool(_scalar_batch(stats, geom, cfg, gamma).covers_full[0])
+    return bool(_scalar_batch(stats, geom, cfg, gamma, a).covers_full[0])
 
 
 def coverage_indicator(stats, geom, cfg, gamma, a=None) -> bool:
     """Whether the interval picked by the two-stage rule covers a'gamma."""
-    gamma = _check_scalar_inputs(stats, geom, gamma, a)
-    batch = _scalar_batch(stats, geom, cfg, gamma)
-    if batch.in_a[0]:
-        return bool(batch.covers_tau[0])
-    if batch.in_b[0]:
-        return bool(batch.covers_xi[0])
-    return bool(batch.covers_full[0])
+    return bool(_scalar_batch(stats, geom, cfg, gamma, a).covers_selected[0])

@@ -9,11 +9,12 @@ from ancova_cp import (
     SlopePoint,
     estimate_conditioned,
     estimate_naive,
+    estimate_points,
     event_probabilities,
     gate_probability,
     sample_stats,
 )
-from ancova_cp.montecarlo import CHUNK_SIZE, default_workers
+from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _Moments, default_workers
 from oracles import gate_prob_ncf
 
 POINT = SlopePoint.of((0.05, 0.1, 0.0))
@@ -51,6 +52,87 @@ def test_serial_equals_parallel(ref, estimate):
     threaded = estimate(POINT, geom, cfg, runs=runs, seed=7, n_jobs=4)
     assert serial.estimate == threaded.estimate
     assert serial.se == threaded.se
+
+
+@pytest.mark.parametrize("estimator", ["naive", "conditioned", "gate_tau", "gate_xi"])
+def test_block_matches_single_point_calls(ref, estimator):
+    # several chunks, and more points than fit in one block of cells
+    _, _, geom, cfg = ref
+    runs = CHUNK_SIZE + 700
+    assert BLOCK_CELLS // CHUNK_SIZE < 5
+    points = [SlopePoint.of(p) for p in np.random.default_rng(5).uniform(-0.3, 0.3, (5, 3))]
+    block = estimate_points(points, geom, cfg, estimator, runs=runs, seed=4)
+    for point, est in zip(points, block):
+        alone = estimate_points([point], geom, cfg, estimator, runs=runs, seed=4)[0]
+        assert (est.estimate, est.se, est.point) == (alone.estimate, alone.se, point)
+        assert est.estimator == estimator and est.runs == runs
+
+
+def test_block_is_thread_invariant_through_env(ref, monkeypatch):
+    _, _, geom, cfg = ref
+    points = [SlopePoint.of(p) for p in np.random.default_rng(6).uniform(-0.3, 0.3, (7, 3))]
+    runs = 3 * CHUNK_SIZE + 11
+    serial = estimate_points(points, geom, cfg, "conditioned", runs=runs, seed=2, n_jobs=1)
+    for threads in ("2", "4"):
+        monkeypatch.setenv("ANCOVA_CP_THREADS", threads)
+        threaded = estimate_points(points, geom, cfg, "conditioned", runs=runs, seed=2)
+        assert [(e.estimate, e.se) for e in threaded] == [(e.estimate, e.se) for e in serial]
+
+
+def test_estimate_points_validation(ref):
+    _, _, geom, cfg = ref
+    with pytest.raises(DomainError):
+        estimate_points([], geom, cfg, "conditioned", runs=100)
+    with pytest.raises(DomainError):
+        estimate_points([POINT], geom, cfg, "events", runs=100)
+    with pytest.raises(DomainError):
+        estimate_points([POINT, (0.0, 0.0)], geom, cfg, "naive", runs=100)
+
+
+# ---------------------------------------------------------------------------
+# float representation of the point cannot matter
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("estimate", [estimate_naive, estimate_conditioned])
+def test_signed_zero_gives_bit_identical_estimates(ref, estimate):
+    _, _, geom, cfg = ref
+    plus = estimate((0.0, 0.1, 0.0), geom, cfg, runs=20_000, seed=0)
+    minus = estimate((-0.0, 0.1, -0.0), geom, cfg, runs=20_000, seed=0)
+    assert (plus.estimate, plus.se) == (minus.estimate, minus.se)
+
+
+def test_one_ulp_moves_estimate_negligibly(ref):
+    _, _, geom, cfg = ref
+    base = estimate_conditioned((0.0, 0.1, 0.0), geom, cfg, runs=20_000, seed=0)
+    for moved in [
+        (np.nextafter(0.0, 1.0), 0.1, 0.0),
+        (0.0, np.nextafter(0.1, 1.0), 0.0),
+        (0.0, 0.1, np.nextafter(0.0, -1.0)),
+    ]:
+        est = estimate_conditioned(moved, geom, cfg, runs=20_000, seed=0)
+        assert abs(est.estimate - base.estimate) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# chunk merge
+# ---------------------------------------------------------------------------
+
+
+def test_moments_merge_is_cancellation_free():
+    values = 1.0 - 1e-9 * np.random.default_rng(3).uniform(size=1_000_000)
+    merged = None
+    for start in range(0, values.size, CHUNK_SIZE):
+        part = _Moments.of(values[start : start + CHUNK_SIZE])
+        merged = part if merged is None else merged.merge(part)
+    want = np.var(values, ddof=1)
+    assert merged.n == values.size
+    assert merged.mean == pytest.approx(values.mean(), rel=1e-15)
+    assert merged.m2 / (merged.n - 1) == pytest.approx(want, rel=1e-6)
+    # the sum-of-squares form it replaces loses every digit here
+    s1, s2 = values.sum(), (values * values).sum()
+    naive = (s2 - s1 * s1 / values.size) / (values.size - 1)
+    assert abs(naive - want) > 1e-6 * want
 
 
 def test_partial_chunk_and_single_run(ref):
@@ -256,6 +338,26 @@ def test_estimator_input_validation(ref):
         estimate_naive(POINT, geom, cfg, runs=100, seed=0, intercepts=(1.0,))
     with pytest.raises(DomainError):
         estimate_conditioned(POINT, geom, cfg, a=np.ones(6), runs=100, seed=0)
+
+
+@pytest.mark.parametrize("runs", [100.5, 100.0, True, False, "100", None, -3, np.float64(100.0)])
+@pytest.mark.parametrize("estimate", [estimate_naive, estimate_conditioned])
+def test_runs_must_be_a_positive_integer(ref, estimate, runs):
+    _, _, geom, cfg = ref
+    with pytest.raises(DomainError):
+        estimate(POINT, geom, cfg, runs=runs, seed=0)
+
+
+def test_runs_accepts_numpy_integers(ref):
+    _, _, geom, cfg = ref
+    est = estimate_conditioned(POINT, geom, cfg, runs=np.int64(300), seed=np.int32(1))
+    plain = estimate_conditioned(POINT, geom, cfg, runs=300, seed=1)
+    assert (est.estimate, est.se) == (plain.estimate, plain.se)
+    assert type(est.runs) is int and type(est.seed) is int
+    with pytest.raises(DomainError):
+        gate_probability(POINT, geom, cfg, "tau", runs=2.5, seed=0)
+    with pytest.raises(DomainError):
+        event_probabilities(POINT, geom, cfg, runs=True, seed=0)
 
 
 def test_default_workers_env(monkeypatch):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ancova_cp import montecarlo
 from ancova_cp import (
     CoverageEstimate,
     DomainError,
@@ -73,6 +74,27 @@ def test_grid_eval_matches_direct_estimates(small):
     assert [e.estimate for _, e in again] == [e.estimate for _, e in table]
 
 
+def test_grid_eval_signed_zero_bounds_are_bit_identical(ref):
+    _, _, geom, cfg = ref
+    plus = GridSpec(bounds=((-0.2, 0.0), (0.0, 0.2), (-0.2, 0.0)), points_per_axis=2, runs=3000, seed=1)
+    minus = GridSpec(bounds=((-0.2, -0.0), (0.0, 0.2), (-0.2, -0.0)), points_per_axis=2, runs=3000, seed=1)
+    for estimator in ("naive", "conditioned"):
+        one = grid_eval(plus, estimator, geom, cfg)
+        two = grid_eval(minus, estimator, geom, cfg)
+        assert math.copysign(1.0, two[-1][0].values[0]) == -1.0
+        assert [(e.estimate, e.se) for _, e in one] == [(e.estimate, e.se) for _, e in two]
+
+
+@pytest.mark.parametrize("threads", ["2", "4"])
+def test_grid_eval_thread_invariant_through_env(ref, monkeypatch, threads):
+    _, _, geom, cfg = ref
+    spec = GridSpec(bounds=(-0.2, 0.2), points_per_axis=3, runs=9000, seed=2)
+    serial = grid_eval(spec, "conditioned", geom, cfg, n_jobs=1)
+    monkeypatch.setenv("ANCOVA_CP_THREADS", threads)
+    threaded = grid_eval(spec, "conditioned", geom, cfg)
+    assert threaded == serial
+
+
 def test_grid_eval_estimator_name(small):
     _, _, geom, cfg = small
     spec = GridSpec(points_per_axis=2, runs=10)
@@ -93,6 +115,10 @@ def test_coverage_symmetric_under_sign_flip(ref):
     plus = estimate_conditioned((0.1, -0.05, 0.15), geom, cfg, runs=10_000, seed=2)
     minus = estimate_conditioned((-0.1, 0.05, -0.15), geom, cfg, runs=10_000, seed=2)
     assert abs(plus.estimate - minus.estimate) <= 3 * math.hypot(plus.se, minus.se)
+    # same-seed estimates share their draws; an independent seed keeps the
+    # combined-SE bound exact
+    other = estimate_conditioned((-0.1, 0.05, -0.15), geom, cfg, runs=10_000, seed=3)
+    assert abs(plus.estimate - other.estimate) <= 3 * math.hypot(plus.se, other.se)
 
 
 def test_naive_se_shrinks_like_root_runs(ref):
@@ -211,6 +237,8 @@ def test_second_test_only_depends_only_on_differences(ref):
     ]
     for other in ests[1:]:
         assert abs(ests[0].estimate - other.estimate) <= 3 * math.hypot(ests[0].se, other.se)
+        # shared draws: the offsets differ only through rounding
+        assert abs(ests[0].estimate - other.estimate) <= 1e-9
 
 
 def test_second_test_only_nominal_far_outside_square(ref):
@@ -266,6 +294,46 @@ def test_min_cp_search_small_budget(ref):
     assert redo.se == best.se
 
 
+def _fine_config(geom, cfg, n_jobs=None):
+    return SearchConfig(
+        geom=geom,
+        cfg=cfg,
+        estimator="conditioned",
+        cube=GridSpec(bounds=(-0.25, 0.25), points_per_axis=7, runs=900, seed=0),
+        square=GridSpec(bounds=(-0.2, 0.2), points_per_axis=3, runs=900, seed=0),
+        profile_points=5,
+        n_jobs=n_jobs,
+    )
+
+
+@pytest.mark.parametrize("threads", ["2", "4"])
+def test_min_cp_search_thread_invariant_through_env(ref, monkeypatch, threads):
+    _, _, geom, cfg = ref
+    serial = min_cp_search(_fine_config(geom, cfg, n_jobs=1))
+    assert serial.lines is not None
+    monkeypatch.setenv("ANCOVA_CP_THREADS", threads)
+    assert min_cp_search(_fine_config(geom, cfg)) == serial
+
+
+def test_min_cp_search_opens_one_pool(ref, monkeypatch):
+    _, _, geom, cfg = ref
+    opened = []
+
+    class CountingPool(montecarlo.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setenv("ANCOVA_CP_THREADS", "2")
+    report = min_cp_search(_fine_config(geom, cfg))
+    assert report.lines is not None
+    assert len(opened) == 1
+    opened.clear()
+    min_cp_search(_fine_config(geom, cfg, n_jobs=1))
+    assert opened == []
+
+
 def test_min_cp_search_skips_lines_on_coarse_lattice(ref):
     # a 5-per-axis lattice steps over the narrow low-CP band
     _, _, geom, cfg = ref
@@ -277,15 +345,7 @@ def test_min_cp_search_skips_lines_on_coarse_lattice(ref):
 
 def test_min_cp_search_profiles_on_fine_lattice(ref):
     _, _, geom, cfg = ref
-    config = SearchConfig(
-        geom=geom,
-        cfg=cfg,
-        estimator="conditioned",
-        cube=GridSpec(bounds=(-0.25, 0.25), points_per_axis=7, runs=900, seed=0),
-        square=GridSpec(bounds=(-0.2, 0.2), points_per_axis=3, runs=900, seed=0),
-        profile_points=5,
-    )
-    report = min_cp_search(config)
+    report = min_cp_search(_fine_config(geom, cfg))
     assert report.lines is not None
     up, down = report.lines
     assert up.offsets[1] >= up.offsets[0]
