@@ -29,7 +29,7 @@ from .errors import (
     InsufficientLowCPPoints,
     SingularDesign,
 )
-from .conditional import ConditionalKernel, phi
+from .conditional import ConditionalKernel
 from .montecarlo import (
     CoverageEstimate,
     SlopePoint,
@@ -39,7 +39,6 @@ from .montecarlo import (
     estimate_points,
     event_probabilities,
     gate_probability,
-    sample_stats,
 )
 from .oracle import AgreementReport, RawFit, agreement_with_events, estimate_cp_raw, simulate_and_fit
 from .search import (
@@ -57,16 +56,6 @@ from .search import (
     write_grid_csv,
     write_profile_csv,
 )
-from .selection import (
-    ScaledSufficientStats,
-    SelectionOutcome,
-    batch_events,
-    coverage_indicator,
-    covers_full,
-    covers_tau,
-    covers_xi,
-    f_statistics,
-    select_region,
-)
+from .selection import batch_events, coverage_indicator
 
 __version__ = "0.1.0"

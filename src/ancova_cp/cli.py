@@ -31,11 +31,12 @@ from .design import (
     GeometryBundle,
     TwoStageConfig,
     _parse_design,
+    _read_json_object,
     build_geometry,
     critical_values,
     reference_design,
 )
-from .errors import AncovaError, DomainError
+from .errors import AncovaError, DomainError, check_count
 from .montecarlo import CoverageEstimate, SlopePoint, estimate_conditioned, estimate_naive
 from .oracle import agreement_with_events
 from .search import (
@@ -158,13 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_file_config(path: str | None) -> tuple[dict, AncovaLayout | None, ContrastSpec | None]:
     if path is None:
         return {}, None, None
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise DomainError(f"{path}: top level must be an object")
+    doc = _read_json_object(path)
     unknown = set(doc) - set(_RUN_KEYS) - {"k", "n", "x", "contrast"}
     if unknown:
         raise DomainError(f"{path}: unknown keys {sorted(unknown)}")
@@ -187,8 +182,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     alpha = float(pick(args.alpha, "alpha", 0.05))
     sig_tau = float(pick(args.sig_tau, "sig_tau", 0.10))
     sig_xi = float(pick(args.sig_xi, "sig_xi", 0.10))
-    runs = int(pick(args.runs, "runs", 10_000))
-    seed = int(pick(args.seed, "seed", 0))
+    runs = check_count("runs", pick(args.runs, "runs", 10_000), 1)
+    seed = check_count("seed", pick(args.seed, "seed", 0), 0)
     estimator = str(pick(args.estimator, "estimator", "conditioned"))
 
     geom = build_geometry(layout, contrast)

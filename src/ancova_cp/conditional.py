@@ -28,24 +28,16 @@ from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError
 from .selection import SlopeNoise, _inner, block_f
 
-__all__ = ["phi", "ConditionalKernel"]
-
-
-def phi(x):
-    """Standard normal CDF (scipy's ndtr, which switches to erfc in the tails).
-
-    Accurate to well below 1e-12 absolute error over the whole real line;
-    works elementwise on arrays.
-    """
-    return special.ndtr(np.asarray(x, dtype=float))
+__all__ = ["ConditionalKernel"]
 
 
 class ConditionalKernel:
     """Conditional coverage for one design and cutoff config at a block of true slope points.
 
     ``slopes`` is one point (k,) or a block of points (P, k).  ``block``
-    evaluates every point against shared draws (P x n values); the row and
-    scalar methods serve a single point given q itself.
+    evaluates every point against shared draws (P x n values);
+    ``conditional_cp_batch`` is the row adapter for a kernel built for one
+    point, given the slope estimates q themselves.
     """
 
     def __init__(self, geom: GeometryBundle, cfg: TwoStageConfig, slopes):
@@ -96,44 +88,18 @@ class ConditionalKernel:
         """
         return self._evaluate(z, noise)[0]
 
-    # ------------------------------------------------------------------
-    # single-point interface: q is the slope estimate itself
-    # ------------------------------------------------------------------
+    def conditional_cp_batch(self, q, d) -> np.ndarray:
+        """Conditional coverage of the selected interval, row-wise on q (n, k) against d (n,).
 
-    def _rows(self, q, d):
+        Needs a kernel built for one slope point; every d must be positive.
+        """
+        q = np.asarray(q, dtype=float)
+        d = np.asarray(d, dtype=float)
         if self.slopes.shape[0] != 1:
             raise DomainError("the row interface needs a kernel built for one slope point")
-        z = np.asarray(q, dtype=float) - self.slopes[0]
-        return self._evaluate(z, SlopeNoise.of(z, np.asarray(d, dtype=float), self.geom))
-
-    def _scalar(self, q, d):
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.geom.k,):
-            raise DomainError(f"q must have length {self.geom.k}, got {q.shape}")
-        if not d > 0.0:
-            raise DomainError(f"d must be positive, got {d}")
-        p, in_a, in_b = self._rows(q[None, :], [float(d)])
-        return float(p[0, 0]), bool(in_a[0, 0]), bool(in_b[0, 0])
-
-    def p_tau(self, q, d) -> float:
-        """Conditional coverage of the zero-slopes interval; zero off its region."""
-        p, in_a, _ = self._scalar(q, d)
-        return p if in_a else 0.0
-
-    def p_xi(self, q, d) -> float:
-        """Conditional coverage of the common-slope interval; zero off its region."""
-        p, _, in_b = self._scalar(q, d)
-        return p if in_b else 0.0
-
-    def p_full(self, q, d) -> float:
-        """Conditional coverage of the separate-slopes interval; zero off its region."""
-        p, in_a, in_b = self._scalar(q, d)
-        return 0.0 if in_a or in_b else p
-
-    def conditional_cp(self, q, d) -> float:
-        """Conditional coverage of the selected interval given (q, d)."""
-        return self._scalar(q, d)[0]
-
-    def conditional_cp_batch(self, q: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """conditional_cp evaluated row-wise on q (n, k) against d (n,)."""
-        return self._rows(q, d)[0][0]
+        if q.ndim != 2 or q.shape[1] != self.geom.k or d.shape != q.shape[:1]:
+            raise DomainError(f"q must be (n, {self.geom.k}) and d (n,), got {q.shape} and {d.shape}")
+        if not np.all(d > 0.0):
+            raise DomainError("every d must be positive")
+        z = q - self.slopes[0]
+        return self.block(z, SlopeNoise.of(z, d, self.geom))[0]

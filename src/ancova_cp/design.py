@@ -8,9 +8,9 @@ where xbar is the grand mean of all covariate values and the coefficient
 vector is beta = (a_1, ..., a_k, b_1, ..., b_k).  The procedures downstream
 choose between three fitted models: all slopes zero, a common slope, and
 separate slopes.  Everything they need from the design is collected once in
-a GeometryBundle: the constraint selectors for "all slopes zero" and "all
-slopes equal", the projection matrices of the two constrained fits, and the
-variance components of a fixed linear contrast of beta.
+a GeometryBundle: the variance components of a fixed linear contrast of beta,
+and that contrast pushed through the projections of the two constrained fits
+("all slopes zero" and "all slopes equal").
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 from scipy import special
 
-from .errors import ConditioningFailure, DomainError, SingularDesign
+from .errors import ConditioningFailure, DomainError, SingularDesign, check_count
 
 __all__ = [
     "AncovaLayout",
@@ -172,63 +172,49 @@ def build_design(layout: AncovaLayout) -> np.ndarray:
     slope column is then zero or collinear with the group indicator).
     """
     x_design = _design_rows(layout)
-    try:
-        np.linalg.cholesky(x_design.T @ x_design)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesign("X'X is not positive definite for this layout") from exc
+    _spd_inverse(x_design.T @ x_design, "X'X", SingularDesign)
     return x_design
 
 
 @dataclass(frozen=True)
 class GeometryBundle:
-    """Design geometry and contrast variance components, computed once per design.
+    """What the estimators read of a design and contrast, computed once per design.
 
-    Beyond the raw blocks of (X'X)^-1 this caches the solved projection
-    vectors and Cholesky factors the estimators need on every draw, so the
-    per-draw work is a handful of dot products.
+    With V = (X'X)^-1, V22 its slope block and W22 the covariance of the
+    slope differences U q, v21 and w21 are the covariances of the contrast
+    estimate with the slopes and with their differences, and s21 that of the
+    common-slope contrast estimate with the slopes.  Only the solved
+    projections and Cholesky factors of these are kept, so the per-draw work
+    is a handful of dot products.
     """
 
-    # design and constraint selectors
-    x_design: np.ndarray
-    xtx_inv: np.ndarray
-    c_tau: np.ndarray
-    c_xi: np.ndarray
-    u: np.ndarray
+    u: np.ndarray  # (k-1, k) slope-difference selector: U q = (q_1 - q_2, ..., q_1 - q_k)
     m: int
     k: int
-    # covariance blocks of the contrast and the two constraint estimates
-    v22: np.ndarray
-    w22: np.ndarray
-    v21: np.ndarray
-    w21: np.ndarray
-    v11: float
-    v_star: float
-    w_star: float
-    s21: np.ndarray
-    g_tau: np.ndarray
-    g_xi: np.ndarray
-    # cached derived quantities
-    a: np.ndarray
+    a: np.ndarray  # the contrast
+    v11: float  # a'Va
+    v_star: float  # v11 - v21' V22^-1 v21
+    w_star: float  # v11 - w21' W22^-1 w21
+    w_cond: float  # w_star - s21' V22^-1 s21
     v22_inv: np.ndarray
     w22_inv: np.ndarray
     vproj: np.ndarray  # V22^-1 v21
     wproj: np.ndarray  # W22^-1 w21
     sproj: np.ndarray  # V22^-1 s21
-    w_cond: float  # w_star - s21' V22^-1 s21
-    ga_tau: np.ndarray  # g_tau' a
-    ga_xi: np.ndarray  # g_xi' a
-    noise_chol: np.ndarray  # lower Cholesky factor of (X'X)^-1
-    v22_chol: np.ndarray  # lower Cholesky factor of v22
+    ga_tau: np.ndarray  # G_tau' a, G_tau the zero-slopes projection of the full fit
+    ga_xi: np.ndarray  # G_xi' a, G_xi the common-slope projection of the full fit
+    noise_chol: np.ndarray  # lower Cholesky factor of V
+    v22_chol: np.ndarray  # lower Cholesky factor of V22
 
 
-def _spd_inverse(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Return (chol_lower, inverse) of a symmetric positive definite matrix."""
+def _spd_inverse(mat: np.ndarray, what: str, error=ConditioningFailure) -> tuple[np.ndarray, np.ndarray]:
+    """Return (chol_lower, inverse) of a symmetric positive definite matrix; ``error`` if it is not."""
     if mat.shape[0] == 0:
         return np.zeros((0, 0)), np.zeros((0, 0))
     try:
         chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
-        raise ConditioningFailure(f"{what} is not positive definite") from exc
+        raise error(f"{what} is not positive definite") from exc
     ident = np.eye(mat.shape[0])
     half = np.linalg.solve(chol, ident)
     return chol, half.T @ half
@@ -247,13 +233,7 @@ def build_geometry(layout: AncovaLayout, contrast: ContrastSpec) -> GeometryBund
         raise DomainError(f"contrast has length {a.shape[0]}, design needs {2 * k}")
 
     x_design = _design_rows(layout)
-    xtx = x_design.T @ x_design
-    try:
-        xtx_chol = np.linalg.cholesky(xtx)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesign("X'X is not positive definite for this layout") from exc
-    half = np.linalg.solve(xtx_chol, np.eye(2 * k))
-    xtx_inv = half.T @ half
+    _, xtx_inv = _spd_inverse(x_design.T @ x_design, "X'X", SingularDesign)
 
     # selector of the slope block: c_tau' beta = (b_1, ..., b_k)
     c_tau = np.vstack([np.zeros((k, k)), np.eye(k)])
@@ -292,30 +272,19 @@ def build_geometry(layout: AncovaLayout, contrast: ContrastSpec) -> GeometryBund
     noise_chol = np.linalg.cholesky(xtx_inv)
 
     return GeometryBundle(
-        x_design=x_design,
-        xtx_inv=xtx_inv,
-        c_tau=c_tau,
-        c_xi=c_xi,
         u=u,
         m=layout.m,
         k=k,
-        v22=v22,
-        w22=w22,
-        v21=v21,
-        w21=w21,
+        a=a,
         v11=v11,
         v_star=v_star,
         w_star=w_star,
-        s21=s21,
-        g_tau=g_tau,
-        g_xi=g_xi,
-        a=a,
+        w_cond=w_cond,
         v22_inv=v22_inv,
         w22_inv=w22_inv,
         vproj=vproj,
         wproj=wproj,
         sproj=sproj,
-        w_cond=w_cond,
         ga_tau=g_tau.T @ a,
         ga_xi=g_xi.T @ a,
         noise_chol=noise_chol,
@@ -384,27 +353,33 @@ def critical_values(
 # ---------------------------------------------------------------------------
 
 
+def _read_json_object(path) -> dict:
+    """The top-level JSON object of a file; DomainError if it is not valid JSON or not an object."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DomainError(f"{path}: top level must be an object")
+    return doc
+
+
 def _parse_design(doc: dict, origin: str) -> tuple[AncovaLayout, ContrastSpec]:
     try:
-        k = int(doc["k"])
-        n = tuple(int(v) for v in doc["n"])
-        x = tuple(tuple(float(v) for v in group) for group in doc["x"])
-        raw_contrast = doc["contrast"]
+        layout = AncovaLayout(
+            k=check_count("k", doc["k"], 1),
+            n=tuple(check_count("n", v, 1) for v in doc["n"]),
+            x=tuple(tuple(float(v) for v in group) for group in doc["x"]),
+        )
+        raw = doc["contrast"]
+        if isinstance(raw, dict):
+            i, j = (check_count(f"contrast {key}", raw[key], 1) for key in ("i", "j"))
+            contrast = ContrastSpec.treatment_difference(layout, i, j, raw.get("x_star", "max_abs_centered"))
+        else:
+            contrast = ContrastSpec(a=tuple(float(v) for v in raw))
     except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"{origin}: expected keys k, n, x, contrast ({exc})") from exc
-    layout = AncovaLayout(k=k, n=n, x=x)
-    if isinstance(raw_contrast, dict):
-        try:
-            contrast = ContrastSpec.treatment_difference(
-                layout,
-                int(raw_contrast["i"]),
-                int(raw_contrast["j"]),
-                raw_contrast.get("x_star", "max_abs_centered"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"{origin}: bad symbolic contrast ({exc})") from exc
-    else:
-        contrast = ContrastSpec(a=tuple(float(v) for v in raw_contrast))
+        raise DomainError(f"{origin}: bad design, need keys k, n, x, contrast ({exc})") from exc
     return layout, contrast
 
 
@@ -414,16 +389,10 @@ def load_design(path) -> tuple[AncovaLayout, ContrastSpec]:
     The file has keys ``k``, ``n`` (list of group sizes), ``x`` (list of
     per-group covariate lists) and ``contrast``, the latter either an
     explicit list of 2k coefficients or the symbolic form
-    ``{"i": 1, "j": 2, "x_star": "max_abs_centered"}``.
+    ``{"i": 1, "j": 2, "x_star": "max_abs_centered"}``.  ``k``, ``n`` and
+    ``i``/``j`` must be JSON integers: 3.0 or true is refused, not truncated.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise DomainError(f"{path}: top level must be an object")
-    return _parse_design(doc, str(path))
+    return _parse_design(_read_json_object(path), str(path))
 
 
 def reference_design() -> tuple[AncovaLayout, ContrastSpec]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -38,8 +37,8 @@ import numpy as np
 
 from .conditional import ConditionalKernel
 from .design import GeometryBundle, TwoStageConfig
-from .errors import DomainError
-from .selection import ScaledSufficientStats, SlopeNoise, batch_events, block_f
+from .errors import DomainError, check_count
+from .selection import SlopeNoise, batch_events, block_f
 
 __all__ = [
     "CHUNK_SIZE",
@@ -48,7 +47,6 @@ __all__ = [
     "CoverageEstimate",
     "default_workers",
     "thread_pool",
-    "sample_stats",
     "estimate_points",
     "estimate_naive",
     "estimate_conditioned",
@@ -125,14 +123,8 @@ def thread_pool(n_jobs=None):
             pool.shutdown(cancel_futures=True)
 
 
-def _check_count(name: str, value, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
-    return int(value)
-
-
 def _chunk_sizes(runs) -> list[int]:
-    full, rem = divmod(_check_count("runs", runs, 1), CHUNK_SIZE)
+    full, rem = divmod(check_count("runs", runs, 1), CHUNK_SIZE)
     return [CHUNK_SIZE] * full + ([rem] if rem else [])
 
 
@@ -161,23 +153,6 @@ def _slope_points(points, k: int) -> list[SlopePoint]:
         if len(p.values) != k:
             raise DomainError(f"slope point must have length {k}, got {len(p.values)}")
     return out
-
-
-def sample_stats(
-    point: SlopePoint, geom: GeometryBundle, rng: np.random.Generator, intercepts=None
-) -> ScaledSufficientStats:
-    """One draw of the scaled sufficient statistics at a true slope point.
-
-    gamma_hat = gamma + L z with L the Cholesky factor of (X'X)^-1 and
-    z standard normal, then d drawn as a chi-square with m degrees of
-    freedom (twice a gamma variate of shape m/2).  The intercept block of
-    gamma is zero unless overridden.
-    """
-    (point,) = _slope_points([point], geom.k)
-    _check_intercepts(intercepts, geom.k)
-    inter = np.zeros(geom.k) if intercepts is None else np.asarray(intercepts, dtype=float)
-    delta, d = _draw_full(rng, geom, 1)
-    return ScaledSufficientStats.from_gamma_hat(np.concatenate([inter, point.as_array()]) + delta[0], float(d[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +219,7 @@ def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs) -> _Moment
     depends only on its point and its chunk's draws, so neither grouping nor
     thread count can change a result; moments are merged in chunk order.
     """
-    seed = _check_count("seed", seed, 0)
+    seed = check_count("seed", seed, 0)
     sizes = _chunk_sizes(runs)
     step = max(1, BLOCK_CELLS // sizes[0])
     blocks = [slopes[i : i + step] for i in range(0, len(slopes), step)]
@@ -272,7 +247,6 @@ def estimate_points(
     geom: GeometryBundle,
     cfg: TwoStageConfig,
     estimator: str = "conditioned",
-    a=None,
     runs: int = 10_000,
     seed: int = 0,
     n_jobs=None,
@@ -288,8 +262,6 @@ def estimate_points(
     """
     if estimator not in _ESTIMATORS:
         raise DomainError(f"estimator must be one of {sorted(_ESTIMATORS)}, got {estimator!r}")
-    if a is not None and not np.array_equal(np.asarray(a, dtype=float), geom.a):
-        raise DomainError("contrast does not match the one the geometry was built with")
     points = _slope_points(points, geom.k)
     if not points:
         raise DomainError("need at least one slope point")
@@ -307,7 +279,6 @@ def estimate_naive(
     point,
     geom: GeometryBundle,
     cfg: TwoStageConfig,
-    a=None,
     runs: int = 10_000,
     seed: int = 0,
     intercepts=None,
@@ -319,14 +290,13 @@ def estimate_naive(
     indicator is a function of the noise, the true slopes and d alone.
     """
     _check_intercepts(intercepts, geom.k)
-    return estimate_points([point], geom, cfg, "naive", a, runs, seed, n_jobs)[0]
+    return estimate_points([point], geom, cfg, "naive", runs, seed, n_jobs)[0]
 
 
 def estimate_conditioned(
     point,
     geom: GeometryBundle,
     cfg: TwoStageConfig,
-    a=None,
     runs: int = 10_000,
     seed: int = 0,
     intercepts=None,
@@ -338,7 +308,7 @@ def estimate_conditioned(
     with m degrees of freedom.
     """
     _check_intercepts(intercepts, geom.k)
-    return estimate_points([point], geom, cfg, "conditioned", a, runs, seed, n_jobs)[0]
+    return estimate_points([point], geom, cfg, "conditioned", runs, seed, n_jobs)[0]
 
 
 def gate_probability(
@@ -359,7 +329,7 @@ def gate_probability(
     """
     if which not in ("tau", "xi"):
         raise DomainError(f'which must be "tau" or "xi", got {which!r}')
-    return estimate_points([point], geom, cfg, f"gate_{which}", None, runs, seed, n_jobs)[0]
+    return estimate_points([point], geom, cfg, f"gate_{which}", runs, seed, n_jobs)[0]
 
 
 def event_probabilities(

@@ -58,6 +58,9 @@ __all__ = [
 
 _ESTIMATORS = {"naive": estimate_naive, "conditioned": estimate_conditioned}
 
+# a boundary gate whose rejection probability falls below this becomes a warning
+GATE_WARN_BELOW = 0.99
+
 
 def _resolve_estimator(name: str):
     try:
@@ -66,10 +69,10 @@ def _resolve_estimator(name: str):
         raise DomainError(f'estimator must be one of {sorted(_ESTIMATORS)}, got {name!r}') from None
 
 
-def _estimate_at(points, estimator: str, geom, cfg, a, runs, seed, n_jobs):
+def _estimate_at(points, estimator: str, geom, cfg, runs, seed, n_jobs):
     """Naive or conditioned estimates at every point, from one shared set of draws."""
     _resolve_estimator(estimator)
-    return estimate_points(points, geom, cfg, estimator, a, runs=runs, seed=seed, n_jobs=n_jobs)
+    return estimate_points(points, geom, cfg, estimator, runs=runs, seed=seed, n_jobs=n_jobs)
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,6 @@ def grid_eval(
     estimator: str,
     geom: GeometryBundle,
     cfg: TwoStageConfig,
-    a=None,
     n_jobs=None,
 ) -> list[tuple[SlopePoint, CoverageEstimate]]:
     """Estimate the coverage probability at every lattice point.
@@ -121,7 +123,7 @@ def grid_eval(
     spec.runs), and each entry equals the estimate of that point alone.
     """
     points = grid_points(spec, geom.k)
-    return list(zip(points, _estimate_at(points, estimator, geom, cfg, a, spec.runs, spec.seed, n_jobs)))
+    return list(zip(points, _estimate_at(points, estimator, geom, cfg, spec.runs, spec.seed, n_jobs)))
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,6 @@ def line_profile(
     line: LineLocus,
     geom: GeometryBundle,
     cfg: TwoStageConfig,
-    a=None,
     n_points: int = 41,
     runs: int = 10_000,
     seed: int = 0,
@@ -206,7 +207,7 @@ def line_profile(
     if n_points < 3:
         raise DomainError(f"a profile needs at least 3 points, got {n_points}")
     cs = np.linspace(line.c_range[0], line.c_range[1], n_points)
-    ests = _estimate_at([line.point_at(c) for c in cs], estimator, geom, cfg, a, runs, seed, n_jobs)
+    ests = _estimate_at([line.point_at(c) for c in cs], estimator, geom, cfg, runs, seed, n_jobs)
     values = np.asarray([e.estimate for e in ests])
     order = np.argsort(values, kind="stable")[:3]
     quad = np.polyfit(cs[order], values[order], 2)
@@ -224,7 +225,6 @@ def second_test_only_cp(
     deltas,
     geom: GeometryBundle,
     cfg: TwoStageConfig,
-    a=None,
     runs: int = 10_000,
     seed: int = 0,
     estimator: str = "conditioned",
@@ -238,7 +238,7 @@ def second_test_only_cp(
     first-stage rejection probability to one.
     """
     estimate = _resolve_estimator(estimator)
-    return estimate(_far_point(deltas, offset, geom.k), geom, cfg, a, runs=runs, seed=seed)
+    return estimate(_far_point(deltas, offset, geom.k), geom, cfg, runs=runs, seed=seed)
 
 
 def _far_point(deltas, offset: float, k: int) -> SlopePoint:
@@ -263,7 +263,6 @@ class SearchConfig:
     threshold: float = 0.6
     profile_points: int = 41
     offset: float = 1000.0
-    gate_warn_below: float = 0.99
     n_jobs: int | None = None
 
 
@@ -295,18 +294,18 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     re-estimating at each profile's refined minimizer.  min2 is the lattice
     minimum of the second-stage-only coverage over the slope-difference
     square.  Boundary gate probabilities that do not clear
-    ``gate_warn_below`` become warnings in the diagnostics, never errors.
+    GATE_WARN_BELOW become warnings in the diagnostics, never errors.
     """
     with thread_pool(config.n_jobs):
         return _min_cp_search(config)
 
 
 def _min_cp_search(config: SearchConfig) -> MinSearchReport:
-    geom, cfg, a = config.geom, config.cfg, config.geom.a
+    geom, cfg = config.geom, config.cfg
     cube, square = config.cube, config.square
     warnings: list[str] = []
 
-    cube_table = grid_eval(cube, config.estimator, geom, cfg, a, n_jobs=config.n_jobs)
+    cube_table = grid_eval(cube, config.estimator, geom, cfg, n_jobs=config.n_jobs)
     candidates = [min((est for _, est in cube_table), key=lambda e: e.estimate)]
 
     lines = None
@@ -321,7 +320,6 @@ def _min_cp_search(config: SearchConfig) -> MinSearchReport:
                 line,
                 geom,
                 cfg,
-                a,
                 n_points=config.profile_points,
                 runs=cube.runs,
                 seed=cube.seed,
@@ -331,13 +329,13 @@ def _min_cp_search(config: SearchConfig) -> MinSearchReport:
             for line in lines
         )
         minima = [p.line.point_at(p.c_min) for p in profiles]
-        candidates += _estimate_at(minima, config.estimator, geom, cfg, a, cube.runs, cube.seed, config.n_jobs)
+        candidates += _estimate_at(minima, config.estimator, geom, cfg, cube.runs, cube.seed, config.n_jobs)
     min1 = min(candidates, key=lambda e: e.estimate)
 
     square_axes = square.axes(geom.k - 1)
     deltas = list(itertools.product(*square_axes))
     far = [_far_point(delta, config.offset, geom.k) for delta in deltas]
-    square_ests = _estimate_at(far, config.estimator, geom, cfg, a, square.runs, square.seed, config.n_jobs)
+    square_ests = _estimate_at(far, config.estimator, geom, cfg, square.runs, square.seed, config.n_jobs)
     square_table = list(zip(deltas, square_ests))
     min2 = min(square_ests, key=lambda e: e.estimate)
 
@@ -356,10 +354,10 @@ def _min_cp_search(config: SearchConfig) -> MinSearchReport:
         for corner, est in zip(corners, ests):
             reject = 1.0 - est.estimate
             gates.append({"test": test, "point": corner, "reject_prob": reject})
-            if reject < config.gate_warn_below:
+            if reject < GATE_WARN_BELOW:
                 warnings.append(
                     f"{stage}-stage rejection probability {reject:.4f} at {region} corner {corner} "
-                    f"is below {config.gate_warn_below}"
+                    f"is below {GATE_WARN_BELOW}"
                 )
     return MinSearchReport(
         min1=min1,

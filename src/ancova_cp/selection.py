@@ -26,7 +26,6 @@ makes estimates invariant to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,43 +33,7 @@ import numpy as np
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError
 
-__all__ = [
-    "ScaledSufficientStats",
-    "SelectionOutcome",
-    "f_statistics",
-    "select_region",
-    "covers_tau",
-    "covers_xi",
-    "covers_full",
-    "coverage_indicator",
-    "batch_events",
-]
-
-REGION_ZERO_SLOPES = "A"
-REGION_COMMON_SLOPE = "B"
-REGION_SEPARATE_SLOPES = "C"
-
-
-@dataclass(frozen=True)
-class ScaledSufficientStats:
-    """gamma_hat with its slope block q and the scaled residual sum of squares d."""
-
-    gamma_hat: np.ndarray
-    q: np.ndarray
-    d: float
-
-    @classmethod
-    def from_gamma_hat(cls, gamma_hat: np.ndarray, d: float) -> "ScaledSufficientStats":
-        gamma_hat = np.asarray(gamma_hat, dtype=float)
-        k = gamma_hat.shape[0] // 2
-        return cls(gamma_hat=gamma_hat, q=gamma_hat[k:], d=float(d))
-
-
-@dataclass(frozen=True)
-class SelectionOutcome:
-    region: str
-    f_tau: float
-    f_xi: float
+__all__ = ["batch_events", "coverage_indicator"]
 
 
 class EventBatch(NamedTuple):
@@ -187,57 +150,18 @@ def batch_events(
     return EventBatch(*fields)
 
 
-def _scalar_batch(stats: ScaledSufficientStats, geom: GeometryBundle, cfg, gamma, a) -> EventBatch:
-    """Validate one draw and its true gamma, then evaluate its events as a one-row batch."""
+def coverage_indicator(gamma_hat, d, geom: GeometryBundle, cfg: TwoStageConfig, gamma) -> bool:
+    """Whether the interval picked by the two-stage rule covers a'gamma for one draw.
+
+    The validated row adapter over batch_events: gamma_hat and gamma have
+    length 2k and d, the scaled residual sum of squares, must be positive.
+    """
+    gamma_hat = np.asarray(gamma_hat, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (2 * geom.k,):
-        raise DomainError(f"gamma must have length {2 * geom.k}, got {gamma.shape}")
-    if a is not None and not np.array_equal(np.asarray(a, dtype=float), geom.a):
-        raise DomainError("contrast does not match the one the geometry was built with")
-    if stats.d <= 0.0:
-        raise DomainError(f"d must be positive, got {stats.d}")
-    delta = (stats.gamma_hat - gamma)[None, :]
-    return batch_events(delta, np.asarray([stats.d]), gamma[geom.k :], geom, cfg)
-
-
-def f_statistics(stats: ScaledSufficientStats, geom: GeometryBundle) -> tuple[float, float]:
-    """First- and second-stage F statistics of one draw."""
-    if stats.d <= 0.0:
-        raise DomainError(f"d must be positive, got {stats.d}")
-    noise = SlopeNoise.of(np.asarray(stats.q, dtype=float)[None, :], np.asarray([stats.d]), geom)
-    f_tau, f_xi, _, _ = block_f(noise, np.zeros((1, geom.k)), geom)
-    return float(f_tau[0, 0]), float(f_xi[0, 0])
-
-
-def select_region(
-    stats: ScaledSufficientStats, geom: GeometryBundle, cfg: TwoStageConfig
-) -> SelectionOutcome:
-    """Apply the two-stage rule; ties (F equal to its cutoff) accept."""
-    f_tau, f_xi = f_statistics(stats, geom)
-    if f_tau <= cfg.l_tau:
-        region = REGION_ZERO_SLOPES
-    elif f_xi <= cfg.l_xi:
-        region = REGION_COMMON_SLOPE
-    else:
-        region = REGION_SEPARATE_SLOPES
-    return SelectionOutcome(region=region, f_tau=f_tau, f_xi=f_xi)
-
-
-def covers_tau(stats, geom, cfg, gamma, a=None) -> bool:
-    """Whether the zero-slopes interval covers a'gamma for this draw."""
-    return bool(_scalar_batch(stats, geom, cfg, gamma, a).covers_tau[0])
-
-
-def covers_xi(stats, geom, cfg, gamma, a=None) -> bool:
-    """Whether the common-slope interval covers a'gamma for this draw."""
-    return bool(_scalar_batch(stats, geom, cfg, gamma, a).covers_xi[0])
-
-
-def covers_full(stats, geom, cfg, gamma, a=None) -> bool:
-    """Whether the separate-slopes interval covers a'gamma for this draw."""
-    return bool(_scalar_batch(stats, geom, cfg, gamma, a).covers_full[0])
-
-
-def coverage_indicator(stats, geom, cfg, gamma, a=None) -> bool:
-    """Whether the interval picked by the two-stage rule covers a'gamma."""
-    return bool(_scalar_batch(stats, geom, cfg, gamma, a).covers_selected[0])
+    for name, vec in (("gamma_hat", gamma_hat), ("gamma", gamma)):
+        if vec.shape != (2 * geom.k,):
+            raise DomainError(f"{name} must have length {2 * geom.k}, got {vec.shape}")
+    if not d > 0.0:
+        raise DomainError(f"d must be positive, got {d}")
+    ev = batch_events((gamma_hat - gamma)[None, :], np.asarray([float(d)]), gamma[geom.k :], geom, cfg)
+    return bool(ev.covers_selected[0])

@@ -57,50 +57,53 @@ def mp_t_quantile(p: float, df: int) -> float:
     return _mp_bisect(cdf, p, 0, 10)
 
 
-def conditional_draws(geom, slopes: np.ndarray, q: np.ndarray, n: int, seed: int) -> np.ndarray:
+def conditional_draws(direct: dict, slopes: np.ndarray, q: np.ndarray, n: int, seed: int) -> np.ndarray:
     """Sample gamma_hat from its exact conditional law given the slope block q.
 
-    An unconditional draw gamma_hat0 = gamma + L z is corrected by
+    ``direct`` is the output of direct_geometry.  An unconditional draw
+    gamma_hat0 = gamma + L z is corrected by
     (X'X)^-1 C_tau V22^-1 (q - slope block of gamma_hat0); the corrected
     vector is Gaussian with the conditional mean and covariance, and its
     slope block equals q identically.
     """
-    k = geom.k
+    k = len(slopes)
     gamma = np.concatenate([np.zeros(k), slopes])
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, 2 * k))
-    g0 = gamma + z @ geom.noise_chol.T
-    corr_map = geom.xtx_inv[:, k:] @ geom.v22_inv
+    g0 = gamma + z @ np.linalg.cholesky(direct["xtx_inv"]).T
+    corr_map = direct["xtx_inv"] @ direct["c_tau"] @ direct["v22_inv"]
     return g0 + (q - g0[:, k:]) @ corr_map.T
 
 
-def conditional_coverage_mc(geom, cfg, slopes, q, d, which: str, n: int, seed: int):
+def conditional_coverage_mc(layout, cfg, a, slopes, q, d, which: str, n: int, seed: int):
     """(estimate, binomial se) of conditional interval coverage given (q, d).
 
     ``which`` picks the interval: "tau", "xi" or "full".  Membership is
     evaluated in gamma units from the resampled gamma_hat directly, without
-    the package's centered-event shortcut.
+    the package's centered-event shortcut, and every matrix comes from
+    direct_geometry(layout, a) rather than from the package's geometry.
     """
     slopes = np.asarray(slopes, dtype=float)
     q = np.asarray(q, dtype=float)
-    k, m = geom.k, geom.m
-    a = geom.a
+    a = np.asarray(a, dtype=float)
+    direct = direct_geometry(layout, a)
+    k, m = layout.k, layout.m
     gamma = np.concatenate([np.zeros(k), slopes])
     theta = float(a @ gamma)
-    gh = conditional_draws(geom, slopes, q, n, seed)
+    gh = conditional_draws(direct, slopes, q, n, seed)
 
-    quad_v = float(q @ geom.v22_inv @ q)
-    uq = geom.u @ q
-    quad_w = float(uq @ geom.w22_inv @ uq)
+    quad_v = float(q @ direct["v22_inv"] @ q)
+    uq = direct["u"] @ q
+    quad_w = float(uq @ direct["w22_inv"] @ uq)
     if which == "tau":
-        center = gh @ (geom.g_tau.T @ a)
-        half = cfg.t_mk * np.sqrt((d + quad_v) / (m + k)) * np.sqrt(geom.v_star)
+        center = gh @ direct["ga_tau"]
+        half = cfg.t_mk * np.sqrt((d + quad_v) / (m + k)) * np.sqrt(direct["v_star"])
     elif which == "xi":
-        center = gh @ (geom.g_xi.T @ a)
-        half = cfg.t_mk1 * np.sqrt((d + quad_w) / (m + k - 1)) * np.sqrt(geom.w_star)
+        center = gh @ direct["ga_xi"]
+        half = cfg.t_mk1 * np.sqrt((d + quad_w) / (m + k - 1)) * np.sqrt(direct["w_star"])
     elif which == "full":
         center = gh @ a
-        half = cfg.t_m * np.sqrt(d / m) * np.sqrt(geom.v11)
+        half = cfg.t_m * np.sqrt(d / m) * np.sqrt(direct["v11"])
     else:
         raise ValueError(which)
     hits = np.abs(center - theta) <= half
@@ -173,7 +176,7 @@ def rss_f_statistics(layout, y: np.ndarray) -> tuple[float, float]:
 
 
 def direct_geometry(layout, a: np.ndarray) -> dict:
-    """Re-derive every geometry field with plain explicit inverses."""
+    """Re-derive every geometry field, and the matrices behind them, with plain explicit inverses."""
     k = layout.k
     xbar = layout.grand_mean
     rows = np.zeros((layout.n_total, 2 * k))
@@ -220,4 +223,11 @@ def direct_geometry(layout, a: np.ndarray) -> dict:
         "w_cond": w_cond,
         "g_tau": g_tau,
         "g_xi": g_xi,
+        "v22_inv": v22_inv,
+        "w22_inv": w22_inv,
+        "vproj": v22_inv @ v21,
+        "wproj": w22_inv @ w21,
+        "sproj": v22_inv @ s21,
+        "ga_tau": g_tau.T @ a,
+        "ga_xi": g_xi.T @ a,
     }

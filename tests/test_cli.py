@@ -214,3 +214,38 @@ def test_min_writes_report_and_tables(capsys, tmp_path):
     assert "overall point=" in out
     cube_rows = (out_dir / "cube.csv").read_text(encoding="utf-8").strip().splitlines()
     assert len(cube_rows) == 1 + 7**3
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{"runs": 100.5}, {"runs": True}, {"runs": "abc"}, {"runs": 100.0}, {"seed": 1.9}, {"seed": False}],
+)
+def test_config_file_rejects_non_integer_counts(capsys, tmp_path, values):
+    # a non-integer count used to be truncated (100.5 -> 100 runs, true -> 1 run,
+    # seed 1.9 -> 1) or to end in a bare ValueError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values), encoding="utf-8")
+    rc, out, err = _run(capsys, "cp", "--config", str(path), "--point", "0,0.1,0")
+    assert rc == 1
+    assert err.startswith("error:") and "must be an integer" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"k": 2.7},
+        {"k": True},
+        {"n": [4.9, 4]},
+        {"n": [4, "4"]},
+        {"contrast": {"i": 1.5, "j": 2}},
+        {"contrast": {"i": 1, "j": True}},
+    ],
+)
+def test_config_file_rejects_non_integer_design_counts(capsys, tmp_path, override):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(SMALL_DESIGN, **override)), encoding="utf-8")
+    rc, out, err = _run(capsys, "cp", "--config", str(path), "--point", "0,0.1", "--runs", "100")
+    assert rc == 1
+    assert err.startswith("error:") and "must be an integer" in err
+    assert out == ""

@@ -136,22 +136,18 @@ def test_contrast_validation():
 # ---------------------------------------------------------------------------
 
 _GEOM_FIELDS = [
-    "x_design",
-    "xtx_inv",
-    "c_tau",
-    "c_xi",
     "u",
-    "v22",
-    "w22",
-    "v21",
-    "w21",
     "v11",
     "v_star",
     "w_star",
-    "s21",
     "w_cond",
-    "g_tau",
-    "g_xi",
+    "v22_inv",
+    "w22_inv",
+    "vproj",
+    "wproj",
+    "sproj",
+    "ga_tau",
+    "ga_xi",
 ]
 
 
@@ -161,6 +157,10 @@ def _assert_geometry_matches(layout, contrast):
     for name in _GEOM_FIELDS:
         got = getattr(geom, name)
         np.testing.assert_allclose(got, want[name], atol=1e-10, err_msg=name)
+    assert (geom.k, geom.m) == (layout.k, layout.m)
+    np.testing.assert_array_equal(geom.a, contrast.a)
+    np.testing.assert_allclose(geom.noise_chol @ geom.noise_chol.T, want["xtx_inv"], atol=1e-10)
+    np.testing.assert_allclose(geom.v22_chol @ geom.v22_chol.T, want["v22"], atol=1e-10)
 
 
 def test_geometry_matches_direct_reference(ref):
@@ -189,34 +189,44 @@ def test_geometry_matches_direct_unbalanced():
 
 
 def test_geometry_identity_structure():
-    # X'X = 2I for this layout, so the slope block and projections collapse
+    # X'X = 2I for this layout, so the slope block and projections collapse:
+    # (X'X)^-1 = I/2, V22 = [[1/2]], G_tau = diag(1, 0) and G_xi = I
     layout = AncovaLayout(k=1, n=(2,), x=((0.0, 2.0),))
     geom = build_geometry(layout, ContrastSpec(a=(1.0, 1.0)))
-    np.testing.assert_allclose(geom.xtx_inv, 0.5 * np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(geom.v22, [[0.5]], atol=1e-14)
-    np.testing.assert_allclose(geom.g_tau, [[1.0, 0.0], [0.0, 0.0]], atol=1e-14)
-    np.testing.assert_allclose(geom.g_xi, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(geom.noise_chol @ geom.noise_chol.T, 0.5 * np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(geom.v22_chol @ geom.v22_chol.T, [[0.5]], atol=1e-14)
+    np.testing.assert_allclose(geom.ga_tau, np.array([[1.0, 0.0], [0.0, 0.0]]).T @ geom.a, atol=1e-14)
+    np.testing.assert_allclose(geom.ga_xi, np.eye(2).T @ geom.a, atol=1e-14)
     assert geom.v11 == pytest.approx(1.0, abs=1e-14)
     assert geom.v_star == pytest.approx(0.5, abs=1e-14)
 
 
+def _assert_geometry_invariants(layout, contrast, atol, bound_tol):
+    """G_tau, G_xi are projections that null the slope and slope-difference estimates."""
+    geom = build_geometry(layout, contrast)
+    want = direct_geometry(layout, np.asarray(contrast.a, dtype=float))
+    # G' a of an idempotent G is fixed by G'
+    np.testing.assert_allclose(want["g_tau"].T @ geom.ga_tau, geom.ga_tau, atol=atol)
+    np.testing.assert_allclose(want["g_xi"].T @ geom.ga_xi, geom.ga_xi, atol=atol)
+    np.testing.assert_allclose(geom.ga_tau @ want["xtx_inv"] @ want["c_tau"], 0.0, atol=atol)
+    np.testing.assert_allclose(geom.ga_xi @ want["xtx_inv"] @ want["c_xi"], 0.0, atol=atol)
+    assert 0.0 < geom.v_star <= geom.v11 + bound_tol
+    assert 0.0 < geom.w_star <= geom.v11 + bound_tol
+    assert geom.w_cond > 0.0
+    return geom, want
+
+
 def test_geometry_invariants(ref):
-    _, _, geom, _ = ref
-    np.testing.assert_allclose(geom.g_tau @ geom.g_tau, geom.g_tau, atol=1e-10)
-    np.testing.assert_allclose(geom.g_xi @ geom.g_xi, geom.g_xi, atol=1e-10)
-    np.testing.assert_allclose(geom.g_tau @ geom.xtx_inv @ geom.c_tau, 0.0, atol=1e-10)
-    np.testing.assert_allclose(geom.g_xi @ geom.xtx_inv @ geom.c_xi, 0.0, atol=1e-10)
+    layout, contrast, _, _ = ref
+    geom, want = _assert_geometry_invariants(layout, contrast, 1e-10, 1e-12)
     rng = np.random.default_rng(7)
     for _ in range(5):
         v = rng.standard_normal(2 * geom.k)
-        np.testing.assert_allclose(geom.c_xi.T @ v, geom.u @ (geom.c_tau.T @ v), atol=1e-12)
-    assert 0.0 < geom.v_star <= geom.v11 + 1e-12
-    assert 0.0 < geom.w_star <= geom.v11 + 1e-12
-    assert geom.w_cond > 0.0
-    np.testing.assert_allclose(geom.noise_chol @ geom.noise_chol.T, geom.xtx_inv, atol=1e-12)
-    np.testing.assert_allclose(geom.v22_chol @ geom.v22_chol.T, geom.v22, atol=1e-12)
-    np.testing.assert_allclose(geom.v22 @ geom.v22_inv, np.eye(geom.k), atol=1e-10)
-    np.testing.assert_allclose(geom.w22 @ geom.w22_inv, np.eye(geom.k - 1), atol=1e-10)
+        np.testing.assert_allclose(want["c_xi"].T @ v, geom.u @ (want["c_tau"].T @ v), atol=1e-12)
+    np.testing.assert_allclose(geom.noise_chol @ geom.noise_chol.T, want["xtx_inv"], atol=1e-12)
+    np.testing.assert_allclose(geom.v22_chol @ geom.v22_chol.T, want["v22"], atol=1e-12)
+    np.testing.assert_allclose(want["v22"] @ geom.v22_inv, np.eye(geom.k), atol=1e-10)
+    np.testing.assert_allclose(want["w22"] @ geom.w22_inv, np.eye(geom.k - 1), atol=1e-10)
 
 
 def test_geometry_contrast_length_error(ref):
@@ -248,13 +258,7 @@ def test_geometry_invariants_random_layouts(layout, data):
     i = data.draw(st.integers(min_value=1, max_value=layout.k))
     j = data.draw(st.integers(min_value=1, max_value=layout.k).filter(lambda v: v != i))
     contrast = ContrastSpec.treatment_difference(layout, i, j)
-    geom = build_geometry(layout, contrast)
-    np.testing.assert_allclose(geom.g_tau @ geom.g_tau, geom.g_tau, atol=1e-8)
-    np.testing.assert_allclose(geom.g_tau @ geom.xtx_inv @ geom.c_tau, 0.0, atol=1e-8)
-    np.testing.assert_allclose(geom.g_xi @ geom.xtx_inv @ geom.c_xi, 0.0, atol=1e-8)
-    assert 0.0 < geom.v_star <= geom.v11 + 1e-10
-    assert 0.0 < geom.w_star <= geom.v11 + 1e-10
-    assert geom.w_cond > 0.0
+    _assert_geometry_invariants(layout, contrast, 1e-8, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +399,27 @@ def test_load_design_malformed(tmp_path):
     )
     with pytest.raises(DomainError):
         load_design(badsym)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"k": 3.7},
+        {"k": 2.0},
+        {"k": True},
+        {"n": [3.9, 3]},
+        {"n": [3, True]},
+        {"contrast": {"i": 1, "j": 2.0}},
+        {"contrast": {"i": False, "j": 2}},
+    ],
+)
+def test_load_design_rejects_non_integer_counts(tmp_path, override):
+    # "k": 3.7 used to become 3 and "n": [3.9, 3] to become (3, 3)
+    doc = {"k": 2, "n": [3, 3], "x": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "contrast": {"i": 1, "j": 2}}
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(dict(doc, **override)))
+    with pytest.raises(DomainError, match="must be an integer"):
+        load_design(path)
 
 
 def test_reference_design_loads():

@@ -12,10 +12,9 @@ from ancova_cp import (
     estimate_points,
     event_probabilities,
     gate_probability,
-    sample_stats,
 )
-from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _Moments, default_workers
-from oracles import gate_prob_ncf
+from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _Moments, default_workers
+from oracles import direct_geometry, gate_prob_ncf
 
 POINT = SlopePoint.of((0.05, 0.1, 0.0))
 
@@ -176,36 +175,19 @@ def test_estimate_metadata(ref):
 # ---------------------------------------------------------------------------
 
 
-def test_sample_stats_zero_noise_hook(ref, zero_rng):
-    _, _, geom, _ = ref
-    stats = sample_stats(POINT, geom, zero_rng)
-    assert np.array_equal(stats.gamma_hat, np.array([0, 0, 0, 0.05, 0.1, 0.0]))
-    assert np.array_equal(stats.q, np.array([0.05, 0.1, 0.0]))
-    assert stats.d == 0.0
-
-
-def test_sample_stats_zero_noise_with_intercepts(ref, zero_rng):
-    _, _, geom, _ = ref
-    stats = sample_stats(POINT, geom, zero_rng, intercepts=(1.0, 2.0, 3.0))
-    assert np.array_equal(stats.gamma_hat, np.array([1, 2, 3, 0.05, 0.1, 0.0]))
-
-
-def test_sample_stats_moments(ref):
-    _, _, geom, _ = ref
-    rng = np.random.default_rng(2024)
+def test_draw_full_moments(ref):
+    # gamma_hat = gamma + L z has mean gamma and covariance (X'X)^-1; d has mean m
+    layout, contrast, geom, _ = ref
+    xtx_inv = direct_geometry(layout, np.asarray(contrast.a))["xtx_inv"]
     n = 4000
-    gammas = np.empty((n, 6))
-    ds = np.empty(n)
-    for r in range(n):
-        stats = sample_stats(POINT, geom, rng)
-        gammas[r] = stats.gamma_hat
-        ds[r] = stats.d
+    delta, ds = _draw_full(np.random.default_rng(2024), geom, n)
     gamma = np.array([0, 0, 0, 0.05, 0.1, 0.0])
-    mean_se = np.sqrt(np.diag(geom.xtx_inv) / n)
+    gammas = gamma + delta
+    mean_se = np.sqrt(np.diag(xtx_inv) / n)
     assert np.all(np.abs(gammas.mean(axis=0) - gamma) < 4 * mean_se)
     cov = np.cov(gammas.T)
-    scale = np.sqrt(np.outer(np.diag(geom.xtx_inv), np.diag(geom.xtx_inv)))
-    assert np.max(np.abs(cov - geom.xtx_inv) / scale) < 0.15
+    scale = np.sqrt(np.outer(np.diag(xtx_inv), np.diag(xtx_inv)))
+    assert np.max(np.abs(cov - xtx_inv) / scale) < 0.15
     assert abs(ds.mean() - geom.m) < 4 * math.sqrt(2 * geom.m / n)
 
 
@@ -336,8 +318,6 @@ def test_estimator_input_validation(ref):
         estimate_naive(POINT, geom, cfg, runs=100, seed=1.5)
     with pytest.raises(DomainError):
         estimate_naive(POINT, geom, cfg, runs=100, seed=0, intercepts=(1.0,))
-    with pytest.raises(DomainError):
-        estimate_conditioned(POINT, geom, cfg, a=np.ones(6), runs=100, seed=0)
 
 
 @pytest.mark.parametrize("runs", [100.5, 100.0, True, False, "100", None, -3, np.float64(100.0)])

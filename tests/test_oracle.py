@@ -7,12 +7,12 @@ import pytest
 from ancova_cp import (
     DomainError,
     agreement_with_events,
+    batch_events,
     estimate_cp_raw,
     estimate_naive,
     simulate_and_fit,
 )
 from ancova_cp.oracle import _RawPipeline, _raw_run
-from ancova_cp.selection import f_statistics, ScaledSufficientStats
 from oracles import restricted_fit_common_slope, restricted_fit_zero_slopes, rss_f_statistics
 
 BETA = np.array([4.0, -2.0, 1.5, 0.3, -0.1, 0.2])
@@ -71,14 +71,15 @@ def test_rss_ordering_and_identities(ref):
 
 def test_raw_f_matches_event_path_f(ref):
     # F from residual sums of squares vs F from the scaled statistics
-    layout, _, geom, _ = ref
+    layout, _, geom, cfg = ref
     pipe = _RawPipeline(layout)
     rng = np.random.default_rng(34)
     sigma = 1.3
     for _ in range(10):
         y, fit = _draw(layout, pipe, rng, sigma=sigma)
-        stats = ScaledSufficientStats.from_gamma_hat(fit.beta_hat / sigma, fit.rss_full / sigma**2)
-        f_tau, f_xi = f_statistics(stats, geom)
+        d = np.asarray([fit.rss_full / sigma**2])
+        ev = batch_events((fit.beta_hat / sigma)[None, :], d, np.zeros(layout.k), geom, cfg)
+        f_tau, f_xi = float(ev.f_tau[0]), float(ev.f_xi[0])
         want_tau, want_xi = rss_f_statistics(layout, y)
         assert f_tau == pytest.approx(want_tau, rel=1e-8)
         assert f_xi == pytest.approx(want_xi, rel=1e-8)
