@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -179,9 +180,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             return flag
         return file_cfg.get(key, fallback)
 
-    alpha = float(pick(args.alpha, "alpha", 0.05))
-    sig_tau = float(pick(args.sig_tau, "sig_tau", 0.10))
-    sig_xi = float(pick(args.sig_xi, "sig_xi", 0.10))
+    def level(flag, key, fallback):
+        value = pick(flag, key, fallback)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{key} must be a number, got {value!r}")
+        return float(value)
+
+    alpha = level(args.alpha, "alpha", 0.05)
+    sig_tau = level(args.sig_tau, "sig_tau", 0.10)
+    sig_xi = level(args.sig_xi, "sig_xi", 0.10)
     runs = check_count("runs", pick(args.runs, "runs", 10_000), 1)
     seed = check_count("seed", pick(args.seed, "seed", 0), 0)
     estimator = str(pick(args.estimator, "estimator", "conditioned"))
@@ -227,7 +234,9 @@ def _est_dict(est: CoverageEstimate) -> dict:
 
 def _grid_spec(args, run: RunConfig, default_bounds=(-0.25, 0.25)) -> GridSpec:
     bounds = getattr(args, "bounds", None) or default_bounds
-    density = getattr(args, "density", None) or 21
+    density = getattr(args, "density", None)
+    if density is None:  # an explicit 0 must reach GridSpec's check
+        density = 21
     return GridSpec(bounds=bounds, points_per_axis=density, runs=run.runs, seed=run.seed)
 
 
@@ -316,7 +325,7 @@ def cmd_min(args, run: RunConfig) -> int:
     cube = _grid_spec(args, run)
     square = GridSpec(
         bounds=args.square_bounds or (-0.2, 0.2),
-        points_per_axis=args.square_density or 21,
+        points_per_axis=21 if args.square_density is None else args.square_density,
         runs=run.runs,
         seed=run.seed,
     )

@@ -106,13 +106,14 @@ _ACTIVE: ContextVar[tuple | None] = ContextVar("ancova_cp_workers", default=None
 def thread_pool(n_jobs=None):
     """(width, executor) for one top-level call; a call made inside another reuses its pool.
 
-    ``n_jobs`` (default: ANCOVA_CP_THREADS) sets the thread count of a new
-    pool; one worker means serial evaluation and no executor at all.
+    ``n_jobs`` (default: ANCOVA_CP_THREADS), a positive integer, sets the
+    thread count of a new pool; one worker means serial evaluation and no
+    executor at all.
     """
+    width = default_workers() if n_jobs is None else check_count("n_jobs", n_jobs, 1)
     if _ACTIVE.get() is not None:
         yield _ACTIVE.get()
         return
-    width = default_workers() if n_jobs is None else max(1, int(n_jobs))
     pool = ThreadPoolExecutor(max_workers=width) if width > 1 else None
     token = _ACTIVE.set((width, pool))
     try:

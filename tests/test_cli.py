@@ -232,6 +232,38 @@ def test_config_file_rejects_non_integer_counts(capsys, tmp_path, values):
 
 
 @pytest.mark.parametrize(
+    "values",
+    [{"alpha": "abc"}, {"alpha": "0.05"}, {"sig_tau": None}, {"sig_xi": True}, {"alpha": [0.05]}],
+)
+def test_config_file_rejects_non_number_levels(capsys, tmp_path, values):
+    # "abc" used to end in a bare ValueError, null in a TypeError, and the
+    # string "0.05" was silently read as a number
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values), encoding="utf-8")
+    rc, out, err = _run(capsys, "quantiles", "--config", str(path))
+    assert rc == 1
+    assert err.startswith("error:") and "must be a number" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grid", "--density", "0"),
+        ("lines", "--density", "0"),
+        ("min", "--density", "0"),
+        ("min", "--density", "3", "--square-density", "0"),
+    ],
+)
+def test_zero_density_is_refused(capsys, tmp_path, argv):
+    # a density of 0 used to fall back to the default of 21 points per axis
+    rc, out, err = _run(capsys, *argv, "--runs", "100", "--out", str(tmp_path / "out"))
+    assert rc == 1
+    assert err.startswith("error:") and "at least 2" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "override",
     [
         {"k": 2.7},

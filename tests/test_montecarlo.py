@@ -340,6 +340,13 @@ def test_runs_accepts_numpy_integers(ref):
         event_probabilities(POINT, geom, cfg, runs=True, seed=0)
 
 
+@pytest.mark.parametrize("n_jobs", [2.7, True, "3", 0, -4])
+def test_n_jobs_must_be_a_positive_integer(ref, n_jobs):
+    _, _, geom, cfg = ref
+    with pytest.raises(DomainError, match="n_jobs"):
+        estimate_conditioned(POINT, geom, cfg, runs=100, seed=0, n_jobs=n_jobs)
+
+
 def test_default_workers_env(monkeypatch):
     monkeypatch.delenv("ANCOVA_CP_THREADS", raising=False)
     assert default_workers() == 1

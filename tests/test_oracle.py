@@ -12,7 +12,8 @@ from ancova_cp import (
     estimate_naive,
     simulate_and_fit,
 )
-from ancova_cp.oracle import _RawPipeline, _raw_run
+from ancova_cp.montecarlo import CHUNK_SIZE
+from ancova_cp.oracle import _RawPipeline, _raw_hits
 from oracles import restricted_fit_common_slope, restricted_fit_zero_slopes, rss_f_statistics
 
 BETA = np.array([4.0, -2.0, 1.5, 0.3, -0.1, 0.2])
@@ -35,12 +36,20 @@ def test_restricted_fits_match_projection(ref):
     layout, _, _, _ = ref
     pipe = _RawPipeline(layout)
     rng = np.random.default_rng(31)
+    ys = []
     for _ in range(10):
         y, fit = _draw(layout, pipe, rng)
+        ys.append(y)
         direct_tau = restricted_fit_zero_slopes(layout, y)
         direct_xi = restricted_fit_common_slope(layout, y)
         assert np.allclose(fit.beta_tau, direct_tau, rtol=1e-8, atol=1e-10)
         assert np.allclose(fit.beta_xi, direct_xi, rtol=1e-8, atol=1e-10)
+    # the same responses fitted as one block, one row per data set
+    block = pipe.fit(np.stack(ys))
+    assert block.beta_tau.shape == (10, 2 * layout.k) and block.rss_tau.shape == (10,)
+    for row, y in enumerate(ys):
+        assert np.allclose(block.beta_tau[row], restricted_fit_zero_slopes(layout, y), rtol=1e-8, atol=1e-10)
+        assert np.allclose(block.beta_xi[row], restricted_fit_common_slope(layout, y), rtol=1e-8, atol=1e-10)
 
 
 def test_projections_are_idempotent_on_fits(ref):
@@ -66,7 +75,6 @@ def test_rss_ordering_and_identities(ref):
         xi_hat = pipe.c_xi.T @ fit.beta_hat
         pred_xi = fit.rss_full + xi_hat @ pipe.w22_inv @ xi_hat
         assert fit.rss_xi == pytest.approx(pred_xi, rel=1e-8)
-        assert fit.sigma2_hat == pytest.approx(fit.rss_full / layout.m)
 
 
 def test_raw_f_matches_event_path_f(ref):
@@ -110,8 +118,9 @@ def test_coverage_indicator_is_scale_free(ref):
         eps = rng.standard_normal(layout.n_total)
         y1 = pipe.x_design @ BETA + eps
         y2 = pipe.x_design @ (2.0 * BETA) + 2.0 * eps
-        hit1, fit1 = _raw_run(pipe, cfg, np.asarray(a), scalars, theta1, y1)
-        hit2, fit2 = _raw_run(pipe, cfg, np.asarray(a), scalars, 2.0 * theta1, y2)
+        fit1, fit2 = pipe.fit(y1), pipe.fit(y2)
+        hit1 = _raw_hits(pipe, cfg, np.asarray(a), scalars, theta1, fit1)
+        hit2 = _raw_hits(pipe, cfg, np.asarray(a), scalars, 2.0 * theta1, fit2)
         assert hit1 == hit2
         f1 = (fit1.rss_tau - fit1.rss_full) / fit1.rss_full
         f2 = (fit2.rss_tau - fit2.rss_full) / fit2.rss_full
@@ -120,12 +129,15 @@ def test_coverage_indicator_is_scale_free(ref):
 
 def test_agreement_with_event_path(ref):
     layout, contrast, geom, cfg = ref
-    report = agreement_with_events(
-        BETA, 1.7, layout, geom, cfg, contrast.a, runs=3000, seed=21
-    )
-    assert report.agreement == 1.0
-    assert report.raw.estimate == report.event_rate
-    assert report.worst_rss_rel_error < 1e-10
+    # CHUNK_SIZE + 100 runs: two chunks, the last one partial
+    for runs in (3000, CHUNK_SIZE + 100):
+        report = agreement_with_events(
+            BETA, 1.7, layout, geom, cfg, contrast.a, runs=runs, seed=21
+        )
+        assert report.raw.runs == runs
+        assert report.agreement == 1.0
+        assert report.raw.estimate == report.event_rate
+        assert report.worst_rss_rel_error < 1e-10
 
 
 def test_raw_estimate_agrees_with_fast_estimator(ref):
@@ -136,6 +148,21 @@ def test_raw_estimate_agrees_with_fast_estimator(ref):
     assert abs(raw.estimate - fast.estimate) <= 3 * math.hypot(raw.se, fast.se)
     assert raw.estimator == "oracle"
     assert raw.point.values == tuple(BETA[layout.k :] / sigma)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_raw_estimate_invariant_to_intercepts(ref, seed):
+    # unlike the event path, the raw pipeline fits data whose intercepts
+    # really move, so this can fail if the fits leak intercepts into a decision
+    layout, contrast, _, cfg = ref
+    slopes = (0.3, -0.1, 0.2)
+    estimates = {
+        estimate_cp_raw(
+            np.concatenate([intercepts, slopes]), 2.0, layout, cfg, contrast.a, runs=10_000, seed=seed
+        ).estimate
+        for intercepts in ((0.0, 0.0, 0.0), (3.0, -7.0, 11.0), (1e3, -2e3, 5e2))
+    }
+    assert len(estimates) == 1, estimates
 
 
 def test_raw_estimate_nominal_when_forced_full(ref):

@@ -294,6 +294,12 @@ def test_min_cp_search_small_budget(ref):
     assert redo.se == best.se
 
 
+def test_min_cp_search_rejects_zero_n_jobs(ref):
+    _, _, geom, cfg = ref
+    with pytest.raises(DomainError, match="n_jobs"):
+        min_cp_search(dataclasses.replace(_tiny_config(geom, cfg), n_jobs=0))
+
+
 def _fine_config(geom, cfg, n_jobs=None):
     return SearchConfig(
         geom=geom,
