@@ -15,6 +15,9 @@ gs = true slopes, e the data-dependent half-width of the selected interval:
   separate      mean v21'V22^-1 (gs - q),                   scale sqrt(v_star)
 
 each active only on its selection region and zero elsewhere.
+
+On region C the term depends on the draw alone (mean -z'vproj with z = q - gs,
+half-width from d), so points evaluated against shared draws share its value.
 """
 
 from __future__ import annotations
@@ -26,18 +29,44 @@ from scipy import special
 
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError
-from .selection import SlopeNoise, _inner, block_f
+from .selection import SlopeNoise, SlopeTerms, _inner, block_f
 
 __all__ = ["ConditionalKernel"]
+
+# the most region-A and region-B cells gathered at once, which bounds a gather's memory
+GATHER_CELLS = 4096
+
+
+def _cells(geom, cfg, d, zv=0.0, *, in_a=False, ok_xi=False, quad_v=0.0, quad_w=0.0, mu_a=0.0, mu_xi0=0.0, zs=0.0):
+    """Conditional coverage Phi(mu + e) - Phi(mu - e) of cells, each on the region its masks pick.
+
+    mu and e are in units of the region's scale.  in_a marks first-test
+    acceptance, ok_xi second-test acceptance where the first rejects; the
+    defaults put every cell on region C.  Draw parts (d, zv = z'vproj,
+    zs = z'sproj) and point parts (mu_a, mu_xi0) broadcast together.
+    """
+    m, k = geom.m, geom.k
+    root_v_star, sd_cond = math.sqrt(geom.v_star), math.sqrt(geom.w_cond)
+    scale_a = cfg.t_mk / math.sqrt(m + k)
+    scale_b = cfg.t_mk1 * math.sqrt(geom.w_star / (m + k - 1)) / sd_cond
+    scale_c = cfg.t_m * math.sqrt(geom.v11 / m) / root_v_star
+    half = np.where(in_a, quad_v, np.where(ok_xi, quad_w, 0.0)) + d
+    np.sqrt(half, out=half)
+    half *= np.where(in_a, scale_a, np.where(ok_xi, scale_b, scale_c))
+    mu = np.where(in_a, mu_a, np.where(ok_xi, (mu_xi0 - zs) / sd_cond, -zv / root_v_star))
+    p = special.ndtr(mu + half)
+    mu -= half
+    p -= special.ndtr(mu, out=mu)
+    return np.maximum(p, 0.0, out=p)
 
 
 class ConditionalKernel:
     """Conditional coverage for one design and cutoff config at a block of true slope points.
 
-    ``slopes`` is one point (k,) or a block of points (P, k).  ``block``
-    evaluates every point against shared draws (P x n values);
-    ``conditional_cp_batch`` is the row adapter for a kernel built for one
-    point, given the slope estimates q themselves.
+    ``slopes`` is one point (k,) or a block of points (P, k).  ``blocks``
+    evaluates runs of points against shared draws; ``conditional_cp_batch``
+    is the row adapter for a kernel built for one point, given the slope
+    estimates q themselves.
     """
 
     def __init__(self, geom: GeometryBundle, cfg: TwoStageConfig, slopes):
@@ -47,46 +76,49 @@ class ConditionalKernel:
         self.geom = geom
         self.cfg = cfg
         self.slopes = np.atleast_2d(slopes)
-        self._mu_tau = _inner(self.slopes, geom.vproj)
+        self._terms = SlopeTerms.of(self.slopes, geom)
+        self._mu_a = _inner(self.slopes, geom.vproj) / math.sqrt(geom.v_star)
         self._mu_xi0 = _inner(_inner(self.slopes[:, None, :], geom.u), geom.wproj)
 
-    def _evaluate(self, z: np.ndarray, noise: SlopeNoise):
-        """Conditional coverage of the selected interval, and the region masks.
-
-        z = q - gs is the slope noise of each draw.  Every term of the module
-        docstring is Phi((mu + e) / sd) - Phi((mu - e) / sd); each cell picks
-        its region's mu / sd and e / sd, so Phi runs twice per cell.  Updates
-        are in place to keep a block's temporaries few.
-        """
-        geom, cfg = self.geom, self.cfg
-        m, k = geom.m, geom.k
-        f_tau, f_xi, quad_v, quad_w = block_f(noise, self.slopes, geom)
-        in_a = f_tau <= cfg.l_tau
-        in_b = ~in_a & (f_xi <= cfg.l_xi)
-        half = np.where(in_a, quad_v, np.where(in_b, quad_w, 0.0))
-        del f_tau, f_xi, quad_v, quad_w
-        root_v_star, sd_cond = math.sqrt(geom.v_star), math.sqrt(geom.w_cond)
-        scale_a = cfg.t_mk / math.sqrt(m + k)
-        scale_b = cfg.t_mk1 * math.sqrt(geom.w_star / (m + k - 1)) / sd_cond
-        scale_c = cfg.t_m * math.sqrt(geom.v11 / m) / root_v_star
-        half += noise.d
-        np.sqrt(half, out=half)
-        half *= np.where(in_a, scale_a, np.where(in_b, scale_b, scale_c))
-        mu_a = (self._mu_tau / root_v_star)[:, None]
-        mu_b = (self._mu_xi0[:, None] - z @ geom.sproj) / sd_cond
-        mu = np.where(in_a, mu_a, np.where(in_b, mu_b, -(z @ geom.vproj) / root_v_star))
-        p = special.ndtr(mu + half)
-        mu -= half
-        p -= special.ndtr(mu, out=mu)
-        return np.maximum(p, 0.0, out=p), in_a, in_b
-
-    def block(self, z: np.ndarray, noise: SlopeNoise) -> np.ndarray:
-        """Conditional coverage of every slope point (rows) against shared draws (columns).
+    def blocks(self, z: np.ndarray, noise: SlopeNoise, step: int):
+        """Conditional coverage of each run of ``step`` slope points (rows) against shared draws (columns).
 
         z (n, k) is the slope noise q - gs of the draws and noise its
-        quadratic-form parts, as built by SlopeNoise.of(z, d, geom).
+        quadratic-form parts, as built by SlopeNoise.of(z, d, geom).  One point
+        has nothing to share: Phi runs twice on each cell.  For more, region-C
+        values are computed once per draw and copied into the region-C cells,
+        and Phi runs only on region-A and region-B cells, with the same bits.
+        The blocks share four work arrays: each is valid until the next.
         """
-        return self._evaluate(z, noise)[0]
+        geom, cfg, d, zs, zv = self.geom, self.cfg, noise.d, z @ self.geom.sproj, z @ self.geom.vproj
+        if len(self.slopes) == 1:
+            f_tau, f_xi, quad_v, quad_w = block_f(noise, self._terms, geom)
+            in_a, ok_xi = f_tau <= cfg.l_tau, f_xi <= cfg.l_xi
+            del f_tau, f_xi
+            yield _cells(
+                geom, cfg, d, zv, in_a=in_a, ok_xi=ok_xi, quad_v=quad_v, quad_w=quad_w,
+                mu_a=self._mu_a[:, None], mu_xi0=self._mu_xi0[:, None], zs=zs,
+            )
+            return
+        region_c = _cells(geom, cfg, d, zv)
+        work = [np.empty((min(step, len(self.slopes)), len(d))) for _ in range(4)]
+        for start in range(0, len(self.slopes), step):
+            rows = slice(start, start + step)
+            terms = SlopeTerms(*(field[rows] for field in self._terms))
+            f_tau, f_xi, quad_v, quad_w = block_f(noise, terms, geom, [w[: len(terms.two_s)] for w in work])
+            in_a = f_tau <= cfg.l_tau
+            cells = np.flatnonzero((f_xi <= cfg.l_xi) | in_a)
+            f_tau[...] = region_c
+            for part in (cells[i : i + GATHER_CELLS] for i in range(0, len(cells), GATHER_CELLS)):
+                point = part // len(d)
+                draw = part - point * len(d)
+                values = _cells(
+                    geom, cfg, d.take(draw), in_a=in_a.take(part), ok_xi=True, quad_v=quad_v.take(part),
+                    quad_w=quad_w.take(part), mu_a=self._mu_a[rows].take(point),
+                    mu_xi0=self._mu_xi0[rows].take(point), zs=zs.take(draw),
+                )
+                f_tau.put(part, values)
+            yield f_tau
 
     def conditional_cp_batch(self, q, d) -> np.ndarray:
         """Conditional coverage of the selected interval, row-wise on q (n, k) against d (n,).
@@ -102,4 +134,4 @@ class ConditionalKernel:
         if not np.all(d > 0.0):
             raise DomainError("every d must be positive")
         z = q - self.slopes[0]
-        return self.block(z, SlopeNoise.of(z, d, self.geom))[0]
+        return next(self.blocks(z, SlopeNoise.of(z, d, self.geom), 1))[0]

@@ -177,12 +177,22 @@ def _event_values(slopes, draws, geom, cfg):
     return np.stack([ev.covers_tau, ev.covers_tau & ev.in_a, ~ev.in_a], axis=1)
 
 
-# estimator tag -> (per-chunk draws, per-draw values of a block of slope points)
+def _each(values):
+    """Per-draw values of each block of a group, from a function of one block."""
+    return lambda group, step, draws, geom, cfg: (
+        values(group[i : i + step], draws, geom, cfg) for i in range(0, len(group), step)
+    )
+
+
+# estimator tag -> (per-chunk draws, per-draw values of each block of a group of slope points)
 _ESTIMATORS = {
-    "naive": (_draw_full, lambda s, draws, geom, cfg: batch_events(*draws, s, geom, cfg).covers_selected),
-    "conditioned": (_draw_slopes, lambda s, draws, geom, cfg: ConditionalKernel(geom, cfg, s).block(*draws)),
-    "gate_tau": (_draw_slopes, lambda s, draws, geom, cfg: block_f(draws[1], s, geom)[0] <= cfg.l_tau),
-    "gate_xi": (_draw_slopes, lambda s, draws, geom, cfg: block_f(draws[1], s, geom)[1] <= cfg.l_xi),
+    "naive": (_draw_full, _each(lambda s, draws, geom, cfg: batch_events(*draws, s, geom, cfg).covers_selected)),
+    "conditioned": (
+        _draw_slopes,
+        lambda group, step, draws, geom, cfg: ConditionalKernel(geom, cfg, group).blocks(*draws, step),
+    ),
+    "gate_tau": (_draw_slopes, _each(lambda s, draws, geom, cfg: block_f(draws[1], s, geom)[0] <= cfg.l_tau)),
+    "gate_xi": (_draw_slopes, _each(lambda s, draws, geom, cfg: block_f(draws[1], s, geom)[1] <= cfg.l_xi)),
 }
 
 
@@ -223,18 +233,17 @@ def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs) -> _Moment
     seed = check_count("seed", seed, 0)
     sizes = _chunk_sizes(runs)
     step = max(1, BLOCK_CELLS // sizes[0])
-    blocks = [slopes[i : i + step] for i in range(0, len(slopes), step)]
 
     def task(job):
-        chunk, size, group = job
+        chunk, size, rows = job
         draws = draw(_stream(seed, tag, chunk), geom, size)
-        return [_Moments.of(values(block, draws, geom, cfg)) for block in group]
+        return [_Moments.of(block) for block in values(slopes[rows], step, draws, geom, cfg)]
 
     total = None
     with thread_pool(n_jobs) as (width, pool):
-        per = -(-len(blocks) // width)
-        groups = [blocks[i : i + per] for i in range(0, len(blocks), per)]
-        jobs = [(chunk, size, group) for chunk, size in enumerate(sizes) for group in groups]
+        per = -(-len(slopes) // step // width) * step
+        groups = [slice(i, i + per) for i in range(0, len(slopes), per)]
+        jobs = [(chunk, size, rows) for chunk, size in enumerate(sizes) for rows in groups]
         parts = (map if pool is None else pool.map)(task, jobs)
         for _ in sizes:
             mine = [part for _ in groups for part in next(parts)]
@@ -344,7 +353,7 @@ def event_probabilities(
     the form 0 <= Pr(S) - Pr(S and accept) <= Pr(reject).
     """
     (point,) = _slope_points([point], geom.k)
-    moments = _reduce("events", _draw_full, _event_values, point.as_array()[None, :], geom, cfg, runs, seed, 1)
+    moments = _reduce("events", _draw_full, _each(_event_values), point.as_array()[None, :], geom, cfg, runs, seed, 1)
     covers, covers_and_accept, reject = (float(v) for v in moments.mean[0])
     return {
         "covers_tau": covers,

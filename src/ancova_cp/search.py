@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import GeometryBundle, TwoStageConfig
-from .errors import DomainError, InsufficientLowCPPoints
+from .errors import DomainError, InsufficientLowCPPoints, check_count
 from .montecarlo import (
     CoverageEstimate,
     SlopePoint,
@@ -94,8 +94,7 @@ class GridSpec:
             bounds = (bounds,) * ndim
         if len(bounds) != ndim:
             raise DomainError(f"need bounds for {ndim} axes, got {len(bounds)}")
-        if self.points_per_axis < 2:
-            raise DomainError(f"points_per_axis must be at least 2, got {self.points_per_axis}")
+        check_count("points_per_axis", self.points_per_axis, 2)
         axes = []
         for lo, hi in bounds:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -303,6 +302,11 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
 def _min_cp_search(config: SearchConfig) -> MinSearchReport:
     geom, cfg = config.geom, config.cfg
     cube, square = config.cube, config.square
+    # refuse a bad configuration before the first estimate, not after the cube phase
+    cube_axes, square_axes = cube.axes(geom.k), square.axes(geom.k - 1)
+    check_count("profile_points", config.profile_points, 3)
+    if not (math.isfinite(config.threshold) and math.isfinite(config.offset)):
+        raise DomainError(f"threshold and offset must be finite, got {config.threshold} and {config.offset}")
     warnings: list[str] = []
 
     cube_table = grid_eval(cube, config.estimator, geom, cfg, n_jobs=config.n_jobs)
@@ -332,7 +336,6 @@ def _min_cp_search(config: SearchConfig) -> MinSearchReport:
         candidates += _estimate_at(minima, config.estimator, geom, cfg, cube.runs, cube.seed, config.n_jobs)
     min1 = min(candidates, key=lambda e: e.estimate)
 
-    square_axes = square.axes(geom.k - 1)
     deltas = list(itertools.product(*square_axes))
     far = [_far_point(delta, config.offset, geom.k) for delta in deltas]
     square_ests = _estimate_at(far, config.estimator, geom, cfg, square.runs, square.seed, config.n_jobs)
@@ -344,7 +347,7 @@ def _min_cp_search(config: SearchConfig) -> MinSearchReport:
     # the cube restriction needs the first test to reject on its boundary,
     # the square restriction needs the second test to reject on its own
     gates = []
-    cube_corners = _boundary_points(cube.axes(geom.k))
+    cube_corners = _boundary_points(cube_axes)
     square_corners = _boundary_points(square_axes)
     for test, stage, region, spec, corners, points in (
         ("tau", "first", "cube", cube, cube_corners, cube_corners),

@@ -90,21 +90,48 @@ class SlopeNoise(NamedTuple):
         return cls(d, vz.T.copy(), _inner(vz, z), wuz.T.copy(), _inner(wuz, uz))
 
 
-def _quad(s: np.ndarray, mat: np.ndarray, mat_z: np.ndarray, z_mat_z: np.ndarray) -> np.ndarray:
-    """(s + z)' mat (s + z) for every (row of s, draw) pair, shape (P, n)."""
-    quad = _inner(s[:, None, :], mat_z.T[None])
-    quad *= 2.0
-    quad += _inner(_inner(s[:, None, :], mat), s)[:, None]
-    quad += z_mat_z
-    return quad
+class SlopeTerms(NamedTuple):
+    """The draw-free parts of the two F quadratic forms for slope points s (P, k).
+
+    The cross term 2 s'(Az) is summed as sum_j (2 s_j)(Az)_j: doubling is exact.
+    """
+
+    two_s: np.ndarray  # (P, k) 2 s
+    svs: np.ndarray  # (P, 1) s' V22^-1 s
+    two_us: np.ndarray  # (P, k-1) 2 U s
+    usu: np.ndarray  # (P, 1) (U s)' W22^-1 (U s)
+
+    @classmethod
+    def of(cls, slopes: np.ndarray, geom: GeometryBundle) -> "SlopeTerms":
+        us = _inner(slopes[:, None, :], geom.u)
+        svs = _inner(_inner(slopes[:, None, :], geom.v22_inv), slopes)
+        return cls(2.0 * slopes, svs[:, None], 2.0 * us, _inner(_inner(us[:, None, :], geom.w22_inv), us)[:, None])
 
 
-def block_f(noise: SlopeNoise, slopes: np.ndarray, geom: GeometryBundle):
-    """F statistics and quadratic forms for slope points (P, k) against shared draws; each (P, n)."""
-    quad_v = _quad(slopes, geom.v22_inv, noise.vz, noise.zvz)
-    quad_w = _quad(_inner(slopes[:, None, :], geom.u), geom.w22_inv, noise.wuz, noise.zwz)
-    f_tau = (geom.m / geom.k) * quad_v / noise.d
-    f_xi = (geom.m / (geom.k - 1)) * quad_w / noise.d
+def _quad(two_s, s_mat_s, mat_z, z_mat_z, out, term):
+    """(s + z)' mat (s + z) for every (row of s, draw) pair, into out (P, n); term is scratch."""
+    np.multiply(two_s[:, :1], mat_z[0], out=out)
+    for j in range(1, two_s.shape[1]):
+        out += np.multiply(two_s[:, j : j + 1], mat_z[j], out=term)
+    out += s_mat_s
+    out += z_mat_z
+    return out
+
+
+def block_f(noise: SlopeNoise, slopes, geom: GeometryBundle, out=None):
+    """F statistics and quadratic forms for slope points (P, k) against shared draws; each (P, n).
+
+    ``slopes`` may be given as its SlopeTerms, and ``out`` as four (P, n)
+    arrays to write f_tau, f_xi, quad_v, quad_w into.
+    """
+    terms = slopes if isinstance(slopes, SlopeTerms) else SlopeTerms.of(slopes, geom)
+    f_tau, f_xi, quad_v, quad_w = out or [np.empty((len(terms.two_s), len(noise.d))) for _ in range(4)]
+    _quad(terms.two_s, terms.svs, noise.vz, noise.zvz, quad_v, f_tau)
+    _quad(terms.two_us, terms.usu, noise.wuz, noise.zwz, quad_w, f_xi)
+    np.multiply(quad_v, geom.m / geom.k, out=f_tau)
+    f_tau /= noise.d
+    np.multiply(quad_w, geom.m / (geom.k - 1), out=f_xi)
+    f_xi /= noise.d
     return f_tau, f_xi, quad_v, quad_w
 
 

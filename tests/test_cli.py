@@ -281,3 +281,28 @@ def test_config_file_rejects_non_integer_design_counts(capsys, tmp_path, overrid
     assert rc == 1
     assert err.startswith("error:") and "must be an integer" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [("--square-density", "0"), ("--profile-points", "2"), ("--threshold", "nan"), ("--offset", "inf")],
+)
+def test_min_refuses_bad_search_settings_before_any_estimate(capsys, tmp_path, monkeypatch, flag):
+    # these used to be seen only after the whole cube phase, or (threshold nan)
+    # to skip line fitting without a word
+    from ancova_cp import montecarlo, search
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return montecarlo_estimate_points(*args, **kwargs)
+
+    montecarlo_estimate_points = montecarlo.estimate_points
+    monkeypatch.setattr(montecarlo, "estimate_points", counting)
+    monkeypatch.setattr(search, "estimate_points", counting)
+    rc, out, err = _run(capsys, "min", "--density", "3", *flag, "--runs", "100", "--out", str(tmp_path / "out"))
+    assert rc == 1
+    assert err.startswith("error:")
+    assert calls == []
+    assert not (tmp_path / "out").exists()

@@ -5,15 +5,22 @@ import numpy as np
 import pytest
 
 from ancova_cp import (
+    AncovaLayout,
+    ContrastSpec,
     DomainError,
+    GridSpec,
     SlopePoint,
+    batch_events,
+    build_geometry,
+    critical_values,
     estimate_conditioned,
     estimate_naive,
     estimate_points,
     event_probabilities,
     gate_probability,
+    grid_eval,
 )
-from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _Moments, default_workers
+from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _draw_slopes, _Moments, _stream, default_workers
 from oracles import direct_geometry, gate_prob_ncf
 
 POINT = SlopePoint.of((0.05, 0.1, 0.0))
@@ -65,6 +72,73 @@ def test_block_matches_single_point_calls(ref, estimator):
         alone = estimate_points([point], geom, cfg, estimator, runs=runs, seed=4)[0]
         assert (est.estimate, est.se, est.point) == (alone.estimate, alone.se, point)
         assert est.estimator == estimator and est.runs == runs
+
+
+def _unbalanced_k4():
+    layout = AncovaLayout(
+        k=4,
+        n=(3, 7, 4, 5),
+        x=((0.5, 1.0, 4.0), (1.0, 1.5, 2.0, 3.5, 5.0, 6.0, 9.0), (2.0, 2.5, 3.0, 7.0), (0.0, 1.0, 3.0, 4.5, 8.0)),
+    )
+    geom = build_geometry(layout, ContrastSpec.treatment_difference(layout, 1, 2))
+    return layout, None, geom, critical_values(layout, alpha=0.05, sig_tau=0.10, sig_xi=0.10)
+
+
+# (design, cutoffs, spread of the points about a common slope, spread of that slope)
+MIXED_CASES = {
+    "reference": ("ref", None, 0.1, 0.2),
+    "small k=2": ("small", None, 0.6, 0.6),
+    "unbalanced k=4": ("k4", None, 0.6, 0.6),
+    "all region C": ("ref", (0.0, 0.0), 0.1, 0.2),
+    "all region A": ("ref", (1e12, 1e12), 0.1, 0.2),
+}
+
+
+@pytest.mark.parametrize("case", list(MIXED_CASES))
+def test_conditioned_block_matches_single_point_where_regions_mix(request, case):
+    # 2000 runs make blocks of 8 points; region-C cells take the shared
+    # per-draw value, region-A and region-B cells are evaluated per point
+    design, cutoffs, spread, level = MIXED_CASES[case]
+    _, _, geom, cfg = _unbalanced_k4() if design == "k4" else request.getfixturevalue(design)
+    if cutoffs is not None:
+        cfg = dataclasses.replace(cfg, l_tau=cutoffs[0], l_xi=cutoffs[1])
+    runs, seed = 2000, 5
+    step = BLOCK_CELLS // runs
+    assert step == 8
+    rng = np.random.default_rng(11)
+    slopes = rng.uniform(-spread, spread, (3 * step + 2, geom.k)) + rng.uniform(-level, level, (3 * step + 2, 1))
+    z, noise = _draw_slopes(_stream(seed, "conditioned", 0), geom, runs)
+    ev = batch_events(np.concatenate([np.zeros_like(z), z], axis=1), noise.d, slopes, geom, cfg)
+    for start in range(0, len(slopes), step):
+        in_a, in_b = ev.in_a[start : start + step], ev.in_b[start : start + step]
+        in_c = ~in_a & ~in_b
+        if cutoffs is None:
+            assert in_a.any() and in_b.any() and in_c.any()
+        else:
+            assert (in_c if cutoffs[0] == 0.0 else in_a).all()
+    points = [SlopePoint.of(s) for s in slopes]
+    block = estimate_points(points, geom, cfg, "conditioned", runs=runs, seed=seed)
+    for point, est in zip(points, block):
+        alone = estimate_points([point], geom, cfg, "conditioned", runs=runs, seed=seed)[0]
+        assert (est.estimate, est.se) == (alone.estimate, alone.se)
+
+
+@pytest.mark.parametrize("estimator", ["conditioned", "naive"])
+def test_shared_draw_blocks_are_thread_invariant(ref, monkeypatch, estimator):
+    # 2000 runs: one chunk and many 8-point blocks, split into one group per thread
+    _, _, geom, cfg = ref
+    points = [SlopePoint.of(p) for p in np.random.default_rng(8).uniform(-0.3, 0.3, (37, 3))]
+    spec = GridSpec(bounds=(-0.25, 0.25), points_per_axis=4, runs=2000, seed=6)
+    serial = estimate_points(points, geom, cfg, estimator, runs=2000, seed=6, n_jobs=1)
+    serial_grid = grid_eval(spec, estimator, geom, cfg, n_jobs=1)
+    for n_jobs in (2, 4):
+        threaded = estimate_points(points, geom, cfg, estimator, runs=2000, seed=6, n_jobs=n_jobs)
+        assert [(e.estimate, e.se) for e in threaded] == [(e.estimate, e.se) for e in serial]
+        assert grid_eval(spec, estimator, geom, cfg, n_jobs=n_jobs) == serial_grid
+    monkeypatch.setenv("ANCOVA_CP_THREADS", "2")
+    threaded = estimate_points(points, geom, cfg, estimator, runs=2000, seed=6)
+    assert [(e.estimate, e.se) for e in threaded] == [(e.estimate, e.se) for e in serial]
+    assert grid_eval(spec, estimator, geom, cfg) == serial_grid
 
 
 def test_block_is_thread_invariant_through_env(ref, monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ancova_cp import montecarlo
+from ancova_cp import search as search_module
 from ancova_cp import (
     CoverageEstimate,
     DomainError,
@@ -298,6 +299,38 @@ def test_min_cp_search_rejects_zero_n_jobs(ref):
     _, _, geom, cfg = ref
     with pytest.raises(DomainError, match="n_jobs"):
         min_cp_search(dataclasses.replace(_tiny_config(geom, cfg), n_jobs=0))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"square": GridSpec(bounds=(-0.2, 0.2), points_per_axis=1, runs=300)},
+        {"square": GridSpec(bounds=(0.2, -0.2), points_per_axis=3, runs=300)},
+        {"cube": GridSpec(bounds=((-0.2, 0.2),) * 2, points_per_axis=3, runs=300)},
+        {"cube": GridSpec(bounds=(-0.2, 0.2), points_per_axis=3.0, runs=300)},
+        {"profile_points": 2},
+        {"profile_points": 4.0},
+        {"threshold": math.nan},
+        {"threshold": math.inf},
+        {"offset": math.nan},
+    ],
+)
+def test_min_cp_search_validates_before_any_estimate(ref, monkeypatch, change):
+    _, _, geom, cfg = ref
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = montecarlo.estimate_points
+    monkeypatch.setattr(montecarlo, "estimate_points", counting)
+    monkeypatch.setattr(search_module, "estimate_points", counting)
+    with pytest.raises(DomainError):
+        min_cp_search(dataclasses.replace(_tiny_config(geom, cfg), **change))
+    assert calls == []
+    min_cp_search(_tiny_config(geom, cfg))
+    assert calls
 
 
 def _fine_config(geom, cfg, n_jobs=None):
