@@ -226,7 +226,9 @@ def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs) -> _Moment
     groups as the pool has threads.  Each (chunk, group) task makes the
     chunk's draws from the stream (seed, tag, chunk) and evaluates its blocks
     against them, so a chunk is drawn once per group, never once per point,
-    and tasks need no barrier between drawing and evaluating.  Every value
+    and tasks need no barrier between drawing and evaluating.  ``values``
+    gets the whole group, so it can share point-free work among its blocks
+    for the task's lifetime.  Every value
     depends only on its point and its chunk's draws, so neither grouping nor
     thread count can change a result; moments are merged in chunk order.
     """
