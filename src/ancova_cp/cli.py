@@ -4,7 +4,7 @@ Subcommands: cp, grid, lines, profile, min, oracle, quantiles.  A JSON config
 file supplies the design (keys k, n, x, contrast) and optional run defaults
 (alpha, sig_tau, sig_xi, runs, seed, estimator); flags override file values;
 without a config the bundled reference design is used.  The thread count for
-chunk and grid fan-out comes from the ANCOVA_CP_THREADS environment variable.
+chunk fan-out comes from the ANCOVA_CP_THREADS environment variable.
 
 Every table row carries the seed, run count and estimator that produced it,
 and rerunning a command with the same inputs reproduces output files byte
@@ -53,6 +53,8 @@ from .search import (
 )
 
 _RUN_KEYS = ("alpha", "sig_tau", "sig_xi", "runs", "seed", "estimator")
+# the lattice and search flags default to the library's own settings
+_DEFAULTS = SearchConfig(geom=None, cfg=None)
 
 
 @dataclass(frozen=True)
@@ -125,28 +127,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="set both cutoffs to zero so the separate-slopes interval is always used",
     )
 
+    cube, square = _DEFAULTS.cube, _DEFAULTS.square
     p_grid = sub.add_parser("grid", parents=[common], help="coverage over a lattice on the cube")
-    p_grid.add_argument("--bounds", type=_pair_arg, help="axis bounds lo,hi (default -0.25,0.25)")
-    p_grid.add_argument("--density", type=int, help="lattice points per axis (default 21)")
-
     p_lines = sub.add_parser("lines", parents=[common], help="fit the two low-coverage line loci")
-    p_lines.add_argument("--bounds", type=_pair_arg, help="axis bounds lo,hi (default -0.25,0.25)")
-    p_lines.add_argument("--density", type=int, help="lattice points per axis (default 21)")
-    p_lines.add_argument("--threshold", type=float, help="low-coverage cutoff (default 0.6)")
-
     p_prof = sub.add_parser("profile", parents=[common], help="coverage along one line locus")
-    p_prof.add_argument("--offsets", type=_offsets_arg, required=True, help="per-axis offsets, e.g. 0,0.088,0.041")
-    p_prof.add_argument("--c-range", type=_pair_arg, help="range of the line parameter (default -0.25,0.25)")
-    p_prof.add_argument("--points", type=int, default=41, help="profile points (default 41)")
-
     p_min = sub.add_parser("min", parents=[common], help="restricted minimum-coverage search")
-    p_min.add_argument("--bounds", type=_pair_arg, help="cube bounds lo,hi (default -0.25,0.25)")
-    p_min.add_argument("--density", type=int, help="cube lattice points per axis (default 21)")
-    p_min.add_argument("--square-bounds", type=_pair_arg, help="slope-difference bounds (default -0.2,0.2)")
-    p_min.add_argument("--square-density", type=int, help="square lattice points per axis (default 21)")
-    p_min.add_argument("--threshold", type=float, help="low-coverage cutoff for line fitting (default 0.6)")
-    p_min.add_argument("--profile-points", type=int, default=41, help="points per line profile (default 41)")
-    p_min.add_argument("--offset", type=float, default=1000.0, help="first-slope offset for min2 (default 1000)")
+    for p in (p_grid, p_lines, p_min):
+        p.add_argument("--bounds", type=_pair_arg, default=cube.bounds, help="axis bounds lo,hi (default %(default)s)")
+        p.add_argument("--density", type=int, default=cube.points_per_axis, help="axis points (default %(default)s)")
+    for p in (p_lines, p_min):
+        p.add_argument(
+            "--threshold", type=float, default=_DEFAULTS.threshold, help="low-coverage cutoff (default %(default)s)"
+        )
+    p_min.add_argument(
+        "--square-bounds", type=_pair_arg, default=square.bounds, help="slope-difference bounds (default %(default)s)"
+    )
+    p_min.add_argument(
+        "--square-density", type=int, default=square.points_per_axis, help="square axis points (default %(default)s)"
+    )
+    p_min.add_argument(
+        "--profile-points", type=int, default=_DEFAULTS.profile_points, help="points per profile (default %(default)s)"
+    )
+    p_min.add_argument(
+        "--offset", type=float, default=_DEFAULTS.offset, help="first-slope offset for min2 (default %(default)s)"
+    )
+
+    p_prof.add_argument("--offsets", type=_offsets_arg, required=True, help="per-axis offsets, e.g. 0,0.088,0.041")
+    p_prof.add_argument(
+        "--c-range", type=_pair_arg, default=cube.bounds, help="range of the line parameter (default %(default)s)"
+    )
+    p_prof.add_argument(
+        "--points", type=int, default=_DEFAULTS.profile_points, help="profile points (default %(default)s)"
+    )
 
     p_orc = sub.add_parser("oracle", parents=[common], help="raw-data pipeline with agreement check")
     p_orc.add_argument("--point", type=_point_arg, required=True, help="true scaled slopes")
@@ -232,12 +244,8 @@ def _est_dict(est: CoverageEstimate) -> dict:
     }
 
 
-def _grid_spec(args, run: RunConfig, default_bounds=(-0.25, 0.25)) -> GridSpec:
-    bounds = getattr(args, "bounds", None) or default_bounds
-    density = getattr(args, "density", None)
-    if density is None:  # an explicit 0 must reach GridSpec's check
-        density = 21
-    return GridSpec(bounds=bounds, points_per_axis=density, runs=run.runs, seed=run.seed)
+def _grid_spec(args, run: RunConfig) -> GridSpec:
+    return GridSpec(bounds=args.bounds, points_per_axis=args.density, runs=run.runs, seed=run.seed)
 
 
 def cmd_cp(args, run: RunConfig) -> int:
@@ -290,7 +298,7 @@ def _lines_payload(lines: tuple[LineLocus, LineLocus]) -> dict:
 def cmd_lines(args, run: RunConfig) -> int:
     spec = _grid_spec(args, run)
     table = grid_eval(spec, _single_estimator(run), run.geom, run.cfg)
-    lines = fit_low_cp_lines(table, args.threshold if args.threshold is not None else 0.6)
+    lines = fit_low_cp_lines(table, args.threshold)
     payload = json.dumps(_lines_payload(lines), indent=2)
     if run.out:
         Path(run.out).write_text(payload + "\n", encoding="utf-8")
@@ -303,8 +311,7 @@ def cmd_profile(args, run: RunConfig) -> int:
     k = run.geom.k
     if len(args.offsets) != k:
         raise DomainError(f"--offsets needs {k} values, got {len(args.offsets)}")
-    c_range = args.c_range or (-0.25, 0.25)
-    line = LineLocus(direction=(1.0,) * k, offsets=args.offsets, c_range=c_range)
+    line = LineLocus(direction=(1.0,) * k, offsets=args.offsets, c_range=args.c_range)
     profile = line_profile(
         line,
         run.geom,
@@ -322,20 +329,14 @@ def cmd_profile(args, run: RunConfig) -> int:
 
 
 def cmd_min(args, run: RunConfig) -> int:
-    cube = _grid_spec(args, run)
-    square = GridSpec(
-        bounds=args.square_bounds or (-0.2, 0.2),
-        points_per_axis=21 if args.square_density is None else args.square_density,
-        runs=run.runs,
-        seed=run.seed,
-    )
+    square = GridSpec(bounds=args.square_bounds, points_per_axis=args.square_density, runs=run.runs, seed=run.seed)
     config = SearchConfig(
         geom=run.geom,
         cfg=run.cfg,
         estimator=_single_estimator(run),
-        cube=cube,
+        cube=_grid_spec(args, run),
         square=square,
-        threshold=args.threshold if args.threshold is not None else 0.6,
+        threshold=args.threshold,
         profile_points=args.profile_points,
         offset=args.offset,
     )
@@ -417,17 +418,7 @@ def cmd_quantiles(args, run: RunConfig) -> int:
     for label, value in rows:
         print(f"{label}: {value:.10f}")
     if run.out:
-        payload = {
-            "alpha": cfg.alpha,
-            "sig_tau": cfg.sig_tau,
-            "sig_xi": cfg.sig_xi,
-            "l_tau": cfg.l_tau,
-            "l_xi": cfg.l_xi,
-            "t_m": cfg.t_m,
-            "t_mk": cfg.t_mk,
-            "t_mk1": cfg.t_mk1,
-        }
-        Path(run.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        Path(run.out).write_text(json.dumps(dataclasses.asdict(cfg), indent=2) + "\n", encoding="utf-8")
         print(f"wrote {run.out}")
     return 0
 

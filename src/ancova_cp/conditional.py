@@ -17,7 +17,7 @@ gs = true slopes, e the data-dependent half-width of the selected interval:
 each active only on its selection region and zero elsewhere.
 
 On region C the term depends on the draw alone (mean -z'vproj with z = q - gs,
-half-width from d), so points evaluated against shared draws share its value.
+half-width from d), so every point evaluated against a chunk's draws shares its value.
 """
 
 from __future__ import annotations
@@ -86,9 +86,10 @@ class ConditionalKernel:
         z (n, k) is the slope noise q - gs of the draws and noise its
         quadratic-form parts, as built by SlopeNoise.of(z, d, geom).  One point
         has nothing to share: Phi runs twice on each cell.  For more, region-C
-        values are computed once per draw and copied into the region-C cells,
-        and Phi runs only on region-A and region-B cells, with the same bits.
-        The blocks share four work arrays: each is valid until the next.
+        values are computed once per draw for all the kernel's points and
+        copied into each block's region-C cells, and Phi runs only on region-A
+        and region-B cells, with the same bits.  The blocks share four work
+        arrays: each is valid until the next.
         """
         geom, cfg, d, zs, zv = self.geom, self.cfg, noise.d, z @ self.geom.sproj, z @ self.geom.vproj
         if len(self.slopes) == 1:

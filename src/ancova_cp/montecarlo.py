@@ -24,12 +24,11 @@ exactly that invariance.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,7 +45,6 @@ __all__ = [
     "SlopePoint",
     "CoverageEstimate",
     "default_workers",
-    "thread_pool",
     "estimate_points",
     "estimate_naive",
     "estimate_conditioned",
@@ -90,38 +88,12 @@ class CoverageEstimate:
 
 
 def default_workers() -> int:
-    """Worker count for chunk and grid fan-out, from ANCOVA_CP_THREADS (default 1)."""
+    """Worker count for chunk fan-out, from ANCOVA_CP_THREADS (default 1)."""
     raw = os.environ.get(THREADS_ENV_VAR, "")
     try:
         return max(1, int(raw))
     except ValueError:
         return 1
-
-
-# (width, executor or None) of the enclosing top-level call
-_ACTIVE: ContextVar[tuple | None] = ContextVar("ancova_cp_workers", default=None)
-
-
-@contextmanager
-def thread_pool(n_jobs=None):
-    """(width, executor) for one top-level call; a call made inside another reuses its pool.
-
-    ``n_jobs`` (default: ANCOVA_CP_THREADS), a positive integer, sets the
-    thread count of a new pool; one worker means serial evaluation and no
-    executor at all.
-    """
-    width = default_workers() if n_jobs is None else check_count("n_jobs", n_jobs, 1)
-    if _ACTIVE.get() is not None:
-        yield _ACTIVE.get()
-        return
-    pool = ThreadPoolExecutor(max_workers=width) if width > 1 else None
-    token = _ACTIVE.set((width, pool))
-    try:
-        yield width, pool
-    finally:
-        _ACTIVE.reset(token)
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
 
 def _chunk_sizes(runs) -> list[int]:
@@ -178,18 +150,18 @@ def _event_values(slopes, draws, geom, cfg):
 
 
 def _each(values):
-    """Per-draw values of each block of a group, from a function of one block."""
-    return lambda group, step, draws, geom, cfg: (
-        values(group[i : i + step], draws, geom, cfg) for i in range(0, len(group), step)
+    """Per-draw values of each block of slope points, from a function of one block."""
+    return lambda slopes, step, draws, geom, cfg: (
+        values(slopes[i : i + step], draws, geom, cfg) for i in range(0, len(slopes), step)
     )
 
 
-# estimator tag -> (per-chunk draws, per-draw values of each block of a group of slope points)
+# estimator tag -> (per-chunk draws, per-draw values of each block of the slope points)
 _ESTIMATORS = {
     "naive": (_draw_full, _each(lambda s, draws, geom, cfg: batch_events(*draws, s, geom, cfg).covers_selected)),
     "conditioned": (
         _draw_slopes,
-        lambda group, step, draws, geom, cfg: ConditionalKernel(geom, cfg, group).blocks(*draws, step),
+        lambda slopes, step, draws, geom, cfg: ConditionalKernel(geom, cfg, slopes).blocks(*draws, step),
     ),
     "gate_tau": (_draw_slopes, _each(lambda s, draws, geom, cfg: block_f(draws[1], s, geom)[0] <= cfg.l_tau)),
     "gate_xi": (_draw_slopes, _each(lambda s, draws, geom, cfg: block_f(draws[1], s, geom)[1] <= cfg.l_xi)),
@@ -221,37 +193,35 @@ class _Moments(NamedTuple):
 def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs) -> _Moments:
     """Per-point moments of ``values`` over ``runs`` draws made by ``draw``.
 
-    The one chunk loop.  The slope points (P, k) are cut into blocks of at
-    most BLOCK_CELLS cells, and the blocks into at most as many contiguous
-    groups as the pool has threads.  Each (chunk, group) task makes the
-    chunk's draws from the stream (seed, tag, chunk) and evaluates its blocks
-    against them, so a chunk is drawn once per group, never once per point,
-    and tasks need no barrier between drawing and evaluating.  ``values``
-    gets the whole group, so it can share point-free work among its blocks
-    for the task's lifetime.  Every value
-    depends only on its point and its chunk's draws, so neither grouping nor
-    thread count can change a result; moments are merged in chunk order.
+    The one chunk loop.  Each chunk is one task: it makes the chunk's draws
+    from the stream (seed, tag, chunk) and evaluates every slope point (P, k)
+    against them, in blocks of at most BLOCK_CELLS cells, so a chunk is drawn
+    once, never once per point.  ``values`` gets all the points, so it can
+    share point-free work among its blocks.  ``n_jobs`` (default:
+    ANCOVA_CP_THREADS), a positive integer, caps the threads; a call opens a
+    pool only when it has more than one chunk to give them.  Every value
+    depends only on its point and its chunk's draws, so the thread count
+    cannot change a result; moments are merged in chunk order.
     """
+    width = default_workers() if n_jobs is None else check_count("n_jobs", n_jobs, 1)
     seed = check_count("seed", seed, 0)
-    sizes = _chunk_sizes(runs)
-    step = max(1, BLOCK_CELLS // sizes[0])
+    jobs = list(enumerate(_chunk_sizes(runs)))
+    step = max(1, BLOCK_CELLS // jobs[0][1])
 
     def task(job):
-        chunk, size, rows = job
+        chunk, size = job
         draws = draw(_stream(seed, tag, chunk), geom, size)
-        return [_Moments.of(block) for block in values(slopes[rows], step, draws, geom, cfg)]
+        blocks = [_Moments.of(block) for block in values(slopes, step, draws, geom, cfg)]
+        return _Moments(blocks[0].n, *(np.concatenate(field) for field in list(zip(*blocks))[1:]))
 
-    total = None
-    with thread_pool(n_jobs) as (width, pool):
-        per = -(-len(slopes) // step // width) * step
-        groups = [slice(i, i + per) for i in range(0, len(slopes), per)]
-        jobs = [(chunk, size, rows) for chunk, size in enumerate(sizes) for rows in groups]
-        parts = (map if pool is None else pool.map)(task, jobs)
-        for _ in sizes:
-            mine = [part for _ in groups for part in next(parts)]
-            chunk = _Moments(mine[0].n, *(np.concatenate(field) for field in list(zip(*mine))[1:]))
-            total = chunk if total is None else total.merge(chunk)
-    return total
+    width = min(width, len(jobs))
+    if width == 1:
+        return functools.reduce(_Moments.merge, map(task, jobs))
+    pool = ThreadPoolExecutor(max_workers=width)
+    try:
+        return functools.reduce(_Moments.merge, pool.map(task, jobs))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def estimate_points(

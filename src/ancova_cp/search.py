@@ -37,7 +37,6 @@ from .montecarlo import (
     estimate_naive,
     estimate_points,
     gate_probability,  # noqa: F401  kept importable here: perfbench/spans.py traces this name
-    thread_pool,
 )
 
 __all__ = [
@@ -205,7 +204,10 @@ def line_profile(
     """
     if n_points < 3:
         raise DomainError(f"a profile needs at least 3 points, got {n_points}")
-    cs = np.linspace(line.c_range[0], line.c_range[1], n_points)
+    lo, hi = line.c_range
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"c_range must be finite with lo < hi, got {line.c_range}")
+    cs = np.linspace(lo, hi, n_points)
     ests = _estimate_at([line.point_at(c) for c in cs], estimator, geom, cfg, runs, seed, n_jobs)
     values = np.asarray([e.estimate for e in ests])
     order = np.argsort(values, kind="stable")[:3]
@@ -214,7 +216,7 @@ def line_profile(
     cp_min = float(values[order[0]])
     if quad[0] > 0.0:
         vertex = -0.5 * quad[1] / quad[0]
-        if line.c_range[0] <= vertex <= line.c_range[1]:
+        if lo <= vertex <= hi:
             c_min = float(vertex)
             cp_min = float(np.polyval(quad, vertex))
     return LineProfile(line=line, cs=tuple(float(c) for c in cs), estimates=tuple(ests), c_min=c_min, cp_min=cp_min)
@@ -234,7 +236,8 @@ def second_test_only_cp(
     The second-stage-only coverage is a function of slope differences alone;
     it is realized by putting the first slope at a large offset (default
     1000) and the remaining slopes at offset + deltas, which drives the
-    first-stage rejection probability to one.
+    first-stage rejection probability to one.  An offset so large that
+    offset + deltas loses a delta to rounding raises DomainError.
     """
     estimate = _resolve_estimator(estimator)
     return estimate(_far_point(deltas, offset, geom.k), geom, cfg, runs=runs, seed=seed)
@@ -247,7 +250,10 @@ def _far_point(deltas, offset: float, k: int) -> SlopePoint:
         raise DomainError(f"deltas must have length {k - 1}, got {deltas.shape}")
     if not math.isfinite(offset):
         raise DomainError(f"offset must be finite, got {offset}")
-    return SlopePoint.of(np.concatenate([[offset], offset + deltas]))
+    far = offset + deltas
+    if np.any(np.abs((far - offset) - deltas) > 1e-9):
+        raise DomainError(f"offset {offset} is too large: offset + deltas rounds away the deltas {deltas.tolist()}")
+    return SlopePoint.of(np.concatenate([[offset], far]))
 
 
 @dataclass(frozen=True)
@@ -295,18 +301,17 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     square.  Boundary gate probabilities that do not clear
     GATE_WARN_BELOW become warnings in the diagnostics, never errors.
     """
-    with thread_pool(config.n_jobs):
-        return _min_cp_search(config)
-
-
-def _min_cp_search(config: SearchConfig) -> MinSearchReport:
     geom, cfg = config.geom, config.cfg
     cube, square = config.cube, config.square
     # refuse a bad configuration before the first estimate, not after the cube phase
     cube_axes, square_axes = cube.axes(geom.k), square.axes(geom.k - 1)
     check_count("profile_points", config.profile_points, 3)
-    if not (math.isfinite(config.threshold) and math.isfinite(config.offset)):
-        raise DomainError(f"threshold and offset must be finite, got {config.threshold} and {config.offset}")
+    if config.n_jobs is not None:
+        check_count("n_jobs", config.n_jobs, 1)
+    if not math.isfinite(config.threshold):
+        raise DomainError(f"threshold must be finite, got {config.threshold}")
+    deltas = list(itertools.product(*square_axes))
+    far = [_far_point(delta, config.offset, geom.k) for delta in deltas]
     warnings: list[str] = []
 
     cube_table = grid_eval(cube, config.estimator, geom, cfg, n_jobs=config.n_jobs)
@@ -336,8 +341,6 @@ def _min_cp_search(config: SearchConfig) -> MinSearchReport:
         candidates += _estimate_at(minima, config.estimator, geom, cfg, cube.runs, cube.seed, config.n_jobs)
     min1 = min(candidates, key=lambda e: e.estimate)
 
-    deltas = list(itertools.product(*square_axes))
-    far = [_far_point(delta, config.offset, geom.k) for delta in deltas]
     square_ests = _estimate_at(far, config.estimator, geom, cfg, square.runs, square.seed, config.n_jobs)
     square_table = list(zip(deltas, square_ests))
     min2 = min(square_ests, key=lambda e: e.estimate)

@@ -285,7 +285,13 @@ def test_config_file_rejects_non_integer_design_counts(capsys, tmp_path, overrid
 
 @pytest.mark.parametrize(
     "flag",
-    [("--square-density", "0"), ("--profile-points", "2"), ("--threshold", "nan"), ("--offset", "inf")],
+    [
+        ("--square-density", "0"),
+        ("--profile-points", "2"),
+        ("--threshold", "nan"),
+        ("--offset", "inf"),
+        ("--offset", "1e15"),
+    ],
 )
 def test_min_refuses_bad_search_settings_before_any_estimate(capsys, tmp_path, monkeypatch, flag):
     # these used to be seen only after the whole cube phase, or (threshold nan)
@@ -306,3 +312,31 @@ def test_min_refuses_bad_search_settings_before_any_estimate(capsys, tmp_path, m
     assert err.startswith("error:")
     assert calls == []
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("c_range", ["0.25,-0.25", "0.1,0.1"])
+def test_profile_refuses_degenerate_c_range(capsys, tmp_path, c_range):
+    # a reversed range used to report an unrefined minimum, an empty one to
+    # profile one point 41 times
+    out = tmp_path / "profile.csv"
+    argv = ["profile", "--offsets", "0,0.069,0.011", f"--c-range={c_range}", "--runs", "100", "--out", str(out)]
+    rc, _, err = _run(capsys, *argv)
+    assert rc == 1
+    assert err.startswith("error:") and "c_range" in err
+    assert not out.exists()
+
+
+def test_search_flag_defaults_are_the_library_defaults():
+    from ancova_cp.cli import build_parser
+    from ancova_cp.search import GridSpec, SearchConfig
+
+    config = SearchConfig(geom=None, cfg=None)
+    args = build_parser().parse_args(["min"])
+    assert (args.bounds, args.density) == (config.cube.bounds, config.cube.points_per_axis)
+    assert (args.square_bounds, args.square_density) == (config.square.bounds, config.square.points_per_axis)
+    assert (args.threshold, args.profile_points) == (config.threshold, config.profile_points)
+    assert args.offset == config.offset
+    for command in ("grid", "lines"):
+        args = build_parser().parse_args([command])
+        assert (args.bounds, args.density) == (GridSpec().bounds, GridSpec().points_per_axis)
+    assert build_parser().parse_args(["lines"]).threshold == config.threshold

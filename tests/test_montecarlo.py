@@ -125,20 +125,22 @@ def test_conditioned_block_matches_single_point_where_regions_mix(request, case)
 
 @pytest.mark.parametrize("estimator", ["conditioned", "naive"])
 def test_shared_draw_blocks_are_thread_invariant(ref, monkeypatch, estimator):
-    # 2000 runs: one chunk and many 8-point blocks, split into one group per thread
+    # many 8-point blocks per chunk; 2000 runs is one chunk and runs serially,
+    # CHUNK_SIZE + 100 is two chunks, one per thread
     _, _, geom, cfg = ref
     points = [SlopePoint.of(p) for p in np.random.default_rng(8).uniform(-0.3, 0.3, (37, 3))]
-    spec = GridSpec(bounds=(-0.25, 0.25), points_per_axis=4, runs=2000, seed=6)
-    serial = estimate_points(points, geom, cfg, estimator, runs=2000, seed=6, n_jobs=1)
-    serial_grid = grid_eval(spec, estimator, geom, cfg, n_jobs=1)
-    for n_jobs in (2, 4):
-        threaded = estimate_points(points, geom, cfg, estimator, runs=2000, seed=6, n_jobs=n_jobs)
+    for runs in (2000, CHUNK_SIZE + 100):
+        spec = GridSpec(bounds=(-0.25, 0.25), points_per_axis=4, runs=runs, seed=6)
+        serial = estimate_points(points, geom, cfg, estimator, runs=runs, seed=6, n_jobs=1)
+        serial_grid = grid_eval(spec, estimator, geom, cfg, n_jobs=1)
+        for n_jobs in (2, 4):
+            threaded = estimate_points(points, geom, cfg, estimator, runs=runs, seed=6, n_jobs=n_jobs)
+            assert [(e.estimate, e.se) for e in threaded] == [(e.estimate, e.se) for e in serial]
+            assert grid_eval(spec, estimator, geom, cfg, n_jobs=n_jobs) == serial_grid
+        monkeypatch.setenv("ANCOVA_CP_THREADS", "2")
+        threaded = estimate_points(points, geom, cfg, estimator, runs=runs, seed=6)
         assert [(e.estimate, e.se) for e in threaded] == [(e.estimate, e.se) for e in serial]
-        assert grid_eval(spec, estimator, geom, cfg, n_jobs=n_jobs) == serial_grid
-    monkeypatch.setenv("ANCOVA_CP_THREADS", "2")
-    threaded = estimate_points(points, geom, cfg, estimator, runs=2000, seed=6)
-    assert [(e.estimate, e.se) for e in threaded] == [(e.estimate, e.se) for e in serial]
-    assert grid_eval(spec, estimator, geom, cfg) == serial_grid
+        assert grid_eval(spec, estimator, geom, cfg) == serial_grid
 
 
 def test_block_is_thread_invariant_through_env(ref, monkeypatch):

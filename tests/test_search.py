@@ -216,6 +216,20 @@ def test_line_profile_needs_three_points(ref):
         line_profile(line, geom, cfg, n_points=2, runs=100, seed=0)
 
 
+@pytest.mark.parametrize("c_range", [(0.25, -0.25), (0.1, 0.1), (math.nan, 0.1), (-0.1, math.inf)])
+def test_line_profile_refuses_degenerate_c_range(ref, monkeypatch, c_range):
+    # a reversed range used to skip the parabola refinement, an empty one to
+    # profile one point n_points times
+    _, _, geom, cfg = ref
+    calls = []
+    real = search_module.estimate_points
+    monkeypatch.setattr(search_module, "estimate_points", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    line = LineLocus(direction=(1.0, 1.0, 1.0), offsets=(0.0, 0.0, 0.0), c_range=c_range)
+    with pytest.raises(DomainError, match="c_range"):
+        line_profile(line, geom, cfg, n_points=5, runs=100, seed=0)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # second-stage-only coverage
 # ---------------------------------------------------------------------------
@@ -254,6 +268,11 @@ def test_second_test_only_validation(ref):
         second_test_only_cp((0.1,), geom, cfg, runs=100, seed=0)
     with pytest.raises(DomainError):
         second_test_only_cp((0.1, 0.0), geom, cfg, runs=100, seed=0, offset=math.inf)
+    # at 1e15, (offset + 0.05) - offset == 0: the estimate was taken at the
+    # wrong slope differences (0.919 against 0.288) without a word
+    for offset in (1e9, 1e15, -1e15):
+        with pytest.raises(DomainError, match="offset"):
+            second_test_only_cp((0.05, 0.0), geom, cfg, runs=100, seed=0, offset=offset)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +332,8 @@ def test_min_cp_search_rejects_zero_n_jobs(ref):
         {"threshold": math.nan},
         {"threshold": math.inf},
         {"offset": math.nan},
+        {"offset": 1e15},
+        {"offset": 1e9},
     ],
 )
 def test_min_cp_search_validates_before_any_estimate(ref, monkeypatch, change):
@@ -333,13 +354,13 @@ def test_min_cp_search_validates_before_any_estimate(ref, monkeypatch, change):
     assert calls
 
 
-def _fine_config(geom, cfg, n_jobs=None):
+def _fine_config(geom, cfg, n_jobs=None, runs=900):
     return SearchConfig(
         geom=geom,
         cfg=cfg,
         estimator="conditioned",
-        cube=GridSpec(bounds=(-0.25, 0.25), points_per_axis=7, runs=900, seed=0),
-        square=GridSpec(bounds=(-0.2, 0.2), points_per_axis=3, runs=900, seed=0),
+        cube=GridSpec(bounds=(-0.25, 0.25), points_per_axis=7, runs=runs, seed=0),
+        square=GridSpec(bounds=(-0.2, 0.2), points_per_axis=3, runs=runs, seed=0),
         profile_points=5,
         n_jobs=n_jobs,
     )
@@ -347,30 +368,38 @@ def _fine_config(geom, cfg, n_jobs=None):
 
 @pytest.mark.parametrize("threads", ["2", "4"])
 def test_min_cp_search_thread_invariant_through_env(ref, monkeypatch, threads):
+    # 900 runs is one chunk and runs serially; one more chunk makes the threads run
     _, _, geom, cfg = ref
-    serial = min_cp_search(_fine_config(geom, cfg, n_jobs=1))
-    assert serial.lines is not None
-    monkeypatch.setenv("ANCOVA_CP_THREADS", threads)
-    assert min_cp_search(_fine_config(geom, cfg)) == serial
+    for runs in (900, montecarlo.CHUNK_SIZE + 100):
+        config = _fine_config(geom, cfg, runs=runs)
+        serial = min_cp_search(dataclasses.replace(config, n_jobs=1))
+        assert serial.lines is not None
+        monkeypatch.setenv("ANCOVA_CP_THREADS", threads)
+        assert min_cp_search(config) == serial
 
 
-def test_min_cp_search_opens_one_pool(ref, monkeypatch):
+def test_pools_open_only_for_several_chunks(ref, monkeypatch):
     _, _, geom, cfg = ref
-    opened = []
+    widths = []
 
     class CountingPool(montecarlo.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
-            opened.append(self)
             super().__init__(*args, **kwargs)
+            widths.append(self._max_workers)
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setenv("ANCOVA_CP_THREADS", "2")
-    report = min_cp_search(_fine_config(geom, cfg))
-    assert report.lines is not None
-    assert len(opened) == 1
-    opened.clear()
+    # every phase of a 900-run search is one chunk: nothing to fan out
+    assert min_cp_search(_fine_config(geom, cfg)).lines is not None
+    assert widths == []
+    # three chunks need at most three threads
+    point = SlopePoint.of((0.0, 0.1, 0.0))
+    estimate_conditioned(point, geom, cfg, runs=2 * montecarlo.CHUNK_SIZE + 1, seed=0, n_jobs=4)
+    assert widths == [3]
+    widths.clear()
+    estimate_conditioned(point, geom, cfg, runs=2 * montecarlo.CHUNK_SIZE + 1, seed=0, n_jobs=1)
     min_cp_search(_fine_config(geom, cfg, n_jobs=1))
-    assert opened == []
+    assert widths == []
 
 
 def test_min_cp_search_skips_lines_on_coarse_lattice(ref):
