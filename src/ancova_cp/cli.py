@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ancova-cp",
         description="Coverage probability of the interval selected by a two-stage F-test "
         "procedure in one-way ANCOVA.",
-        epilog="Thread count for parallel evaluation: set ANCOVA_CP_THREADS (default 1).",
+        epilog="Thread count for parallel evaluation: set ANCOVA_CP_THREADS to a positive integer (default 1).",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
 

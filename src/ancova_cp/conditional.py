@@ -29,7 +29,7 @@ from scipy import special
 
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError
-from .selection import SlopeNoise, SlopeTerms, _inner, block_f
+from .selection import SlopeNoise, SlopeTerms, block_f
 
 __all__ = ["ConditionalKernel"]
 
@@ -37,13 +37,14 @@ __all__ = ["ConditionalKernel"]
 GATHER_CELLS = 4096
 
 
-def _cells(geom, cfg, d, zv=0.0, *, in_a=False, ok_xi=False, quad_v=0.0, quad_w=0.0, mu_a=0.0, mu_xi0=0.0, zs=0.0):
+def _cells(geom, cfg, d, zv=0.0, *, in_a=False, ok_xi=False, quad_v=0.0, quad_w=0.0, vs=0.0, wus=0.0, zs=0.0):
     """Conditional coverage Phi(mu + e) - Phi(mu - e) of cells, each on the region its masks pick.
 
     mu and e are in units of the region's scale.  in_a marks first-test
     acceptance, ok_xi second-test acceptance where the first rejects; the
     defaults put every cell on region C.  Draw parts (d, zv = z'vproj,
-    zs = z'sproj) and point parts (mu_a, mu_xi0) broadcast together.
+    zs = z'sproj) and point parts (vs = s'vproj, wus = (U s)'wproj, from
+    SlopeTerms) broadcast together.
     """
     m, k = geom.m, geom.k
     root_v_star, sd_cond = math.sqrt(geom.v_star), math.sqrt(geom.w_cond)
@@ -53,7 +54,7 @@ def _cells(geom, cfg, d, zv=0.0, *, in_a=False, ok_xi=False, quad_v=0.0, quad_w=
     half = np.where(in_a, quad_v, np.where(ok_xi, quad_w, 0.0)) + d
     np.sqrt(half, out=half)
     half *= np.where(in_a, scale_a, np.where(ok_xi, scale_b, scale_c))
-    mu = np.where(in_a, mu_a, np.where(ok_xi, (mu_xi0 - zs) / sd_cond, -zv / root_v_star))
+    mu = np.where(in_a, vs / root_v_star, np.where(ok_xi, (wus - zs) / sd_cond, -zv / root_v_star))
     p = special.ndtr(mu + half)
     mu -= half
     p -= special.ndtr(mu, out=mu)
@@ -63,10 +64,11 @@ def _cells(geom, cfg, d, zv=0.0, *, in_a=False, ok_xi=False, quad_v=0.0, quad_w=
 class ConditionalKernel:
     """Conditional coverage for one design and cutoff config at a block of true slope points.
 
-    ``slopes`` is one point (k,) or a block of points (P, k).  ``blocks``
-    evaluates runs of points against shared draws; ``conditional_cp_batch``
-    is the row adapter for a kernel built for one point, given the slope
-    estimates q themselves.
+    ``slopes`` is one point (k,) or a block of points (P, k); their
+    SlopeTerms are formed once, here.  ``blocks`` evaluates runs of points
+    against shared draws, taking both test decisions from block_f;
+    ``conditional_cp_batch`` is the row adapter for a kernel built for one
+    point, given the slope estimates q themselves.
     """
 
     def __init__(self, geom: GeometryBundle, cfg: TwoStageConfig, slopes):
@@ -77,8 +79,6 @@ class ConditionalKernel:
         self.cfg = cfg
         self.slopes = np.atleast_2d(slopes)
         self._terms = SlopeTerms.of(self.slopes, geom)
-        self._mu_a = _inner(self.slopes, geom.vproj) / math.sqrt(geom.v_star)
-        self._mu_xi0 = _inner(_inner(self.slopes[:, None, :], geom.u), geom.wproj)
 
     def blocks(self, z: np.ndarray, noise: SlopeNoise, step: int):
         """Conditional coverage of each run of ``step`` slope points (rows) against shared draws (columns).
@@ -89,34 +89,29 @@ class ConditionalKernel:
         values are computed once per draw for all the kernel's points and
         copied into each block's region-C cells, and Phi runs only on region-A
         and region-B cells, with the same bits.  The blocks share four work
-        arrays: each is valid until the next.
+        arrays, block_f's outputs: each yielded block is valid until the next.
         """
         geom, cfg, d, zs, zv = self.geom, self.cfg, noise.d, z @ self.geom.sproj, z @ self.geom.vproj
         if len(self.slopes) == 1:
-            f_tau, f_xi, quad_v, quad_w = block_f(noise, self._terms, geom)
-            in_a, ok_xi = f_tau <= cfg.l_tau, f_xi <= cfg.l_xi
-            del f_tau, f_xi
+            in_a, ok_xi, _, _, quad_v, quad_w = block_f(noise, self._terms, geom, cfg)
             yield _cells(
                 geom, cfg, d, zv, in_a=in_a, ok_xi=ok_xi, quad_v=quad_v, quad_w=quad_w,
-                mu_a=self._mu_a[:, None], mu_xi0=self._mu_xi0[:, None], zs=zs,
+                vs=self._terms.vs, wus=self._terms.wus, zs=zs,
             )
             return
         region_c = _cells(geom, cfg, d, zv)
         work = [np.empty((min(step, len(self.slopes)), len(d))) for _ in range(4)]
         for start in range(0, len(self.slopes), step):
-            rows = slice(start, start + step)
-            terms = SlopeTerms(*(field[rows] for field in self._terms))
-            f_tau, f_xi, quad_v, quad_w = block_f(noise, terms, geom, [w[: len(terms.two_s)] for w in work])
-            in_a = f_tau <= cfg.l_tau
-            cells = np.flatnonzero((f_xi <= cfg.l_xi) | in_a)
+            terms = SlopeTerms(*(field[start : start + step] for field in self._terms))
+            in_a, ok_xi, f_tau, _, quad_v, quad_w = block_f(noise, terms, geom, cfg, [w[: len(terms.vs)] for w in work])
+            cells = np.flatnonzero(ok_xi | in_a)
             f_tau[...] = region_c
             for part in (cells[i : i + GATHER_CELLS] for i in range(0, len(cells), GATHER_CELLS)):
                 point = part // len(d)
                 draw = part - point * len(d)
                 values = _cells(
                     geom, cfg, d.take(draw), in_a=in_a.take(part), ok_xi=True, quad_v=quad_v.take(part),
-                    quad_w=quad_w.take(part), mu_a=self._mu_a[rows].take(point),
-                    mu_xi0=self._mu_xi0[rows].take(point), zs=zs.take(draw),
+                    quad_w=quad_w.take(part), vs=terms.vs.take(point), wus=terms.wus.take(point), zs=zs.take(draw),
                 )
                 f_tau.put(part, values)
             yield f_tau

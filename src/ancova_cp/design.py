@@ -201,8 +201,8 @@ class GeometryBundle:
     vproj: np.ndarray  # V22^-1 v21
     wproj: np.ndarray  # W22^-1 w21
     sproj: np.ndarray  # V22^-1 s21
-    ga_tau: np.ndarray  # G_tau' a, G_tau the zero-slopes projection of the full fit
-    ga_xi: np.ndarray  # G_xi' a, G_xi the common-slope projection of the full fit
+    ga_tau: np.ndarray  # G_tau' a = a - [0; vproj], G_tau the zero-slopes projection of the full fit
+    ga_xi: np.ndarray  # G_xi' a = a - C_xi wproj, G_xi the common-slope projection, C_xi' beta = U b
     noise_chol: np.ndarray  # lower Cholesky factor of V
     v22_chol: np.ndarray  # lower Cholesky factor of V22
 
@@ -235,14 +235,9 @@ def build_geometry(layout: AncovaLayout, contrast: ContrastSpec) -> GeometryBund
     x_design = _design_rows(layout)
     _, xtx_inv = _spd_inverse(x_design.T @ x_design, "X'X", SingularDesign)
 
-    # selector of the slope block: c_tau' beta = (b_1, ..., b_k)
-    c_tau = np.vstack([np.zeros((k, k)), np.eye(k)])
-    # selector of slope differences: c_xi' beta = (b_1 - b_2, ..., b_1 - b_k)
-    c_xi = np.zeros((2 * k, k - 1))
-    c_xi[k, :] = 1.0
-    for j in range(k - 1):
-        c_xi[k + 1 + j, j] = -1.0
     u = np.hstack([np.ones((k - 1, 1)), -np.eye(k - 1)])
+    # selector of slope differences: c_xi' beta = U (b_1, ..., b_k) = (b_1 - b_2, ..., b_1 - b_k)
+    c_xi = np.vstack([np.zeros((k, k - 1)), u.T])
 
     v22 = xtx_inv[k:, k:]
     w22 = c_xi.T @ xtx_inv @ c_xi
@@ -260,10 +255,6 @@ def build_geometry(layout: AncovaLayout, contrast: ContrastSpec) -> GeometryBund
     s21 = v21 - xtx_inv[k:, :] @ (c_xi @ wproj)
     sproj = v22_inv @ s21
     w_cond = w_star - float(s21 @ sproj)
-
-    ident = np.eye(2 * k)
-    g_tau = ident - xtx_inv[:, k:] @ v22_inv @ c_tau.T
-    g_xi = ident - xtx_inv @ c_xi @ w22_inv @ c_xi.T
 
     for name, value in (("v11", v11), ("v_star", v_star), ("w_star", w_star), ("w_cond", w_cond)):
         if not (math.isfinite(value) and value > 0.0):
@@ -285,8 +276,8 @@ def build_geometry(layout: AncovaLayout, contrast: ContrastSpec) -> GeometryBund
         vproj=vproj,
         wproj=wproj,
         sproj=sproj,
-        ga_tau=g_tau.T @ a,
-        ga_xi=g_xi.T @ a,
+        ga_tau=a - np.concatenate([np.zeros(k), vproj]),
+        ga_xi=a - c_xi @ wproj,
         noise_chol=noise_chol,
         v22_chol=v22_chol,
     )

@@ -37,7 +37,7 @@ import numpy as np
 from .conditional import ConditionalKernel
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError, check_count
-from .selection import SlopeNoise, batch_events, block_f
+from .selection import SlopeNoise, SlopeTerms, batch_events, block_f
 
 __all__ = [
     "CHUNK_SIZE",
@@ -88,12 +88,11 @@ class CoverageEstimate:
 
 
 def default_workers() -> int:
-    """Worker count for chunk fan-out, from ANCOVA_CP_THREADS (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """Worker count for chunk fan-out, from ANCOVA_CP_THREADS: a positive integer, 1 when unset or empty."""
+    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
+    if raw and not (raw.isdecimal() and int(raw) >= 1):
+        raise DomainError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
+    return int(raw or 1)
 
 
 def _chunk_sizes(runs) -> list[int]:
@@ -106,10 +105,6 @@ def _stream(seed: int, tag: str, chunk: int) -> np.random.Generator:
     key = int.from_bytes(hashlib.blake2b(tag.encode("ascii"), digest_size=8).digest(), "little")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(key, chunk))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def _chi2(rng: np.random.Generator, df: int, size: int):
-    return 2.0 * rng.standard_gamma(0.5 * df, size=size)
 
 
 def _check_intercepts(intercepts, k):
@@ -136,12 +131,12 @@ def _slope_points(points, k: int) -> list[SlopePoint]:
 def _draw_slopes(rng, geom, size):
     """Slope noise z ~ N(0, V22) and d ~ chi2_m, all the conditioned and gate values need."""
     z = rng.standard_normal((size, geom.k)) @ geom.v22_chol.T
-    return z, SlopeNoise.of(z, _chi2(rng, geom.m, size), geom)
+    return z, SlopeNoise.of(z, rng.chisquare(geom.m, size), geom)
 
 
 def _draw_full(rng, geom, size):
     """The full 2k-dimensional estimation noise and d, for the raw coverage events."""
-    return rng.standard_normal((size, 2 * geom.k)) @ geom.noise_chol.T, _chi2(rng, geom.m, size)
+    return rng.standard_normal((size, 2 * geom.k)) @ geom.noise_chol.T, rng.chisquare(geom.m, size)
 
 
 def _event_values(slopes, draws, geom, cfg):
@@ -156,6 +151,11 @@ def _each(values):
     )
 
 
+def _gate(test):
+    """Whether the first (test 0) or second (test 1) selection test accepts, per draw."""
+    return _draw_slopes, _each(lambda s, draws, geom, cfg: block_f(draws[1], SlopeTerms.of(s, geom), geom, cfg)[test])
+
+
 # estimator tag -> (per-chunk draws, per-draw values of each block of the slope points)
 _ESTIMATORS = {
     "naive": (_draw_full, _each(lambda s, draws, geom, cfg: batch_events(*draws, s, geom, cfg).covers_selected)),
@@ -163,8 +163,8 @@ _ESTIMATORS = {
         _draw_slopes,
         lambda slopes, step, draws, geom, cfg: ConditionalKernel(geom, cfg, slopes).blocks(*draws, step),
     ),
-    "gate_tau": (_draw_slopes, _each(lambda s, draws, geom, cfg: block_f(draws[1], s, geom)[0] <= cfg.l_tau)),
-    "gate_xi": (_draw_slopes, _each(lambda s, draws, geom, cfg: block_f(draws[1], s, geom)[1] <= cfg.l_xi)),
+    "gate_tau": _gate(0),
+    "gate_xi": _gate(1),
 }
 
 

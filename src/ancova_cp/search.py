@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,7 @@ from .errors import DomainError, InsufficientLowCPPoints, check_count
 from .montecarlo import (
     CoverageEstimate,
     SlopePoint,
+    default_workers,
     estimate_conditioned,
     estimate_naive,
     estimate_points,
@@ -59,6 +61,11 @@ _ESTIMATORS = {"naive": estimate_naive, "conditioned": estimate_conditioned}
 
 # a boundary gate whose rejection probability falls below this becomes a warning
 GATE_WARN_BELOW = 0.99
+
+
+def _finite(*values) -> bool:
+    """Whether every value is a finite real number: a string or None is refused, not raised on."""
+    return all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values)
 
 
 def _resolve_estimator(name: str):
@@ -95,9 +102,10 @@ class GridSpec:
             raise DomainError(f"need bounds for {ndim} axes, got {len(bounds)}")
         check_count("points_per_axis", self.points_per_axis, 2)
         axes = []
-        for lo, hi in bounds:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise DomainError(f"bad axis bounds ({lo}, {hi})")
+        for pair in bounds:
+            lo, hi = pair if hasattr(pair, "__len__") and len(pair) == 2 else (math.nan, math.nan)
+            if not (_finite(lo, hi) and lo < hi):
+                raise DomainError(f"bad axis bounds {pair!r}: need finite numbers lo < hi")
             axes.append(np.linspace(lo, hi, self.points_per_axis))
         return axes
 
@@ -202,11 +210,12 @@ def line_profile(
     and takes its vertex; if the parabola is not convex or the vertex falls
     outside the profiled range, the lattice minimum stands.
     """
-    if n_points < 3:
-        raise DomainError(f"a profile needs at least 3 points, got {n_points}")
+    check_count("n_points", n_points, 3)
     lo, hi = line.c_range
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    if not (_finite(lo, hi) and lo < hi):
         raise DomainError(f"c_range must be finite with lo < hi, got {line.c_range}")
+    if len(line.direction) != len(line.offsets) or not _finite(*line.direction, *line.offsets):
+        raise DomainError(f"direction {line.direction} and offsets {line.offsets} must be finite, of one length")
     cs = np.linspace(lo, hi, n_points)
     ests = _estimate_at([line.point_at(c) for c in cs], estimator, geom, cfg, runs, seed, n_jobs)
     values = np.asarray([e.estimate for e in ests])
@@ -248,7 +257,7 @@ def _far_point(deltas, offset: float, k: int) -> SlopePoint:
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (k - 1,):
         raise DomainError(f"deltas must have length {k - 1}, got {deltas.shape}")
-    if not math.isfinite(offset):
+    if not _finite(offset):
         raise DomainError(f"offset must be finite, got {offset}")
     far = offset + deltas
     if np.any(np.abs((far - offset) - deltas) > 1e-9):
@@ -306,15 +315,14 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     # refuse a bad configuration before the first estimate, not after the cube phase
     cube_axes, square_axes = cube.axes(geom.k), square.axes(geom.k - 1)
     check_count("profile_points", config.profile_points, 3)
-    if config.n_jobs is not None:
-        check_count("n_jobs", config.n_jobs, 1)
-    if not math.isfinite(config.threshold):
+    n_jobs = default_workers() if config.n_jobs is None else check_count("n_jobs", config.n_jobs, 1)
+    if not _finite(config.threshold):
         raise DomainError(f"threshold must be finite, got {config.threshold}")
     deltas = list(itertools.product(*square_axes))
     far = [_far_point(delta, config.offset, geom.k) for delta in deltas]
     warnings: list[str] = []
 
-    cube_table = grid_eval(cube, config.estimator, geom, cfg, n_jobs=config.n_jobs)
+    cube_table = grid_eval(cube, config.estimator, geom, cfg, n_jobs=n_jobs)
     candidates = [min((est for _, est in cube_table), key=lambda e: e.estimate)]
 
     lines = None
@@ -333,15 +341,15 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
                 runs=cube.runs,
                 seed=cube.seed,
                 estimator=config.estimator,
-                n_jobs=config.n_jobs,
+                n_jobs=n_jobs,
             )
             for line in lines
         )
         minima = [p.line.point_at(p.c_min) for p in profiles]
-        candidates += _estimate_at(minima, config.estimator, geom, cfg, cube.runs, cube.seed, config.n_jobs)
+        candidates += _estimate_at(minima, config.estimator, geom, cfg, cube.runs, cube.seed, n_jobs)
     min1 = min(candidates, key=lambda e: e.estimate)
 
-    square_ests = _estimate_at(far, config.estimator, geom, cfg, square.runs, square.seed, config.n_jobs)
+    square_ests = _estimate_at(far, config.estimator, geom, cfg, square.runs, square.seed, n_jobs)
     square_table = list(zip(deltas, square_ests))
     min2 = min(square_ests, key=lambda e: e.estimate)
 
@@ -356,7 +364,7 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
         ("tau", "first", "cube", cube, cube_corners, cube_corners),
         ("xi", "second", "square", square, square_corners, [_far_point(c, config.offset, geom.k) for c in square_corners]),
     ):
-        ests = estimate_points(points, geom, cfg, f"gate_{test}", runs=spec.runs, seed=spec.seed, n_jobs=config.n_jobs)
+        ests = estimate_points(points, geom, cfg, f"gate_{test}", runs=spec.runs, seed=spec.seed, n_jobs=n_jobs)
         for corner, est in zip(corners, ests):
             reject = 1.0 - est.estimate
             gates.append({"test": test, "point": corner, "reject_prob": reject})

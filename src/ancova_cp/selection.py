@@ -7,10 +7,10 @@ squares of the separate-slopes fit.  sigma itself never appears at runtime.
 
 The first-stage F statistic tests "all slopes zero" against the separate-
 slopes model, the second-stage one tests "all slopes equal"; a test accepts
-on F <= cutoff, so ties go to the smaller model.  The selected interval is
-the zero-slopes one on region A (first test accepts), the common-slope one
-on region B (first rejects, second accepts) and the separate-slopes one on
-region C.
+on F <= cutoff, so ties go to the smaller model; block_f is the one place
+that rule is applied.  The selected interval is the zero-slopes one on
+region A (first test accepts), the common-slope one on region B (first
+rejects, second accepts) and the separate-slopes one on region C.
 
 Coverage events are evaluated in a centered form that uses only the
 estimation noise delta = gamma_hat - gamma, the true slopes, and d.  The
@@ -21,7 +21,8 @@ identities behind it:
     a'gamma_hat - a'gamma       = a'delta
 
 so the indicators never touch the intercept block of gamma, which is what
-makes estimates invariant to it.
+makes estimates invariant to it.  The point parts v21'V22^-1 s = s'vproj and
+w21'W22^-1 U s = (U s)'wproj are formed once per point, in SlopeTerms.of.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class SlopeNoise(NamedTuple):
 
 
 class SlopeTerms(NamedTuple):
-    """The draw-free parts of the two F quadratic forms for slope points s (P, k).
+    """The draw-free parts of the F quadratic forms and interval centres at slope points s (P, k).
 
     The cross term 2 s'(Az) is summed as sum_j (2 s_j)(Az)_j: doubling is exact.
     """
@@ -100,12 +101,15 @@ class SlopeTerms(NamedTuple):
     svs: np.ndarray  # (P, 1) s' V22^-1 s
     two_us: np.ndarray  # (P, k-1) 2 U s
     usu: np.ndarray  # (P, 1) (U s)' W22^-1 (U s)
+    vs: np.ndarray  # (P, 1) s' vproj, the point part of the zero-slopes centre
+    wus: np.ndarray  # (P, 1) (U s)' wproj, the point part of the common-slope centre
 
     @classmethod
     def of(cls, slopes: np.ndarray, geom: GeometryBundle) -> "SlopeTerms":
         us = _inner(slopes[:, None, :], geom.u)
-        svs = _inner(_inner(slopes[:, None, :], geom.v22_inv), slopes)
-        return cls(2.0 * slopes, svs[:, None], 2.0 * us, _inner(_inner(us[:, None, :], geom.w22_inv), us)[:, None])
+        svs, vs = _inner(_inner(slopes[:, None, :], geom.v22_inv), slopes), _inner(slopes, geom.vproj)
+        usu, wus = _inner(_inner(us[:, None, :], geom.w22_inv), us), _inner(us, geom.wproj)
+        return cls(2.0 * slopes, svs[:, None], 2.0 * us, usu[:, None], vs[:, None], wus[:, None])
 
 
 def _quad(two_s, s_mat_s, mat_z, z_mat_z, out, term):
@@ -118,13 +122,13 @@ def _quad(two_s, s_mat_s, mat_z, z_mat_z, out, term):
     return out
 
 
-def block_f(noise: SlopeNoise, slopes, geom: GeometryBundle, out=None):
-    """F statistics and quadratic forms for slope points (P, k) against shared draws; each (P, n).
+def block_f(noise: SlopeNoise, terms: SlopeTerms, geom: GeometryBundle, cfg: TwoStageConfig, out=None):
+    """Both test decisions at slope points against shared draws, with their F statistics and forms.
 
-    ``slopes`` may be given as its SlopeTerms, and ``out`` as four (P, n)
-    arrays to write f_tau, f_xi, quad_v, quad_w into.
+    Returns (accept_tau, accept_xi, f_tau, f_xi, quad_v, quad_w), each (P, n),
+    with F = quad (m / df) / d and acceptance on F <= cutoff.  ``out`` may
+    give four (P, n) arrays to write f_tau, f_xi, quad_v, quad_w into.
     """
-    terms = slopes if isinstance(slopes, SlopeTerms) else SlopeTerms.of(slopes, geom)
     f_tau, f_xi, quad_v, quad_w = out or [np.empty((len(terms.two_s), len(noise.d))) for _ in range(4)]
     _quad(terms.two_s, terms.svs, noise.vz, noise.zvz, quad_v, f_tau)
     _quad(terms.two_us, terms.usu, noise.wuz, noise.zwz, quad_w, f_xi)
@@ -132,7 +136,7 @@ def block_f(noise: SlopeNoise, slopes, geom: GeometryBundle, out=None):
     f_tau /= noise.d
     np.multiply(quad_w, geom.m / (geom.k - 1), out=f_xi)
     f_xi /= noise.d
-    return f_tau, f_xi, quad_v, quad_w
+    return f_tau <= cfg.l_tau, f_xi <= cfg.l_xi, f_tau, f_xi, quad_v, quad_w
 
 
 def batch_events(
@@ -151,14 +155,13 @@ def batch_events(
     Intervals are closed, so coverage comparisons use <=.
     """
     m, k = geom.m, geom.k
-    block = np.atleast_2d(np.asarray(slopes, dtype=float))
-    f_tau, f_xi, quad_v, quad_w = block_f(SlopeNoise.of(delta[:, k:], d, geom), block, geom)
-    in_a = f_tau <= cfg.l_tau
-    in_b = ~in_a & (f_xi <= cfg.l_xi)
+    terms = SlopeTerms.of(np.atleast_2d(np.asarray(slopes, dtype=float)), geom)
+    in_a, accept_xi, f_tau, f_xi, quad_v, quad_w = block_f(SlopeNoise.of(delta[:, k:], d, geom), terms, geom, cfg)
+    in_b = ~in_a & accept_xi
 
-    center_tau = delta @ geom.ga_tau - _inner(block, geom.vproj)[:, None]
+    center_tau = delta @ geom.ga_tau - terms.vs
     half_tau = cfg.t_mk * np.sqrt((d + quad_v) / (m + k)) * np.sqrt(geom.v_star)
-    center_xi = delta @ geom.ga_xi - _inner(_inner(block[:, None, :], geom.u), geom.wproj)[:, None]
+    center_xi = delta @ geom.ga_xi - terms.wus
     half_xi = cfg.t_mk1 * np.sqrt((d + quad_w) / (m + k - 1)) * np.sqrt(geom.w_star)
     center_full = delta @ geom.a
     half_full = cfg.t_m * np.sqrt(d / m) * np.sqrt(geom.v11)

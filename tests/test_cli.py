@@ -314,6 +314,25 @@ def test_min_refuses_bad_search_settings_before_any_estimate(capsys, tmp_path, m
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads", ["junk", "0", "-3"])
+def test_min_refuses_bad_threads_env_before_any_estimate(capsys, tmp_path, monkeypatch, threads):
+    # such a value used to run one thread without a word
+    from ancova_cp import montecarlo, search
+
+    calls = []
+    real = montecarlo.estimate_points
+    monkeypatch.setattr(montecarlo, "estimate_points", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    monkeypatch.setattr(search, "estimate_points", montecarlo.estimate_points)
+    monkeypatch.setenv("ANCOVA_CP_THREADS", threads)
+    rc, out, err = _run(capsys, "min", "--density", "3", "--runs", "100", "--out", str(tmp_path / "out"))
+    assert rc == 1
+    assert err.startswith("error:") and "ANCOVA_CP_THREADS" in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+    rc, out, err = _run(capsys, "cp", "--point", "0,0.1,0", "--runs", "100")
+    assert rc == 1 and "ANCOVA_CP_THREADS" in err
+
+
 @pytest.mark.parametrize("c_range", ["0.25,-0.25", "0.1,0.1"])
 def test_profile_refuses_degenerate_c_range(capsys, tmp_path, c_range):
     # a reversed range used to report an unrefined minimum, an empty one to

@@ -20,6 +20,7 @@ from ancova_cp import (
     gate_probability,
     grid_eval,
 )
+from ancova_cp import montecarlo
 from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _draw_slopes, _Moments, _stream, default_workers
 from oracles import direct_geometry, gate_prob_ncf
 
@@ -428,7 +429,22 @@ def test_default_workers_env(monkeypatch):
     assert default_workers() == 1
     monkeypatch.setenv("ANCOVA_CP_THREADS", "6")
     assert default_workers() == 6
-    monkeypatch.setenv("ANCOVA_CP_THREADS", "junk")
+    monkeypatch.setenv("ANCOVA_CP_THREADS", "")
     assert default_workers() == 1
+    # these used to run one thread without a word
+    for bad in ("junk", "0", "-3", "2.5"):
+        monkeypatch.setenv("ANCOVA_CP_THREADS", bad)
+        with pytest.raises(DomainError, match="ANCOVA_CP_THREADS"):
+            default_workers()
+
+
+def test_bad_threads_env_refused_before_any_draw(ref, monkeypatch):
+    _, _, geom, cfg = ref
     monkeypatch.setenv("ANCOVA_CP_THREADS", "0")
-    assert default_workers() == 1
+    monkeypatch.setattr(montecarlo, "_stream", lambda *args: pytest.fail("drew before refusing"))
+    with pytest.raises(DomainError, match="ANCOVA_CP_THREADS"):
+        estimate_conditioned(POINT, geom, cfg, runs=100, seed=0)
+    # an explicit n_jobs does not read the variable
+    monkeypatch.undo()
+    monkeypatch.setenv("ANCOVA_CP_THREADS", "0")
+    assert estimate_conditioned(POINT, geom, cfg, runs=100, seed=0, n_jobs=1).runs == 100

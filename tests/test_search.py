@@ -216,7 +216,7 @@ def test_line_profile_needs_three_points(ref):
         line_profile(line, geom, cfg, n_points=2, runs=100, seed=0)
 
 
-@pytest.mark.parametrize("c_range", [(0.25, -0.25), (0.1, 0.1), (math.nan, 0.1), (-0.1, math.inf)])
+@pytest.mark.parametrize("c_range", [(0.25, -0.25), (0.1, 0.1), (math.nan, 0.1), (-0.1, math.inf), ("a", 0.1)])
 def test_line_profile_refuses_degenerate_c_range(ref, monkeypatch, c_range):
     # a reversed range used to skip the parabola refinement, an empty one to
     # profile one point n_points times
@@ -227,6 +227,75 @@ def test_line_profile_refuses_degenerate_c_range(ref, monkeypatch, c_range):
     line = LineLocus(direction=(1.0, 1.0, 1.0), offsets=(0.0, 0.0, 0.0), c_range=c_range)
     with pytest.raises(DomainError, match="c_range"):
         line_profile(line, geom, cfg, n_points=5, runs=100, seed=0)
+    assert calls == []
+
+
+def _count_estimates(monkeypatch):
+    """Calls that reach estimate_points, through montecarlo or through search's binding."""
+    calls = []
+    real = montecarlo.estimate_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "estimate_points", counting)
+    monkeypatch.setattr(search_module, "estimate_points", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n_points", [4.5, "5", 5.0, True])
+def test_line_profile_refuses_non_integer_n_points(ref, monkeypatch, n_points):
+    # 4.5 used to end in a bare TypeError from np.linspace, "5" in one from the comparison
+    _, _, geom, cfg = ref
+    calls = _count_estimates(monkeypatch)
+    line = LineLocus(direction=(1.0, 1.0, 1.0), offsets=(0.0, 0.0, 0.0), c_range=(-0.1, 0.1))
+    with pytest.raises(DomainError, match="n_points"):
+        line_profile(line, geom, cfg, n_points=n_points, runs=100, seed=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "direction, offsets",
+    [
+        ((1.0,), (0.0, 0.05, 0.0)),  # used to broadcast into a profile along (c, c + 0.05, c)
+        ((1.0, 1.0), (0.0, 0.05, 0.0)),  # used to end in numpy's broadcast ValueError
+        ((1.0, 1.0, 1.0), (0.0, math.nan, 0.0)),
+        ((1.0, math.inf, 1.0), (0.0, 0.05, 0.0)),
+        ((1.0, "a", 1.0), (0.0, 0.05, 0.0)),
+    ],
+)
+def test_line_profile_refuses_bad_line(ref, monkeypatch, direction, offsets):
+    _, _, geom, cfg = ref
+    calls = _count_estimates(monkeypatch)
+    line = LineLocus(direction=direction, offsets=offsets, c_range=(-0.1, 0.1))
+    with pytest.raises(DomainError, match="direction"):
+        line_profile(line, geom, cfg, n_points=5, runs=100, seed=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bounds", [(0, "a"), ("lo", "hi"), ((0.0, 1.0), 2.0, (0.0, 1.0)), ((0.0, 1.0, 2.0),) * 3])
+def test_grid_bounds_must_be_number_pairs(ref, monkeypatch, bounds):
+    # (0, "a") used to end in a bare TypeError from math.isfinite
+    _, _, geom, cfg = ref
+    calls = _count_estimates(monkeypatch)
+    spec = GridSpec(bounds=bounds, points_per_axis=3, runs=100)
+    with pytest.raises(DomainError, match="bounds"):
+        spec.axes(3)
+    with pytest.raises(DomainError, match="bounds"):
+        grid_eval(spec, "conditioned", geom, cfg)
+    with pytest.raises(DomainError, match="bounds"):
+        min_cp_search(dataclasses.replace(_tiny_config(geom, cfg), cube=spec))
+    assert calls == []
+
+
+@pytest.mark.parametrize("threads", ["junk", "0", "-3"])
+def test_min_cp_search_refuses_bad_threads_env_before_any_estimate(ref, monkeypatch, threads):
+    _, _, geom, cfg = ref
+    calls = _count_estimates(monkeypatch)
+    monkeypatch.setenv("ANCOVA_CP_THREADS", threads)
+    with pytest.raises(DomainError, match="ANCOVA_CP_THREADS"):
+        min_cp_search(_tiny_config(geom, cfg))
     assert calls == []
 
 
@@ -334,6 +403,8 @@ def test_min_cp_search_rejects_zero_n_jobs(ref):
         {"offset": math.nan},
         {"offset": 1e15},
         {"offset": 1e9},
+        {"threshold": "0.6"},
+        {"offset": "1000"},
     ],
 )
 def test_min_cp_search_validates_before_any_estimate(ref, monkeypatch, change):
