@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +36,7 @@ from .design import (
     critical_values,
     reference_design,
 )
-from .errors import AncovaError, DomainError, check_count
+from .errors import AncovaError, DomainError, check_count, check_real
 from .montecarlo import CoverageEstimate, SlopePoint, estimate_conditioned, estimate_naive
 from .oracle import agreement_with_events
 from .search import (
@@ -192,21 +191,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             return flag
         return file_cfg.get(key, fallback)
 
-    def level(flag, key, fallback):
-        value = pick(flag, key, fallback)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise DomainError(f"{key} must be a number, got {value!r}")
-        return float(value)
-
-    alpha = level(args.alpha, "alpha", 0.05)
-    sig_tau = level(args.sig_tau, "sig_tau", 0.10)
-    sig_xi = level(args.sig_xi, "sig_xi", 0.10)
     runs = check_count("runs", pick(args.runs, "runs", 10_000), 1)
     seed = check_count("seed", pick(args.seed, "seed", 0), 0)
     estimator = str(pick(args.estimator, "estimator", "conditioned"))
 
     geom = build_geometry(layout, contrast)
-    cfg = critical_values(layout, alpha, sig_tau, sig_xi)
+    cfg = critical_values(
+        layout, pick(args.alpha, "alpha", 0.05), pick(args.sig_tau, "sig_tau", 0.10), pick(args.sig_xi, "sig_xi", 0.10)
+    )
     return RunConfig(
         layout=layout,
         contrast=contrast,
@@ -308,10 +300,7 @@ def cmd_lines(args, run: RunConfig) -> int:
 
 
 def cmd_profile(args, run: RunConfig) -> int:
-    k = run.geom.k
-    if len(args.offsets) != k:
-        raise DomainError(f"--offsets needs {k} values, got {len(args.offsets)}")
-    line = LineLocus(direction=(1.0,) * k, offsets=args.offsets, c_range=args.c_range)
+    line = LineLocus(direction=(1.0,) * run.geom.k, offsets=args.offsets, c_range=args.c_range)
     profile = line_profile(
         line,
         run.geom,
@@ -375,7 +364,7 @@ def cmd_oracle(args, run: RunConfig) -> int:
     k = run.geom.k
     if len(args.point) != k:
         raise DomainError(f"--point needs {k} values, got {len(args.point)}")
-    if not args.sigma > 0.0:
+    if not check_real("--sigma", args.sigma) > 0.0:
         raise DomainError(f"--sigma must be positive, got {args.sigma}")
     beta = np.concatenate([np.zeros(k), args.sigma * np.asarray(args.point)])
     report = agreement_with_events(

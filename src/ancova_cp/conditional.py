@@ -73,8 +73,8 @@ class ConditionalKernel:
 
     def __init__(self, geom: GeometryBundle, cfg: TwoStageConfig, slopes):
         slopes = np.asarray(slopes, dtype=float)
-        if slopes.ndim not in (1, 2) or slopes.shape[-1] != geom.k:
-            raise DomainError(f"slopes must have length {geom.k}, got {slopes.shape}")
+        if slopes.ndim not in (1, 2) or slopes.shape[-1] != geom.k or not np.all(np.isfinite(slopes)):
+            raise DomainError(f"slopes must be finite points of length {geom.k}, got shape {slopes.shape}")
         self.geom = geom
         self.cfg = cfg
         self.slopes = np.atleast_2d(slopes)
@@ -119,7 +119,7 @@ class ConditionalKernel:
     def conditional_cp_batch(self, q, d) -> np.ndarray:
         """Conditional coverage of the selected interval, row-wise on q (n, k) against d (n,).
 
-        Needs a kernel built for one slope point; every d must be positive.
+        Needs a kernel built for one slope point; every q must be finite and every d positive and finite.
         """
         q = np.asarray(q, dtype=float)
         d = np.asarray(d, dtype=float)
@@ -127,7 +127,7 @@ class ConditionalKernel:
             raise DomainError("the row interface needs a kernel built for one slope point")
         if q.ndim != 2 or q.shape[1] != self.geom.k or d.shape != q.shape[:1]:
             raise DomainError(f"q must be (n, {self.geom.k}) and d (n,), got {q.shape} and {d.shape}")
-        if not np.all(d > 0.0):
-            raise DomainError("every d must be positive")
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(d) & (d > 0.0))):
+            raise DomainError("every q must be finite and every d positive and finite")
         z = q - self.slopes[0]
         return next(self.blocks(z, SlopeNoise.of(z, d, self.geom), 1))[0]

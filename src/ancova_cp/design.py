@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 from scipy import special
 
-from .errors import ConditioningFailure, DomainError, SingularDesign, check_count
+from .errors import ConditioningFailure, DomainError, SingularDesign, check_count, check_real
 
 __all__ = [
     "AncovaLayout",
@@ -56,19 +56,16 @@ class AncovaLayout:
     x: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DomainError(f"k must be at least 1, got {self.k}")
+        check_count("k", self.k, 1)
+        object.__setattr__(self, "n", tuple(check_count("group size n", ni, 1) for ni in self.n))
         if len(self.n) != self.k:
             raise DomainError(f"n must have length k={self.k}, got {len(self.n)}")
-        if any(ni < 1 for ni in self.n):
-            raise DomainError(f"every group needs at least one observation, got n={self.n}")
         if len(self.x) != self.k:
             raise DomainError(f"x must have {self.k} groups, got {len(self.x)}")
         for i, (ni, xi) in enumerate(zip(self.n, self.x)):
             if len(xi) != ni:
                 raise DomainError(f"group {i + 1}: expected {ni} covariate values, got {len(xi)}")
-            if not all(math.isfinite(v) for v in xi):
-                raise DomainError(f"group {i + 1}: covariate values must be finite")
+        object.__setattr__(self, "x", tuple(tuple(check_real("covariate value", v) for v in xi) for xi in self.x))
 
     @property
     def n_total(self) -> int:
@@ -98,8 +95,7 @@ class ContrastSpec:
     def __post_init__(self):
         if len(self.a) == 0 or len(self.a) % 2 != 0:
             raise DomainError(f"contrast must have even length 2k, got {len(self.a)}")
-        if not all(math.isfinite(v) for v in self.a):
-            raise DomainError("contrast entries must be finite")
+        object.__setattr__(self, "a", tuple(check_real("contrast entry", v) for v in self.a))
         if all(v == 0.0 for v in self.a):
             raise DomainError("contrast must be nonzero")
 
@@ -114,14 +110,15 @@ class ContrastSpec:
         ``"max_abs_centered"``, which sets c to the largest |x_ij - xbar| in the
         design, or a raw covariate value whose centered coordinate is used.
         """
-        if not (1 <= i <= layout.k and 1 <= j <= layout.k) or i == j:
+        i, j = check_count("i", i, 1), check_count("j", j, 1)
+        if not (i <= layout.k and j <= layout.k) or i == j:
             raise DomainError(f"need two distinct group labels in 1..{layout.k}, got ({i}, {j})")
         if isinstance(x_star, str):
             if x_star != "max_abs_centered":
                 raise DomainError(f"unknown symbolic comparison point {x_star!r}")
             c = layout.max_abs_centered()
         else:
-            c = float(x_star) - layout.grand_mean
+            c = check_real("x_star", x_star) - layout.grand_mean
         a = [0.0] * (2 * layout.k)
         a[i - 1] = 1.0
         a[j - 1] = -1.0
@@ -256,6 +253,10 @@ def build_geometry(layout: AncovaLayout, contrast: ContrastSpec) -> GeometryBund
     sproj = v22_inv @ s21
     w_cond = w_star - float(s21 @ sproj)
 
+    # v_star is the variance of the intercept part a_1..a_k under the zero-slopes fit: exactly 0
+    # when that part is zero, however the subtraction above rounds
+    if not np.any(a[:k]):
+        raise ConditioningFailure("v_star = 0 is not strictly positive: the contrast has no intercept part")
     for name, value in (("v11", v11), ("v_star", v_star), ("w_star", w_star), ("w_cond", w_cond)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConditioningFailure(f"{name} = {value} is not strictly positive and finite")
@@ -289,21 +290,23 @@ def build_geometry(layout: AncovaLayout, contrast: ContrastSpec) -> GeometryBund
 # ---------------------------------------------------------------------------
 
 
+def _level(name: str, p) -> float:
+    """``p`` as a float strictly between 0 and 1, else DomainError."""
+    p = check_real(name, p)
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"{name} must be in (0, 1), got {p}")
+    return p
+
+
 def f_quantile(p: float, d1: int, d2: int) -> float:
     """p-quantile of the F distribution with (d1, d2) degrees of freedom."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {p}")
-    if d1 < 1 or d2 < 1:
-        raise DomainError(f"degrees of freedom must be positive, got ({d1}, {d2})")
+    p, d1, d2 = _level("quantile level", p), check_count("d1", d1, 1), check_count("d2", d2, 1)
     return float(special.fdtri(d1, d2, p))
 
 
 def t_quantile(p: float, df: int) -> float:
     """p-quantile of Student's t distribution with df degrees of freedom."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {p}")
-    if df < 1:
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
+    p, df = _level("quantile level", p), check_count("df", df, 1)
     if p < 0.5:
         return -t_quantile(1.0 - p, df)
     return float(special.stdtrit(df, p))
@@ -319,9 +322,7 @@ def critical_values(
     strictly between 0 and 1; degenerate cutoffs (0 or infinity) for
     forced selection are obtained by dataclasses.replace on the result.
     """
-    for name, level in (("alpha", alpha), ("sig_tau", sig_tau), ("sig_xi", sig_xi)):
-        if not 0.0 < level < 1.0:
-            raise DomainError(f"{name} must be in (0, 1), got {level}")
+    alpha, sig_tau, sig_xi = _level("alpha", alpha), _level("sig_tau", sig_tau), _level("sig_xi", sig_xi)
     k, m = layout.k, layout.m
     if m < 1:
         raise DomainError(f"residual degrees of freedom m = {m} must be at least 1")
@@ -358,18 +359,16 @@ def _read_json_object(path) -> dict:
 
 def _parse_design(doc: dict, origin: str) -> tuple[AncovaLayout, ContrastSpec]:
     try:
-        layout = AncovaLayout(
-            k=check_count("k", doc["k"], 1),
-            n=tuple(check_count("n", v, 1) for v in doc["n"]),
-            x=tuple(tuple(float(v) for v in group) for group in doc["x"]),
-        )
+        layout = AncovaLayout(k=doc["k"], n=tuple(doc["n"]), x=tuple(tuple(group) for group in doc["x"]))
         raw = doc["contrast"]
         if isinstance(raw, dict):
-            i, j = (check_count(f"contrast {key}", raw[key], 1) for key in ("i", "j"))
-            contrast = ContrastSpec.treatment_difference(layout, i, j, raw.get("x_star", "max_abs_centered"))
+            x_star = raw.get("x_star", "max_abs_centered")
+            contrast = ContrastSpec.treatment_difference(layout, raw["i"], raw["j"], x_star)
         else:
-            contrast = ContrastSpec(a=tuple(float(v) for v in raw))
-    except (KeyError, TypeError, ValueError) as exc:
+            contrast = ContrastSpec(a=tuple(raw))
+    except DomainError as exc:
+        raise DomainError(f"{origin}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"{origin}: bad design, need keys k, n, x, contrast ({exc})") from exc
     return layout, contrast
 
@@ -381,7 +380,8 @@ def load_design(path) -> tuple[AncovaLayout, ContrastSpec]:
     per-group covariate lists) and ``contrast``, the latter either an
     explicit list of 2k coefficients or the symbolic form
     ``{"i": 1, "j": 2, "x_star": "max_abs_centered"}``.  ``k``, ``n`` and
-    ``i``/``j`` must be JSON integers: 3.0 or true is refused, not truncated.
+    ``i``/``j`` must be JSON integers (3.0 or true is refused, not truncated)
+    and covariate and contrast entries JSON numbers ("78" or true is refused).
     """
     return _parse_design(_read_json_object(path), str(path))
 

@@ -1,5 +1,10 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, and the two input rules that raise one.
 
+Every scalar the package takes from outside goes through ``check_count`` (an
+integer) or ``check_real`` (a finite real number), so a bad one is a DomainError.
+"""
+
+import math
 import numbers
 
 
@@ -31,3 +36,15 @@ def check_count(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float if it is a finite, non-bool real number, else DomainError.
+
+    Strings are refused even when they spell a number ("0.1"), and so are None and NaN.
+    """
+    # float first: it covers numpy's float64 and is several times cheaper than the ABC check
+    real = isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    if not (real and math.isfinite(value)):
+        raise DomainError(f"{name} must be a number (finite, not a string or bool), got {value!r}")
+    return float(value)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ import numpy as np
 
 from .conditional import ConditionalKernel
 from .design import GeometryBundle, TwoStageConfig
-from .errors import DomainError, check_count
+from .errors import DomainError, check_count, check_real
 from .selection import SlopeNoise, SlopeTerms, batch_events, block_f
 
 __all__ = [
@@ -59,17 +58,18 @@ THREADS_ENV_VAR = "ANCOVA_CP_THREADS"
 
 @dataclass(frozen=True)
 class SlopePoint:
-    """A point in the scaled slope space (true slopes divided by sigma)."""
+    """A point in the scaled slope space (true slopes divided by sigma); its values are stored as floats."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.values) == 0 or not all(math.isfinite(v) for v in self.values):
-            raise DomainError(f"slope point must be nonempty and finite, got {self.values}")
+        if len(self.values) == 0:
+            raise DomainError("slope point must be nonempty")
+        object.__setattr__(self, "values", tuple(check_real("slope point coordinate", v) for v in self.values))
 
     @classmethod
     def of(cls, values) -> "SlopePoint":
-        return cls(values=tuple(float(v) for v in values))
+        return cls(values=tuple(values))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
@@ -107,12 +107,17 @@ def _stream(seed: int, tag: str, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _reals(name: str, values, length: int) -> np.ndarray:
+    """``values`` as a float array if they are ``length`` finite real numbers, else DomainError."""
+    values = np.asarray(values, dtype=object)
+    if values.shape != (length,):
+        raise DomainError(f"{name} must have length {length}, got shape {values.shape}")
+    return np.array([check_real(name, v) for v in values], dtype=float)
+
+
 def _check_intercepts(intercepts, k):
-    if intercepts is None:
-        return
-    arr = np.asarray(intercepts, dtype=float)
-    if arr.shape != (k,) or not np.all(np.isfinite(arr)):
-        raise DomainError(f"intercept override must be {k} finite values, got {intercepts!r}")
+    if intercepts is not None:
+        _reals("intercept override", intercepts, k)
 
 
 def _slope_points(points, k: int) -> list[SlopePoint]:

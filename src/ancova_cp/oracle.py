@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import AncovaLayout, TwoStageConfig, build_design
-from .errors import DomainError
-from .montecarlo import CoverageEstimate, SlopePoint, _chunk_sizes, _stream
+from .errors import DomainError, check_count, check_real
+from .montecarlo import CoverageEstimate, SlopePoint, _chunk_sizes, _reals, _stream
 from .selection import batch_events, coverage_indicator  # noqa: F401  perfbench/spans.py traces the name
 
 __all__ = ["RawFit", "AgreementReport", "simulate_and_fit", "estimate_cp_raw", "agreement_with_events"]
@@ -92,20 +92,18 @@ class _RawPipeline:
         return RawFit(beta_hat, rss(beta_hat), beta_tau, rss(beta_tau), beta_xi, rss(beta_xi))
 
 
-def _check_inputs(beta, sigma, layout: AncovaLayout) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (2 * layout.k,) or not np.all(np.isfinite(beta)):
-        raise DomainError(f"beta must be {2 * layout.k} finite values")
+def _check_inputs(beta, sigma, layout: AncovaLayout) -> tuple[np.ndarray, float]:
+    beta, sigma = _reals("beta", beta, 2 * layout.k), check_real("sigma", sigma)
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    return beta
+    return beta, sigma
 
 
 def simulate_and_fit(
     beta, sigma: float, layout: AncovaLayout, rng: np.random.Generator
 ) -> RawFit:
     """Draw one response vector Y = X beta + sigma * z and fit all three models."""
-    beta = _check_inputs(beta, sigma, layout)
+    beta, sigma = _check_inputs(beta, sigma, layout)
     pipe = _RawPipeline(layout)
     eps = sigma * rng.standard_normal(layout.n_total)
     return pipe.fit(pipe.x_design @ beta + eps)
@@ -136,8 +134,8 @@ def _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=None):
     """Common loop; yields the raw estimate, per-run raw indicators and, when
     geom is given, the event-path indicators computed from the same noise plus
     the worst relative error of the zero-slopes residual-sum identity."""
-    beta = _check_inputs(beta, sigma, layout)
-    a = np.asarray(a, dtype=float)
+    beta, sigma = _check_inputs(beta, sigma, layout)
+    a, seed = _reals("contrast", a, 2 * layout.k), check_count("seed", seed, 0)
     pipe = _RawPipeline(layout)
     scalars = pipe.contrast_scalars(a)
     theta = float(a @ beta)

@@ -23,17 +23,16 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .design import GeometryBundle, TwoStageConfig
-from .errors import DomainError, InsufficientLowCPPoints, check_count
+from .errors import DomainError, InsufficientLowCPPoints, check_count, check_real
 from .montecarlo import (
     CoverageEstimate,
     SlopePoint,
+    _reals,
     default_workers,
     estimate_conditioned,
     estimate_naive,
@@ -61,11 +60,6 @@ _ESTIMATORS = {"naive": estimate_naive, "conditioned": estimate_conditioned}
 
 # a boundary gate whose rejection probability falls below this becomes a warning
 GATE_WARN_BELOW = 0.99
-
-
-def _finite(*values) -> bool:
-    """Whether every value is a finite real number: a string or None is refused, not raised on."""
-    return all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values)
 
 
 def _resolve_estimator(name: str):
@@ -103,9 +97,9 @@ class GridSpec:
         check_count("points_per_axis", self.points_per_axis, 2)
         axes = []
         for pair in bounds:
-            lo, hi = pair if hasattr(pair, "__len__") and len(pair) == 2 else (math.nan, math.nan)
-            if not (_finite(lo, hi) and lo < hi):
-                raise DomainError(f"bad axis bounds {pair!r}: need finite numbers lo < hi")
+            lo, hi = _reals("axis bounds", pair, 2)
+            if not lo < hi:
+                raise DomainError(f"bad axis bounds {pair!r}: need lo < hi")
             axes.append(np.linspace(lo, hi, self.points_per_axis))
         return axes
 
@@ -141,7 +135,7 @@ class LineLocus:
     c_range: tuple[float, float]
 
     def point_at(self, c: float) -> SlopePoint:
-        return SlopePoint.of(np.asarray(self.offsets) + c * np.asarray(self.direction))
+        return SlopePoint.of(np.asarray(self.offsets) + check_real("c", c) * np.asarray(self.direction))
 
 
 def fit_low_cp_lines(
@@ -156,6 +150,7 @@ def fit_low_cp_lines(
     cluster with the nonnegative residual comes first.  Raises
     InsufficientLowCPPoints unless both clusters have at least two points.
     """
+    threshold = check_real("threshold", threshold)
     low = np.asarray([pt.values for pt, est in table if est.estimate < threshold])
     if low.size == 0:
         raise InsufficientLowCPPoints(f"no lattice points below {threshold}")
@@ -211,11 +206,11 @@ def line_profile(
     outside the profiled range, the lattice minimum stands.
     """
     check_count("n_points", n_points, 3)
-    lo, hi = line.c_range
-    if not (_finite(lo, hi) and lo < hi):
-        raise DomainError(f"c_range must be finite with lo < hi, got {line.c_range}")
-    if len(line.direction) != len(line.offsets) or not _finite(*line.direction, *line.offsets):
-        raise DomainError(f"direction {line.direction} and offsets {line.offsets} must be finite, of one length")
+    lo, hi = _reals("c_range", line.c_range, 2)
+    if not lo < hi:
+        raise DomainError(f"c_range must have lo < hi, got {line.c_range}")
+    for values in (line.direction, line.offsets):
+        _reals("line direction and offsets", values, geom.k)
     cs = np.linspace(lo, hi, n_points)
     ests = _estimate_at([line.point_at(c) for c in cs], estimator, geom, cfg, runs, seed, n_jobs)
     values = np.asarray([e.estimate for e in ests])
@@ -254,11 +249,7 @@ def second_test_only_cp(
 
 def _far_point(deltas, offset: float, k: int) -> SlopePoint:
     """The slope point (offset, offset + deltas) that realizes second-stage-only coverage."""
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.shape != (k - 1,):
-        raise DomainError(f"deltas must have length {k - 1}, got {deltas.shape}")
-    if not _finite(offset):
-        raise DomainError(f"offset must be finite, got {offset}")
+    deltas, offset = _reals("deltas", deltas, k - 1), check_real("offset", offset)
     far = offset + deltas
     if np.any(np.abs((far - offset) - deltas) > 1e-9):
         raise DomainError(f"offset {offset} is too large: offset + deltas rounds away the deltas {deltas.tolist()}")
@@ -316,8 +307,7 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     cube_axes, square_axes = cube.axes(geom.k), square.axes(geom.k - 1)
     check_count("profile_points", config.profile_points, 3)
     n_jobs = default_workers() if config.n_jobs is None else check_count("n_jobs", config.n_jobs, 1)
-    if not _finite(config.threshold):
-        raise DomainError(f"threshold must be finite, got {config.threshold}")
+    check_real("threshold", config.threshold)
     deltas = list(itertools.product(*square_axes))
     far = [_far_point(delta, config.offset, geom.k) for delta in deltas]
     warnings: list[str] = []

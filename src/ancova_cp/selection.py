@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .design import GeometryBundle, TwoStageConfig
-from .errors import DomainError
+from .errors import DomainError, check_real
 
 __all__ = ["batch_events", "coverage_indicator"]
 
@@ -184,14 +184,14 @@ def coverage_indicator(gamma_hat, d, geom: GeometryBundle, cfg: TwoStageConfig, 
     """Whether the interval picked by the two-stage rule covers a'gamma for one draw.
 
     The validated row adapter over batch_events: gamma_hat and gamma have
-    length 2k and d, the scaled residual sum of squares, must be positive.
+    length 2k and finite entries, and d, the scaled residual sum of squares, must be positive and finite.
     """
     gamma_hat = np.asarray(gamma_hat, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     for name, vec in (("gamma_hat", gamma_hat), ("gamma", gamma)):
-        if vec.shape != (2 * geom.k,):
-            raise DomainError(f"{name} must have length {2 * geom.k}, got {vec.shape}")
-    if not d > 0.0:
+        if vec.shape != (2 * geom.k,) or not np.all(np.isfinite(vec)):
+            raise DomainError(f"{name} must be {2 * geom.k} finite values, got shape {vec.shape}")
+    if not check_real("d", d) > 0.0:
         raise DomainError(f"d must be positive, got {d}")
     ev = batch_events((gamma_hat - gamma)[None, :], np.asarray([float(d)]), gamma[geom.k :], geom, cfg)
     return bool(ev.covers_selected[0])

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -359,3 +360,75 @@ def test_search_flag_defaults_are_the_library_defaults():
         args = build_parser().parse_args([command])
         assert (args.bounds, args.density) == (GridSpec().bounds, GridSpec().points_per_axis)
     assert build_parser().parse_args(["lines"]).threshold == config.threshold
+
+
+def _reference_doc():
+    return json.loads(resources.files("ancova_cp").joinpath("data/reference_design.json").read_text())
+
+
+@pytest.mark.parametrize("contrast", [[0, 0, 0, 1, 0, 0], [0, 0, 0, 1, -1, 0]])
+def test_contrast_without_intercept_part_exits_one(capsys, tmp_path, contrast):
+    # the second used to leave v_star at 4.3e-19 from rounding and print an estimate with exit 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(_reference_doc(), contrast=contrast)), encoding="utf-8")
+    rc, out, err = _run(capsys, "cp", "--config", str(path), "--point", "0,0.1,0", "--runs", "100")
+    assert rc == 1
+    assert err.startswith("error:") and "v_star" in err
+    assert out == ""
+
+
+def test_min_prints_boundary_warnings_and_exits_zero(capsys, tmp_path):
+    # a low boundary rejection probability is a warning on stderr, never a failure
+    out_dir = tmp_path / "search"
+    argv = ["min", "--bounds=-0.05,0.05", "--density", "3", "--square-density", "3", "--profile-points", "3"]
+    rc, out, err = _run(capsys, *argv, "--runs", "1000", "--out", str(out_dir))
+    assert rc == 0
+    assert "overall point=" in out
+    warnings = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))["diagnostics"]["warnings"]
+    assert sum(w.startswith("first-stage rejection probability") for w in warnings) == 8
+    assert err.splitlines() == [f"warning: {w}" for w in warnings]
+
+
+def test_cp_both_writes_one_csv_row_per_estimator(capsys, tmp_path):
+    out_file = tmp_path / "cp.csv"
+    rc, out, _ = _run(
+        capsys, "cp", "--point", "0,0.1,0", "--estimator", "both", "--runs", "2000", "--out", str(out_file)
+    )
+    assert rc == 0
+    header, *rows = out_file.read_text(encoding="utf-8").splitlines()
+    assert header == "gamma_1,gamma_2,gamma_3,estimate,se,runs,estimator,seed"
+    printed = [line for line in out.splitlines() if line.startswith("point=")]
+    assert len(rows) == len(printed) == 2
+    for row, line in zip(rows, printed):
+        g1, g2, g3, estimate, se, runs, estimator, seed = row.split(",")
+        assert line == (
+            f"point=({g1},{g2},{g3}) estimator={estimator} estimate={float(estimate):.6f} "
+            f"se={float(se):.6f} runs={runs} seed={seed}"
+        )
+    assert [row.split(",")[6] for row in rows] == ["naive", "conditioned"]
+    assert f"wrote {out_file}" in out
+
+
+def test_oracle_writes_report_json(capsys, tmp_path):
+    out_file = tmp_path / "oracle.json"
+    rc, out, _ = _run(capsys, "oracle", "--point", "0,0.1,0", "--runs", "1000", "--sigma", "2", "--out", str(out_file))
+    assert rc == 0
+    doc = json.loads(out_file.read_text(encoding="utf-8"))
+    assert set(doc) == {"raw", "event_rate", "agreement", "worst_rss_rel_error"}
+    assert doc["raw"]["estimator"] == "oracle" and doc["raw"]["runs"] == 1000
+    assert f"raw     point=(0.0,0.1,0.0) estimator=oracle estimate={doc['raw']['estimate']:.6f}" in out
+    assert f"event-path rate={doc['event_rate']:.6f}" in out
+    assert f"agreement={doc['agreement']:.6f} worst_rss_rel_error={doc['worst_rss_rel_error']:.3e}" in out
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [(("profile", "--offsets", "0,0.069"), "offsets"), (("oracle", "--point", "0,0.1"), "--point")],
+)
+def test_wrong_length_vectors_are_refused(capsys, tmp_path, argv, word):
+    out = tmp_path / "out"
+    rc, stdout, err = _run(capsys, *argv, "--runs", "100", "--out", str(out))
+    assert rc == 1
+    assert err.startswith("error:") and word in err
+    assert stdout == ""
+    assert not out.exists()

@@ -435,3 +435,12 @@ def test_reference_design_loads():
 def test_conditioning_failure_is_distinct_error():
     assert issubclass(ConditioningFailure, Exception)
     assert not issubclass(ConditioningFailure, DomainError)
+
+
+@pytest.mark.parametrize("a", [(0, 0, 0, 1, 0, 0), (0, 0, 0, 1, -1, 0)])
+def test_contrast_without_intercept_part_is_refused(ref, a):
+    # v_star is exactly 0 for both; rounding used to leave 0.0 for the first
+    # (ConditioningFailure) and 4.3e-19 for the second, which then passed
+    layout = ref[0]
+    with pytest.raises(ConditioningFailure, match="v_star"):
+        build_geometry(layout, ContrastSpec(a=a))

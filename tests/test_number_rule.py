@@ -1,0 +1,173 @@
+"""One number rule at the package boundary: outside scalars go through errors.check_real or check_count.
+
+Each case below used to be accepted as something else (a bool or a numeric
+string read as a number, NaN or inf carried into an estimate), to end in a
+bare TypeError or ValueError, or to raise the wrong error class.
+"""
+
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from ancova_cp import montecarlo
+from ancova_cp import oracle as oracle_module
+from ancova_cp import search as search_module
+from ancova_cp import (
+    AncovaLayout,
+    ConditionalKernel,
+    ContrastSpec,
+    CoverageEstimate,
+    DomainError,
+    GridSpec,
+    LineLocus,
+    SlopePoint,
+    coverage_indicator,
+    critical_values,
+    estimate_conditioned,
+    estimate_cp_raw,
+    f_quantile,
+    fit_low_cp_lines,
+    grid_eval,
+    load_design,
+    reference_design,
+    second_test_only_cp,
+    t_quantile,
+)
+from ancova_cp.cli import main
+from ancova_cp.errors import check_real
+
+
+def _low_table():
+    """A 5^3-like table whose low points fit both lines, so only the threshold can fail."""
+    rows = []
+    for c in (-0.1, 0.0, 0.1):
+        for delta, value in (((0.05, 0.02), 0.3), ((-0.05, -0.02), 0.3), ((0.0, 0.2), 0.9)):
+            point = SlopePoint.of((c, c + delta[0], c + delta[1]))
+            rows.append((point, CoverageEstimate(value, 0.01, 1000, "conditioned", 0, point)))
+    return rows
+
+
+def _layout():
+    return reference_design()[0]
+
+
+def _grid(bounds):
+    return lambda g, c: grid_eval(GridSpec(bounds=bounds, points_per_axis=2, runs=100), "conditioned", g, c)
+
+
+def _far(deltas, offset):
+    return lambda g, c: second_test_only_cp(deltas, g, c, runs=100, offset=offset)
+
+
+def _cp(intercepts):
+    return lambda g, c: estimate_conditioned((0, 0.1, 0), g, c, runs=100, intercepts=intercepts)
+
+
+def _raw(beta, sigma):
+    return lambda g, c: estimate_cp_raw(beta, sigma, _layout(), c, g.a, runs=100, seed=0)
+
+
+def _threshold(value):
+    return lambda g, c: fit_low_cp_lines(_low_table(), threshold=value)
+
+
+# case -> (call with one bad outside number, the same call with it fixed, or None where nothing is estimated)
+CASES = {
+    "grid bounds bools": (_grid((False, True)), _grid((0.0, 1.0))),
+    "offset bool": (_far((0.05, 0.0), True), _far((0.05, 0.0), 1000.0)),
+    "delta string": (_far(("a", 0), 1000.0), _far((0.0, 0.0), 1000.0)),
+    "intercept strings": (_cp(("1", "2", "3")), _cp((1, 2, 3))),
+    "oracle beta strings": (_raw(("0",) * 6, 1.0), _raw((0,) * 6, 1.0)),
+    "oracle sigma inf": (_raw(np.zeros(6), math.inf), _raw(np.zeros(6), 2)),
+    "oracle sigma string": (_raw(np.zeros(6), "2"), _raw(np.zeros(6), 2)),
+    "threshold string": (_threshold("0.6"), None),
+    "threshold nan": (_threshold(math.nan), None),
+    "threshold bool": (_threshold(True), None),
+    "slope numeric string": (lambda g, c: SlopePoint.of(("0.1", 0, 0)), None),
+    "slope bool": (lambda g, c: SlopePoint.of((True, 0, 0)), None),
+    "slope string": (lambda g, c: SlopePoint.of(("a", 0, 0)), None),
+    "covariate string": (lambda g, c: AncovaLayout(k=1, n=(2,), x=((1.0, "2"),)), None),
+    "contrast string": (lambda g, c: ContrastSpec(a=("1", 0.0)), None),
+    "x_star None": (lambda g, c: ContrastSpec.treatment_difference(_layout(), 1, 2, None), None),
+    "x_star bool": (lambda g, c: ContrastSpec.treatment_difference(_layout(), 1, 2, True), None),
+    "f_quantile string": (lambda g, c: f_quantile("0.9", 3, 18), None),
+    "f_quantile df string": (lambda g, c: f_quantile(0.9, "3", 18), None),
+    "t_quantile df float": (lambda g, c: t_quantile(0.975, 18.5), None),
+    "group label bool": (lambda g, c: ContrastSpec.treatment_difference(_layout(), True, 2), None),
+    "t_quantile string": (lambda g, c: t_quantile("0.975", 18), None),
+    "critical_values string": (lambda g, c: critical_values(_layout(), "0.05", 0.1, 0.1), None),
+    "kernel nan slope": (lambda g, c: ConditionalKernel(g, c, (math.nan, 0.0, 0.0)), None),
+    "kernel nan q": (
+        lambda g, c: ConditionalKernel(g, c, (0.0, 0.1, 0.0)).conditional_cp_batch([[math.nan, 0.0, 0.0]], [18.0]),
+        None,
+    ),
+    "indicator inf d": (lambda g, c: coverage_indicator(np.zeros(6), math.inf, g, c, np.zeros(6)), None),
+    "line parameter string": (lambda g, c: LineLocus((1.0, 1.0, 1.0), (0.0, 0.05, 0.0), (-0.1, 0.1)).point_at("a"), None),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_outside_numbers_follow_one_rule(ref, monkeypatch, case):
+    _, _, geom, cfg = ref
+    bad, good = CASES[case]
+    calls = []
+    real_points, real_stream = montecarlo.estimate_points, oracle_module._stream
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_points(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "estimate_points", counting)
+    monkeypatch.setattr(search_module, "estimate_points", counting)
+    monkeypatch.setattr(oracle_module, "_stream", lambda *a: calls.append(a) or real_stream(*a))
+    with pytest.raises(DomainError):
+        bad(geom, cfg)
+    assert calls == []
+    if good is not None:
+        # the count sees an estimate once the value is fixed
+        good(geom, cfg)
+        assert calls
+
+
+@pytest.mark.parametrize(
+    "x_first, a_fourth", [("78", 20.5), (78, "0"), (78, True)], ids=["x string", "contrast string", "contrast bool"]
+)
+def test_design_file_numbers_follow_one_rule(capsys, tmp_path, x_first, a_fourth):
+    # the file values used to go through float() first, so "78" and true were read as numbers
+    x = [list(group) for group in _layout().x]
+    x[0][0] = x_first
+    doc = {"k": 3, "n": [8, 8, 8], "x": x, "contrast": [1, -1, 0, a_fourth, -20.5, 0]}
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DomainError, match="must be a number"):
+        load_design(design)
+    rc = main(["cp", "--config", str(design), "--point", "0,0.1,0", "--runs", "100"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "must be a number" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", [0.25, -3, np.float64(1e300), np.int64(7), np.float32(0.5)])
+def test_check_real_accepts_finite_reals_as_floats(value):
+    out = check_real("x", value)
+    assert type(out) is float and out == float(value)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "0.1", None, math.nan, -math.inf, [1.0], 1j])
+def test_check_real_refuses_everything_else(value):
+    with pytest.raises(DomainError, match="x must be a number"):
+        check_real("x", value)
+
+
+def test_oracle_refuses_infinite_sigma(capsys):
+    # inf used to pass the CLI's own check and reach the oracle as a NaN beta, with a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["oracle", "--point", "0,0.1,0", "--sigma", "inf", "--runs", "100"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: --sigma must be a number")

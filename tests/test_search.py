@@ -425,6 +425,20 @@ def test_min_cp_search_validates_before_any_estimate(ref, monkeypatch, change):
     assert calls
 
 
+def test_min_cp_search_warns_on_low_boundary_rejection(ref):
+    # on a +-0.05 cube the first test rejects at the corners with probability
+    # about 0.7, so the cube restriction does not hold there: a warning, not an error
+    _, _, geom, cfg = ref
+    cube = GridSpec(bounds=(-0.05, 0.05), points_per_axis=3, runs=1000, seed=0)
+    report = min_cp_search(dataclasses.replace(_tiny_config(geom, cfg, runs=1000), cube=cube))
+    low = [g for g in report.diagnostics["gates"] if g["reject_prob"] < search_module.GATE_WARN_BELOW]
+    assert len(low) == 8 and {g["test"] for g in low} == {"tau"}
+    assert all(0.5 < g["reject_prob"] < 0.9 for g in low)
+    gate_warnings = [w for w in report.diagnostics["warnings"] if "rejection probability" in w]
+    assert len(gate_warnings) == 8
+    assert all(w.startswith("first-stage rejection probability") and "cube corner" in w for w in gate_warnings)
+
+
 def _fine_config(geom, cfg, n_jobs=None, runs=900):
     return SearchConfig(
         geom=geom,
