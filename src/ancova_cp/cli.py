@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -181,7 +182,21 @@ def _load_file_config(path: str | None) -> tuple[dict, AncovaLayout | None, Cont
     return {key: doc[key] for key in _RUN_KEYS if key in doc}, layout, contrast
 
 
+def _check_out(command: str, out: str | None) -> None:
+    """Refuse an --out that cannot be written, so no command computes before it fails to save."""
+    if out is None:
+        return
+    path = Path(out)
+    if command == "min":
+        # min makes the directory, with any missing parents
+        if path.exists() and not path.is_dir():
+            raise DomainError(f"--out must name a directory for min, got the file {out!r}")
+    elif path.is_dir() or not path.parent.is_dir():
+        raise DomainError(f"--out must name a file in an existing directory, got {out!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    _check_out(args.command, args.out)
     file_cfg, layout, contrast = _load_file_config(args.config)
     if layout is None:
         layout, contrast = reference_design()
@@ -366,7 +381,10 @@ def cmd_oracle(args, run: RunConfig) -> int:
         raise DomainError(f"--point needs {k} values, got {len(args.point)}")
     if not check_real("--sigma", args.sigma) > 0.0:
         raise DomainError(f"--sigma must be positive, got {args.sigma}")
-    beta = np.concatenate([np.zeros(k), args.sigma * np.asarray(args.point)])
+    slopes = [args.sigma * check_real("--point", v) for v in args.point]
+    if not all(map(math.isfinite, slopes)):
+        raise DomainError(f"--point times --sigma must be finite, got {args.point} times {args.sigma}")
+    beta = np.concatenate([np.zeros(k), slopes])
     report = agreement_with_events(
         beta,
         args.sigma,

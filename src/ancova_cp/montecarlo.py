@@ -202,7 +202,12 @@ def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs) -> _Moment
     from the stream (seed, tag, chunk) and evaluates every slope point (P, k)
     against them, in blocks of at most BLOCK_CELLS cells, so a chunk is drawn
     once, never once per point.  ``values`` gets all the points, so it can
-    share point-free work among its blocks.  ``n_jobs`` (default:
+    share point-free work among its blocks.  While a task runs, NumPy's ufunc
+    buffer (thread-local) is sized to the chunk, rounded up to a multiple of
+    16: a (P, 1) by (size,) broadcast shorter than the buffer goes through
+    NumPy's buffered iterator, up to three times slower per call.  Every pass
+    over a block is elementwise, so this changes speed, never bits, and the
+    caller's setting is restored when the task ends.  ``n_jobs`` (default:
     ANCOVA_CP_THREADS), a positive integer, caps the threads; a call opens a
     pool only when it has more than one chunk to give them.  Every value
     depends only on its point and its chunk's draws, so the thread count
@@ -215,8 +220,12 @@ def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs) -> _Moment
 
     def task(job):
         chunk, size = job
-        draws = draw(_stream(seed, tag, chunk), geom, size)
-        blocks = [_Moments.of(block) for block in values(slopes, step, draws, geom, cfg)]
+        old = np.setbufsize(-(-size // 16) * 16)
+        try:
+            draws = draw(_stream(seed, tag, chunk), geom, size)
+            blocks = [_Moments.of(block) for block in values(slopes, step, draws, geom, cfg)]
+        finally:
+            np.setbufsize(old)
         return _Moments(blocks[0].n, *(np.concatenate(field) for field in list(zip(*blocks))[1:]))
 
     width = min(width, len(jobs))

@@ -1,4 +1,5 @@
 import json
+import warnings
 from importlib import resources
 
 import pytest
@@ -432,3 +433,72 @@ def test_wrong_length_vectors_are_refused(capsys, tmp_path, argv, word):
     assert err.startswith("error:") and word in err
     assert stdout == ""
     assert not out.exists()
+
+
+def _count_estimates(monkeypatch):
+    """Route every estimate_points call through a counter; returns its list of calls."""
+    from ancova_cp import montecarlo, search
+
+    calls = []
+    real = montecarlo.estimate_points
+    monkeypatch.setattr(montecarlo, "estimate_points", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    monkeypatch.setattr(search, "estimate_points", montecarlo.estimate_points)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grid", "--density", "3"),
+        ("profile", "--offsets", "0,0.088,0.041", "--points", "5"),
+        ("cp", "--point", "0,0.1,0"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing/out.csv", "."])
+def test_unwritable_out_file_is_refused_before_any_estimate(capsys, tmp_path, monkeypatch, argv, where):
+    # a missing directory used to be seen only when the finished table was written
+    calls = _count_estimates(monkeypatch)
+    out = tmp_path / where
+    rc, stdout, err = _run(capsys, *argv, "--runs", "100", "--out", str(out))
+    assert rc == 1
+    assert err.startswith("error:") and "--out" in err
+    assert calls == [] and stdout == ""
+    assert not (tmp_path / "missing").exists()
+
+
+def test_min_out_naming_a_file_is_refused_before_any_estimate(capsys, tmp_path, monkeypatch):
+    calls = _count_estimates(monkeypatch)
+    out = tmp_path / "taken"
+    out.write_text("keep\n", encoding="utf-8")
+    rc, stdout, err = _run(capsys, "min", "--density", "3", "--runs", "100", "--out", str(out))
+    assert rc == 1
+    assert err.startswith("error:") and "--out" in err
+    assert calls == [] and stdout == ""
+    assert out.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_min_out_may_need_new_parent_directories(capsys, tmp_path):
+    out = tmp_path / "new" / "search"
+    rc, _, _ = _run(
+        capsys, "min", "--density", "5", "--square-density", "3", "--profile-points", "5", "--runs", "300",
+        "--out", str(out),
+    )
+    assert rc == 0
+    assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--point", "nan,0.1,0"), ("--point", "0,inf,0"), ("--point", "1e200,0.1,0", "--sigma", "1e200")],
+)
+def test_oracle_names_the_bad_point_without_warnings(capsys, tmp_path, argv):
+    # the point used to reach the library as beta = sigma * point: NaN was
+    # reported as a bad "beta" and an overflowing product printed a numpy warning
+    out = tmp_path / "oracle.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, stdout, err = _run(capsys, "oracle", *argv, "--runs", "100", "--out", str(out))
+    assert rc == 1
+    assert err.startswith("error:") and "--point" in err and "beta" not in err
+    assert caught == [] and "Warning" not in err
+    assert stdout == "" and not out.exists()

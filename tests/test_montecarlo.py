@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 
@@ -21,7 +22,9 @@ from ancova_cp import (
     grid_eval,
 )
 from ancova_cp import montecarlo
+from ancova_cp.conditional import ConditionalKernel
 from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _draw_slopes, _Moments, _stream, default_workers
+from ancova_cp.selection import SlopeTerms, block_f
 from oracles import direct_geometry, gate_prob_ncf
 
 POINT = SlopePoint.of((0.05, 0.1, 0.0))
@@ -448,3 +451,92 @@ def test_bad_threads_env_refused_before_any_draw(ref, monkeypatch):
     monkeypatch.undo()
     monkeypatch.setenv("ANCOVA_CP_THREADS", "0")
     assert estimate_conditioned(POINT, geom, cfg, runs=100, seed=0, n_jobs=1).runs == 100
+
+
+# ---------------------------------------------------------------------------
+# the ufunc buffer: sized to a chunk's rows inside a task, the caller's outside
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _bufsize(size):
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+def _spy(monkeypatch, estimator, fail_after=None):
+    """Record NumPy's buffer size at each block of ``estimator``; raise after ``fail_after`` blocks."""
+    draw, values = montecarlo._ESTIMATORS[estimator]
+    seen = []
+
+    def spied(*args):
+        for block in values(*args):
+            if fail_after is not None and len(seen) >= fail_after:
+                raise RuntimeError("block failed")
+            seen.append(np.getbufsize())
+            yield block
+
+    monkeypatch.setitem(montecarlo._ESTIMATORS, estimator, (draw, spied))
+    return seen
+
+
+@pytest.mark.parametrize("caller", [None, 4096])
+def test_buffer_is_sized_per_chunk_and_restored(ref, monkeypatch, caller):
+    _, _, geom, cfg = ref
+    points = np.random.default_rng(3).uniform(-0.3, 0.3, (9, 3))
+    with _bufsize(caller or np.getbufsize()):
+        before = np.getbufsize()
+        for runs, n_jobs, sizes in ((2000, 1, {2000}), (37, 1, {48}), (CHUNK_SIZE + 100, 2, {CHUNK_SIZE, 112})):
+            seen = _spy(monkeypatch, "conditioned")
+            estimate_points(points, geom, cfg, "conditioned", runs=runs, seed=1, n_jobs=n_jobs)
+            monkeypatch.undo()
+            assert set(seen) == sizes
+            assert np.getbufsize() == before
+        # the second block of a chunk raises
+        for runs, n_jobs in ((2000, 1), (CHUNK_SIZE + 100, 2)):
+            seen = _spy(monkeypatch, "conditioned", fail_after=1)
+            with pytest.raises(RuntimeError, match="block failed"):
+                estimate_points(points, geom, cfg, "conditioned", runs=runs, seed=1, n_jobs=n_jobs)
+            monkeypatch.undo()
+            assert seen and np.getbufsize() == before
+        estimate_conditioned(POINT, geom, cfg, runs=100, seed=0)
+        event_probabilities(POINT, geom, cfg, runs=100, seed=0)
+        assert np.getbufsize() == before
+
+
+@pytest.mark.parametrize("points, runs", [(8, 2000), (2, 8192), (9, 1808), (1, 37)])
+def test_block_kernels_are_bit_identical_at_any_buffer_size(ref, points, runs):
+    _, _, geom, cfg = ref
+    slopes = np.random.default_rng(points).uniform(-0.3, 0.3, (points, 3))
+    z, noise = _draw_slopes(_stream(4, "buffer", 0), geom, runs)
+    delta, d = _draw_full(_stream(4, "buffer", 1), geom, runs)
+
+    def kernels():
+        outs = block_f(noise, SlopeTerms.of(slopes, geom), geom, cfg)
+        outs += tuple(np.concatenate([b.copy() for b in ConditionalKernel(geom, cfg, slopes).blocks(z, noise, 3)]))
+        for point in slopes[:2]:
+            outs += tuple(ConditionalKernel(geom, cfg, point).blocks(z, noise, 1))
+        outs += tuple(batch_events(delta, d, slopes, geom, cfg)) + tuple(batch_events(delta, d, slopes[0], geom, cfg))
+        return [(out.dtype, out.shape, out.tobytes()) for out in outs]
+
+    with _bufsize(8192):
+        expected = kernels()
+    for size in (16, 2000, 65536):
+        with _bufsize(size):
+            assert kernels() == expected
+
+
+@pytest.mark.parametrize("caller", [16, 65536])
+def test_estimates_are_bit_identical_under_a_caller_buffer_size(ref, caller):
+    _, _, geom, cfg = ref
+    points = np.random.default_rng(9).uniform(-0.3, 0.3, (11, 3))
+    for estimator in ("naive", "conditioned", "gate_tau", "gate_xi"):
+        for runs in (2000, 10_000):
+            expected = estimate_points(points, geom, cfg, estimator, runs=runs, seed=5)
+            with _bufsize(caller):
+                got = estimate_points(points, geom, cfg, estimator, runs=runs, seed=5)
+                assert np.getbufsize() == caller
+            assert [(e.estimate, e.se) for e in got] == [(e.estimate, e.se) for e in expected]
