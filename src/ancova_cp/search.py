@@ -21,7 +21,6 @@ needs the relevant test to reject there with probability close to one.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
@@ -381,33 +380,31 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
 # first, then estimate, se, runs, estimator, seed.
 # ---------------------------------------------------------------------------
 
+_ESTIMATE_COLUMNS = ["estimate", "se", "runs", "estimator", "seed"]
+
+
+def _write_rows(path, header, rows) -> None:
+    """Write the header and rows as CSV in one call: fields joined by commas, each row ended by CRLF.
+
+    Every field is a number or an estimator name, which csv.writer would not
+    quote, so the bytes are those it writes with its defaults.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(",".join(row) + "\r\n" for row in [header, *rows]))
+
+
+def _fields(coords, est) -> list[str]:
+    """The row of an estimate: its leading coordinates, then estimate, se, runs, estimator, seed."""
+    return [str(v) for v in coords] + [str(est.estimate), str(est.se), str(est.runs), est.estimator, str(est.seed)]
+
 
 def write_grid_csv(table, path) -> None:
     """Write (point, estimate) rows; columns gamma_1..gamma_k then the estimate fields."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        ndim = len(table[0][0].values)
-        writer.writerow([f"gamma_{i + 1}" for i in range(ndim)] + ["estimate", "se", "runs", "estimator", "seed"])
-        for point, est in table:
-            writer.writerow(
-                [str(v) for v in point.values]
-                + [str(est.estimate), str(est.se), str(est.runs), est.estimator, str(est.seed)]
-            )
+    header = [f"gamma_{i + 1}" for i in range(len(table[0][0].values))] + _ESTIMATE_COLUMNS
+    _write_rows(path, header, [_fields(point.values, est) for point, est in table])
 
 
 def write_profile_csv(profile: LineProfile, path) -> None:
     """Write one profile; a leading c column, then the usual estimate columns."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        ndim = len(profile.line.offsets)
-        writer.writerow(
-            ["c"]
-            + [f"gamma_{i + 1}" for i in range(ndim)]
-            + ["estimate", "se", "runs", "estimator", "seed"]
-        )
-        for c, est in zip(profile.cs, profile.estimates):
-            writer.writerow(
-                [str(c)]
-                + [str(v) for v in est.point.values]
-                + [str(est.estimate), str(est.se), str(est.runs), est.estimator, str(est.seed)]
-            )
+    header = ["c"] + [f"gamma_{i + 1}" for i in range(len(profile.line.offsets))] + _ESTIMATE_COLUMNS
+    _write_rows(path, header, [_fields((c, *est.point.values), est) for c, est in zip(profile.cs, profile.estimates)])

@@ -51,7 +51,8 @@ class EventBatch(NamedTuple):
     @property
     def covers_selected(self) -> np.ndarray:
         """Whether the interval the two-stage rule picks covers, per draw."""
-        return np.where(self.in_a, self.covers_tau, np.where(self.in_b, self.covers_xi, self.covers_full))
+        in_a, in_b = self.in_a, self.in_b
+        return (in_a & self.covers_tau) | (in_b & self.covers_xi) | (~(in_a | in_b) & self.covers_full)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:

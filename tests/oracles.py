@@ -2,16 +2,20 @@
 
 Every routine here deliberately avoids the code paths of the package under
 test: quantiles come from mpmath bisection instead of scipy's inverse beta,
-conditional coverage from resampling instead of the closed form, restricted
-fits from re-solved least squares instead of projection matrices, and gate
-probabilities from scipy's noncentral F distribution.
+conditional coverage from resampling instead of the closed form, the
+closed form itself from one nested np.where pass over every cell instead of
+one formula per selection region, restricted fits from re-solved least
+squares instead of projection matrices, and gate probabilities from scipy's
+noncentral F distribution.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 mpmath.mp.dps = 40
 
@@ -231,3 +235,27 @@ def direct_geometry(layout, a: np.ndarray) -> dict:
         "ga_tau": g_tau.T @ a,
         "ga_xi": g_xi.T @ a,
     }
+
+
+def conditional_cells(geom, cfg, d, zv=0.0, *, in_a=False, ok_xi=False, quad_v=0.0, quad_w=0.0, vs=0.0, wus=0.0, zs=0.0):
+    """Conditional coverage Phi(mu + e) - Phi(mu - e) of cells, each on the region its masks pick.
+
+    The kernel's formulas in one pass of nested np.where over every cell:
+    in_a marks first-test acceptance, ok_xi second-test acceptance where the
+    first rejects; the defaults put every cell on region C.  Draw parts
+    (d, zv = z'vproj, zs = z'sproj) and point parts (vs = s'vproj,
+    wus = (U s)'wproj) broadcast together.
+    """
+    m, k = geom.m, geom.k
+    root_v_star, sd_cond = math.sqrt(geom.v_star), math.sqrt(geom.w_cond)
+    scale_a = cfg.t_mk / math.sqrt(m + k)
+    scale_b = cfg.t_mk1 * math.sqrt(geom.w_star / (m + k - 1)) / sd_cond
+    scale_c = cfg.t_m * math.sqrt(geom.v11 / m) / root_v_star
+    half = np.where(in_a, quad_v, np.where(ok_xi, quad_w, 0.0)) + d
+    np.sqrt(half, out=half)
+    half *= np.where(in_a, scale_a, np.where(ok_xi, scale_b, scale_c))
+    mu = np.where(in_a, vs / root_v_star, np.where(ok_xi, (wus - zs) / sd_cond, -zv / root_v_star))
+    p = special.ndtr(mu + half)
+    mu -= half
+    p -= special.ndtr(mu, out=mu)
+    return np.maximum(p, 0.0, out=p)

@@ -7,8 +7,10 @@ import pytest
 
 from scipy import special
 
-from ancova_cp import ConditionalKernel, DomainError, batch_events
-from oracles import conditional_coverage_mc
+from ancova_cp import ConditionalKernel, DomainError, batch_events, conditional
+from ancova_cp.montecarlo import BLOCK_CELLS, _draw_slopes, _stream
+from ancova_cp.selection import SlopeTerms, block_f
+from oracles import conditional_cells, conditional_coverage_mc
 
 N_DRAWS = 100_000
 
@@ -117,6 +119,58 @@ def test_p_full_symmetric_case(ref):
     e = cfg.t_m * math.sqrt(d / geom.m) * math.sqrt(geom.v11)
     want = 2.0 * float(special.ndtr(e / math.sqrt(geom.v_star))) - 1.0
     assert _parts(kernel, slopes, d)[2] == pytest.approx(want, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one formula per selection region against the nested-np.where reference
+# ---------------------------------------------------------------------------
+
+# (design, cutoffs (l_tau, l_xi) or None for the design's own, spread of the
+# points about a common slope, spread of that slope)
+REGION_CASES = {
+    "reference": ("ref", None, 0.1, 0.2),
+    "small k=2": ("small", None, 0.6, 0.6),
+    "unbalanced k=4": ("k4", None, 0.6, 0.6),
+    "all region A": ("ref", (math.inf, math.inf), 0.1, 0.2),
+    "all region C": ("ref", (0.0, 0.0), 0.1, 0.2),
+}
+
+
+@pytest.mark.parametrize("case", list(REGION_CASES))
+def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, case):
+    design, cutoffs, spread, level = REGION_CASES[case]
+    _, _, geom, cfg = request.getfixturevalue(design)
+    if cutoffs is not None:
+        cfg = dataclasses.replace(cfg, l_tau=cutoffs[0], l_xi=cutoffs[1])
+    rng = np.random.default_rng(23)
+    slopes = rng.uniform(-spread, spread, (11, geom.k)) + rng.uniform(-level, level, (11, 1))
+    terms = SlopeTerms.of(slopes, geom)
+    for runs in (1, 37, 1808, 2000, 8192):
+        z, noise = _draw_slopes(_stream(6, "conditioned", 0), geom, runs)
+        in_a, ok_xi, _, _, quad_v, quad_w = block_f(noise, terms, geom, cfg)
+        in_b, in_c = ok_xi & ~in_a, ~(in_a | ok_xi)
+        if cutoffs is None and runs >= 1808:
+            assert in_a.any() and in_b.any() and in_c.any()
+        elif cutoffs is not None:
+            assert (in_c if cutoffs[0] == 0.0 else in_a).all()
+        want = conditional_cells(
+            geom, cfg, noise.d, z @ geom.vproj, in_a=in_a, ok_xi=ok_xi, quad_v=quad_v, quad_w=quad_w,
+            vs=terms.vs, wus=terms.wus, zs=z @ geom.sproj,
+        )
+        # the shipped group size, as _reduce passes it; then groups of 4 points (the last one
+        # short) and gathers of 7 cells, so that A and B cells straddle both
+        for step, gather in ((2 * max(1, BLOCK_CELLS // runs), None), (4, 7)):
+            if gather is not None:
+                monkeypatch.setattr(conditional, "GATHER_CELLS", gather)
+            shared = [b.copy() for b in ConditionalKernel(geom, cfg, slopes).blocks(z, noise, step)]
+            assert [len(b) for b in shared[:-1]] == [step] * (len(shared) - 1)
+            assert np.concatenate(shared).tobytes() == want.tobytes()
+        # a lone point: region C gathered, or evaluated on every draw
+        for share in (0.0, conditional.DENSE_C_SHARE, 1.0):
+            monkeypatch.setattr(conditional, "DENSE_C_SHARE", share)
+            for point, row in zip(slopes, want):
+                assert next(ConditionalKernel(geom, cfg, point).blocks(z, noise, 1)).tobytes() == row.tobytes()
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 
 from ancova_cp import (
-    AncovaLayout,
-    ContrastSpec,
     DomainError,
     GridSpec,
     SlopePoint,
     batch_events,
-    build_geometry,
-    critical_values,
     estimate_conditioned,
     estimate_naive,
     estimate_points,
@@ -78,16 +74,6 @@ def test_block_matches_single_point_calls(ref, estimator):
         assert est.estimator == estimator and est.runs == runs
 
 
-def _unbalanced_k4():
-    layout = AncovaLayout(
-        k=4,
-        n=(3, 7, 4, 5),
-        x=((0.5, 1.0, 4.0), (1.0, 1.5, 2.0, 3.5, 5.0, 6.0, 9.0), (2.0, 2.5, 3.0, 7.0), (0.0, 1.0, 3.0, 4.5, 8.0)),
-    )
-    geom = build_geometry(layout, ContrastSpec.treatment_difference(layout, 1, 2))
-    return layout, None, geom, critical_values(layout, alpha=0.05, sig_tau=0.10, sig_xi=0.10)
-
-
 # (design, cutoffs, spread of the points about a common slope, spread of that slope)
 MIXED_CASES = {
     "reference": ("ref", None, 0.1, 0.2),
@@ -103,7 +89,7 @@ def test_conditioned_block_matches_single_point_where_regions_mix(request, case)
     # 2000 runs make blocks of 8 points; region-C cells take the shared
     # per-draw value, region-A and region-B cells are evaluated per point
     design, cutoffs, spread, level = MIXED_CASES[case]
-    _, _, geom, cfg = _unbalanced_k4() if design == "k4" else request.getfixturevalue(design)
+    _, _, geom, cfg = request.getfixturevalue(design)
     if cutoffs is not None:
         cfg = dataclasses.replace(cfg, l_tau=cutoffs[0], l_xi=cutoffs[1])
     runs, seed = 2000, 5
@@ -486,7 +472,8 @@ def _spy(monkeypatch, estimator, fail_after=None):
 @pytest.mark.parametrize("caller", [None, 4096])
 def test_buffer_is_sized_per_chunk_and_restored(ref, monkeypatch, caller):
     _, _, geom, cfg = ref
-    points = np.random.default_rng(3).uniform(-0.3, 0.3, (9, 3))
+    # more points than one 16-row group of the conditioned kernel at 2000 runs, so a chunk has a second block
+    points = np.random.default_rng(3).uniform(-0.3, 0.3, (17, 3))
     with _bufsize(caller or np.getbufsize()):
         before = np.getbufsize()
         for runs, n_jobs, sizes in ((2000, 1, {2000}), (37, 1, {48}), (CHUNK_SIZE + 100, 2, {CHUNK_SIZE, 112})):
@@ -505,6 +492,27 @@ def test_buffer_is_sized_per_chunk_and_restored(ref, monkeypatch, caller):
         estimate_conditioned(POINT, geom, cfg, runs=100, seed=0)
         event_probabilities(POINT, geom, cfg, runs=100, seed=0)
         assert np.getbufsize() == before
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_each_chunk_sizes_its_blocks_from_its_own_length(ref, monkeypatch, n_jobs):
+    # 10 000 runs are chunks of 8192 and 1808 draws: 2-point and 9-point blocks of at most BLOCK_CELLS
+    # cells, which the conditioned kernel takes two at a time
+    _, _, geom, cfg = ref
+    draw, values = montecarlo._ESTIMATORS["conditioned"]
+    seen = []
+
+    def spied(slopes, step, draws, geom, cfg):
+        rows = []
+        seen.append((len(draws[1].d), rows))
+        for block in values(slopes, step, draws, geom, cfg):
+            rows.append(len(block))
+            yield block
+
+    monkeypatch.setitem(montecarlo._ESTIMATORS, "conditioned", (draw, spied))
+    points = np.random.default_rng(8).uniform(-0.3, 0.3, (20, 3))
+    estimate_points(points, geom, cfg, "conditioned", runs=10_000, seed=2, n_jobs=n_jobs)
+    assert sorted(seen) == [(1808, [18, 2]), (CHUNK_SIZE, [4] * 5)]
 
 
 @pytest.mark.parametrize("points, runs", [(8, 2000), (2, 8192), (9, 1808), (1, 37)])

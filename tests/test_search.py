@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -12,6 +13,7 @@ from ancova_cp import (
     GridSpec,
     InsufficientLowCPPoints,
     LineLocus,
+    LineProfile,
     SearchConfig,
     SlopePoint,
     estimate_conditioned,
@@ -559,3 +561,34 @@ def test_write_profile_csv(ref, tmp_path):
     row = lines[1].split(",")
     assert float(row[0]) == profile.cs[0]
     assert float(row[4]) == profile.estimates[0].estimate
+
+
+def _csv_writer_bytes(rows, path) -> bytes:
+    """The rows as csv.writer writes them with its defaults: minimal quoting, \\r\\n endings."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return path.read_bytes()
+
+
+def test_csv_bytes_match_a_csv_writer_rendering(tmp_path):
+    points = [SlopePoint.of(p) for p in ((-0.25, 1e-05, -0.0), (0.1, -1e-05, 0.0), (-1e-05, -0.0, -0.2))]
+    ests = [
+        CoverageEstimate(value, se, 2000, name, seed, point)
+        for value, se, name, seed, point in zip(
+            (1e-05, -0.0, 0.9412), (1e-05, 0.0, 0.0031), ("conditioned", "naive", "gate_tau"), (0, 7, 12), points
+        )
+    ]
+    fields = [[str(e.estimate), str(e.se), str(e.runs), e.estimator, str(e.seed)] for e in ests]
+    gammas = ["gamma_1", "gamma_2", "gamma_3"]
+    tail = ["estimate", "se", "runs", "estimator", "seed"]
+
+    write_grid_csv(list(zip(points, ests)), tmp_path / "grid.csv")
+    rows = [gammas + tail] + [[str(v) for v in p.values] + f for p, f in zip(points, fields)]
+    assert (tmp_path / "grid.csv").read_bytes() == _csv_writer_bytes(rows, tmp_path / "grid_ref.csv")
+    assert b"-0.0," in (tmp_path / "grid.csv").read_bytes() and b"1e-05" in (tmp_path / "grid.csv").read_bytes()
+
+    cs = (-0.1, -0.0, 1e-05)
+    line = LineLocus(direction=(1.0, 1.0, 1.0), offsets=(0.0, -0.05, 1e-05), c_range=(-0.1, 0.1))
+    write_profile_csv(LineProfile(line, cs, tuple(ests), -0.0, 1e-05), tmp_path / "profile.csv")
+    rows = [["c"] + gammas + tail] + [[str(c)] + [str(v) for v in p.values] + f for c, p, f in zip(cs, points, fields)]
+    assert (tmp_path / "profile.csv").read_bytes() == _csv_writer_bytes(rows, tmp_path / "profile_ref.csv")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ancova_cp import DomainError, batch_events, coverage_indicator
+from ancova_cp.selection import EventBatch
 from oracles import direct_geometry, rss_f_statistics
 
 
@@ -165,6 +166,21 @@ def test_coverage_indicator_dispatch(ref):
         region = _region(_events(gh, d, geom, cfg))
         want = _covers(gh, d, geom, cfg, gamma)[region]
         assert coverage_indicator(gh, d, geom, cfg, gamma) == want
+
+
+@pytest.mark.parametrize("shape", [(8192,), (5, 37)])
+def test_covers_selected_matches_nested_where(shape):
+    rng = np.random.default_rng(shape[0])
+    in_a = rng.random(shape) < 0.3
+    in_b = ~in_a & (rng.random(shape) < 0.5)
+    tau, xi = (rng.random(shape) < 0.9 for _ in range(2))
+    f = rng.random(shape)
+    # as in batch_events, covers_full is one row per draw broadcast over the points (read-only)
+    full = np.broadcast_to(rng.random(shape[-1]) < 0.9, shape)
+    ev = EventBatch(in_a, in_b, tau, xi, full, f, f)
+    want = np.where(in_a, tau, np.where(in_b, xi, ev.covers_full))
+    assert ev.covers_selected.dtype == bool
+    assert np.array_equal(ev.covers_selected, want)
 
 
 def test_covers_centered_case(ref):
