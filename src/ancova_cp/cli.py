@@ -37,7 +37,7 @@ from .design import (
     critical_values,
     reference_design,
 )
-from .errors import AncovaError, DomainError, check_count, check_real
+from .errors import AncovaError, DomainError, check_count, check_real, check_reals
 from .montecarlo import CoverageEstimate, SlopePoint, estimate_conditioned, estimate_naive
 from .oracle import agreement_with_events
 from .search import (
@@ -377,11 +377,9 @@ def cmd_min(args, run: RunConfig) -> int:
 
 def cmd_oracle(args, run: RunConfig) -> int:
     k = run.geom.k
-    if len(args.point) != k:
-        raise DomainError(f"--point needs {k} values, got {len(args.point)}")
     if not check_real("--sigma", args.sigma) > 0.0:
         raise DomainError(f"--sigma must be positive, got {args.sigma}")
-    slopes = [args.sigma * check_real("--point", v) for v in args.point]
+    slopes = [args.sigma * v for v in check_reals("--point", args.point, k).tolist()]
     if not all(map(math.isfinite, slopes)):
         raise DomainError(f"--point times --sigma must be finite, got {args.point} times {args.sigma}")
     beta = np.concatenate([np.zeros(k), slopes])

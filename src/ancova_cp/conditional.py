@@ -29,7 +29,7 @@ import numpy as np
 from scipy import special
 
 from .design import GeometryBundle, TwoStageConfig
-from .errors import DomainError
+from .errors import DomainError, check_reals
 from .selection import SlopeNoise, SlopeTerms, block_f
 
 __all__ = ["ConditionalKernel"]
@@ -85,9 +85,9 @@ class ConditionalKernel:
     """
 
     def __init__(self, geom: GeometryBundle, cfg: TwoStageConfig, slopes):
-        slopes = np.asarray(slopes, dtype=float)
-        if slopes.ndim not in (1, 2) or slopes.shape[-1] != geom.k or not np.all(np.isfinite(slopes)):
-            raise DomainError(f"slopes must be finite points of length {geom.k}, got shape {slopes.shape}")
+        slopes = check_reals("slopes", slopes, geom.k)
+        if slopes.ndim not in (1, 2):
+            raise DomainError(f"slopes must be one point or a block of points, got shape {slopes.shape}")
         self.geom = geom
         self.cfg = cfg
         self.slopes = np.atleast_2d(slopes)
@@ -155,13 +155,11 @@ class ConditionalKernel:
 
         Needs a kernel built for one slope point; every q must be finite and every d positive and finite.
         """
-        q = np.asarray(q, dtype=float)
-        d = np.asarray(d, dtype=float)
         if self.slopes.shape[0] != 1:
             raise DomainError("the row interface needs a kernel built for one slope point")
-        if q.ndim != 2 or q.shape[1] != self.geom.k or d.shape != q.shape[:1]:
-            raise DomainError(f"q must be (n, {self.geom.k}) and d (n,), got {q.shape} and {d.shape}")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(d) & (d > 0.0))):
-            raise DomainError("every q must be finite and every d positive and finite")
+        q = check_reals("q", q, self.geom.k)
+        d = check_reals("d", d, len(q))
+        if q.ndim != 2 or d.ndim != 1 or not np.all(d > 0.0):
+            raise DomainError(f"q must be (n, {self.geom.k}) and d (n,) and positive, got {q.shape} and {d}")
         z = q - self.slopes[0]
         return next(self.blocks(z, SlopeNoise.of(z, d, self.geom), 1))[0]

@@ -1,11 +1,13 @@
-"""Exception types shared across the package, and the two input rules that raise one.
+"""Exception types shared across the package, and the three input rules that raise one.
 
-Every scalar the package takes from outside goes through ``check_count`` (an
-integer) or ``check_real`` (a finite real number), so a bad one is a DomainError.
+Every scalar the package takes from outside goes through ``check_count`` (an integer) or ``check_real`` (a
+finite real number), and every vector or stack of vectors through ``check_reals``, so a bad one is a DomainError.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class AncovaError(Exception):
@@ -48,3 +50,24 @@ def check_real(name: str, value) -> float:
     if not (real and math.isfinite(value)):
         raise DomainError(f"{name} must be a number (finite, not a string or bool), got {value!r}")
     return float(value)
+
+
+def check_reals(name: str, values, length: int) -> np.ndarray:
+    """``values`` as a float array of finite real numbers with ``length`` on its last axis, else DomainError.
+
+    A numpy array of integer or float dtype is checked in one pass, for finiteness alone: its dtype already
+    rules out strings, bools and None.  Anything else goes entry by entry through check_real.  A ragged input,
+    a scalar or another last axis is refused; a caller that needs one vector or a stack checks the axes itself.
+    """
+    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+    try:
+        array = values if numeric else np.asarray(values, dtype=object)
+    except ValueError:  # nested arrays of unequal shapes
+        raise DomainError(f"{name} must be numbers on a regular grid, got a ragged input") from None
+    if array.shape[-1:] != (length,):
+        raise DomainError(f"{name} must have {length} numbers on its last axis, got shape {array.shape}")
+    if not numeric:
+        return np.array([check_real(name, v) for v in array.flat], dtype=float).reshape(array.shape)
+    if not np.isfinite(array).all():
+        raise DomainError(f"{name} must be finite numbers, got {array[~np.isfinite(array)][0]}")
+    return array.astype(float, copy=False)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .conditional import ConditionalKernel
 from .design import GeometryBundle, TwoStageConfig
-from .errors import DomainError, check_count, check_real
+from .errors import DomainError, check_count, check_reals
 from .selection import SlopeNoise, SlopeTerms, batch_events, block_f
 
 __all__ = [
@@ -63,12 +63,15 @@ class SlopePoint:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.values) == 0:
-            raise DomainError("slope point must be nonempty")
-        object.__setattr__(self, "values", tuple(check_real("slope point coordinate", v) for v in self.values))
+        values = check_reals("slope point", self.values, len(self.values))
+        if values.ndim != 1 or not len(values):
+            raise DomainError(f"slope point must be a nonempty vector, got shape {values.shape}")
+        object.__setattr__(self, "values", tuple(values.tolist()))
 
     @classmethod
     def of(cls, values) -> "SlopePoint":
+        if not np.iterable(values):
+            raise DomainError(f"slope point must be a vector of numbers, got {values!r}")
         return cls(values=tuple(values))
 
     def as_array(self) -> np.ndarray:
@@ -107,25 +110,26 @@ def _stream(seed: int, tag: str, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _reals(name: str, values, length: int) -> np.ndarray:
-    """``values`` as a float array if they are ``length`` finite real numbers, else DomainError."""
-    values = np.asarray(values, dtype=object)
-    if values.shape != (length,):
-        raise DomainError(f"{name} must have length {length}, got shape {values.shape}")
-    return np.array([check_real(name, v) for v in values], dtype=float)
-
-
 def _check_intercepts(intercepts, k):
-    if intercepts is not None:
-        _reals("intercept override", intercepts, k)
+    if intercepts is not None and check_reals("intercept override", intercepts, k).ndim != 1:
+        raise DomainError(f"intercept override must be one vector of {k} numbers")
 
 
-def _slope_points(points, k: int) -> list[SlopePoint]:
-    out = [p if isinstance(p, SlopePoint) else SlopePoint.of(p) for p in points]
-    for p in out:
-        if len(p.values) != k:
-            raise DomainError(f"slope point must have length {k}, got {len(p.values)}")
-    return out
+def _slopes(points, k: int) -> np.ndarray:
+    """``points`` (rows of k numbers, or SlopePoints) as a checked (P, k) float array, P >= 1."""
+    if not isinstance(points, np.ndarray) and np.iterable(points):
+        points = [p.values if isinstance(p, SlopePoint) else p for p in points]
+    slopes = check_reals("slope point", points, k)
+    if slopes.ndim != 2 or not len(slopes):
+        raise DomainError(f"slope points must be a nonempty (P, {k}) array, got shape {slopes.shape}")
+    return slopes
+
+
+def _checked_point(values: list) -> SlopePoint:
+    """The SlopePoint of a row of a (P, k) array _slopes has already checked, not checked again."""
+    point = object.__new__(SlopePoint)
+    object.__setattr__(point, "values", tuple(values))
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +266,13 @@ def estimate_points(
     """
     if estimator not in _ESTIMATORS:
         raise DomainError(f"estimator must be one of {sorted(_ESTIMATORS)}, got {estimator!r}")
-    points = _slope_points(points, geom.k)
-    if not points:
-        raise DomainError("need at least one slope point")
-    slopes = np.asarray([p.values for p in points], dtype=float)
+    slopes = _slopes(points, geom.k)
     moments = _reduce(estimator, *_ESTIMATORS[estimator], slopes, geom, cfg, runs, seed, n_jobs)
     var = moments.m2 / (moments.n - 1) if moments.n > 1 else np.zeros_like(moments.m2)
     se = np.sqrt(var / moments.n)
     return [
-        CoverageEstimate(float(mean), float(err), moments.n, estimator, int(seed), point)
-        for point, mean, err in zip(points, moments.mean, se)
+        CoverageEstimate(float(mean), float(err), moments.n, estimator, int(seed), _checked_point(row))
+        for row, mean, err in zip(slopes.tolist(), moments.mean, se)
     ]
 
 
@@ -342,8 +343,7 @@ def event_probabilities(
     first test rejecting, all from common draws.  Supports bound checks of
     the form 0 <= Pr(S) - Pr(S and accept) <= Pr(reject).
     """
-    (point,) = _slope_points([point], geom.k)
-    moments = _reduce("events", _draw_full, _each(_event_values), point.as_array()[None, :], geom, cfg, runs, seed, 1)
+    moments = _reduce("events", _draw_full, _each(_event_values), _slopes([point], geom.k), geom, cfg, runs, seed, 1)
     covers, covers_and_accept, reject = (float(v) for v in moments.mean[0])
     return {
         "covers_tau": covers,

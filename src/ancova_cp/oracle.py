@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import AncovaLayout, TwoStageConfig, build_design
-from .errors import DomainError, check_count, check_real
-from .montecarlo import CoverageEstimate, SlopePoint, _chunk_sizes, _reals, _stream
+from .errors import DomainError, check_count, check_real, check_reals
+from .montecarlo import CoverageEstimate, SlopePoint, _chunk_sizes, _stream
 from .selection import batch_events, coverage_indicator  # noqa: F401  perfbench/spans.py traces the name
 
 __all__ = ["RawFit", "AgreementReport", "simulate_and_fit", "estimate_cp_raw", "agreement_with_events"]
@@ -93,7 +93,9 @@ class _RawPipeline:
 
 
 def _check_inputs(beta, sigma, layout: AncovaLayout) -> tuple[np.ndarray, float]:
-    beta, sigma = _reals("beta", beta, 2 * layout.k), check_real("sigma", sigma)
+    beta, sigma = check_reals("beta", beta, 2 * layout.k), check_real("sigma", sigma)
+    if beta.ndim != 1:
+        raise DomainError(f"beta must be one vector, got shape {beta.shape}")
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     return beta, sigma
@@ -135,7 +137,9 @@ def _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=None):
     geom is given, the event-path indicators computed from the same noise plus
     the worst relative error of the zero-slopes residual-sum identity."""
     beta, sigma = _check_inputs(beta, sigma, layout)
-    a, seed = _reals("contrast", a, 2 * layout.k), check_count("seed", seed, 0)
+    a, seed = check_reals("contrast", a, 2 * layout.k), check_count("seed", seed, 0)
+    if a.ndim != 1:
+        raise DomainError(f"contrast must be one vector, got shape {a.shape}")
     pipe = _RawPipeline(layout)
     scalars = pipe.contrast_scalars(a)
     theta = float(a @ beta)

@@ -21,17 +21,15 @@ needs the relevant test to reject there with probability close to one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .design import GeometryBundle, TwoStageConfig
-from .errors import DomainError, InsufficientLowCPPoints, check_count, check_real
+from .errors import DomainError, InsufficientLowCPPoints, check_count, check_real, check_reals
 from .montecarlo import (
     CoverageEstimate,
     SlopePoint,
-    _reals,
     default_workers,
     estimate_conditioned,
     estimate_naive,
@@ -68,12 +66,6 @@ def _resolve_estimator(name: str):
         raise DomainError(f'estimator must be one of {sorted(_ESTIMATORS)}, got {name!r}') from None
 
 
-def _estimate_at(points, estimator: str, geom, cfg, runs, seed, n_jobs):
-    """Naive or conditioned estimates at every point, from one shared set of draws."""
-    _resolve_estimator(estimator)
-    return estimate_points(points, geom, cfg, estimator, runs=runs, seed=seed, n_jobs=n_jobs)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """A lattice over slope space: bounds, density, and the estimation budget.
@@ -88,25 +80,21 @@ class GridSpec:
     seed: int = 0
 
     def axes(self, ndim: int) -> list[np.ndarray]:
-        bounds = self.bounds
-        if len(bounds) == 2 and not hasattr(bounds[0], "__len__"):
-            bounds = (bounds,) * ndim
-        if len(bounds) != ndim:
-            raise DomainError(f"need bounds for {ndim} axes, got {len(bounds)}")
         check_count("points_per_axis", self.points_per_axis, 2)
-        axes = []
-        for pair in bounds:
-            lo, hi = _reals("axis bounds", pair, 2)
-            if not lo < hi:
-                raise DomainError(f"bad axis bounds {pair!r}: need lo < hi")
-            axes.append(np.linspace(lo, hi, self.points_per_axis))
-        return axes
+        bounds = check_reals("axis bounds", self.bounds, 2)
+        if bounds.shape not in ((2,), (ndim, 2)) or not np.all(bounds[..., 0] < bounds[..., 1]):
+            raise DomainError(f"axis bounds must be one (lo, hi) pair or {ndim}, with lo < hi, got {self.bounds!r}")
+        return [np.linspace(lo, hi, self.points_per_axis) for lo, hi in np.broadcast_to(bounds, (ndim, 2))]
+
+
+def _lattice(axes: list[np.ndarray]) -> np.ndarray:
+    """Every combination of one value per axis, one per row, in row-major order (first axis slowest)."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def grid_points(spec: GridSpec, ndim: int) -> list[SlopePoint]:
     """Lattice points in row-major order (first axis slowest)."""
-    axes = spec.axes(ndim)
-    return [SlopePoint.of(values) for values in itertools.product(*axes)]
+    return [SlopePoint.of(row) for row in _lattice(spec.axes(ndim))]
 
 
 def grid_eval(
@@ -121,8 +109,9 @@ def grid_eval(
     Every point is evaluated against the same draws of (spec.seed,
     spec.runs), and each entry equals the estimate of that point alone.
     """
-    points = grid_points(spec, geom.k)
-    return list(zip(points, _estimate_at(points, estimator, geom, cfg, spec.runs, spec.seed, n_jobs)))
+    _resolve_estimator(estimator)
+    ests = estimate_points(_lattice(spec.axes(geom.k)), geom, cfg, estimator, spec.runs, spec.seed, n_jobs)
+    return [(est.point, est) for est in ests]
 
 
 @dataclass(frozen=True)
@@ -205,13 +194,16 @@ def line_profile(
     outside the profiled range, the lattice minimum stands.
     """
     check_count("n_points", n_points, 3)
-    lo, hi = _reals("c_range", line.c_range, 2)
-    if not lo < hi:
-        raise DomainError(f"c_range must have lo < hi, got {line.c_range}")
-    for values in (line.direction, line.offsets):
-        _reals("line direction and offsets", values, geom.k)
+    c_range = check_reals("c_range", line.c_range, 2)
+    if c_range.shape != (2,) or not c_range[0] < c_range[1]:
+        raise DomainError(f"c_range must be one pair with lo < hi, got {line.c_range}")
+    lo, hi = c_range
+    direction, offsets = check_reals("line direction and offsets", (line.direction, line.offsets), geom.k)
+    if direction.ndim != 1:
+        raise DomainError(f"line direction and offsets must be vectors, got {line.direction} and {line.offsets}")
+    _resolve_estimator(estimator)
     cs = np.linspace(lo, hi, n_points)
-    ests = _estimate_at([line.point_at(c) for c in cs], estimator, geom, cfg, runs, seed, n_jobs)
+    ests = estimate_points(offsets + cs[:, None] * direction, geom, cfg, estimator, runs, seed, n_jobs)
     values = np.asarray([e.estimate for e in ests])
     order = np.argsort(values, kind="stable")[:3]
     quad = np.polyfit(cs[order], values[order], 2)
@@ -243,16 +235,17 @@ def second_test_only_cp(
     offset + deltas loses a delta to rounding raises DomainError.
     """
     estimate = _resolve_estimator(estimator)
-    return estimate(_far_point(deltas, offset, geom.k), geom, cfg, runs=runs, seed=seed)
+    far = _far_points(check_reals("deltas", deltas, geom.k - 1), check_real("offset", offset))
+    return estimate(far, geom, cfg, runs=runs, seed=seed)
 
 
-def _far_point(deltas, offset: float, k: int) -> SlopePoint:
-    """The slope point (offset, offset + deltas) that realizes second-stage-only coverage."""
-    deltas, offset = _reals("deltas", deltas, k - 1), check_real("offset", offset)
+def _far_points(deltas: np.ndarray, offset: float) -> np.ndarray:
+    """The slope points (offset, offset + delta) that realize second-stage-only coverage, one per checked delta row."""
     far = offset + deltas
-    if np.any(np.abs((far - offset) - deltas) > 1e-9):
-        raise DomainError(f"offset {offset} is too large: offset + deltas rounds away the deltas {deltas.tolist()}")
-    return SlopePoint.of(np.concatenate([[offset], far]))
+    lost = np.abs((far - offset) - deltas) > 1e-9
+    if lost.any():
+        raise DomainError(f"offset {offset} is too large: offset + delta rounds away the delta {deltas[lost][0]}")
+    return np.concatenate([np.full_like(far[..., :1], offset), far], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -285,11 +278,6 @@ class MinSearchReport:
     diagnostics: dict
 
 
-def _boundary_points(axes: list[np.ndarray]) -> list[tuple[float, ...]]:
-    """Corners of the box spanned by the axes."""
-    return list(itertools.product(*[(float(ax[0]), float(ax[-1])) for ax in axes]))
-
-
 def min_cp_search(config: SearchConfig) -> MinSearchReport:
     """Run the full restricted search and report min1, min2 and their minimum.
 
@@ -307,8 +295,9 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     check_count("profile_points", config.profile_points, 3)
     n_jobs = default_workers() if config.n_jobs is None else check_count("n_jobs", config.n_jobs, 1)
     check_real("threshold", config.threshold)
-    deltas = list(itertools.product(*square_axes))
-    far = [_far_point(delta, config.offset, geom.k) for delta in deltas]
+    offset = check_real("offset", config.offset)
+    deltas = _lattice(square_axes)
+    far = _far_points(deltas, offset)
     warnings: list[str] = []
 
     cube_table = grid_eval(cube, config.estimator, geom, cfg, n_jobs=n_jobs)
@@ -322,24 +311,15 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
         warnings.append(f"line fitting skipped: {exc}")
     if lines is not None:
         profiles = tuple(
-            line_profile(
-                line,
-                geom,
-                cfg,
-                n_points=config.profile_points,
-                runs=cube.runs,
-                seed=cube.seed,
-                estimator=config.estimator,
-                n_jobs=n_jobs,
-            )
+            line_profile(line, geom, cfg, config.profile_points, cube.runs, cube.seed, config.estimator, n_jobs)
             for line in lines
         )
-        minima = [p.line.point_at(p.c_min) for p in profiles]
-        candidates += _estimate_at(minima, config.estimator, geom, cfg, cube.runs, cube.seed, n_jobs)
+        minima = np.array([np.asarray(p.line.offsets) + p.c_min * np.asarray(p.line.direction) for p in profiles])
+        candidates += estimate_points(minima, geom, cfg, config.estimator, cube.runs, cube.seed, n_jobs)
     min1 = min(candidates, key=lambda e: e.estimate)
 
-    square_ests = _estimate_at(far, config.estimator, geom, cfg, square.runs, square.seed, n_jobs)
-    square_table = list(zip(deltas, square_ests))
+    square_ests = estimate_points(far, geom, cfg, config.estimator, square.runs, square.seed, n_jobs)
+    square_table = [(tuple(delta), est) for delta, est in zip(deltas, square_ests)]
     min2 = min(square_ests, key=lambda e: e.estimate)
 
     overall = min1 if min1.estimate <= min2.estimate else min2
@@ -347,14 +327,13 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     # the cube restriction needs the first test to reject on its boundary,
     # the square restriction needs the second test to reject on its own
     gates = []
-    cube_corners = _boundary_points(cube_axes)
-    square_corners = _boundary_points(square_axes)
+    cube_corners, square_corners = (_lattice([ax[[0, -1]] for ax in axes]) for axes in (cube_axes, square_axes))
     for test, stage, region, spec, corners, points in (
         ("tau", "first", "cube", cube, cube_corners, cube_corners),
-        ("xi", "second", "square", square, square_corners, [_far_point(c, config.offset, geom.k) for c in square_corners]),
+        ("xi", "second", "square", square, square_corners, _far_points(square_corners, offset)),
     ):
         ests = estimate_points(points, geom, cfg, f"gate_{test}", runs=spec.runs, seed=spec.seed, n_jobs=n_jobs)
-        for corner, est in zip(corners, ests):
+        for corner, est in zip(map(tuple, corners.tolist()), ests):
             reject = 1.0 - est.estimate
             gates.append({"test": test, "point": corner, "reject_prob": reject})
             if reject < GATE_WARN_BELOW:

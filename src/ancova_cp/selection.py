@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .design import GeometryBundle, TwoStageConfig
-from .errors import DomainError, check_real
+from .errors import DomainError, check_real, check_reals
 
 __all__ = ["batch_events", "coverage_indicator"]
 
@@ -187,11 +187,9 @@ def coverage_indicator(gamma_hat, d, geom: GeometryBundle, cfg: TwoStageConfig, 
     The validated row adapter over batch_events: gamma_hat and gamma have
     length 2k and finite entries, and d, the scaled residual sum of squares, must be positive and finite.
     """
-    gamma_hat = np.asarray(gamma_hat, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    for name, vec in (("gamma_hat", gamma_hat), ("gamma", gamma)):
-        if vec.shape != (2 * geom.k,) or not np.all(np.isfinite(vec)):
-            raise DomainError(f"{name} must be {2 * geom.k} finite values, got shape {vec.shape}")
+    gamma_hat, gamma = check_reals("gamma_hat", gamma_hat, 2 * geom.k), check_reals("gamma", gamma, 2 * geom.k)
+    if gamma_hat.ndim != 1 or gamma.ndim != 1:
+        raise DomainError(f"gamma_hat and gamma must be vectors, got shapes {gamma_hat.shape} and {gamma.shape}")
     if not check_real("d", d) > 0.0:
         raise DomainError(f"d must be positive, got {d}")
     ev = batch_events((gamma_hat - gamma)[None, :], np.asarray([float(d)]), gamma[geom.k :], geom, cfg)

@@ -1,4 +1,5 @@
-"""One number rule at the package boundary: outside scalars go through errors.check_real or check_count.
+"""One number rule at the package boundary: outside scalars go through errors.check_real or check_count,
+outside vectors through errors.check_reals.
 
 Each case below used to be accepted as something else (a bool or a numeric
 string read as a number, NaN or inf carried into an estimate), to end in a
@@ -28,6 +29,8 @@ from ancova_cp import (
     critical_values,
     estimate_conditioned,
     estimate_cp_raw,
+    estimate_points,
+    event_probabilities,
     f_quantile,
     fit_low_cp_lines,
     grid_eval,
@@ -37,7 +40,7 @@ from ancova_cp import (
     t_quantile,
 )
 from ancova_cp.cli import main
-from ancova_cp.errors import check_real
+from ancova_cp.errors import check_real, check_reals
 
 
 def _low_table():
@@ -106,6 +109,15 @@ CASES = {
     ),
     "indicator inf d": (lambda g, c: coverage_indicator(np.zeros(6), math.inf, g, c, np.zeros(6)), None),
     "line parameter string": (lambda g, c: LineLocus((1.0, 1.0, 1.0), (0.0, 0.05, 0.0), (-0.1, 0.1)).point_at("a"), None),
+    # the array adapters used to read "0.1" and True as numbers, and a ragged list ended in numpy's ValueError
+    "kernel string and bool slopes": (lambda g, c: ConditionalKernel(g, c, ("0.1", True, 0)), None),
+    "kernel string and bool q, string d": (
+        lambda g, c: ConditionalKernel(g, c, (0.0, 0.1, 0.0)).conditional_cp_batch([["0.1", True, 0]], ["18"]),
+        None,
+    ),
+    "indicator strings and bool": (lambda g, c: coverage_indicator(["0"] * 6, 18.0, g, c, [True] + [0] * 5), None),
+    "kernel ragged slopes": (lambda g, c: ConditionalKernel(g, c, [[0.0, 0.1, 0.0], [0.0, 0.1]]), None),
+    "kernel slopes of three axes": (lambda g, c: ConditionalKernel(g, c, np.zeros((1, 2, 3))), None),
 }
 
 
@@ -171,3 +183,95 @@ def test_oracle_refuses_infinite_sigma(capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error: --sigma must be a number")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, c: estimate_points(np.array([0.0, 0.1, 0.0]), g, c, runs=100),
+        lambda g, c: estimate_points([], g, c, runs=100),
+        lambda g, c: estimate_points(np.array([[False, True, False]]), g, c, runs=100),
+        lambda g, c: estimate_conditioned(0.1, g, c, runs=100),
+        lambda g, c: estimate_conditioned(np.zeros((1, 3)), g, c, runs=100),
+        lambda g, c: event_probabilities(0.1, g, c, runs=100),
+        lambda g, c: SlopePoint.of(0.1),
+        lambda g, c: SlopePoint.of([[0.0, 0.1], [0.0, 0.2]]),
+    ],
+    ids=["1-D points", "no points", "bool points", "scalar point", "point of two axes", "events scalar point", "of scalar", "of matrix"],
+)
+def test_bad_points_are_domain_errors(ref, call):
+    # a scalar used to end in a bare TypeError (a float is not iterable), bools were read as numbers
+    _, _, geom, cfg = ref
+    with pytest.raises(DomainError):
+        call(geom, cfg)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.25, -3], (np.float64(1e300), np.int64(7)), np.array([1, 2]), np.array([0.5, 1.5], dtype=np.float32)],
+    ids=["list", "numpy scalars", "int array", "float32 array"],
+)
+def test_check_reals_accepts_finite_reals_as_floats(values):
+    out = check_reals("x", values, 2)
+    assert out.dtype == np.float64 and out.tolist() == [float(v) for v in values]
+
+
+def test_check_reals_keeps_the_leading_axes_and_every_bit():
+    values = np.array([[-0.0, 5e-324], [1e308, -2.5]])
+    out = check_reals("x", values, 2)
+    assert out.shape == (2, 2) and out.tobytes() == values.tobytes()
+    listed = check_reals("x", values.tolist(), 2)
+    assert listed.shape == (2, 2) and listed.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([True, False]),
+        np.array(["0.1", "0.2"]),
+        np.array([0.1, 0.2], dtype=object).astype(str),
+        ["0.1", 0.2],
+        [0.1, None],
+        [0.1, True],
+        np.array([0.1, math.nan]),
+        np.array([[0.1, 0.2], [0.3, -math.inf]]),
+        np.array([1 + 0j, 2 + 0j]),
+        0.1,
+        np.float64(0.1),
+        np.array(0.1),
+        [0.1, 0.2, 0.3],
+        np.zeros((2, 3)),
+        [[0.1, 0.2], [0.3]],
+        [np.zeros((2, 2)), np.zeros((2, 3))],
+    ],
+    ids=[
+        "bool array",
+        "string array",
+        "str dtype",
+        "numeric string",
+        "None",
+        "bool",
+        "nan array",
+        "inf matrix",
+        "complex array",
+        "scalar",
+        "numpy scalar",
+        "0-d array",
+        "wrong length",
+        "wrong last axis",
+        "ragged list",
+        "ragged arrays",
+    ],
+)
+def test_check_reals_refuses_everything_else(values):
+    with pytest.raises(DomainError, match="^x must"):
+        check_reals("x", values, 2)
+
+
+def test_check_reals_checks_a_numeric_array_without_check_real(monkeypatch):
+    from ancova_cp import errors
+
+    calls = []
+    monkeypatch.setattr(errors, "check_real", lambda *a: calls.append(a))
+    check_reals("x", np.zeros((1000, 3)), 3)
+    assert calls == []

@@ -1,9 +1,13 @@
 import csv
 import dataclasses
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ancova_cp import montecarlo
 from ancova_cp import search as search_module
@@ -17,6 +21,7 @@ from ancova_cp import (
     SearchConfig,
     SlopePoint,
     estimate_conditioned,
+    estimate_points,
     estimate_naive,
     fit_low_cp_lines,
     grid_eval,
@@ -592,3 +597,70 @@ def test_csv_bytes_match_a_csv_writer_rendering(tmp_path):
     write_profile_csv(LineProfile(line, cs, tuple(ests), -0.0, 1e-05), tmp_path / "profile.csv")
     rows = [["c"] + gammas + tail] + [[str(c)] + [str(v) for v in p.values] + f for c, p, f in zip(cs, points, fields)]
     assert (tmp_path / "profile.csv").read_bytes() == _csv_writer_bytes(rows, tmp_path / "profile_ref.csv")
+
+
+# ---------------------------------------------------------------------------
+# points the search builds itself are checked once, at their bounds
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4), min_size=1, max_size=4
+    )
+)
+def test_lattice_is_itertools_product_bit_for_bit(axes):
+    axes = [np.asarray(ax) for ax in axes]
+    expected = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, len(axes))
+    assert search_module._lattice(axes).tobytes() == expected.tobytes()
+
+
+def _count_check_real(monkeypatch):
+    """Calls of errors.check_real through every binding the package's modules hold."""
+    from ancova_cp import errors
+
+    calls = []
+    real = errors.check_real
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ancova_cp") and getattr(module, "check_real", None) is real:
+            monkeypatch.setattr(module, "check_real", counting)
+    return calls
+
+
+def test_search_checks_no_number_it_generated(ref, monkeypatch):
+    # every lattice, profile and square point used to go through check_real once per coordinate
+    _, _, geom, cfg = ref
+    counts = []
+    for density in (5, 9):
+        calls = _count_check_real(monkeypatch)
+        config = _tiny_config(geom, cfg, runs=300)
+        cube = dataclasses.replace(config.cube, points_per_axis=density)
+        # a threshold that the 5^3 lattice also fits lines to, so both searches run every phase
+        report = min_cp_search(dataclasses.replace(config, cube=cube, threshold=0.8))
+        assert report.lines is not None and len(report.cube_table) == density**3
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert counts[0] == counts[1] > 0
+
+
+def test_estimates_carry_the_checked_points_as_floats(ref):
+    _, _, geom, cfg = ref
+    rows = np.array([[-0.0, 0.1, 0.0], [0.25, -0.125, 5e-324]])
+    for points in (rows, rows.astype(np.float32), rows.tolist(), [SlopePoint.of(r) for r in rows]):
+        ests = estimate_points(points, geom, cfg, runs=100)
+        expected = np.asarray(points if not isinstance(points[0], SlopePoint) else rows, dtype=float)
+        for row, est in zip(expected, ests):
+            assert est.point == SlopePoint.of(row)
+            assert all(type(v) is float for v in est.point.values)
+            assert np.array(est.point.values).tobytes() == row.tobytes()
+    report = min_cp_search(_tiny_config(geom, cfg, runs=300))
+    tables = [report.cube_table, [(est.point, est) for p in report.profiles for est in p.estimates]]
+    for point, est in itertools.chain(*tables, [(e.point, e) for _, e in report.square_table]):
+        assert est.point == SlopePoint.of(est.point.values) and point == est.point
+        assert all(type(v) is float for v in est.point.values)
