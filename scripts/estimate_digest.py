@@ -6,6 +6,9 @@ The sweep covers:
   - a 23-point block and two of its points alone, at 37, 2000, 9000 and
     10 000 runs, under every estimator tag;
   - conditional_cp_batch on 500 rows of (q, d);
+  - grid_eval on the reference design, with each estimate's point, over a
+    symmetric lattice (one point of each mirrored pair evaluated) and an
+    asymmetric one (every point evaluated), at 9000 runs (two chunks);
   - a bench-sized min_cp_search on the reference design (9³ cube, 9² square,
     21-point profiles, 2000 runs).
 
@@ -34,7 +37,7 @@ from ancova_cp import (
     estimate_points,
     reference_design,
 )
-from ancova_cp.search import GridSpec, SearchConfig, min_cp_search
+from ancova_cp.search import GridSpec, SearchConfig, grid_eval, min_cp_search
 
 RUNS = (37, 2000, 9000, 10_000)
 ESTIMATORS = ("naive", "conditioned", "gate_tau", "gate_xi")
@@ -101,6 +104,11 @@ def sweep(digest: Digest) -> None:
                         digest.estimates(estimate_points([point], geom, cfg, estimator, runs=runs, seed=runs))
             digest.feed(ConditionalKernel(geom, cfg, points[0]).conditional_cp_batch(q, d))
     _, geom, cfg = next(designs())
+    for bounds in ((-0.2, 0.2), ((-0.2, 0.2), (-0.1, 0.25), (-0.2, 0.2))):
+        for estimator in ("naive", "conditioned"):
+            for point, est in grid_eval(GridSpec(bounds, 5, 9000, 6), estimator, geom, cfg):
+                digest.feed(point.values)
+                digest.estimates([est])
     report = min_cp_search(
         SearchConfig(
             geom=geom,

@@ -43,21 +43,25 @@ def check_count(name: str, value, least: int) -> int:
 def check_real(name: str, value) -> float:
     """``value`` as a float if it is a finite, non-bool real number, else DomainError.
 
-    Strings are refused even when they spell a number ("0.1"), and so are None and NaN.
+    Strings are refused even when they spell a number ("0.1"), and so are None, NaN and 10**400 (inf as a float).
     """
     # float first: it covers numpy's float64 and is several times cheaper than the ABC check
     real = isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
-    if not (real and math.isfinite(value)):
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int or Fraction beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise DomainError(f"{name} must be a number (finite, not a string or bool), got {value!r}")
-    return float(value)
+    return number
 
 
 def check_reals(name: str, values, length: int) -> np.ndarray:
     """``values`` as a float array of finite real numbers with ``length`` on its last axis, else DomainError.
 
-    A numpy array of integer or float dtype is checked in one pass, for finiteness alone: its dtype already
-    rules out strings, bools and None.  Anything else goes entry by entry through check_real.  A ragged input,
-    a scalar or another last axis is refused; a caller that needs one vector or a stack checks the axes itself.
+    A numpy array of integer or float dtype is checked in one pass, for finiteness as float64 alone: its dtype
+    already rules out strings, bools and None.  Anything else goes entry by entry through check_real.  A ragged
+    input, a scalar or another last axis is refused; a caller that needs one vector or a stack checks the axes.
     """
     numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
     try:
@@ -68,6 +72,8 @@ def check_reals(name: str, values, length: int) -> np.ndarray:
         raise DomainError(f"{name} must have {length} numbers on its last axis, got shape {array.shape}")
     if not numeric:
         return np.array([check_real(name, v) for v in array.flat], dtype=float).reshape(array.shape)
-    if not np.isfinite(array).all():
-        raise DomainError(f"{name} must be finite numbers, got {array[~np.isfinite(array)][0]}")
-    return array.astype(float, copy=False)
+    with np.errstate(over="ignore"):  # a longdouble beyond the float range becomes inf, refused below
+        floats = array.astype(float, copy=False)
+    if not np.isfinite(floats).all():
+        raise DomainError(f"{name} must be finite numbers, got {array[~np.isfinite(floats)][0]!s}")
+    return floats

@@ -21,7 +21,7 @@ needs the relevant test to reject there with probability close to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import DomainError, InsufficientLowCPPoints, check_count, check_rea
 from .montecarlo import (
     CoverageEstimate,
     SlopePoint,
+    _checked_point,
     default_workers,
     estimate_conditioned,
     estimate_naive,
@@ -70,8 +71,8 @@ def _resolve_estimator(name: str):
 class GridSpec:
     """A lattice over slope space: bounds, density, and the estimation budget.
 
-    bounds is either one (lo, hi) pair applied to every axis or a tuple of
-    per-axis pairs.
+    bounds is either one (lo, hi) pair applied to every axis or a tuple of per-axis pairs.  Each axis is
+    np.linspace(lo, hi, points_per_axis), made exactly antisymmetric when lo == -hi (see _axis).
     """
 
     bounds: tuple = (-0.25, 0.25)
@@ -84,12 +85,30 @@ class GridSpec:
         bounds = check_reals("axis bounds", self.bounds, 2)
         if bounds.shape not in ((2,), (ndim, 2)) or not np.all(bounds[..., 0] < bounds[..., 1]):
             raise DomainError(f"axis bounds must be one (lo, hi) pair or {ndim}, with lo < hi, got {self.bounds!r}")
-        return [np.linspace(lo, hi, self.points_per_axis) for lo, hi in np.broadcast_to(bounds, (ndim, 2))]
+        return [_axis(lo, hi, self.points_per_axis) for lo, hi in np.broadcast_to(bounds, (ndim, 2))]
+
+
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n); if lo == -hi, its upper half is its negated lower half and an odd centre is 0.0."""
+    axis = np.linspace(lo, hi, n)
+    return np.concatenate([axis[: n // 2], np.zeros(n % 2), -axis[n // 2 - 1 :: -1]]) if lo == -hi else axis
 
 
 def _lattice(axes: list[np.ndarray]) -> np.ndarray:
     """Every combination of one value per axis, one per row, in row-major order (first axis slowest)."""
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _halved(lattice: np.ndarray, points: np.ndarray, *args) -> list[CoverageEstimate]:
+    """estimate_points(points, *args), evaluating only the first ceil(P/2) rows if row P-1-i of ``lattice`` is -row i.
+
+    Coverage and both gates are even in the slopes, so row P-1-i takes row i's estimate and SE: its value on (-z, d).
+    """
+    if not np.array_equal(lattice, -lattice[::-1]):
+        return estimate_points(points, *args)
+    half = estimate_points(points[: (len(points) + 1) // 2], *args)
+    mirrored = zip(half[: len(points) // 2][::-1], points[len(half) :].tolist())
+    return half + [replace(est, point=_checked_point(row)) for est, row in mirrored]
 
 
 def grid_points(spec: GridSpec, ndim: int) -> list[SlopePoint]:
@@ -104,14 +123,14 @@ def grid_eval(
     cfg: TwoStageConfig,
     n_jobs=None,
 ) -> list[tuple[SlopePoint, CoverageEstimate]]:
-    """Estimate the coverage probability at every lattice point.
+    """Estimate the coverage probability at every lattice point, against the draws of (spec.seed, spec.runs).
 
-    Every point is evaluated against the same draws of (spec.seed,
-    spec.runs), and each entry equals the estimate of that point alone.
+    Each entry equals the estimate of its point alone, except that on a centrally symmetric lattice
+    (every lo == -hi) row P-1-i of the second half carries row i's estimate and SE (see _halved).
     """
     _resolve_estimator(estimator)
-    ests = estimate_points(_lattice(spec.axes(geom.k)), geom, cfg, estimator, spec.runs, spec.seed, n_jobs)
-    return [(est.point, est) for est in ests]
+    lattice = _lattice(spec.axes(geom.k))
+    return [(est.point, est) for est in _halved(lattice, lattice, geom, cfg, estimator, spec.runs, spec.seed, n_jobs)]
 
 
 @dataclass(frozen=True)
@@ -281,12 +300,12 @@ class MinSearchReport:
 def min_cp_search(config: SearchConfig) -> MinSearchReport:
     """Run the full restricted search and report min1, min2 and their minimum.
 
-    min1 is the smallest coverage estimate found on the cube: the lattice
-    minimum, improved where possible by profiling fitted low-CP lines and
-    re-estimating at each profile's refined minimizer.  min2 is the lattice
-    minimum of the second-stage-only coverage over the slope-difference
-    square.  Boundary gate probabilities that do not clear
-    GATE_WARN_BELOW become warnings in the diagnostics, never errors.
+    min1 is the smallest coverage estimate found on the cube: the lattice minimum, improved where possible by
+    profiling fitted low-CP lines and re-estimating at each profile's refined minimizer.  min2 is the lattice
+    minimum of the second-stage-only coverage over the slope-difference square.  Boundary gate probabilities
+    that do not clear GATE_WARN_BELOW become warnings in the diagnostics, never errors.  With symmetric bounds
+    the cube, the square (its coverage is even in the slope differences) and both corner sets evaluate one
+    point of each mirrored pair (see _halved).
     """
     geom, cfg = config.geom, config.cfg
     cube, square = config.cube, config.square
@@ -318,7 +337,7 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
         candidates += estimate_points(minima, geom, cfg, config.estimator, cube.runs, cube.seed, n_jobs)
     min1 = min(candidates, key=lambda e: e.estimate)
 
-    square_ests = estimate_points(far, geom, cfg, config.estimator, square.runs, square.seed, n_jobs)
+    square_ests = _halved(deltas, far, geom, cfg, config.estimator, square.runs, square.seed, n_jobs)
     square_table = [(tuple(delta), est) for delta, est in zip(deltas, square_ests)]
     min2 = min(square_ests, key=lambda e: e.estimate)
 
@@ -332,7 +351,7 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
         ("tau", "first", "cube", cube, cube_corners, cube_corners),
         ("xi", "second", "square", square, square_corners, _far_points(square_corners, offset)),
     ):
-        ests = estimate_points(points, geom, cfg, f"gate_{test}", runs=spec.runs, seed=spec.seed, n_jobs=n_jobs)
+        ests = _halved(corners, points, geom, cfg, f"gate_{test}", spec.runs, spec.seed, n_jobs)
         for corner, est in zip(map(tuple, corners.tolist()), ests):
             reject = 1.0 - est.estimate
             gates.append({"test": test, "point": corner, "reject_prob": reject})

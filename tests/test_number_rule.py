@@ -9,6 +9,7 @@ bare TypeError or ValueError, or to raise the wrong error class.
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,6 +119,18 @@ CASES = {
     "indicator strings and bool": (lambda g, c: coverage_indicator(["0"] * 6, 18.0, g, c, [True] + [0] * 5), None),
     "kernel ragged slopes": (lambda g, c: ConditionalKernel(g, c, [[0.0, 0.1, 0.0], [0.0, 0.1]]), None),
     "kernel slopes of three axes": (lambda g, c: ConditionalKernel(g, c, np.zeros((1, 2, 3))), None),
+    # an int beyond the float range ended in a bare OverflowError, a longdouble one was read as inf
+    "slope int beyond float": (lambda g, c: SlopePoint.of((10**400, 0, 0)), None),
+    "offset int beyond float": (_far((0.05, 0.0), 10**400), _far((0.05, 0.0), 1000)),
+    "grid bounds longdouble beyond float": (
+        _grid(np.array([-1, 1]) * np.longdouble("1e400")),
+        _grid(np.array([-0.1, 0.1], dtype=np.longdouble)),
+    ),
+    "points longdouble beyond float": (
+        # the test module's own binding: estimate_points refuses before any draw
+        lambda g, c: estimate_points(np.array([[np.longdouble("1e400"), 0, 0]]), g, c, "naive", runs=100),
+        lambda g, c: montecarlo.estimate_points(np.array([[np.longdouble("0.1"), 0, 0]]), g, c, "naive", runs=100),
+    ),
 }
 
 
@@ -169,10 +182,30 @@ def test_check_real_accepts_finite_reals_as_floats(value):
     assert type(out) is float and out == float(value)
 
 
-@pytest.mark.parametrize("value", [True, np.bool_(False), "0.1", None, math.nan, -math.inf, [1.0], 1j])
+@pytest.mark.parametrize(
+    "value",
+    [True, np.bool_(False), "0.1", None, math.nan, -math.inf, [1.0], 1j]
+    + [
+        pytest.param(10**400, id="int beyond float"),
+        pytest.param(-(10**400), id="negative int beyond float"),
+        pytest.param(Fraction(10**400, 3), id="fraction beyond float"),
+        pytest.param(np.longdouble("1e400"), id="longdouble beyond float"),
+    ],
+)
 def test_check_real_refuses_everything_else(value):
     with pytest.raises(DomainError, match="x must be a number"):
         check_real("x", value)
+
+
+def test_config_number_beyond_float_exits_one(capsys, tmp_path):
+    # a 401-digit alpha ended in a traceback from the bare OverflowError
+    config = tmp_path / "big.json"
+    config.write_text('{"alpha": ' + "1" * 401 + "}", encoding="utf-8")
+    rc = main(["quantiles", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: alpha must be a number")
+    assert captured.out == ""
 
 
 def test_oracle_refuses_infinite_sigma(capsys):
@@ -243,6 +276,8 @@ def test_check_reals_keeps_the_leading_axes_and_every_bit():
         np.zeros((2, 3)),
         [[0.1, 0.2], [0.3]],
         [np.zeros((2, 2)), np.zeros((2, 3))],
+        [10**400, 0],
+        np.array([np.longdouble("1e400"), 0]),
     ],
     ids=[
         "bool array",
@@ -261,6 +296,8 @@ def test_check_reals_keeps_the_leading_axes_and_every_bit():
         "wrong last axis",
         "ragged list",
         "ragged arrays",
+        "int beyond float",
+        "longdouble beyond float",
     ],
 )
 def test_check_reals_refuses_everything_else(values):

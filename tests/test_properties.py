@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ancova_cp import (
     AncovaLayout,
+    ConditionalKernel,
     ContrastSpec,
     SlopePoint,
     build_geometry,
@@ -22,6 +23,7 @@ from ancova_cp import (
     estimate_points,
 )
 from ancova_cp.oracle import agreement_with_events
+from ancova_cp.selection import SlopeNoise, SlopeTerms, batch_events, block_f
 
 RUNS = 2000
 SEED = 17
@@ -79,3 +81,57 @@ def test_raw_oracle_agrees_with_event_path(design):
     report = agreement_with_events(beta, sigma, layout, geom, cfg, geom.a, RUNS, SEED)
     assert report.agreement >= 0.999
     assert abs(report.raw.estimate - report.event_rate) <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the mirror identity value(-s; -z, d) = value(s; z, d), which lets the search
+# evaluate one point of each (s, -s) pair of a symmetric lattice
+# ---------------------------------------------------------------------------
+
+MIRROR_DRAWS = 1000
+
+
+def _draws(geom, dim, seed=SEED):
+    """MIRROR_DRAWS draws of the noise (slope block, or the full 2k block) and d, from a fixed seed."""
+    rng = np.random.default_rng(seed)
+    chol = geom.v22_chol if dim == geom.k else geom.noise_chol
+    return rng.standard_normal((MIRROR_DRAWS, dim)) @ chol.T, rng.chisquare(geom.m, MIRROR_DRAWS)
+
+
+def _slopes(points):
+    return np.array([p.values for p in points])
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(designs())
+def test_conditional_kernel_is_even_under_the_mirror(design):
+    _, geom, cfg, points = design
+    z, d = _draws(geom, geom.k)
+    slopes = _slopes(points)
+    for step in (1, len(slopes)):
+        plus = [g.copy() for g in ConditionalKernel(geom, cfg, slopes).blocks(z, SlopeNoise.of(z, d, geom), step)]
+        minus = [g.copy() for g in ConditionalKernel(geom, cfg, -slopes).blocks(-z, SlopeNoise.of(-z, d, geom), step)]
+        # both sides take the same region on every cell; only the band's rounding differs
+        np.testing.assert_allclose(np.concatenate(minus), np.concatenate(plus), rtol=0.0, atol=4 * np.finfo(float).eps)
+    lone = ConditionalKernel(geom, cfg, slopes[0])
+    mirrored = ConditionalKernel(geom, cfg, -slopes[0])
+    q = slopes[0] + z
+    np.testing.assert_allclose(
+        mirrored.conditional_cp_batch(-q, d), lone.conditional_cp_batch(q, d), rtol=0.0, atol=4 * np.finfo(float).eps
+    )
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(designs())
+def test_selection_events_are_even_under_the_mirror(design):
+    _, geom, cfg, points = design
+    delta, d = _draws(geom, 2 * geom.k)
+    slopes = _slopes(points)
+    plus, minus = batch_events(delta, d, slopes, geom, cfg), batch_events(-delta, d, -slopes, geom, cfg)
+    for name in ("in_a", "in_b", "covers_tau", "covers_xi", "covers_full"):
+        assert np.array_equal(getattr(minus, name), getattr(plus, name)), name
+    assert np.array_equal(minus.covers_selected, plus.covers_selected)
+    z = delta[:, geom.k :]
+    accept = block_f(SlopeNoise.of(z, d, geom), SlopeTerms.of(slopes, geom), geom, cfg)[:2]
+    mirrored = block_f(SlopeNoise.of(-z, d, geom), SlopeTerms.of(-slopes, geom), geom, cfg)[:2]
+    assert all(np.array_equal(m, a) for m, a in zip(mirrored, accept))

@@ -70,16 +70,114 @@ def test_grid_spec_validation():
 
 
 def test_grid_eval_matches_direct_estimates(small):
+    # on a symmetric lattice the first ceil(P/2) rows are evaluated and row P-1-i is row i's
+    # estimate on the mirrored draws, which equals the direct estimate at -(row P-1-i) bit for bit
     _, _, geom, cfg = small
-    spec = GridSpec(bounds=(-0.1, 0.1), points_per_axis=2, runs=500, seed=3)
+    for density in (2, 3):
+        spec = GridSpec(bounds=(-0.1, 0.1), points_per_axis=density, runs=500, seed=3)
+        table = grid_eval(spec, "conditioned", geom, cfg)
+        rows = search_module._lattice(spec.axes(2))
+        assert len(table) == len(rows) == density**2
+        for i, (row, (point, est)) in enumerate(zip(rows, table)):
+            assert point is est.point and np.array(point.values).tobytes() == row.tobytes()
+            at = row if i < (len(rows) + 1) // 2 else -row
+            assert est == dataclasses.replace(estimate_conditioned(at, geom, cfg, runs=500, seed=3), point=point)
+        again = grid_eval(spec, "conditioned", geom, cfg)
+        assert again == table
+    # an asymmetric lattice evaluates every row against the shared draws
+    spec = GridSpec(bounds=(-0.1, 0.15), points_per_axis=3, runs=500, seed=3)
     table = grid_eval(spec, "conditioned", geom, cfg)
-    assert len(table) == 4
-    for point, est in table:
-        direct = estimate_conditioned(point, geom, cfg, runs=500, seed=3)
-        assert est.estimate == direct.estimate
-        assert est.se == direct.se
-    again = grid_eval(spec, "conditioned", geom, cfg)
-    assert [e.estimate for _, e in again] == [e.estimate for _, e in table]
+    assert len(table) == 9
+    for row, (point, est) in zip(search_module._lattice(spec.axes(2)), table):
+        assert np.array(point.values).tobytes() == row.tobytes()
+        assert est == estimate_conditioned(point, geom, cfg, runs=500, seed=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.floats(1e-9, 1e9, allow_nan=False, allow_infinity=False, allow_subnormal=False),
+    st.integers(2, 61),
+    st.floats(0.5, 2.0, allow_nan=False).filter(lambda r: r != 1.0),
+)
+def test_symmetric_axes_are_exactly_antisymmetric(hi, n, ratio):
+    axis = GridSpec(bounds=(-hi, hi), points_per_axis=n).axes(1)[0]
+    spaced = np.linspace(-hi, hi, n)
+    assert np.array_equal(axis, -axis[::-1])
+    assert axis[: n // 2].tobytes() == spaced[: n // 2].tobytes()
+    if n % 2:
+        assert axis[n // 2] == 0.0 and math.copysign(1.0, axis[n // 2]) == 1.0
+    # np.linspace is itself off antisymmetry by up to three ulps of hi (2 at (-0.1, 0.1, 23));
+    # the mirrored entries are within that of it
+    assert np.all(np.abs(axis - spaced) <= 3 * np.spacing(hi))
+    # bounds with lo != -hi keep np.linspace's bits
+    lo = -hi * ratio
+    assert GridSpec(bounds=(lo, hi), points_per_axis=n).axes(1)[0].tobytes() == np.linspace(lo, hi, n).tobytes()
+
+
+def test_symmetric_axes_repair_linspace_and_keep_dyadic_bits():
+    assert np.linspace(-0.2, 0.2, 9)[6] == 0.10000000000000003
+    assert GridSpec(bounds=(-0.2, 0.2), points_per_axis=9).axes(1)[0][6] == 0.1
+    assert np.linspace(-0.1, 0.1, 23)[11] != 0.0
+    assert GridSpec(bounds=(-0.1, 0.1), points_per_axis=23).axes(1)[0][11] == 0.0
+    for n in (2, 3, 5, 9, 17, 33):  # steps of 2^-j: every linspace entry is exact
+        assert GridSpec(points_per_axis=n).axes(1)[0].tobytes() == np.linspace(-0.25, 0.25, n).tobytes()
+
+
+def _bench_config(geom, cfg, **change):
+    """The search scripts/estimate_digest.py and the benchmark run: 9^3 cube, 9^2 square, 21-point profiles."""
+    return dataclasses.replace(
+        SearchConfig(
+            geom=geom,
+            cfg=cfg,
+            cube=GridSpec((-0.25, 0.25), 9, 2000, 4),
+            square=GridSpec((-0.2, 0.2), 9, 2000, 4),
+            profile_points=21,
+        ),
+        **change,
+    )
+
+
+def test_symmetric_lattices_evaluate_one_point_of_each_pair(ref, monkeypatch):
+    _, _, geom, cfg = ref
+    calls = _count_estimates(monkeypatch)
+    grid_eval(GridSpec((-0.25, 0.25), 9, 2000, 4), "conditioned", geom, cfg)
+    assert [len(c[0]) for c in calls] == [365]
+    calls.clear()
+    grid_eval(GridSpec(((-0.25, 0.25), (-0.25, 0.25), (-0.25, 0.2)), 9, 2000, 4), "conditioned", geom, cfg)
+    assert [len(c[0]) for c in calls] == [729]
+    calls.clear()
+
+    report = min_cp_search(_bench_config(geom, cfg))
+    assert report.lines is not None
+    # cube 365, two 21-point profiles, their two minima, square 41, gate corners 4 + 2
+    sizes = [len(c[0]) for c in calls]
+    assert sizes == [365, 21, 21, 2, 41, 4, 2] and sum(sizes) == 456
+    for table in (report.cube_table, report.square_table):
+        for (point, est), (mirror, twin) in zip(table, table[::-1]):
+            # cube rows are SlopePoints, square rows tuples of slope differences
+            coords, mirrored = (np.asarray(getattr(p, "values", p), dtype=float) for p in (point, mirror))
+            assert np.array_equal(coords, -mirrored)
+            assert (est.estimate, est.se) == (twin.estimate, twin.se)
+    for gates in (report.diagnostics["gates"][:8], report.diagnostics["gates"][8:]):
+        for gate, twin in zip(gates, gates[::-1]):
+            assert gate["point"] == tuple(-v for v in twin["point"]) and gate["reject_prob"] == twin["reject_prob"]
+    calls.clear()
+
+    cube, square = GridSpec((-0.25, 0.3), 9, 2000, 4), GridSpec((-0.2, 0.25), 9, 2000, 4)
+    min_cp_search(_bench_config(geom, cfg, cube=cube, square=square))
+    sizes = [len(c[0]) for c in calls]
+    assert sizes[0] == 729 and sizes[-3:] == [81, 8, 4]
+
+
+def test_mirrored_cube_entries_agree_with_an_independent_seed(ref):
+    # a mirrored entry and the direct estimate on the same seed are equal by construction;
+    # another seed's draws are independent, so the combined-SE bound is a real check
+    _, _, geom, cfg = ref
+    table = grid_eval(GridSpec((-0.25, 0.25), 5, 10_000, 0), "conditioned", geom, cfg)
+    for i in (63, 80, 100, 117, 124):
+        point, est = table[i]
+        other = estimate_conditioned(point, geom, cfg, runs=10_000, seed=1)
+        assert abs(est.estimate - other.estimate) <= 3 * math.hypot(est.se, other.se)
 
 
 def test_grid_eval_signed_zero_bounds_are_bit_identical(ref):
