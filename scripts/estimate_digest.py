@@ -8,7 +8,9 @@ The sweep covers:
   - conditional_cp_batch on 500 rows of (q, d);
   - grid_eval on the reference design, with each estimate's point, over a
     symmetric lattice (one point of each mirrored pair evaluated) and an
-    asymmetric one (every point evaluated), at 9000 runs (two chunks);
+    asymmetric one (every point evaluated), at 9000 runs (two chunks), and
+    the conditioned estimator over a wide 9³ lattice on [-1, 1]³, where most
+    rows are proven to lie in region C on every draw of a chunk;
   - a bench-sized min_cp_search on the reference design (9³ cube, 9² square,
     21-point profiles, 2000 runs).
 
@@ -109,6 +111,9 @@ def sweep(digest: Digest) -> None:
             for point, est in grid_eval(GridSpec(bounds, 5, 9000, 6), estimator, geom, cfg):
                 digest.feed(point.values)
                 digest.estimates([est])
+    for point, est in grid_eval(GridSpec((-1.0, 1.0), 9, 9000, 7), "conditioned", geom, cfg):
+        digest.feed(point.values)
+        digest.estimates([est])
     report = min_cp_search(
         SearchConfig(
             geom=geom,

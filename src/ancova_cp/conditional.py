@@ -40,6 +40,8 @@ GATHER_CELLS = 4096
 # at points between (0, 0.1, 0) and (0.1, -0.05, 0.15), 8192 and 1808 draws, gathering was faster
 # in 24 to 37 of 40 rounds at 78 to 84 % region C, 6 to 20 at 85 to 89 % and 1 to 4 at 91 %
 DENSE_C_SHARE = 0.85
+# region-C certification: the margin a point clears on every draw, and the largest dim^2 cond(A) it covers
+SURE_C_MARGIN, SURE_C_MAX_COND = 1.01, 1e8
 
 
 def _band(mu, half):
@@ -74,6 +76,23 @@ def _separate(geom, cfg, d, zv):
     return _band(zv / -root_v_star, half)
 
 
+def _sure_c_bounds(geom, cfg, noise) -> np.ndarray:
+    """Radii of sqrt(s'V22^-1 s) and sqrt((U s)'W22^-1 (U s)) beyond which both tests reject on every draw.
+
+    With A = V22^-1, sigma = sqrt(s'As) and r_j = sqrt(zvz_j), quad_v >= (sigma - r_j)^2 for sigma >= r_j (triangle
+    inequality), and test 1 rejects on draw j once quad_v > l_tau d_j k / m; the W form is alike.  The radius,
+    max_j max(M r_j, r_j + sqrt(M cutoff d_j df / m)) with M = SURE_C_MARGIN, makes sigma >= M r_j and (sigma - r_j)^2
+    >= M cutoff d_j df / m hold on every draw, cutoff 0 included.  Rounding moves the computed form by at most about
+    4 dim^2 cond(A) eps (sigma + r_j)^2 <= 4 dim^2 cond(A) eps (2M / (M - 1))^2 (sigma - r_j)^2: under 0.4 % of
+    (sigma - r_j)^2, inside the margin, while dim^2 cond(A) <= SURE_C_MAX_COND.  Past that, or at cutoff inf, it is inf.
+    """
+    r = np.sqrt([noise.zvz, noise.zwz])
+    cutoffs = np.array([[cfg.l_tau * geom.k], [cfg.l_xi * (geom.k - 1)]]) * (SURE_C_MARGIN / geom.m)
+    radii = np.maximum(SURE_C_MARGIN * r, r + np.sqrt(noise.d * cutoffs)).max(axis=1)
+    sound = [len(form) ** 2 * np.linalg.cond(form) <= SURE_C_MAX_COND for form in (geom.v22_inv, geom.w22_inv)]
+    return np.where(sound, radii, math.inf)
+
+
 class ConditionalKernel:
     """Conditional coverage for one design and cutoff config at a block of true slope points.
 
@@ -88,27 +107,27 @@ class ConditionalKernel:
         slopes = check_reals("slopes", slopes, geom.k)
         if slopes.ndim not in (1, 2):
             raise DomainError(f"slopes must be one point or a block of points, got shape {slopes.shape}")
-        self.geom = geom
-        self.cfg = cfg
+        self.geom, self.cfg = geom, cfg
         self.slopes = np.atleast_2d(slopes)
         self._terms = SlopeTerms.of(self.slopes, geom)
 
     def blocks(self, z: np.ndarray, noise: SlopeNoise, step: int):
-        """Conditional coverage of groups of ``step`` slope points (rows) against shared draws (columns).
+        """(rows, values) pairs: conditional coverage of the points ``rows`` (rows) against shared draws (columns).
 
         z (n, k) is the slope noise q - gs of the draws and noise its
         quadratic-form parts, as built by SlopeNoise.of(z, d, geom).  Both
         test decisions come from block_f, and each cell is evaluated only by
-        its region's formula.  Points are taken in groups of ``step``:
-        region-C values are computed once per draw for all the kernel's
-        points and copied into the group's region-C cells, and its region-A
-        and region-B cells are evaluated in gathers of at most GATHER_CELLS,
-        with the same bits as each point alone.  One point has nothing to
-        share: its region-A, region-B and region-C draws are gathered and
-        evaluated apart, except that region C is evaluated on every draw (and
-        overwritten on the others) when it holds at least DENSE_C_SHARE of
-        them.  The groups share four work arrays, block_f's outputs: each
-        group is valid until the next.
+        its region's formula.  Region-C values are computed once per draw for
+        all the kernel's points; the last pair gives them, as one row, to
+        every point beyond both of _sure_c_bounds' radii.  The other points
+        are taken in groups of ``step``, in point order: the group's region-C
+        cells take the shared values, and its region-A and region-B cells are
+        evaluated in gathers of at most GATHER_CELLS, with the same bits as
+        each point alone.  One point has nothing to share: its region-A,
+        region-B and region-C draws are gathered and evaluated apart, except
+        that region C is evaluated on every draw (and overwritten on the
+        others) when it holds at least DENSE_C_SHARE of them.  The groups
+        share four work arrays, block_f's outputs: each is valid until the next.
         """
         geom, cfg, d, zs, zv = self.geom, self.cfg, noise.d, z @ self.geom.sproj, z @ self.geom.vproj
         mu_a, wus = self._terms.vs[:, 0] / math.sqrt(geom.v_star), self._terms.wus[:, 0]
@@ -128,27 +147,30 @@ class ConditionalKernel:
                 row[a] = _zero_slopes(geom, cfg, d.take(a), quad_v.take(a), mu_a[0])
             if len(b):
                 row[b] = _common_slope(geom, cfg, d.take(b), quad_w.take(b), wus[0], zs.take(b))
-            yield values
+            yield [0], values
             return
-        n, points = len(d), len(self.slopes)
-        region_c = _separate(geom, cfg, d, zv)
-        work = [np.empty((min(step, points), n)) for _ in range(4)]
-        for first in range(0, points, step):
-            terms = SlopeTerms(*(field[first : first + step] for field in self._terms))
-            in_a, ok_xi, group, _, quad_v, quad_w = block_f(noise, terms, geom, cfg, [w[: len(terms.vs)] for w in work])
+        n, region_c = len(d), _separate(geom, cfg, d, zv)
+        sure_c = (np.sqrt(np.hstack([self._terms.svs, self._terms.usu])) > _sure_c_bounds(geom, cfg, noise)).all(axis=1)
+        rest = np.flatnonzero(~sure_c)
+        work = [np.empty((min(step, len(rest)), n)) for _ in range(4)]
+        for rows in (rest[i : i + step] for i in range(0, len(rest), step)):
+            terms = SlopeTerms(*(field[rows] for field in self._terms))
+            in_a, ok_xi, group, _, quad_v, quad_w = block_f(noise, terms, geom, cfg, [w[: len(rows)] for w in work])
             group[...] = region_c
             cells = group.reshape(-1)
             # (cells, formula, its per-cell, per-point and per-draw parts); region B: ok_xi and not in_a
             for mask, formula, quad, per_point, per_draw in (
-                (in_a, _zero_slopes, quad_v, mu_a[first:], ()),
-                (ok_xi > in_a, _common_slope, quad_w, wus[first:], (zs,)),
+                (in_a, _zero_slopes, quad_v, mu_a[rows], ()),
+                (ok_xi > in_a, _common_slope, quad_w, wus[rows], (zs,)),
             ):
                 region = np.flatnonzero(mask)
                 for part in (region[i : i + GATHER_CELLS] for i in range(0, len(region), GATHER_CELLS)):
                     point, draw = np.divmod(part, n)
                     parts = (quad.take(part), per_point.take(point), *(x.take(draw) for x in per_draw))
                     cells[part] = formula(geom, cfg, d.take(draw), *parts)
-            yield group
+            yield rows, group
+        if sure_c.any():
+            yield sure_c.nonzero()[0], region_c[None]
 
     def conditional_cp_batch(self, q, d) -> np.ndarray:
         """Conditional coverage of the selected interval, row-wise on q (n, k) against d (n,).
@@ -162,4 +184,4 @@ class ConditionalKernel:
         if q.ndim != 2 or d.ndim != 1 or not np.all(d > 0.0):
             raise DomainError(f"q must be (n, {self.geom.k}) and d (n,) and positive, got {q.shape} and {d}")
         z = q - self.slopes[0]
-        return next(self.blocks(z, SlopeNoise.of(z, d, self.geom), 1))[0]
+        return next(self.blocks(z, SlopeNoise.of(z, d, self.geom), 1))[1][0]

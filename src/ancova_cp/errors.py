@@ -30,13 +30,24 @@ class InsufficientLowCPPoints(AncovaError):
     """Too few low-coverage grid points to fit a line locus."""
 
 
-def check_count(name: str, value, least: int) -> int:
-    """``value`` as an int if it is a non-bool integer of at least ``least``, else DomainError.
+def _shown(value) -> str:
+    """repr(value), cut in the middle to 40 characters so that an error line stays short."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past Python's limit on digits converted to str
+        text = f"an integer of {value.bit_length()} bits"
+    return text if len(text) <= 40 else f"{text[:18]}...{text[-19:]}"
+
+
+def check_count(name: str, value, least: int, most: int | None = None) -> int:
+    """``value`` as an int if it is a non-bool integer from ``least`` to ``most`` (no cap if None), else DomainError.
 
     Floats are refused even when integral, so a count is never truncated.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
+        raise DomainError(f"{name} must be an integer of at least {least}, got {_shown(value)}")
+    if most is not None and value > most:
+        raise DomainError(f"{name} must be an integer of at most {most}, got {_shown(value)}")
     return int(value)
 
 
@@ -52,7 +63,7 @@ def check_real(name: str, value) -> float:
     except OverflowError:  # an int or Fraction beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise DomainError(f"{name} must be a number (finite, not a string or bool), got {value!r}")
+        raise DomainError(f"{name} must be a number (finite, not a string or bool), got {_shown(value)}")
     return number
 
 
@@ -75,5 +86,5 @@ def check_reals(name: str, values, length: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # a longdouble beyond the float range becomes inf, refused below
         floats = array.astype(float, copy=False)
     if not np.isfinite(floats).all():
-        raise DomainError(f"{name} must be finite numbers, got {array[~np.isfinite(floats)][0]!s}")
+        raise DomainError(f"{name} must be finite numbers, got {_shown(array[~np.isfinite(floats)][0])}")
     return floats

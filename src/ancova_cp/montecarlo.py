@@ -53,6 +53,7 @@ __all__ = [
 
 CHUNK_SIZE = 8192
 BLOCK_CELLS = 2 * CHUNK_SIZE
+MAX_RUNS = 2**32  # the most runs of one estimate: a list of at most 2**19 chunk sizes
 THREADS_ENV_VAR = "ANCOVA_CP_THREADS"
 
 
@@ -99,7 +100,7 @@ def default_workers() -> int:
 
 
 def _chunk_sizes(runs) -> list[int]:
-    full, rem = divmod(check_count("runs", runs, 1), CHUNK_SIZE)
+    full, rem = divmod(check_count("runs", runs, 1, MAX_RUNS), CHUNK_SIZE)
     return [CHUNK_SIZE] * full + ([rem] if rem else [])
 
 
@@ -154,9 +155,9 @@ def _event_values(slopes, draws, geom, cfg):
 
 
 def _each(values):
-    """Per-draw values of each block of slope points, from a function of one block."""
+    """(rows, per-draw values) of each block of slope points, from a function of one block."""
     return lambda slopes, step, draws, geom, cfg: (
-        values(slopes[i : i + step], draws, geom, cfg) for i in range(0, len(slopes), step)
+        (slice(i, i + step), values(slopes[i : i + step], draws, geom, cfg)) for i in range(0, len(slopes), step)
     )
 
 
@@ -165,7 +166,7 @@ def _gate(test):
     return _draw_slopes, _each(lambda s, draws, geom, cfg: block_f(draws[1], SlopeTerms.of(s, geom), geom, cfg)[test])
 
 
-# estimator tag -> (per-chunk draws, per-draw values of each block of the slope points)
+# estimator tag -> (per-chunk draws, (rows, per-draw values) of each block of the slope points)
 _ESTIMATORS = {
     "naive": (_draw_full, _each(lambda s, draws, geom, cfg: batch_events(*draws, s, geom, cfg).covers_selected)),
     # groups of two blocks' points, 4·CHUNK_SIZE cells (16 rows at 2000 runs), keep the kernel's work
@@ -210,7 +211,8 @@ def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs) -> _Moment
     against them, in blocks of at most BLOCK_CELLS cells, so a chunk is drawn
     once, never once per point; the block size comes from the chunk's own
     length, so a short tail chunk takes more points per block.  ``values``
-    gets all the points, so it can share point-free work among its blocks.
+    gets all the points, so it can share point-free work among its blocks, and yields
+    (rows, block) pairs in any order; a one-row block may stand for several rows.
     While a task runs, NumPy's ufunc buffer (thread-local) is sized to the
     chunk, rounded up to a multiple of 16: a (P, 1) by (size,) broadcast
     shorter than the buffer goes through NumPy's buffered iterator, up to
@@ -231,10 +233,13 @@ def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs) -> _Moment
         old = np.setbufsize(-(-size // 16) * 16)
         try:
             draws = draw(_stream(seed, tag, chunk), geom, size)
-            blocks = [_Moments.of(block) for block in values(slopes, max(1, BLOCK_CELLS // size), draws, geom, cfg)]
+            blocks = [(r, _Moments.of(b)) for r, b in values(slopes, max(1, BLOCK_CELLS // size), draws, geom, cfg)]
         finally:
             np.setbufsize(old)
-        return _Moments(blocks[0].n, *(np.concatenate(field) for field in list(zip(*blocks))[1:]))
+        mean, m2 = (np.empty((len(slopes), *blocks[0][1].mean.shape[1:])) for _ in range(2))
+        for rows, moments in blocks:
+            mean[rows], m2[rows] = moments.mean, moments.m2
+        return _Moments(size, mean, m2)
 
     width = min(width, len(jobs))
     if width == 1:

@@ -21,7 +21,7 @@ needs the relevant test to reject there with probability close to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,8 +107,13 @@ def _halved(lattice: np.ndarray, points: np.ndarray, *args) -> list[CoverageEsti
     if not np.array_equal(lattice, -lattice[::-1]):
         return estimate_points(points, *args)
     half = estimate_points(points[: (len(points) + 1) // 2], *args)
-    mirrored = zip(half[: len(points) // 2][::-1], points[len(half) :].tolist())
-    return half + [replace(est, point=_checked_point(row)) for est, row in mirrored]
+    return half + _mirrored(half[: len(points) // 2], points[len(half) :])
+
+
+def _mirrored(ests, rows: np.ndarray) -> list[CoverageEstimate]:
+    """Row i of ``rows`` with the estimate and SE of ests[-1 - i], whose point is -rows[i]."""
+    pairs = zip(ests[::-1], rows.tolist())
+    return [CoverageEstimate(e.estimate, e.se, e.runs, e.estimator, e.seed, _checked_point(row)) for e, row in pairs]
 
 
 def grid_points(spec: GridSpec, ndim: int) -> list[SlopePoint]:
@@ -169,19 +174,12 @@ def fit_low_cp_lines(
             f"got {len(clusters[0])} and {len(clusters[1])}"
         )
     ndim = low.shape[1]
-    c_lo = min(pt.values[0] for pt, _ in table)
-    c_hi = max(pt.values[0] for pt, _ in table)
+    first_axis = [pt.values[0] for pt, _ in table]
     lines = []
     for cluster in clusters:
         offsets = (cluster - cluster[:, :1]).mean(axis=0)
         offsets[0] = 0.0
-        lines.append(
-            LineLocus(
-                direction=(1.0,) * ndim,
-                offsets=tuple(float(v) for v in offsets),
-                c_range=(c_lo, c_hi),
-            )
-        )
+        lines.append(LineLocus((1.0,) * ndim, tuple(float(v) for v in offsets), (min(first_axis), max(first_axis))))
     return lines[0], lines[1]
 
 
@@ -208,9 +206,9 @@ def line_profile(
 ) -> LineProfile:
     """Profile the coverage along a line and refine its minimum.
 
-    The refinement fits a parabola through the three lowest profile values
-    and takes its vertex; if the parabola is not convex or the vertex falls
-    outside the profiled range, the lattice minimum stands.
+    The c values are _axis(lo, hi, n_points), exactly antisymmetric when lo == -hi.  The refinement fits a
+    parabola through the three lowest profile values and takes its vertex; if the parabola is not convex or
+    the vertex falls outside the profiled range, the lattice minimum stands.
     """
     check_count("n_points", n_points, 3)
     c_range = check_reals("c_range", line.c_range, 2)
@@ -221,8 +219,13 @@ def line_profile(
     if direction.ndim != 1:
         raise DomainError(f"line direction and offsets must be vectors, got {line.direction} and {line.offsets}")
     _resolve_estimator(estimator)
-    cs = np.linspace(lo, hi, n_points)
+    cs = _axis(lo, hi, n_points)
     ests = estimate_points(offsets + cs[:, None] * direction, geom, cfg, estimator, runs, seed, n_jobs)
+    return _refined(line, cs, ests)
+
+
+def _refined(line: LineLocus, cs: np.ndarray, ests: list[CoverageEstimate]) -> LineProfile:
+    """The profile of ``line`` from its estimates at ``cs``, its minimum refined as line_profile says."""
     values = np.asarray([e.estimate for e in ests])
     order = np.argsort(values, kind="stable")[:3]
     quad = np.polyfit(cs[order], values[order], 2)
@@ -230,7 +233,7 @@ def line_profile(
     cp_min = float(values[order[0]])
     if quad[0] > 0.0:
         vertex = -0.5 * quad[1] / quad[0]
-        if lo <= vertex <= hi:
+        if cs[0] <= vertex <= cs[-1]:
             c_min = float(vertex)
             cp_min = float(np.polyval(quad, vertex))
     return LineProfile(line=line, cs=tuple(float(c) for c in cs), estimates=tuple(ests), c_min=c_min, cp_min=cp_min)
@@ -305,7 +308,8 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     minimum of the second-stage-only coverage over the slope-difference square.  Boundary gate probabilities
     that do not clear GATE_WARN_BELOW become warnings in the diagnostics, never errors.  With symmetric bounds
     the cube, the square (its coverage is even in the slope differences) and both corner sets evaluate one
-    point of each mirrored pair (see _halved).
+    point of each mirrored pair (see _halved), and so do the profile minimizers; the second profile's entry j
+    takes the first's entry n-1-j if its point is that entry's negation (mirrored lines over lo == -hi).
     """
     geom, cfg = config.geom, config.cfg
     cube, square = config.cube, config.square
@@ -329,12 +333,15 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     except InsufficientLowCPPoints as exc:
         warnings.append(f"line fitting skipped: {exc}")
     if lines is not None:
-        profiles = tuple(
-            line_profile(line, geom, cfg, config.profile_points, cube.runs, cube.seed, config.estimator, n_jobs)
-            for line in lines
-        )
+        args = (geom, cfg, config.profile_points, cube.runs, cube.seed, config.estimator, n_jobs)
+        one = line_profile(lines[0], *args)
+        cs = np.asarray(one.cs)
+        points = [np.asarray(line.offsets) + cs[:, None] * np.asarray(line.direction) for line in lines]
+        mirror = lines[1].c_range == lines[0].c_range and np.array_equal(points[1], -points[0][::-1])
+        two = _refined(lines[1], cs, _mirrored(one.estimates, points[1])) if mirror else line_profile(lines[1], *args)
+        profiles = (one, two)
         minima = np.array([np.asarray(p.line.offsets) + p.c_min * np.asarray(p.line.direction) for p in profiles])
-        candidates += estimate_points(minima, geom, cfg, config.estimator, cube.runs, cube.seed, n_jobs)
+        candidates += _halved(minima, minima, geom, cfg, config.estimator, cube.runs, cube.seed, n_jobs)
     min1 = min(candidates, key=lambda e: e.estimate)
 
     square_ests = _halved(deltas, far, geom, cfg, config.estimator, square.runs, square.seed, n_jobs)

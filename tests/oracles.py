@@ -6,7 +6,9 @@ conditional coverage from resampling instead of the closed form, the
 closed form itself from one nested np.where pass over every cell instead of
 one formula per selection region, restricted fits from re-solved least
 squares instead of projection matrices, and gate probabilities from scipy's
-noncentral F distribution.
+noncentral F distribution.  ``assembled`` lays out the (rows, block) pairs of
+a value function as one (points, draws) array, and ``certified`` names the
+points the conditional kernel gives the shared region-C row.
 """
 
 from __future__ import annotations
@@ -259,3 +261,23 @@ def conditional_cells(geom, cfg, d, zv=0.0, *, in_a=False, ok_xi=False, quad_v=0
     mu -= half
     p -= special.ndtr(mu, out=mu)
     return np.maximum(p, 0.0, out=p)
+
+
+def assembled(pairs, points: int) -> np.ndarray:
+    """The (points, n) values of a value function's (rows, block) pairs; every point must be covered exactly once."""
+    out, covered = None, np.zeros(points, dtype=int)
+    for rows, block in pairs:
+        out = np.full((points, block.shape[-1]), np.nan) if out is None else out
+        out[rows] = block  # before the next pair: groups share their work arrays
+        covered[rows] += 1
+    assert (covered == 1).all(), covered
+    return out
+
+
+def certified(geom, cfg, noise, slopes) -> np.ndarray:
+    """Whether each slope point lies beyond both radii of _sure_c_bounds, so the kernel skips it."""
+    from ancova_cp.conditional import _sure_c_bounds
+    from ancova_cp.selection import SlopeTerms
+
+    terms = SlopeTerms.of(np.atleast_2d(slopes), geom)
+    return (np.sqrt(np.hstack([terms.svs, terms.usu])) > _sure_c_bounds(geom, cfg, noise)).all(axis=1)

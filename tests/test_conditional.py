@@ -10,7 +10,7 @@ from scipy import special
 from ancova_cp import ConditionalKernel, DomainError, batch_events, conditional
 from ancova_cp.montecarlo import BLOCK_CELLS, _draw_slopes, _stream
 from ancova_cp.selection import SlopeTerms, block_f
-from oracles import conditional_cells, conditional_coverage_mc
+from oracles import assembled, certified, conditional_cells, conditional_coverage_mc
 
 N_DRAWS = 100_000
 
@@ -133,6 +133,8 @@ REGION_CASES = {
     "unbalanced k=4": ("k4", None, 0.6, 0.6),
     "all region A": ("ref", (math.inf, math.inf), 0.1, 0.2),
     "all region C": ("ref", (0.0, 0.0), 0.1, 0.2),
+    # 8 to 10 of the 11 points certified to lie in region C on every draw, the others in regions B and C
+    "wide, mostly certified": ("ref", None, 0.5, 1.0),
 }
 
 
@@ -149,7 +151,10 @@ def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, 
         z, noise = _draw_slopes(_stream(6, "conditioned", 0), geom, runs)
         in_a, ok_xi, _, _, quad_v, quad_w = block_f(noise, terms, geom, cfg)
         in_b, in_c = ok_xi & ~in_a, ~(in_a | ok_xi)
-        if cutoffs is None and runs >= 1808:
+        sure_c = certified(geom, cfg, noise, slopes)
+        if case.startswith("wide"):
+            assert sure_c.any() and not sure_c.all()
+        elif cutoffs is None and runs >= 1808:
             assert in_a.any() and in_b.any() and in_c.any()
         elif cutoffs is not None:
             assert (in_c if cutoffs[0] == 0.0 else in_a).all()
@@ -158,18 +163,28 @@ def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, 
             vs=terms.vs, wus=terms.wus, zs=z @ geom.sproj,
         )
         # the shipped group size, as _reduce passes it; then groups of 4 points (the last one
-        # short) and gathers of 7 cells, so that A and B cells straddle both
+        # short) and gathers of 7 cells, so that A and B cells straddle both.  Every row, the
+        # certified ones included, must be the reference's; the uncertified points come in
+        # groups of step in point order, then one region-C row for all certified points
         for step, gather in ((2 * max(1, BLOCK_CELLS // runs), None), (4, 7)):
             if gather is not None:
                 monkeypatch.setattr(conditional, "GATHER_CELLS", gather)
-            shared = [b.copy() for b in ConditionalKernel(geom, cfg, slopes).blocks(z, noise, step)]
-            assert [len(b) for b in shared[:-1]] == [step] * (len(shared) - 1)
-            assert np.concatenate(shared).tobytes() == want.tobytes()
+            pairs = [(list(rows), b.copy()) for rows, b in ConditionalKernel(geom, cfg, slopes).blocks(z, noise, step)]
+            if sure_c.any():
+                rows, block = pairs.pop()
+                assert rows == np.flatnonzero(sure_c).tolist() and block.shape == (1, runs)
+            groups = [rows for rows, _ in pairs]
+            assert sum(groups, []) == np.flatnonzero(~sure_c).tolist()
+            assert [len(rows) for rows in groups[:-1]] == [step] * (len(groups) - 1)
+            assert assembled(ConditionalKernel(geom, cfg, slopes).blocks(z, noise, step), len(slopes)).tobytes() == (
+                want.tobytes()
+            )
         # a lone point: region C gathered, or evaluated on every draw
         for share in (0.0, conditional.DENSE_C_SHARE, 1.0):
             monkeypatch.setattr(conditional, "DENSE_C_SHARE", share)
             for point, row in zip(slopes, want):
-                assert next(ConditionalKernel(geom, cfg, point).blocks(z, noise, 1)).tobytes() == row.tobytes()
+                rows, block = next(ConditionalKernel(geom, cfg, point).blocks(z, noise, 1))
+                assert list(rows) == [0] and block.tobytes() == row.tobytes()
         monkeypatch.undo()
 
 

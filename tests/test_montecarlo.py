@@ -17,11 +17,11 @@ from ancova_cp import (
     gate_probability,
     grid_eval,
 )
-from ancova_cp import montecarlo
+from ancova_cp import conditional, montecarlo
 from ancova_cp.conditional import ConditionalKernel
 from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _draw_slopes, _Moments, _stream, default_workers
 from ancova_cp.selection import SlopeTerms, block_f
-from oracles import direct_geometry, gate_prob_ncf
+from oracles import assembled, direct_geometry, gate_prob_ncf
 
 POINT = SlopePoint.of((0.05, 0.1, 0.0))
 
@@ -497,7 +497,7 @@ def test_buffer_is_sized_per_chunk_and_restored(ref, monkeypatch, caller):
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_each_chunk_sizes_its_blocks_from_its_own_length(ref, monkeypatch, n_jobs):
     # 10 000 runs are chunks of 8192 and 1808 draws: 2-point and 9-point blocks of at most BLOCK_CELLS
-    # cells, which the conditioned kernel takes two at a time
+    # cells, which the conditioned kernel takes two at a time; here no point is proven to lie in region C
     _, _, geom, cfg = ref
     draw, values = montecarlo._ESTIMATORS["conditioned"]
     seen = []
@@ -505,14 +505,50 @@ def test_each_chunk_sizes_its_blocks_from_its_own_length(ref, monkeypatch, n_job
     def spied(slopes, step, draws, geom, cfg):
         rows = []
         seen.append((len(draws[1].d), rows))
-        for block in values(slopes, step, draws, geom, cfg):
-            rows.append(len(block))
-            yield block
+        for points, block in values(slopes, step, draws, geom, cfg):
+            rows.append((len(points), len(block)))
+            yield points, block
 
     monkeypatch.setitem(montecarlo._ESTIMATORS, "conditioned", (draw, spied))
-    points = np.random.default_rng(8).uniform(-0.3, 0.3, (20, 3))
+    points = np.random.default_rng(8).uniform(-0.1, 0.1, (20, 3))
     estimate_points(points, geom, cfg, "conditioned", runs=10_000, seed=2, n_jobs=n_jobs)
-    assert sorted(seen) == [(1808, [18, 2]), (CHUNK_SIZE, [4] * 5)]
+    assert sorted(seen) == [(1808, [(18, 18), (2, 2)]), (CHUNK_SIZE, [(4, 4)] * 5)]
+    # with 20 points ten times as far out, a chunk's certified points come last, as one row
+    seen.clear()
+    estimate_points(np.concatenate([points, 10 * points]), geom, cfg, "conditioned", runs=10_000, seed=2, n_jobs=n_jobs)
+    (_, short), (_, full) = sorted(seen)
+    for blocks, step in ((short, 18), (full, 4)):
+        *groups, (certified, one) = blocks
+        assert one == 1 and certified > 1 and sum(g for g, _ in groups) + certified == 40
+        assert all(g == b == step for g, b in groups[:-1]) and groups[-1][0] == groups[-1][1] <= step
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_region_c_certification_moves_no_bit(ref, monkeypatch, n_jobs):
+    # a 5^3 lattice on [-1, 1]^3 at 9000 runs (chunks of 8192 and 808 draws): each chunk certifies part
+    # of the points; certifying none must give every estimate and SE the same bits
+    _, _, geom, cfg = ref
+    axis = np.linspace(-1.0, 1.0, 5)
+    points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    draw, values = montecarlo._ESTIMATORS["conditioned"]
+    certified = []
+
+    def counted(*args):
+        # the rows a one-row block stands for are the certified ones
+        count = 0
+        for rows, block in values(*args):
+            count += len(rows) if len(rows) > len(block) else 0
+            yield rows, block
+        certified.append(count)
+
+    monkeypatch.setitem(montecarlo._ESTIMATORS, "conditioned", (draw, counted))
+    shipped = estimate_points(points, geom, cfg, "conditioned", runs=9000, seed=5, n_jobs=n_jobs)
+    assert len(certified) == 2 and 0 < min(certified) and max(certified) < len(points)
+    monkeypatch.undo()
+    monkeypatch.setattr(conditional, "_sure_c_bounds", lambda *args: np.full(2, np.inf))
+    plain = estimate_points(points, geom, cfg, "conditioned", runs=9000, seed=5, n_jobs=n_jobs)
+    fields = [np.array([(e.estimate, e.se, e.runs) for e in ests]) for ests in (shipped, plain)]
+    assert fields[0].tobytes() == fields[1].tobytes()
 
 
 @pytest.mark.parametrize("points, runs", [(8, 2000), (2, 8192), (9, 1808), (1, 37)])
@@ -524,9 +560,9 @@ def test_block_kernels_are_bit_identical_at_any_buffer_size(ref, points, runs):
 
     def kernels():
         outs = block_f(noise, SlopeTerms.of(slopes, geom), geom, cfg)
-        outs += tuple(np.concatenate([b.copy() for b in ConditionalKernel(geom, cfg, slopes).blocks(z, noise, 3)]))
+        outs += (assembled(ConditionalKernel(geom, cfg, slopes).blocks(z, noise, 3), len(slopes)),)
         for point in slopes[:2]:
-            outs += tuple(ConditionalKernel(geom, cfg, point).blocks(z, noise, 1))
+            outs += tuple(block for _, block in ConditionalKernel(geom, cfg, point).blocks(z, noise, 1))
         outs += tuple(batch_events(delta, d, slopes, geom, cfg)) + tuple(batch_events(delta, d, slopes[0], geom, cfg))
         return [(out.dtype, out.shape, out.tobytes()) for out in outs]
 

@@ -41,7 +41,7 @@ from ancova_cp import (
     t_quantile,
 )
 from ancova_cp.cli import main
-from ancova_cp.errors import check_real, check_reals
+from ancova_cp.errors import check_count, check_real, check_reals
 
 
 def _low_table():
@@ -206,6 +206,53 @@ def test_config_number_beyond_float_exits_one(capsys, tmp_path):
     assert rc == 1
     assert captured.err.startswith("error: alpha must be a number")
     assert captured.out == ""
+    # the value is cut in the middle: the line held all 401 digits (467 characters)
+    assert len(captured.err.splitlines()) == 1 and len(captured.err.rstrip("\n")) <= 120
+    assert "111...111" in captured.err
+
+
+@pytest.mark.parametrize(
+    "check, value",
+    [
+        (lambda v: check_count("x", v, 1), -(10**400)),
+        (lambda v: check_count("x", v, 1, 10), 10**5000),
+        (lambda v: check_count("x", v, 1, 10), 10**400),
+        (lambda v: check_real("x", v), 10**400),
+        (lambda v: check_real("x", v), "9" * 500),
+        (lambda v: check_reals("x", [v, 0.0], 2), "9" * 500),
+    ],
+    ids=["count below", "count past str() digits", "count above", "real", "string real", "string in a vector"],
+)
+def test_refusal_messages_stay_short(check, value):
+    with pytest.raises(DomainError, match="^x must") as info:
+        check(value)
+    assert len(str(info.value)) <= 120
+
+
+@pytest.mark.parametrize("runs", [montecarlo.MAX_RUNS + 1, 10**87, 10**5000], ids=["cap + 1", "10**87", "10**5000"])
+@pytest.mark.parametrize("call", ["estimate_points", "estimate_conditioned", "oracle"])
+def test_runs_beyond_the_cap_are_refused_before_any_draw(ref, monkeypatch, runs, call):
+    # 10**87 runs ended in an OverflowError from the list of chunk sizes; a smaller huge count would build that list
+    _, _, geom, cfg = ref
+    streams = []
+    for module in (montecarlo, oracle_module):
+        monkeypatch.setattr(module, "_stream", lambda *a: streams.append(a))
+    calls = {
+        "estimate_points": lambda: estimate_points(np.zeros((2, 3)), geom, cfg, "naive", runs=runs),
+        "estimate_conditioned": lambda: estimate_conditioned((0.0, 0.1, 0.0), geom, cfg, runs=runs),
+        "oracle": lambda: estimate_cp_raw(np.zeros(6), 1.0, _layout(), cfg, geom.a, runs=runs, seed=0),
+    }
+    with pytest.raises(DomainError, match=f"runs must be an integer of at most {montecarlo.MAX_RUNS}"):
+        calls[call]()
+    assert streams == []
+
+
+def test_cli_refuses_runs_beyond_the_cap(capsys):
+    rc = main(["cp", "--point", "0,0.1,0", "--runs", str(10**87)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: runs must be an integer of at most {montecarlo.MAX_RUNS}")
+    assert len(captured.err.splitlines()[0]) <= 120
 
 
 def test_oracle_refuses_infinite_sigma(capsys):

@@ -7,6 +7,7 @@ come from derandomize=True and every Monte Carlo call uses a fixed seed,
 so each run checks the same designs against the same draws.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,8 +23,10 @@ from ancova_cp import (
     critical_values,
     estimate_points,
 )
+from ancova_cp.conditional import _sure_c_bounds
 from ancova_cp.oracle import agreement_with_events
 from ancova_cp.selection import SlopeNoise, SlopeTerms, batch_events, block_f
+from oracles import assembled, certified
 
 RUNS = 2000
 SEED = 17
@@ -109,10 +112,10 @@ def test_conditional_kernel_is_even_under_the_mirror(design):
     z, d = _draws(geom, geom.k)
     slopes = _slopes(points)
     for step in (1, len(slopes)):
-        plus = [g.copy() for g in ConditionalKernel(geom, cfg, slopes).blocks(z, SlopeNoise.of(z, d, geom), step)]
-        minus = [g.copy() for g in ConditionalKernel(geom, cfg, -slopes).blocks(-z, SlopeNoise.of(-z, d, geom), step)]
+        plus = assembled(ConditionalKernel(geom, cfg, slopes).blocks(z, SlopeNoise.of(z, d, geom), step), len(slopes))
+        minus = assembled(ConditionalKernel(geom, cfg, -slopes).blocks(-z, SlopeNoise.of(-z, d, geom), step), len(slopes))
         # both sides take the same region on every cell; only the band's rounding differs
-        np.testing.assert_allclose(np.concatenate(minus), np.concatenate(plus), rtol=0.0, atol=4 * np.finfo(float).eps)
+        np.testing.assert_allclose(minus, plus, rtol=0.0, atol=4 * np.finfo(float).eps)
     lone = ConditionalKernel(geom, cfg, slopes[0])
     mirrored = ConditionalKernel(geom, cfg, -slopes[0])
     q = slopes[0] + z
@@ -135,3 +138,30 @@ def test_selection_events_are_even_under_the_mirror(design):
     accept = block_f(SlopeNoise.of(z, d, geom), SlopeTerms.of(slopes, geom), geom, cfg)[:2]
     mirrored = block_f(SlopeNoise.of(-z, d, geom), SlopeTerms.of(-slopes, geom), geom, cfg)[:2]
     assert all(np.array_equal(m, a) for m, a in zip(mirrored, accept))
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(designs())
+def test_certified_points_lie_in_region_c_on_every_draw(design):
+    # the design's own cutoffs, then cutoffs of 0 (a margin relative to the cutoff alone proves
+    # nothing there) and of inf (no point can be certified)
+    _, geom, cfg, points = design
+    z, d = _draws(geom, geom.k)
+    noise = SlopeNoise.of(z, d, geom)
+    slopes = _slopes(points)
+    terms = SlopeTerms.of(slopes, geom)
+    radii = np.sqrt(np.concatenate([terms.svs, terms.usu], axis=1))
+    slopes, radii = slopes[(radii > 0.0).all(axis=1)], radii[(radii > 0.0).all(axis=1)]
+    for l_tau, l_xi in ((cfg.l_tau, cfg.l_xi), (0.0, 0.0), (0.0, math.inf), (math.inf, 0.0)):
+        forced = dataclasses.replace(cfg, l_tau=l_tau, l_xi=l_xi)
+        bounds = np.asarray(_sure_c_bounds(geom, forced, noise))
+        block = [slopes]
+        if np.isfinite(bounds).all():
+            # each point scaled to clear the larger of its two bounds by one part in 1e12, and by 1 %
+            scale = (bounds / radii).max(axis=1)
+            block += [slopes * (scale * factor)[:, None] for factor in (1.0 + 1e-12, 1.01)]
+        block = np.concatenate(block)
+        sure = certified(geom, forced, noise, block)
+        in_a, ok_xi = block_f(noise, SlopeTerms.of(block, geom), geom, forced)[:2]
+        assert not (in_a | ok_xi)[sure].any()
+        assert sure[len(slopes) :].all() if np.isfinite(bounds).all() else not sure.any()

@@ -149,9 +149,10 @@ def test_symmetric_lattices_evaluate_one_point_of_each_pair(ref, monkeypatch):
 
     report = min_cp_search(_bench_config(geom, cfg))
     assert report.lines is not None
-    # cube 365, two 21-point profiles, their two minima, square 41, gate corners 4 + 2
+    # cube 365, the first 21-point profile (the second is its mirror), one of the two mirrored
+    # minimizers, square 41, gate corners 4 + 2
     sizes = [len(c[0]) for c in calls]
-    assert sizes == [365, 21, 21, 2, 41, 4, 2] and sum(sizes) == 456
+    assert sizes == [365, 21, 1, 41, 4, 2] and sum(sizes) == 434
     for table in (report.cube_table, report.square_table):
         for (point, est), (mirror, twin) in zip(table, table[::-1]):
             # cube rows are SlopePoints, square rows tuples of slope differences
@@ -167,6 +168,24 @@ def test_symmetric_lattices_evaluate_one_point_of_each_pair(ref, monkeypatch):
     min_cp_search(_bench_config(geom, cfg, cube=cube, square=square))
     sizes = [len(c[0]) for c in calls]
     assert sizes[0] == 729 and sizes[-3:] == [81, 8, 4]
+
+
+def test_second_profile_is_the_mirror_of_the_first(ref):
+    # fitted on a mirrored cube table, the two lines are exact mirrors over (-0.25, 0.25): entry j of
+    # profile 2 is the estimate at -p_j (entry n-1-j of profile 1), carried at its own point p_j
+    _, _, geom, cfg = ref
+    first, second = min_cp_search(_bench_config(geom, cfg)).profiles
+    assert second.line.offsets == tuple(-v for v in first.line.offsets) and second.cs == first.cs
+    points = np.array([second.line.point_at(c).values for c in second.cs])
+    assert [est.point.values for est in second.estimates] == [tuple(row) for row in points.tolist()]
+    direct = estimate_points(-points, geom, cfg, "conditioned", 2000, 4)
+    assert [(e.estimate, e.se) for e in second.estimates] == [(e.estimate, e.se) for e in direct]
+    assert [(e.estimate, e.se) for e in second.estimates] == [(e.estimate, e.se) for e in first.estimates[::-1]]
+    # an independent seed at a few of its points: a real check, unlike the shared draws above
+    for j in (2, 7, 10, 15):
+        est = second.estimates[j]
+        other = estimate_conditioned(est.point, geom, cfg, runs=10_000, seed=11)
+        assert abs(est.estimate - other.estimate) <= 3 * math.hypot(est.se, other.se)
 
 
 def test_mirrored_cube_entries_agree_with_an_independent_seed(ref):
@@ -312,6 +331,19 @@ def test_line_profile_finds_interior_dip(ref):
     profile = line_profile(line, geom, cfg, n_points=9, runs=2500, seed=4)
     assert profile.cp_min < 0.6
     assert -0.25 < profile.c_min < 0.25
+
+
+def test_line_profile_c_values_are_antisymmetric_on_a_symmetric_range(ref):
+    _, _, geom, cfg = ref
+    symmetric = line_profile(LineLocus((1.0, 1.0, 1.0), (0.0, 0.05, 0.0), (-0.25, 0.25)), geom, cfg, 21, 300, 1)
+    spaced = np.linspace(-0.25, 0.25, 21)
+    assert symmetric.cs == tuple(-c for c in symmetric.cs[::-1]) and symmetric.cs[10] == 0.0
+    # np.linspace misses antisymmetry by one ulp at 7 of its 21 values; the axis stays within one ulp of it
+    assert np.count_nonzero(np.asarray(symmetric.cs) != spaced) == 7
+    assert np.all(np.abs(np.asarray(symmetric.cs) - spaced) <= np.spacing(0.25))
+    # an asymmetric range keeps np.linspace's values
+    asymmetric = line_profile(LineLocus((1.0, 1.0, 1.0), (0.0, 0.05, 0.0), (-0.25, 0.3)), geom, cfg, 21, 300, 1)
+    assert asymmetric.cs == tuple(np.linspace(-0.25, 0.3, 21).tolist())
 
 
 def test_line_profile_needs_three_points(ref):
