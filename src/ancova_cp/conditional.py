@@ -30,9 +30,9 @@ from scipy import special
 
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError, check_reals
-from .selection import SlopeNoise, SlopeTerms, block_f
+from .selection import SlopeNoise, SlopeTerms, block_f, f_thresholds, quad_form
 
-__all__ = ["ConditionalKernel"]
+__all__ = ["ConditionalKernel", "KernelDraws"]
 
 # the most region-A or region-B cells evaluated at once, which bounds a gather's memory
 GATHER_CELLS = 4096
@@ -77,20 +77,45 @@ def _separate(geom, cfg, d, zv):
 
 
 def _sure_c_bounds(geom, cfg, noise) -> np.ndarray:
-    """Radii of sqrt(s'V22^-1 s) and sqrt((U s)'W22^-1 (U s)) beyond which both tests reject on every draw.
+    """Radii of sqrt(s'V22^-1 s) and sqrt((U s)'W22^-1 (U s)) beyond which test 1 and test 2 reject on every draw.
 
-    With A = V22^-1, sigma = sqrt(s'As) and r_j = sqrt(zvz_j), quad_v >= (sigma - r_j)^2 for sigma >= r_j (triangle
-    inequality), and test 1 rejects on draw j once quad_v > l_tau d_j k / m; the W form is alike.  The radius,
-    max_j max(M r_j, r_j + sqrt(M cutoff d_j df / m)) with M = SURE_C_MARGIN, makes sigma >= M r_j and (sigma - r_j)^2
-    >= M cutoff d_j df / m hold on every draw, cutoff 0 included.  Rounding moves the computed form by at most about
-    4 dim^2 cond(A) eps (sigma + r_j)^2 <= 4 dim^2 cond(A) eps (2M / (M - 1))^2 (sigma - r_j)^2: under 0.4 % of
-    (sigma - r_j)^2, inside the margin, while dim^2 cond(A) <= SURE_C_MAX_COND.  Past that, or at cutoff inf, it is inf.
+    Each radius proves its own test's rejection, whatever the other form.  With A = V22^-1, sigma = sqrt(s'As) and
+    r_j = sqrt(zvz_j), quad_v >= (sigma - r_j)^2 for sigma >= r_j (triangle inequality), and test 1 rejects on draw j
+    once quad_v > l_tau d_j k / m; the W form and test 2 are alike.  The radius, max_j max(M r_j, r_j + sqrt(M cutoff
+    d_j df / m)) with M = SURE_C_MARGIN, makes sigma >= M r_j and (sigma - r_j)^2 >= M cutoff d_j df / m hold on every
+    draw, cutoff 0 included.  Rounding moves the computed form by at most about 4 dim^2 cond(A) eps (sigma + r_j)^2 <=
+    4 dim^2 cond(A) eps (2M / (M - 1))^2 (sigma - r_j)^2: under 0.4 % of (sigma - r_j)^2, inside the margin, while
+    dim^2 cond(A) <= SURE_C_MAX_COND.  Past that, or at cutoff inf, that radius is inf.
     """
     r = np.sqrt([noise.zvz, noise.zwz])
     cutoffs = np.array([[cfg.l_tau * geom.k], [cfg.l_xi * (geom.k - 1)]]) * (SURE_C_MARGIN / geom.m)
     radii = np.maximum(SURE_C_MARGIN * r, r + np.sqrt(noise.d * cutoffs)).max(axis=1)
     sound = [len(form) ** 2 * np.linalg.cond(form) <= SURE_C_MAX_COND for form in (geom.v22_inv, geom.w22_inv)]
     return np.where(sound, radii, math.inf)
+
+
+class KernelDraws:
+    """One chunk's draws as the kernel reads them, with the point-free work every kernel over them shares.
+
+    The slope noise z = q - gs (n, k) and, from it and d (n,): noise, their
+    SlopeNoise, and zs = z'sproj and zv = z'vproj, the draw parts of the
+    interval centres.  ``shared`` forms the region-C row, the radii of
+    _sure_c_bounds and the per-draw F thresholds on first use and keeps them,
+    so draws kept for later estimates (montecarlo's per-search memo) form
+    them once; every kernel evaluated against them needs their design and one config.
+    """
+
+    def __init__(self, z: np.ndarray, d: np.ndarray, geom: GeometryBundle):
+        self.z, self.noise, self.zs, self.zv = z, SlopeNoise.of(z, d, geom), z @ geom.sproj, z @ geom.vproj
+        self._shared = None
+
+    def shared(self, geom: GeometryBundle, cfg: TwoStageConfig):
+        """(region-C row (n,), radii (2,), thresholds (2, n) of f_thresholds), formed by the first call."""
+        if self._shared is None:
+            noise = self.noise
+            region_c, radii = _separate(geom, cfg, noise.d, self.zv), _sure_c_bounds(geom, cfg, noise)
+            self._shared = region_c, radii, f_thresholds(noise.d, geom, cfg)
+        return self._shared
 
 
 class ConditionalKernel:
@@ -111,25 +136,30 @@ class ConditionalKernel:
         self.slopes = np.atleast_2d(slopes)
         self._terms = SlopeTerms.of(self.slopes, geom)
 
-    def blocks(self, z: np.ndarray, noise: SlopeNoise, step: int):
+    def blocks(self, draws: KernelDraws, step: int):
         """(rows, values) pairs: conditional coverage of the points ``rows`` (rows) against shared draws (columns).
 
-        z (n, k) is the slope noise q - gs of the draws and noise its
-        quadratic-form parts, as built by SlopeNoise.of(z, d, geom).  Both
-        test decisions come from block_f, and each cell is evaluated only by
-        its region's formula.  Region-C values are computed once per draw for
-        all the kernel's points; the last pair gives them, as one row, to
-        every point beyond both of _sure_c_bounds' radii.  The other points
-        are taken in groups of ``step``, in point order: the group's region-C
-        cells take the shared values, and its region-A and region-B cells are
-        evaluated in gathers of at most GATHER_CELLS, with the same bits as
-        each point alone.  One point has nothing to share: its region-A,
-        region-B and region-C draws are gathered and evaluated apart, except
-        that region C is evaluated on every draw (and overwritten on the
-        others) when it holds at least DENSE_C_SHARE of them.  The groups
-        share four work arrays, block_f's outputs: each is valid until the next.
+        Each cell is evaluated only by its region's formula.  One point has
+        nothing to share: both test decisions come from block_f, and its
+        region-A, region-B and region-C draws are gathered and evaluated
+        apart, except that region C is evaluated on every draw (and
+        overwritten on the others) when it holds at least DENSE_C_SHARE of
+        them.  Several points share the draws' region-C row, thresholds and
+        radii (KernelDraws.shared).  A test accepts where its form is at most
+        the draw's threshold, block_f's decision in its other exact form.
+        Points past one of _sure_c_bounds' radii skip the quadratic form of
+        the test that radius proves to reject: past the first, region A is
+        empty and region B is every second-test accept; past the second,
+        region B is empty.  The points come in groups of ``step``, each in
+        point order, by class: past neither radius, past the first only, past
+        the second only; a group's region-C cells take the shared row, and its
+        region-A and region-B cells are evaluated in gathers of at most
+        GATHER_CELLS, with the same bits as each point alone.  The last pair
+        gives the region-C row, as one row, to every point past both radii.
+        The groups share three work arrays: each group is valid until the next.
         """
-        geom, cfg, d, zs, zv = self.geom, self.cfg, noise.d, z @ self.geom.sproj, z @ self.geom.vproj
+        geom, cfg, noise, zs = self.geom, self.cfg, draws.noise, draws.zs
+        d = noise.d
         mu_a, wus = self._terms.vs[:, 0] / math.sqrt(geom.v_star), self._terms.wus[:, 0]
         if len(self.slopes) == 1:
             # the shared path (region C on every draw) took 958 against 559 us per 8192 draws at (0, 0, 0),
@@ -139,38 +169,46 @@ class ConditionalKernel:
             # region B: ok_xi and not in_a
             a, b = in_a.nonzero()[0], (ok_xi > in_a).nonzero()[0]
             if len(d) - len(a) - len(b) >= DENSE_C_SHARE * len(d):
-                row[...] = _separate(geom, cfg, d, zv)
+                row[...] = _separate(geom, cfg, d, draws.zv)
             else:
                 c = (~(in_a | ok_xi)).nonzero()[0]
-                row[c] = _separate(geom, cfg, d.take(c), zv.take(c))
+                row[c] = _separate(geom, cfg, d.take(c), draws.zv.take(c))
             if len(a):
                 row[a] = _zero_slopes(geom, cfg, d.take(a), quad_v.take(a), mu_a[0])
             if len(b):
                 row[b] = _common_slope(geom, cfg, d.take(b), quad_w.take(b), wus[0], zs.take(b))
             yield [0], values
             return
-        n, region_c = len(d), _separate(geom, cfg, d, zv)
-        sure_c = (np.sqrt(np.hstack([self._terms.svs, self._terms.usu])) > _sure_c_bounds(geom, cfg, noise)).all(axis=1)
-        rest = np.flatnonzero(~sure_c)
-        work = [np.empty((min(step, len(rest)), n)) for _ in range(4)]
-        for rows in (rest[i : i + step] for i in range(0, len(rest), step)):
-            terms = SlopeTerms(*(field[rows] for field in self._terms))
-            in_a, ok_xi, group, _, quad_v, quad_w = block_f(noise, terms, geom, cfg, [w[: len(rows)] for w in work])
-            group[...] = region_c
-            cells = group.reshape(-1)
-            # (cells, formula, its per-cell, per-point and per-draw parts); region B: ok_xi and not in_a
-            for mask, formula, quad, per_point, per_draw in (
-                (in_a, _zero_slopes, quad_v, mu_a[rows], ()),
-                (ok_xi > in_a, _common_slope, quad_w, wus[rows], (zs,)),
-            ):
-                region = np.flatnonzero(mask)
-                for part in (region[i : i + GATHER_CELLS] for i in range(0, len(region), GATHER_CELLS)):
-                    point, draw = np.divmod(part, n)
-                    parts = (quad.take(part), per_point.take(point), *(x.take(draw) for x in per_draw))
-                    cells[part] = formula(geom, cfg, d.take(draw), *parts)
-            yield rows, group
-        if sure_c.any():
-            yield sure_c.nonzero()[0], region_c[None]
+        n = len(d)
+        region_c, radii, limits = draws.shared(geom, cfg)
+        # 0: past neither radius, 1: past the first only (test 0 rejects on every draw), 2: the second only, 3: both
+        kind = (np.sqrt(np.hstack([self._terms.svs, self._terms.usu])) > radii) @ np.array([1, 2])
+        work = [np.empty((min(step, np.count_nonzero(kind < 3)), n)) for _ in range(3)]
+        for which, tests in ((0, (0, 1)), (1, (1,)), (2, (0,))):
+            rest = np.flatnonzero(kind == which)
+            for rows in (rest[i : i + step] for i in range(0, len(rest), step)):
+                terms = SlopeTerms(*(field[rows] for field in self._terms))
+                group, *quads = (w[: len(rows)] for w in work)
+                # a test proven to reject on every draw accepts nowhere: False
+                in_a, ok_xi = (
+                    quad_form(noise, terms, test, quads[test], group) <= limits[test] if test in tests else np.False_
+                    for test in (0, 1)
+                )
+                group[...] = region_c
+                cells = group.reshape(-1)
+                # (cells, formula, its per-cell, per-point and per-draw parts); region B: ok_xi and not in_a
+                for mask, formula, quad, per_point, per_draw in (
+                    (in_a, _zero_slopes, quads[0], mu_a[rows], ()),
+                    (ok_xi > in_a, _common_slope, quads[1], wus[rows], (zs,)),
+                ):
+                    region = np.flatnonzero(mask)
+                    for part in (region[i : i + GATHER_CELLS] for i in range(0, len(region), GATHER_CELLS)):
+                        point, draw = np.divmod(part, n)
+                        parts = (quad.take(part), per_point.take(point), *(x.take(draw) for x in per_draw))
+                        cells[part] = formula(geom, cfg, d.take(draw), *parts)
+                yield rows, group
+        if (kind == 3).any():
+            yield np.flatnonzero(kind == 3), region_c[None]
 
     def conditional_cp_batch(self, q, d) -> np.ndarray:
         """Conditional coverage of the selected interval, row-wise on q (n, k) against d (n,).
@@ -183,5 +221,4 @@ class ConditionalKernel:
         d = check_reals("d", d, len(q))
         if q.ndim != 2 or d.ndim != 1 or not np.all(d > 0.0):
             raise DomainError(f"q must be (n, {self.geom.k}) and d (n,) and positive, got {q.shape} and {d}")
-        z = q - self.slopes[0]
-        return next(self.blocks(z, SlopeNoise.of(z, d, self.geom), 1))[1][0]
+        return next(self.blocks(KernelDraws(q - self.slopes[0], d, self.geom), 1))[1][0]

@@ -7,9 +7,10 @@ scale, which never has larger variance.
 
 Randomness is organized as counter-based Philox streams keyed by
 (seed, estimator tag, chunk index) and nothing else.  Runs are split into
-fixed-size chunks; each chunk's noise is drawn once and every slope point of
-a call is evaluated against it (common random numbers), in blocks of at most
-BLOCK_CELLS (point, draw) cells.  Per-point moments are merged in chunk
+fixed-size chunks; each chunk's noise is drawn once per call, or once per
+search (min_cp_search passes one memo to every estimate, see _reduce), and
+every slope point of a call is evaluated against it (common random
+numbers), in blocks of at most BLOCK_CELLS (point, draw) cells.  Per-point moments are merged in chunk
 order, so results are bit-identical for every thread count and block size,
 and are fully determined by (seed, tag, runs, point, chunk size).  Estimates
 at different points with the same seed share their draws on purpose; the
@@ -33,10 +34,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conditional import ConditionalKernel
+from .conditional import ConditionalKernel, KernelDraws
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError, check_count, check_reals
-from .selection import SlopeNoise, SlopeTerms, batch_events, block_f
+from .selection import SlopeTerms, batch_events, block_f
 
 __all__ = [
     "CHUNK_SIZE",
@@ -139,9 +140,8 @@ def _checked_point(values: list) -> SlopePoint:
 
 
 def _draw_slopes(rng, geom, size):
-    """Slope noise z ~ N(0, V22) and d ~ chi2_m, all the conditioned and gate values need."""
-    z = rng.standard_normal((size, geom.k)) @ geom.v22_chol.T
-    return z, SlopeNoise.of(z, rng.chisquare(geom.m, size), geom)
+    """Slope noise z ~ N(0, V22) and d ~ chi2_m as the kernel reads them, all the conditioned and gate values need."""
+    return KernelDraws(rng.standard_normal((size, geom.k)) @ geom.v22_chol.T, rng.chisquare(geom.m, size), geom)
 
 
 def _draw_full(rng, geom, size):
@@ -163,7 +163,9 @@ def _each(values):
 
 def _gate(test):
     """Whether the first (test 0) or second (test 1) selection test accepts, per draw."""
-    return _draw_slopes, _each(lambda s, draws, geom, cfg: block_f(draws[1], SlopeTerms.of(s, geom), geom, cfg)[test])
+    return _draw_slopes, _each(
+        lambda s, draws, geom, cfg: block_f(draws.noise, SlopeTerms.of(s, geom), geom, cfg)[test]
+    )
 
 
 # estimator tag -> (per-chunk draws, (rows, per-draw values) of each block of the slope points)
@@ -174,7 +176,7 @@ _ESTIMATORS = {
     # CPU, against 65.4 ms with 8 rows and 69.8 ms with 64 (median of 30 interleaved rounds, 2 vCPUs)
     "conditioned": (
         _draw_slopes,
-        lambda slopes, step, draws, geom, cfg: ConditionalKernel(geom, cfg, slopes).blocks(*draws, 2 * step),
+        lambda slopes, step, draws, geom, cfg: ConditionalKernel(geom, cfg, slopes).blocks(draws, 2 * step),
     ),
     "gate_tau": _gate(0),
     "gate_xi": _gate(1),
@@ -203,16 +205,22 @@ class _Moments(NamedTuple):
         return _Moments(n, mean, self.m2 + other.m2 + delta * delta * (self.n * other.n / n))
 
 
-def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs) -> _Moments:
+def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs, memo=None) -> _Moments:
     """Per-point moments of ``values`` over ``runs`` draws made by ``draw``.
 
     The one chunk loop.  Each chunk is one task: it makes the chunk's draws
     from the stream (seed, tag, chunk) and evaluates every slope point (P, k)
     against them, in blocks of at most BLOCK_CELLS cells, so a chunk is drawn
     once, never once per point; the block size comes from the chunk's own
-    length, so a short tail chunk takes more points per block.  ``values``
-    gets all the points, so it can share point-free work among its blocks, and yields
-    (rows, block) pairs in any order; a one-row block may stand for several rows.
+    length, so a short tail chunk takes more points per block.  ``memo``, a
+    dict owned by the caller, keeps each chunk's draws under (tag, seed,
+    chunk, size) for later calls with the same design and config, so a chunk
+    is drawn once per memo, not once per call (min_cp_search keeps one per
+    search), and the point-free work kept on the draws (KernelDraws.shared)
+    is done once too; without a memo, a chunk's draws die with its task.
+    ``values`` gets all the points, so it can share point-free work among its
+    blocks, and yields (rows, block) pairs in any order; a one-row block may
+    stand for several rows.
     While a task runs, NumPy's ufunc buffer (thread-local) is sized to the
     chunk, rounded up to a multiple of 16: a (P, 1) by (size,) broadcast
     shorter than the buffer goes through NumPy's buffered iterator, up to
@@ -230,10 +238,13 @@ def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs) -> _Moment
 
     def task(job):
         chunk, size = job
+        key = (tag, seed, chunk, size)
         old = np.setbufsize(-(-size // 16) * 16)
         try:
-            draws = draw(_stream(seed, tag, chunk), geom, size)
-            blocks = [(r, _Moments.of(b)) for r, b in values(slopes, max(1, BLOCK_CELLS // size), draws, geom, cfg)]
+            kept = {} if memo is None else memo  # without a memo the draws die with the task
+            if key not in kept:
+                kept[key] = draw(_stream(seed, tag, chunk), geom, size)
+            blocks = [(r, _Moments.of(b)) for r, b in values(slopes, max(1, BLOCK_CELLS // size), kept[key], geom, cfg)]
         finally:
             np.setbufsize(old)
         mean, m2 = (np.empty((len(slopes), *blocks[0][1].mean.shape[1:])) for _ in range(2))
@@ -259,6 +270,7 @@ def estimate_points(
     runs: int = 10_000,
     seed: int = 0,
     n_jobs=None,
+    memo=None,
 ) -> list[CoverageEstimate]:
     """Estimate at every slope point in one pass over shared draws.
 
@@ -267,12 +279,13 @@ def estimate_points(
     different points are correlated (common random numbers) and each one is
     bit-identical to the same point estimated alone.
     The standard error is the unbiased sample standard deviation of the
-    per-draw values divided by sqrt(runs).
+    per-draw values divided by sqrt(runs).  ``memo`` (a dict, see _reduce)
+    lets calls with one geom and cfg draw each chunk once; it never changes an estimate.
     """
-    if estimator not in _ESTIMATORS:
+    if not isinstance(estimator, str) or estimator not in _ESTIMATORS:
         raise DomainError(f"estimator must be one of {sorted(_ESTIMATORS)}, got {estimator!r}")
     slopes = _slopes(points, geom.k)
-    moments = _reduce(estimator, *_ESTIMATORS[estimator], slopes, geom, cfg, runs, seed, n_jobs)
+    moments = _reduce(estimator, *_ESTIMATORS[estimator], slopes, geom, cfg, runs, seed, n_jobs, memo)
     var = moments.m2 / (moments.n - 1) if moments.n > 1 else np.zeros_like(moments.m2)
     se = np.sqrt(var / moments.n)
     return [

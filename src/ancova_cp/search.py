@@ -61,10 +61,9 @@ GATE_WARN_BELOW = 0.99
 
 
 def _resolve_estimator(name: str):
-    try:
-        return _ESTIMATORS[name]
-    except KeyError:
-        raise DomainError(f'estimator must be one of {sorted(_ESTIMATORS)}, got {name!r}') from None
+    if not isinstance(name, str) or name not in _ESTIMATORS:
+        raise DomainError(f"estimator must be one of {sorted(_ESTIMATORS)}, got {name!r}")
+    return _ESTIMATORS[name]
 
 
 @dataclass(frozen=True)
@@ -99,14 +98,15 @@ def _lattice(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _halved(lattice: np.ndarray, points: np.ndarray, *args) -> list[CoverageEstimate]:
-    """estimate_points(points, *args), evaluating only the first ceil(P/2) rows if row P-1-i of ``lattice`` is -row i.
+def _halved(lattice: np.ndarray, points: np.ndarray, *args, memo=None) -> list[CoverageEstimate]:
+    """estimate_points(points, *args, memo=memo), evaluating only the first ceil(P/2) rows if ``lattice`` is symmetric.
 
-    Coverage and both gates are even in the slopes, so row P-1-i takes row i's estimate and SE: its value on (-z, d).
+    Symmetric means that row P-1-i is -row i.  Coverage and both gates are even in the slopes, so row P-1-i then
+    takes row i's estimate and SE: its value on (-z, d).
     """
     if not np.array_equal(lattice, -lattice[::-1]):
-        return estimate_points(points, *args)
-    half = estimate_points(points[: (len(points) + 1) // 2], *args)
+        return estimate_points(points, *args, memo=memo)
+    half = estimate_points(points[: (len(points) + 1) // 2], *args, memo=memo)
     return half + _mirrored(half[: len(points) // 2], points[len(half) :])
 
 
@@ -127,15 +127,18 @@ def grid_eval(
     geom: GeometryBundle,
     cfg: TwoStageConfig,
     n_jobs=None,
+    memo=None,
 ) -> list[tuple[SlopePoint, CoverageEstimate]]:
     """Estimate the coverage probability at every lattice point, against the draws of (spec.seed, spec.runs).
 
     Each entry equals the estimate of its point alone, except that on a centrally symmetric lattice
     (every lo == -hi) row P-1-i of the second half carries row i's estimate and SE (see _halved).
+    ``memo`` is passed to estimate_points.
     """
     _resolve_estimator(estimator)
     lattice = _lattice(spec.axes(geom.k))
-    return [(est.point, est) for est in _halved(lattice, lattice, geom, cfg, estimator, spec.runs, spec.seed, n_jobs)]
+    ests = _halved(lattice, lattice, geom, cfg, estimator, spec.runs, spec.seed, n_jobs, memo=memo)
+    return [(est.point, est) for est in ests]
 
 
 @dataclass(frozen=True)
@@ -203,12 +206,13 @@ def line_profile(
     seed: int = 0,
     estimator: str = "conditioned",
     n_jobs=None,
+    memo=None,
 ) -> LineProfile:
     """Profile the coverage along a line and refine its minimum.
 
     The c values are _axis(lo, hi, n_points), exactly antisymmetric when lo == -hi.  The refinement fits a
     parabola through the three lowest profile values and takes its vertex; if the parabola is not convex or
-    the vertex falls outside the profiled range, the lattice minimum stands.
+    the vertex falls outside the profiled range, the lattice minimum stands.  ``memo`` is passed to estimate_points.
     """
     check_count("n_points", n_points, 3)
     c_range = check_reals("c_range", line.c_range, 2)
@@ -220,7 +224,7 @@ def line_profile(
         raise DomainError(f"line direction and offsets must be vectors, got {line.direction} and {line.offsets}")
     _resolve_estimator(estimator)
     cs = _axis(lo, hi, n_points)
-    ests = estimate_points(offsets + cs[:, None] * direction, geom, cfg, estimator, runs, seed, n_jobs)
+    ests = estimate_points(offsets + cs[:, None] * direction, geom, cfg, estimator, runs, seed, n_jobs, memo=memo)
     return _refined(line, cs, ests)
 
 
@@ -309,7 +313,9 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     that do not clear GATE_WARN_BELOW become warnings in the diagnostics, never errors.  With symmetric bounds
     the cube, the square (its coverage is even in the slope differences) and both corner sets evaluate one
     point of each mirrored pair (see _halved), and so do the profile minimizers; the second profile's entry j
-    takes the first's entry n-1-j if its point is that entry's negation (mirrored lines over lo == -hi).
+    takes the first's entry n-1-j if its point is that entry's negation (mirrored lines over lo == -hi).  The
+    coverage estimates share one memo (see montecarlo._reduce), so each chunk is drawn once per search, not once
+    per phase; it dies with the call.
     """
     geom, cfg = config.geom, config.cfg
     cube, square = config.cube, config.square
@@ -322,8 +328,10 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     deltas = _lattice(square_axes)
     far = _far_points(deltas, offset)
     warnings: list[str] = []
+    # the estimator's chunks, kept for every phase but the gates: each gate tag is drawn by one call only
+    memo: dict = {}
 
-    cube_table = grid_eval(cube, config.estimator, geom, cfg, n_jobs=n_jobs)
+    cube_table = grid_eval(cube, config.estimator, geom, cfg, n_jobs=n_jobs, memo=memo)
     candidates = [min((est for _, est in cube_table), key=lambda e: e.estimate)]
 
     lines = None
@@ -333,7 +341,7 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     except InsufficientLowCPPoints as exc:
         warnings.append(f"line fitting skipped: {exc}")
     if lines is not None:
-        args = (geom, cfg, config.profile_points, cube.runs, cube.seed, config.estimator, n_jobs)
+        args = (geom, cfg, config.profile_points, cube.runs, cube.seed, config.estimator, n_jobs, memo)
         one = line_profile(lines[0], *args)
         cs = np.asarray(one.cs)
         points = [np.asarray(line.offsets) + cs[:, None] * np.asarray(line.direction) for line in lines]
@@ -341,10 +349,10 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
         two = _refined(lines[1], cs, _mirrored(one.estimates, points[1])) if mirror else line_profile(lines[1], *args)
         profiles = (one, two)
         minima = np.array([np.asarray(p.line.offsets) + p.c_min * np.asarray(p.line.direction) for p in profiles])
-        candidates += _halved(minima, minima, geom, cfg, config.estimator, cube.runs, cube.seed, n_jobs)
+        candidates += _halved(minima, minima, geom, cfg, config.estimator, cube.runs, cube.seed, n_jobs, memo=memo)
     min1 = min(candidates, key=lambda e: e.estimate)
 
-    square_ests = _halved(deltas, far, geom, cfg, config.estimator, square.runs, square.seed, n_jobs)
+    square_ests = _halved(deltas, far, geom, cfg, config.estimator, square.runs, square.seed, n_jobs, memo=memo)
     square_table = [(tuple(delta), est) for delta, est in zip(deltas, square_ests)]
     min2 = min(square_ests, key=lambda e: e.estimate)
 

@@ -7,10 +7,13 @@ squares of the separate-slopes fit.  sigma itself never appears at runtime.
 
 The first-stage F statistic tests "all slopes zero" against the separate-
 slopes model, the second-stage one tests "all slopes equal"; a test accepts
-on F <= cutoff, so ties go to the smaller model; block_f is the one place
-that rule is applied.  The selected interval is the zero-slopes one on
-region A (first test accepts), the common-slope one on region B (first
-rejects, second accepts) and the separate-slopes one on region C.
+on F <= cutoff, so ties go to the smaller model.  block_f is the one place
+that rule is applied in F form, and f_thresholds its other exact form: per
+draw, the largest quadratic form whose F block_f accepts, so a form at most
+that threshold takes block_f's decision, ties included.  The selected
+interval is the zero-slopes one on region A (first test accepts), the
+common-slope one on region B (first rejects, second accepts) and the
+separate-slopes one on region C.
 
 Coverage events are evaluated in a centered form that uses only the
 estimation noise delta = gamma_hat - gamma, the true slopes, and d.  The
@@ -113,8 +116,19 @@ class SlopeTerms(NamedTuple):
         return cls(2.0 * slopes, svs[:, None], 2.0 * us, usu[:, None], vs[:, None], wus[:, None])
 
 
-def _quad(two_s, s_mat_s, mat_z, z_mat_z, out, term):
-    """(s + z)' mat (s + z) for every (row of s, draw) pair, into out (P, n); term is scratch."""
+def _f_scales(geom: GeometryBundle) -> tuple[float, float]:
+    """m / df of each test, so that F = quad (m / df) / d."""
+    return geom.m / geom.k, geom.m / (geom.k - 1)
+
+
+def quad_form(noise: SlopeNoise, terms: SlopeTerms, test: int, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """One test's form (s + z)' A (s + z) for every (row of s, draw) pair, into out (P, n); term is scratch.
+
+    Test 0 (all slopes zero) has A = V22^-1; test 1 (all slopes equal) forms W22^-1 on U (s + z).
+    """
+    two_s, s_mat_s, mat_z, z_mat_z = (
+        (terms.two_s, terms.svs, noise.vz, noise.zvz) if test == 0 else (terms.two_us, terms.usu, noise.wuz, noise.zwz)
+    )
     np.multiply(two_s[:, :1], mat_z[0], out=out)
     for j in range(1, two_s.shape[1]):
         out += np.multiply(two_s[:, j : j + 1], mat_z[j], out=term)
@@ -123,21 +137,52 @@ def _quad(two_s, s_mat_s, mat_z, z_mat_z, out, term):
     return out
 
 
-def block_f(noise: SlopeNoise, terms: SlopeTerms, geom: GeometryBundle, cfg: TwoStageConfig, out=None):
+def block_f(noise: SlopeNoise, terms: SlopeTerms, geom: GeometryBundle, cfg: TwoStageConfig):
     """Both test decisions at slope points against shared draws, with their F statistics and forms.
 
     Returns (accept_tau, accept_xi, f_tau, f_xi, quad_v, quad_w), each (P, n),
-    with F = quad (m / df) / d and acceptance on F <= cutoff.  ``out`` may
-    give four (P, n) arrays to write f_tau, f_xi, quad_v, quad_w into.
+    with F = quad (m / df) / d and acceptance on F <= cutoff: the one place
+    that rule is applied in F form (f_thresholds is its other exact form).
     """
-    f_tau, f_xi, quad_v, quad_w = out or [np.empty((len(terms.two_s), len(noise.d))) for _ in range(4)]
-    _quad(terms.two_s, terms.svs, noise.vz, noise.zvz, quad_v, f_tau)
-    _quad(terms.two_us, terms.usu, noise.wuz, noise.zwz, quad_w, f_xi)
-    np.multiply(quad_v, geom.m / geom.k, out=f_tau)
+    shape = (len(terms.two_s), len(noise.d))
+    f_tau, f_xi = np.empty(shape), np.empty(shape)
+    quad_v, quad_w = (quad_form(noise, terms, test, np.empty(shape), f) for test, f in ((0, f_tau), (1, f_xi)))
+    scale_tau, scale_xi = _f_scales(geom)
+    np.multiply(quad_v, scale_tau, out=f_tau)
     f_tau /= noise.d
-    np.multiply(quad_w, geom.m / (geom.k - 1), out=f_xi)
+    np.multiply(quad_w, scale_xi, out=f_xi)
     f_xi /= noise.d
     return f_tau <= cfg.l_tau, f_xi <= cfg.l_xi, f_tau, f_xi, quad_v, quad_w
+
+
+_INF_BITS = np.array(np.inf).view(np.int64)
+
+
+def f_thresholds(d: np.ndarray, geom: GeometryBundle, cfg: TwoStageConfig) -> np.ndarray:
+    """(2, n): per test and draw j, the largest double Q_j whose F, formed as block_f forms it, is <= the cutoff.
+
+    F = fl(fl(quad (m / df)) / d_j) is nondecreasing in quad, so quad <= Q_j exactly when block_f accepts, ties
+    included.  Nonnegative doubles order as their int64 bit patterns, and Q_j is found by halving on them.  The
+    estimate cutoff d_j df / m lies within 2 patterns of Q_j in the normal range (design-like d, 8192 draws), so a
+    bracket of 3 either side takes three halvings; where it misses (subnormal or overflowing forms), the bracket
+    reaches 0.0 or inf, which takes up to 63.  Needs d > 0 and cutoffs >= 0; an infinite cutoff gives inf.
+    """
+    scale, cutoff = np.array(_f_scales(geom))[:, None], np.array([[cfg.l_tau], [cfg.l_xi]])
+
+    def passes(bits):
+        return (bits.view(float) * scale) / d <= cutoff
+
+    with np.errstate(over="ignore"):  # a form whose F overflows to inf fails
+        guess = np.minimum(cutoff * d / scale, np.finfo(float).max).view(np.int64)
+        lo, hi = np.maximum(guess - 3, 0), np.minimum(guess + 3, _INF_BITS)
+        lo_ok, hi_ok = passes(lo), passes(hi)
+        # 0.0 always passes; inf passes only an infinite cutoff
+        lo, hi = np.where(hi_ok, hi, np.where(lo_ok, lo, 0)), np.where(hi_ok, _INF_BITS, np.where(lo_ok, hi, lo))
+        while (gap := hi - lo).max() > 1:
+            mid = lo + gap // 2
+            ok = passes(mid)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return lo.view(float)
 
 
 def batch_events(

@@ -274,10 +274,15 @@ def assembled(pairs, points: int) -> np.ndarray:
     return out
 
 
-def certified(geom, cfg, noise, slopes) -> np.ndarray:
-    """Whether each slope point lies beyond both radii of _sure_c_bounds, so the kernel skips it."""
+def past_radii(geom, cfg, noise, slopes) -> np.ndarray:
+    """(P, 2): whether each slope point lies beyond each radius of _sure_c_bounds (that test rejects on every draw)."""
     from ancova_cp.conditional import _sure_c_bounds
     from ancova_cp.selection import SlopeTerms
 
     terms = SlopeTerms.of(np.atleast_2d(slopes), geom)
-    return (np.sqrt(np.hstack([terms.svs, terms.usu])) > _sure_c_bounds(geom, cfg, noise)).all(axis=1)
+    return np.sqrt(np.hstack([terms.svs, terms.usu])) > _sure_c_bounds(geom, cfg, noise)
+
+
+def certified(geom, cfg, noise, slopes) -> np.ndarray:
+    """Whether each slope point lies beyond both radii of _sure_c_bounds, so the kernel skips it."""
+    return past_radii(geom, cfg, noise, slopes).all(axis=1)

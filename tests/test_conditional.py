@@ -9,8 +9,8 @@ from scipy import special
 
 from ancova_cp import ConditionalKernel, DomainError, batch_events, conditional
 from ancova_cp.montecarlo import BLOCK_CELLS, _draw_slopes, _stream
-from ancova_cp.selection import SlopeTerms, block_f
-from oracles import assembled, certified, conditional_cells, conditional_coverage_mc
+from ancova_cp.selection import SlopeTerms, block_f, f_thresholds, quad_form
+from oracles import assembled, certified, conditional_cells, conditional_coverage_mc, past_radii
 
 N_DRAWS = 100_000
 
@@ -135,6 +135,8 @@ REGION_CASES = {
     "all region C": ("ref", (0.0, 0.0), 0.1, 0.2),
     # 8 to 10 of the 11 points certified to lie in region C on every draw, the others in regions B and C
     "wide, mostly certified": ("ref", None, 0.5, 1.0),
+    # a first-test cutoff of 60: 1 to 9 of the 11 points past the second radius only, their cells in regions A and C
+    "lenient first test": ("ref", (60.0, None), 0.6, 0.0),
 }
 
 
@@ -143,17 +145,21 @@ def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, 
     design, cutoffs, spread, level = REGION_CASES[case]
     _, _, geom, cfg = request.getfixturevalue(design)
     if cutoffs is not None:
-        cfg = dataclasses.replace(cfg, l_tau=cutoffs[0], l_xi=cutoffs[1])
+        cfg = dataclasses.replace(cfg, l_tau=cutoffs[0], l_xi=cfg.l_xi if cutoffs[1] is None else cutoffs[1])
     rng = np.random.default_rng(23)
     slopes = rng.uniform(-spread, spread, (11, geom.k)) + rng.uniform(-level, level, (11, 1))
     terms = SlopeTerms.of(slopes, geom)
     for runs in (1, 37, 1808, 2000, 8192):
-        z, noise = _draw_slopes(_stream(6, "conditioned", 0), geom, runs)
+        draws = _draw_slopes(_stream(6, "conditioned", 0), geom, runs)
+        z, noise = draws.z, draws.noise
         in_a, ok_xi, _, _, quad_v, quad_w = block_f(noise, terms, geom, cfg)
         in_b, in_c = ok_xi & ~in_a, ~(in_a | ok_xi)
         sure_c = certified(geom, cfg, noise, slopes)
+        kind = past_radii(geom, cfg, noise, slopes) @ np.array([1, 2])
         if case.startswith("wide"):
             assert sure_c.any() and not sure_c.all()
+        elif case.startswith("lenient"):
+            assert (kind == 2).any() and in_a[kind == 2].any() and not in_b[kind == 2].any()
         elif cutoffs is None and runs >= 1808:
             assert in_a.any() and in_b.any() and in_c.any()
         elif cutoffs is not None:
@@ -164,28 +170,58 @@ def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, 
         )
         # the shipped group size, as _reduce passes it; then groups of 4 points (the last one
         # short) and gathers of 7 cells, so that A and B cells straddle both.  Every row, the
-        # certified ones included, must be the reference's; the uncertified points come in
-        # groups of step in point order, then one region-C row for all certified points
+        # certified ones included, must be the reference's; the other points come by class (past
+        # neither radius, past the first only, past the second only), each in point order and in
+        # groups of step, then one region-C row for all points past both radii
         for step, gather in ((2 * max(1, BLOCK_CELLS // runs), None), (4, 7)):
             if gather is not None:
                 monkeypatch.setattr(conditional, "GATHER_CELLS", gather)
-            pairs = [(list(rows), b.copy()) for rows, b in ConditionalKernel(geom, cfg, slopes).blocks(z, noise, step)]
+            pairs = [(list(rows), b.copy()) for rows, b in ConditionalKernel(geom, cfg, slopes).blocks(draws, step)]
             if sure_c.any():
                 rows, block = pairs.pop()
                 assert rows == np.flatnonzero(sure_c).tolist() and block.shape == (1, runs)
-            groups = [rows for rows, _ in pairs]
-            assert sum(groups, []) == np.flatnonzero(~sure_c).tolist()
-            assert [len(rows) for rows in groups[:-1]] == [step] * (len(groups) - 1)
-            assert assembled(ConditionalKernel(geom, cfg, slopes).blocks(z, noise, step), len(slopes)).tobytes() == (
+            classes = [np.flatnonzero(kind == which).tolist() for which in range(3)]
+            assert [rows for rows, _ in pairs] == [c[i : i + step] for c in classes for i in range(0, len(c), step)]
+            assert assembled(ConditionalKernel(geom, cfg, slopes).blocks(draws, step), len(slopes)).tobytes() == (
                 want.tobytes()
             )
         # a lone point: region C gathered, or evaluated on every draw
         for share in (0.0, conditional.DENSE_C_SHARE, 1.0):
             monkeypatch.setattr(conditional, "DENSE_C_SHARE", share)
             for point, row in zip(slopes, want):
-                rows, block = next(ConditionalKernel(geom, cfg, point).blocks(z, noise, 1))
+                rows, block = next(ConditionalKernel(geom, cfg, point).blocks(draws, 1))
                 assert list(rows) == [0] and block.tobytes() == row.tobytes()
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("design", ["ref", "small", "k4"])
+def test_shared_path_decisions_equal_block_f_with_ties(request, design):
+    # the shared path decides on quad <= threshold, block_f on F <= cutoff: every cell must agree, at the
+    # design's cutoffs and at cutoffs equal to a cell's F (a tie, which accepts) inside a block of 6 points
+    _, _, geom, cfg = request.getfixturevalue(design)
+    slopes = np.random.default_rng(31).uniform(-0.1, 0.1, (6, geom.k))
+    terms = SlopeTerms.of(slopes, geom)
+    noise = _draw_slopes(_stream(9, "conditioned", 0), geom, 2000).noise
+    _, _, f_tau, f_xi, _, _ = block_f(noise, terms, geom, cfg)
+    # first-test tie at point 2; second-test tie at the first draw where point 3 rejects the first test
+    tie_xi = int(np.flatnonzero(f_tau[3] > f_tau[2, 7])[0])
+    tied = dataclasses.replace(cfg, l_tau=f_tau[2, 7], l_xi=f_xi[3, tie_xi])
+    for forced in (cfg, tied):
+        draws = _draw_slopes(_stream(9, "conditioned", 0), geom, 2000)
+        assert not past_radii(geom, forced, draws.noise, slopes).any()
+        in_a, ok_xi, _, _, quad_v, quad_w = block_f(draws.noise, terms, geom, forced)
+        limits = f_thresholds(draws.noise.d, geom, forced)
+        for test, accept in ((0, in_a), (1, ok_xi)):
+            quad = quad_form(draws.noise, terms, test, np.empty_like(quad_v), np.empty_like(quad_v))
+            assert np.array_equal(quad <= limits[test], accept)
+        if forced is tied:
+            assert in_a[2, 7] and ok_xi[3, tie_xi] and not in_a[3, tie_xi]
+        want = conditional_cells(
+            geom, forced, draws.noise.d, draws.zv, in_a=in_a, ok_xi=ok_xi, quad_v=quad_v, quad_w=quad_w,
+            vs=terms.vs, wus=terms.wus, zs=draws.zs,
+        )
+        got = assembled(ConditionalKernel(geom, forced, slopes).blocks(draws, 6), len(slopes))
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -97,7 +98,8 @@ def test_conditioned_block_matches_single_point_where_regions_mix(request, case)
     assert step == 8
     rng = np.random.default_rng(11)
     slopes = rng.uniform(-spread, spread, (3 * step + 2, geom.k)) + rng.uniform(-level, level, (3 * step + 2, 1))
-    z, noise = _draw_slopes(_stream(seed, "conditioned", 0), geom, runs)
+    draws = _draw_slopes(_stream(seed, "conditioned", 0), geom, runs)
+    z, noise = draws.z, draws.noise
     ev = batch_events(np.concatenate([np.zeros_like(z), z], axis=1), noise.d, slopes, geom, cfg)
     for start in range(0, len(slopes), step):
         in_a, in_b = ev.in_a[start : start + step], ev.in_b[start : start + step]
@@ -504,7 +506,7 @@ def test_each_chunk_sizes_its_blocks_from_its_own_length(ref, monkeypatch, n_job
 
     def spied(slopes, step, draws, geom, cfg):
         rows = []
-        seen.append((len(draws[1].d), rows))
+        seen.append((len(draws.noise.d), rows))
         for points, block in values(slopes, step, draws, geom, cfg):
             rows.append((len(points), len(block)))
             yield points, block
@@ -551,18 +553,39 @@ def test_region_c_certification_moves_no_bit(ref, monkeypatch, n_jobs):
     assert fields[0].tobytes() == fields[1].tobytes()
 
 
+def test_a_memo_shared_by_threads_draws_each_chunk_once(ref, monkeypatch):
+    # four chunks on four threads, more than the cores, twice over one memo, switching threads every microsecond:
+    # every stream is opened once and every estimate keeps the bits of a serial call without a memo
+    _, _, geom, cfg = ref
+    points = np.random.default_rng(12).uniform(-0.3, 0.3, (20, 3))
+    runs = 3 * CHUNK_SIZE + 100
+    serial = estimate_points(points, geom, cfg, "conditioned", runs=runs, seed=3, n_jobs=1)
+    streams, real, memo = [], montecarlo._stream, {}
+    monkeypatch.setattr(montecarlo, "_stream", lambda *key: streams.append(key) or real(*key))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            assert estimate_points(points, geom, cfg, "conditioned", runs=runs, seed=3, n_jobs=4, memo=memo) == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(streams) == [(3, "conditioned", chunk) for chunk in range(4)]
+    assert sorted(memo) == [("conditioned", 3, chunk, CHUNK_SIZE if chunk < 3 else 100) for chunk in range(4)]
+
+
 @pytest.mark.parametrize("points, runs", [(8, 2000), (2, 8192), (9, 1808), (1, 37)])
 def test_block_kernels_are_bit_identical_at_any_buffer_size(ref, points, runs):
     _, _, geom, cfg = ref
     slopes = np.random.default_rng(points).uniform(-0.3, 0.3, (points, 3))
-    z, noise = _draw_slopes(_stream(4, "buffer", 0), geom, runs)
     delta, d = _draw_full(_stream(4, "buffer", 1), geom, runs)
 
     def kernels():
-        outs = block_f(noise, SlopeTerms.of(slopes, geom), geom, cfg)
-        outs += (assembled(ConditionalKernel(geom, cfg, slopes).blocks(z, noise, 3), len(slopes)),)
+        # fresh draws: the point-free work they keep is formed again at each buffer size
+        draws = _draw_slopes(_stream(4, "buffer", 0), geom, runs)
+        outs = block_f(draws.noise, SlopeTerms.of(slopes, geom), geom, cfg)
+        outs += (assembled(ConditionalKernel(geom, cfg, slopes).blocks(draws, 3), len(slopes)),)
         for point in slopes[:2]:
-            outs += tuple(block for _, block in ConditionalKernel(geom, cfg, point).blocks(z, noise, 1))
+            outs += tuple(block for _, block in ConditionalKernel(geom, cfg, point).blocks(draws, 1))
         outs += tuple(batch_events(delta, d, slopes, geom, cfg)) + tuple(batch_events(delta, d, slopes[0], geom, cfg))
         return [(out.dtype, out.shape, out.tobytes()) for out in outs]
 

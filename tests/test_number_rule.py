@@ -25,6 +25,7 @@ from ancova_cp import (
     DomainError,
     GridSpec,
     LineLocus,
+    SearchConfig,
     SlopePoint,
     coverage_indicator,
     critical_values,
@@ -35,7 +36,9 @@ from ancova_cp import (
     f_quantile,
     fit_low_cp_lines,
     grid_eval,
+    line_profile,
     load_design,
+    min_cp_search,
     reference_design,
     second_test_only_cp,
     t_quantile,
@@ -155,6 +158,32 @@ def test_outside_numbers_follow_one_rule(ref, monkeypatch, case):
         # the count sees an estimate once the value is fixed
         good(geom, cfg)
         assert calls
+
+
+def _search(geom, cfg, estimator):
+    cube = GridSpec(points_per_axis=2, runs=100)
+    return min_cp_search(SearchConfig(geom=geom, cfg=cfg, estimator=estimator, cube=cube, square=cube))
+
+
+@pytest.mark.parametrize("name", [["conditioned"], {"a": 1}, {"naive"}, np.array(["naive"])], ids=type)
+@pytest.mark.parametrize("call", ["estimate_points", "grid_eval", "line_profile", "second_test_only_cp", "min_cp_search"])
+def test_estimator_names_must_be_strings(ref, monkeypatch, name, call):
+    # an unhashable name ended in a bare TypeError from the estimators' dict lookup
+    _, _, geom, cfg = ref
+    calls = {
+        "estimate_points": lambda: montecarlo.estimate_points([[0, 0, 0]], geom, cfg, name, 100),
+        "grid_eval": lambda: grid_eval(GridSpec(points_per_axis=2, runs=100), name, geom, cfg),
+        "line_profile": lambda: line_profile(LineLocus((1.0,) * 3, (0.0,) * 3, (-0.1, 0.1)), geom, cfg, 5, 100, 0, name),
+        "second_test_only_cp": lambda: second_test_only_cp((0.05, 0.0), geom, cfg, runs=100, estimator=name),
+        "min_cp_search": lambda: _search(geom, cfg, name),
+    }
+    estimates, streams = [], []
+    real = montecarlo.estimate_points
+    monkeypatch.setattr(search_module, "estimate_points", lambda *a, **kw: estimates.append(a) or real(*a, **kw))
+    monkeypatch.setattr(montecarlo, "_stream", lambda *a: streams.append(a))
+    with pytest.raises(DomainError, match="estimator must be one of"):
+        calls[call]()
+    assert estimates == [] and streams == []
 
 
 @pytest.mark.parametrize(

@@ -23,10 +23,10 @@ from ancova_cp import (
     critical_values,
     estimate_points,
 )
-from ancova_cp.conditional import _sure_c_bounds
+from ancova_cp.conditional import KernelDraws, _sure_c_bounds
 from ancova_cp.oracle import agreement_with_events
-from ancova_cp.selection import SlopeNoise, SlopeTerms, batch_events, block_f
-from oracles import assembled, certified
+from ancova_cp.selection import SlopeNoise, SlopeTerms, batch_events, block_f, f_thresholds
+from oracles import assembled, certified, past_radii
 
 RUNS = 2000
 SEED = 17
@@ -112,8 +112,8 @@ def test_conditional_kernel_is_even_under_the_mirror(design):
     z, d = _draws(geom, geom.k)
     slopes = _slopes(points)
     for step in (1, len(slopes)):
-        plus = assembled(ConditionalKernel(geom, cfg, slopes).blocks(z, SlopeNoise.of(z, d, geom), step), len(slopes))
-        minus = assembled(ConditionalKernel(geom, cfg, -slopes).blocks(-z, SlopeNoise.of(-z, d, geom), step), len(slopes))
+        plus = assembled(ConditionalKernel(geom, cfg, slopes).blocks(KernelDraws(z, d, geom), step), len(slopes))
+        minus = assembled(ConditionalKernel(geom, cfg, -slopes).blocks(KernelDraws(-z, d, geom), step), len(slopes))
         # both sides take the same region on every cell; only the band's rounding differs
         np.testing.assert_allclose(minus, plus, rtol=0.0, atol=4 * np.finfo(float).eps)
     lone = ConditionalKernel(geom, cfg, slopes[0])
@@ -155,13 +155,62 @@ def test_certified_points_lie_in_region_c_on_every_draw(design):
     for l_tau, l_xi in ((cfg.l_tau, cfg.l_xi), (0.0, 0.0), (0.0, math.inf), (math.inf, 0.0)):
         forced = dataclasses.replace(cfg, l_tau=l_tau, l_xi=l_xi)
         bounds = np.asarray(_sure_c_bounds(geom, forced, noise))
-        block = [slopes]
-        if np.isfinite(bounds).all():
-            # each point scaled to clear the larger of its two bounds by one part in 1e12, and by 1 %
-            scale = (bounds / radii).max(axis=1)
-            block += [slopes * (scale * factor)[:, None] for factor in (1.0 + 1e-12, 1.01)]
-        block = np.concatenate(block)
-        sure = certified(geom, forced, noise, block)
+        # each point scaled to clear each finite bound alone, and both, by one part in 1e12 and by 1 %:
+        # (the tests it must be past, the points)
+        finite = np.isfinite(bounds)
+        scales = [(finite & (np.arange(2) == test), bounds[test] / radii[:, test]) for test in np.flatnonzero(finite)]
+        scales += [(finite, (bounds / radii).max(axis=1))] if finite.all() else []
+        blocks = [(np.zeros(2, bool), slopes)] + [
+            (tests, slopes * (scale * factor)[:, None]) for tests, scale in scales for factor in (1.0 + 1e-12, 1.01)
+        ]
+        block = np.concatenate([points for _, points in blocks])
+        past = past_radii(geom, forced, noise, block)
         in_a, ok_xi = block_f(noise, SlopeTerms.of(block, geom), geom, forced)[:2]
-        assert not (in_a | ok_xi)[sure].any()
-        assert sure[len(slopes) :].all() if np.isfinite(bounds).all() else not sure.any()
+        # a point past one radius rejects that test on every draw, whatever the other test does
+        assert not in_a[past[:, 0]].any() and not ok_xi[past[:, 1]].any()
+        assert not (in_a | ok_xi)[certified(geom, forced, noise, block)].any()
+        # every scaled point is past the radii it was scaled for; an infinite bound certifies nothing
+        assert past[np.concatenate([np.broadcast_to(tests, points.shape[:1] + (2,)) for tests, points in blocks])].all()
+        assert not past[:, ~finite].any()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    designs(),
+    # d from the smallest subnormal up: tiny d makes q m/df subnormal at the threshold, huge d overflows it
+    st.lists(st.floats(5e-324, 1e308) | st.sampled_from([5e-324, 1e-310, 1e-300, 1.0, 1e300, 1e308]), min_size=1),
+    st.floats(0.0, 1e6, allow_subnormal=True),
+    st.sampled_from(["design", "zero", "inf", "tie"]),
+)
+@np.errstate(over="ignore")  # F overflows to inf at a tiny d
+def test_f_thresholds_are_the_largest_accepted_forms(design, d, q, cutoffs):
+    # block_f on zero slopes forms quad = z'Az exactly, so it judges each threshold and the next double up
+    _, geom, cfg, _ = design
+    d = np.asarray(d)
+    if cutoffs == "tie":
+        # each cutoff equal to the F block_f forms from q on the first draw
+        at_q = np.full(len(d), q)
+        f_tau, f_xi = (f[0, 0] for f in block_f(_noise(geom, d, at_q, at_q), _zero(geom), geom, cfg)[2:4])
+        cfg = dataclasses.replace(cfg, l_tau=f_tau, l_xi=f_xi)
+    elif cutoffs != "design":
+        cut = 0.0 if cutoffs == "zero" else math.inf
+        cfg = dataclasses.replace(cfg, l_tau=cut, l_xi=cut)
+    limits = f_thresholds(d, geom, cfg)
+    assert limits.shape == (2, len(d)) and (limits >= 0.0).all()
+    accept = block_f(_noise(geom, d, *limits), _zero(geom), geom, cfg)[:2]
+    assert all(a.all() for a in accept)
+    above = block_f(_noise(geom, d, *np.nextafter(limits, math.inf)), _zero(geom), geom, cfg)[:2]
+    for a, cutoff in zip(above, (cfg.l_tau, cfg.l_xi)):
+        assert a.all() if cutoff == math.inf else not a.any()
+    if cutoffs == "tie":
+        assert (limits[:, 0] >= q).all()
+
+
+def _zero(geom):
+    return SlopeTerms.of(np.zeros((1, geom.k)), geom)
+
+
+def _noise(geom, d, zvz, zwz):
+    """SlopeNoise whose forms at zero slopes are zvz and zwz themselves."""
+    zeros = np.zeros((geom.k, len(d)))
+    return SlopeNoise(d, zeros, np.asarray(zvz, dtype=float), zeros[1:], np.asarray(zwz, dtype=float))

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import gc
 import itertools
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -168,6 +170,65 @@ def test_symmetric_lattices_evaluate_one_point_of_each_pair(ref, monkeypatch):
     min_cp_search(_bench_config(geom, cfg, cube=cube, square=square))
     sizes = [len(c[0]) for c in calls]
     assert sizes[0] == 729 and sizes[-3:] == [81, 8, 4]
+
+
+def _count_streams(monkeypatch):
+    """(seed, tag, chunk) of every stream montecarlo opens."""
+    streams, real = [], montecarlo._stream
+    monkeypatch.setattr(montecarlo, "_stream", lambda *key: streams.append(key) or real(*key))
+    return streams
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_a_search_draws_each_chunk_once(ref, monkeypatch, n_jobs):
+    # cube, profile, minimizers and square share the conditioned chunks, each gate its own: 3 streams at a
+    # bench-sized budget (6 before the chunks were kept), 6 at two chunks per call
+    _, _, geom, cfg = ref
+    streams = _count_streams(monkeypatch)
+    report = min_cp_search(_bench_config(geom, cfg, n_jobs=n_jobs))
+    assert report.lines is not None
+    assert streams == [(4, "conditioned", 0), (4, "gate_tau", 0), (4, "gate_xi", 0)]
+    streams.clear()
+    runs = montecarlo.CHUNK_SIZE + 100
+    two = _bench_config(
+        geom, cfg, cube=GridSpec((-0.25, 0.25), 9, runs, 4), square=GridSpec((-0.2, 0.2), 9, runs, 4), n_jobs=n_jobs
+    )
+    assert min_cp_search(two).lines is not None
+    assert sorted(streams) == [(4, tag, chunk) for tag in ("conditioned", "gate_tau", "gate_xi") for chunk in (0, 1)]
+
+
+def test_kept_chunks_move_no_estimate_and_die_with_the_search(ref, monkeypatch):
+    _, _, geom, cfg = ref
+    config = _bench_config(geom, cfg)
+    # the square on another seed, then on another budget: its chunks are not the cube's
+    squares = [GridSpec((-0.2, 0.2), 9, runs, seed) for runs, seed in ((2000, 5), (2100, 4))]
+    configs = [config] + [_bench_config(geom, cfg, square=square) for square in squares]
+    searched = [min_cp_search(c) for c in configs]
+    # right after a search with another seed, a search equals the first bit for bit
+    assert min_cp_search(_bench_config(geom, cfg, cube=GridSpec((-0.25, 0.25), 9, 2000, 5))).min1 != searched[0].min1
+    assert min_cp_search(config) == searched[0]
+    # and each equals the search whose every estimate draws its own chunks
+    real = search_module.estimate_points
+    monkeypatch.setattr(search_module, "estimate_points", lambda *args, memo, **kw: real(*args, **kw))
+    for c, first in zip(configs, searched):
+        alone = min_cp_search(c)
+        assert alone == first
+        for table, twin in ((alone.cube_table, first.cube_table), (alone.square_table, first.square_table)):
+            values = [np.array([(e.estimate, e.se) for _, e in t]) for t in (table, twin)]
+            assert values[0].tobytes() == values[1].tobytes()
+    monkeypatch.undo()
+    # every kept chunk is garbage once the search returns: no module attribute or cache holds one
+    made = []
+
+    class Tracked(montecarlo.KernelDraws):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(montecarlo, "KernelDraws", Tracked)
+    assert min_cp_search(config) == searched[0]
+    gc.collect()
+    assert len(made) == 3 and all(ref() is None for ref in made)
 
 
 def test_second_profile_is_the_mirror_of_the_first(ref):
