@@ -136,6 +136,9 @@ class TwoStageConfig:
     accepts on F <= cutoff.  t_m, t_mk, t_mk1 are the two-sided t critical
     points used by the intervals of the separate-slopes, zero-slopes and
     common-slope fits (residual df m, m + k, m + k - 1 respectively).
+    Cutoffs are numbers in [0, inf] (0 forces a test to reject, inf to
+    accept) and t points finite numbers >= 0; both are stored as floats, -0.0
+    as 0.0, so configs that select alike compare and hash alike.
     """
 
     alpha: float
@@ -146,6 +149,15 @@ class TwoStageConfig:
     t_m: float
     t_mk: float
     t_mk1: float
+
+    def __post_init__(self):
+        for name in ("l_tau", "l_xi", "t_m", "t_mk", "t_mk1"):
+            value = getattr(self, name)
+            cutoff = name.startswith("l_")
+            number = math.inf if cutoff and isinstance(value, float) and value == math.inf else check_real(name, value)
+            if number < 0.0:
+                raise DomainError(f"{name} must be {'in [0, inf]' if cutoff else 'at least 0'}, got {number}")
+            object.__setattr__(self, name, number + 0.0)
 
 
 def _design_rows(layout: AncovaLayout) -> np.ndarray:
@@ -173,9 +185,9 @@ def build_design(layout: AncovaLayout) -> np.ndarray:
     return x_design
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometryBundle:
-    """What the estimators read of a design and contrast, computed once per design.
+    """What the estimators read of a design and contrast, computed once per design; compared and hashed by identity.
 
     With V = (X'X)^-1, V22 its slope block and W22 the covariance of the
     slope differences U q, v21 and w21 are the covariances of the contrast

@@ -8,7 +8,7 @@ scale, which never has larger variance.
 Randomness is organized as counter-based Philox streams keyed by
 (seed, estimator tag, chunk index) and nothing else.  Runs are split into
 fixed-size chunks; each chunk's noise is drawn once per call, or once per
-search (min_cp_search passes one memo to every estimate, see _reduce), and
+memo (min_cp_search passes one to every estimate, see _reduce), and
 every slope point of a call is evaluated against it (common random
 numbers), in blocks of at most BLOCK_CELLS (point, draw) cells.  Per-point moments are merged in chunk
 order, so results are bit-identical for every thread count and block size,
@@ -92,8 +92,10 @@ class CoverageEstimate:
     point: SlopePoint
 
 
-def default_workers() -> int:
-    """Worker count for chunk fan-out, from ANCOVA_CP_THREADS: a positive integer, 1 when unset or empty."""
+def default_workers(n_jobs=None) -> int:
+    """Worker count for chunk fan-out: ``n_jobs``, a positive integer, or if None ANCOVA_CP_THREADS (1 when unset)."""
+    if n_jobs is not None:
+        return check_count("n_jobs", n_jobs, 1)
     raw = os.environ.get(THREADS_ENV_VAR, "").strip()
     if raw and not (raw.isdecimal() and int(raw) >= 1):
         raise DomainError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
@@ -214,10 +216,11 @@ def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs, memo=None)
     once, never once per point; the block size comes from the chunk's own
     length, so a short tail chunk takes more points per block.  ``memo``, a
     dict owned by the caller, keeps each chunk's draws under (tag, seed,
-    chunk, size) for later calls with the same design and config, so a chunk
-    is drawn once per memo, not once per call (min_cp_search keeps one per
-    search), and the point-free work kept on the draws (KernelDraws.shared)
-    is done once too; without a memo, a chunk's draws die with its task.
+    chunk, size, geom), the design compared by identity, so a chunk is drawn
+    once per memo and design, not once per call (min_cp_search keeps one per
+    search); the point-free work kept on the draws is keyed by config
+    (KernelDraws.shared), so any sequence of calls over one memo gives each
+    call's own bits.  Without a memo, a chunk's draws die with its task.
     ``values`` gets all the points, so it can share point-free work among its
     blocks, and yields (rows, block) pairs in any order; a one-row block may
     stand for several rows.
@@ -232,13 +235,13 @@ def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs, memo=None)
     depends only on its point and its chunk's draws, so the thread count
     cannot change a result; moments are merged in chunk order.
     """
-    width = default_workers() if n_jobs is None else check_count("n_jobs", n_jobs, 1)
+    width = default_workers(n_jobs)
     seed = check_count("seed", seed, 0)
     jobs = list(enumerate(_chunk_sizes(runs)))
 
     def task(job):
         chunk, size = job
-        key = (tag, seed, chunk, size)
+        key = (tag, seed, chunk, size, geom)
         old = np.setbufsize(-(-size // 16) * 16)
         try:
             kept = {} if memo is None else memo  # without a memo the draws die with the task
@@ -280,7 +283,7 @@ def estimate_points(
     bit-identical to the same point estimated alone.
     The standard error is the unbiased sample standard deviation of the
     per-draw values divided by sqrt(runs).  ``memo`` (a dict, see _reduce)
-    lets calls with one geom and cfg draw each chunk once; it never changes an estimate.
+    lets calls draw each chunk once per design, at any configs; it never changes an estimate.
     """
     if not isinstance(estimator, str) or estimator not in _ESTIMATORS:
         raise DomainError(f"estimator must be one of {sorted(_ESTIMATORS)}, got {estimator!r}")

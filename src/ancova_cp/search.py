@@ -322,7 +322,7 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     # refuse a bad configuration before the first estimate, not after the cube phase
     cube_axes, square_axes = cube.axes(geom.k), square.axes(geom.k - 1)
     check_count("profile_points", config.profile_points, 3)
-    n_jobs = default_workers() if config.n_jobs is None else check_count("n_jobs", config.n_jobs, 1)
+    n_jobs = default_workers(config.n_jobs)
     check_real("threshold", config.threshold)
     offset = check_real("offset", config.offset)
     deltas = _lattice(square_axes)

@@ -1,5 +1,8 @@
 """Two-stage selection events and interval coverage in noise units.
 
+The F tests live here: F form (block_f), per-draw thresholds (f_thresholds)
+and rejection radii (rejection_radii); so do the intervals' half-widths.
+
 Everything here is scale free.  With sigma the error standard deviation,
 gamma = beta / sigma and gamma_hat = beta_hat / sigma; q is the slope block
 of gamma_hat and d = m * sigma_hat^2 / sigma^2 is the scaled residual sum of
@@ -30,6 +33,7 @@ w21'W22^-1 U s = (U s)'wproj are formed once per point, in SlopeTerms.of.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +42,9 @@ from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError, check_real, check_reals
 
 __all__ = ["batch_events", "coverage_indicator"]
+
+# rejection radii: the margin a point clears on every draw, and the largest dim^2 cond(A) they cover
+SURE_C_MARGIN, SURE_C_MAX_COND = 1.01, 1e8
 
 
 class EventBatch(NamedTuple):
@@ -165,7 +172,8 @@ def f_thresholds(d: np.ndarray, geom: GeometryBundle, cfg: TwoStageConfig) -> np
     included.  Nonnegative doubles order as their int64 bit patterns, and Q_j is found by halving on them.  The
     estimate cutoff d_j df / m lies within 2 patterns of Q_j in the normal range (design-like d, 8192 draws), so a
     bracket of 3 either side takes three halvings; where it misses (subnormal or overflowing forms), the bracket
-    reaches 0.0 or inf, which takes up to 63.  Needs d > 0 and cutoffs >= 0; an infinite cutoff gives inf.
+    reaches 0.0 or inf, which takes up to 63.  Needs d > 0 (TwoStageConfig keeps cutoffs in [0, inf]); an infinite
+    cutoff gives inf.
     """
     scale, cutoff = np.array(_f_scales(geom))[:, None], np.array([[cfg.l_tau], [cfg.l_xi]])
 
@@ -183,6 +191,35 @@ def f_thresholds(d: np.ndarray, geom: GeometryBundle, cfg: TwoStageConfig) -> np
             ok = passes(mid)
             lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     return lo.view(float)
+
+
+def rejection_radii(geom: GeometryBundle, noise: SlopeNoise, limits: np.ndarray) -> np.ndarray:
+    """Radii of sqrt(s'V22^-1 s) and sqrt((U s)'W22^-1 (U s)) past which test 1 and test 2 reject on every draw.
+
+    A test rejects on draw j exactly when its computed form exceeds Q_j, its row of ``limits`` (f_thresholds).  With
+    A = V22^-1 (W22^-1 on U s alike), sigma = sqrt(s'As) and r_j = sqrt(zvz_j), quad_v >= (sigma - r_j)^2 for
+    sigma >= r_j.  The radius max_j max(M r_j, r_j + sqrt(M) sqrt(Q_j)), M = SURE_C_MARGIN, makes sigma >= M r_j and
+    (sigma - r_j)^2 >= M Q_j on every draw; rounding moves the computed form by at most about 4 dim^2 cond(A) eps
+    (2M / (M - 1))^2 (sigma - r_j)^2, under 0.4 % of it while dim^2 cond(A) <= SURE_C_MAX_COND, so the form exceeds
+    Q_j, 0 included.  Past that bound, or at an infinite cutoff (Q_j = inf), the radius is inf.
+    """
+    r = np.sqrt([noise.zvz, noise.zwz])
+    radii = np.maximum(SURE_C_MARGIN * r, r + math.sqrt(SURE_C_MARGIN) * np.sqrt(limits)).max(axis=1)
+    sound = [len(form) ** 2 * np.linalg.cond(form) <= SURE_C_MAX_COND for form in (geom.v22_inv, geom.w22_inv)]
+    return np.where(sound, radii, math.inf)
+
+
+def half_widths(geom: GeometryBundle, cfg: TwoStageConfig) -> tuple[float, float, float]:
+    """Zero-slopes, common-slope, separate-slopes half-widths per sqrt(quad_v + d), sqrt(quad_w + d), sqrt(d).
+
+    In sds of each centre given q: sqrt(v_star), sqrt(w_cond), sqrt(v_star).  Residual df m + k, m + k - 1, m.
+    """
+    m, k = geom.m, geom.k
+    return (
+        cfg.t_mk / math.sqrt(m + k),
+        cfg.t_mk1 * math.sqrt(geom.w_star / (m + k - 1)) / math.sqrt(geom.w_cond),
+        cfg.t_m * math.sqrt(geom.v11 / m) / math.sqrt(geom.v_star),
+    )
 
 
 def batch_events(

@@ -7,8 +7,9 @@ closed form itself from one nested np.where pass over every cell instead of
 one formula per selection region, restricted fits from re-solved least
 squares instead of projection matrices, and gate probabilities from scipy's
 noncentral F distribution.  ``assembled`` lays out the (rows, block) pairs of
-a value function as one (points, draws) array, and ``certified`` names the
-points the conditional kernel gives the shared region-C row.
+a value function as one (points, draws) array, ``certified`` names the
+points the conditional kernel gives the shared region-C row, and
+``slope_draws`` makes a chunk's (z, d) as the conditioned estimator does.
 """
 
 from __future__ import annotations
@@ -274,15 +275,19 @@ def assembled(pairs, points: int) -> np.ndarray:
     return out
 
 
+def slope_draws(rng, geom, size):
+    """Slope noise z (size, k) and d (size,) drawn from ``rng`` as the conditioned estimator draws a chunk."""
+    return rng.standard_normal((size, geom.k)) @ geom.v22_chol.T, rng.chisquare(geom.m, size)
+
+
 def past_radii(geom, cfg, noise, slopes) -> np.ndarray:
-    """(P, 2): whether each slope point lies beyond each radius of _sure_c_bounds (that test rejects on every draw)."""
-    from ancova_cp.conditional import _sure_c_bounds
-    from ancova_cp.selection import SlopeTerms
+    """(P, 2): whether each slope point lies beyond each rejection radius (that test rejects on every draw)."""
+    from ancova_cp.selection import SlopeTerms, f_thresholds, rejection_radii
 
     terms = SlopeTerms.of(np.atleast_2d(slopes), geom)
-    return np.sqrt(np.hstack([terms.svs, terms.usu])) > _sure_c_bounds(geom, cfg, noise)
+    return np.sqrt(np.hstack([terms.svs, terms.usu])) > rejection_radii(geom, noise, f_thresholds(noise.d, geom, cfg))
 
 
 def certified(geom, cfg, noise, slopes) -> np.ndarray:
-    """Whether each slope point lies beyond both radii of _sure_c_bounds, so the kernel skips it."""
+    """Whether each slope point lies beyond both rejection radii, so the kernel skips it."""
     return past_radii(geom, cfg, noise, slopes).all(axis=1)

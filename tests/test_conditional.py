@@ -8,9 +8,10 @@ import pytest
 from scipy import special
 
 from ancova_cp import ConditionalKernel, DomainError, batch_events, conditional
+from ancova_cp.conditional import KernelDraws
 from ancova_cp.montecarlo import BLOCK_CELLS, _draw_slopes, _stream
 from ancova_cp.selection import SlopeTerms, block_f, f_thresholds, quad_form
-from oracles import assembled, certified, conditional_cells, conditional_coverage_mc, past_radii
+from oracles import assembled, certified, conditional_cells, conditional_coverage_mc, past_radii, slope_draws
 
 N_DRAWS = 100_000
 
@@ -150,8 +151,9 @@ def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, 
     slopes = rng.uniform(-spread, spread, (11, geom.k)) + rng.uniform(-level, level, (11, 1))
     terms = SlopeTerms.of(slopes, geom)
     for runs in (1, 37, 1808, 2000, 8192):
-        draws = _draw_slopes(_stream(6, "conditioned", 0), geom, runs)
-        z, noise = draws.z, draws.noise
+        z, d = slope_draws(_stream(6, "conditioned", 0), geom, runs)
+        draws = KernelDraws(z, d, geom)
+        noise = draws.noise
         in_a, ok_xi, _, _, quad_v, quad_w = block_f(noise, terms, geom, cfg)
         in_b, in_c = ok_xi & ~in_a, ~(in_a | ok_xi)
         sure_c = certified(geom, cfg, noise, slopes)

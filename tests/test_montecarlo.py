@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from ancova_cp import (
+    AncovaLayout,
+    ContrastSpec,
     DomainError,
     GridSpec,
     SlopePoint,
     batch_events,
+    build_geometry,
+    critical_values,
     estimate_conditioned,
     estimate_naive,
     estimate_points,
@@ -21,8 +25,8 @@ from ancova_cp import (
 from ancova_cp import conditional, montecarlo
 from ancova_cp.conditional import ConditionalKernel
 from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _draw_slopes, _Moments, _stream, default_workers
-from ancova_cp.selection import SlopeTerms, block_f
-from oracles import assembled, direct_geometry, gate_prob_ncf
+from ancova_cp.selection import SlopeNoise, SlopeTerms, block_f
+from oracles import assembled, direct_geometry, gate_prob_ncf, slope_draws
 
 POINT = SlopePoint.of((0.05, 0.1, 0.0))
 
@@ -98,8 +102,10 @@ def test_conditioned_block_matches_single_point_where_regions_mix(request, case)
     assert step == 8
     rng = np.random.default_rng(11)
     slopes = rng.uniform(-spread, spread, (3 * step + 2, geom.k)) + rng.uniform(-level, level, (3 * step + 2, 1))
-    draws = _draw_slopes(_stream(seed, "conditioned", 0), geom, runs)
-    z, noise = draws.z, draws.noise
+    z, d = slope_draws(_stream(seed, "conditioned", 0), geom, runs)
+    noise = _draw_slopes(_stream(seed, "conditioned", 0), geom, runs).noise
+    # the draws the estimate makes for its one chunk
+    assert all(np.array_equal(a, b) for a, b in zip(noise, SlopeNoise.of(z, d, geom)))
     ev = batch_events(np.concatenate([np.zeros_like(z), z], axis=1), noise.d, slopes, geom, cfg)
     for start in range(0, len(slopes), step):
         in_a, in_b = ev.in_a[start : start + step], ev.in_b[start : start + step]
@@ -547,7 +553,7 @@ def test_region_c_certification_moves_no_bit(ref, monkeypatch, n_jobs):
     shipped = estimate_points(points, geom, cfg, "conditioned", runs=9000, seed=5, n_jobs=n_jobs)
     assert len(certified) == 2 and 0 < min(certified) and max(certified) < len(points)
     monkeypatch.undo()
-    monkeypatch.setattr(conditional, "_sure_c_bounds", lambda *args: np.full(2, np.inf))
+    monkeypatch.setattr(conditional, "rejection_radii", lambda *args: np.full(2, np.inf))
     plain = estimate_points(points, geom, cfg, "conditioned", runs=9000, seed=5, n_jobs=n_jobs)
     fields = [np.array([(e.estimate, e.se, e.runs) for e in ests]) for ests in (shipped, plain)]
     assert fields[0].tobytes() == fields[1].tobytes()
@@ -570,7 +576,51 @@ def test_a_memo_shared_by_threads_draws_each_chunk_once(ref, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert sorted(streams) == [(3, "conditioned", chunk) for chunk in range(4)]
-    assert sorted(memo) == [("conditioned", 3, chunk, CHUNK_SIZE if chunk < 3 else 100) for chunk in range(4)]
+    assert sorted(memo) == [("conditioned", 3, chunk, CHUNK_SIZE if chunk < 3 else 100, geom) for chunk in range(4)]
+
+
+# before test parts were keyed by config, (0, 0.05, 0) at levels (0.10, 0.20, 0.20) read 0.1697 over a
+# memo filled at the default levels, against 0.2646 fresh (2000 runs, seed 1)
+MEMO_POINTS = [(0.0, 0.05, 0.0), (0.1, -0.05, 0.15), (0.0, 0.0, 0.0), (-0.2, 0.1, 0.05)]
+
+
+def _fields(ests):
+    return np.array([(e.estimate, e.se, e.runs) for e in ests]).tobytes()
+
+
+def test_a_memo_reused_at_other_levels_gives_fresh_bits_and_draws_each_chunk_once(ref, monkeypatch):
+    # two chunks, two configs over one memo, in both orders: each call keeps the bits of a call
+    # without a memo, and each (tag, chunk) stream is opened once for both configs
+    layout, _, geom, cfg = ref
+    other = critical_values(layout, alpha=0.10, sig_tau=0.20, sig_xi=0.20)
+    runs = CHUNK_SIZE + 2000
+    fresh = {c: _fields(estimate_points(MEMO_POINTS, geom, c, runs=runs, seed=1)) for c in (cfg, other)}
+    for order in ((cfg, other), (other, cfg)):
+        streams, real, memo = [], montecarlo._stream, {}
+        monkeypatch.setattr(montecarlo, "_stream", lambda *key: streams.append(key) or real(*key))
+        for c in order + order:
+            assert _fields(estimate_points(MEMO_POINTS, geom, c, runs=runs, seed=1, memo=memo)) == fresh[c]
+        monkeypatch.undo()
+        assert sorted(streams) == [(1, "conditioned", 0), (1, "conditioned", 1)]
+
+
+def test_a_memo_reused_by_another_design_gives_fresh_bits(ref):
+    # another k = 3 design over the memo of the reference design: its chunks are its own
+    layout, _, geom, cfg = ref
+    six = AncovaLayout(k=3, n=(6, 6, 6), x=tuple(xi[:6] for xi in layout.x))
+    geom6 = build_geometry(six, ContrastSpec.treatment_difference(six, 1, 2))
+    cfg6 = critical_values(six, 0.05, 0.1, 0.1)
+    fresh = _fields(estimate_points(MEMO_POINTS, geom6, cfg6, runs=2000, seed=1))
+    memo = {}
+    estimate_points(MEMO_POINTS, geom, cfg, runs=2000, seed=1, memo=memo)
+    assert _fields(estimate_points(MEMO_POINTS, geom6, cfg6, runs=2000, seed=1, memo=memo)) == fresh
+    assert len(memo) == 2
+
+
+def test_geometry_bundles_compare_and_hash_by_identity(ref):
+    layout, contrast, geom, _ = ref
+    twin = build_geometry(layout, contrast)
+    assert geom == geom and geom != twin and hash(geom) != hash(twin)
 
 
 @pytest.mark.parametrize("points, runs", [(8, 2000), (2, 8192), (9, 1808), (1, 37)])

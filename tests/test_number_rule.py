@@ -6,6 +6,7 @@ string read as a number, NaN or inf carried into an estimate), to end in a
 bare TypeError or ValueError, or to raise the wrong error class.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -129,6 +130,15 @@ CASES = {
         _grid(np.array([-1, 1]) * np.longdouble("1e400")),
         _grid(np.array([-0.1, 0.1], dtype=np.longdouble)),
     ),
+    # a NaN t point gave a NaN estimate; a NaN or negative cutoff read as 0, with a RuntimeWarning
+    "cutoff nan": (lambda g, c: dataclasses.replace(c, l_tau=math.nan), None),
+    "cutoff negative": (lambda g, c: dataclasses.replace(c, l_tau=-1.0), None),
+    "cutoff string": (lambda g, c: dataclasses.replace(c, l_xi="3"), None),
+    "cutoff bool": (lambda g, c: dataclasses.replace(c, l_xi=True), None),
+    "cutoff minus inf": (lambda g, c: dataclasses.replace(c, l_xi=-math.inf), None),
+    "t point nan": (lambda g, c: dataclasses.replace(c, t_m=math.nan), None),
+    "t point inf": (lambda g, c: dataclasses.replace(c, t_mk=math.inf), None),
+    "t point negative": (lambda g, c: dataclasses.replace(c, t_mk1=-0.5), None),
     "points longdouble beyond float": (
         # the test module's own binding: estimate_points refuses before any draw
         lambda g, c: estimate_points(np.array([[np.longdouble("1e400"), 0, 0]]), g, c, "naive", runs=100),
@@ -158,6 +168,20 @@ def test_outside_numbers_follow_one_rule(ref, monkeypatch, case):
         # the count sees an estimate once the value is fixed
         good(geom, cfg)
         assert calls
+
+
+def test_configs_keep_degenerate_cutoffs_and_zero_t_points_as_floats(ref):
+    # cutoffs 0 and inf force a test, any float cutoff may tie a computed F, t = 0 is a zero-width
+    # interval; -0.0 is stored as 0.0, so configs that select alike compare and hash alike
+    _, _, _, cfg = ref
+    f = np.float64(cfg.l_tau) * 0.75
+    for change in ({"l_tau": 0.0, "l_xi": np.inf}, {"l_tau": f}, {"t_m": 0, "t_mk": 0.0, "t_mk1": np.float64(2.5)}):
+        kept = dataclasses.replace(cfg, **change)
+        assert all(getattr(kept, key) == value and type(getattr(kept, key)) is float for key, value in change.items())
+    signed = dataclasses.replace(cfg, l_tau=-0.0, t_m=-0.0)
+    assert math.copysign(1.0, signed.l_tau) == math.copysign(1.0, signed.t_m) == 1.0
+    plain = dataclasses.replace(cfg, l_tau=0.0, t_m=0.0)
+    assert signed == plain and hash(signed) == hash(plain)
 
 
 def _search(geom, cfg, estimator):

@@ -23,9 +23,9 @@ from ancova_cp import (
     critical_values,
     estimate_points,
 )
-from ancova_cp.conditional import KernelDraws, _sure_c_bounds
+from ancova_cp.conditional import KernelDraws
 from ancova_cp.oracle import agreement_with_events
-from ancova_cp.selection import SlopeNoise, SlopeTerms, batch_events, block_f, f_thresholds
+from ancova_cp.selection import SlopeNoise, SlopeTerms, batch_events, block_f, f_thresholds, rejection_radii
 from oracles import assembled, certified, past_radii
 
 RUNS = 2000
@@ -143,8 +143,9 @@ def test_selection_events_are_even_under_the_mirror(design):
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
 @given(designs())
 def test_certified_points_lie_in_region_c_on_every_draw(design):
-    # the design's own cutoffs, then cutoffs of 0 (a margin relative to the cutoff alone proves
-    # nothing there) and of inf (no point can be certified)
+    # the radii from f_thresholds' Q at the design's own cutoffs, at cutoffs of 0 (a margin relative
+    # to the cutoff alone proves nothing there), of inf (no point can be certified) and at cutoffs
+    # tied with the F of the first point on the first draw (that draw's Q is that point's form)
     _, geom, cfg, points = design
     z, d = _draws(geom, geom.k)
     noise = SlopeNoise.of(z, d, geom)
@@ -152,9 +153,10 @@ def test_certified_points_lie_in_region_c_on_every_draw(design):
     terms = SlopeTerms.of(slopes, geom)
     radii = np.sqrt(np.concatenate([terms.svs, terms.usu], axis=1))
     slopes, radii = slopes[(radii > 0.0).all(axis=1)], radii[(radii > 0.0).all(axis=1)]
-    for l_tau, l_xi in ((cfg.l_tau, cfg.l_xi), (0.0, 0.0), (0.0, math.inf), (math.inf, 0.0)):
+    tie = [f[0, 0] for f in block_f(noise, terms, geom, cfg)[2:4]]
+    for l_tau, l_xi in ((cfg.l_tau, cfg.l_xi), (0.0, 0.0), (0.0, math.inf), (math.inf, 0.0), tie):
         forced = dataclasses.replace(cfg, l_tau=l_tau, l_xi=l_xi)
-        bounds = np.asarray(_sure_c_bounds(geom, forced, noise))
+        bounds = rejection_radii(geom, noise, f_thresholds(d, geom, forced))
         # each point scaled to clear each finite bound alone, and both, by one part in 1e12 and by 1 %:
         # (the tests it must be past, the points)
         finite = np.isfinite(bounds)
