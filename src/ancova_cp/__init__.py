@@ -38,7 +38,6 @@ from .montecarlo import (
     estimate_naive,
     estimate_points,
     event_probabilities,
-    gate_probability,
 )
 from .oracle import AgreementReport, RawFit, agreement_with_events, estimate_cp_raw, simulate_and_fit
 from .search import (
@@ -56,6 +55,6 @@ from .search import (
     write_grid_csv,
     write_profile_csv,
 )
-from .selection import batch_events, coverage_indicator
+from .selection import batch_events, coverage_indicator, gate_probability
 
 __version__ = "0.1.0"

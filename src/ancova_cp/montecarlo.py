@@ -3,7 +3,8 @@
 Two estimators of the same quantity: the naive one averages raw coverage
 indicators of simulated two-stage fits, the conditioned one averages the
 closed-form conditional coverage given the slope estimate and residual
-scale, which never has larger variance.
+scale, which never has larger variance.  The selection tests' acceptance
+probabilities are closed form (selection.gate_probability), not estimated.
 
 Randomness is organized as counter-based Philox streams keyed by
 (seed, estimator tag, chunk index) and nothing else.  Runs are split into
@@ -37,7 +38,7 @@ import numpy as np
 from .conditional import ConditionalKernel, KernelDraws
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError, check_count, check_reals
-from .selection import SlopeTerms, batch_events, block_f
+from .selection import batch_events
 
 __all__ = [
     "CHUNK_SIZE",
@@ -48,7 +49,6 @@ __all__ = [
     "estimate_points",
     "estimate_naive",
     "estimate_conditioned",
-    "gate_probability",
     "event_probabilities",
 ]
 
@@ -76,13 +76,10 @@ class SlopePoint:
             raise DomainError(f"slope point must be a vector of numbers, got {values!r}")
         return cls(values=tuple(values))
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
 
 @dataclass(frozen=True)
 class CoverageEstimate:
-    """A coverage (or gate) probability estimate with its reproducibility key."""
+    """A coverage probability estimate with its reproducibility key."""
 
     estimate: float
     se: float
@@ -142,7 +139,7 @@ def _checked_point(values: list) -> SlopePoint:
 
 
 def _draw_slopes(rng, geom, size):
-    """Slope noise z ~ N(0, V22) and d ~ chi2_m as the kernel reads them, all the conditioned and gate values need."""
+    """Slope noise z ~ N(0, V22) and d ~ chi2_m as the kernel reads them, all the conditioned values need."""
     return KernelDraws(rng.standard_normal((size, geom.k)) @ geom.v22_chol.T, rng.chisquare(geom.m, size), geom)
 
 
@@ -163,13 +160,6 @@ def _each(values):
     )
 
 
-def _gate(test):
-    """Whether the first (test 0) or second (test 1) selection test accepts, per draw."""
-    return _draw_slopes, _each(
-        lambda s, draws, geom, cfg: block_f(draws.noise, SlopeTerms.of(s, geom), geom, cfg)[test]
-    )
-
-
 # estimator tag -> (per-chunk draws, (rows, per-draw values) of each block of the slope points)
 _ESTIMATORS = {
     "naive": (_draw_full, _each(lambda s, draws, geom, cfg: batch_events(*draws, s, geom, cfg).covers_selected)),
@@ -180,8 +170,6 @@ _ESTIMATORS = {
         _draw_slopes,
         lambda slopes, step, draws, geom, cfg: ConditionalKernel(geom, cfg, slopes).blocks(draws, 2 * step),
     ),
-    "gate_tau": _gate(0),
-    "gate_xi": _gate(1),
 }
 
 
@@ -277,7 +265,7 @@ def estimate_points(
 ) -> list[CoverageEstimate]:
     """Estimate at every slope point in one pass over shared draws.
 
-    ``estimator`` is "naive", "conditioned", "gate_tau" or "gate_xi".  Every
+    ``estimator`` is "naive" or "conditioned".  Every
     point is evaluated against the same chunks of draws, so estimates at
     different points are correlated (common random numbers) and each one is
     bit-identical to the same point estimated alone.
@@ -331,27 +319,6 @@ def estimate_conditioned(
     """
     _check_intercepts(intercepts, geom.k)
     return estimate_points([point], geom, cfg, "conditioned", runs, seed, n_jobs)[0]
-
-
-def gate_probability(
-    point,
-    geom: GeometryBundle,
-    cfg: TwoStageConfig,
-    which: str = "tau",
-    runs: int = 10_000,
-    seed: int = 0,
-    n_jobs=None,
-) -> CoverageEstimate:
-    """Monte Carlo estimate of Pr(F <= cutoff) for one of the two selection tests.
-
-    ``which`` is "tau" for the all-slopes-zero test, "xi" for the equal-
-    slopes test.  Used as a diagnostic for search region restrictions, which
-    rely on the relevant test rejecting with probability close to one on the
-    region boundary.
-    """
-    if which not in ("tau", "xi"):
-        raise DomainError(f'which must be "tau" or "xi", got {which!r}')
-    return estimate_points([point], geom, cfg, f"gate_{which}", runs, seed, n_jobs)[0]
 
 
 def event_probabilities(

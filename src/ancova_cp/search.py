@@ -14,9 +14,9 @@ those differences leave a central square.  The search therefore combines
   min2: minimum of the second-stage-only coverage over a lattice of slope
         differences, realized by pinning the first slope at a large offset;
 
-and reports the smaller of the two.  Gate probabilities on the region
-boundaries are attached as diagnostics, since the restriction argument
-needs the relevant test to reject there with probability close to one.
+and reports the smaller of the two.  Each region's rejection probability at
+its weakest boundary point is attached as a diagnostic, since the restriction
+argument needs the region's test to reject there with probability close to one.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .montecarlo import (
     estimate_conditioned,
     estimate_naive,
     estimate_points,
-    gate_probability,  # noqa: F401  kept importable here: perfbench/spans.py traces this name
 )
+from .selection import gate_probability
 
 __all__ = [
     "GridSpec",
@@ -101,8 +101,8 @@ def _lattice(axes: list[np.ndarray]) -> np.ndarray:
 def _halved(lattice: np.ndarray, points: np.ndarray, *args, memo=None) -> list[CoverageEstimate]:
     """estimate_points(points, *args, memo=memo), evaluating only the first ceil(P/2) rows if ``lattice`` is symmetric.
 
-    Symmetric means that row P-1-i is -row i.  Coverage and both gates are even in the slopes, so row P-1-i then
-    takes row i's estimate and SE: its value on (-z, d).
+    Symmetric means that row P-1-i is -row i.  Coverage is even in the slopes, so row P-1-i then takes row i's
+    estimate and SE: its value on (-z, d).
     """
     if not np.array_equal(lattice, -lattice[::-1]):
         return estimate_points(points, *args, memo=memo)
@@ -148,9 +148,6 @@ class LineLocus:
     direction: tuple[float, ...]
     offsets: tuple[float, ...]
     c_range: tuple[float, float]
-
-    def point_at(self, c: float) -> SlopePoint:
-        return SlopePoint.of(np.asarray(self.offsets) + check_real("c", c) * np.asarray(self.direction))
 
 
 def fit_low_cp_lines(
@@ -274,6 +271,18 @@ def _far_points(deltas: np.ndarray, offset: float) -> np.ndarray:
     return np.concatenate([np.full_like(far[..., :1], offset), far], axis=-1)
 
 
+def _weakest(axes: list[np.ndarray], cov: np.ndarray) -> np.ndarray:
+    """The point of least x' cov^-1 x, the least noncentrality, on the face planes x_i = lo_i, x_i = hi_i of a box.
+
+    On the plane x_i = c the least form is c^2 / cov_ii, at c cov_i / cov_ii.  For a box about the origin every
+    point on or outside the boundary has a form at least this one's; the point is on the boundary when it lies
+    in the box.  Zeros are +0.0.
+    """
+    faces = np.array([[ax[0], ax[-1]] for ax in axes])
+    i, j = np.unravel_index(np.argmin(np.square(faces) / np.diag(cov)[:, None]), faces.shape)
+    return faces[i, j] * (cov[i] / cov[i, i]) + 0.0
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Everything min_cp_search needs: design, procedure, lattices and budget."""
@@ -309,10 +318,11 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
 
     min1 is the smallest coverage estimate found on the cube: the lattice minimum, improved where possible by
     profiling fitted low-CP lines and re-estimating at each profile's refined minimizer.  min2 is the lattice
-    minimum of the second-stage-only coverage over the slope-difference square.  Boundary gate probabilities
-    that do not clear GATE_WARN_BELOW become warnings in the diagnostics, never errors.  With symmetric bounds
-    the cube, the square (its coverage is even in the slope differences) and both corner sets evaluate one
-    point of each mirrored pair (see _halved), and so do the profile minimizers; the second profile's entry j
+    minimum of the second-stage-only coverage over the slope-difference square.  diagnostics["gates"] holds the
+    first test's rejection probability at the cube's weakest boundary point and the second's at the square's
+    (see _weakest); one below GATE_WARN_BELOW becomes a warning in the diagnostics, never an error.  With
+    symmetric bounds the cube and the square (its coverage is even in the slope differences) evaluate one point
+    of each mirrored pair (see _halved), and so do the profile minimizers; the second profile's entry j
     takes the first's entry n-1-j if its point is that entry's negation (mirrored lines over lo == -hi).  The
     coverage estimates share one memo (see montecarlo._reduce), so each chunk is drawn once per search, not once
     per phase; it dies with the call.
@@ -328,8 +338,7 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     deltas = _lattice(square_axes)
     far = _far_points(deltas, offset)
     warnings: list[str] = []
-    # the estimator's chunks, kept for every phase but the gates: each gate tag is drawn by one call only
-    memo: dict = {}
+    memo: dict = {}  # the estimator's chunks, kept for every phase
 
     cube_table = grid_eval(cube, config.estimator, geom, cfg, n_jobs=n_jobs, memo=memo)
     candidates = [min((est for _, est in cube_table), key=lambda e: e.estimate)]
@@ -358,23 +367,21 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
 
     overall = min1 if min1.estimate <= min2.estimate else min2
 
-    # the cube restriction needs the first test to reject on its boundary,
-    # the square restriction needs the second test to reject on its own
     gates = []
-    cube_corners, square_corners = (_lattice([ax[[0, -1]] for ax in axes]) for axes in (cube_axes, square_axes))
-    for test, stage, region, spec, corners, points in (
-        ("tau", "first", "cube", cube, cube_corners, cube_corners),
-        ("xi", "second", "square", square, square_corners, _far_points(square_corners, offset)),
+    for test, stage, region, axes, chol in (
+        ("tau", "first", "cube", cube_axes, geom.v22_chol),
+        ("xi", "second", "square", square_axes, geom.u @ geom.v22_chol),
     ):
-        ests = _halved(corners, points, geom, cfg, f"gate_{test}", spec.runs, spec.seed, n_jobs)
-        for corner, est in zip(map(tuple, corners.tolist()), ests):
-            reject = 1.0 - est.estimate
-            gates.append({"test": test, "point": corner, "reject_prob": reject})
-            if reject < GATE_WARN_BELOW:
-                warnings.append(
-                    f"{stage}-stage rejection probability {reject:.4f} at {region} corner {corner} "
-                    f"is below {GATE_WARN_BELOW}"
-                )
+        point = _weakest(axes, chol @ chol.T)
+        # U (0, delta) = -delta: the square's point has its far point's noncentrality
+        slopes = point if test == "tau" else np.concatenate([[0.0], point])
+        reject = 1.0 - gate_probability(slopes, geom, cfg, test)
+        gates.append({"test": test, "point": tuple(point.tolist()), "reject_prob": reject})
+        if reject < GATE_WARN_BELOW:
+            warnings.append(
+                f"{stage}-stage rejection probability {reject:.4f} at {region} boundary point "
+                f"{tuple(point.tolist())} is below {GATE_WARN_BELOW}"
+            )
     return MinSearchReport(
         min1=min1,
         min2=min2,

@@ -1,7 +1,8 @@
 """Two-stage selection events and interval coverage in noise units.
 
-The F tests live here: F form (block_f), per-draw thresholds (f_thresholds)
-and rejection radii (rejection_radii); so do the intervals' half-widths.
+The F tests live here: F form (block_f), per-draw thresholds (f_thresholds),
+rejection radii (rejection_radii) and each test's acceptance probability in
+closed form (gate_probability); so do the intervals' half-widths.
 
 Everything here is scale free.  With sigma the error standard deviation,
 gamma = beta / sigma and gamma_hat = beta_hat / sigma; q is the slope block
@@ -37,11 +38,12 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy import special
 
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError, check_real, check_reals
 
-__all__ = ["batch_events", "coverage_indicator"]
+__all__ = ["batch_events", "coverage_indicator", "gate_probability"]
 
 # rejection radii: the margin a point clears on every draw, and the largest dim^2 cond(A) they cover
 SURE_C_MARGIN, SURE_C_MAX_COND = 1.01, 1e8
@@ -160,6 +162,29 @@ def block_f(noise: SlopeNoise, terms: SlopeTerms, geom: GeometryBundle, cfg: Two
     np.multiply(quad_w, scale_xi, out=f_xi)
     f_xi /= noise.d
     return f_tau <= cfg.l_tau, f_xi <= cfg.l_xi, f_tau, f_xi, quad_v, quad_w
+
+
+def gate_probability(point, geom: GeometryBundle, cfg: TwoStageConfig, which: str = "tau") -> float:
+    """Pr(F <= cutoff) of one selection test at a slope point (k numbers, or a SlopePoint), in closed form.
+
+    F is noncentral F (Johnson, Kotz & Balakrishnan, Continuous Univariate Distributions vol. 2, ch. 30): for
+    ``which`` "tau", the all-slopes-zero test, F'(k, m, s'V22^-1 s); for "xi", the equal-slopes test,
+    F'(k - 1, m, (U s)'W22^-1 (U s)).  ncfdtr returns NaN past a noncentrality of about 1e19, or an overflowing
+    one, where the probability is 0 at a finite cutoff: 0.0 is returned there.
+    """
+    if which not in ("tau", "xi"):
+        raise DomainError(f'which must be "tau" or "xi", got {which!r}')
+    if geom.k < 2:
+        raise DomainError("F statistics need at least two groups")
+    slopes = check_reals("slope point", getattr(point, "values", point), geom.k)
+    if slopes.ndim != 1:
+        raise DomainError(f"slope point must be one vector of {geom.k} numbers, got shape {slopes.shape}")
+    test = int(which == "xi")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing form: NaN from ncfdtr, 0.0 below
+        terms = SlopeTerms.of(slopes[None, :], geom)
+    lam = float((terms.svs, terms.usu)[test][0, 0])
+    accept = float(special.ncfdtr(geom.k - test, geom.m, lam, (cfg.l_tau, cfg.l_xi)[test]))
+    return 0.0 if math.isnan(accept) else accept
 
 
 _INF_BITS = np.array(np.inf).view(np.int64)

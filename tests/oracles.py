@@ -6,7 +6,7 @@ conditional coverage from resampling instead of the closed form, the
 closed form itself from one nested np.where pass over every cell instead of
 one formula per selection region, restricted fits from re-solved least
 squares instead of projection matrices, and gate probabilities from scipy's
-noncentral F distribution.  ``assembled`` lays out the (rows, block) pairs of
+noncentral F distribution and from simulated F statistics.  ``assembled`` lays out the (rows, block) pairs of
 a value function as one (points, draws) array, ``certified`` names the
 points the conditional kernel gives the shared region-C row, and
 ``slope_draws`` makes a chunk's (z, d) as the conditioned estimator does.
@@ -127,6 +127,26 @@ def gate_prob_ncf(geom, cfg, slopes, which: str) -> float:
     us = geom.u @ slopes
     lam = float(us @ geom.w22_inv @ us)
     return float(stats.ncf.cdf(cfg.l_xi, geom.k - 1, geom.m, lam))
+
+
+def gate_prob_mc(layout, a, cfg, slopes, which: str, runs: int, seed: int) -> tuple[float, float]:
+    """(estimate, binomial se) of Pr(F <= cutoff) for a selection test, by simulation.
+
+    q ~ N(slopes, V22) and d ~ chi2_m are drawn from numpy's default generator, and F is formed from the
+    quadratic forms of direct_geometry(layout, a) as (quad / df) / (d / m).
+    """
+    direct = direct_geometry(layout, np.asarray(a, dtype=float))
+    k, m = layout.k, layout.m
+    rng = np.random.default_rng(seed)
+    q = np.asarray(slopes, dtype=float) + rng.standard_normal((runs, k)) @ np.linalg.cholesky(direct["v22"]).T
+    d = rng.chisquare(m, runs)
+    if which == "tau":
+        form, mat, df, cutoff = q, direct["v22_inv"], k, cfg.l_tau
+    else:
+        form, mat, df, cutoff = q @ direct["u"].T, direct["w22_inv"], k - 1, cfg.l_xi
+    accept = (np.einsum("ni,ij,nj->n", form, mat, form) / df) / (d / m) <= cutoff
+    p = float(accept.mean())
+    return p, math.sqrt(p * (1.0 - p) / runs)
 
 
 def restricted_fit_zero_slopes(layout, y: np.ndarray) -> np.ndarray:

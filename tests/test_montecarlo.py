@@ -26,7 +26,7 @@ from ancova_cp import conditional, montecarlo
 from ancova_cp.conditional import ConditionalKernel
 from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _draw_slopes, _Moments, _stream, default_workers
 from ancova_cp.selection import SlopeNoise, SlopeTerms, block_f
-from oracles import assembled, direct_geometry, gate_prob_ncf, slope_draws
+from oracles import assembled, direct_geometry, gate_prob_mc, gate_prob_ncf, slope_draws
 
 POINT = SlopePoint.of((0.05, 0.1, 0.0))
 
@@ -65,7 +65,7 @@ def test_serial_equals_parallel(ref, estimate):
     assert serial.se == threaded.se
 
 
-@pytest.mark.parametrize("estimator", ["naive", "conditioned", "gate_tau", "gate_xi"])
+@pytest.mark.parametrize("estimator", ["naive", "conditioned"])
 def test_block_matches_single_point_calls(ref, estimator):
     # several chunks, and more points than fit in one block of cells
     _, _, geom, cfg = ref
@@ -77,6 +77,14 @@ def test_block_matches_single_point_calls(ref, estimator):
         alone = estimate_points([point], geom, cfg, estimator, runs=runs, seed=4)[0]
         assert (est.estimate, est.se, est.point) == (alone.estimate, alone.se, point)
         assert est.estimator == estimator and est.runs == runs
+
+
+@pytest.mark.parametrize("estimator", ["gate_tau", "gate_xi"])
+def test_estimate_points_refuses_the_gate_tags(ref, estimator):
+    # the gates are closed form (selection.gate_probability), no longer estimated
+    _, _, geom, cfg = ref
+    with pytest.raises(DomainError, match="estimator"):
+        estimate_points([POINT], geom, cfg, estimator, runs=100, seed=0)
 
 
 # (design, cutoffs, spread of the points about a common slope, spread of that slope)
@@ -289,7 +297,7 @@ def test_forced_reduced_model_is_nominal_at_null(ref):
 
 
 # ---------------------------------------------------------------------------
-# gate probabilities against the noncentral F distribution
+# gate probabilities: the noncentral F CDF, against scipy's ncf and a simulated F
 # ---------------------------------------------------------------------------
 
 
@@ -303,31 +311,53 @@ def test_forced_reduced_model_is_nominal_at_null(ref):
     ],
 )
 def test_gate_probability_against_ncf(ref, which, slopes):
+    # relative, not bit for bit: another scipy release may compute the CDF with other rounding
     _, _, geom, cfg = ref
-    est = gate_probability(SlopePoint.of(slopes), geom, cfg, which, runs=40_000, seed=8)
-    exact = gate_prob_ncf(geom, cfg, np.asarray(slopes), which)
-    se = max(est.se, 1e-4)
-    assert est.estimate == pytest.approx(exact, abs=3.5 * se)
-    assert est.estimator == f"gate_{which}"
+    exact = gate_probability(SlopePoint.of(slopes), geom, cfg, which)
+    assert type(exact) is float
+    assert exact == pytest.approx(gate_prob_ncf(geom, cfg, np.asarray(slopes), which), rel=1e-9)
+    assert gate_probability(np.asarray(slopes), geom, cfg, which) == exact
+
+
+@pytest.mark.parametrize("design", ["ref", "small", "k4"])
+def test_gate_probability_matches_a_simulated_f(request, design):
+    # points in units of the slope noise, so that both tests accept and reject on a good share of draws
+    layout, contrast, geom, cfg = request.getfixturevalue(design)
+    rng = np.random.default_rng(21)
+    points = rng.uniform(-2.0, 2.0, (3, geom.k)) @ geom.v22_chol.T
+    for i, point in enumerate(points):
+        for which in ("tau", "xi"):
+            exact = gate_probability(point, geom, cfg, which)
+            sim, se = gate_prob_mc(layout, contrast.a, cfg, point, which, runs=20_000, seed=30 + i)
+            assert 0.01 < sim < 0.99
+            assert abs(exact - sim) <= 3 * se, (point, which, exact, sim, se)
 
 
 def test_gate_probability_null_level(ref):
+    # at zero slopes F is central, so the first test accepts with probability 1 - sig_tau
     _, _, geom, cfg = ref
-    est = gate_probability(SlopePoint.of((0.0, 0.0, 0.0)), geom, cfg, "tau", runs=40_000, seed=9)
-    assert abs(est.estimate - 0.90) <= 3 * est.se
+    assert gate_probability(SlopePoint.of((0.0, 0.0, 0.0)), geom, cfg, "tau") == pytest.approx(0.90, rel=1e-12)
 
 
 def test_gate_probability_far_point_rejects(ref):
     _, _, geom, cfg = ref
-    est = gate_probability(SlopePoint.of((10.0, 11.0, 9.0)), geom, cfg, "tau", runs=5000, seed=10)
-    assert est.estimate < 1e-3
-    assert gate_prob_ncf(geom, cfg, np.array([10.0, 11.0, 9.0]), "tau") < 1e-6
+    assert gate_probability(SlopePoint.of((10.0, 11.0, 9.0)), geom, cfg, "tau") < 1e-6
+    # a noncentrality past about 1e19 made ncfdtr return NaN, which no gate warning compared below
+    for point in ((1e10, 0.0, 0.0), (0.0, 1e10, -1e10), (1e200, -1e200, 0.0)):
+        assert gate_probability(point, geom, cfg, "tau") == 0.0
+        assert gate_probability(point, geom, cfg, "xi") == 0.0
+    # at an infinite cutoff a test accepts on every draw, however far the point
+    forced = dataclasses.replace(cfg, l_tau=math.inf)
+    assert gate_probability((1e10, 0.0, 0.0), geom, forced, "tau") == 1.0
 
 
 def test_gate_probability_bad_test_name(ref):
     _, _, geom, cfg = ref
     with pytest.raises(DomainError):
-        gate_probability(POINT, geom, cfg, "zeta", runs=100, seed=0)
+        gate_probability(POINT, geom, cfg, "zeta")
+    for point in ((0.1, 0.0), ((0.1, 0.0, 0.0),), (math.nan, 0.0, 0.0), ("0.1", 0.0, 0.0)):
+        with pytest.raises(DomainError, match="slope point"):
+            gate_probability(point, geom, cfg, "tau")
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +438,6 @@ def test_runs_accepts_numpy_integers(ref):
     plain = estimate_conditioned(POINT, geom, cfg, runs=300, seed=1)
     assert (est.estimate, est.se) == (plain.estimate, plain.se)
     assert type(est.runs) is int and type(est.seed) is int
-    with pytest.raises(DomainError):
-        gate_probability(POINT, geom, cfg, "tau", runs=2.5, seed=0)
     with pytest.raises(DomainError):
         event_probabilities(POINT, geom, cfg, runs=True, seed=0)
 
@@ -650,7 +678,7 @@ def test_block_kernels_are_bit_identical_at_any_buffer_size(ref, points, runs):
 def test_estimates_are_bit_identical_under_a_caller_buffer_size(ref, caller):
     _, _, geom, cfg = ref
     points = np.random.default_rng(9).uniform(-0.3, 0.3, (11, 3))
-    for estimator in ("naive", "conditioned", "gate_tau", "gate_xi"):
+    for estimator in ("naive", "conditioned"):
         for runs in (2000, 10_000):
             expected = estimate_points(points, geom, cfg, estimator, runs=runs, seed=5)
             with _bufsize(caller):

@@ -113,7 +113,6 @@ CASES = {
         None,
     ),
     "indicator inf d": (lambda g, c: coverage_indicator(np.zeros(6), math.inf, g, c, np.zeros(6)), None),
-    "line parameter string": (lambda g, c: LineLocus((1.0, 1.0, 1.0), (0.0, 0.05, 0.0), (-0.1, 0.1)).point_at("a"), None),
     # the array adapters used to read "0.1" and True as numbers, and a ragged list ended in numpy's ValueError
     "kernel string and bool slopes": (lambda g, c: ConditionalKernel(g, c, ("0.1", True, 0)), None),
     "kernel string and bool q, string d": (

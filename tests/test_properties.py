@@ -80,7 +80,7 @@ def test_naive_and_conditioned_agree(design):
 def test_raw_oracle_agrees_with_event_path(design):
     layout, geom, cfg, points = design
     sigma = 1.5
-    beta = np.concatenate([np.linspace(-1.0, 1.0, layout.k), sigma * points[0].as_array()])
+    beta = np.concatenate([np.linspace(-1.0, 1.0, layout.k), sigma * np.asarray(points[0].values)])
     report = agreement_with_events(beta, sigma, layout, geom, cfg, geom.a, RUNS, SEED)
     assert report.agreement >= 0.999
     assert abs(report.raw.estimate - report.event_rate) <= 1e-3

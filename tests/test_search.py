@@ -26,6 +26,7 @@ from ancova_cp import (
     estimate_points,
     estimate_naive,
     fit_low_cp_lines,
+    gate_probability,
     grid_eval,
     grid_points,
     line_profile,
@@ -34,6 +35,7 @@ from ancova_cp import (
     write_grid_csv,
     write_profile_csv,
 )
+from oracles import direct_geometry, gate_prob_ncf
 
 
 def _fake_est(point, value):
@@ -152,24 +154,21 @@ def test_symmetric_lattices_evaluate_one_point_of_each_pair(ref, monkeypatch):
     report = min_cp_search(_bench_config(geom, cfg))
     assert report.lines is not None
     # cube 365, the first 21-point profile (the second is its mirror), one of the two mirrored
-    # minimizers, square 41, gate corners 4 + 2
+    # minimizers, square 41; the gates are closed form and estimate nothing
     sizes = [len(c[0]) for c in calls]
-    assert sizes == [365, 21, 1, 41, 4, 2] and sum(sizes) == 434
+    assert sizes == [365, 21, 1, 41] and sum(sizes) == 428
     for table in (report.cube_table, report.square_table):
         for (point, est), (mirror, twin) in zip(table, table[::-1]):
             # cube rows are SlopePoints, square rows tuples of slope differences
             coords, mirrored = (np.asarray(getattr(p, "values", p), dtype=float) for p in (point, mirror))
             assert np.array_equal(coords, -mirrored)
             assert (est.estimate, est.se) == (twin.estimate, twin.se)
-    for gates in (report.diagnostics["gates"][:8], report.diagnostics["gates"][8:]):
-        for gate, twin in zip(gates, gates[::-1]):
-            assert gate["point"] == tuple(-v for v in twin["point"]) and gate["reject_prob"] == twin["reject_prob"]
     calls.clear()
 
     cube, square = GridSpec((-0.25, 0.3), 9, 2000, 4), GridSpec((-0.2, 0.25), 9, 2000, 4)
     min_cp_search(_bench_config(geom, cfg, cube=cube, square=square))
     sizes = [len(c[0]) for c in calls]
-    assert sizes[0] == 729 and sizes[-3:] == [81, 8, 4]
+    assert sizes[0] == 729 and sizes[-1] == 81
 
 
 def _count_streams(monkeypatch):
@@ -181,20 +180,20 @@ def _count_streams(monkeypatch):
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_a_search_draws_each_chunk_once(ref, monkeypatch, n_jobs):
-    # cube, profile, minimizers and square share the conditioned chunks, each gate its own: 3 streams at a
-    # bench-sized budget (6 before the chunks were kept), 6 at two chunks per call
+    # cube, profile, minimizers and square share the conditioned chunks: 1 stream at a bench-sized
+    # budget (4 before the chunks were kept), 2 at two chunks per call
     _, _, geom, cfg = ref
     streams = _count_streams(monkeypatch)
     report = min_cp_search(_bench_config(geom, cfg, n_jobs=n_jobs))
     assert report.lines is not None
-    assert streams == [(4, "conditioned", 0), (4, "gate_tau", 0), (4, "gate_xi", 0)]
+    assert streams == [(4, "conditioned", 0)]
     streams.clear()
     runs = montecarlo.CHUNK_SIZE + 100
     two = _bench_config(
         geom, cfg, cube=GridSpec((-0.25, 0.25), 9, runs, 4), square=GridSpec((-0.2, 0.2), 9, runs, 4), n_jobs=n_jobs
     )
     assert min_cp_search(two).lines is not None
-    assert sorted(streams) == [(4, tag, chunk) for tag in ("conditioned", "gate_tau", "gate_xi") for chunk in (0, 1)]
+    assert sorted(streams) == [(4, "conditioned", chunk) for chunk in (0, 1)]
 
 
 def test_kept_chunks_move_no_estimate_and_die_with_the_search(ref, monkeypatch):
@@ -228,7 +227,7 @@ def test_kept_chunks_move_no_estimate_and_die_with_the_search(ref, monkeypatch):
     monkeypatch.setattr(montecarlo, "KernelDraws", Tracked)
     assert min_cp_search(config) == searched[0]
     gc.collect()
-    assert len(made) == 3 and all(ref() is None for ref in made)
+    assert len(made) == 1 and all(ref() is None for ref in made)
 
 
 def test_second_profile_is_the_mirror_of_the_first(ref):
@@ -237,7 +236,7 @@ def test_second_profile_is_the_mirror_of_the_first(ref):
     _, _, geom, cfg = ref
     first, second = min_cp_search(_bench_config(geom, cfg)).profiles
     assert second.line.offsets == tuple(-v for v in first.line.offsets) and second.cs == first.cs
-    points = np.array([second.line.point_at(c).values for c in second.cs])
+    points = np.asarray(second.line.offsets) + np.asarray(second.cs)[:, None] * np.asarray(second.line.direction)
     assert [est.point.values for est in second.estimates] == [tuple(row) for row in points.tolist()]
     direct = estimate_points(-points, geom, cfg, "conditioned", 2000, 4)
     assert [(e.estimate, e.se) for e in second.estimates] == [(e.estimate, e.se) for e in direct]
@@ -362,11 +361,6 @@ def test_fit_low_cp_lines_needs_both_clusters():
     one_sided = [(pt, est) for pt, est in table if est.estimate > 0.6 or pt.values[1] >= pt.values[0]]
     with pytest.raises(InsufficientLowCPPoints):
         fit_low_cp_lines(one_sided, threshold=0.6)
-
-
-def test_line_locus_point_at():
-    line = LineLocus(direction=(1.0, 1.0), offsets=(0.0, 0.05), c_range=(-1.0, 1.0))
-    assert line.point_at(0.1).values == (0.1, pytest.approx(0.15))
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +563,9 @@ def test_min_cp_search_small_budget(ref):
     assert report.min1.estimate <= min(e.estimate for _, e in report.cube_table)
     assert report.min2.estimate == min(e.estimate for _, e in report.square_table)
     gates = report.diagnostics["gates"]
-    assert len(gates) == 8 + 4
-    assert {g["test"] for g in gates} == {"tau", "xi"}
+    assert [(g["test"], len(g["point"])) for g in gates] == [("tau", 3), ("xi", 2)]
     for g in gates:
-        assert 0.0 <= g["reject_prob"] <= 1.0
+        assert set(g) == {"test", "point", "reject_prob"} and 0.0 <= g["reject_prob"] <= 1.0
 
     # the winning estimate must be reproducible from its own metadata
     best = report.overall
@@ -624,17 +617,68 @@ def test_min_cp_search_validates_before_any_estimate(ref, monkeypatch, change):
 
 
 def test_min_cp_search_warns_on_low_boundary_rejection(ref):
-    # on a +-0.05 cube the first test rejects at the corners with probability
-    # about 0.7, so the cube restriction does not hold there: a warning, not an error
+    # on a +-0.05 cube the first test rejects at its weakest boundary point with
+    # probability about 0.22, so the cube restriction does not hold: a warning, not an error
     _, _, geom, cfg = ref
     cube = GridSpec(bounds=(-0.05, 0.05), points_per_axis=3, runs=1000, seed=0)
     report = min_cp_search(dataclasses.replace(_tiny_config(geom, cfg, runs=1000), cube=cube))
-    low = [g for g in report.diagnostics["gates"] if g["reject_prob"] < search_module.GATE_WARN_BELOW]
-    assert len(low) == 8 and {g["test"] for g in low} == {"tau"}
-    assert all(0.5 < g["reject_prob"] < 0.9 for g in low)
+    tau, _ = report.diagnostics["gates"]
+    assert tau["test"] == "tau" and 0.2 < tau["reject_prob"] < 0.25
     gate_warnings = [w for w in report.diagnostics["warnings"] if "rejection probability" in w]
-    assert len(gate_warnings) == 8
-    assert all(w.startswith("first-stage rejection probability") and "cube corner" in w for w in gate_warnings)
+    assert [w.split(" rejection probability ")[0] for w in gate_warnings] == ["first-stage", "second-stage"]
+    assert "cube boundary point" in gate_warnings[0] and "square boundary point" in gate_warnings[1]
+
+
+def test_default_search_warns_on_the_square_boundary(ref):
+    # the square's corners reject with probability near 1, but its edge point
+    # (-0.2, -0.0728) rejects with 0.9517: the weakest boundary point, not a corner
+    _, _, geom, cfg = ref
+    report = min_cp_search(_tiny_config(geom, cfg, runs=200))
+    tau, xi = report.diagnostics["gates"]
+    assert tau == {"test": "tau", "point": (0.0, -0.25, 0.0), "reject_prob": pytest.approx(0.99953, abs=1e-5)}
+    assert math.copysign(1.0, tau["point"][0]) == math.copysign(1.0, tau["point"][2]) == 1.0
+    assert xi["test"] == "xi" and xi["reject_prob"] == pytest.approx(0.95172, abs=1e-5)
+    assert xi["point"] == (-0.2, pytest.approx(-0.0727553, abs=1e-7))
+    for corner in itertools.product((-0.2, 0.2), repeat=2):
+        assert 1.0 - gate_probability(np.array([0.0, *corner]), geom, cfg, "xi") > search_module.GATE_WARN_BELOW
+    warnings = [w for w in report.diagnostics["warnings"] if "rejection" in w]
+    assert len(warnings) == 1 and warnings[0].startswith("second-stage rejection probability 0.9517 at square")
+
+
+def _boundary_lattice(bounds, dim, n):
+    """Every point of an n-point lattice on each face of the box [lo, hi]^dim."""
+    axis = np.linspace(*bounds, n)
+    inner = np.array(list(itertools.product(axis, repeat=dim - 1))).reshape(n ** (dim - 1), dim - 1)
+    faces = [np.insert(inner, i, c, axis=1) for i in range(dim) for c in bounds]
+    return np.concatenate(faces)
+
+
+# (design, cube reject, square reject) at the default bounds
+WEAKEST_GATES = [("ref", 0.9995, 0.9517), ("small", 0.1214, 0.1191), ("k4", 0.1259, 0.1139)]
+
+
+@pytest.mark.parametrize("design,cube_reject,square_reject", WEAKEST_GATES)
+def test_gates_sit_at_the_weakest_boundary_point(request, design, cube_reject, square_reject):
+    # against a brute-force minimum over a fine lattice on every face: the least
+    # noncentrality on the boundary, where the test rejects least often
+    layout, contrast, geom, cfg = request.getfixturevalue(design)
+    direct = direct_geometry(layout, np.asarray(contrast.a))
+    config = _tiny_config(geom, cfg, runs=100)
+    config = dataclasses.replace(config, cube=dataclasses.replace(config.cube, points_per_axis=2), profile_points=3)
+    tau, xi = min_cp_search(config).diagnostics["gates"]
+    for gate, bounds, dim, mat, reject in (
+        (tau, (-0.25, 0.25), geom.k, direct["v22_inv"], cube_reject),
+        (xi, (-0.2, 0.2), geom.k - 1, direct["w22_inv"], square_reject),
+    ):
+        lattice = _boundary_lattice(bounds, dim, 401 if dim < 3 else 41)
+        lam = np.einsum("ni,ij,nj->n", lattice, mat, lattice)
+        weakest = lattice[np.argmin(lam)]
+        slopes = weakest if gate is tau else np.concatenate([[0.0], weakest])
+        brute = 1.0 - gate_prob_ncf(geom, cfg, slopes, gate["test"])
+        assert gate["reject_prob"] <= brute + 1e-12
+        assert gate["reject_prob"] == pytest.approx(brute, abs=2e-4)
+        assert round(gate["reject_prob"], 4) == reject
+        assert np.max(np.abs(gate["point"])) == bounds[1] and np.all(np.abs(gate["point"]) <= bounds[1])
 
 
 def _fine_config(geom, cfg, n_jobs=None, runs=900):
