@@ -73,6 +73,27 @@ def _separate(geom, widths, d, zv):
     return _band(zv / -math.sqrt(geom.v_star), half)
 
 
+def _control_sums(edges, a, b, v, xa):
+    """(3, 2, rows): per row of a (rows, n) block, the count of cells and the sum of v in region A and in region B,
+    then the sum of v and the count over the region-A cells where x accepts.
+
+    A: the first test accepts, x: the second accepts, v: the conditional coverage; region B is x and not A, and
+    region-C cells accept neither test.  ``edges`` holds the flat index of each row's first cell, a and b the
+    sorted flat indices of the region-A and region-B cells, ``v`` their values, the A cells' then the B cells',
+    then 0.0, which makes the last bound a valid index, and xa marks the A cells where x accepts.  Each row's
+    cells in a region are one reduceat segment, whose bits do not depend on where it lies, and both kernel paths
+    reduce here: a point's sums have the same bits in a block and alone.  A row with no cells in a region reads
+    one junk cell there; montecarlo zeroes it by the count (_Moments.with_controls).
+    """
+    rows, na = len(edges), len(a)
+    bounds = np.concatenate((a.searchsorted(edges), b.searchsorted(edges) + na, [len(v) - 1]))
+    at_x = np.zeros((2, na + 1))  # v and 1 at the A cells where x accepts, 0 at the others, then 0.0
+    at_x[1, :na] = xa
+    np.multiply(v[:na], at_x[1, :na], out=at_x[0, :na])
+    sums = np.add.reduceat(v, bounds)[:-1], np.add.reduceat(at_x, bounds[: rows + 1], axis=1)[:, :-1].reshape(-1)
+    return np.concatenate((bounds[1:] - bounds[:-1], *sums)).reshape(3, 2, rows)
+
+
 class KernelDraws:
     """One chunk's draws for one design, as the kernel reads them, with the point-free work its kernels share.
 
@@ -101,7 +122,7 @@ class ConditionalKernel:
     """Conditional coverage for one design and cutoff config at a block of true slope points.
 
     ``slopes`` is one point (k,) or a block of points (P, k); their
-    SlopeTerms are formed once, here.  ``blocks`` evaluates runs of points
+    SlopeTerms (``terms``) are formed once, here.  ``blocks`` evaluates runs of points
     against shared draws, with the test decisions of block_f;
     ``conditional_cp_batch`` is the row adapter for a kernel built for one
     point, given the slope estimates q themselves.
@@ -113,10 +134,15 @@ class ConditionalKernel:
             raise DomainError(f"slopes must be one point or a block of points, got shape {slopes.shape}")
         self.geom, self.cfg, self.widths = geom, cfg, half_widths(geom, cfg)
         self.slopes = np.atleast_2d(slopes)
-        self._terms = SlopeTerms.of(self.slopes, geom)
+        self.terms = SlopeTerms.of(self.slopes, geom)
+
+    def __len__(self) -> int:
+        """The number of slope points."""
+        return len(self.slopes)
 
     def blocks(self, draws: KernelDraws, step: int):
-        """(rows, values) pairs: conditional coverage of the points ``rows`` (rows) against shared draws (columns).
+        """(rows, values, controls): conditional coverage of the points ``rows`` (rows) against shared draws
+        (columns), with their control sums (_control_sums).
 
         Each cell is evaluated only by its region's formula.  One point has
         nothing to share: both test decisions come from block_f, and its
@@ -132,17 +158,17 @@ class ConditionalKernel:
         past neither radius, the first only, the second only; region-C cells
         take the shared row, region-A and region-B cells are evaluated in
         gathers of at most GATHER_CELLS, with the same bits as each point
-        alone.  The last pair gives the region-C row, as one row, to every
-        point past both radii.  Groups share three work arrays: each is valid
-        until the next.
+        alone.  The last triple gives the region-C row, as one row, to every
+        point past both radii, with zero control sums: neither test accepts.
+        Groups share three work arrays: each is valid until the next.
         """
         geom, widths, noise, zs = self.geom, self.widths, draws.noise, draws.zs
         d = noise.d
-        mu_a, wus = self._terms.vs[:, 0] / math.sqrt(geom.v_star), self._terms.wus[:, 0]
+        mu_a, wus = self.terms.vs[:, 0] / math.sqrt(geom.v_star), self.terms.wus[:, 0]
         if len(self.slopes) == 1:
             # the shared path (region C on every draw) took 958 against 559 us per 8192 draws at (0, 0, 0),
             # 90 % region A, and 770 against 564 at (0, 0.1, 0), 48 % region C (60 interleaved rounds)
-            in_a, ok_xi, values, _, quad_v, quad_w = block_f(noise, self._terms, geom, self.cfg)
+            in_a, ok_xi, values, _, quad_v, quad_w = block_f(noise, self.terms, geom, self.cfg)
             in_a, ok_xi, row = in_a[0], ok_xi[0], values[0]
             # region B: ok_xi and not in_a
             a, b = in_a.nonzero()[0], (ok_xi > in_a).nonzero()[0]
@@ -151,21 +177,24 @@ class ConditionalKernel:
             else:
                 c = (~(in_a | ok_xi)).nonzero()[0]
                 row[c] = _separate(geom, widths, d.take(c), draws.zv.take(c))
+            v = np.empty(len(a) + len(b) + 1)
+            v[-1] = 0.0
             if len(a):
-                row[a] = _zero_slopes(geom, widths, d.take(a), quad_v.take(a), mu_a[0])
+                row[a] = v[: len(a)] = _zero_slopes(geom, widths, d.take(a), quad_v.take(a), mu_a[0])
             if len(b):
-                row[b] = _common_slope(geom, widths, d.take(b), quad_w.take(b), wus[0], zs.take(b))
-            yield [0], values
+                row[b] = v[len(a) : -1] = _common_slope(geom, widths, d.take(b), quad_w.take(b), wus[0], zs.take(b))
+            yield [0], values, _control_sums(np.zeros(1, dtype=np.intp), a, b, v, ok_xi.take(a))
             return
         n = len(d)
         region_c, limits, radii = draws.shared(self.cfg)
         # 0: past neither radius, 1: past the first only (test 0 rejects on every draw), 2: the second only, 3: both
-        kind = (np.sqrt(np.hstack([self._terms.svs, self._terms.usu])) > radii) @ np.array([1, 2])
+        kind = (np.sqrt(np.hstack([self.terms.svs, self.terms.usu])) > radii) @ np.array([1, 2])
         work = [np.empty((min(step, np.count_nonzero(kind < 3)), n)) for _ in range(3)]
+        edges = np.arange(0, len(work[0]) * n, n)  # each row's first flat index
         for which, tests in ((0, (0, 1)), (1, (1,)), (2, (0,))):
             rest = np.flatnonzero(kind == which)
             for rows in (rest[i : i + step] for i in range(0, len(rest), step)):
-                terms = SlopeTerms(*(field[rows] for field in self._terms))
+                terms = SlopeTerms(*(field[rows] for field in self.terms))
                 group, *quads = (w[: len(rows)] for w in work)
                 # a test proven to reject on every draw accepts nowhere: False
                 in_a, ok_xi = (
@@ -173,20 +202,25 @@ class ConditionalKernel:
                     for test in (0, 1)
                 )
                 group[...] = region_c
-                cells = group.reshape(-1)
-                # (cells, formula, its per-cell, per-point and per-draw parts); region B: ok_xi and not in_a
-                for mask, formula, quad, per_point, per_draw in (
-                    (in_a, _zero_slopes, quads[0], mu_a[rows], ()),
-                    (ok_xi > in_a, _common_slope, quads[1], wus[rows], (zs,)),
+                flat = group.reshape(-1)
+                # region B: ok_xi and not in_a; v: the values of the A cells, then of the B cells, then 0.0
+                a, b = np.flatnonzero(in_a), np.flatnonzero(ok_xi > in_a)
+                v = np.empty(len(a) + len(b) + 1)
+                v[-1] = 0.0
+                # (cells, their first place in v, formula, its per-cell, per-point and per-draw parts)
+                for region, start, formula, quad, per_point, per_draw in (
+                    (a, 0, _zero_slopes, quads[0], mu_a[rows], ()),
+                    (b, len(a), _common_slope, quads[1], wus[rows], (zs,)),
                 ):
-                    region = np.flatnonzero(mask)
-                    for part in (region[i : i + GATHER_CELLS] for i in range(0, len(region), GATHER_CELLS)):
+                    for i in range(0, len(region), GATHER_CELLS):
+                        part = region[i : i + GATHER_CELLS]
                         point, draw = np.divmod(part, n)
                         parts = (quad.take(part), per_point.take(point), *(x.take(draw) for x in per_draw))
-                        cells[part] = formula(geom, widths, d.take(draw), *parts)
-                yield rows, group
+                        flat[part] = v[start + i : start + i + len(part)] = formula(geom, widths, d.take(draw), *parts)
+                xa = ok_xi.reshape(-1).take(a) if 1 in tests else np.zeros(len(a), dtype=bool)
+                yield rows, group, _control_sums(edges[: len(rows)], a, b, v, xa)
         if (kind == 3).any():
-            yield np.flatnonzero(kind == 3), region_c[None]
+            yield np.flatnonzero(kind == 3), region_c[None], np.zeros((3, 2, 1))
 
     def conditional_cp_batch(self, q, d) -> np.ndarray:
         """Conditional coverage of the selected interval, row-wise on q (n, k) against d (n,).

@@ -3,8 +3,12 @@
 Two estimators of the same quantity: the naive one averages raw coverage
 indicators of simulated two-stage fits, the conditioned one averages the
 closed-form conditional coverage given the slope estimate and residual
-scale, which never has larger variance.  The selection tests' acceptance
-probabilities are closed form (selection.gate_probability), not estimated.
+scale, which never has larger variance, and corrects the average with two
+control variates: the two selection tests' acceptance indicators, whose
+means are closed form (selection.acceptance), not estimated.  The naive SE
+is the sample standard deviation over sqrt(runs); the conditioned one is
+the residual standard deviation of the regression on the q controls a point
+keeps, with runs - 1 - q degrees of freedom, over sqrt(runs) (_controlled).
 
 Randomness is organized as counter-based Philox streams keyed by
 (seed, estimator tag, chunk index) and nothing else.  Runs are split into
@@ -38,7 +42,7 @@ import numpy as np
 from .conditional import ConditionalKernel, KernelDraws
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError, check_count, check_reals
-from .selection import batch_events
+from .selection import acceptance, batch_events
 
 __all__ = [
     "CHUNK_SIZE",
@@ -55,6 +59,10 @@ __all__ = [
 CHUNK_SIZE = 8192
 BLOCK_CELLS = 2 * CHUNK_SIZE
 MAX_RUNS = 2**32  # the most runs of one estimate: a list of at most 2**19 chunk sizes
+# a control is dropped where its residual sum of squares, after the controls kept before it, is at most this
+# share of its own: the second of two collinear indicators leaves rounding (about 1e-15), a distinct one about
+# 1 / runs
+COLLINEAR_SHARE = 1e-10
 THREADS_ENV_VAR = "ANCOVA_CP_THREADS"
 
 
@@ -160,7 +168,8 @@ def _each(values):
     )
 
 
-# estimator tag -> (per-chunk draws, (rows, per-draw values) of each block of the slope points)
+# estimator tag -> (per-chunk draws, (rows, per-draw values[, control sums]) of each block of the slope points);
+# the conditioned values read the points' ConditionalKernel, which estimate_points builds once per call
 _ESTIMATORS = {
     "naive": (_draw_full, _each(lambda s, draws, geom, cfg: batch_events(*draws, s, geom, cfg).covers_selected)),
     # groups of two blocks' points, 4·CHUNK_SIZE cells (16 rows at 2000 runs), keep the kernel's work
@@ -168,13 +177,18 @@ _ESTIMATORS = {
     # CPU, against 65.4 ms with 8 rows and 69.8 ms with 64 (median of 30 interleaved rounds, 2 vCPUs)
     "conditioned": (
         _draw_slopes,
-        lambda slopes, step, draws, geom, cfg: ConditionalKernel(geom, cfg, slopes).blocks(draws, 2 * step),
+        lambda kernel, step, draws, geom, cfg: kernel.blocks(draws, 2 * step),
     ),
 }
 
 
 class _Moments(NamedTuple):
-    """Count, mean and sum of squared deviations of values along their last axis."""
+    """Count, means (P, ..., c) and co-moments (P, ..., c, c) of c per-draw variables of each point.
+
+    The co-moments are the sums of products of deviations from the means.  Plain values give c = 1; the
+    conditioned values v with their two controls, 1{first test accepts} and 1{second test accepts}, give c = 3
+    in that order (with_controls).
+    """
 
     n: int
     mean: np.ndarray
@@ -182,26 +196,46 @@ class _Moments(NamedTuple):
 
     @classmethod
     def of(cls, values: np.ndarray) -> "_Moments":
+        """Of ``values`` (P, ..., n) along their last axis: c = 1."""
         values = np.asarray(values, dtype=float)
         mean = values.mean(axis=-1)
         dev = values - mean[..., None]
-        return cls(values.shape[-1], mean, np.square(dev, out=dev).sum(axis=-1))
+        return cls(values.shape[-1], mean[..., None], np.square(dev, out=dev).sum(axis=-1)[..., None, None])
+
+    def with_controls(self, regions: np.ndarray) -> "_Moments":
+        """These moments of v (P, c = 1) with the two controls', from the kernel's region sums (3, 2, P).
+
+        conditional._control_sums gives, per point, the count of cells and the sum of v in region A and in region
+        B, then the sum of v and the count over the A cells where x accepts; x holds those and B.  With the sums
+        S of v a, v x, a, a x and x, C = S - n m m' off the (v, v) entry, m the means of (v, a, x):
+        C_va = sum_A v - n_A mean(v), C_aa = n_A - n_A^2 / n, C_ax = n_Ax - n_A n_x / n, and alike for x.
+        """
+        flat = regions.reshape(6, -1)  # n_A, n_B, sum_A v, sum_B v, sum_Ax v, n_Ax
+        flat[2:] *= flat[[0, 1, 0, 0]] > 0  # a region with no cells reads one junk cell
+        sums = flat[[2, 3, 0, 5, 1]]
+        sums[[1, 4]] += flat[[4, 5]]  # sums of v a, v x, a, a x, x
+        mean = np.concatenate((self.mean.T, sums[[2, 4]] / self.n))
+        co = sums[[[0, 0, 1], [0, 2, 3], [1, 3, 4]]] - self.n * mean[:, None] * mean
+        co[0, 0] = self.m2[:, 0, 0]
+        return _Moments(self.n, mean.T, co.transpose(2, 0, 1))
 
     def merge(self, other: "_Moments") -> "_Moments":
-        """Pairwise update of Chan, Golub & LeVeque (1983): no sum-of-squares cancellation."""
+        """Pairwise update of Chan, Golub & LeVeque (1983), in co-moment form: no sum-of-squares cancellation."""
         n = self.n + other.n
         delta = other.mean - self.mean
         mean = self.mean + delta * (other.n / n)
-        return _Moments(n, mean, self.m2 + other.m2 + delta * delta * (self.n * other.n / n))
+        outer = delta[..., :, None] * delta[..., None, :]
+        return _Moments(n, mean, self.m2 + other.m2 + outer * (self.n * other.n / n))
 
 
-def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs, memo=None) -> _Moments:
+def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None) -> _Moments:
     """Per-point moments of ``values`` over ``runs`` draws made by ``draw``.
 
     The one chunk loop.  Each chunk is one task: it makes the chunk's draws
-    from the stream (seed, tag, chunk) and evaluates every slope point (P, k)
-    against them, in blocks of at most BLOCK_CELLS cells, so a chunk is drawn
-    once, never once per point; the block size comes from the chunk's own
+    from the stream (seed, tag, chunk) and evaluates every slope point against
+    them (``points``: P rows of k numbers, or their ConditionalKernel), in
+    blocks of at most BLOCK_CELLS cells, so a chunk is drawn once, never once
+    per point; the block size comes from the chunk's own
     length, so a short tail chunk takes more points per block.  ``memo``, a
     dict owned by the caller, keeps each chunk's draws under (tag, seed,
     chunk, size, geom), the design compared by identity, so a chunk is drawn
@@ -210,8 +244,10 @@ def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs, memo=None)
     (KernelDraws.shared), so any sequence of calls over one memo gives each
     call's own bits.  Without a memo, a chunk's draws die with its task.
     ``values`` gets all the points, so it can share point-free work among its
-    blocks, and yields (rows, block) pairs in any order; a one-row block may
-    stand for several rows.
+    blocks, and yields (rows, block) pairs in any order, or triples with the
+    block's control sums (the conditioned kernel), which the chunk's moments
+    then carry (_Moments.with_controls); a one-row block may stand for several
+    rows.
     While a task runs, NumPy's ufunc buffer (thread-local) is sized to the
     chunk, rounded up to a multiple of 16: a (P, 1) by (size,) broadcast
     shorter than the buffer goes through NumPy's buffered iterator, up to
@@ -235,13 +271,19 @@ def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs, memo=None)
             kept = {} if memo is None else memo  # without a memo the draws die with the task
             if key not in kept:
                 kept[key] = draw(_stream(seed, tag, chunk), geom, size)
-            blocks = [(r, _Moments.of(b)) for r, b in values(slopes, max(1, BLOCK_CELLS // size), kept[key], geom, cfg)]
+            step = max(1, BLOCK_CELLS // size)
+            blocks = [(r, _Moments.of(b), *c) for r, b, *c in values(points, step, kept[key], geom, cfg)]
         finally:
             np.setbufsize(old)
-        mean, m2 = (np.empty((len(slopes), *blocks[0][1].mean.shape[1:])) for _ in range(2))
-        for rows, moments in blocks:
+        mean, m2 = (np.empty((len(points), *getattr(blocks[0][1], f).shape[1:])) for f in ("mean", "m2"))
+        for rows, moments, *_ in blocks:
             mean[rows], m2[rows] = moments.mean, moments.m2
-        return _Moments(size, mean, m2)
+        if len(blocks[0]) == 2:
+            return _Moments(size, mean, m2)
+        regions = np.empty((3, 2, len(points)))
+        for rows, _, controls in blocks:
+            regions[:, :, rows] = controls
+        return _Moments(size, mean, m2).with_controls(regions)
 
     width = min(width, len(jobs))
     if width == 1:
@@ -251,6 +293,33 @@ def _reduce(tag, draw, values, slopes, geom, cfg, runs, seed, n_jobs, memo=None)
         return functools.reduce(_Moments.merge, pool.map(task, jobs))
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _controlled(moments: _Moments, kernel: ConditionalKernel):
+    """Regression control-variate estimate, residual sum of squares and number of kept controls q, per point.
+
+    The controls are the two acceptance indicators of the kernel's values (_Moments.with_controls), with exact
+    means p from selection.acceptance, computed only where a control varies (Glasserman, Monte Carlo Methods in
+    Financial Engineering, 2003, sec. 4.1).  In order, a control is kept where what the controls kept before it
+    leave of its sum of squares is above COLLINEAR_SHARE of it (so above 0), and while n > q + 1 with it.  Each
+    kept control is swept out of the co-moments and of the mean-minus-p shifts (Gram-Schmidt), elementwise per
+    point, so a point has the same bits in any block: what is left of the value's shift is v - beta'(x - p), and
+    of its sum of squares the residual one.  A point that keeps no control gets the plain mean and sum of squares.
+    """
+    n, m2 = moments.n, moments.m2.transpose(1, 2, 0).copy()  # (c, c, P)
+    limits = COLLINEAR_SHARE * m2[[1, 2], [1, 2]]
+    shift = moments.mean.T.copy()
+    shift[1:] -= acceptance(kernel.terms, kernel.geom, kernel.cfg, (limits > 0.0).T).T
+    kept = np.zeros(len(shift[0]), dtype=int)
+    for j, limit in zip((1, 2), limits):
+        keep = m2[j, j] > limit
+        if n < 4:  # q + 1 < n for q <= 2 at any larger n
+            keep &= n > kept + 2
+        gain = np.divide(m2[:, j], m2[j, j], out=np.zeros_like(shift), where=keep)
+        m2 -= gain[:, None] * m2[j]
+        shift -= gain * shift[j]
+        kept += keep
+    return shift[0], np.maximum(m2[0, 0], 0.0), kept
 
 
 def estimate_points(
@@ -269,19 +338,26 @@ def estimate_points(
     point is evaluated against the same chunks of draws, so estimates at
     different points are correlated (common random numbers) and each one is
     bit-identical to the same point estimated alone.
-    The standard error is the unbiased sample standard deviation of the
-    per-draw values divided by sqrt(runs).  ``memo`` (a dict, see _reduce)
-    lets calls draw each chunk once per design, at any configs; it never changes an estimate.
+    The naive SE is sqrt(sample variance / runs).  The conditioned estimate
+    is v - beta'(x - p), v the mean conditional coverage, x and p the sample
+    and exact means of the q acceptance indicators kept as controls
+    (_controlled), and its SE sqrt(RSS / (runs - 1 - q) / runs); one run has
+    SE 0.  ``memo`` (a dict, see _reduce) lets calls draw each chunk once per
+    design, at any configs; it never changes an estimate.
     """
     if not isinstance(estimator, str) or estimator not in _ESTIMATORS:
         raise DomainError(f"estimator must be one of {sorted(_ESTIMATORS)}, got {estimator!r}")
     slopes = _slopes(points, geom.k)
-    moments = _reduce(estimator, *_ESTIMATORS[estimator], slopes, geom, cfg, runs, seed, n_jobs, memo)
-    var = moments.m2 / (moments.n - 1) if moments.n > 1 else np.zeros_like(moments.m2)
+    evaluated = ConditionalKernel(geom, cfg, slopes) if estimator == "conditioned" else slopes
+    moments = _reduce(estimator, *_ESTIMATORS[estimator], evaluated, geom, cfg, runs, seed, n_jobs, memo)
+    mean, rss, q = moments.mean[:, 0], moments.m2[:, 0, 0], 0
+    if estimator == "conditioned":
+        mean, rss, q = _controlled(moments, evaluated)
+    var = rss / (moments.n - 1 - q) if moments.n > 1 else np.zeros_like(rss)
     se = np.sqrt(var / moments.n)
     return [
-        CoverageEstimate(float(mean), float(err), moments.n, estimator, int(seed), _checked_point(row))
-        for row, mean, err in zip(slopes.tolist(), moments.mean, se)
+        CoverageEstimate(float(value), float(err), moments.n, estimator, int(seed), _checked_point(row))
+        for row, value, err in zip(slopes.tolist(), mean, se)
     ]
 
 
@@ -332,7 +408,7 @@ def event_probabilities(
     the form 0 <= Pr(S) - Pr(S and accept) <= Pr(reject).
     """
     moments = _reduce("events", _draw_full, _each(_event_values), _slopes([point], geom.k), geom, cfg, runs, seed, 1)
-    covers, covers_and_accept, reject = (float(v) for v in moments.mean[0])
+    covers, covers_and_accept, reject = (float(v) for v in moments.mean[0, :, 0])
     return {
         "covers_tau": covers,
         "covers_tau_and_accept": covers_and_accept,

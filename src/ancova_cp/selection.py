@@ -2,7 +2,8 @@
 
 The F tests live here: F form (block_f), per-draw thresholds (f_thresholds),
 rejection radii (rejection_radii) and each test's acceptance probability in
-closed form (gate_probability); so do the intervals' half-widths.
+closed form (acceptance, and its one-point adapter gate_probability); so do
+the intervals' half-widths.
 
 Everything here is scale free.  With sigma the error standard deviation,
 gamma = beta / sigma and gamma_hat = beta_hat / sigma; q is the slope block
@@ -43,7 +44,7 @@ from scipy import special
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError, check_real, check_reals
 
-__all__ = ["batch_events", "coverage_indicator", "gate_probability"]
+__all__ = ["acceptance", "batch_events", "coverage_indicator", "gate_probability"]
 
 # rejection radii: the margin a point clears on every draw, and the largest dim^2 cond(A) they cover
 SURE_C_MARGIN, SURE_C_MAX_COND = 1.01, 1e8
@@ -164,14 +165,24 @@ def block_f(noise: SlopeNoise, terms: SlopeTerms, geom: GeometryBundle, cfg: Two
     return f_tau <= cfg.l_tau, f_xi <= cfg.l_xi, f_tau, f_xi, quad_v, quad_w
 
 
-def gate_probability(point, geom: GeometryBundle, cfg: TwoStageConfig, which: str = "tau") -> float:
-    """Pr(F <= cutoff) of one selection test at a slope point (k numbers, or a SlopePoint), in closed form.
+def acceptance(terms: SlopeTerms, geom: GeometryBundle, cfg: TwoStageConfig, live=None) -> np.ndarray:
+    """(P, 2): Pr(F <= cutoff) of the first and the second test at the points of ``terms``, in closed form.
 
-    F is noncentral F (Johnson, Kotz & Balakrishnan, Continuous Univariate Distributions vol. 2, ch. 30): for
-    ``which`` "tau", the all-slopes-zero test, F'(k, m, s'V22^-1 s); for "xi", the equal-slopes test,
-    F'(k - 1, m, (U s)'W22^-1 (U s)).  ncfdtr returns NaN past a noncentrality of about 1e19, or an overflowing
-    one, where the probability is 0 at a finite cutoff: 0.0 is returned there.
+    F is noncentral F (Johnson, Kotz & Balakrishnan, Continuous Univariate Distributions vol. 2, ch. 30): for the
+    all-slopes-zero test F'(k, m, s'V22^-1 s), for the equal-slopes test F'(k - 1, m, (U s)'W22^-1 (U s)).  Only the
+    entries of ``live`` (P, 2), if given, are computed; the others read 0.0.  ncfdtr returns NaN past a
+    noncentrality of about 1e19, or an overflowing one, where the probability is 0 at a finite cutoff: 0.0 there.
     """
+    accept = np.zeros((len(terms.svs), 2))
+    for test, lam, cutoff in ((0, terms.svs[:, 0], cfg.l_tau), (1, terms.usu[:, 0], cfg.l_xi)):
+        rows = slice(None) if live is None else live[:, test]
+        accept[rows, test] = special.ncfdtr(geom.k - test, geom.m, lam[rows], cutoff)
+    return np.fmax(accept, 0.0, out=accept)  # NaN to 0.0
+
+
+def gate_probability(point, geom: GeometryBundle, cfg: TwoStageConfig, which: str = "tau") -> float:
+    """Pr(F <= cutoff) of one selection test at a slope point (k numbers, or a SlopePoint): ``which`` "tau" is
+    the all-slopes-zero test, "xi" the equal-slopes test; the one-point adapter over ``acceptance``."""
     if which not in ("tau", "xi"):
         raise DomainError(f'which must be "tau" or "xi", got {which!r}')
     if geom.k < 2:
@@ -179,12 +190,10 @@ def gate_probability(point, geom: GeometryBundle, cfg: TwoStageConfig, which: st
     slopes = check_reals("slope point", getattr(point, "values", point), geom.k)
     if slopes.ndim != 1:
         raise DomainError(f"slope point must be one vector of {geom.k} numbers, got shape {slopes.shape}")
-    test = int(which == "xi")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing form: NaN from ncfdtr, 0.0 below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing form: NaN from ncfdtr, 0.0 in acceptance
         terms = SlopeTerms.of(slopes[None, :], geom)
-    lam = float((terms.svs, terms.usu)[test][0, 0])
-    accept = float(special.ncfdtr(geom.k - test, geom.m, lam, (cfg.l_tau, cfg.l_xi)[test]))
-    return 0.0 if math.isnan(accept) else accept
+    test = int(which == "xi")
+    return float(acceptance(terms, geom, cfg, np.array([[test == 0, test == 1]]))[0, test])
 
 
 _INF_BITS = np.array(np.inf).view(np.int64)

@@ -287,7 +287,7 @@ def conditional_cells(geom, cfg, d, zv=0.0, *, in_a=False, ok_xi=False, quad_v=0
 def assembled(pairs, points: int) -> np.ndarray:
     """The (points, n) values of a value function's (rows, block) pairs; every point must be covered exactly once."""
     out, covered = None, np.zeros(points, dtype=int)
-    for rows, block in pairs:
+    for rows, block, *_ in pairs:
         out = np.full((points, block.shape[-1]), np.nan) if out is None else out
         out[rows] = block  # before the next pair: groups share their work arrays
         covered[rows] += 1

@@ -21,6 +21,7 @@ from ancova_cp import (
     agreement_with_events,
     estimate_conditioned,
     estimate_naive,
+    estimate_points,
     event_probabilities,
     min_cp_search,
     second_test_only_cp,
@@ -100,6 +101,23 @@ def test_criterion_05_variance_reduction(ref):
             cond = estimate_conditioned(zero, geom, cfg, runs=10_000, seed=seed)
             wins += cond.se < naive.se
         assert wins >= 8, wins
+
+
+def test_controlled_se_is_honest_over_seeds(ref):
+    # the control variates make criteria 4 and 5 easier to pass, since they shrink the conditioned SE; this
+    # checks that SE itself.  Over 200 seeds at 2000 runs, at the valley floor and at (0, 0.1, 0), the spread
+    # of the estimates matches their mean reported SE, and their mean matches a 2^21-run naive estimate, plain
+    # Monte Carlo on independent draws
+    _, _, geom, cfg = ref
+    points = [(-0.0221, 0.0391, -0.0031), (0.0, 0.1, 0.0)]
+    seeds = range(200)
+    ests = np.array([[(e.estimate, e.se) for e in estimate_points(points, geom, cfg, runs=2000, seed=s)] for s in seeds])
+    for point, (values, ses) in zip(points, ests.transpose(1, 2, 0)):
+        spread = values.std(ddof=1)
+        assert 0.85 <= spread / ses.mean() <= 1.15, (point, spread, ses.mean())
+        naive = estimate_naive(point, geom, cfg, runs=2**21, seed=0)
+        gap = abs(values.mean() - naive.estimate)
+        assert gap <= 3 * math.hypot(spread / math.sqrt(len(seeds)), naive.se), (point, values.mean(), naive)
 
 
 def test_criterion_06_intercepts_cannot_matter(ref):

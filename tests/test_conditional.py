@@ -141,6 +141,17 @@ REGION_CASES = {
 }
 
 
+def region_sums(pairs) -> np.ndarray:
+    """(3, 2, points) from a kernel's (rows, controls) pairs."""
+    pairs = list(pairs)
+    out = np.full((3, 2, 1 + max(max(rows) for rows, _ in pairs)), np.nan)
+    for rows, controls in pairs:
+        out[:, :, rows] = controls
+    out[1] *= out[0] > 0  # a region with no cells reads one junk cell, as montecarlo zeroes it
+    out[2] *= out[0, 0] > 0
+    return out
+
+
 @pytest.mark.parametrize("case", list(REGION_CASES))
 def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, case):
     design, cutoffs, spread, level = REGION_CASES[case]
@@ -170,29 +181,44 @@ def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, 
             geom, cfg, noise.d, z @ geom.vproj, in_a=in_a, ok_xi=ok_xi, quad_v=quad_v, quad_w=quad_w,
             vs=terms.vs, wus=terms.wus, zs=z @ geom.sproj,
         )
+        # per point: cell count and sum of v in region A and in region B, then the sum of v and the count over
+        # the region-A cells where the second test accepts
+        both = in_a & ok_xi
+        reference = np.array(
+            [[in_a.sum(1), in_b.sum(1)], [(want * in_a).sum(1), (want * in_b).sum(1)], [(want * both).sum(1), both.sum(1)]]
+        )
         # the shipped group size, as _reduce passes it; then groups of 4 points (the last one
         # short) and gathers of 7 cells, so that A and B cells straddle both.  Every row, the
         # certified ones included, must be the reference's; the other points come by class (past
         # neither radius, past the first only, past the second only), each in point order and in
         # groups of step, then one region-C row for all points past both radii
+        block_sums = []
         for step, gather in ((2 * max(1, BLOCK_CELLS // runs), None), (4, 7)):
             if gather is not None:
                 monkeypatch.setattr(conditional, "GATHER_CELLS", gather)
-            pairs = [(list(rows), b.copy()) for rows, b in ConditionalKernel(geom, cfg, slopes).blocks(draws, step)]
+            triples = [(list(r), b.copy(), c) for r, b, c in ConditionalKernel(geom, cfg, slopes).blocks(draws, step)]
+            block_sums.append(region_sums((r, c) for r, _, c in triples))
+            got = block_sums[-1]
+            assert np.array_equal(got[0], reference[0]) and np.array_equal(got[2, 1], reference[2, 1])
+            np.testing.assert_allclose(got[1:, 0], reference[1:, 0], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got[1, 1], reference[1, 1], rtol=1e-12, atol=1e-12)
             if sure_c.any():
-                rows, block = pairs.pop()
+                rows, block, _ = triples.pop()
                 assert rows == np.flatnonzero(sure_c).tolist() and block.shape == (1, runs)
             classes = [np.flatnonzero(kind == which).tolist() for which in range(3)]
-            assert [rows for rows, _ in pairs] == [c[i : i + step] for c in classes for i in range(0, len(c), step)]
+            assert [rows for rows, *_ in triples] == [c[i : i + step] for c in classes for i in range(0, len(c), step)]
             assert assembled(ConditionalKernel(geom, cfg, slopes).blocks(draws, step), len(slopes)).tobytes() == (
                 want.tobytes()
             )
-        # a lone point: region C gathered, or evaluated on every draw
+        # one reduction per row and region: the same bits at any group size and gather size
+        assert block_sums[0].tobytes() == block_sums[1].tobytes()
+        # a lone point: region C gathered, or evaluated on every draw; its values and sums keep their bits
         for share in (0.0, conditional.DENSE_C_SHARE, 1.0):
             monkeypatch.setattr(conditional, "DENSE_C_SHARE", share)
-            for point, row in zip(slopes, want):
-                rows, block = next(ConditionalKernel(geom, cfg, point).blocks(draws, 1))
+            for i, (point, row) in enumerate(zip(slopes, want)):
+                rows, block, alone = next(ConditionalKernel(geom, cfg, point).blocks(draws, 1))
                 assert list(rows) == [0] and block.tobytes() == row.tobytes()
+                assert region_sums([(rows, alone)])[..., 0].tobytes() == block_sums[0][..., i].tobytes()
         monkeypatch.undo()
 
 

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ancova_cp import (
 from ancova_cp import conditional, montecarlo
 from ancova_cp.conditional import ConditionalKernel
 from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _draw_slopes, _Moments, _stream, default_workers
-from ancova_cp.selection import SlopeNoise, SlopeTerms, block_f
+from ancova_cp.selection import SlopeNoise, SlopeTerms, acceptance, block_f
 from oracles import assembled, direct_geometry, gate_prob_mc, gate_prob_ncf, slope_draws
 
 POINT = SlopePoint.of((0.05, 0.1, 0.0))
@@ -351,6 +352,25 @@ def test_gate_probability_far_point_rejects(ref):
     assert gate_probability((1e10, 0.0, 0.0), geom, forced, "tau") == 1.0
 
 
+@pytest.mark.parametrize("design", ["ref", "small", "k4"])
+def test_acceptance_rows_equal_gate_probability_bit_for_bit(request, design):
+    # one formula: the vector over rows of SlopeTerms and the one-point adapter, overflowing forms included
+    _, _, geom, cfg = request.getfixturevalue(design)
+    rng = np.random.default_rng(40)
+    points = np.vstack([rng.uniform(-2.0, 2.0, (6, geom.k)) @ geom.v22_chol.T, np.full((1, geom.k), 1e200)])
+    points[-1, 0] = -1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = SlopeTerms.of(points, geom)
+    accept = acceptance(terms, geom, cfg)
+    assert np.isinf(terms.svs[-1, 0]) and accept[-1].tolist() == [0.0, 0.0]
+    for point, row in zip(points, accept):
+        assert row.tolist() == [gate_probability(point, geom, cfg, which) for which in ("tau", "xi")]
+    # a row off ``live`` is not computed and reads 0.0; the live ones keep their bits
+    live = np.zeros(accept.shape, dtype=bool)
+    live[::2, 0] = live[1::2, 1] = True
+    assert np.array_equal(acceptance(terms, geom, cfg, live), np.where(live, accept, 0.0))
+
+
 def test_gate_probability_bad_test_name(ref):
     _, _, geom, cfg = ref
     with pytest.raises(DomainError):
@@ -358,6 +378,144 @@ def test_gate_probability_bad_test_name(ref):
     for point in ((0.1, 0.0), ((0.1, 0.0, 0.0),), (math.nan, 0.0, 0.0), ("0.1", 0.0, 0.0)):
         with pytest.raises(DomainError, match="slope point"):
             gate_probability(point, geom, cfg, "tau")
+
+
+# ---------------------------------------------------------------------------
+# control variates: the two tests' acceptance indicators in the conditioned estimator
+# ---------------------------------------------------------------------------
+
+
+def _per_draw(geom, cfg, point, runs, seed):
+    """The conditioned estimator's per-draw values v and acceptance indicators a (first test) and x (second)."""
+    parts = []
+    for chunk, size in enumerate(montecarlo._chunk_sizes(runs)):
+        draws = _draw_slopes(_stream(seed, "conditioned", chunk), geom, size)
+        v = next(ConditionalKernel(geom, cfg, point).blocks(draws, 1))[1][0].copy()
+        in_a, ok_xi = block_f(draws.noise, SlopeTerms.of(np.atleast_2d(point), geom), geom, cfg)[:2]
+        parts.append((v, in_a[0], ok_xi[0]))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _regressed(v, controls, means):
+    """Intercept at the known control means and its SE, by least squares on the controls given."""
+    design = np.column_stack([np.ones(len(v)), *(c - m for c, m in zip(controls, means))])
+    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
+    rss = np.sum((v - design @ coef) ** 2)
+    return coef[0], math.sqrt(rss / (len(v) - design.shape[1]) / len(v))
+
+
+RUNS_2 = CHUNK_SIZE + 700  # two chunks: the co-moments are merged once
+
+
+def test_both_controls_match_a_least_squares_fit(ref):
+    _, _, geom, cfg = ref
+    for point in ((0.0, 0.1, 0.0), (0.1, -0.05, 0.15), (0.0, 0.0, 0.0)):
+        v, a, x = _per_draw(geom, cfg, np.array(point), RUNS_2, 3)
+        assert 0 < a.sum() < len(a) and 0 < x.sum() < len(x)
+        means = [gate_probability(point, geom, cfg, which) for which in ("tau", "xi")]
+        est = estimate_conditioned(point, geom, cfg, runs=RUNS_2, seed=3)
+        value, se = _regressed(v, (a, x), means)
+        assert est.estimate == pytest.approx(value, rel=1e-12) and est.se == pytest.approx(se, rel=1e-9)
+        # the controls pay: the plain SE is larger
+        assert est.se < v.std(ddof=1) / math.sqrt(len(v))
+
+
+@pytest.mark.parametrize("point", [(0.05, 0.1, 0.0), (1.0, -1.0, 1.0)])
+def test_a_control_without_variance_is_dropped(ref, point):
+    # both tests reject on every draw: at zero cutoffs, or far out, where the block path certifies region C;
+    # the estimate and its SE are the plain mean and SE of the same draws
+    _, _, geom, cfg = ref
+    if point[0] < 1.0:
+        cfg = dataclasses.replace(cfg, l_tau=0.0, l_xi=0.0)
+    v, a, x = _per_draw(geom, cfg, np.array(point), RUNS_2, 5)
+    assert not a.any() and not x.any()
+    for est in (
+        estimate_conditioned(point, geom, cfg, runs=RUNS_2, seed=5),
+        estimate_points([point, (0.0, 0.0, 0.0), (-1.0, 1.0, -1.0)], geom, cfg, runs=RUNS_2, seed=5)[0],
+    ):
+        assert est.estimate == pytest.approx(v.mean(), rel=1e-13)
+        assert est.se == pytest.approx(v.std(ddof=1) / math.sqrt(len(v)), rel=1e-11)
+
+
+def test_an_always_accepting_first_test_leaves_the_second_control(ref):
+    # at l_tau = inf, 1{A} is 1 on every draw and is dropped; 1{x} is kept
+    _, _, geom, cfg = ref
+    forced = dataclasses.replace(cfg, l_tau=math.inf)
+    point = (0.0, 0.1, 0.0)
+    v, a, x = _per_draw(geom, forced, np.array(point), RUNS_2, 6)
+    assert a.all() and 0 < x.sum() < len(x)
+    est = estimate_conditioned(point, geom, forced, runs=RUNS_2, seed=6)
+    value, se = _regressed(v, (x,), [gate_probability(point, geom, forced, "xi")])
+    assert est.estimate == pytest.approx(value, rel=1e-12) and est.se == pytest.approx(se, rel=1e-9)
+
+
+def test_the_second_of_two_collinear_controls_is_dropped(ref):
+    # synthetic moments where the second indicator equals the first: one control, the first, is kept
+    _, _, geom, cfg = ref
+    rng = np.random.default_rng(8)
+    v, a = rng.uniform(size=(1, 5000)), rng.uniform(size=5000) < 0.4
+    n_a, sum_a = float(a.sum()), float(v[0, a].sum())
+    regions = np.array([[[n_a], [0.0]], [[sum_a], [0.0]], [[sum_a], [n_a]]])
+    moments = _Moments.of(v).with_controls(regions)
+    assert moments.m2[0, 1, 1] == moments.m2[0, 2, 2] == moments.m2[0, 1, 2] > 0.0
+    kernel = ConditionalKernel(geom, cfg, (0.0, 0.1, 0.0))
+    value, rss, kept = montecarlo._controlled(moments, kernel)
+    p_a = gate_probability((0.0, 0.1, 0.0), geom, cfg, "tau")
+    want, se = _regressed(v[0], (a,), [p_a])
+    assert kept.tolist() == [1]
+    assert value[0] == pytest.approx(want, rel=1e-12)
+    assert math.sqrt(rss[0] / (5000 - 2) / 5000) == pytest.approx(se, rel=1e-9)
+
+
+@pytest.mark.parametrize("runs", [1, 2, 3])
+def test_tiny_runs_give_a_finite_se_without_warnings(ref, runs):
+    # a control is kept only while n > q + 1, so the residual degrees of freedom n - 1 - q stay positive; at
+    # seed 0 both controls vary at the first point for runs 2 and 3
+    _, _, geom, cfg = ref
+    points = np.array([(0.0, 0.1, 0.0), (0.0, 0.0, 0.0), (0.3, -0.2, 0.1), (0.02, 0.05, 0.0)])
+    kernel = ConditionalKernel(geom, cfg, points)
+    moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, runs, 0, 1)
+    assert runs == 1 or (moments.m2[0, 1, 1] > 0 and moments.m2[0, 2, 2] > 0)
+    assert (montecarlo._controlled(moments, kernel)[2] <= max(0, runs - 2)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ests = estimate_points(points, geom, cfg, runs=runs, seed=0)
+    assert all(math.isfinite(e.se) and e.se >= 0.0 and 0.0 <= e.estimate <= 1.0 for e in ests)
+    if runs == 1:
+        assert all(e.se == 0.0 for e in ests)
+
+
+def test_block_keeps_its_bits_alone_with_live_controls(ref):
+    # the first point has no region-A cell, and the next ones have some: its A row reads a neighbour's cell,
+    # which must not reach its co-moments
+    _, _, geom, cfg = ref
+    points = np.array([(0.1, -0.05, 0.15), (0.0, 0.0, 0.0), (0.0, 0.1, 0.0), (0.05, -0.02, 0.03), (-0.02, 0.04, 0.0)])
+    kernel = ConditionalKernel(geom, cfg, points)
+    moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, RUNS_2, 4, 1)
+    assert moments.m2[0, 1, 1] == 0.0 and (moments.m2[1:, 1, 1] > 0).all() and (moments.m2[:, 2, 2] > 0).all()
+    block = estimate_points(points, geom, cfg, runs=RUNS_2, seed=4)
+    for point, est in zip(points, block):
+        alone = estimate_points([point], geom, cfg, runs=RUNS_2, seed=4)[0]
+        assert (est.estimate, est.se) == (alone.estimate, alone.se)
+
+
+def test_a_mirrored_point_on_mirrored_draws_keeps_its_estimate(ref, monkeypatch):
+    # both indicators and their exact means are even in the slopes: value(-s; -z, d) = value(s; z, d)
+    _, _, geom, cfg = ref
+    points = np.array([(0.0, 0.1, 0.0), (0.1, -0.05, 0.15)])
+    with np.errstate(all="raise"):
+        plus, minus = (SlopeTerms.of(sign * points, geom) for sign in (1.0, -1.0))
+    assert acceptance(plus, geom, cfg).tobytes() == acceptance(minus, geom, cfg).tobytes()
+    direct = estimate_points(points, geom, cfg, runs=RUNS_2, seed=9)
+
+    def mirrored(rng, geom, size):
+        z = rng.standard_normal((size, geom.k)) @ geom.v22_chol.T
+        return conditional.KernelDraws(-z, rng.chisquare(geom.m, size), geom)
+
+    monkeypatch.setitem(montecarlo._ESTIMATORS, "conditioned", (mirrored, montecarlo._ESTIMATORS["conditioned"][1]))
+    for est, other in zip(direct, estimate_points(-points, geom, cfg, runs=RUNS_2, seed=9)):
+        assert other.estimate == pytest.approx(est.estimate, rel=1e-13, abs=1e-15)
+        assert other.se == pytest.approx(est.se, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +699,9 @@ def test_each_chunk_sizes_its_blocks_from_its_own_length(ref, monkeypatch, n_job
     def spied(slopes, step, draws, geom, cfg):
         rows = []
         seen.append((len(draws.noise.d), rows))
-        for points, block in values(slopes, step, draws, geom, cfg):
+        for points, block, *sums in values(slopes, step, draws, geom, cfg):
             rows.append((len(points), len(block)))
-            yield points, block
+            yield points, block, *sums
 
     monkeypatch.setitem(montecarlo._ESTIMATORS, "conditioned", (draw, spied))
     points = np.random.default_rng(8).uniform(-0.1, 0.1, (20, 3))
@@ -572,9 +730,9 @@ def test_region_c_certification_moves_no_bit(ref, monkeypatch, n_jobs):
     def counted(*args):
         # the rows a one-row block stands for are the certified ones
         count = 0
-        for rows, block in values(*args):
+        for rows, block, *sums in values(*args):
             count += len(rows) if len(rows) > len(block) else 0
-            yield rows, block
+            yield rows, block, *sums
         certified.append(count)
 
     monkeypatch.setitem(montecarlo._ESTIMATORS, "conditioned", (draw, counted))
@@ -663,7 +821,8 @@ def test_block_kernels_are_bit_identical_at_any_buffer_size(ref, points, runs):
         outs = block_f(draws.noise, SlopeTerms.of(slopes, geom), geom, cfg)
         outs += (assembled(ConditionalKernel(geom, cfg, slopes).blocks(draws, 3), len(slopes)),)
         for point in slopes[:2]:
-            outs += tuple(block for _, block in ConditionalKernel(geom, cfg, point).blocks(draws, 1))
+            for _, block, controls in ConditionalKernel(geom, cfg, point).blocks(draws, 1):
+                outs += (block, controls)
         outs += tuple(batch_events(delta, d, slopes, geom, cfg)) + tuple(batch_events(delta, d, slopes[0], geom, cfg))
         return [(out.dtype, out.shape, out.tobytes()) for out in outs]
 
