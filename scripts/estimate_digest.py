@@ -1,4 +1,4 @@
-"""Print one SHA-256 over a fixed sweep of estimates, and the number of entries it covers.
+"""Print a SHA-256 over a fixed sweep of estimates, and the number of entries it covers, per part and in all.
 
 The sweep covers:
   - the reference design and random designs with k = 4 and k = 6 groups;
@@ -16,7 +16,12 @@ The sweep covers:
 
 Every estimate, SE and run count enters the digest as its float64 bytes, so
 two checkouts or two thread counts print the same digest only if they
-computed every number of the sweep with the same bits:
+computed every number of the sweep with the same bits.  One line per part
+comes first, then the line of the whole sweep.  The parts are: naive
+estimates; conditioned estimates of one chunk (runs <= CHUNK_SIZE) and of
+several chunks; the conditional_cp_batch rows; the grid_eval tables of each
+estimator (two chunks per estimate); and the search (one chunk per
+estimate).  A part's line tells which numbers moved between two checkouts:
 
     PYTHONPATH=src python3 scripts/estimate_digest.py
     ANCOVA_CP_THREADS=2 PYTHONPATH=src python3 scripts/estimate_digest.py
@@ -39,6 +44,7 @@ from ancova_cp import (
     estimate_points,
     reference_design,
 )
+from ancova_cp.montecarlo import CHUNK_SIZE
 from ancova_cp.search import GridSpec, SearchConfig, grid_eval, min_cp_search
 
 RUNS = (37, 2000, 9000, 10_000)
@@ -58,9 +64,24 @@ class Digest:
         self.sha.update(values.tobytes())
         self.entries += values.size
 
-    def estimates(self, ests) -> None:
+    def __str__(self) -> str:
+        return f"{self.sha.hexdigest()}  {self.entries} entries"
+
+
+class Parts:
+    """A Digest of the whole sweep and one of each of its parts, fed the same numbers in the same order."""
+
+    def __init__(self):
+        self.total = Digest()
+        self.parts: dict[str, Digest] = {}
+
+    def feed(self, part: str, values) -> None:
+        self.total.feed(values)
+        self.parts.setdefault(part, Digest()).feed(values)
+
+    def estimates(self, part: str, ests) -> None:
         for est in ests:
-            self.feed([est.estimate, est.se, est.runs])
+            self.feed(part, [est.estimate, est.se, est.runs])
 
 
 def _random_design(k: int, seed: int):
@@ -91,7 +112,7 @@ def cutoffs(cfg):
     yield dataclasses.replace(cfg, l_tau=math.inf)
 
 
-def sweep(digest: Digest) -> None:
+def sweep(digest: Parts) -> None:
     for index, (_, geom, base) in enumerate(designs()):
         rng = np.random.default_rng(100 + index)
         # in units of the slope noise, so that every selection region occurs
@@ -101,19 +122,22 @@ def sweep(digest: Digest) -> None:
         for cfg in cutoffs(base):
             for runs in RUNS:
                 for estimator in ESTIMATORS:
-                    digest.estimates(estimate_points(points, geom, cfg, estimator, runs=runs, seed=runs))
+                    part = estimator
+                    if estimator == "conditioned":
+                        part += ", one chunk" if runs <= CHUNK_SIZE else ", several chunks"
+                    digest.estimates(part, estimate_points(points, geom, cfg, estimator, runs=runs, seed=runs))
                     for point in points[:2]:
-                        digest.estimates(estimate_points([point], geom, cfg, estimator, runs=runs, seed=runs))
-            digest.feed(ConditionalKernel(geom, cfg, points[0]).conditional_cp_batch(q, d))
+                        digest.estimates(part, estimate_points([point], geom, cfg, estimator, runs=runs, seed=runs))
+            digest.feed("conditional_cp_batch", ConditionalKernel(geom, cfg, points[0]).conditional_cp_batch(q, d))
     _, geom, cfg = next(designs())
     for bounds in ((-0.2, 0.2), ((-0.2, 0.2), (-0.1, 0.25), (-0.2, 0.2))):
         for estimator in ("naive", "conditioned"):
             for point, est in grid_eval(GridSpec(bounds, 5, 9000, 6), estimator, geom, cfg):
-                digest.feed(point.values)
-                digest.estimates([est])
+                digest.feed(f"grid_eval, {estimator}", point.values)
+                digest.estimates(f"grid_eval, {estimator}", [est])
     for point, est in grid_eval(GridSpec((-1.0, 1.0), 9, 9000, 7), "conditioned", geom, cfg):
-        digest.feed(point.values)
-        digest.estimates([est])
+        digest.feed("grid_eval, conditioned", point.values)
+        digest.estimates("grid_eval, conditioned", [est])
     report = min_cp_search(
         SearchConfig(
             geom=geom,
@@ -123,19 +147,21 @@ def sweep(digest: Digest) -> None:
             profile_points=21,
         )
     )
-    digest.estimates(est for _, est in report.cube_table)
-    digest.estimates(est for _, est in report.square_table)
+    digest.estimates("min_cp_search", (est for _, est in report.cube_table))
+    digest.estimates("min_cp_search", (est for _, est in report.square_table))
     for profile in report.profiles:
-        digest.feed(profile.cs)
-        digest.estimates(profile.estimates)
-    digest.estimates((report.min1, report.min2, report.overall))
-    digest.feed(report.argmin.values)
+        digest.feed("min_cp_search", profile.cs)
+        digest.estimates("min_cp_search", profile.estimates)
+    digest.estimates("min_cp_search", (report.min1, report.min2, report.overall))
+    digest.feed("min_cp_search", report.argmin.values)
 
 
 def main() -> None:
-    digest = Digest()
+    digest = Parts()
     sweep(digest)
-    print(f"{digest.sha.hexdigest()}  {digest.entries} entries")
+    for name, part in digest.parts.items():
+        print(f"{part}  {name}")
+    print(digest.total)
 
 
 if __name__ == "__main__":

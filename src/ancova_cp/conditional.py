@@ -82,8 +82,8 @@ def _control_sums(edges, a, b, v, xa):
     sorted flat indices of the region-A and region-B cells, ``v`` their values, the A cells' then the B cells',
     then 0.0, which makes the last bound a valid index, and xa marks the A cells where x accepts.  Each row's
     cells in a region are one reduceat segment, whose bits do not depend on where it lies, and both kernel paths
-    reduce here: a point's sums have the same bits in a block and alone.  A row with no cells in a region reads
-    one junk cell there; montecarlo zeroes it by the count (_Moments.with_controls).
+    reduce here: a point's sums have the same bits in a block and alone.  A row with no cells in a region sums
+    to 0 there, so the sums of several blocks and chunks simply add (montecarlo._Moments).
     """
     rows, na = len(edges), len(a)
     bounds = np.concatenate((a.searchsorted(edges), b.searchsorted(edges) + na, [len(v) - 1]))
@@ -91,7 +91,9 @@ def _control_sums(edges, a, b, v, xa):
     at_x[1, :na] = xa
     np.multiply(v[:na], at_x[1, :na], out=at_x[0, :na])
     sums = np.add.reduceat(v, bounds)[:-1], np.add.reduceat(at_x, bounds[: rows + 1], axis=1)[:, :-1].reshape(-1)
-    return np.concatenate((bounds[1:] - bounds[:-1], *sums)).reshape(3, 2, rows)
+    flat = np.concatenate((np.diff(bounds), *sums)).reshape(6, rows)
+    flat[2:][flat[[0, 1, 0, 0]] == 0] = 0.0  # reduceat gives an empty segment the cell after it, not 0
+    return flat.reshape(3, 2, rows)
 
 
 class KernelDraws:

@@ -9,17 +9,20 @@ means are closed form (selection.acceptance), not estimated.  The naive SE
 is the sample standard deviation over sqrt(runs); the conditioned one is
 the residual standard deviation of the regression on the q controls a point
 keeps, with runs - 1 - q degrees of freedom, over sqrt(runs) (_controlled).
+The controls are indicators, so their co-moments follow from each point's
+region counts and value sums, which add across chunks.
 
 Randomness is organized as counter-based Philox streams keyed by
 (seed, estimator tag, chunk index) and nothing else.  Runs are split into
 fixed-size chunks; each chunk's noise is drawn once per call, or once per
 memo (min_cp_search passes one to every estimate, see _reduce), and
 every slope point of a call is evaluated against it (common random
-numbers), in blocks of at most BLOCK_CELLS (point, draw) cells.  Per-point moments are merged in chunk
-order, so results are bit-identical for every thread count and block size,
-and are fully determined by (seed, tag, runs, point, chunk size).  Estimates
-at different points with the same seed share their draws on purpose; the
-tags keep different estimators independent of each other.
+numbers), in blocks of at most BLOCK_CELLS (point, draw) cells.  Per-point
+moments and region sums (_Moments) are merged in chunk order, so results
+are bit-identical for every thread count and block size, and are fully
+determined by (seed, tag, runs, point, chunk size).  Estimates at different
+points with the same seed share their draws on purpose; the tags keep
+different estimators independent of each other.
 
 True intercepts are fixed to zero internally: on every draw the coverage
 indicator is a function of the estimation noise, the true slopes and the
@@ -183,53 +186,33 @@ _ESTIMATORS = {
 
 
 class _Moments(NamedTuple):
-    """Count, means (P, ..., c) and co-moments (P, ..., c, c) of c per-draw variables of each point.
-
-    The co-moments are the sums of products of deviations from the means.  Plain values give c = 1; the
-    conditioned values v with their two controls, 1{first test accepts} and 1{second test accepts}, give c = 3
-    in that order (with_controls).
-    """
+    """Count, means and sums of squared deviations (P, ...) of each point's per-draw values, per variable, and
+    for the conditioned values their region sums (3, 2, P), conditional._control_sums added over the draws."""
 
     n: int
     mean: np.ndarray
     m2: np.ndarray
+    regions: np.ndarray | None = None
 
     @classmethod
     def of(cls, values: np.ndarray) -> "_Moments":
-        """Of ``values`` (P, ..., n) along their last axis: c = 1."""
+        """Of ``values`` (P, ..., n) along their last axis."""
         values = np.asarray(values, dtype=float)
         mean = values.mean(axis=-1)
         dev = values - mean[..., None]
-        return cls(values.shape[-1], mean[..., None], np.square(dev, out=dev).sum(axis=-1)[..., None, None])
-
-    def with_controls(self, regions: np.ndarray) -> "_Moments":
-        """These moments of v (P, c = 1) with the two controls', from the kernel's region sums (3, 2, P).
-
-        conditional._control_sums gives, per point, the count of cells and the sum of v in region A and in region
-        B, then the sum of v and the count over the A cells where x accepts; x holds those and B.  With the sums
-        S of v a, v x, a, a x and x, C = S - n m m' off the (v, v) entry, m the means of (v, a, x):
-        C_va = sum_A v - n_A mean(v), C_aa = n_A - n_A^2 / n, C_ax = n_Ax - n_A n_x / n, and alike for x.
-        """
-        flat = regions.reshape(6, -1)  # n_A, n_B, sum_A v, sum_B v, sum_Ax v, n_Ax
-        flat[2:] *= flat[[0, 1, 0, 0]] > 0  # a region with no cells reads one junk cell
-        sums = flat[[2, 3, 0, 5, 1]]
-        sums[[1, 4]] += flat[[4, 5]]  # sums of v a, v x, a, a x, x
-        mean = np.concatenate((self.mean.T, sums[[2, 4]] / self.n))
-        co = sums[[[0, 0, 1], [0, 2, 3], [1, 3, 4]]] - self.n * mean[:, None] * mean
-        co[0, 0] = self.m2[:, 0, 0]
-        return _Moments(self.n, mean.T, co.transpose(2, 0, 1))
+        return cls(values.shape[-1], mean, np.square(dev, out=dev).sum(axis=-1))
 
     def merge(self, other: "_Moments") -> "_Moments":
-        """Pairwise update of Chan, Golub & LeVeque (1983), in co-moment form: no sum-of-squares cancellation."""
+        """Pairwise update of Chan, Golub & LeVeque (1983), elementwise (no sum-of-squares cancellation); sums add."""
         n = self.n + other.n
         delta = other.mean - self.mean
-        mean = self.mean + delta * (other.n / n)
-        outer = delta[..., :, None] * delta[..., None, :]
-        return _Moments(n, mean, self.m2 + other.m2 + outer * (self.n * other.n / n))
+        regions = None if self.regions is None else self.regions + other.regions
+        m2 = self.m2 + other.m2 + delta * delta * (self.n * other.n / n)
+        return _Moments(n, self.mean + delta * (other.n / n), m2, regions)
 
 
 def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None) -> _Moments:
-    """Per-point moments of ``values`` over ``runs`` draws made by ``draw``.
+    """Per-point moments of ``values`` over ``runs`` draws made by ``draw``, with their region sums if any.
 
     The one chunk loop.  Each chunk is one task: it makes the chunk's draws
     from the stream (seed, tag, chunk) and evaluates every slope point against
@@ -245,9 +228,9 @@ def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None)
     call's own bits.  Without a memo, a chunk's draws die with its task.
     ``values`` gets all the points, so it can share point-free work among its
     blocks, and yields (rows, block) pairs in any order, or triples with the
-    block's control sums (the conditioned kernel), which the chunk's moments
-    then carry (_Moments.with_controls); a one-row block may stand for several
-    rows.
+    block's region sums (the conditioned kernel), which the chunk's moments
+    then carry as they are and the merge adds; a one-row block may stand for
+    several rows.
     While a task runs, NumPy's ufunc buffer (thread-local) is sized to the
     chunk, rounded up to a multiple of 16: a (P, 1) by (size,) broadcast
     shorter than the buffer goes through NumPy's buffered iterator, up to
@@ -275,15 +258,13 @@ def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None)
             blocks = [(r, _Moments.of(b), *c) for r, b, *c in values(points, step, kept[key], geom, cfg)]
         finally:
             np.setbufsize(old)
-        mean, m2 = (np.empty((len(points), *getattr(blocks[0][1], f).shape[1:])) for f in ("mean", "m2"))
-        for rows, moments, *_ in blocks:
+        mean, m2 = np.empty((2, len(points), *blocks[0][1].mean.shape[1:]))
+        regions = np.empty((3, 2, len(points))) if len(blocks[0]) == 3 else None
+        for rows, moments, *controls in blocks:
             mean[rows], m2[rows] = moments.mean, moments.m2
-        if len(blocks[0]) == 2:
-            return _Moments(size, mean, m2)
-        regions = np.empty((3, 2, len(points)))
-        for rows, _, controls in blocks:
-            regions[:, :, rows] = controls
-        return _Moments(size, mean, m2).with_controls(regions)
+            if controls:
+                regions[:, :, rows] = controls[0]
+        return _Moments(size, mean, m2, regions)
 
     width = min(width, len(jobs))
     if width == 1:
@@ -298,17 +279,23 @@ def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None)
 def _controlled(moments: _Moments, kernel: ConditionalKernel):
     """Regression control-variate estimate, residual sum of squares and number of kept controls q, per point.
 
-    The controls are the two acceptance indicators of the kernel's values (_Moments.with_controls), with exact
-    means p from selection.acceptance, computed only where a control varies (Glasserman, Monte Carlo Methods in
-    Financial Engineering, 2003, sec. 4.1).  In order, a control is kept where what the controls kept before it
-    leave of its sum of squares is above COLLINEAR_SHARE of it (so above 0), and while n > q + 1 with it.  Each
-    kept control is swept out of the co-moments and of the mean-minus-p shifts (Gram-Schmidt), elementwise per
-    point, so a point has the same bits in any block: what is left of the value's shift is v - beta'(x - p), and
-    of its sum of squares the residual one.  A point that keeps no control gets the plain mean and sum of squares.
+    The controls are the acceptance indicators a = 1{region A} and x = 1{second test accepts}, with exact means p
+    from selection.acceptance, computed only where a control varies (Glasserman, Monte Carlo Methods in Financial
+    Engineering, 2003, sec. 4.1).  Their co-moments are formed once, from the region sums over all n runs: with
+    the sums S of v a, v x, a, a x and x and the means m of (v, a, x), C = S - n m m' off the (v, v) entry, the
+    merged m2; so C_va = sum_A v - n_A mean(v), C_ax = n_Ax - n_A n_x / n.  In order, a control is kept where
+    what the controls kept before it leave of its sum of squares is above COLLINEAR_SHARE of it (so above 0), and
+    while n > q + 1 with it.  Each kept control is swept out of the co-moments and of the mean-minus-p shifts
+    (Gram-Schmidt), elementwise per point, so a point has the same bits in any block: what is left of the value's
+    shift is v - beta'(x - p), and of its sum of squares the residual one.  A point that keeps no control gets the
+    plain mean and sum of squares.
     """
-    n, m2 = moments.n, moments.m2.transpose(1, 2, 0).copy()  # (c, c, P)
+    n, (n_a, n_b, v_a, v_b, v_ax, n_ax) = moments.n, moments.regions.reshape(6, -1)  # conditional._control_sums
+    sums = np.stack((v_a, v_b + v_ax, n_a, n_ax, n_b + n_ax))  # sums of v a, v x, a, a x, x
+    shift = np.stack((moments.mean, sums[2] / n, sums[4] / n))
+    m2 = sums[[[0, 0, 1], [0, 2, 3], [1, 3, 4]]] - n * shift[:, None] * shift  # (3, 3, P)
+    m2[0, 0] = moments.m2
     limits = COLLINEAR_SHARE * m2[[1, 2], [1, 2]]
-    shift = moments.mean.T.copy()
     shift[1:] -= acceptance(kernel.terms, kernel.geom, kernel.cfg, (limits > 0.0).T).T
     kept = np.zeros(len(shift[0]), dtype=int)
     for j, limit in zip((1, 2), limits):
@@ -350,7 +337,7 @@ def estimate_points(
     slopes = _slopes(points, geom.k)
     evaluated = ConditionalKernel(geom, cfg, slopes) if estimator == "conditioned" else slopes
     moments = _reduce(estimator, *_ESTIMATORS[estimator], evaluated, geom, cfg, runs, seed, n_jobs, memo)
-    mean, rss, q = moments.mean[:, 0], moments.m2[:, 0, 0], 0
+    mean, rss, q = moments.mean, moments.m2, 0
     if estimator == "conditioned":
         mean, rss, q = _controlled(moments, evaluated)
     var = rss / (moments.n - 1 - q) if moments.n > 1 else np.zeros_like(rss)
@@ -408,7 +395,7 @@ def event_probabilities(
     the form 0 <= Pr(S) - Pr(S and accept) <= Pr(reject).
     """
     moments = _reduce("events", _draw_full, _each(_event_values), _slopes([point], geom.k), geom, cfg, runs, seed, 1)
-    covers, covers_and_accept, reject = (float(v) for v in moments.mean[0, :, 0])
+    covers, covers_and_accept, reject = (float(v) for v in moments.mean[0])
     return {
         "covers_tau": covers,
         "covers_tau_and_accept": covers_and_accept,

@@ -28,6 +28,7 @@ import numpy as np
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError, InsufficientLowCPPoints, check_count, check_real, check_reals
 from .montecarlo import (
+    MAX_RUNS,
     CoverageEstimate,
     SlopePoint,
     _checked_point,
@@ -331,6 +332,9 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     cube, square = config.cube, config.square
     # refuse a bad configuration before the first estimate, not after the cube phase
     cube_axes, square_axes = cube.axes(geom.k), square.axes(geom.k - 1)
+    for spec in (cube, square):  # the budget rule montecarlo._reduce applies
+        check_count("runs", spec.runs, 1, MAX_RUNS)
+        check_count("seed", spec.seed, 0)
     check_count("profile_points", config.profile_points, 3)
     n_jobs = default_workers(config.n_jobs)
     check_real("threshold", config.threshold)
@@ -420,6 +424,8 @@ def _fields(coords, est) -> list[str]:
 
 def write_grid_csv(table, path) -> None:
     """Write (point, estimate) rows; columns gamma_1..gamma_k then the estimate fields."""
+    if not len(table):
+        raise DomainError("a grid table needs at least one row")
     header = [f"gamma_{i + 1}" for i in range(len(table[0][0].values))] + _ESTIMATE_COLUMNS
     _write_rows(path, header, [_fields(point.values, est) for point, est in table])
 

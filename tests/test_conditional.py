@@ -147,8 +147,6 @@ def region_sums(pairs) -> np.ndarray:
     out = np.full((3, 2, 1 + max(max(rows) for rows, _ in pairs)), np.nan)
     for rows, controls in pairs:
         out[:, :, rows] = controls
-    out[1] *= out[0] > 0  # a region with no cells reads one junk cell, as montecarlo zeroes it
-    out[2] *= out[0, 0] > 0
     return out
 
 

@@ -404,7 +404,14 @@ def _regressed(v, controls, means):
     return coef[0], math.sqrt(rss / (len(v) - design.shape[1]) / len(v))
 
 
-RUNS_2 = CHUNK_SIZE + 700  # two chunks: the co-moments are merged once
+RUNS_2 = CHUNK_SIZE + 700  # two chunks: the moments are merged once
+RUNS_3 = 2 * CHUNK_SIZE + 700
+
+
+def _varying(moments):
+    """Per point, whether 1{A} and whether 1{x} vary over the runs, from the region sums of a _reduce."""
+    n_a, n_x = moments.regions[0, 0], moments.regions[0, 1] + moments.regions[2, 1]
+    return (n_a > 0) & (n_a < moments.n), (n_x > 0) & (n_x < moments.n)
 
 
 def test_both_controls_match_a_least_squares_fit(ref):
@@ -450,14 +457,16 @@ def test_an_always_accepting_first_test_leaves_the_second_control(ref):
 
 
 def test_the_second_of_two_collinear_controls_is_dropped(ref):
-    # synthetic moments where the second indicator equals the first: one control, the first, is kept
+    # synthetic region sums where the second indicator equals the first: one control, the first, is kept
     _, _, geom, cfg = ref
     rng = np.random.default_rng(8)
     v, a = rng.uniform(size=(1, 5000)), rng.uniform(size=5000) < 0.4
     n_a, sum_a = float(a.sum()), float(v[0, a].sum())
     regions = np.array([[[n_a], [0.0]], [[sum_a], [0.0]], [[sum_a], [n_a]]])
-    moments = _Moments.of(v).with_controls(regions)
-    assert moments.m2[0, 1, 1] == moments.m2[0, 2, 2] == moments.m2[0, 1, 2] > 0.0
+    moments = _Moments.of(v)._replace(regions=regions)
+    # n_Ax = n_A = n_x: every A cell accepts x, and no B cell exists
+    assert regions[2, 1, 0] == regions[0, 0, 0] == regions[0, 1, 0] + regions[2, 1, 0] > 0.0
+    assert all(varies.all() for varies in _varying(moments))
     kernel = ConditionalKernel(geom, cfg, (0.0, 0.1, 0.0))
     value, rss, kept = montecarlo._controlled(moments, kernel)
     p_a = gate_probability((0.0, 0.1, 0.0), geom, cfg, "tau")
@@ -475,7 +484,7 @@ def test_tiny_runs_give_a_finite_se_without_warnings(ref, runs):
     points = np.array([(0.0, 0.1, 0.0), (0.0, 0.0, 0.0), (0.3, -0.2, 0.1), (0.02, 0.05, 0.0)])
     kernel = ConditionalKernel(geom, cfg, points)
     moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, runs, 0, 1)
-    assert runs == 1 or (moments.m2[0, 1, 1] > 0 and moments.m2[0, 2, 2] > 0)
+    assert runs == 1 or all(varies[0] for varies in _varying(moments))
     assert (montecarlo._controlled(moments, kernel)[2] <= max(0, runs - 2)).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -486,17 +495,43 @@ def test_tiny_runs_give_a_finite_se_without_warnings(ref, runs):
 
 
 def test_block_keeps_its_bits_alone_with_live_controls(ref):
-    # the first point has no region-A cell, and the next ones have some: its A row reads a neighbour's cell,
-    # which must not reach its co-moments
+    # the first point has no region-A cell, and the next ones have some: reduceat gives its empty A segment a
+    # neighbour's cell, which must not reach its region sums
     _, _, geom, cfg = ref
     points = np.array([(0.1, -0.05, 0.15), (0.0, 0.0, 0.0), (0.0, 0.1, 0.0), (0.05, -0.02, 0.03), (-0.02, 0.04, 0.0)])
     kernel = ConditionalKernel(geom, cfg, points)
     moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, RUNS_2, 4, 1)
-    assert moments.m2[0, 1, 1] == 0.0 and (moments.m2[1:, 1, 1] > 0).all() and (moments.m2[:, 2, 2] > 0).all()
+    a_varies, x_varies = _varying(moments)
+    assert moments.regions[0, 0, 0] == 0.0 and a_varies[1:].all() and x_varies.all()
     block = estimate_points(points, geom, cfg, runs=RUNS_2, seed=4)
     for point, est in zip(points, block):
         alone = estimate_points([point], geom, cfg, runs=RUNS_2, seed=4)[0]
         assert (est.estimate, est.se) == (alone.estimate, alone.se)
+
+
+def test_region_sums_over_chunks_equal_the_per_draw_masks(ref):
+    # (0.21, 0, 0) has no region-A cell in the first and the third chunk at seed 3 and one in the second; in the
+    # block its empty segments read a neighbour's cells, which a leak would add to its sums
+    _, _, geom, cfg = ref
+    points = np.array([(0.21, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.1, 0.0), (0.1, -0.05, 0.15)])
+    kernel = ConditionalKernel(geom, cfg, points)
+    moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, RUNS_3, 3, 1)
+    assert moments.n == RUNS_3
+    ests = estimate_points(points, geom, cfg, runs=RUNS_3, seed=3)
+    for i, (point, est) in enumerate(zip(points, ests)):
+        v, a, x = _per_draw(geom, cfg, point, RUNS_3, 3)
+        if i == 0:
+            assert [int(a[start : start + CHUNK_SIZE].sum()) for start in range(0, RUNS_3, CHUNK_SIZE)] == [0, 1, 0]
+        b, ax = x & ~a, a & x
+        region = moments.regions[:, :, i]
+        assert [region[0, 0], region[0, 1], region[2, 1]] == [a.sum(), b.sum(), ax.sum()]
+        np.testing.assert_allclose(
+            [region[1, 0], region[1, 1], region[2, 0]], [v[a].sum(), v[b].sum(), v[ax].sum()], rtol=1e-12, atol=0.0
+        )
+        # over three chunks the estimate is still the least-squares one
+        means = [gate_probability(point, geom, cfg, which) for which in ("tau", "xi")]
+        value, se = _regressed(v, (a, x), means)
+        assert est.estimate == pytest.approx(value, rel=1e-12) and est.se == pytest.approx(se, rel=1e-12)
 
 
 def test_a_mirrored_point_on_mirrored_draws_keeps_its_estimate(ref, monkeypatch):

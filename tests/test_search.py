@@ -596,6 +596,15 @@ def test_min_cp_search_rejects_zero_n_jobs(ref):
         {"offset": 1e9},
         {"threshold": "0.6"},
         {"offset": "1000"},
+        # the budgets: the square's would otherwise be checked only after the cube and profile phases
+        {"square": GridSpec(bounds=(-0.2, 0.2), points_per_axis=9, runs=0, seed=0)},
+        {"square": GridSpec(bounds=(-0.2, 0.2), points_per_axis=3, runs=2.0)},
+        {"square": GridSpec(bounds=(-0.2, 0.2), points_per_axis=3, runs=2**32 + 1)},
+        {"square": GridSpec(bounds=(-0.2, 0.2), points_per_axis=3, runs=300, seed=-1)},
+        {"square": GridSpec(bounds=(-0.2, 0.2), points_per_axis=3, runs=300, seed=1.0)},
+        {"cube": GridSpec(bounds=(-0.25, 0.25), points_per_axis=5, runs=0)},
+        {"cube": GridSpec(bounds=(-0.25, 0.25), points_per_axis=5, runs=800.0)},
+        {"cube": GridSpec(bounds=(-0.25, 0.25), points_per_axis=5, runs=800, seed=-1)},
     ],
 )
 def test_min_cp_search_validates_before_any_estimate(ref, monkeypatch, change):
@@ -787,6 +796,13 @@ def test_write_grid_csv_roundtrip(small, tmp_path):
     twin = tmp_path / "again.csv"
     write_grid_csv(table, twin)
     assert twin.read_bytes() == path.read_bytes()
+
+
+def test_write_grid_csv_refuses_an_empty_table(tmp_path):
+    path = tmp_path / "grid.csv"
+    with pytest.raises(DomainError, match="at least one row"):
+        write_grid_csv([], path)
+    assert not path.exists()
 
 
 def test_write_profile_csv(ref, tmp_path):
