@@ -39,7 +39,7 @@ from .design import (
 )
 from .errors import AncovaError, DomainError, check_count, check_real, check_reals
 from .montecarlo import CoverageEstimate, SlopePoint, estimate_conditioned, estimate_naive
-from .oracle import agreement_with_events
+from .oracle import _check_inputs, agreement_with_events
 from .search import (
     GridSpec,
     LineLocus,
@@ -147,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_min.add_argument(
         "--profile-points", type=int, default=_DEFAULTS.profile_points, help="points per profile (default %(default)s)"
-    )
-    p_min.add_argument(
-        "--offset", type=float, default=_DEFAULTS.offset, help="first-slope offset for min2 (default %(default)s)"
     )
 
     p_prof.add_argument("--offsets", type=_offsets_arg, required=True, help="per-axis offsets, e.g. 0,0.088,0.041")
@@ -342,7 +339,6 @@ def cmd_min(args, run: RunConfig) -> int:
         square=square,
         threshold=args.threshold,
         profile_points=args.profile_points,
-        offset=args.offset,
     )
     report = min_cp_search(config)
 
@@ -377,15 +373,14 @@ def cmd_min(args, run: RunConfig) -> int:
 
 def cmd_oracle(args, run: RunConfig) -> int:
     k = run.geom.k
-    if not check_real("--sigma", args.sigma) > 0.0:
-        raise DomainError(f"--sigma must be positive, got {args.sigma}")
-    slopes = [args.sigma * v for v in check_reals("--point", args.point, k).tolist()]
+    sigma = check_real("--sigma", args.sigma)
+    slopes = [sigma * v for v in check_reals("--point", args.point, k).tolist()]
     if not all(map(math.isfinite, slopes)):
         raise DomainError(f"--point times --sigma must be finite, got {args.point} times {args.sigma}")
-    beta = np.concatenate([np.zeros(k), slopes])
+    beta, sigma = _check_inputs(np.concatenate([np.zeros(k), slopes]), sigma, run.layout, ("--point", "--sigma"))
     report = agreement_with_events(
         beta,
-        args.sigma,
+        sigma,
         run.layout,
         run.geom,
         run.cfg,

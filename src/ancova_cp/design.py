@@ -335,6 +335,10 @@ def critical_values(
     forced selection are obtained by dataclasses.replace on the result.
     """
     alpha, sig_tau, sig_xi = _level("alpha", alpha), _level("sig_tau", sig_tau), _level("sig_xi", sig_xi)
+    p_t, p_tau, p_xi = 1.0 - 0.5 * alpha, 1.0 - sig_tau, 1.0 - sig_xi
+    for name, level, p in (("alpha", alpha, p_t), ("sig_tau", sig_tau, p_tau), ("sig_xi", sig_xi, p_xi)):
+        if p == 1.0:  # its quantile would be inf
+            raise DomainError(f"{name} is too small: the quantile level it sets rounds to 1, got {level}")
     k, m = layout.k, layout.m
     if m < 1:
         raise DomainError(f"residual degrees of freedom m = {m} must be at least 1")
@@ -344,11 +348,11 @@ def critical_values(
         alpha=alpha,
         sig_tau=sig_tau,
         sig_xi=sig_xi,
-        l_tau=f_quantile(1.0 - sig_tau, k, m),
-        l_xi=f_quantile(1.0 - sig_xi, k - 1, m),
-        t_m=t_quantile(1.0 - 0.5 * alpha, m),
-        t_mk=t_quantile(1.0 - 0.5 * alpha, m + k),
-        t_mk1=t_quantile(1.0 - 0.5 * alpha, m + k - 1),
+        l_tau=f_quantile(p_tau, k, m),
+        l_xi=f_quantile(p_xi, k - 1, m),
+        t_m=t_quantile(p_t, m),
+        t_mk=t_quantile(p_t, m + k),
+        t_mk1=t_quantile(p_t, m + k - 1),
     )
 
 

@@ -28,6 +28,11 @@ from .selection import batch_events, coverage_indicator  # noqa: F401  perfbench
 
 __all__ = ["RawFit", "AgreementReport", "simulate_and_fit", "estimate_cp_raw", "agreement_with_events"]
 
+# The fits sum squares of about sigma^2, which leave the normal floats outside SIGMA_RANGE (at sigma 1e-170 every F
+# is 0 / 0), and round at about 1e-16 of the responses X beta, under 1e-8 of the noise within SIGNAL_MAX sigmas (on
+# the reference design the estimate moves at 1.8e14 sigmas and reads 1.0 at 1.8e17, where the coverage is 0.95).
+SIGMA_RANGE, SIGNAL_MAX = (1e-100, 1e100), 1e8
+
 
 @dataclass(frozen=True)
 class RawFit:
@@ -92,12 +97,21 @@ class _RawPipeline:
         return RawFit(beta_hat, rss(beta_hat), beta_tau, rss(beta_tau), beta_xi, rss(beta_xi))
 
 
-def _check_inputs(beta, sigma, layout: AncovaLayout) -> tuple[np.ndarray, float]:
-    beta, sigma = check_reals("beta", beta, 2 * layout.k), check_real("sigma", sigma)
+def _check_inputs(beta, sigma, layout: AncovaLayout, names=("beta", "sigma")) -> tuple[np.ndarray, float]:
+    """beta and sigma as floats if the raw fits resolve them (SIGMA_RANGE, SIGNAL_MAX), else DomainError naming
+    ``names``."""
+    beta, sigma = check_reals(names[0], beta, 2 * layout.k), check_real(names[1], sigma)
     if beta.ndim != 1:
-        raise DomainError(f"beta must be one vector, got shape {beta.shape}")
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+        raise DomainError(f"{names[0]} must be one vector, got shape {beta.shape}")
+    if not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
+        lo, hi = SIGMA_RANGE
+        raise DomainError(f"{names[1]} must be from {lo:g} to {hi:g}, where the raw fits' sums of squares stay "
+                          f"normal floats, got {sigma}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing signal is refused below
+        signal = float(np.abs(build_design(layout) @ (beta / sigma)).max())
+    if not signal <= SIGNAL_MAX:
+        raise DomainError(f"{names[0]} is too large: the responses reach {signal:.3g} sigmas, more than the "
+                          f"{SIGNAL_MAX:g} within which the raw fits' rounding stays under 1e-8 of the noise")
     return beta, sigma
 
 

@@ -12,7 +12,7 @@ those differences leave a central square.  The search therefore combines
         sets run parallel to the all-ones direction) and profiling along
         those lines;
   min2: minimum of the second-stage-only coverage over a lattice of slope
-        differences, realized by pinning the first slope at a large offset;
+        differences, realized by pinning the first slope at FAR_OFFSET;
 
 and reports the smaller of the two.  Each region's rejection probability at
 its weakest boundary point is attached as a diagnostic, since the restriction
@@ -21,6 +21,7 @@ argument needs the region's test to reject there with probability close to one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,8 @@ _ESTIMATORS = {"naive": estimate_naive, "conditioned": estimate_conditioned}
 
 # a boundary gate whose rejection probability falls below this becomes a warning
 GATE_WARN_BELOW = 0.99
+# the first slope of every far point of the search; min2 depends on the slope differences alone
+FAR_OFFSET = 1000.0
 
 
 def _resolve_estimator(name: str):
@@ -85,11 +88,14 @@ class GridSpec:
         bounds = check_reals("axis bounds", self.bounds, 2)
         if bounds.shape not in ((2,), (ndim, 2)) or not np.all(bounds[..., 0] < bounds[..., 1]):
             raise DomainError(f"axis bounds must be one (lo, hi) pair or {ndim}, with lo < hi, got {self.bounds!r}")
-        return [_axis(lo, hi, self.points_per_axis) for lo, hi in np.broadcast_to(bounds, (ndim, 2))]
+        return [_axis(lo, hi, self.points_per_axis, "axis bounds") for lo, hi in np.broadcast_to(bounds, (ndim, 2))]
 
 
-def _axis(lo: float, hi: float, n: int) -> np.ndarray:
-    """np.linspace(lo, hi, n); if lo == -hi, its upper half is its negated lower half and an odd centre is 0.0."""
+def _axis(lo: float, hi: float, n: int, name: str) -> np.ndarray:
+    """np.linspace(lo, hi, n); if lo == -hi, its upper half is its negated lower half and an odd centre is 0.0.
+    Bounds ``name`` whose width overflows, which linspace would step by inf, raise DomainError."""
+    if math.isinf(float(hi) - float(lo)):
+        raise DomainError(f"{name} ({lo}, {hi}) too wide: hi - lo overflows")
     axis = np.linspace(lo, hi, n)
     return np.concatenate([axis[: n // 2], np.zeros(n % 2), -axis[n // 2 - 1 :: -1]]) if lo == -hi else axis
 
@@ -221,7 +227,7 @@ def line_profile(
     if direction.ndim != 1:
         raise DomainError(f"line direction and offsets must be vectors, got {line.direction} and {line.offsets}")
     _resolve_estimator(estimator)
-    cs = _axis(lo, hi, n_points)
+    cs = _axis(lo, hi, n_points, "c_range")
     ests = estimate_points(offsets + cs[:, None] * direction, geom, cfg, estimator, runs, seed, n_jobs, memo=memo)
     return _refined(line, cs, ests)
 
@@ -248,27 +254,28 @@ def second_test_only_cp(
     runs: int = 10_000,
     seed: int = 0,
     estimator: str = "conditioned",
-    offset: float = 1000.0,
+    offset: float = FAR_OFFSET,
 ) -> CoverageEstimate:
     """Coverage of the procedure when the first test rejects essentially surely.
 
     The second-stage-only coverage is a function of slope differences alone;
     it is realized by putting the first slope at a large offset (default
-    1000) and the remaining slopes at offset + deltas, which drives the
+    FAR_OFFSET) and the remaining slopes at offset + deltas, which drives the
     first-stage rejection probability to one.  An offset so large that
     offset + deltas loses a delta to rounding raises DomainError.
     """
     estimate = _resolve_estimator(estimator)
-    far = _far_points(check_reals("deltas", deltas, geom.k - 1), check_real("offset", offset))
+    far = _far_points(check_reals("deltas", deltas, geom.k - 1), check_real("offset", offset), "offset too large")
     return estimate(far, geom, cfg, runs=runs, seed=seed)
 
 
-def _far_points(deltas: np.ndarray, offset: float) -> np.ndarray:
-    """The slope points (offset, offset + delta) that realize second-stage-only coverage, one per checked delta row."""
+def _far_points(deltas: np.ndarray, offset: float, culprit: str) -> np.ndarray:
+    """The far points (offset, offset + delta), one per checked delta row; DomainError led by ``culprit`` if one is
+    lost to rounding."""
     far = offset + deltas
     lost = np.abs((far - offset) - deltas) > 1e-9
     if lost.any():
-        raise DomainError(f"offset {offset} is too large: offset + delta rounds away the delta {deltas[lost][0]}")
+        raise DomainError(f"{culprit}: {offset} + delta rounds away the delta {deltas[lost][0]}")
     return np.concatenate([np.full_like(far[..., :1], offset), far], axis=-1)
 
 
@@ -280,7 +287,8 @@ def _weakest(axes: list[np.ndarray], cov: np.ndarray) -> np.ndarray:
     in the box.  Zeros are +0.0.
     """
     faces = np.array([[ax[0], ax[-1]] for ax in axes])
-    i, j = np.unravel_index(np.argmin(np.square(faces) / np.diag(cov)[:, None]), faces.shape)
+    with np.errstate(over="ignore"):  # a face whose form overflows to inf is not the least one
+        i, j = np.unravel_index(np.argmin(np.square(faces) / np.diag(cov)[:, None]), faces.shape)
     return faces[i, j] * (cov[i] / cov[i, i]) + 0.0
 
 
@@ -295,7 +303,6 @@ class SearchConfig:
     square: GridSpec = field(default_factory=lambda: GridSpec(bounds=(-0.2, 0.2)))
     threshold: float = 0.6
     profile_points: int = 41
-    offset: float = 1000.0
     n_jobs: int | None = None
 
 
@@ -338,9 +345,8 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     check_count("profile_points", config.profile_points, 3)
     n_jobs = default_workers(config.n_jobs)
     check_real("threshold", config.threshold)
-    offset = check_real("offset", config.offset)
     deltas = _lattice(square_axes)
-    far = _far_points(deltas, offset)
+    far = _far_points(deltas, FAR_OFFSET, f"square bounds {square.bounds} are too wide")
     warnings: list[str] = []
     memo: dict = {}  # the estimator's chunks, kept for every phase
 

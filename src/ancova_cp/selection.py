@@ -48,6 +48,8 @@ __all__ = ["acceptance", "batch_events", "coverage_indicator", "gate_probability
 
 # rejection radii: the margin a point clears on every draw, and the largest dim^2 cond(A) they cover
 SURE_C_MARGIN, SURE_C_MAX_COND = 1.01, 1e8
+# point terms, forms and F: one that overflows (inf, or NaN from inf - inf) fails every <=, so its test rejects
+_OVERFLOW_REJECTS = np.errstate(over="ignore", invalid="ignore")
 
 
 class EventBatch(NamedTuple):
@@ -119,6 +121,7 @@ class SlopeTerms(NamedTuple):
     wus: np.ndarray  # (P, 1) (U s)' wproj, the point part of the common-slope centre
 
     @classmethod
+    @_OVERFLOW_REJECTS
     def of(cls, slopes: np.ndarray, geom: GeometryBundle) -> "SlopeTerms":
         us = _inner(slopes[:, None, :], geom.u)
         svs, vs = _inner(_inner(slopes[:, None, :], geom.v22_inv), slopes), _inner(slopes, geom.vproj)
@@ -131,6 +134,7 @@ def _f_scales(geom: GeometryBundle) -> tuple[float, float]:
     return geom.m / geom.k, geom.m / (geom.k - 1)
 
 
+@_OVERFLOW_REJECTS
 def quad_form(noise: SlopeNoise, terms: SlopeTerms, test: int, out: np.ndarray, term: np.ndarray) -> np.ndarray:
     """One test's form (s + z)' A (s + z) for every (row of s, draw) pair, into out (P, n); term is scratch.
 
@@ -147,6 +151,7 @@ def quad_form(noise: SlopeNoise, terms: SlopeTerms, test: int, out: np.ndarray, 
     return out
 
 
+@_OVERFLOW_REJECTS
 def block_f(noise: SlopeNoise, terms: SlopeTerms, geom: GeometryBundle, cfg: TwoStageConfig):
     """Both test decisions at slope points against shared draws, with their F statistics and forms.
 
@@ -190,9 +195,7 @@ def gate_probability(point, geom: GeometryBundle, cfg: TwoStageConfig, which: st
     slopes = check_reals("slope point", getattr(point, "values", point), geom.k)
     if slopes.ndim != 1:
         raise DomainError(f"slope point must be one vector of {geom.k} numbers, got shape {slopes.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing form: NaN from ncfdtr, 0.0 in acceptance
-        terms = SlopeTerms.of(slopes[None, :], geom)
-    test = int(which == "xi")
+    test, terms = int(which == "xi"), SlopeTerms.of(slopes[None, :], geom)
     return float(acceptance(terms, geom, cfg, np.array([[test == 0, test == 1]]))[0, test])
 
 

@@ -291,8 +291,9 @@ def test_config_file_rejects_non_integer_design_counts(capsys, tmp_path, overrid
         ("--square-density", "0"),
         ("--profile-points", "2"),
         ("--threshold", "nan"),
-        ("--offset", "inf"),
-        ("--offset", "1e15"),
+        # a width that overflows used to be refused only as a NaN slope point, the square's after the whole cube
+        ("--square-bounds=-1e308,1e308",),
+        ("--bounds=-1e308,1e308",),
     ],
 )
 def test_min_refuses_bad_search_settings_before_any_estimate(capsys, tmp_path, monkeypatch, flag):
@@ -356,7 +357,6 @@ def test_search_flag_defaults_are_the_library_defaults():
     assert (args.bounds, args.density) == (config.cube.bounds, config.cube.points_per_axis)
     assert (args.square_bounds, args.square_density) == (config.square.bounds, config.square.points_per_axis)
     assert (args.threshold, args.profile_points) == (config.threshold, config.profile_points)
-    assert args.offset == config.offset
     for command in ("grid", "lines"):
         args = build_parser().parse_args([command])
         assert (args.bounds, args.density) == (GridSpec().bounds, GridSpec().points_per_axis)
@@ -503,11 +503,18 @@ def test_min_out_may_need_new_parent_directories(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [("--point", "nan,0.1,0"), ("--point", "0,inf,0"), ("--point", "1e200,0.1,0", "--sigma", "1e200")],
+    [
+        ("--point", "nan,0.1,0"),
+        ("--point", "0,inf,0"),
+        ("--point", "1e200,0.1,0", "--sigma", "1e200"),
+        ("--point", "1e16,0,0"),
+        ("--point", "1e120,0,0"),
+    ],
 )
 def test_oracle_names_the_bad_point_without_warnings(capsys, tmp_path, argv):
     # the point used to reach the library as beta = sigma * point: NaN was
-    # reported as a bad "beta" and an overflowing product printed a numpy warning
+    # reported as a bad "beta" and an overflowing product printed a numpy warning;
+    # responses that swamp the noise read 1.000000 at 1e16 and 0.000000 at 1e120
     out = tmp_path / "oracle.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -516,3 +523,44 @@ def test_oracle_names_the_bad_point_without_warnings(capsys, tmp_path, argv):
     assert err.startswith("error:") and "--point" in err and "beta" not in err
     assert caught == [] and "Warning" not in err
     assert stdout == "" and not out.exists()
+
+
+def test_min_has_no_offset_flag(capsys):
+    # min2 depends on the slope differences alone, so the far point's first slope is no setting
+    with pytest.raises(SystemExit) as exc:
+        main(["min", "--offset", "1000", "--runs", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --offset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["1e300", "1e-170", "1e-320"])
+def test_oracle_refuses_a_sigma_the_raw_fits_cannot_resolve(capsys, tmp_path, sigma):
+    # the raw fits read 0.0 at sigma 1e-170 and 1.0 at 1e300 (0.47 at sigma 1), or died on a bare OverflowError
+    out = tmp_path / "oracle.json"
+    rc, stdout, err = _run(capsys, "oracle", "--point", "0,0.1,0", "--sigma", sigma, "--runs", "100", "--out", str(out))
+    assert rc == 1
+    assert err.startswith("error: --sigma must be from 1e-100 to 1e+100") and len(err.splitlines()) == 1
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(("cp", "--point", "0,0.1,0", "--alpha", "1e-300"), "alpha"), (("quantiles", "--sig-tau", "1e-300"), "sig_tau")],
+)
+def test_tiny_levels_are_refused_in_their_own_names(capsys, argv, name):
+    # 1 - alpha / 2 rounds to 1, which was refused as "quantile level must be in (0, 1), got 1.0"
+    rc, out, err = _run(capsys, *argv, "--runs", "100")
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: {name} is too small") and "1e-300" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("grid", "--bounds=-1e308,1e308"), ("profile", "--offsets", "0,0,0", "--c-range=-1e308,1e308")],
+)
+def test_ranges_whose_width_overflows_are_refused(capsys, tmp_path, argv):
+    # linspace used to warn and step by inf, and the NaN it made was refused as a slope point
+    out = tmp_path / "table.csv"
+    rc, stdout, err = _run(capsys, *argv, "--runs", "100", "--out", str(out))
+    assert rc == 1 and stdout == "" and not out.exists()
+    assert err.startswith("error:") and "(-1e+308, 1e+308) too wide" in err

@@ -313,6 +313,18 @@ def test_critical_values_monotone_in_significance(ref):
     assert loose.l_xi < tight.l_xi
 
 
+@pytest.mark.parametrize(
+    "levels, name", [((1e-300, 0.1, 0.1), "alpha"), ((0.05, 1e-300, 0.1), "sig_tau"), ((0.05, 0.1, 1e-17), "sig_xi")]
+)
+def test_critical_values_name_a_level_too_small_for_its_quantile(ref, levels, name):
+    # 1 - alpha / 2 rounds to 1, which was refused as "quantile level must be in (0, 1), got 1.0"
+    layout = ref[0]
+    with pytest.raises(DomainError, match=rf"^{name} is too small: .* rounds to 1, got {min(levels)}$"):
+        critical_values(layout, *levels)
+    # the smallest levels whose quantile level is below 1 keep working
+    assert math.isfinite(critical_values(layout, 2.3e-16, 1.2e-16, 1.2e-16).t_m)
+
+
 def test_quantile_domain_errors(ref):
     layout, _, _, _ = ref
     with pytest.raises(DomainError):

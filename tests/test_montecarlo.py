@@ -22,6 +22,7 @@ from ancova_cp import (
     event_probabilities,
     gate_probability,
     grid_eval,
+    second_test_only_cp,
 )
 from ancova_cp import conditional, montecarlo
 from ancova_cp.conditional import ConditionalKernel
@@ -352,6 +353,23 @@ def test_gate_probability_far_point_rejects(ref):
     assert gate_probability((1e10, 0.0, 0.0), geom, forced, "tau") == 1.0
 
 
+@pytest.mark.parametrize("estimate", [estimate_naive, estimate_conditioned])
+def test_overflowing_slope_points_estimate_without_warnings(ref, estimate):
+    # the point terms, forms and F statistics used to die on "overflow encountered in multiply" (and "invalid
+    # value", inf - inf, at 1e308) under the RuntimeWarning filter; an overflowing one rejects, which gives the
+    # right numbers (at 2e152 the forms are finite and only F overflows)
+    _, _, geom, cfg = ref
+    far = estimate((1e9, 0.0, 0.0), geom, cfg, runs=10_000, seed=3)
+    for point in ((1e200, 0.0, 0.0), (1e308, 1e308, 0.0), (1e160, -1e160, 0.0), (2e152, -2e152, 0.0)):
+        est = estimate(point, geom, cfg, runs=10_000, seed=3)
+        assert (est.estimate, est.se) == (far.estimate, far.se), point
+    # every slope difference 0: second-stage-only coverage at deltas (0, 0)
+    second = second_test_only_cp((0.0, 0.0), geom, cfg, runs=10_000, seed=3, estimator=far.estimator)
+    for point in ((1e200, 1e200, 1e200), (1e152, 1e152, 1e152)):
+        est = estimate(point, geom, cfg, runs=10_000, seed=3)
+        assert (est.estimate, est.se) == (second.estimate, second.se), point
+
+
 @pytest.mark.parametrize("design", ["ref", "small", "k4"])
 def test_acceptance_rows_equal_gate_probability_bit_for_bit(request, design):
     # one formula: the vector over rows of SlopeTerms and the one-point adapter, overflowing forms included
@@ -359,8 +377,7 @@ def test_acceptance_rows_equal_gate_probability_bit_for_bit(request, design):
     rng = np.random.default_rng(40)
     points = np.vstack([rng.uniform(-2.0, 2.0, (6, geom.k)) @ geom.v22_chol.T, np.full((1, geom.k), 1e200)])
     points[-1, 0] = -1e200
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = SlopeTerms.of(points, geom)
+    terms = SlopeTerms.of(points, geom)  # warning-free, overflowing forms included
     accept = acceptance(terms, geom, cfg)
     assert np.isinf(terms.svs[-1, 0]) and accept[-1].tolist() == [0.0, 0.0]
     for point, row in zip(points, accept):

@@ -12,6 +12,8 @@ from ancova_cp import (
     estimate_naive,
     simulate_and_fit,
 )
+from ancova_cp import oracle
+from ancova_cp.design import build_design
 from ancova_cp.montecarlo import CHUNK_SIZE
 from ancova_cp.oracle import _RawPipeline, _raw_hits
 from oracles import restricted_fit_common_slope, restricted_fit_zero_slopes, rss_f_statistics
@@ -189,3 +191,49 @@ def test_input_validation(ref, zero_rng):
         estimate_cp_raw(BETA, -1.0, layout, cfg, contrast.a, runs=10, seed=0)
     with pytest.raises(DomainError):
         estimate_cp_raw(BETA, 1.0, layout, cfg, contrast.a, runs=0, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [1e-170, 1e-101, 1.1e100, 1e170, 1e300])
+def test_sigma_outside_the_float_range_of_the_fits_is_refused(ref, sigma):
+    # at (0, 0.1, 0), 2000 runs, seed 0 the raw estimate reads 0.47 at sigma 1; it read 0.0 at 1e-170 and 1.0 at
+    # 1e170 and 1e300, and agreement_with_events died on a bare OverflowError from sigma**2 at 1e300
+    layout, contrast, geom, cfg = ref
+    beta = sigma * np.array([0.0, 0.0, 0.0, 0.0, 0.1, 0.0])
+    with pytest.raises(DomainError, match="^sigma must be from 1e-100 to 1e"):
+        estimate_cp_raw(beta, sigma, layout, cfg, contrast.a, runs=2000, seed=0)
+    with pytest.raises(DomainError, match="^sigma"):
+        agreement_with_events(beta, sigma, layout, geom, cfg, contrast.a, runs=2000, seed=0)
+
+
+def test_sigma_at_the_ends_of_its_range_keeps_the_estimate(ref):
+    layout, contrast, _, cfg = ref
+    unit = np.array([0.0, 0.0, 0.0, 0.0, 0.1, 0.0])
+    one = estimate_cp_raw(unit, 1.0, layout, cfg, contrast.a, runs=2000, seed=0)
+    for sigma in oracle.SIGMA_RANGE:
+        assert estimate_cp_raw(sigma * unit, sigma, layout, cfg, contrast.a, runs=2000, seed=0).estimate == one.estimate
+
+
+@pytest.mark.parametrize("slope", [1e16, 1e120, -1e200])
+def test_responses_that_swamp_the_noise_are_refused(ref, slope):
+    # the fits round at about 1e-16 of the responses: at 1e16 the estimate read 1.0 and at 1e120 0.0, where the
+    # coverage is 0.95, and the event path, fed the same fits, agreed on every run
+    layout, contrast, geom, cfg = ref
+    beta = np.array([0.0, 0.0, 0.0, slope, 0.0, 0.0])
+    with pytest.raises(DomainError, match="^beta is too large: the responses reach .* sigmas"):
+        estimate_cp_raw(beta, 1.0, layout, cfg, contrast.a, runs=100, seed=0)
+    with pytest.raises(DomainError, match="^beta is too large"):
+        agreement_with_events(beta, 1.0, layout, geom, cfg, contrast.a, runs=100, seed=0)
+
+
+def test_signal_bound_keeps_the_raw_estimate(ref):
+    # within SIGNAL_MAX sigmas the raw estimate at a far slope point is the one at a moderate one, run for run
+    layout, contrast, _, cfg = ref
+    design = build_design(layout)
+    at = {}
+    for slope in (1e3, oracle.SIGNAL_MAX / np.abs(design[:, 3]).max()):
+        beta = np.array([0.0, 0.0, 0.0, slope, 0.0, 0.0])
+        at[slope] = estimate_cp_raw(beta, 1.0, layout, cfg, contrast.a, runs=4000, seed=3).estimate
+    assert len(set(at.values())) == 1
+    # the signal counts in sigmas: a beta refused at sigma 1 is resolved at a sigma that makes it small
+    beta = np.array([0.0, 0.0, 0.0, 1e16, 0.0, 0.0])
+    assert estimate_cp_raw(beta, 1e12, layout, cfg, contrast.a, runs=100, seed=0).runs == 100

@@ -35,6 +35,7 @@ from ancova_cp import (
     write_grid_csv,
     write_profile_csv,
 )
+from ancova_cp.selection import SlopeTerms, acceptance
 from oracles import direct_geometry, gate_prob_ncf
 
 
@@ -536,6 +537,27 @@ def test_second_test_only_validation(ref):
             second_test_only_cp((0.05, 0.0), geom, cfg, runs=100, seed=0, offset=offset)
 
 
+@pytest.mark.parametrize("design", ["ref", "small", "k4"])
+def test_far_points_of_the_default_square_are_past_the_first_test(request, design):
+    # the premise of one fixed FAR_OFFSET: at every far point of the default square the first test
+    # accepts with closed-form probability 0.0, so min2 is second-stage-only coverage there
+    _, _, geom, cfg = request.getfixturevalue(design)
+    deltas = search_module._lattice(SearchConfig(geom=geom, cfg=cfg).square.axes(geom.k - 1))
+    assert len(deltas) == 21 ** (geom.k - 1)
+    terms = SlopeTerms.of(search_module._far_points(deltas, search_module.FAR_OFFSET, "unused"), geom)
+    assert np.all(acceptance(terms, geom, cfg)[:, 0] == 0.0)
+    assert terms.svs.min() > 1e7  # the smallest noncentrality: 3.1e9, 2.5e7 and 1.1e8
+
+
+def test_min_cp_search_names_the_square_when_its_delta_is_lost(ref):
+    _, _, geom, cfg = ref
+    wide = 2.0**27 - 0.3  # 1000 + wide rounds to a multiple of 2**-25
+    square = GridSpec(bounds=(-wide, wide), points_per_axis=3, runs=300)
+    refusal = r"^square bounds \(-134217727.7, 134217727.7\) are too wide: .* the delta -?134217727.7$"
+    with pytest.raises(DomainError, match=refusal):
+        min_cp_search(dataclasses.replace(_tiny_config(geom, cfg), square=square))
+
+
 # ---------------------------------------------------------------------------
 # full search
 # ---------------------------------------------------------------------------
@@ -574,6 +596,16 @@ def test_min_cp_search_small_budget(ref):
     assert redo.se == best.se
 
 
+def test_min_cp_search_over_an_overflowing_cube_is_warning_free(ref):
+    # the cube's forms and the weakest face's squared bound used to overflow, an error under the warning filter
+    _, _, geom, cfg = ref
+    cube = GridSpec(bounds=(-1e200, 1e200), points_per_axis=3, runs=100, seed=0)
+    report = min_cp_search(dataclasses.replace(_tiny_config(geom, cfg, runs=100), cube=cube, profile_points=3))
+    tau, _ = report.diagnostics["gates"]
+    assert tau["reject_prob"] == 1.0
+    assert report.min2.estimate == min(e.estimate for _, e in report.square_table)
+
+
 def test_min_cp_search_rejects_zero_n_jobs(ref):
     _, _, geom, cfg = ref
     with pytest.raises(DomainError, match="n_jobs"):
@@ -591,11 +623,13 @@ def test_min_cp_search_rejects_zero_n_jobs(ref):
         {"profile_points": 4.0},
         {"threshold": math.nan},
         {"threshold": math.inf},
-        {"offset": math.nan},
-        {"offset": 1e15},
-        {"offset": 1e9},
+        # bounds whose width overflows: the square's used to be refused only after the whole cube phase
+        {"square": GridSpec(bounds=(-1e308, 1e308), points_per_axis=3, runs=300)},
+        {"cube": GridSpec(bounds=(-1e308, 1e308), points_per_axis=5, runs=300)},
+        # a square delta that FAR_OFFSET + delta rounds away
+        {"square": GridSpec(bounds=(-(2.0**27 - 0.3), 2.0**27 - 0.3), points_per_axis=3, runs=300)},
         {"threshold": "0.6"},
-        {"offset": "1000"},
+        {"square": GridSpec(bounds=((-0.2, 0.2), (-1e308, 1e308)), points_per_axis=3, runs=300)},
         # the budgets: the square's would otherwise be checked only after the cube and profile phases
         {"square": GridSpec(bounds=(-0.2, 0.2), points_per_axis=9, runs=0, seed=0)},
         {"square": GridSpec(bounds=(-0.2, 0.2), points_per_axis=3, runs=2.0)},
