@@ -19,7 +19,8 @@ each active only on its selection region and zero elsewhere; each is one functio
 that reads its half-width from ``widths`` (selection.half_widths).
 
 On region C the term depends on the draw alone (mean -z'vproj with z = q - gs,
-half-width from d), so every point evaluated against a chunk's draws shares its value.
+half-width from d), so every point evaluated against a chunk's draws shares its value,
+and its mean over the draws is exactly P(|T_m| <= t_m) (separate_mean).
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ __all__ = ["ConditionalKernel", "KernelDraws"]
 
 # the most region-A or region-B cells evaluated at once, which bounds a gather's memory
 GATHER_CELLS = 4096
-# a lone point evaluates region C on every draw, not gathered, when it holds at least this share:
-# at points between (0, 0.1, 0) and (0.1, -0.05, 0.15), 8192 and 1808 draws, gathering was faster
-# in 24 to 37 of 40 rounds at 78 to 84 % region C, 6 to 20 at 85 to 89 % and 1 to 4 at 91 %
-DENSE_C_SHARE = 0.85
 
 
 def _band(mu, half):
@@ -73,27 +70,40 @@ def _separate(geom, widths, d, zv):
     return _band(zv / -math.sqrt(geom.v_star), half)
 
 
-def _control_sums(edges, a, b, v, xa):
-    """(3, 2, rows): per row of a (rows, n) block, the count of cells and the sum of v in region A and in region B,
-    then the sum of v and the count over the region-A cells where x accepts.
+def separate_mean(geom: GeometryBundle, cfg: TwoStageConfig) -> float:
+    """The exact mean of the region-C row over the draws: P(|T_m| <= t_m) at the config's own t_m."""
+    return 1.0 - 2.0 * float(special.stdtr(geom.m, -cfg.t_m))
 
-    A: the first test accepts, x: the second accepts, v: the conditional coverage; region B is x and not A, and
-    region-C cells accept neither test.  ``edges`` holds the flat index of each row's first cell, a and b the
-    sorted flat indices of the region-A and region-B cells, ``v`` their values, the A cells' then the B cells',
-    then 0.0, which makes the last bound a valid index, and xa marks the A cells where x accepts.  Each row's
-    cells in a region are one reduceat segment, whose bits do not depend on where it lies, and both kernel paths
-    reduce here: a point's sums have the same bits in a block and alone.  A row with no cells in a region sums
-    to 0 there, so the sums of several blocks and chunks simply add (montecarlo._Moments).
+
+def _control_sums(edges, a, b, v, c, xa, free):
+    """(8, 2, rows): per row of a (rows, n) block, sums over its region-A cells and over its region-B cells, and
+    over the region-A cells where x accepts, of the controls' products; then the chunk's point-free sums of c.
+
+    A: the first test accepts, x: the second accepts, v: the conditional coverage, c: the region-C row (the
+    separate-slopes conditional coverage, which v equals on region C); region B is x and not A, and region-C
+    cells accept neither test.  The pairs, (A, B) unless named: 0 the cell counts, 1 the sums of v, 2 the sum of
+    v and the count over the A cells where x accepts, 3 to 5 the sums of c, c^2 and v c, 6 the sum of c over the
+    A cells where x accepts and 0, 7 the sum of c and of c^2 over the chunk's draws, ``free``.  ``edges`` holds
+    the flat index of each row's first cell, a and b the sorted flat indices of the region-A and region-B cells,
+    ``v`` and ``c`` their values, the A cells' then the B cells', then 0.0, which makes the last bound a valid
+    index, and xa marks the A cells where x accepts.  Each row's cells in a region are one reduceat segment,
+    whose bits do not depend on where it lies, and both kernel paths reduce here: a point's sums have the same
+    bits in a block and alone.  A row with no cells in a region sums to 0 there, so the sums of several blocks
+    and chunks simply add (montecarlo._Moments).
     """
     rows, na = len(edges), len(a)
     bounds = np.concatenate((a.searchsorted(edges), b.searchsorted(edges) + na, [len(v) - 1]))
-    at_x = np.zeros((2, na + 1))  # v and 1 at the A cells where x accepts, 0 at the others, then 0.0
+    cells = np.stack((v, c, c * c, v * c))
+    at_x = np.zeros((3, na + 1))  # v, 1 and c at the A cells where x accepts, 0 at the others, then 0.0
     at_x[1, :na] = xa
-    np.multiply(v[:na], at_x[1, :na], out=at_x[0, :na])
-    sums = np.add.reduceat(v, bounds)[:-1], np.add.reduceat(at_x, bounds[: rows + 1], axis=1)[:, :-1].reshape(-1)
-    flat = np.concatenate((np.diff(bounds), *sums)).reshape(6, rows)
-    flat[2:][flat[[0, 1, 0, 0]] == 0] = 0.0  # reduceat gives an empty segment the cell after it, not 0
-    return flat.reshape(3, 2, rows)
+    np.multiply(cells[:2, :na], at_x[1, :na], out=at_x[::2, :na])
+    sums = np.add.reduceat(cells, bounds, axis=1)[:, :-1]
+    sums_x = np.add.reduceat(at_x, bounds[: rows + 1], axis=1)[:, :-1]
+    parts = (np.diff(bounds), sums[0], sums_x[:2].reshape(-1), sums[1:].reshape(-1), sums_x[2], np.zeros(rows))
+    flat = np.concatenate((*parts, np.repeat(free, rows))).reshape(16, rows)
+    # reduceat gives an empty segment the cell after it, not 0
+    flat[2:13][flat[[0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0]] == 0] = 0.0
+    return flat.reshape(8, 2, rows)
 
 
 class KernelDraws:
@@ -101,22 +111,30 @@ class KernelDraws:
 
     From the slope noise z = q - gs (n, k) and d (n,): noise, their SlopeNoise,
     and zs = z'sproj and zv = z'vproj, the draw parts of the interval centres;
-    z itself is not kept.  ``shared`` forms, per config, the region-C row, the
-    per-draw F thresholds and the rejection radii on first use and keeps
-    them, so draws kept for later estimates (montecarlo's memo) form them once
-    per config, whatever the order of the calls.
+    z itself is not kept.  ``region_c`` forms, per config, the region-C row
+    and its sums, and ``shared`` the per-draw F thresholds and the rejection
+    radii, on first use and keeps them, so draws kept for later estimates
+    (montecarlo's memo) form them once per config, whatever the order of the
+    calls.
     """
 
     def __init__(self, z: np.ndarray, d: np.ndarray, geom: GeometryBundle):
         self.geom, self.noise, self.zs, self.zv = geom, SlopeNoise.of(z, d, geom), z @ geom.sproj, z @ geom.vproj
+        self._region_c: dict = {}
         self._shared: dict = {}
 
+    def region_c(self, cfg: TwoStageConfig):
+        """(region-C row (n,), its sum and its sum of squares (2,)) for cfg."""
+        if cfg not in self._region_c:
+            c = _separate(self.geom, half_widths(self.geom, cfg), self.noise.d, self.zv)
+            self._region_c[cfg] = c, np.array([c.sum(), np.square(c).sum()])
+        return self._region_c[cfg]
+
     def shared(self, cfg: TwoStageConfig):
-        """(region-C row (n,), thresholds (2, n) of f_thresholds, radii (2,) of rejection_radii) for cfg."""
+        """(thresholds (2, n) of f_thresholds, radii (2,) of rejection_radii) for cfg."""
         if cfg not in self._shared:
-            geom, noise = self.geom, self.noise
-            limits, widths = f_thresholds(noise.d, geom, cfg), half_widths(geom, cfg)
-            self._shared[cfg] = _separate(geom, widths, noise.d, self.zv), limits, rejection_radii(geom, noise, limits)
+            limits = f_thresholds(self.noise.d, self.geom, cfg)
+            self._shared[cfg] = limits, rejection_radii(self.geom, self.noise, limits)
         return self._shared[cfg]
 
 
@@ -146,27 +164,27 @@ class ConditionalKernel:
         """(rows, values, controls): conditional coverage of the points ``rows`` (rows) against shared draws
         (columns), with their control sums (_control_sums).
 
-        Each cell is evaluated only by its region's formula.  One point has
-        nothing to share: both test decisions come from block_f, and its
-        region-A, region-B and region-C draws are gathered and evaluated
-        apart, except that region C is evaluated on every draw (and
-        overwritten on the others) when it holds at least DENSE_C_SHARE of
-        them.  Several points share the draws' region-C row, thresholds and
-        radii (KernelDraws.shared): a test accepts where its form is at most
-        the threshold, and a point past a radius skips the form of the test
-        it proves to reject (past the first, region A is empty and region B is
-        every second-test accept; past the second, region B is empty).  The
-        points come in groups of ``step``, in point order within each class:
-        past neither radius, the first only, the second only; region-C cells
-        take the shared row, region-A and region-B cells are evaluated in
-        gathers of at most GATHER_CELLS, with the same bits as each point
+        Each cell is evaluated only by its region's formula, and region C is
+        the draws' region-C row (KernelDraws.region_c), formed on every draw.
+        One point has nothing else to share: both test decisions come from
+        block_f, its region-A and region-B draws are gathered and evaluated
+        apart, and its other cells take the region-C row.  Several points
+        also share the draws' thresholds and radii (KernelDraws.shared): a
+        test accepts where its form is at most the threshold, and a point past
+        a radius skips the form of the test it proves to reject (past the
+        first, region A is empty and region B is every second-test accept;
+        past the second, region B is empty).  The points come in groups of
+        ``step``, in point order within each class: past neither radius, the
+        first only, the second only; region-A and region-B cells are evaluated
+        in gathers of at most GATHER_CELLS, with the same bits as each point
         alone.  The last triple gives the region-C row, as one row, to every
-        point past both radii, with zero control sums: neither test accepts.
-        Groups share three work arrays: each is valid until the next.
+        point past both radii, with no region-A or region-B cell: neither test
+        accepts.  Groups share three work arrays: each is valid until the next.
         """
         geom, widths, noise, zs = self.geom, self.widths, draws.noise, draws.zs
         d = noise.d
         mu_a, wus = self.terms.vs[:, 0] / math.sqrt(geom.v_star), self.terms.wus[:, 0]
+        region_c, free = draws.region_c(self.cfg)
         if len(self.slopes) == 1:
             # the shared path (region C on every draw) took 958 against 559 us per 8192 draws at (0, 0, 0),
             # 90 % region A, and 770 against 564 at (0, 0.1, 0), 48 % region C (60 interleaved rounds)
@@ -174,21 +192,18 @@ class ConditionalKernel:
             in_a, ok_xi, row = in_a[0], ok_xi[0], values[0]
             # region B: ok_xi and not in_a
             a, b = in_a.nonzero()[0], (ok_xi > in_a).nonzero()[0]
-            if len(d) - len(a) - len(b) >= DENSE_C_SHARE * len(d):
-                row[...] = _separate(geom, widths, d, draws.zv)
-            else:
-                c = (~(in_a | ok_xi)).nonzero()[0]
-                row[c] = _separate(geom, widths, d.take(c), draws.zv.take(c))
+            row[...] = region_c
             v = np.empty(len(a) + len(b) + 1)
             v[-1] = 0.0
             if len(a):
                 row[a] = v[: len(a)] = _zero_slopes(geom, widths, d.take(a), quad_v.take(a), mu_a[0])
             if len(b):
                 row[b] = v[len(a) : -1] = _common_slope(geom, widths, d.take(b), quad_w.take(b), wus[0], zs.take(b))
-            yield [0], values, _control_sums(np.zeros(1, dtype=np.intp), a, b, v, ok_xi.take(a))
+            c = np.append(region_c.take(np.concatenate((a, b))), 0.0)
+            yield [0], values, _control_sums(np.zeros(1, dtype=np.intp), a, b, v, c, ok_xi.take(a), free)
             return
         n = len(d)
-        region_c, limits, radii = draws.shared(self.cfg)
+        limits, radii = draws.shared(self.cfg)
         # 0: past neither radius, 1: past the first only (test 0 rejects on every draw), 2: the second only, 3: both
         kind = (np.sqrt(np.hstack([self.terms.svs, self.terms.usu])) > radii) @ np.array([1, 2])
         work = [np.empty((min(step, np.count_nonzero(kind < 3)), n)) for _ in range(3)]
@@ -205,10 +220,10 @@ class ConditionalKernel:
                 )
                 group[...] = region_c
                 flat = group.reshape(-1)
-                # region B: ok_xi and not in_a; v: the values of the A cells, then of the B cells, then 0.0
+                # region B: ok_xi and not in_a; v and c: the values of the A cells, then of the B cells, then 0.0
                 a, b = np.flatnonzero(in_a), np.flatnonzero(ok_xi > in_a)
-                v = np.empty(len(a) + len(b) + 1)
-                v[-1] = 0.0
+                v, c = np.empty((2, len(a) + len(b) + 1))
+                v[-1] = c[-1] = 0.0
                 # (cells, their first place in v, formula, its per-cell, per-point and per-draw parts)
                 for region, start, formula, quad, per_point, per_draw in (
                     (a, 0, _zero_slopes, quads[0], mu_a[rows], ()),
@@ -218,11 +233,15 @@ class ConditionalKernel:
                         part = region[i : i + GATHER_CELLS]
                         point, draw = np.divmod(part, n)
                         parts = (quad.take(part), per_point.take(point), *(x.take(draw) for x in per_draw))
-                        flat[part] = v[start + i : start + i + len(part)] = formula(geom, widths, d.take(draw), *parts)
+                        cells = slice(start + i, start + i + len(part))
+                        flat[part] = v[cells] = formula(geom, widths, d.take(draw), *parts)
+                        region_c.take(draw, out=c[cells])
                 xa = ok_xi.reshape(-1).take(a) if 1 in tests else np.zeros(len(a), dtype=bool)
-                yield rows, group, _control_sums(edges[: len(rows)], a, b, v, xa)
+                yield rows, group, _control_sums(edges[: len(rows)], a, b, v, c, xa, free)
         if (kind == 3).any():
-            yield np.flatnonzero(kind == 3), region_c[None], np.zeros((3, 2, 1))
+            none = np.empty(0, dtype=np.intp)
+            sums = _control_sums(np.zeros(1, dtype=np.intp), none, none, np.zeros(1), np.zeros(1), none, free)
+            yield np.flatnonzero(kind == 3), region_c[None], sums
 
     def conditional_cp_batch(self, q, d) -> np.ndarray:
         """Conditional coverage of the selected interval, row-wise on q (n, k) against d (n,).

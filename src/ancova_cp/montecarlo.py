@@ -3,14 +3,17 @@
 Two estimators of the same quantity: the naive one averages raw coverage
 indicators of simulated two-stage fits, the conditioned one averages the
 closed-form conditional coverage given the slope estimate and residual
-scale, which never has larger variance, and corrects the average with two
-control variates: the two selection tests' acceptance indicators, whose
-means are closed form (selection.acceptance), not estimated.  The naive SE
+scale, which never has larger variance, and corrects the average with three
+control variates whose means are closed form, not estimated: the two
+selection tests' acceptance indicators (selection.acceptance) and the
+separate-slopes conditional coverage, the region-C row every draw forms,
+whose mean is P(|T_m| <= t_m) (conditional.separate_mean).  The naive SE
 is the sample standard deviation over sqrt(runs); the conditioned one is
 the residual standard deviation of the regression on the q controls a point
 keeps, with runs - 1 - q degrees of freedom, over sqrt(runs) (_controlled).
-The controls are indicators, so their co-moments follow from each point's
-region counts and value sums, which add across chunks.
+The value equals the region-C row outside regions A and B, so the
+co-moments follow from each point's region counts and sums over its
+region-A and region-B cells and the row's own sums, which add across chunks.
 
 Randomness is organized as counter-based Philox streams keyed by
 (seed, estimator tag, chunk index) and nothing else.  Runs are split into
@@ -42,10 +45,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conditional import ConditionalKernel, KernelDraws
+from .conditional import ConditionalKernel, KernelDraws, separate_mean
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError, check_count, check_reals
-from .selection import acceptance, batch_events
+from .selection import EventNoise, acceptance, batch_events, events
 
 __all__ = [
     "CHUNK_SIZE",
@@ -159,22 +162,23 @@ def _draw_full(rng, geom, size):
     return rng.standard_normal((size, 2 * geom.k)) @ geom.noise_chol.T, rng.chisquare(geom.m, size)
 
 
-def _event_values(slopes, draws, geom, cfg):
+def _event_values(slopes, step, draws, geom, cfg):
+    """(rows, per-draw values) of the one block of event_probabilities' one point."""
     ev = batch_events(*draws, slopes, geom, cfg)
-    return np.stack([ev.covers_tau, ev.covers_tau & ev.in_a, ~ev.in_a], axis=1)
+    yield slice(None), np.stack([ev.covers_tau, ev.covers_tau & ev.in_a, ~ev.in_a], axis=1)
 
 
-def _each(values):
-    """(rows, per-draw values) of each block of slope points, from a function of one block."""
-    return lambda slopes, step, draws, geom, cfg: (
-        (slice(i, i + step), values(slopes[i : i + step], draws, geom, cfg)) for i in range(0, len(slopes), step)
-    )
+def _naive_values(slopes, step, draws, geom, cfg):
+    """(rows, coverage indicators) of each block of slope points; the draws' point-free parts are formed once."""
+    parts = EventNoise.of(*draws, geom)
+    for i in range(0, len(slopes), step):
+        yield slice(i, i + step), events(parts, slopes[i : i + step], geom, cfg).covers_selected
 
 
 # estimator tag -> (per-chunk draws, (rows, per-draw values[, control sums]) of each block of the slope points);
 # the conditioned values read the points' ConditionalKernel, which estimate_points builds once per call
 _ESTIMATORS = {
-    "naive": (_draw_full, _each(lambda s, draws, geom, cfg: batch_events(*draws, s, geom, cfg).covers_selected)),
+    "naive": (_draw_full, _naive_values),
     # groups of two blocks' points, 4·CHUNK_SIZE cells (16 rows at 2000 runs), keep the kernel's work
     # arrays in L2: a search of a 9³ cube, a 9² square and 21-point profiles at 2000 runs took 62.6 ms
     # CPU, against 65.4 ms with 8 rows and 69.8 ms with 64 (median of 30 interleaved rounds, 2 vCPUs)
@@ -187,7 +191,7 @@ _ESTIMATORS = {
 
 class _Moments(NamedTuple):
     """Count, means and sums of squared deviations (P, ...) of each point's per-draw values, per variable, and
-    for the conditioned values their region sums (3, 2, P), conditional._control_sums added over the draws."""
+    for the conditioned values their region sums (8, 2, P), conditional._control_sums added over the draws."""
 
     n: int
     mean: np.ndarray
@@ -259,7 +263,7 @@ def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None)
         finally:
             np.setbufsize(old)
         mean, m2 = np.empty((2, len(points), *blocks[0][1].mean.shape[1:]))
-        regions = np.empty((3, 2, len(points))) if len(blocks[0]) == 3 else None
+        regions = np.empty((*blocks[0][2].shape[:-1], len(points))) if len(blocks[0]) == 3 else None
         for rows, moments, *controls in blocks:
             mean[rows], m2[rows] = moments.mean, moments.m2
             if controls:
@@ -279,34 +283,47 @@ def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None)
 def _controlled(moments: _Moments, kernel: ConditionalKernel):
     """Regression control-variate estimate, residual sum of squares and number of kept controls q, per point.
 
-    The controls are the acceptance indicators a = 1{region A} and x = 1{second test accepts}, with exact means p
-    from selection.acceptance, computed only where a control varies (Glasserman, Monte Carlo Methods in Financial
-    Engineering, 2003, sec. 4.1).  Their co-moments are formed once, from the region sums over all n runs: with
-    the sums S of v a, v x, a, a x and x and the means m of (v, a, x), C = S - n m m' off the (v, v) entry, the
-    merged m2; so C_va = sum_A v - n_A mean(v), C_ax = n_Ax - n_A n_x / n.  In order, a control is kept where
-    what the controls kept before it leave of its sum of squares is above COLLINEAR_SHARE of it (so above 0), and
-    while n > q + 1 with it.  Each kept control is swept out of the co-moments and of the mean-minus-p shifts
-    (Gram-Schmidt), elementwise per point, so a point has the same bits in any block: what is left of the value's
-    shift is v - beta'(x - p), and of its sum of squares the residual one.  A point that keeps no control gets the
-    plain mean and sum of squares.
+    The controls are the acceptance indicators a = 1{region A} and x = 1{second test accepts}, with exact means
+    from selection.acceptance, and the region-C row c, the separate-slopes conditional coverage, with exact mean
+    p_c = P(|T_m| <= t_m) (conditional.separate_mean); each is used only where it varies (Glasserman, Monte Carlo
+    Methods in Financial Engineering, 2003, sec. 4.1).  Their co-moments are formed once, from the region sums
+    over all n runs: with the sums S of v a, v x, v c, a, a x, a c, x, x c, c and c c and the means m of
+    (v, a, x, c), C = S - n m m' off the (v, v) entry, the merged m2; so C_va = sum_A v - n_A mean(v), and
+    v = c on region C gives sum v c = sum_A v c + sum_B v c + sum c^2 - sum_A c^2 - sum_B c^2.  In order, a
+    control is kept where what the controls kept before it leave of its sum of squares is above
+    COLLINEAR_SHARE of it (so above 0), and while n > q + 1 with it.  Each kept control is swept out of the
+    co-moments and of the mean-minus-p shifts (Gram-Schmidt), elementwise per point, so a point has the same
+    bits in any block: what is left of the value's shift is v - beta'(x - p), and of its sum of squares the
+    residual one; a value outside [0, 1], which the slope of a regression on a handful of runs can give, is
+    clipped to it.  A point that keeps no control gets the plain mean and sum of squares.  A point with no
+    region-A or region-B cell in any run has v = c on every draw, where the regression on c is exact: it gets
+    p_c and a residual sum of squares of 0, exactly.
     """
-    n, (n_a, n_b, v_a, v_b, v_ax, n_ax) = moments.n, moments.regions.reshape(6, -1)  # conditional._control_sums
-    sums = np.stack((v_a, v_b + v_ax, n_a, n_ax, n_b + n_ax))  # sums of v a, v x, a, a x, x
-    shift = np.stack((moments.mean, sums[2] / n, sums[4] / n))
-    m2 = sums[[[0, 0, 1], [0, 2, 3], [1, 3, 4]]] - n * shift[:, None] * shift  # (3, 3, P)
+    n, regions = moments.n, moments.regions.reshape(16, -1)  # conditional._control_sums
+    n_a, n_b, v_a, v_b, v_ax, n_ax, c_a, c_b, cc_a, cc_b, vc_a, vc_b, c_ax, _, c_all, cc_all = regions
+    # sums of v a, v x, v c, a, a x, a c, x, x c, c, c c
+    sums = np.stack(
+        (v_a, v_b + v_ax, vc_a + vc_b + (cc_all - cc_a - cc_b), n_a, n_ax, c_a, n_b + n_ax, c_b + c_ax, c_all, cc_all)
+    )
+    shift = np.stack((moments.mean, sums[3] / n, sums[6] / n, sums[8] / n))
+    m2 = sums[[[0, 0, 1, 2], [0, 3, 4, 5], [1, 4, 6, 7], [2, 5, 7, 9]]] - n * shift[:, None] * shift  # (4, 4, P)
     m2[0, 0] = moments.m2
-    limits = COLLINEAR_SHARE * m2[[1, 2], [1, 2]]
-    shift[1:] -= acceptance(kernel.terms, kernel.geom, kernel.cfg, (limits > 0.0).T).T
+    limits = COLLINEAR_SHARE * m2[[1, 2, 3], [1, 2, 3]]
+    shift[1:3] -= acceptance(kernel.terms, kernel.geom, kernel.cfg, (limits[:2] > 0.0).T).T
+    p_c = separate_mean(kernel.geom, kernel.cfg)
+    shift[3] -= p_c
     kept = np.zeros(len(shift[0]), dtype=int)
-    for j, limit in zip((1, 2), limits):
+    for j, limit in zip((1, 2, 3), limits):
         keep = m2[j, j] > limit
-        if n < 4:  # q + 1 < n for q <= 2 at any larger n
+        if n < 5:  # q + 1 < n for q <= 3 at any larger n
             keep &= n > kept + 2
         gain = np.divide(m2[:, j], m2[j, j], out=np.zeros_like(shift), where=keep)
         m2 -= gain[:, None] * m2[j]
         shift -= gain * shift[j]
         kept += keep
-    return shift[0], np.maximum(m2[0, 0], 0.0), kept
+    only_c = n_a + n_b == 0
+    value = np.where(only_c, p_c, np.clip(shift[0], 0.0, 1.0))
+    return value, np.where(only_c, 0.0, np.maximum(m2[0, 0], 0.0)), kept
 
 
 def estimate_points(
@@ -327,10 +344,15 @@ def estimate_points(
     bit-identical to the same point estimated alone.
     The naive SE is sqrt(sample variance / runs).  The conditioned estimate
     is v - beta'(x - p), v the mean conditional coverage, x and p the sample
-    and exact means of the q acceptance indicators kept as controls
-    (_controlled), and its SE sqrt(RSS / (runs - 1 - q) / runs); one run has
-    SE 0.  ``memo`` (a dict, see _reduce) lets calls draw each chunk once per
-    design, at any configs; it never changes an estimate.
+    and exact means of the q controls kept (_controlled): the two tests'
+    acceptance indicators and the separate-slopes conditional coverage, with
+    exact mean p_c = P(|T_m| <= t_m); its SE is sqrt(RSS / (runs - 1 - q) /
+    runs), and one run has SE 0.  A point with no draw in region A or B has
+    the separate-slopes value on every draw, so it reads p_c with SE 0,
+    exactly; its true coverage lies within the sum of the two tests' exact
+    acceptance probabilities (selection.acceptance) of p_c, which is the most
+    that SE leaves out.  ``memo`` (a dict, see _reduce) lets calls draw each
+    chunk once per design, at any configs; it never changes an estimate.
     """
     if not isinstance(estimator, str) or estimator not in _ESTIMATORS:
         raise DomainError(f"estimator must be one of {sorted(_ESTIMATORS)}, got {estimator!r}")
@@ -394,7 +416,7 @@ def event_probabilities(
     first test rejecting, all from common draws.  Supports bound checks of
     the form 0 <= Pr(S) - Pr(S and accept) <= Pr(reject).
     """
-    moments = _reduce("events", _draw_full, _each(_event_values), _slopes([point], geom.k), geom, cfg, runs, seed, 1)
+    moments = _reduce("events", _draw_full, _event_values, _slopes([point], geom.k), geom, cfg, runs, seed, 1)
     covers, covers_and_accept, reject = (float(v) for v in moments.mean[0])
     return {
         "covers_tau": covers,

@@ -259,6 +259,20 @@ def half_widths(geom: GeometryBundle, cfg: TwoStageConfig) -> tuple[float, float
     )
 
 
+class EventNoise(NamedTuple):
+    """The point-free parts of batch_events for a block of draws: the slope noise's F parts, d and the noise
+    parts of the three interval centres, a'G_tau delta, a'G_xi delta and a'delta."""
+
+    noise: SlopeNoise
+    tau: np.ndarray
+    xi: np.ndarray
+    full: np.ndarray
+
+    @classmethod
+    def of(cls, delta: np.ndarray, d: np.ndarray, geom: GeometryBundle) -> "EventNoise":
+        return cls(SlopeNoise.of(delta[:, geom.k :], d, geom), delta @ geom.ga_tau, delta @ geom.ga_xi, delta @ geom.a)
+
+
 def batch_events(
     delta: np.ndarray,
     d: np.ndarray,
@@ -274,16 +288,20 @@ def batch_events(
     fields of shape (P, n), every point evaluated against the same draws.
     Intervals are closed, so coverage comparisons use <=.
     """
-    m, k = geom.m, geom.k
+    return events(EventNoise.of(delta, d, geom), slopes, geom, cfg)
+
+
+def events(parts: EventNoise, slopes: np.ndarray, geom: GeometryBundle, cfg: TwoStageConfig) -> EventBatch:
+    """batch_events on draws whose point-free parts are formed already, so blocks of points can share them."""
+    m, k, d = geom.m, geom.k, parts.noise.d
     terms = SlopeTerms.of(np.atleast_2d(np.asarray(slopes, dtype=float)), geom)
-    in_a, accept_xi, f_tau, f_xi, quad_v, quad_w = block_f(SlopeNoise.of(delta[:, k:], d, geom), terms, geom, cfg)
+    in_a, accept_xi, f_tau, f_xi, quad_v, quad_w = block_f(parts.noise, terms, geom, cfg)
     in_b = ~in_a & accept_xi
 
-    center_tau = delta @ geom.ga_tau - terms.vs
+    center_tau = parts.tau - terms.vs
     half_tau = cfg.t_mk * np.sqrt((d + quad_v) / (m + k)) * np.sqrt(geom.v_star)
-    center_xi = delta @ geom.ga_xi - terms.wus
+    center_xi = parts.xi - terms.wus
     half_xi = cfg.t_mk1 * np.sqrt((d + quad_w) / (m + k - 1)) * np.sqrt(geom.w_star)
-    center_full = delta @ geom.a
     half_full = cfg.t_m * np.sqrt(d / m) * np.sqrt(geom.v11)
 
     fields = (
@@ -291,7 +309,7 @@ def batch_events(
         in_b,
         np.abs(center_tau) <= half_tau,
         np.abs(center_xi) <= half_xi,
-        np.broadcast_to(np.abs(center_full) <= half_full, in_a.shape),
+        np.broadcast_to(np.abs(parts.full) <= half_full, in_a.shape),
         f_tau,
         f_xi,
     )

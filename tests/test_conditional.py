@@ -8,7 +8,7 @@ import pytest
 from scipy import special
 
 from ancova_cp import ConditionalKernel, DomainError, batch_events, conditional
-from ancova_cp.conditional import KernelDraws
+from ancova_cp.conditional import KernelDraws, separate_mean
 from ancova_cp.montecarlo import BLOCK_CELLS, _draw_slopes, _stream
 from ancova_cp.selection import SlopeTerms, block_f, f_thresholds, quad_form
 from oracles import assembled, certified, conditional_cells, conditional_coverage_mc, past_radii, slope_draws
@@ -142,9 +142,9 @@ REGION_CASES = {
 
 
 def region_sums(pairs) -> np.ndarray:
-    """(3, 2, points) from a kernel's (rows, controls) pairs."""
+    """(8, 2, points) from a kernel's (rows, controls) pairs."""
     pairs = list(pairs)
-    out = np.full((3, 2, 1 + max(max(rows) for rows, _ in pairs)), np.nan)
+    out = np.full((8, 2, 1 + max(max(rows) for rows, _ in pairs)), np.nan)
     for rows, controls in pairs:
         out[:, :, rows] = controls
     return out
@@ -180,10 +180,16 @@ def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, 
             vs=terms.vs, wus=terms.wus, zs=z @ geom.sproj,
         )
         # per point: cell count and sum of v in region A and in region B, then the sum of v and the count over
-        # the region-A cells where the second test accepts
+        # the region-A cells where the second test accepts; then, of the region-C row c, the sums of c, c^2 and
+        # v c over A and over B, of c over the A cells where the second test accepts, and of c and c^2 over all
         both = in_a & ok_xi
         reference = np.array(
             [[in_a.sum(1), in_b.sum(1)], [(want * in_a).sum(1), (want * in_b).sum(1)], [(want * both).sum(1), both.sum(1)]]
+        )
+        c = conditional_cells(geom, cfg, noise.d, z @ geom.vproj)
+        reference_c = np.array(
+            [[(part * mask).sum(1) for mask in (in_a, in_b)] for part in (c, c * c, want * c)]
+            + [[(c * both).sum(1), np.zeros(len(slopes))], [np.full(len(slopes), c.sum()), np.full(len(slopes), (c * c).sum())]]
         )
         # the shipped group size, as _reduce passes it; then groups of 4 points (the last one
         # short) and gathers of 7 cells, so that A and B cells straddle both.  Every row, the
@@ -198,8 +204,9 @@ def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, 
             block_sums.append(region_sums((r, c) for r, _, c in triples))
             got = block_sums[-1]
             assert np.array_equal(got[0], reference[0]) and np.array_equal(got[2, 1], reference[2, 1])
-            np.testing.assert_allclose(got[1:, 0], reference[1:, 0], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got[1:3, 0], reference[1:, 0], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(got[1, 1], reference[1, 1], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got[3:], reference_c, rtol=1e-12, atol=1e-12)
             if sure_c.any():
                 rows, block, _ = triples.pop()
                 assert rows == np.flatnonzero(sure_c).tolist() and block.shape == (1, runs)
@@ -210,14 +217,22 @@ def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, 
             )
         # one reduction per row and region: the same bits at any group size and gather size
         assert block_sums[0].tobytes() == block_sums[1].tobytes()
-        # a lone point: region C gathered, or evaluated on every draw; its values and sums keep their bits
-        for share in (0.0, conditional.DENSE_C_SHARE, 1.0):
-            monkeypatch.setattr(conditional, "DENSE_C_SHARE", share)
-            for i, (point, row) in enumerate(zip(slopes, want)):
-                rows, block, alone = next(ConditionalKernel(geom, cfg, point).blocks(draws, 1))
-                assert list(rows) == [0] and block.tobytes() == row.tobytes()
-                assert region_sums([(rows, alone)])[..., 0].tobytes() == block_sums[0][..., i].tobytes()
+        # a lone point: its values and sums keep their bits
+        for i, (point, row) in enumerate(zip(slopes, want)):
+            rows, block, alone = next(ConditionalKernel(geom, cfg, point).blocks(draws, 1))
+            assert list(rows) == [0] and block.tobytes() == row.tobytes()
+            assert region_sums([(rows, alone)])[..., 0].tobytes() == block_sums[0][..., i].tobytes()
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("design", ["ref", "small", "k4"])
+def test_region_c_row_has_its_exact_mean(request, design):
+    # the region-C row is the conditioned estimator's third control, whose exact mean would hide an error in the
+    # separate-slopes formula from every estimate: the row's own plain mean must agree with that exact mean
+    _, _, geom, cfg = request.getfixturevalue(design)
+    for seed in range(3):
+        c = KernelDraws(*slope_draws(_stream(seed, "region C", 0), geom, N_DRAWS), geom).region_c(cfg)[0]
+        assert abs(c.mean() - separate_mean(geom, cfg)) <= 3.0 * c.std(ddof=1) / math.sqrt(len(c)), (seed, c.mean())
 
 
 @pytest.mark.parametrize("design", ["ref", "small", "k4"])

@@ -25,7 +25,7 @@ from ancova_cp import (
     second_test_only_cp,
 )
 from ancova_cp import conditional, montecarlo
-from ancova_cp.conditional import ConditionalKernel
+from ancova_cp.conditional import ConditionalKernel, separate_mean
 from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _draw_slopes, _Moments, _stream, default_workers
 from ancova_cp.selection import SlopeNoise, SlopeTerms, acceptance, block_f
 from oracles import assembled, direct_geometry, gate_prob_mc, gate_prob_ncf, slope_draws
@@ -398,18 +398,19 @@ def test_gate_probability_bad_test_name(ref):
 
 
 # ---------------------------------------------------------------------------
-# control variates: the two tests' acceptance indicators in the conditioned estimator
+# control variates: the two tests' acceptance indicators and the region-C row in the conditioned estimator
 # ---------------------------------------------------------------------------
 
 
 def _per_draw(geom, cfg, point, runs, seed):
-    """The conditioned estimator's per-draw values v and acceptance indicators a (first test) and x (second)."""
+    """The conditioned estimator's per-draw values v, acceptance indicators a (first test) and x (second), and
+    region-C row c."""
     parts = []
     for chunk, size in enumerate(montecarlo._chunk_sizes(runs)):
         draws = _draw_slopes(_stream(seed, "conditioned", chunk), geom, size)
         v = next(ConditionalKernel(geom, cfg, point).blocks(draws, 1))[1][0].copy()
         in_a, ok_xi = block_f(draws.noise, SlopeTerms.of(np.atleast_2d(point), geom), geom, cfg)[:2]
-        parts.append((v, in_a[0], ok_xi[0]))
+        parts.append((v, in_a[0], ok_xi[0], draws.region_c(cfg)[0]))
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -434,11 +435,11 @@ def _varying(moments):
 def test_both_controls_match_a_least_squares_fit(ref):
     _, _, geom, cfg = ref
     for point in ((0.0, 0.1, 0.0), (0.1, -0.05, 0.15), (0.0, 0.0, 0.0)):
-        v, a, x = _per_draw(geom, cfg, np.array(point), RUNS_2, 3)
+        v, a, x, c = _per_draw(geom, cfg, np.array(point), RUNS_2, 3)
         assert 0 < a.sum() < len(a) and 0 < x.sum() < len(x)
-        means = [gate_probability(point, geom, cfg, which) for which in ("tau", "xi")]
+        means = [gate_probability(point, geom, cfg, which) for which in ("tau", "xi")] + [separate_mean(geom, cfg)]
         est = estimate_conditioned(point, geom, cfg, runs=RUNS_2, seed=3)
-        value, se = _regressed(v, (a, x), means)
+        value, se = _regressed(v, (a, x, c), means)
         assert est.estimate == pytest.approx(value, rel=1e-12) and est.se == pytest.approx(se, rel=1e-9)
         # the controls pay: the plain SE is larger
         assert est.se < v.std(ddof=1) / math.sqrt(len(v))
@@ -447,39 +448,41 @@ def test_both_controls_match_a_least_squares_fit(ref):
 @pytest.mark.parametrize("point", [(0.05, 0.1, 0.0), (1.0, -1.0, 1.0)])
 def test_a_control_without_variance_is_dropped(ref, point):
     # both tests reject on every draw: at zero cutoffs, or far out, where the block path certifies region C;
-    # the estimate and its SE are the plain mean and SE of the same draws
+    # both indicators are dropped, and v is the region-C row on every draw, so the regression on that row is
+    # exact: the point reads its exact mean with SE 0
     _, _, geom, cfg = ref
     if point[0] < 1.0:
         cfg = dataclasses.replace(cfg, l_tau=0.0, l_xi=0.0)
-    v, a, x = _per_draw(geom, cfg, np.array(point), RUNS_2, 5)
-    assert not a.any() and not x.any()
+    v, a, x, c = _per_draw(geom, cfg, np.array(point), RUNS_2, 5)
+    assert not a.any() and not x.any() and v.tobytes() == c.tobytes()
     for est in (
         estimate_conditioned(point, geom, cfg, runs=RUNS_2, seed=5),
         estimate_points([point, (0.0, 0.0, 0.0), (-1.0, 1.0, -1.0)], geom, cfg, runs=RUNS_2, seed=5)[0],
     ):
-        assert est.estimate == pytest.approx(v.mean(), rel=1e-13)
-        assert est.se == pytest.approx(v.std(ddof=1) / math.sqrt(len(v)), rel=1e-11)
+        assert est.estimate == separate_mean(geom, cfg) and est.se == 0.0
 
 
 def test_an_always_accepting_first_test_leaves_the_second_control(ref):
-    # at l_tau = inf, 1{A} is 1 on every draw and is dropped; 1{x} is kept
+    # at l_tau = inf, 1{A} is 1 on every draw and is dropped; 1{x} and the region-C row are kept
     _, _, geom, cfg = ref
     forced = dataclasses.replace(cfg, l_tau=math.inf)
     point = (0.0, 0.1, 0.0)
-    v, a, x = _per_draw(geom, forced, np.array(point), RUNS_2, 6)
+    v, a, x, c = _per_draw(geom, forced, np.array(point), RUNS_2, 6)
     assert a.all() and 0 < x.sum() < len(x)
     est = estimate_conditioned(point, geom, forced, runs=RUNS_2, seed=6)
-    value, se = _regressed(v, (x,), [gate_probability(point, geom, forced, "xi")])
+    value, se = _regressed(v, (x, c), [gate_probability(point, geom, forced, "xi"), separate_mean(geom, forced)])
     assert est.estimate == pytest.approx(value, rel=1e-12) and est.se == pytest.approx(se, rel=1e-9)
 
 
 def test_the_second_of_two_collinear_controls_is_dropped(ref):
-    # synthetic region sums where the second indicator equals the first: one control, the first, is kept
+    # synthetic region sums where the second indicator equals the first and the region-C row is 0: one control,
+    # the first, is kept
     _, _, geom, cfg = ref
     rng = np.random.default_rng(8)
     v, a = rng.uniform(size=(1, 5000)), rng.uniform(size=5000) < 0.4
     n_a, sum_a = float(a.sum()), float(v[0, a].sum())
-    regions = np.array([[[n_a], [0.0]], [[sum_a], [0.0]], [[sum_a], [n_a]]])
+    regions = np.zeros((8, 2, 1))
+    regions[:3, :, 0] = [[n_a, 0.0], [sum_a, 0.0], [sum_a, n_a]]
     moments = _Moments.of(v)._replace(regions=regions)
     # n_Ax = n_A = n_x: every A cell accepts x, and no B cell exists
     assert regions[2, 1, 0] == regions[0, 0, 0] == regions[0, 1, 0] + regions[2, 1, 0] > 0.0
@@ -493,10 +496,27 @@ def test_the_second_of_two_collinear_controls_is_dropped(ref):
     assert math.sqrt(rss[0] / (5000 - 2) / 5000) == pytest.approx(se, rel=1e-9)
 
 
-@pytest.mark.parametrize("runs", [1, 2, 3])
+def test_a_point_wholly_in_region_c_is_within_its_acceptance_of_the_exact_mean(ref):
+    # the estimate digest's wide 9^3 lattice on [-1, 1]^3 at 9000 runs: most rows see no region-A or region-B cell
+    # and read p_c with SE 0; their true coverage lies within the sum of the two tests' exact acceptance
+    # probabilities of p_c, which bounds what that SE leaves out, and raw coverage indicators on independent draws
+    # agree at the rows where the bound is widest
+    _, _, geom, cfg = ref
+    p_c = separate_mean(geom, cfg)
+    rows = grid_eval(GridSpec((-1.0, 1.0), 9, 9000, 7), "conditioned", geom, cfg)
+    exact = np.array([point.values for point, est in rows if est.estimate == p_c and est.se == 0.0])
+    assert len(rows) / 2 < len(exact) < len(rows)
+    bound = acceptance(SlopeTerms.of(exact, geom), geom, cfg).sum(axis=1)
+    assert bound.max() < 1e-4
+    widest = np.argsort(bound)[-4:]
+    for est, width in zip(estimate_points(exact[widest], geom, cfg, "naive", runs=200_000, seed=11), bound[widest]):
+        assert abs(est.estimate - p_c) <= width + 3.0 * est.se, est
+
+
+@pytest.mark.parametrize("runs", [1, 2, 3, 4, 5])
 def test_tiny_runs_give_a_finite_se_without_warnings(ref, runs):
     # a control is kept only while n > q + 1, so the residual degrees of freedom n - 1 - q stay positive; at
-    # seed 0 both controls vary at the first point for runs 2 and 3
+    # seed 0 both indicators vary at the first point for runs 2 to 5, and the region-C row always does
     _, _, geom, cfg = ref
     points = np.array([(0.0, 0.1, 0.0), (0.0, 0.0, 0.0), (0.3, -0.2, 0.1), (0.02, 0.05, 0.0)])
     kernel = ConditionalKernel(geom, cfg, points)
@@ -520,10 +540,17 @@ def test_block_keeps_its_bits_alone_with_live_controls(ref):
     moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, RUNS_2, 4, 1)
     a_varies, x_varies = _varying(moments)
     assert moments.regions[0, 0, 0] == 0.0 and a_varies[1:].all() and x_varies.all()
+    # the region-C row's sums over each region are live too
+    assert (moments.regions[3:7, 0, 1:] > 0.0).all() and (moments.regions[3:6, 1] > 0.0).all()
     block = estimate_points(points, geom, cfg, runs=RUNS_2, seed=4)
-    for point, est in zip(points, block):
+    for i, (point, est) in enumerate(zip(points, block)):
         alone = estimate_points([point], geom, cfg, runs=RUNS_2, seed=4)[0]
         assert (est.estimate, est.se) == (alone.estimate, alone.se)
+        sums = montecarlo._reduce(
+            "conditioned", *montecarlo._ESTIMATORS["conditioned"], ConditionalKernel(geom, cfg, point), geom, cfg,
+            RUNS_2, 4, 1,
+        ).regions
+        assert sums.tobytes() == moments.regions[..., i : i + 1].tobytes()
 
 
 def test_region_sums_over_chunks_equal_the_per_draw_masks(ref):
@@ -536,7 +563,7 @@ def test_region_sums_over_chunks_equal_the_per_draw_masks(ref):
     assert moments.n == RUNS_3
     ests = estimate_points(points, geom, cfg, runs=RUNS_3, seed=3)
     for i, (point, est) in enumerate(zip(points, ests)):
-        v, a, x = _per_draw(geom, cfg, point, RUNS_3, 3)
+        v, a, x, c = _per_draw(geom, cfg, point, RUNS_3, 3)
         if i == 0:
             assert [int(a[start : start + CHUNK_SIZE].sum()) for start in range(0, RUNS_3, CHUNK_SIZE)] == [0, 1, 0]
         b, ax = x & ~a, a & x
@@ -545,9 +572,17 @@ def test_region_sums_over_chunks_equal_the_per_draw_masks(ref):
         np.testing.assert_allclose(
             [region[1, 0], region[1, 1], region[2, 0]], [v[a].sum(), v[b].sum(), v[ax].sum()], rtol=1e-12, atol=0.0
         )
+        # the region-C row's sums: over A and B of c, c^2 and v c, over the A cells where x accepts, and over all
+        np.testing.assert_allclose(
+            region[3:8].reshape(-1),
+            [c[a].sum(), c[b].sum(), (c * c)[a].sum(), (c * c)[b].sum(), (v * c)[a].sum(), (v * c)[b].sum()]
+            + [c[ax].sum(), 0.0, c.sum(), (c * c).sum()],
+            rtol=1e-12,
+            atol=0.0,
+        )
         # over three chunks the estimate is still the least-squares one
-        means = [gate_probability(point, geom, cfg, which) for which in ("tau", "xi")]
-        value, se = _regressed(v, (a, x), means)
+        means = [gate_probability(point, geom, cfg, which) for which in ("tau", "xi")] + [separate_mean(geom, cfg)]
+        value, se = _regressed(v, (a, x, c), means)
         assert est.estimate == pytest.approx(value, rel=1e-12) and est.se == pytest.approx(se, rel=1e-12)
 
 
