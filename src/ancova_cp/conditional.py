@@ -75,35 +75,35 @@ def separate_mean(geom: GeometryBundle, cfg: TwoStageConfig) -> float:
     return 1.0 - 2.0 * float(special.stdtr(geom.m, -cfg.t_m))
 
 
-def _control_sums(edges, a, b, v, c, xa, free):
-    """(8, 2, rows): per row of a (rows, n) block, sums over its region-A cells and over its region-B cells, and
-    over the region-A cells where x accepts, of the controls' products; then the chunk's point-free sums of c.
+def _control_sums(edges, a, b, cells, xa):
+    """(9, 2, rows): per row of a (rows, n) group, sums over its region-A cells and over its region-B cells.
 
     A: the first test accepts, x: the second accepts, v: the conditional coverage, c: the region-C row (the
     separate-slopes conditional coverage, which v equals on region C); region B is x and not A, and region-C
-    cells accept neither test.  The pairs, (A, B) unless named: 0 the cell counts, 1 the sums of v, 2 the sum of
-    v and the count over the A cells where x accepts, 3 to 5 the sums of c, c^2 and v c, 6 the sum of c over the
-    A cells where x accepts and 0, 7 the sum of c and of c^2 over the chunk's draws, ``free``.  ``edges`` holds
-    the flat index of each row's first cell, a and b the sorted flat indices of the region-A and region-B cells,
-    ``v`` and ``c`` their values, the A cells' then the B cells', then 0.0, which makes the last bound a valid
-    index, and xa marks the A cells where x accepts.  Each row's cells in a region are one reduceat segment,
-    whose bits do not depend on where it lies, and both kernel paths reduce here: a point's sums have the same
-    bits in a block and alone.  A row with no cells in a region sums to 0 there, so the sums of several blocks
-    and chunks simply add (montecarlo._Moments).
+    cells accept neither test.  The pairs (A, B): 0 the cell counts, 1 to 5 the sums of v, c, v c, c^2 and v^2,
+    then over the A cells where x accepts the sums of v (6), of c (7) and of 1 (8), whose B entries are 0.
+    ``edges`` holds the flat index of each row's first cell, a and b the sorted flat indices of the region-A and
+    region-B cells, and rows 0 and 1 of ``cells`` (8, len(a) + len(b) + 1) v and c at the A cells, then at the B
+    cells; this fills the rest, the products and a last column of 0.0, which makes the last bound a valid index,
+    and reduces all eight rows at once.  xa marks the A cells where x accepts.  Each row's cells in a region are
+    one reduceat segment, whose bits do not depend on where it lies, and both kernel paths reduce here: a point's
+    sums have the same bits in a group and alone.  A row with no cells in a region sums to 0 there, so the sums
+    of several groups and chunks simply add (montecarlo._Moments).
     """
-    rows, na = len(edges), len(a)
-    bounds = np.concatenate((a.searchsorted(edges), b.searchsorted(edges) + na, [len(v) - 1]))
-    cells = np.stack((v, c, c * c, v * c))
-    at_x = np.zeros((3, na + 1))  # v, 1 and c at the A cells where x accepts, 0 at the others, then 0.0
-    at_x[1, :na] = xa
-    np.multiply(cells[:2, :na], at_x[1, :na], out=at_x[::2, :na])
-    sums = np.add.reduceat(cells, bounds, axis=1)[:, :-1]
-    sums_x = np.add.reduceat(at_x, bounds[: rows + 1], axis=1)[:, :-1]
-    parts = (np.diff(bounds), sums[0], sums_x[:2].reshape(-1), sums[1:].reshape(-1), sums_x[2], np.zeros(rows))
-    flat = np.concatenate((*parts, np.repeat(free, rows))).reshape(16, rows)
-    # reduceat gives an empty segment the cell after it, not 0
-    flat[2:13][flat[[0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0]] == 0] = 0.0
-    return flat.reshape(8, 2, rows)
+    na, end = len(a), len(a) + len(b)
+    cells[:, end] = 0.0
+    np.multiply(cells[:2], cells[1], out=cells[2:4])  # v c and c^2
+    np.multiply(cells[0], cells[0], out=cells[4])
+    cells[5:, na:end] = 0.0
+    cells[7, :na] = xa
+    np.multiply(cells[:2, :na], cells[7, :na], out=cells[5:7, :na])
+    bounds = np.concatenate((a.searchsorted(edges), b.searchsorted(edges) + na, [end]))
+    sums = np.empty((9, len(bounds)))
+    np.add.reduceat(cells, bounds, axis=1, out=sums[1:])
+    sums = sums[:, :-1]
+    np.subtract(bounds[1:], bounds[:-1], out=sums[0])
+    sums[1:, sums[0] == 0.0] = 0.0  # reduceat gives an empty segment the cell after it, not 0
+    return sums.reshape(9, 2, -1)
 
 
 class KernelDraws:
@@ -161,46 +161,45 @@ class ConditionalKernel:
         return len(self.slopes)
 
     def blocks(self, draws: KernelDraws, step: int):
-        """(rows, values, controls): conditional coverage of the points ``rows`` (rows) against shared draws
-        (columns), with their control sums (_control_sums).
+        """(rows, a, b, v, sums): for each group of the points ``rows`` (rows) against shared draws (columns),
+        the flat indices a and b of its region-A and region-B cells in the (rows, draws) group, their
+        conditional coverage v, the A cells' then the B cells', and their region sums (_control_sums).
 
-        Each cell is evaluated only by its region's formula, and region C is
-        the draws' region-C row (KernelDraws.region_c), formed on every draw.
-        One point has nothing else to share: both test decisions come from
-        block_f, its region-A and region-B draws are gathered and evaluated
-        apart, and its other cells take the region-C row.  Several points
-        also share the draws' thresholds and radii (KernelDraws.shared): a
-        test accepts where its form is at most the threshold, and a point past
-        a radius skips the form of the test it proves to reject (past the
-        first, region A is empty and region B is every second-test accept;
-        past the second, region B is empty).  The points come in groups of
-        ``step``, in point order within each class: past neither radius, the
-        first only, the second only; region-A and region-B cells are evaluated
-        in gathers of at most GATHER_CELLS, with the same bits as each point
-        alone.  The last triple gives the region-C row, as one row, to every
-        point past both radii, with no region-A or region-B cell: neither test
-        accepts.  Groups share three work arrays: each is valid until the next.
+        Each cell is evaluated only by its region's formula; every other cell
+        has the draws' region-C row (KernelDraws.region_c), which is not
+        copied into the groups.  One point has nothing else to share: both
+        test decisions come from block_f, and its region-A and region-B draws
+        are gathered and evaluated apart.  Several points also share the
+        draws' thresholds and radii (KernelDraws.shared): a test accepts
+        where its form is at most the threshold, and a point past a radius
+        skips the form of the test it proves to reject (past the first,
+        region A is empty and region B is every second-test accept; past the
+        second, region B is empty).  The points come in groups of ``step``,
+        in point order within each class: past neither radius, the first
+        only, the second only; region-A and region-B cells are evaluated in
+        gathers of at most GATHER_CELLS, with the same bits as each point
+        alone.  The last group holds every point past both radii, with no
+        region-A or region-B cell: neither test accepts.
         """
         geom, widths, noise, zs = self.geom, self.widths, draws.noise, draws.zs
         d = noise.d
         mu_a, wus = self.terms.vs[:, 0] / math.sqrt(geom.v_star), self.terms.wus[:, 0]
-        region_c, free = draws.region_c(self.cfg)
+        region_c = draws.region_c(self.cfg)[0]
         if len(self.slopes) == 1:
             # the shared path (region C on every draw) took 958 against 559 us per 8192 draws at (0, 0, 0),
             # 90 % region A, and 770 against 564 at (0, 0.1, 0), 48 % region C (60 interleaved rounds)
-            in_a, ok_xi, values, _, quad_v, quad_w = block_f(noise, self.terms, geom, self.cfg)
-            in_a, ok_xi, row = in_a[0], ok_xi[0], values[0]
+            in_a, ok_xi, _, _, quad_v, quad_w = block_f(noise, self.terms, geom, self.cfg)
+            in_a, ok_xi = in_a[0], ok_xi[0]
             # region B: ok_xi and not in_a
             a, b = in_a.nonzero()[0], (ok_xi > in_a).nonzero()[0]
-            row[...] = region_c
-            v = np.empty(len(a) + len(b) + 1)
-            v[-1] = 0.0
+            cells = np.empty((8, len(a) + len(b) + 1))
+            v = cells[0]
             if len(a):
-                row[a] = v[: len(a)] = _zero_slopes(geom, widths, d.take(a), quad_v.take(a), mu_a[0])
+                v[: len(a)] = _zero_slopes(geom, widths, d.take(a), quad_v.take(a), mu_a[0])
             if len(b):
-                row[b] = v[len(a) : -1] = _common_slope(geom, widths, d.take(b), quad_w.take(b), wus[0], zs.take(b))
-            c = np.append(region_c.take(np.concatenate((a, b))), 0.0)
-            yield [0], values, _control_sums(np.zeros(1, dtype=np.intp), a, b, v, c, ok_xi.take(a), free)
+                v[len(a) : -1] = _common_slope(geom, widths, d.take(b), quad_w.take(b), wus[0], zs.take(b))
+            region_c.take(np.concatenate((a, b)), out=cells[1, :-1])
+            yield [0], a, b, v[:-1], _control_sums(np.zeros(1, dtype=np.intp), a, b, cells, ok_xi.take(a))
             return
         n = len(d)
         limits, radii = draws.shared(self.cfg)
@@ -212,18 +211,16 @@ class ConditionalKernel:
             rest = np.flatnonzero(kind == which)
             for rows in (rest[i : i + step] for i in range(0, len(rest), step)):
                 terms = SlopeTerms(*(field[rows] for field in self.terms))
-                group, *quads = (w[: len(rows)] for w in work)
+                scratch, *quads = (w[: len(rows)] for w in work)
                 # a test proven to reject on every draw accepts nowhere: False
                 in_a, ok_xi = (
-                    quad_form(noise, terms, test, quads[test], group) <= limits[test] if test in tests else np.False_
+                    quad_form(noise, terms, test, quads[test], scratch) <= limits[test] if test in tests else np.False_
                     for test in (0, 1)
                 )
-                group[...] = region_c
-                flat = group.reshape(-1)
-                # region B: ok_xi and not in_a; v and c: the values of the A cells, then of the B cells, then 0.0
+                # region B: ok_xi and not in_a; v and c: the values of the A cells, then of the B cells
                 a, b = np.flatnonzero(in_a), np.flatnonzero(ok_xi > in_a)
-                v, c = np.empty((2, len(a) + len(b) + 1))
-                v[-1] = c[-1] = 0.0
+                cells = np.empty((8, len(a) + len(b) + 1))
+                v, c = cells[:2]
                 # (cells, their first place in v, formula, its per-cell, per-point and per-draw parts)
                 for region, start, formula, quad, per_point, per_draw in (
                     (a, 0, _zero_slopes, quads[0], mu_a[rows], ()),
@@ -233,15 +230,14 @@ class ConditionalKernel:
                         part = region[i : i + GATHER_CELLS]
                         point, draw = np.divmod(part, n)
                         parts = (quad.take(part), per_point.take(point), *(x.take(draw) for x in per_draw))
-                        cells = slice(start + i, start + i + len(part))
-                        flat[part] = v[cells] = formula(geom, widths, d.take(draw), *parts)
-                        region_c.take(draw, out=c[cells])
+                        at = slice(start + i, start + i + len(part))
+                        v[at] = formula(geom, widths, d.take(draw), *parts)
+                        region_c.take(draw, out=c[at])
                 xa = ok_xi.reshape(-1).take(a) if 1 in tests else np.zeros(len(a), dtype=bool)
-                yield rows, group, _control_sums(edges[: len(rows)], a, b, v, c, xa, free)
+                yield rows, a, b, v[:-1], _control_sums(edges[: len(rows)], a, b, cells, xa)
         if (kind == 3).any():
             none = np.empty(0, dtype=np.intp)
-            sums = _control_sums(np.zeros(1, dtype=np.intp), none, none, np.zeros(1), np.zeros(1), none, free)
-            yield np.flatnonzero(kind == 3), region_c[None], sums
+            yield np.flatnonzero(kind == 3), none, none, np.empty(0), np.zeros((9, 2, 1))
 
     def conditional_cp_batch(self, q, d) -> np.ndarray:
         """Conditional coverage of the selected interval, row-wise on q (n, k) against d (n,).
@@ -254,4 +250,8 @@ class ConditionalKernel:
         d = check_reals("d", d, len(q))
         if q.ndim != 2 or d.ndim != 1 or not np.all(d > 0.0):
             raise DomainError(f"q must be (n, {self.geom.k}) and d (n,) and positive, got {q.shape} and {d}")
-        return next(self.blocks(KernelDraws(q - self.slopes[0], d, self.geom), 1))[1][0]
+        draws = KernelDraws(q - self.slopes[0], d, self.geom)
+        _, a, b, v, _ = next(self.blocks(draws, 1))
+        row = draws.region_c(self.cfg)[0].copy()
+        row[np.concatenate((a, b))] = v
+        return row

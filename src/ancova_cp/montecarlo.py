@@ -11,17 +11,18 @@ whose mean is P(|T_m| <= t_m) (conditional.separate_mean).  The naive SE
 is the sample standard deviation over sqrt(runs); the conditioned one is
 the residual standard deviation of the regression on the q controls a point
 keeps, with runs - 1 - q degrees of freedom, over sqrt(runs) (_controlled).
-The value equals the region-C row outside regions A and B, so the
-co-moments follow from each point's region counts and sums over its
+The value equals the region-C row outside regions A and B, so its mean and
+every co-moment follow from each point's region counts and sums over its
 region-A and region-B cells and the row's own sums, which add across chunks.
 
-Randomness is organized as counter-based Philox streams keyed by
-(seed, estimator tag, chunk index) and nothing else.  Runs are split into
+Randomness is organized as SFC64 streams, one per (seed, estimator tag,
+chunk index) and keyed by nothing else, made independent by SeedSequence
+spawn keys (_stream).  Runs are split into
 fixed-size chunks; each chunk's noise is drawn once per call, or once per
 memo (min_cp_search passes one to every estimate, see _reduce), and
 every slope point of a call is evaluated against it (common random
 numbers), in blocks of at most BLOCK_CELLS (point, draw) cells.  Per-point
-moments and region sums (_Moments) are merged in chunk order, so results
+sums (_Moments) are added in chunk order, so results
 are bit-identical for every thread count and block size, and are fully
 determined by (seed, tag, runs, point, chunk size).  Estimates at different
 points with the same seed share their draws on purpose; the tags keep
@@ -119,10 +120,12 @@ def _chunk_sizes(runs) -> list[int]:
 
 
 def _stream(seed: int, tag: str, chunk: int) -> np.random.Generator:
-    """Philox generator for one chunk of one estimator's draws."""
+    """SFC64 generator for one chunk of one estimator's draws.  The spawn key (tag, chunk) keeps the streams
+    independent for any bit generator, so the cheapest serves: a 10 000-run estimate's draws took 630 (conditioned)
+    and 1413 us (naive) against 890 and 1945 under Philox (thread time, 300 interleaved rounds, 2 vCPUs)."""
     key = int.from_bytes(hashlib.blake2b(tag.encode("ascii"), digest_size=8).digest(), "little")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(key, chunk))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _check_intercepts(intercepts, k):
@@ -163,60 +166,49 @@ def _draw_full(rng, geom, size):
 
 
 def _event_values(slopes, step, draws, geom, cfg):
-    """(rows, per-draw values) of the one block of event_probabilities' one point."""
+    """(rows, sums (3, 1) of the three indicators) of event_probabilities' one point."""
     ev = batch_events(*draws, slopes, geom, cfg)
-    yield slice(None), np.stack([ev.covers_tau, ev.covers_tau & ev.in_a, ~ev.in_a], axis=1)
+    yield slice(None), np.stack([ev.covers_tau, ev.covers_tau & ev.in_a, ~ev.in_a]).sum(axis=-1)
 
 
 def _naive_values(slopes, step, draws, geom, cfg):
-    """(rows, coverage indicators) of each block of slope points; the draws' point-free parts are formed once."""
+    """(rows, sums of the coverage indicators) of each block of slope points; the draws' point-free parts once."""
     parts = EventNoise.of(*draws, geom)
     for i in range(0, len(slopes), step):
-        yield slice(i, i + step), events(parts, slopes[i : i + step], geom, cfg).covers_selected
+        yield slice(i, i + step), events(parts, slopes[i : i + step], geom, cfg).covers_selected.sum(axis=-1)
 
 
-# estimator tag -> (per-chunk draws, (rows, per-draw values[, control sums]) of each block of the slope points);
-# the conditioned values read the points' ConditionalKernel, which estimate_points builds once per call
-_ESTIMATORS = {
-    "naive": (_draw_full, _naive_values),
-    # groups of two blocks' points, 4·CHUNK_SIZE cells (16 rows at 2000 runs), keep the kernel's work
-    # arrays in L2: a search of a 9³ cube, a 9² square and 21-point profiles at 2000 runs took 62.6 ms
-    # CPU, against 65.4 ms with 8 rows and 69.8 ms with 64 (median of 30 interleaved rounds, 2 vCPUs)
-    "conditioned": (
-        _draw_slopes,
-        lambda kernel, step, draws, geom, cfg: kernel.blocks(draws, 2 * step),
-    ),
-}
+def _conditioned_values(kernel, step, draws, geom, cfg):
+    """(None, the sums of the region-C row and of its square), then (rows, region sums) of each group of the
+    kernel's points.  Groups of two blocks' points, 4·CHUNK_SIZE cells (16 rows at 2000 runs), keep the kernel's
+    work arrays in L2: a search of a 9³ cube, a 9² square and 21-point profiles at 2000 runs took 62.6 ms CPU,
+    against 65.4 ms with 8 rows and 69.8 ms with 64 (median of 30 interleaved rounds, 2 vCPUs)."""
+    yield None, draws.region_c(cfg)[1]
+    for rows, *_, sums in kernel.blocks(draws, 2 * step):
+        yield rows, sums
+
+
+# estimator tag -> (per-chunk draws, (rows, per-point sums) of each block of the slope points); the conditioned
+# values read the points' ConditionalKernel, which estimate_points builds once per call
+_ESTIMATORS = {"naive": (_draw_full, _naive_values), "conditioned": (_draw_slopes, _conditioned_values)}
 
 
 class _Moments(NamedTuple):
-    """Count, means and sums of squared deviations (P, ...) of each point's per-draw values, per variable, and
-    for the conditioned values their region sums (8, 2, P), conditional._control_sums added over the draws."""
+    """The run count, each point's sums (..., P) over the runs and the point-free sums, if any, which all add
+    across chunks: of the naive and event indicators, whose squares they are too; of the conditioned values the
+    region sums (9, 2, P) of conditional._control_sums and the region-C row's sum and sum of squares (2,)."""
 
     n: int
-    mean: np.ndarray
-    m2: np.ndarray
-    regions: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> "_Moments":
-        """Of ``values`` (P, ..., n) along their last axis."""
-        values = np.asarray(values, dtype=float)
-        mean = values.mean(axis=-1)
-        dev = values - mean[..., None]
-        return cls(values.shape[-1], mean, np.square(dev, out=dev).sum(axis=-1))
+    sums: np.ndarray
+    free: np.ndarray | None = None
 
     def merge(self, other: "_Moments") -> "_Moments":
-        """Pairwise update of Chan, Golub & LeVeque (1983), elementwise (no sum-of-squares cancellation); sums add."""
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        regions = None if self.regions is None else self.regions + other.regions
-        m2 = self.m2 + other.m2 + delta * delta * (self.n * other.n / n)
-        return _Moments(n, self.mean + delta * (other.n / n), m2, regions)
+        free = None if self.free is None else self.free + other.free
+        return _Moments(self.n + other.n, self.sums + other.sums, free)
 
 
 def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None) -> _Moments:
-    """Per-point moments of ``values`` over ``runs`` draws made by ``draw``, with their region sums if any.
+    """Per-point sums of ``values`` over ``runs`` draws made by ``draw``, with their point-free sums if any.
 
     The one chunk loop.  Each chunk is one task: it makes the chunk's draws
     from the stream (seed, tag, chunk) and evaluates every slope point against
@@ -231,10 +223,10 @@ def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None)
     (KernelDraws.shared), so any sequence of calls over one memo gives each
     call's own bits.  Without a memo, a chunk's draws die with its task.
     ``values`` gets all the points, so it can share point-free work among its
-    blocks, and yields (rows, block) pairs in any order, or triples with the
-    block's region sums (the conditioned kernel), which the chunk's moments
-    then carry as they are and the merge adds; a one-row block may stand for
-    several rows.
+    blocks, and yields (rows, sums) pairs in any order, the sums over the
+    chunk's draws of the points ``rows``, on the last axis; one column may
+    stand for several rows, and rows None marks the chunk's point-free sums.
+    The chunks' sums add.
     While a task runs, NumPy's ufunc buffer (thread-local) is sized to the
     chunk, rounded up to a multiple of 16: a (P, 1) by (size,) broadcast
     shorter than the buffer goes through NumPy's buffered iterator, up to
@@ -244,7 +236,7 @@ def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None)
     ANCOVA_CP_THREADS), a positive integer, caps the threads; a call opens a
     pool only when it has more than one chunk to give them.  Every value
     depends only on its point and its chunk's draws, so the thread count
-    cannot change a result; moments are merged in chunk order.
+    cannot change a result; the sums are added in chunk order.
     """
     width = default_workers(n_jobs)
     seed = check_count("seed", seed, 0)
@@ -258,17 +250,16 @@ def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None)
             kept = {} if memo is None else memo  # without a memo the draws die with the task
             if key not in kept:
                 kept[key] = draw(_stream(seed, tag, chunk), geom, size)
-            step = max(1, BLOCK_CELLS // size)
-            blocks = [(r, _Moments.of(b), *c) for r, b, *c in values(points, step, kept[key], geom, cfg)]
+            sums = free = None
+            for rows, part in values(points, max(1, BLOCK_CELLS // size), kept[key], geom, cfg):
+                if rows is None:
+                    free = part
+                else:
+                    sums = np.empty((*part.shape[:-1], len(points))) if sums is None else sums
+                    sums[..., rows] = part
         finally:
             np.setbufsize(old)
-        mean, m2 = np.empty((2, len(points), *blocks[0][1].mean.shape[1:]))
-        regions = np.empty((*blocks[0][2].shape[:-1], len(points))) if len(blocks[0]) == 3 else None
-        for rows, moments, *controls in blocks:
-            mean[rows], m2[rows] = moments.mean, moments.m2
-            if controls:
-                regions[:, :, rows] = controls[0]
-        return _Moments(size, mean, m2, regions)
+        return _Moments(size, sums, free)
 
     width = min(width, len(jobs))
     if width == 1:
@@ -286,12 +277,14 @@ def _controlled(moments: _Moments, kernel: ConditionalKernel):
     The controls are the acceptance indicators a = 1{region A} and x = 1{second test accepts}, with exact means
     from selection.acceptance, and the region-C row c, the separate-slopes conditional coverage, with exact mean
     p_c = P(|T_m| <= t_m) (conditional.separate_mean); each is used only where it varies (Glasserman, Monte Carlo
-    Methods in Financial Engineering, 2003, sec. 4.1).  Their co-moments are formed once, from the region sums
-    over all n runs: with the sums S of v a, v x, v c, a, a x, a c, x, x c, c and c c and the means m of
-    (v, a, x, c), C = S - n m m' off the (v, v) entry, the merged m2; so C_va = sum_A v - n_A mean(v), and
-    v = c on region C gives sum v c = sum_A v c + sum_B v c + sum c^2 - sum_A c^2 - sum_B c^2.  In order, a
-    control is kept where what the controls kept before it leave of its sum of squares is above
-    COLLINEAR_SHARE of it (so above 0), and while n > q + 1 with it.  Each kept control is swept out of the
+    Methods in Financial Engineering, 2003, sec. 4.1).  The mean of v and the co-moments are formed once, from
+    the region sums over all n runs: with the sums S of v v, v a, v x, v c, a, a x, a c, x, x c, c and c c and
+    the means m of (v, a, x, c), C = S - n m m'; so C_va = sum_A v - n_A mean(v), and v = c on region C gives
+    sum v = sum_A v + sum_B v + sum c - sum_A c - sum_B c, and the sums of v v and v c likewise from the sums of
+    v^2, v c and c^2.  In order, a control is kept where what the controls kept before it leave of its sum of
+    squares is above COLLINEAR_SHARE of it (so above 0), and while n > q + 1 with it; a point with 1 to 3
+    region-A/B cells in all keeps c alone, since each such cell could sit alone in its (a, x) pattern, be fit
+    exactly and leave a residual of rounding.  Each kept control is swept out of the
     co-moments and of the mean-minus-p shifts (Gram-Schmidt), elementwise per point, so a point has the same
     bits in any block: what is left of the value's shift is v - beta'(x - p), and of its sum of squares the
     residual one; a value outside [0, 1], which the slope of a regression on a handful of runs can give, is
@@ -299,22 +292,21 @@ def _controlled(moments: _Moments, kernel: ConditionalKernel):
     region-A or region-B cell in any run has v = c on every draw, where the regression on c is exact: it gets
     p_c and a residual sum of squares of 0, exactly.
     """
-    n, regions = moments.n, moments.regions.reshape(16, -1)  # conditional._control_sums
-    n_a, n_b, v_a, v_b, v_ax, n_ax, c_a, c_b, cc_a, cc_b, vc_a, vc_b, c_ax, _, c_all, cc_all = regions
-    # sums of v a, v x, v c, a, a x, a c, x, x c, c, c c
-    sums = np.stack(
-        (v_a, v_b + v_ax, vc_a + vc_b + (cc_all - cc_a - cc_b), n_a, n_ax, c_a, n_b + n_ax, c_b + c_ax, c_all, cc_all)
-    )
-    shift = np.stack((moments.mean, sums[3] / n, sums[6] / n, sums[8] / n))
-    m2 = sums[[[0, 0, 1, 2], [0, 3, 4, 5], [1, 4, 6, 7], [2, 5, 7, 9]]] - n * shift[:, None] * shift  # (4, 4, P)
-    m2[0, 0] = moments.m2
+    n, (c_all, cc_all), sums = moments.n, moments.free, moments.sums  # conditional._control_sums
+    (n_a, n_b), (v_a, v_b), (c_a, c_b), (vc_a, vc_b), (cc_a, cc_b), (vv_a, vv_b), (v_ax, _), (c_ax, _), (n_ax, _) = sums
+    # sums of v v, v a, v x, v c, a, a x, a c, x, x c and c c, and the means of (v, a, x, c); on region C, v = c
+    sums = np.stack((vv_a + vv_b, v_a, v_b + v_ax, vc_a + vc_b, n_a, n_ax, c_a, n_b + n_ax, c_b + c_ax, n_a))
+    sums[[0, 3]] += cc_all - cc_a - cc_b
+    sums[9] = cc_all
+    shift = np.stack((v_a + v_b + (c_all - c_a - c_b), n_a, sums[7], np.full_like(n_a, c_all))) / n
+    m2 = sums[[[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]]] - n * shift[:, None] * shift  # (4, 4, P)
     limits = COLLINEAR_SHARE * m2[[1, 2, 3], [1, 2, 3]]
     shift[1:3] -= acceptance(kernel.terms, kernel.geom, kernel.cfg, (limits[:2] > 0.0).T).T
     p_c = separate_mean(kernel.geom, kernel.cfg)
     shift[3] -= p_c
     kept = np.zeros(len(shift[0]), dtype=int)
     for j, limit in zip((1, 2, 3), limits):
-        keep = m2[j, j] > limit
+        keep = (m2[j, j] > limit) & ((j == 3) | (n_a + n_b > 3))
         if n < 5:  # q + 1 < n for q <= 3 at any larger n
             keep &= n > kept + 2
         gain = np.divide(m2[:, j], m2[j, j], out=np.zeros_like(shift), where=keep)
@@ -351,17 +343,25 @@ def estimate_points(
     the separate-slopes value on every draw, so it reads p_c with SE 0,
     exactly; its true coverage lies within the sum of the two tests' exact
     acceptance probabilities (selection.acceptance) of p_c, which is the most
-    that SE leaves out.  ``memo`` (a dict, see _reduce) lets calls draw each
-    chunk once per design, at any configs; it never changes an estimate.
+    that SE leaves out.  A point with 1 to 3 region-A/B cells in all keeps
+    the separate-slopes control alone, since three controls can fit each such
+    cell exactly and read SE 0: an SE of 0 means p_c exactly.  At 2000 runs a
+    point mostly in region C reads its SE about 8 % low: at (0.1, -0.05,
+    0.15), about 62 region-B cells per 2000 runs, the spread over 1500 seeds
+    is 1.07 times the mean SE (0.98 at 10 000 runs).  ``memo`` (a dict, see
+    _reduce) lets calls draw each chunk once per design, at any configs; it
+    never changes an estimate.
     """
     if not isinstance(estimator, str) or estimator not in _ESTIMATORS:
         raise DomainError(f"estimator must be one of {sorted(_ESTIMATORS)}, got {estimator!r}")
     slopes = _slopes(points, geom.k)
     evaluated = ConditionalKernel(geom, cfg, slopes) if estimator == "conditioned" else slopes
     moments = _reduce(estimator, *_ESTIMATORS[estimator], evaluated, geom, cfg, runs, seed, n_jobs, memo)
-    mean, rss, q = moments.mean, moments.m2, 0
     if estimator == "conditioned":
         mean, rss, q = _controlled(moments, evaluated)
+    else:  # the sums of the indicators are the sums of their squares
+        mean, q = moments.sums / moments.n, 0
+        rss = moments.sums - moments.sums * mean
     var = rss / (moments.n - 1 - q) if moments.n > 1 else np.zeros_like(rss)
     se = np.sqrt(var / moments.n)
     return [
@@ -417,7 +417,7 @@ def event_probabilities(
     the form 0 <= Pr(S) - Pr(S and accept) <= Pr(reject).
     """
     moments = _reduce("events", _draw_full, _event_values, _slopes([point], geom.k), geom, cfg, runs, seed, 1)
-    covers, covers_and_accept, reject = (float(v) for v in moments.mean[0])
+    covers, covers_and_accept, reject = (float(v) for v in moments.sums[:, 0] / moments.n)
     return {
         "covers_tau": covers,
         "covers_tau_and_accept": covers_and_accept,

@@ -6,8 +6,8 @@ conditional coverage from resampling instead of the closed form, the
 closed form itself from one nested np.where pass over every cell instead of
 one formula per selection region, restricted fits from re-solved least
 squares instead of projection matrices, and gate probabilities from scipy's
-noncentral F distribution and from simulated F statistics.  ``assembled`` lays out the (rows, block) pairs of
-a value function as one (points, draws) array, ``certified`` names the
+noncentral F distribution and from simulated F statistics.  ``assembled`` lays out the groups of the
+conditional kernel as one (points, draws) array, ``certified`` names the
 points the conditional kernel gives the shared region-C row, and
 ``slope_draws`` makes a chunk's (z, d) as the conditioned estimator does.
 """
@@ -284,12 +284,14 @@ def conditional_cells(geom, cfg, d, zv=0.0, *, in_a=False, ok_xi=False, quad_v=0
     return np.maximum(p, 0.0, out=p)
 
 
-def assembled(pairs, points: int) -> np.ndarray:
-    """The (points, n) values of a value function's (rows, block) pairs; every point must be covered exactly once."""
-    out, covered = None, np.zeros(points, dtype=int)
-    for rows, block, *_ in pairs:
-        out = np.full((points, block.shape[-1]), np.nan) if out is None else out
-        out[rows] = block  # before the next pair: groups share their work arrays
+def assembled(groups, points: int, region_c: np.ndarray) -> np.ndarray:
+    """The (points, n) values of the conditional kernel's groups: each group's rows take the draws' region-C row,
+    then its region-A and region-B cells their values; every point must be covered exactly once."""
+    out, covered = np.full((points, len(region_c)), np.nan), np.zeros(points, dtype=int)
+    for rows, a, b, v, *_ in groups:
+        group = np.tile(region_c, (len(rows), 1))
+        group.reshape(-1)[np.concatenate((a, b))] = v
+        out[rows] = group
         covered[rows] += 1
     assert (covered == 1).all(), covered
     return out

@@ -105,13 +105,15 @@ def test_criterion_05_variance_reduction(ref):
 
 def test_controlled_se_is_honest_over_seeds(ref):
     # the control variates make criteria 4 and 5 easier to pass, since they shrink the conditioned SE; this
-    # checks that SE itself.  Over 200 seeds at 2000 runs, at the valley floor, at (0, 0.1, 0) and at
+    # checks that SE itself.  Over 1000 seeds at 2000 runs, at the valley floor, at (0, 0.1, 0) and at
     # (0.1, -0.05, 0.15), mostly region C, where all three controls are kept, the spread of the estimates matches
     # their mean reported SE, and their mean matches a 2^21-run naive estimate, plain Monte Carlo on independent
-    # draws
+    # draws.  At (0.1, -0.05, 0.15), with about 62 region-B cells per 2000 runs, the SE reads about 8 % low
+    # (spread / SE 1.069 over 1500 seeds, bootstrap 95 % interval 1.025-1.109; 0.982 at 10 000 runs): 200 seeds
+    # read 1.110 or 1.152 by the luck of the stream, so the check needs the 1000 seeds to sit inside its bound
     _, _, geom, cfg = ref
     points = [(-0.0221, 0.0391, -0.0031), (0.0, 0.1, 0.0), (0.1, -0.05, 0.15)]
-    seeds = range(200)
+    seeds = range(1000)
     ests = np.array([[(e.estimate, e.se) for e in estimate_points(points, geom, cfg, runs=2000, seed=s)] for s in seeds])
     for point, (values, ses) in zip(points, ests.transpose(1, 2, 0)):
         spread = values.std(ddof=1)

@@ -134,17 +134,17 @@ REGION_CASES = {
     "unbalanced k=4": ("k4", None, 0.6, 0.6),
     "all region A": ("ref", (math.inf, math.inf), 0.1, 0.2),
     "all region C": ("ref", (0.0, 0.0), 0.1, 0.2),
-    # 8 to 10 of the 11 points certified to lie in region C on every draw, the others in regions B and C
-    "wide, mostly certified": ("ref", None, 0.5, 1.0),
+    # 7 to 10 of the 11 points certified to lie in region C on every draw, the others in regions B and C
+    "wide, mostly certified": ("ref", None, 0.45, 1.0),
     # a first-test cutoff of 60: 1 to 9 of the 11 points past the second radius only, their cells in regions A and C
     "lenient first test": ("ref", (60.0, None), 0.6, 0.0),
 }
 
 
 def region_sums(pairs) -> np.ndarray:
-    """(8, 2, points) from a kernel's (rows, controls) pairs."""
+    """(9, 2, points) from a kernel's (rows, controls) pairs."""
     pairs = list(pairs)
-    out = np.full((8, 2, 1 + max(max(rows) for rows, _ in pairs)), np.nan)
+    out = np.full((9, 2, 1 + max(max(rows) for rows, _ in pairs)), np.nan)
     for rows, controls in pairs:
         out[:, :, rows] = controls
     return out
@@ -179,18 +179,17 @@ def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, 
             geom, cfg, noise.d, z @ geom.vproj, in_a=in_a, ok_xi=ok_xi, quad_v=quad_v, quad_w=quad_w,
             vs=terms.vs, wus=terms.wus, zs=z @ geom.sproj,
         )
-        # per point: cell count and sum of v in region A and in region B, then the sum of v and the count over
-        # the region-A cells where the second test accepts; then, of the region-C row c, the sums of c, c^2 and
-        # v c over A and over B, of c over the A cells where the second test accepts, and of c and c^2 over all
-        both = in_a & ok_xi
-        reference = np.array(
-            [[in_a.sum(1), in_b.sum(1)], [(want * in_a).sum(1), (want * in_b).sum(1)], [(want * both).sum(1), both.sum(1)]]
-        )
+        # per point, over region A and over region B: the cell count and, with c the region-C row, the sums of
+        # v, c, v c, c^2 and v^2; then over the region-A cells where the second test accepts the sums of v, c and 1
+        # (0 over region B); and of c and c^2 over all draws, once
+        both, none = in_a & ok_xi, np.zeros(len(slopes))
         c = conditional_cells(geom, cfg, noise.d, z @ geom.vproj)
-        reference_c = np.array(
-            [[(part * mask).sum(1) for mask in (in_a, in_b)] for part in (c, c * c, want * c)]
-            + [[(c * both).sum(1), np.zeros(len(slopes))], [np.full(len(slopes), c.sum()), np.full(len(slopes), (c * c).sum())]]
+        reference = np.array(
+            [[in_a.sum(1), in_b.sum(1)]]
+            + [[(part * mask).sum(1) for mask in (in_a, in_b)] for part in (want, c, want * c, c * c, want * want)]
+            + [[(part * both).sum(1), none] for part in (want, c, 1.0)]
         )
+        assert draws.region_c(cfg)[1] == pytest.approx([c.sum(), (c * c).sum()], rel=1e-12)
         # the shipped group size, as _reduce passes it; then groups of 4 points (the last one
         # short) and gathers of 7 cells, so that A and B cells straddle both.  Every row, the
         # certified ones included, must be the reference's; the other points come by class (past
@@ -200,28 +199,24 @@ def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, 
         for step, gather in ((2 * max(1, BLOCK_CELLS // runs), None), (4, 7)):
             if gather is not None:
                 monkeypatch.setattr(conditional, "GATHER_CELLS", gather)
-            triples = [(list(r), b.copy(), c) for r, b, c in ConditionalKernel(geom, cfg, slopes).blocks(draws, step)]
-            block_sums.append(region_sums((r, c) for r, _, c in triples))
+            groups = [(list(r), *rest) for r, *rest in ConditionalKernel(geom, cfg, slopes).blocks(draws, step)]
+            block_sums.append(region_sums((r, sums) for r, *_, sums in groups))
             got = block_sums[-1]
-            assert np.array_equal(got[0], reference[0]) and np.array_equal(got[2, 1], reference[2, 1])
-            np.testing.assert_allclose(got[1:3, 0], reference[1:, 0], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(got[1, 1], reference[1, 1], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(got[3:], reference_c, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(got[0], reference[0]) and np.array_equal(got[8], reference[8])
+            np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-12)
+            assert assembled(groups, len(slopes), draws.region_c(cfg)[0]).tobytes() == want.tobytes()
             if sure_c.any():
-                rows, block, _ = triples.pop()
-                assert rows == np.flatnonzero(sure_c).tolist() and block.shape == (1, runs)
+                rows, a, b, v, _ = groups.pop()
+                assert rows == np.flatnonzero(sure_c).tolist() and len(a) == len(b) == len(v) == 0
             classes = [np.flatnonzero(kind == which).tolist() for which in range(3)]
-            assert [rows for rows, *_ in triples] == [c[i : i + step] for c in classes for i in range(0, len(c), step)]
-            assert assembled(ConditionalKernel(geom, cfg, slopes).blocks(draws, step), len(slopes)).tobytes() == (
-                want.tobytes()
-            )
+            assert [rows for rows, *_ in groups] == [c[i : i + step] for c in classes for i in range(0, len(c), step)]
         # one reduction per row and region: the same bits at any group size and gather size
         assert block_sums[0].tobytes() == block_sums[1].tobytes()
         # a lone point: its values and sums keep their bits
         for i, (point, row) in enumerate(zip(slopes, want)):
-            rows, block, alone = next(ConditionalKernel(geom, cfg, point).blocks(draws, 1))
-            assert list(rows) == [0] and block.tobytes() == row.tobytes()
-            assert region_sums([(rows, alone)])[..., 0].tobytes() == block_sums[0][..., i].tobytes()
+            group = next(ConditionalKernel(geom, cfg, point).blocks(draws, 1))
+            assert list(group[0]) == [0] and assembled([group], 1, draws.region_c(cfg)[0])[0].tobytes() == row.tobytes()
+            assert region_sums([(group[0], group[-1])])[..., 0].tobytes() == block_sums[0][..., i].tobytes()
         monkeypatch.undo()
 
 
@@ -261,7 +256,7 @@ def test_shared_path_decisions_equal_block_f_with_ties(request, design):
             geom, forced, draws.noise.d, draws.zv, in_a=in_a, ok_xi=ok_xi, quad_v=quad_v, quad_w=quad_w,
             vs=terms.vs, wus=terms.wus, zs=draws.zs,
         )
-        got = assembled(ConditionalKernel(geom, forced, slopes).blocks(draws, 6), len(slopes))
+        got = assembled(ConditionalKernel(geom, forced, slopes).blocks(draws, 6), len(slopes), draws.region_c(forced)[0])
         assert got.tobytes() == want.tobytes()
 
 

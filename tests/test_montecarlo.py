@@ -27,7 +27,7 @@ from ancova_cp import (
 from ancova_cp import conditional, montecarlo
 from ancova_cp.conditional import ConditionalKernel, separate_mean
 from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _draw_slopes, _Moments, _stream, default_workers
-from ancova_cp.selection import SlopeNoise, SlopeTerms, acceptance, block_f
+from ancova_cp.selection import EventNoise, SlopeNoise, SlopeTerms, acceptance, block_f, events
 from oracles import assembled, direct_geometry, gate_prob_mc, gate_prob_ncf, slope_draws
 
 POINT = SlopePoint.of((0.05, 0.1, 0.0))
@@ -202,20 +202,32 @@ def test_one_ulp_moves_estimate_negligibly(ref):
 # ---------------------------------------------------------------------------
 
 
-def test_moments_merge_is_cancellation_free():
-    values = 1.0 - 1e-9 * np.random.default_rng(3).uniform(size=1_000_000)
-    merged = None
-    for start in range(0, values.size, CHUNK_SIZE):
-        part = _Moments.of(values[start : start + CHUNK_SIZE])
-        merged = part if merged is None else merged.merge(part)
-    want = np.var(values, ddof=1)
-    assert merged.n == values.size
-    assert merged.mean == pytest.approx(values.mean(), rel=1e-15)
-    assert merged.m2 / (merged.n - 1) == pytest.approx(want, rel=1e-6)
-    # the sum-of-squares form it replaces loses every digit here
-    s1, s2 = values.sum(), (values * values).sum()
-    naive = (s2 - s1 * s1 / values.size) / (values.size - 1)
-    assert abs(naive - want) > 1e-6 * want
+def test_chunk_sums_give_the_moments_of_the_per_draw_values(ref):
+    # every estimator's per-point statistics are plain sums that add across chunks: the naive indicators' sums,
+    # and the conditioned values' region sums, from which v = c outside regions A and B gives the sum of v and of
+    # its squares; at coverage-sized values the deviations those sums give lose only rounding to cancellation
+    _, _, geom, cfg = ref
+    points = np.array([(0.0, 0.1, 0.0), (0.1, -0.05, 0.15), (0.0, 0.0, 0.0)])
+    kernel = ConditionalKernel(geom, cfg, points)
+    moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, RUNS_3, 3, 1)
+    total, squares = moments.free
+    for i, point in enumerate(points):
+        v = _per_draw(geom, cfg, point, RUNS_3, 3)[0]
+        counts, values, c, _, cc, vv = moments.sums[:6, :, i].sum(axis=1)
+        assert 0 < counts < RUNS_3
+        mean = (values + total - c) / RUNS_3
+        assert mean == pytest.approx(v.mean(), rel=1e-14)
+        assert vv + squares - cc - RUNS_3 * mean * mean == pytest.approx(np.var(v) * RUNS_3, rel=1e-10)
+    covers = np.concatenate(
+        [
+            events(EventNoise.of(*_draw_full(_stream(3, "naive", chunk), geom, size), geom), points, geom, cfg).covers_selected
+            for chunk, size in enumerate(montecarlo._chunk_sizes(RUNS_3))
+        ],
+        axis=1,
+    )
+    for est, row in zip(estimate_points(points, geom, cfg, "naive", runs=RUNS_3, seed=3), covers):
+        assert est.estimate == pytest.approx(row.mean(), rel=1e-15)
+        assert est.se == pytest.approx(row.std(ddof=1) / math.sqrt(RUNS_3), rel=1e-12)
 
 
 def test_partial_chunk_and_single_run(ref):
@@ -408,7 +420,7 @@ def _per_draw(geom, cfg, point, runs, seed):
     parts = []
     for chunk, size in enumerate(montecarlo._chunk_sizes(runs)):
         draws = _draw_slopes(_stream(seed, "conditioned", chunk), geom, size)
-        v = next(ConditionalKernel(geom, cfg, point).blocks(draws, 1))[1][0].copy()
+        v = assembled(ConditionalKernel(geom, cfg, point).blocks(draws, 1), 1, draws.region_c(cfg)[0])[0]
         in_a, ok_xi = block_f(draws.noise, SlopeTerms.of(np.atleast_2d(point), geom), geom, cfg)[:2]
         parts.append((v, in_a[0], ok_xi[0], draws.region_c(cfg)[0]))
     return [np.concatenate(column) for column in zip(*parts)]
@@ -428,17 +440,17 @@ RUNS_3 = 2 * CHUNK_SIZE + 700
 
 def _varying(moments):
     """Per point, whether 1{A} and whether 1{x} vary over the runs, from the region sums of a _reduce."""
-    n_a, n_x = moments.regions[0, 0], moments.regions[0, 1] + moments.regions[2, 1]
+    n_a, n_x = moments.sums[0, 0], moments.sums[0, 1] + moments.sums[8, 0]
     return (n_a > 0) & (n_a < moments.n), (n_x > 0) & (n_x < moments.n)
 
 
 def test_both_controls_match_a_least_squares_fit(ref):
     _, _, geom, cfg = ref
     for point in ((0.0, 0.1, 0.0), (0.1, -0.05, 0.15), (0.0, 0.0, 0.0)):
-        v, a, x, c = _per_draw(geom, cfg, np.array(point), RUNS_2, 3)
+        v, a, x, c = _per_draw(geom, cfg, np.array(point), RUNS_2, 4)
         assert 0 < a.sum() < len(a) and 0 < x.sum() < len(x)
         means = [gate_probability(point, geom, cfg, which) for which in ("tau", "xi")] + [separate_mean(geom, cfg)]
-        est = estimate_conditioned(point, geom, cfg, runs=RUNS_2, seed=3)
+        est = estimate_conditioned(point, geom, cfg, runs=RUNS_2, seed=4)
         value, se = _regressed(v, (a, x, c), means)
         assert est.estimate == pytest.approx(value, rel=1e-12) and est.se == pytest.approx(se, rel=1e-9)
         # the controls pay: the plain SE is larger
@@ -475,17 +487,18 @@ def test_an_always_accepting_first_test_leaves_the_second_control(ref):
 
 
 def test_the_second_of_two_collinear_controls_is_dropped(ref):
-    # synthetic region sums where the second indicator equals the first and the region-C row is 0: one control,
-    # the first, is kept
+    # synthetic region sums where the second indicator equals the first and the region-C row is 0, so v is 0
+    # outside region A: one control, the first, is kept
     _, _, geom, cfg = ref
     rng = np.random.default_rng(8)
-    v, a = rng.uniform(size=(1, 5000)), rng.uniform(size=5000) < 0.4
-    n_a, sum_a = float(a.sum()), float(v[0, a].sum())
-    regions = np.zeros((8, 2, 1))
-    regions[:3, :, 0] = [[n_a, 0.0], [sum_a, 0.0], [sum_a, n_a]]
-    moments = _Moments.of(v)._replace(regions=regions)
+    a = rng.uniform(size=5000) < 0.4
+    v = np.where(a, rng.uniform(size=5000), 0.0)[None]
+    n_a, sum_a, squares_a = float(a.sum()), float(v[0, a].sum()), float(np.square(v[0, a]).sum())
+    regions = np.zeros((9, 2, 1))
+    regions[[0, 1, 5, 6, 8], 0, 0] = [n_a, sum_a, squares_a, sum_a, n_a]
+    moments = _Moments(5000, regions, np.zeros(2))
     # n_Ax = n_A = n_x: every A cell accepts x, and no B cell exists
-    assert regions[2, 1, 0] == regions[0, 0, 0] == regions[0, 1, 0] + regions[2, 1, 0] > 0.0
+    assert regions[8, 0, 0] == regions[0, 0, 0] == regions[0, 1, 0] + regions[8, 0, 0] > 0.0
     assert all(varies.all() for varies in _varying(moments))
     kernel = ConditionalKernel(geom, cfg, (0.0, 0.1, 0.0))
     value, rss, kept = montecarlo._controlled(moments, kernel)
@@ -513,6 +526,35 @@ def test_a_point_wholly_in_region_c_is_within_its_acceptance_of_the_exact_mean(r
         assert abs(est.estimate - p_c) <= width + 3.0 * est.se, est
 
 
+# at 10 000 runs this point sees no region-A cell and 0 to 4 region-B cells, by the seed
+FEW_CELLS_POINT = (0.25, 0.125, 0.0)
+
+
+def _few_cells(geom, cfg):
+    """(region-A and region-B cell count, conditioned estimate) at FEW_CELLS_POINT, 10 000 runs, seeds 0 to 39."""
+    kernel = ConditionalKernel(geom, cfg, FEW_CELLS_POINT)
+    for seed in range(40):
+        moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, 10_000, seed, 1)
+        yield moments.sums[0, :, 0].sum(), estimate_conditioned(FEW_CELLS_POINT, geom, cfg, runs=10_000, seed=seed)
+
+
+def test_an_se_of_zero_reads_the_exact_mean(ref):
+    # only a point with no region-A or region-B cell is exact: v is the region-C row on every draw
+    _, _, geom, cfg = ref
+    zero = [(cells, est) for cells, est in _few_cells(geom, cfg) if est.se == 0.0]
+    assert zero and all(cells == 0 and est.estimate == separate_mean(geom, cfg) for cells, est in zero), zero
+
+
+def test_a_point_with_a_region_a_or_b_cell_has_a_positive_se(ref):
+    # with q <= 3 controls, each of 1 to 3 region-A/B cells can sit alone in its (a, x) pattern and be fit exactly,
+    # which read SE 0 on an estimate that is not exact (9 of these 40 seeds under the Philox streams, with one
+    # region-B cell); such a point keeps the region-C row c as its one control
+    _, _, geom, cfg = ref
+    live = [(cells, est) for cells, est in _few_cells(geom, cfg) if cells > 0]
+    assert sorted({int(cells) for cells, _ in live if cells <= 3}) == [1, 2, 3]
+    assert all(est.se > 0.0 and est.estimate != separate_mean(geom, cfg) for _, est in live), live
+
+
 @pytest.mark.parametrize("runs", [1, 2, 3, 4, 5])
 def test_tiny_runs_give_a_finite_se_without_warnings(ref, runs):
     # a control is kept only while n > q + 1, so the residual degrees of freedom n - 1 - q stay positive; at
@@ -537,46 +579,46 @@ def test_block_keeps_its_bits_alone_with_live_controls(ref):
     _, _, geom, cfg = ref
     points = np.array([(0.1, -0.05, 0.15), (0.0, 0.0, 0.0), (0.0, 0.1, 0.0), (0.05, -0.02, 0.03), (-0.02, 0.04, 0.0)])
     kernel = ConditionalKernel(geom, cfg, points)
-    moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, RUNS_2, 4, 1)
+    moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, RUNS_2, 3, 1)
     a_varies, x_varies = _varying(moments)
-    assert moments.regions[0, 0, 0] == 0.0 and a_varies[1:].all() and x_varies.all()
+    assert moments.sums[0, 0, 0] == 0.0 and a_varies[1:].all() and x_varies.all()
     # the region-C row's sums over each region are live too
-    assert (moments.regions[3:7, 0, 1:] > 0.0).all() and (moments.regions[3:6, 1] > 0.0).all()
-    block = estimate_points(points, geom, cfg, runs=RUNS_2, seed=4)
+    assert (moments.sums[2:5, 0, 1:] > 0.0).all() and (moments.sums[7, 0, 1:] > 0.0).all()
+    assert (moments.sums[2:6, 1] > 0.0).all()
+    block = estimate_points(points, geom, cfg, runs=RUNS_2, seed=3)
     for i, (point, est) in enumerate(zip(points, block)):
-        alone = estimate_points([point], geom, cfg, runs=RUNS_2, seed=4)[0]
+        alone = estimate_points([point], geom, cfg, runs=RUNS_2, seed=3)[0]
         assert (est.estimate, est.se) == (alone.estimate, alone.se)
         sums = montecarlo._reduce(
             "conditioned", *montecarlo._ESTIMATORS["conditioned"], ConditionalKernel(geom, cfg, point), geom, cfg,
-            RUNS_2, 4, 1,
-        ).regions
-        assert sums.tobytes() == moments.regions[..., i : i + 1].tobytes()
+            RUNS_2, 3, 1,
+        ).sums
+        assert sums.tobytes() == moments.sums[..., i : i + 1].tobytes()
 
 
 def test_region_sums_over_chunks_equal_the_per_draw_masks(ref):
-    # (0.21, 0, 0) has no region-A cell in the first and the third chunk at seed 3 and one in the second; in the
+    # (0.21, 0, 0) has no region-A cell in the first and the third chunk at seed 5 and one in the second; in the
     # block its empty segments read a neighbour's cells, which a leak would add to its sums
     _, _, geom, cfg = ref
     points = np.array([(0.21, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.1, 0.0), (0.1, -0.05, 0.15)])
     kernel = ConditionalKernel(geom, cfg, points)
-    moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, RUNS_3, 3, 1)
+    moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, RUNS_3, 5, 1)
     assert moments.n == RUNS_3
-    ests = estimate_points(points, geom, cfg, runs=RUNS_3, seed=3)
+    ests = estimate_points(points, geom, cfg, runs=RUNS_3, seed=5)
     for i, (point, est) in enumerate(zip(points, ests)):
-        v, a, x, c = _per_draw(geom, cfg, point, RUNS_3, 3)
+        v, a, x, c = _per_draw(geom, cfg, point, RUNS_3, 5)
         if i == 0:
             assert [int(a[start : start + CHUNK_SIZE].sum()) for start in range(0, RUNS_3, CHUNK_SIZE)] == [0, 1, 0]
         b, ax = x & ~a, a & x
-        region = moments.regions[:, :, i]
-        assert [region[0, 0], region[0, 1], region[2, 1]] == [a.sum(), b.sum(), ax.sum()]
+        region = moments.sums[:, :, i]
+        assert [region[0, 0], region[0, 1], region[8, 0]] == [a.sum(), b.sum(), ax.sum()]
+        assert (region[6:, 1] == 0.0).all()
+        # over A and over B the sums of v, c, v c, c^2 and v^2, over the A cells where x accepts of v and c, and
+        # over all draws of c and c^2
         np.testing.assert_allclose(
-            [region[1, 0], region[1, 1], region[2, 0]], [v[a].sum(), v[b].sum(), v[ax].sum()], rtol=1e-12, atol=0.0
-        )
-        # the region-C row's sums: over A and B of c, c^2 and v c, over the A cells where x accepts, and over all
-        np.testing.assert_allclose(
-            region[3:8].reshape(-1),
-            [c[a].sum(), c[b].sum(), (c * c)[a].sum(), (c * c)[b].sum(), (v * c)[a].sum(), (v * c)[b].sum()]
-            + [c[ax].sum(), 0.0, c.sum(), (c * c).sum()],
+            np.append(region[1:6].reshape(-1), [region[6, 0], region[7, 0], *moments.free]),
+            [part[mask].sum() for part in (v, c, v * c, c * c, v * v) for mask in (a, b)]
+            + [v[ax].sum(), c[ax].sum(), c.sum(), (c * c).sum()],
             rtol=1e-12,
             atol=0.0,
         )
@@ -786,9 +828,10 @@ def test_each_chunk_sizes_its_blocks_from_its_own_length(ref, monkeypatch, n_job
     def spied(slopes, step, draws, geom, cfg):
         rows = []
         seen.append((len(draws.noise.d), rows))
-        for points, block, *sums in values(slopes, step, draws, geom, cfg):
-            rows.append((len(points), len(block)))
-            yield points, block, *sums
+        for points, sums in values(slopes, step, draws, geom, cfg):
+            if points is not None:  # not the point-free sums
+                rows.append((len(points), sums.shape[-1]))
+            yield points, sums
 
     monkeypatch.setitem(montecarlo._ESTIMATORS, "conditioned", (draw, spied))
     points = np.random.default_rng(8).uniform(-0.1, 0.1, (20, 3))
@@ -815,11 +858,11 @@ def test_region_c_certification_moves_no_bit(ref, monkeypatch, n_jobs):
     certified = []
 
     def counted(*args):
-        # the rows a one-row block stands for are the certified ones
+        # the rows one column of sums stands for are the certified ones
         count = 0
-        for rows, block, *sums in values(*args):
-            count += len(rows) if len(rows) > len(block) else 0
-            yield rows, block, *sums
+        for rows, sums in values(*args):
+            count += len(rows) if rows is not None and len(rows) > sums.shape[-1] else 0
+            yield rows, sums
         certified.append(count)
 
     monkeypatch.setitem(montecarlo._ESTIMATORS, "conditioned", (draw, counted))
@@ -906,10 +949,10 @@ def test_block_kernels_are_bit_identical_at_any_buffer_size(ref, points, runs):
         # fresh draws: the point-free work they keep is formed again at each buffer size
         draws = _draw_slopes(_stream(4, "buffer", 0), geom, runs)
         outs = block_f(draws.noise, SlopeTerms.of(slopes, geom), geom, cfg)
-        outs += (assembled(ConditionalKernel(geom, cfg, slopes).blocks(draws, 3), len(slopes)),)
+        outs += (assembled(ConditionalKernel(geom, cfg, slopes).blocks(draws, 3), len(slopes), draws.region_c(cfg)[0]),)
         for point in slopes[:2]:
-            for _, block, controls in ConditionalKernel(geom, cfg, point).blocks(draws, 1):
-                outs += (block, controls)
+            for _, *group in ConditionalKernel(geom, cfg, point).blocks(draws, 1):
+                outs += tuple(group)
         outs += tuple(batch_events(delta, d, slopes, geom, cfg)) + tuple(batch_events(delta, d, slopes[0], geom, cfg))
         return [(out.dtype, out.shape, out.tobytes()) for out in outs]
 

@@ -112,8 +112,10 @@ def test_conditional_kernel_is_even_under_the_mirror(design):
     z, d = _draws(geom, geom.k)
     slopes = _slopes(points)
     for step in (1, len(slopes)):
-        plus = assembled(ConditionalKernel(geom, cfg, slopes).blocks(KernelDraws(z, d, geom), step), len(slopes))
-        minus = assembled(ConditionalKernel(geom, cfg, -slopes).blocks(KernelDraws(-z, d, geom), step), len(slopes))
+        plus, minus = (
+            assembled(ConditionalKernel(geom, cfg, sign * slopes).blocks(draws, step), len(slopes), draws.region_c(cfg)[0])
+            for sign, draws in ((1.0, KernelDraws(z, d, geom)), (-1.0, KernelDraws(-z, d, geom)))
+        )
         # both sides take the same region on every cell; only the band's rounding differs
         np.testing.assert_allclose(minus, plus, rtol=0.0, atol=4 * np.finfo(float).eps)
     lone = ConditionalKernel(geom, cfg, slopes[0])
