@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import __version__
+from . import __version__, montecarlo
 from .design import (
     AncovaLayout,
     ContrastSpec,
@@ -38,7 +39,7 @@ from .design import (
     reference_design,
 )
 from .errors import AncovaError, DomainError, check_count, check_real, check_reals
-from .montecarlo import CoverageEstimate, SlopePoint, estimate_conditioned, estimate_naive
+from .montecarlo import CoverageEstimate, SlopePoint, default_workers, estimate_conditioned, estimate_naive
 from .oracle import _check_inputs, agreement_with_events
 from .search import (
     GridSpec,
@@ -359,6 +360,10 @@ def cmd_min(args, run: RunConfig) -> int:
             for p in report.profiles
         ],
         "diagnostics": report.diagnostics,
+        "run": dict(
+            threads=default_workers(), seed=run.seed, runs=run.runs, ancova_cp=__version__, numpy=np.__version__,
+            scipy=scipy.__version__, malloc_thresholds_set=montecarlo.MALLOC_THRESHOLDS_SET,
+        ),
     }
     (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 

@@ -26,7 +26,9 @@ sums (_Moments) are added in chunk order, so results
 are bit-identical for every thread count and block size, and are fully
 determined by (seed, tag, runs, point, chunk size).  Estimates at different
 points with the same seed share their draws on purpose; the tags keep
-different estimators independent of each other.
+different estimators independent of each other.  Importing the module fixes
+glibc malloc's mmap and trim thresholds (_set_malloc_thresholds), so repeated
+chunks reuse resident pages; no value depends on them.
 
 True intercepts are fixed to zero internally: on every draw the coverage
 indicator is a function of the estimation noise, the true slopes and the
@@ -37,6 +39,7 @@ exactly that invariance.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import os
@@ -71,6 +74,11 @@ MAX_RUNS = 2**32  # the most runs of one estimate: a list of at most 2**19 chunk
 # 1 / runs
 COLLINEAR_SHARE = 1e-10
 THREADS_ENV_VAR = "ANCOVA_CP_THREADS"
+# glibc's malloc thresholds, fixed at import: blocks up to 4 MiB, twice conditional._control_sums' (8, 4·CHUNK_SIZE
+# + 1) doubles, come from the heap, which keeps up to 8 MiB of free top (1 / 2 MiB left a search 1145 faults a call)
+MALLOC_MMAP_THRESHOLD, MALLOC_TRIM_THRESHOLD = 4 << 20, 8 << 20
+# the user's own glibc malloc settings, which a later mallopt would silently override
+MALLOC_ENV_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_")
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,25 @@ def default_workers(n_jobs=None) -> int:
     if raw and not (raw.isdecimal() and int(raw) >= 1):
         raise DomainError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
     return int(raw or 1)
+
+
+def _set_malloc_thresholds() -> bool:
+    """Fix glibc's mmap and trim thresholds (mallopt(3) M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1); True if both
+    took.  glibc's own follow the largest freed mmap block, and it trims the freed top of the heap past them, so
+    each chunk's temporaries landed on fresh pages (a 10 000-run estimate faulted 190-340 times a call).  A no-op
+    off glibc, without mallopt or where the user set glibc's malloc variables or tunables; never raises."""
+    if any(name in os.environ for name in MALLOC_ENV_VARS) or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return False
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):
+        return False
+    return bool(mallopt(-3, MALLOC_MMAP_THRESHOLD)) and bool(mallopt(-1, MALLOC_TRIM_THRESHOLD))
+
+
+MALLOC_THRESHOLDS_SET = _set_malloc_thresholds()  # whether this process runs under the thresholds above
 
 
 def _chunk_sizes(runs) -> list[int]:

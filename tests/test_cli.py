@@ -2,8 +2,12 @@ import json
 import warnings
 from importlib import resources
 
+import numpy as np
 import pytest
+import scipy
 
+import ancova_cp
+from ancova_cp import montecarlo
 from ancova_cp.cli import main
 
 SMALL_DESIGN = {
@@ -216,6 +220,24 @@ def test_min_writes_report_and_tables(capsys, tmp_path):
     assert "overall point=" in out
     cube_rows = (out_dir / "cube.csv").read_text(encoding="utf-8").strip().splitlines()
     assert len(cube_rows) == 1 + 7**3
+
+
+def test_min_report_carries_a_run_record(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("ANCOVA_CP_THREADS", "2")
+    out_dir = tmp_path / "search"
+    args = ("--density", "5", "--square-density", "3", "--profile-points", "5", "--runs", "300", "--seed", "7")
+    rc, _, _ = _run(capsys, "min", *args, "--out", str(out_dir))
+    assert rc == 0
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    assert report["run"] == {
+        "threads": 2,
+        "seed": 7,
+        "runs": 300,
+        "ancova_cp": ancova_cp.__version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "malloc_thresholds_set": montecarlo.MALLOC_THRESHOLDS_SET,
+    }
 
 
 @pytest.mark.parametrize(
