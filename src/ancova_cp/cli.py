@@ -360,12 +360,14 @@ def cmd_min(args, run: RunConfig) -> int:
             for p in report.profiles
         ],
         "diagnostics": report.diagnostics,
-        "run": dict(
-            threads=default_workers(), seed=run.seed, runs=run.runs, ancova_cp=__version__, numpy=np.__version__,
-            scipy=scipy.__version__, malloc_thresholds_set=montecarlo.MALLOC_THRESHOLDS_SET,
-        ),
     }
     (out_dir / "report.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    # how the run was made: it varies with the machine and the thread count, so it stays out of report.json
+    record = dict(
+        threads=default_workers(), seed=run.seed, runs=run.runs, ancova_cp=__version__, numpy=np.__version__,
+        scipy=scipy.__version__, malloc_thresholds_set=montecarlo.MALLOC_THRESHOLDS_SET,
+    )
+    (out_dir / "run.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
     print("min1    " + _est_line(report.min1))
     print("min2    " + _est_line(report.min2))

@@ -123,10 +123,11 @@ def default_workers(n_jobs=None) -> int:
 
 
 def _set_malloc_thresholds() -> bool:
-    """Fix glibc's mmap and trim thresholds (mallopt(3) M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1); True if both
-    took.  glibc's own follow the largest freed mmap block, and it trims the freed top of the heap past them, so
-    each chunk's temporaries landed on fresh pages (a 10 000-run estimate faulted 190-340 times a call).  A no-op
-    off glibc, without mallopt or where the user set glibc's malloc variables or tunables; never raises."""
+    """Fix glibc's mmap and trim thresholds (mallopt(3) M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1), process-wide;
+    True if the mmap call took, which alone stops glibc moving both (it never refuses the trim call).  glibc's own
+    follow the largest freed mmap block, and it trims the freed top of the heap past them, so each chunk's
+    temporaries landed on fresh pages (a 10 000-run estimate faulted 190-340 times a call).  A no-op off glibc,
+    without mallopt or where the user set glibc's malloc variables or tunables; never raises."""
     if any(name in os.environ for name in MALLOC_ENV_VARS) or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
         return False
     try:
@@ -135,7 +136,10 @@ def _set_malloc_thresholds() -> bool:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError, ValueError):
         return False
-    return bool(mallopt(-3, MALLOC_MMAP_THRESHOLD)) and bool(mallopt(-1, MALLOC_TRIM_THRESHOLD))
+    if not mallopt(-3, MALLOC_MMAP_THRESHOLD):
+        return False
+    mallopt(-1, MALLOC_TRIM_THRESHOLD)
+    return True
 
 
 MALLOC_THRESHOLDS_SET = _set_malloc_thresholds()  # whether this process runs under the thresholds above

@@ -222,22 +222,27 @@ def test_min_writes_report_and_tables(capsys, tmp_path):
     assert len(cube_rows) == 1 + 7**3
 
 
-def test_min_report_carries_a_run_record(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("ANCOVA_CP_THREADS", "2")
-    out_dir = tmp_path / "search"
+def test_min_writes_a_run_record_and_keeps_it_out_of_the_reproducible_files(capsys, tmp_path, monkeypatch):
     args = ("--density", "5", "--square-density", "3", "--profile-points", "5", "--runs", "300", "--seed", "7")
-    rc, _, _ = _run(capsys, "min", *args, "--out", str(out_dir))
-    assert rc == 0
-    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
-    assert report["run"] == {
-        "threads": 2,
-        "seed": 7,
-        "runs": 300,
-        "ancova_cp": ancova_cp.__version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "malloc_thresholds_set": montecarlo.MALLOC_THRESHOLDS_SET,
-    }
+    files = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ANCOVA_CP_THREADS", threads)
+        out_dir = tmp_path / threads
+        rc, _, _ = _run(capsys, "min", *args, "--out", str(out_dir))
+        assert rc == 0
+        record = json.loads((out_dir / "run.json").read_text(encoding="utf-8"))
+        assert record == {
+            "threads": int(threads),
+            "seed": 7,
+            "runs": 300,
+            "ancova_cp": ancova_cp.__version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "malloc_thresholds_set": montecarlo.MALLOC_THRESHOLDS_SET,
+        }
+        files[threads] = {path.name: path.read_bytes() for path in out_dir.iterdir() if path.name != "run.json"}
+    assert "run" not in json.loads(files["1"]["report.json"])
+    assert files["1"] == files["2"]
 
 
 @pytest.mark.parametrize(

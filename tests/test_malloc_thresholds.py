@@ -1,8 +1,6 @@
 """glibc malloc thresholds fixed at import: the helper's guards, and the steady-state page faults they remove."""
 
-import os
 import resource
-import sys
 
 import pytest
 
@@ -11,15 +9,15 @@ from ancova_cp.montecarlo import MALLOC_ENV_VARS, MALLOC_MMAP_THRESHOLD, MALLOC_
 
 
 class SpyLibc:
-    """A libc whose mallopt records its calls and returns ``result``."""
+    """A libc whose mallopt records its calls and returns ``results`` in turn."""
 
-    def __init__(self, result=1):
+    def __init__(self, *results):
         self.calls = []
-        self.result = result
+        self.results = results or (1, 1)
 
     def mallopt(self, param, value):
         self.calls.append((param, value))
-        return self.result
+        return self.results[len(self.calls) - 1]
 
 
 class NoMallopt:
@@ -91,25 +89,20 @@ def test_missing_mallopt_is_a_no_op(run_helper):
     assert run_helper(NoMallopt()) is False
 
 
-def test_refused_mallopt_reports_false(run_helper):
-    libc = SpyLibc(result=0)
+def test_refused_mmap_threshold_reports_false(run_helper):
+    libc = SpyLibc(0)
     assert run_helper(libc) is False
     assert libc.calls == [(-3, MALLOC_MMAP_THRESHOLD)]
 
 
-def _glibc_without_user_settings():
-    if not sys.platform.startswith("linux"):
-        return False
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
-    except (AttributeError, ValueError):
-        return False
-    tunables = os.environ.get("GLIBC_TUNABLES", "")
-    user = any(name in os.environ for name in MALLOC_ENV_VARS) or "glibc.malloc." in tunables
-    return libc.startswith("glibc") and not user
+def test_refused_trim_threshold_still_reports_the_fixed_mmap_threshold(run_helper):
+    # the mmap call alone already stops glibc moving its thresholds, so the process runs under fixed ones
+    libc = SpyLibc(1, 0)
+    assert run_helper(libc) is True
+    assert libc.calls == [(-3, MALLOC_MMAP_THRESHOLD), (-1, MALLOC_TRIM_THRESHOLD)]
 
 
-@pytest.mark.skipif(not _glibc_without_user_settings(), reason="glibc malloc with its default settings only")
+@pytest.mark.skipif(not montecarlo.MALLOC_THRESHOLDS_SET, reason="glibc malloc thresholds fixed at import only")
 @pytest.mark.parametrize(
     "estimate, runs, n_jobs",
     [(estimate_naive, 10_000, 1), (estimate_conditioned, 10_000, 1), (estimate_conditioned, 1 << 16, 2)],
