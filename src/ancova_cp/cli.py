@@ -447,10 +447,7 @@ def main(argv=None) -> int:
     try:
         run = resolve_config(args)
         return _COMMANDS[args.command](args, run)
-    except AncovaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AncovaError, OSError, MemoryError) as exc:  # MemoryError: a lattice or profile too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

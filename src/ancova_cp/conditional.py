@@ -32,12 +32,15 @@ from scipy import special
 
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError, check_reals
-from .selection import SlopeNoise, SlopeTerms, block_f, f_thresholds, half_widths, quad_form, rejection_radii
+from .selection import SlopeNoise, SlopeTerms, acceptance, block_f, f_thresholds, half_widths
+from .selection import quad_form, rejection_radii
 
 __all__ = ["ConditionalKernel", "KernelDraws"]
 
-# the most region-A or region-B cells evaluated at once, which bounds a gather's memory
-GATHER_CELLS = 4096
+# a control is dropped where its residual sum of squares, after the controls kept before it, is at most this
+# share of its own: the second of two collinear indicators leaves rounding (about 1e-15), a distinct one about
+# 1 / runs
+COLLINEAR_SHARE = 1e-10
 
 
 def _band(mu, half):
@@ -88,7 +91,7 @@ def _control_sums(edges, a, b, cells, xa):
     and reduces all eight rows at once.  xa marks the A cells where x accepts.  Each row's cells in a region are
     one reduceat segment, whose bits do not depend on where it lies, and both kernel paths reduce here: a point's
     sums have the same bits in a group and alone.  A row with no cells in a region sums to 0 there, so the sums
-    of several groups and chunks simply add (montecarlo._Moments).
+    of several groups and chunks simply add (ConditionalKernel.chunk_sums).
     """
     na, end = len(a), len(a) + len(b)
     cells[:, end] = 0.0
@@ -143,9 +146,12 @@ class ConditionalKernel:
 
     ``slopes`` is one point (k,) or a block of points (P, k); their
     SlopeTerms (``terms``) are formed once, here.  ``blocks`` evaluates runs of points
-    against shared draws, with the test decisions of block_f;
-    ``conditional_cp_batch`` is the row adapter for a kernel built for one
-    point, given the slope estimates q themselves.
+    against shared draws, with the test decisions of block_f, and reduces them to
+    region sums; ``chunk_sums`` adds a chunk's, and ``controlled`` forms the
+    control-variate estimate from their totals over all runs, so this class owns
+    the conditioned estimator from cell to estimate.  ``conditional_cp_batch``
+    is the row adapter for a kernel built for one point, given the slope
+    estimates q themselves.
     """
 
     def __init__(self, geom: GeometryBundle, cfg: TwoStageConfig, slopes):
@@ -176,10 +182,10 @@ class ConditionalKernel:
         region A is empty and region B is every second-test accept; past the
         second, region B is empty).  The points come in groups of ``step``,
         in point order within each class: past neither radius, the first
-        only, the second only; region-A and region-B cells are evaluated in
-        gathers of at most GATHER_CELLS, with the same bits as each point
-        alone.  The last group holds every point past both radii, with no
-        region-A or region-B cell: neither test accepts.
+        only, the second only; each group's region-A and region-B cells are
+        gathered and evaluated at once, with the same bits as each point
+        alone.  A point past both radii has no region-A or region-B cell
+        (neither test accepts), so it is in no group.
         """
         geom, widths, noise, zs = self.geom, self.widths, draws.noise, draws.zs
         d = noise.d
@@ -226,18 +232,72 @@ class ConditionalKernel:
                     (a, 0, _zero_slopes, quads[0], mu_a[rows], ()),
                     (b, len(a), _common_slope, quads[1], wus[rows], (zs,)),
                 ):
-                    for i in range(0, len(region), GATHER_CELLS):
-                        part = region[i : i + GATHER_CELLS]
-                        point, draw = np.divmod(part, n)
-                        parts = (quad.take(part), per_point.take(point), *(x.take(draw) for x in per_draw))
-                        at = slice(start + i, start + i + len(part))
-                        v[at] = formula(geom, widths, d.take(draw), *parts)
-                        region_c.take(draw, out=c[at])
+                    point, draw = np.divmod(region, n)
+                    parts = (quad.take(region), per_point.take(point), *(x.take(draw) for x in per_draw))
+                    at = slice(start, start + len(region))
+                    v[at] = formula(geom, widths, d.take(draw), *parts)
+                    region_c.take(draw, out=c[at])
                 xa = ok_xi.reshape(-1).take(a) if 1 in tests else np.zeros(len(a), dtype=bool)
                 yield rows, a, b, v[:-1], _control_sums(edges[: len(rows)], a, b, cells, xa)
-        if (kind == 3).any():
-            none = np.empty(0, dtype=np.intp)
-            yield np.flatnonzero(kind == 3), none, none, np.empty(0), np.zeros((9, 2, 1))
+
+    def chunk_sums(self, draws: KernelDraws, step: int):
+        """(region sums (9, 2, P) of _control_sums, the region-C row's sum and sum of squares (2,)) over one chunk's
+        draws, which add across chunks; a point in no group of ``blocks`` keeps zeros.  ``step`` points fill one
+        montecarlo block; groups of two blocks' points, 4·CHUNK_SIZE cells (16 rows at 2000 runs), keep the work
+        arrays in L2: a search of a 9³ cube, a 9² square and 21-point profiles at 2000 runs took 62.6 ms CPU,
+        against 65.4 ms with 8 rows and 69.8 ms with 64 (median of 30 interleaved rounds, 2 vCPUs)."""
+        sums = np.zeros((9, 2, len(self)))
+        for rows, *_, part in self.blocks(draws, 2 * step):
+            sums[..., rows] = part
+        return sums, draws.region_c(self.cfg)[1]
+
+    def controlled(self, n: int, regions: np.ndarray, free: np.ndarray):
+        """Regression control-variate estimate, residual sum of squares and number of kept controls q, per point,
+        from chunk_sums' ``regions`` and ``free``, added over all n runs.
+
+        The controls are the acceptance indicators a = 1{region A} and x = 1{second test accepts}, with exact means
+        from selection.acceptance, and the region-C row c, the separate-slopes conditional coverage, with exact mean
+        p_c = P(|T_m| <= t_m) (separate_mean); each is used only where it varies (Glasserman, Monte Carlo Methods
+        in Financial Engineering, 2003, sec. 4.1).  The mean of v and the co-moments are formed once, from the
+        region sums over all n runs: with the sums S of v v, v a, v x, v c, a, a x, a c, x, x c, c and c c and the
+        means m of (v, a, x, c), C = S - n m m'; so C_va = sum_A v - n_A mean(v), and v = c on region C gives
+        sum v = sum_A v + sum_B v + sum c - sum_A c - sum_B c, and the sums of v v and v c likewise from the sums of
+        v^2, v c and c^2.  In order, a control is kept where what the controls kept before it leave of its sum of
+        squares is above COLLINEAR_SHARE of it (so above 0), and while n > q + 1 with it; a point with 1 to 3
+        region-A/B cells in all keeps c alone, since each such cell could sit alone in its (a, x) pattern, be fit
+        exactly and leave a residual of rounding.  Each kept control is swept out of the
+        co-moments and of the mean-minus-p shifts (Gram-Schmidt), elementwise per point, so a point has the same
+        bits in any block: what is left of the value's shift is v - beta'(x - p), and of its sum of squares the
+        residual one; a value outside [0, 1], which the slope of a regression on a handful of runs can give, is
+        clipped to it.  A point that keeps no control gets the plain mean and sum of squares.  A point with no
+        region-A or region-B cell in any run has v = c on every draw, where the regression on c is exact: it gets
+        p_c and a residual sum of squares of 0, exactly.
+        """
+        c_all, cc_all = free
+        (n_a, n_b), (v_a, v_b), (c_a, c_b), (vc_a, vc_b), (cc_a, cc_b), (vv_a, vv_b) = regions[:6]
+        v_ax, c_ax, n_ax = regions[6:, 0]
+        # sums of v v, v a, v x, v c, a, a x, a c, x, x c and c c, and the means of (v, a, x, c); on region C, v = c
+        sums = np.stack((vv_a + vv_b, v_a, v_b + v_ax, vc_a + vc_b, n_a, n_ax, c_a, n_b + n_ax, c_b + c_ax, n_a))
+        sums[[0, 3]] += cc_all - cc_a - cc_b
+        sums[9] = cc_all
+        shift = np.stack((v_a + v_b + (c_all - c_a - c_b), n_a, sums[7], np.full_like(n_a, c_all))) / n
+        m2 = sums[[[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]]] - n * shift[:, None] * shift  # (4, 4, P)
+        limits = COLLINEAR_SHARE * m2[[1, 2, 3], [1, 2, 3]]
+        shift[1:3] -= acceptance(self.terms, self.geom, self.cfg, (limits[:2] > 0.0).T).T
+        p_c = separate_mean(self.geom, self.cfg)
+        shift[3] -= p_c
+        kept = np.zeros(len(shift[0]), dtype=int)
+        for j, limit in zip((1, 2, 3), limits):
+            keep = (m2[j, j] > limit) & ((j == 3) | (n_a + n_b > 3))
+            if n < 5:  # q + 1 < n for q <= 3 at any larger n
+                keep &= n > kept + 2
+            gain = np.divide(m2[:, j], m2[j, j], out=np.zeros_like(shift), where=keep)
+            m2 -= gain[:, None] * m2[j]
+            shift -= gain * shift[j]
+            kept += keep
+        only_c = n_a + n_b == 0
+        value = np.where(only_c, p_c, np.clip(shift[0], 0.0, 1.0))
+        return value, np.where(only_c, 0.0, np.maximum(m2[0, 0], 0.0)), kept
 
     def conditional_cp_batch(self, q, d) -> np.ndarray:
         """Conditional coverage of the selected interval, row-wise on q (n, k) against d (n,).

@@ -10,10 +10,11 @@ separate-slopes conditional coverage, the region-C row every draw forms,
 whose mean is P(|T_m| <= t_m) (conditional.separate_mean).  The naive SE
 is the sample standard deviation over sqrt(runs); the conditioned one is
 the residual standard deviation of the regression on the q controls a point
-keeps, with runs - 1 - q degrees of freedom, over sqrt(runs) (_controlled).
-The value equals the region-C row outside regions A and B, so its mean and
-every co-moment follow from each point's region counts and sums over its
-region-A and region-B cells and the row's own sums, which add across chunks.
+keeps, with runs - 1 - q degrees of freedom, over sqrt(runs)
+(ConditionalKernel.controlled).  The value equals the region-C row outside
+regions A and B, so its mean and every co-moment follow from each point's
+region counts and sums over its region-A and region-B cells and the row's own
+sums, which add across chunks (ConditionalKernel.chunk_sums).
 
 Randomness is organized as SFC64 streams, one per (seed, estimator tag,
 chunk index) and keyed by nothing else, made independent by SeedSequence
@@ -21,8 +22,8 @@ spawn keys (_stream).  Runs are split into
 fixed-size chunks; each chunk's noise is drawn once per call, or once per
 memo (min_cp_search passes one to every estimate, see _reduce), and
 every slope point of a call is evaluated against it (common random
-numbers), in blocks of at most BLOCK_CELLS (point, draw) cells.  Per-point
-sums (_Moments) are added in chunk order, so results
+numbers), in blocks of at most BLOCK_CELLS (point, draw) cells.  Each chunk
+returns its per-point sums as arrays, which are added in chunk order, so results
 are bit-identical for every thread count and block size, and are fully
 determined by (seed, tag, runs, point, chunk size).  Estimates at different
 points with the same seed share their draws on purpose; the tags keep
@@ -45,14 +46,13 @@ import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .conditional import ConditionalKernel, KernelDraws, separate_mean
+from .conditional import ConditionalKernel, KernelDraws
 from .design import GeometryBundle, TwoStageConfig
 from .errors import DomainError, check_count, check_reals
-from .selection import EventNoise, acceptance, batch_events, events
+from .selection import EventNoise, batch_events, events
 
 __all__ = [
     "CHUNK_SIZE",
@@ -69,10 +69,6 @@ __all__ = [
 CHUNK_SIZE = 8192
 BLOCK_CELLS = 2 * CHUNK_SIZE
 MAX_RUNS = 2**32  # the most runs of one estimate: a list of at most 2**19 chunk sizes
-# a control is dropped where its residual sum of squares, after the controls kept before it, is at most this
-# share of its own: the second of two collinear indicators leaves rounding (about 1e-15), a distinct one about
-# 1 / runs
-COLLINEAR_SHARE = 1e-10
 THREADS_ENV_VAR = "ANCOVA_CP_THREADS"
 # glibc's malloc thresholds, fixed at import: blocks up to 4 MiB, twice conditional._control_sums' (8, 4·CHUNK_SIZE
 # + 1) doubles, come from the heap, which keeps up to 8 MiB of free top (1 / 2 MiB left a search 1145 faults a call)
@@ -182,7 +178,7 @@ def _checked_point(values: list) -> SlopePoint:
 
 
 # ---------------------------------------------------------------------------
-# the batch evaluation core: per-chunk draws, per-block values, one reducer
+# the batch evaluation core: per-chunk draws, per-chunk sums, one reducer
 # ---------------------------------------------------------------------------
 
 
@@ -196,68 +192,20 @@ def _draw_full(rng, geom, size):
     return rng.standard_normal((size, 2 * geom.k)) @ geom.noise_chol.T, rng.chisquare(geom.m, size)
 
 
-def _event_values(slopes, step, draws, geom, cfg):
-    """(rows, sums (3, 1) of the three indicators) of event_probabilities' one point."""
-    ev = batch_events(*draws, slopes, geom, cfg)
-    yield slice(None), np.stack([ev.covers_tau, ev.covers_tau & ev.in_a, ~ev.in_a]).sum(axis=-1)
-
-
-def _naive_values(slopes, step, draws, geom, cfg):
-    """(rows, sums of the coverage indicators) of each block of slope points; the draws' point-free parts once."""
-    parts = EventNoise.of(*draws, geom)
-    for i in range(0, len(slopes), step):
-        yield slice(i, i + step), events(parts, slopes[i : i + step], geom, cfg).covers_selected.sum(axis=-1)
-
-
-def _conditioned_values(kernel, step, draws, geom, cfg):
-    """(None, the sums of the region-C row and of its square), then (rows, region sums) of each group of the
-    kernel's points.  Groups of two blocks' points, 4·CHUNK_SIZE cells (16 rows at 2000 runs), keep the kernel's
-    work arrays in L2: a search of a 9³ cube, a 9² square and 21-point profiles at 2000 runs took 62.6 ms CPU,
-    against 65.4 ms with 8 rows and 69.8 ms with 64 (median of 30 interleaved rounds, 2 vCPUs)."""
-    yield None, draws.region_c(cfg)[1]
-    for rows, *_, sums in kernel.blocks(draws, 2 * step):
-        yield rows, sums
-
-
-# estimator tag -> (per-chunk draws, (rows, per-point sums) of each block of the slope points); the conditioned
-# values read the points' ConditionalKernel, which estimate_points builds once per call
-_ESTIMATORS = {"naive": (_draw_full, _naive_values), "conditioned": (_draw_slopes, _conditioned_values)}
-
-
-class _Moments(NamedTuple):
-    """The run count, each point's sums (..., P) over the runs and the point-free sums, if any, which all add
-    across chunks: of the naive and event indicators, whose squares they are too; of the conditioned values the
-    region sums (9, 2, P) of conditional._control_sums and the region-C row's sum and sum of squares (2,)."""
-
-    n: int
-    sums: np.ndarray
-    free: np.ndarray | None = None
-
-    def merge(self, other: "_Moments") -> "_Moments":
-        free = None if self.free is None else self.free + other.free
-        return _Moments(self.n + other.n, self.sums + other.sums, free)
-
-
-def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None) -> _Moments:
-    """Per-point sums of ``values`` over ``runs`` draws made by ``draw``, with their point-free sums if any.
+def _reduce(tag, draw, sums, geom, runs, seed, n_jobs, memo=None) -> tuple:
+    """The sums over ``runs`` draws made by ``draw``: the chunks' ``sums(draws, step)`` tuples of arrays, added.
 
     The one chunk loop.  Each chunk is one task: it makes the chunk's draws
-    from the stream (seed, tag, chunk) and evaluates every slope point against
-    them (``points``: P rows of k numbers, or their ConditionalKernel), in
-    blocks of at most BLOCK_CELLS cells, so a chunk is drawn once, never once
-    per point; the block size comes from the chunk's own
-    length, so a short tail chunk takes more points per block.  ``memo``, a
-    dict owned by the caller, keeps each chunk's draws under (tag, seed,
+    from the stream (seed, tag, chunk) and passes them to ``sums`` with the
+    number of points in a block of at most BLOCK_CELLS cells, so a chunk is
+    drawn once, never once per point; the block size comes from the chunk's
+    own length, so a short tail chunk takes more points per block.  ``memo``,
+    a dict owned by the caller, keeps each chunk's draws under (tag, seed,
     chunk, size, geom), the design compared by identity, so a chunk is drawn
     once per memo and design, not once per call (min_cp_search keeps one per
     search); the point-free work kept on the draws is keyed by config
     (KernelDraws.shared), so any sequence of calls over one memo gives each
     call's own bits.  Without a memo, a chunk's draws die with its task.
-    ``values`` gets all the points, so it can share point-free work among its
-    blocks, and yields (rows, sums) pairs in any order, the sums over the
-    chunk's draws of the points ``rows``, on the last axis; one column may
-    stand for several rows, and rows None marks the chunk's point-free sums.
-    The chunks' sums add.
     While a task runs, NumPy's ufunc buffer (thread-local) is sized to the
     chunk, rounded up to a multiple of 16: a (P, 1) by (size,) broadcast
     shorter than the buffer goes through NumPy's buffered iterator, up to
@@ -265,9 +213,9 @@ def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None)
     over a block is elementwise, so this changes speed, never bits, and the
     caller's setting is restored when the task ends.  ``n_jobs`` (default:
     ANCOVA_CP_THREADS), a positive integer, caps the threads; a call opens a
-    pool only when it has more than one chunk to give them.  Every value
-    depends only on its point and its chunk's draws, so the thread count
-    cannot change a result; the sums are added in chunk order.
+    pool only when it has more than one chunk to give them.  Every sum
+    depends only on its chunk's draws, so the thread count cannot change a
+    result; the chunks' tuples are added in chunk order.
     """
     width = default_workers(n_jobs)
     seed = check_count("seed", seed, 0)
@@ -281,72 +229,21 @@ def _reduce(tag, draw, values, points, geom, cfg, runs, seed, n_jobs, memo=None)
             kept = {} if memo is None else memo  # without a memo the draws die with the task
             if key not in kept:
                 kept[key] = draw(_stream(seed, tag, chunk), geom, size)
-            sums = free = None
-            for rows, part in values(points, max(1, BLOCK_CELLS // size), kept[key], geom, cfg):
-                if rows is None:
-                    free = part
-                else:
-                    sums = np.empty((*part.shape[:-1], len(points))) if sums is None else sums
-                    sums[..., rows] = part
+            return sums(kept[key], max(1, BLOCK_CELLS // size))
         finally:
             np.setbufsize(old)
-        return _Moments(size, sums, free)
+
+    def add(total, part):
+        return tuple(x + y for x, y in zip(total, part))
 
     width = min(width, len(jobs))
     if width == 1:
-        return functools.reduce(_Moments.merge, map(task, jobs))
+        return functools.reduce(add, map(task, jobs))
     pool = ThreadPoolExecutor(max_workers=width)
     try:
-        return functools.reduce(_Moments.merge, pool.map(task, jobs))
+        return functools.reduce(add, pool.map(task, jobs))
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _controlled(moments: _Moments, kernel: ConditionalKernel):
-    """Regression control-variate estimate, residual sum of squares and number of kept controls q, per point.
-
-    The controls are the acceptance indicators a = 1{region A} and x = 1{second test accepts}, with exact means
-    from selection.acceptance, and the region-C row c, the separate-slopes conditional coverage, with exact mean
-    p_c = P(|T_m| <= t_m) (conditional.separate_mean); each is used only where it varies (Glasserman, Monte Carlo
-    Methods in Financial Engineering, 2003, sec. 4.1).  The mean of v and the co-moments are formed once, from
-    the region sums over all n runs: with the sums S of v v, v a, v x, v c, a, a x, a c, x, x c, c and c c and
-    the means m of (v, a, x, c), C = S - n m m'; so C_va = sum_A v - n_A mean(v), and v = c on region C gives
-    sum v = sum_A v + sum_B v + sum c - sum_A c - sum_B c, and the sums of v v and v c likewise from the sums of
-    v^2, v c and c^2.  In order, a control is kept where what the controls kept before it leave of its sum of
-    squares is above COLLINEAR_SHARE of it (so above 0), and while n > q + 1 with it; a point with 1 to 3
-    region-A/B cells in all keeps c alone, since each such cell could sit alone in its (a, x) pattern, be fit
-    exactly and leave a residual of rounding.  Each kept control is swept out of the
-    co-moments and of the mean-minus-p shifts (Gram-Schmidt), elementwise per point, so a point has the same
-    bits in any block: what is left of the value's shift is v - beta'(x - p), and of its sum of squares the
-    residual one; a value outside [0, 1], which the slope of a regression on a handful of runs can give, is
-    clipped to it.  A point that keeps no control gets the plain mean and sum of squares.  A point with no
-    region-A or region-B cell in any run has v = c on every draw, where the regression on c is exact: it gets
-    p_c and a residual sum of squares of 0, exactly.
-    """
-    n, (c_all, cc_all), sums = moments.n, moments.free, moments.sums  # conditional._control_sums
-    (n_a, n_b), (v_a, v_b), (c_a, c_b), (vc_a, vc_b), (cc_a, cc_b), (vv_a, vv_b), (v_ax, _), (c_ax, _), (n_ax, _) = sums
-    # sums of v v, v a, v x, v c, a, a x, a c, x, x c and c c, and the means of (v, a, x, c); on region C, v = c
-    sums = np.stack((vv_a + vv_b, v_a, v_b + v_ax, vc_a + vc_b, n_a, n_ax, c_a, n_b + n_ax, c_b + c_ax, n_a))
-    sums[[0, 3]] += cc_all - cc_a - cc_b
-    sums[9] = cc_all
-    shift = np.stack((v_a + v_b + (c_all - c_a - c_b), n_a, sums[7], np.full_like(n_a, c_all))) / n
-    m2 = sums[[[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]]] - n * shift[:, None] * shift  # (4, 4, P)
-    limits = COLLINEAR_SHARE * m2[[1, 2, 3], [1, 2, 3]]
-    shift[1:3] -= acceptance(kernel.terms, kernel.geom, kernel.cfg, (limits[:2] > 0.0).T).T
-    p_c = separate_mean(kernel.geom, kernel.cfg)
-    shift[3] -= p_c
-    kept = np.zeros(len(shift[0]), dtype=int)
-    for j, limit in zip((1, 2, 3), limits):
-        keep = (m2[j, j] > limit) & ((j == 3) | (n_a + n_b > 3))
-        if n < 5:  # q + 1 < n for q <= 3 at any larger n
-            keep &= n > kept + 2
-        gain = np.divide(m2[:, j], m2[j, j], out=np.zeros_like(shift), where=keep)
-        m2 -= gain[:, None] * m2[j]
-        shift -= gain * shift[j]
-        kept += keep
-    only_c = n_a + n_b == 0
-    value = np.where(only_c, p_c, np.clip(shift[0], 0.0, 1.0))
-    return value, np.where(only_c, 0.0, np.maximum(m2[0, 0], 0.0)), kept
 
 
 def estimate_points(
@@ -367,8 +264,8 @@ def estimate_points(
     bit-identical to the same point estimated alone.
     The naive SE is sqrt(sample variance / runs).  The conditioned estimate
     is v - beta'(x - p), v the mean conditional coverage, x and p the sample
-    and exact means of the q controls kept (_controlled): the two tests'
-    acceptance indicators and the separate-slopes conditional coverage, with
+    and exact means of the q controls kept (ConditionalKernel.controlled): the
+    two tests' acceptance indicators and the separate-slopes conditional coverage, with
     exact mean p_c = P(|T_m| <= t_m); its SE is sqrt(RSS / (runs - 1 - q) /
     runs), and one run has SE 0.  A point with no draw in region A or B has
     the separate-slopes value on every draw, so it reads p_c with SE 0,
@@ -383,20 +280,28 @@ def estimate_points(
     _reduce) lets calls draw each chunk once per design, at any configs; it
     never changes an estimate.
     """
-    if not isinstance(estimator, str) or estimator not in _ESTIMATORS:
-        raise DomainError(f"estimator must be one of {sorted(_ESTIMATORS)}, got {estimator!r}")
-    slopes = _slopes(points, geom.k)
-    evaluated = ConditionalKernel(geom, cfg, slopes) if estimator == "conditioned" else slopes
-    moments = _reduce(estimator, *_ESTIMATORS[estimator], evaluated, geom, cfg, runs, seed, n_jobs, memo)
+    if not isinstance(estimator, str) or estimator not in ("conditioned", "naive"):
+        raise DomainError(f"estimator must be one of ['conditioned', 'naive'], got {estimator!r}")
+    slopes, runs = _slopes(points, geom.k), check_count("runs", runs, 1, MAX_RUNS)
+
+    def naive_sums(draws, step):  # of the coverage indicators, per block of points; the point-free parts once
+        parts, out = EventNoise.of(*draws, geom), np.empty(len(slopes))
+        for i in range(0, len(slopes), step):
+            out[i : i + step] = events(parts, slopes[i : i + step], geom, cfg).covers_selected.sum(axis=-1)
+        return (out,)
+
     if estimator == "conditioned":
-        mean, rss, q = _controlled(moments, evaluated)
+        kernel = ConditionalKernel(geom, cfg, slopes)
+        regions, free = _reduce(estimator, _draw_slopes, kernel.chunk_sums, geom, runs, seed, n_jobs, memo)
+        mean, rss, q = kernel.controlled(runs, regions, free)
     else:  # the sums of the indicators are the sums of their squares
-        mean, q = moments.sums / moments.n, 0
-        rss = moments.sums - moments.sums * mean
-    var = rss / (moments.n - 1 - q) if moments.n > 1 else np.zeros_like(rss)
-    se = np.sqrt(var / moments.n)
+        (total,) = _reduce(estimator, _draw_full, naive_sums, geom, runs, seed, n_jobs, memo)
+        mean, q = total / runs, 0
+        rss = total - total * mean
+    var = rss / (runs - 1 - q) if runs > 1 else np.zeros_like(rss)
+    se = np.sqrt(var / runs)
     return [
-        CoverageEstimate(float(value), float(err), moments.n, estimator, int(seed), _checked_point(row))
+        CoverageEstimate(float(value), float(err), runs, estimator, int(seed), _checked_point(row))
         for row, value, err in zip(slopes.tolist(), mean, se)
     ]
 
@@ -447,11 +352,17 @@ def event_probabilities(
     first test rejecting, all from common draws.  Supports bound checks of
     the form 0 <= Pr(S) - Pr(S and accept) <= Pr(reject).
     """
-    moments = _reduce("events", _draw_full, _event_values, _slopes([point], geom.k), geom, cfg, runs, seed, 1)
-    covers, covers_and_accept, reject = (float(v) for v in moments.sums[:, 0] / moments.n)
+    slopes, runs = _slopes([point], geom.k), check_count("runs", runs, 1, MAX_RUNS)
+
+    def sums(draws, step):  # of the three indicators at the one point
+        ev = batch_events(*draws, slopes, geom, cfg)
+        return (np.stack([ev.covers_tau, ev.covers_tau & ev.in_a, ~ev.in_a]).sum(axis=-1),)
+
+    (total,) = _reduce("events", _draw_full, sums, geom, runs, seed, 1)
+    covers, covers_and_accept, reject = (float(v) for v in total[:, 0] / runs)
     return {
         "covers_tau": covers,
         "covers_tau_and_accept": covers_and_accept,
         "reject_tau": reject,
-        "runs": moments.n,
+        "runs": runs,
     }

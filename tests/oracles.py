@@ -285,15 +285,16 @@ def conditional_cells(geom, cfg, d, zv=0.0, *, in_a=False, ok_xi=False, quad_v=0
 
 
 def assembled(groups, points: int, region_c: np.ndarray) -> np.ndarray:
-    """The (points, n) values of the conditional kernel's groups: each group's rows take the draws' region-C row,
-    then its region-A and region-B cells their values; every point must be covered exactly once."""
-    out, covered = np.full((points, len(region_c)), np.nan), np.zeros(points, dtype=int)
+    """The (points, n) values of the conditional kernel's groups: every point takes the draws' region-C row, then
+    each group's region-A and region-B cells their values; no point may be in two groups, and a point in none
+    (past both rejection radii) keeps the region-C row."""
+    out, covered = np.tile(region_c, (points, 1)), np.zeros(points, dtype=int)
     for rows, a, b, v, *_ in groups:
-        group = np.tile(region_c, (len(rows), 1))
+        group = out[rows]
         group.reshape(-1)[np.concatenate((a, b))] = v
         out[rows] = group
         covered[rows] += 1
-    assert (covered == 1).all(), covered
+    assert (covered <= 1).all(), covered
     return out
 
 

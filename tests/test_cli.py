@@ -518,6 +518,16 @@ def test_min_out_naming_a_file_is_refused_before_any_estimate(capsys, tmp_path, 
     assert out.read_text(encoding="utf-8") == "keep\n"
 
 
+@pytest.mark.parametrize("command", ["grid", "min"])
+def test_a_lattice_too_large_to_allocate_is_an_error_line(capsys, tmp_path, command):
+    # a 100 000-point axis asks numpy for a 7.11 PiB cube, which fails at once; it used to end in a MemoryError
+    # traceback
+    rc, stdout, err = _run(capsys, command, "--density", "100000", "--runs", "100", "--out", str(tmp_path / "out"))
+    assert rc == 1 and stdout == "" and "Traceback" not in err
+    assert err.startswith("error:") and "PiB" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_min_out_may_need_new_parent_directories(capsys, tmp_path):
     out = tmp_path / "new" / "search"
     rc, _, _ = _run(

@@ -7,7 +7,7 @@ import pytest
 
 from scipy import special
 
-from ancova_cp import ConditionalKernel, DomainError, batch_events, conditional
+from ancova_cp import ConditionalKernel, DomainError, batch_events
 from ancova_cp.conditional import KernelDraws, separate_mean
 from ancova_cp.montecarlo import BLOCK_CELLS, _draw_slopes, _stream
 from ancova_cp.selection import SlopeTerms, block_f, f_thresholds, quad_form
@@ -141,17 +141,16 @@ REGION_CASES = {
 }
 
 
-def region_sums(pairs) -> np.ndarray:
-    """(9, 2, points) from a kernel's (rows, controls) pairs."""
-    pairs = list(pairs)
-    out = np.full((9, 2, 1 + max(max(rows) for rows, _ in pairs)), np.nan)
+def region_sums(pairs, points: int) -> np.ndarray:
+    """(9, 2, points) from a kernel's (rows, controls) pairs; a point in no pair has no region-A or region-B cell."""
+    out = np.zeros((9, 2, points))
     for rows, controls in pairs:
         out[:, :, rows] = controls
     return out
 
 
 @pytest.mark.parametrize("case", list(REGION_CASES))
-def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, case):
+def test_region_formulas_match_the_nested_where_reference(request, case):
     design, cutoffs, spread, level = REGION_CASES[case]
     _, _, geom, cfg = request.getfixturevalue(design)
     if cutoffs is not None:
@@ -190,34 +189,27 @@ def test_region_formulas_match_the_nested_where_reference(request, monkeypatch, 
             + [[(part * both).sum(1), none] for part in (want, c, 1.0)]
         )
         assert draws.region_c(cfg)[1] == pytest.approx([c.sum(), (c * c).sum()], rel=1e-12)
-        # the shipped group size, as _reduce passes it; then groups of 4 points (the last one
-        # short) and gathers of 7 cells, so that A and B cells straddle both.  Every row, the
-        # certified ones included, must be the reference's; the other points come by class (past
-        # neither radius, past the first only, past the second only), each in point order and in
-        # groups of step, then one region-C row for all points past both radii
+        # the shipped group size, as chunk_sums passes it; then groups of 4 points (the last one
+        # short).  Every row, the certified ones included, must be the reference's; the points
+        # come by class (past neither radius, past the first only, past the second only), each in
+        # point order and in groups of step, and the points past both radii in no group
         block_sums = []
-        for step, gather in ((2 * max(1, BLOCK_CELLS // runs), None), (4, 7)):
-            if gather is not None:
-                monkeypatch.setattr(conditional, "GATHER_CELLS", gather)
+        for step in (2 * max(1, BLOCK_CELLS // runs), 4):
             groups = [(list(r), *rest) for r, *rest in ConditionalKernel(geom, cfg, slopes).blocks(draws, step)]
-            block_sums.append(region_sums((r, sums) for r, *_, sums in groups))
+            block_sums.append(region_sums(((r, sums) for r, *_, sums in groups), len(slopes)))
             got = block_sums[-1]
             assert np.array_equal(got[0], reference[0]) and np.array_equal(got[8], reference[8])
             np.testing.assert_allclose(got, reference, rtol=1e-12, atol=1e-12)
             assert assembled(groups, len(slopes), draws.region_c(cfg)[0]).tobytes() == want.tobytes()
-            if sure_c.any():
-                rows, a, b, v, _ = groups.pop()
-                assert rows == np.flatnonzero(sure_c).tolist() and len(a) == len(b) == len(v) == 0
             classes = [np.flatnonzero(kind == which).tolist() for which in range(3)]
             assert [rows for rows, *_ in groups] == [c[i : i + step] for c in classes for i in range(0, len(c), step)]
-        # one reduction per row and region: the same bits at any group size and gather size
+        # one reduction per row and region: the same bits at any group size
         assert block_sums[0].tobytes() == block_sums[1].tobytes()
         # a lone point: its values and sums keep their bits
         for i, (point, row) in enumerate(zip(slopes, want)):
             group = next(ConditionalKernel(geom, cfg, point).blocks(draws, 1))
             assert list(group[0]) == [0] and assembled([group], 1, draws.region_c(cfg)[0])[0].tobytes() == row.tobytes()
-            assert region_sums([(group[0], group[-1])])[..., 0].tobytes() == block_sums[0][..., i].tobytes()
-        monkeypatch.undo()
+            assert region_sums([(group[0], group[-1])], 1)[..., 0].tobytes() == block_sums[0][..., i].tobytes()
 
 
 @pytest.mark.parametrize("design", ["ref", "small", "k4"])

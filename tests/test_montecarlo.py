@@ -26,9 +26,9 @@ from ancova_cp import (
 )
 from ancova_cp import conditional, montecarlo
 from ancova_cp.conditional import ConditionalKernel, separate_mean
-from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _draw_slopes, _Moments, _stream, default_workers
+from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _draw_slopes, _stream, default_workers
 from ancova_cp.selection import EventNoise, SlopeNoise, SlopeTerms, acceptance, block_f, events
-from oracles import assembled, direct_geometry, gate_prob_mc, gate_prob_ncf, slope_draws
+from oracles import assembled, direct_geometry, gate_prob_mc, gate_prob_ncf, past_radii, slope_draws
 
 POINT = SlopePoint.of((0.05, 0.1, 0.0))
 
@@ -198,7 +198,7 @@ def test_one_ulp_moves_estimate_negligibly(ref):
 
 
 # ---------------------------------------------------------------------------
-# chunk merge
+# chunk sums
 # ---------------------------------------------------------------------------
 
 
@@ -208,12 +208,10 @@ def test_chunk_sums_give_the_moments_of_the_per_draw_values(ref):
     # its squares; at coverage-sized values the deviations those sums give lose only rounding to cancellation
     _, _, geom, cfg = ref
     points = np.array([(0.0, 0.1, 0.0), (0.1, -0.05, 0.15), (0.0, 0.0, 0.0)])
-    kernel = ConditionalKernel(geom, cfg, points)
-    moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, RUNS_3, 3, 1)
-    total, squares = moments.free
+    regions, (total, squares) = _region_sums(ConditionalKernel(geom, cfg, points), RUNS_3, 3)
     for i, point in enumerate(points):
         v = _per_draw(geom, cfg, point, RUNS_3, 3)[0]
-        counts, values, c, _, cc, vv = moments.sums[:6, :, i].sum(axis=1)
+        counts, values, c, _, cc, vv = regions[:6, :, i].sum(axis=1)
         assert 0 < counts < RUNS_3
         mean = (values + total - c) / RUNS_3
         assert mean == pytest.approx(v.mean(), rel=1e-14)
@@ -414,6 +412,11 @@ def test_gate_probability_bad_test_name(ref):
 # ---------------------------------------------------------------------------
 
 
+def _region_sums(kernel, runs, seed):
+    """The conditioned estimator's region sums (9, 2, P) and region-C row's sum and sum of squares over ``runs``."""
+    return montecarlo._reduce("conditioned", _draw_slopes, kernel.chunk_sums, kernel.geom, runs, seed, 1)
+
+
 def _per_draw(geom, cfg, point, runs, seed):
     """The conditioned estimator's per-draw values v, acceptance indicators a (first test) and x (second), and
     region-C row c."""
@@ -434,14 +437,14 @@ def _regressed(v, controls, means):
     return coef[0], math.sqrt(rss / (len(v) - design.shape[1]) / len(v))
 
 
-RUNS_2 = CHUNK_SIZE + 700  # two chunks: the moments are merged once
+RUNS_2 = CHUNK_SIZE + 700  # two chunks: their sums are added once
 RUNS_3 = 2 * CHUNK_SIZE + 700
 
 
-def _varying(moments):
-    """Per point, whether 1{A} and whether 1{x} vary over the runs, from the region sums of a _reduce."""
-    n_a, n_x = moments.sums[0, 0], moments.sums[0, 1] + moments.sums[8, 0]
-    return (n_a > 0) & (n_a < moments.n), (n_x > 0) & (n_x < moments.n)
+def _varying(n, regions):
+    """Per point, whether 1{A} and whether 1{x} vary over the n runs, from their region sums."""
+    n_a, n_x = regions[0, 0], regions[0, 1] + regions[8, 0]
+    return (n_a > 0) & (n_a < n), (n_x > 0) & (n_x < n)
 
 
 def test_both_controls_match_a_least_squares_fit(ref):
@@ -496,12 +499,11 @@ def test_the_second_of_two_collinear_controls_is_dropped(ref):
     n_a, sum_a, squares_a = float(a.sum()), float(v[0, a].sum()), float(np.square(v[0, a]).sum())
     regions = np.zeros((9, 2, 1))
     regions[[0, 1, 5, 6, 8], 0, 0] = [n_a, sum_a, squares_a, sum_a, n_a]
-    moments = _Moments(5000, regions, np.zeros(2))
     # n_Ax = n_A = n_x: every A cell accepts x, and no B cell exists
     assert regions[8, 0, 0] == regions[0, 0, 0] == regions[0, 1, 0] + regions[8, 0, 0] > 0.0
-    assert all(varies.all() for varies in _varying(moments))
+    assert all(varies.all() for varies in _varying(5000, regions))
     kernel = ConditionalKernel(geom, cfg, (0.0, 0.1, 0.0))
-    value, rss, kept = montecarlo._controlled(moments, kernel)
+    value, rss, kept = kernel.controlled(5000, regions, np.zeros(2))
     p_a = gate_probability((0.0, 0.1, 0.0), geom, cfg, "tau")
     want, se = _regressed(v[0], (a,), [p_a])
     assert kept.tolist() == [1]
@@ -534,8 +536,8 @@ def _few_cells(geom, cfg):
     """(region-A and region-B cell count, conditioned estimate) at FEW_CELLS_POINT, 10 000 runs, seeds 0 to 39."""
     kernel = ConditionalKernel(geom, cfg, FEW_CELLS_POINT)
     for seed in range(40):
-        moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, 10_000, seed, 1)
-        yield moments.sums[0, :, 0].sum(), estimate_conditioned(FEW_CELLS_POINT, geom, cfg, runs=10_000, seed=seed)
+        regions, _ = _region_sums(kernel, 10_000, seed)
+        yield regions[0, :, 0].sum(), estimate_conditioned(FEW_CELLS_POINT, geom, cfg, runs=10_000, seed=seed)
 
 
 def test_an_se_of_zero_reads_the_exact_mean(ref):
@@ -562,9 +564,9 @@ def test_tiny_runs_give_a_finite_se_without_warnings(ref, runs):
     _, _, geom, cfg = ref
     points = np.array([(0.0, 0.1, 0.0), (0.0, 0.0, 0.0), (0.3, -0.2, 0.1), (0.02, 0.05, 0.0)])
     kernel = ConditionalKernel(geom, cfg, points)
-    moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, runs, 0, 1)
-    assert runs == 1 or all(varies[0] for varies in _varying(moments))
-    assert (montecarlo._controlled(moments, kernel)[2] <= max(0, runs - 2)).all()
+    regions, free = _region_sums(kernel, runs, 0)
+    assert runs == 1 or all(varies[0] for varies in _varying(runs, regions))
+    assert (kernel.controlled(runs, regions, free)[2] <= max(0, runs - 2)).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ests = estimate_points(points, geom, cfg, runs=runs, seed=0)
@@ -575,25 +577,27 @@ def test_tiny_runs_give_a_finite_se_without_warnings(ref, runs):
 
 def test_block_keeps_its_bits_alone_with_live_controls(ref):
     # the first point has no region-A cell, and the next ones have some: reduceat gives its empty A segment a
-    # neighbour's cell, which must not reach its region sums
+    # neighbour's cell, which must not reach its region sums; the last lies past both rejection radii on every
+    # chunk, so it is in no group of the block and keeps the zeros its column starts with
     _, _, geom, cfg = ref
-    points = np.array([(0.1, -0.05, 0.15), (0.0, 0.0, 0.0), (0.0, 0.1, 0.0), (0.05, -0.02, 0.03), (-0.02, 0.04, 0.0)])
-    kernel = ConditionalKernel(geom, cfg, points)
-    moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, RUNS_2, 3, 1)
-    a_varies, x_varies = _varying(moments)
-    assert moments.sums[0, 0, 0] == 0.0 and a_varies[1:].all() and x_varies.all()
+    points = np.array(
+        [(0.1, -0.05, 0.15), (0.0, 0.0, 0.0), (0.0, 0.1, 0.0), (0.05, -0.02, 0.03), (-0.02, 0.04, 0.0), (1, -1, 1)]
+    )
+    for chunk, size in enumerate(montecarlo._chunk_sizes(RUNS_2)):
+        noise = _draw_slopes(_stream(3, "conditioned", chunk), geom, size).noise
+        assert past_radii(geom, cfg, noise, points[-1]).all() and not past_radii(geom, cfg, noise, points[:-1]).any()
+    regions, _ = _region_sums(ConditionalKernel(geom, cfg, points), RUNS_2, 3)
+    a_varies, x_varies = _varying(RUNS_2, regions)
+    assert regions[0, 0, 0] == 0.0 and a_varies[1:-1].all() and x_varies[:-1].all()
     # the region-C row's sums over each region are live too
-    assert (moments.sums[2:5, 0, 1:] > 0.0).all() and (moments.sums[7, 0, 1:] > 0.0).all()
-    assert (moments.sums[2:6, 1] > 0.0).all()
+    assert (regions[2:5, 0, 1:-1] > 0.0).all() and (regions[7, 0, 1:-1] > 0.0).all()
+    assert (regions[2:6, 1, :-1] > 0.0).all() and not regions[..., -1].any()
     block = estimate_points(points, geom, cfg, runs=RUNS_2, seed=3)
     for i, (point, est) in enumerate(zip(points, block)):
         alone = estimate_points([point], geom, cfg, runs=RUNS_2, seed=3)[0]
         assert (est.estimate, est.se) == (alone.estimate, alone.se)
-        sums = montecarlo._reduce(
-            "conditioned", *montecarlo._ESTIMATORS["conditioned"], ConditionalKernel(geom, cfg, point), geom, cfg,
-            RUNS_2, 3, 1,
-        ).sums
-        assert sums.tobytes() == moments.sums[..., i : i + 1].tobytes()
+        sums, _ = _region_sums(ConditionalKernel(geom, cfg, point), RUNS_2, 3)
+        assert sums.tobytes() == regions[..., i : i + 1].tobytes()
 
 
 def test_region_sums_over_chunks_equal_the_per_draw_masks(ref):
@@ -601,22 +605,20 @@ def test_region_sums_over_chunks_equal_the_per_draw_masks(ref):
     # block its empty segments read a neighbour's cells, which a leak would add to its sums
     _, _, geom, cfg = ref
     points = np.array([(0.21, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.1, 0.0), (0.1, -0.05, 0.15)])
-    kernel = ConditionalKernel(geom, cfg, points)
-    moments = montecarlo._reduce("conditioned", *montecarlo._ESTIMATORS["conditioned"], kernel, geom, cfg, RUNS_3, 5, 1)
-    assert moments.n == RUNS_3
+    regions, free = _region_sums(ConditionalKernel(geom, cfg, points), RUNS_3, 5)
     ests = estimate_points(points, geom, cfg, runs=RUNS_3, seed=5)
     for i, (point, est) in enumerate(zip(points, ests)):
         v, a, x, c = _per_draw(geom, cfg, point, RUNS_3, 5)
         if i == 0:
             assert [int(a[start : start + CHUNK_SIZE].sum()) for start in range(0, RUNS_3, CHUNK_SIZE)] == [0, 1, 0]
         b, ax = x & ~a, a & x
-        region = moments.sums[:, :, i]
+        region = regions[:, :, i]
         assert [region[0, 0], region[0, 1], region[8, 0]] == [a.sum(), b.sum(), ax.sum()]
         assert (region[6:, 1] == 0.0).all()
         # over A and over B the sums of v, c, v c, c^2 and v^2, over the A cells where x accepts of v and c, and
         # over all draws of c and c^2
         np.testing.assert_allclose(
-            np.append(region[1:6].reshape(-1), [region[6, 0], region[7, 0], *moments.free]),
+            np.append(region[1:6].reshape(-1), [region[6, 0], region[7, 0], *free]),
             [part[mask].sum() for part in (v, c, v * c, c * c, v * v) for mask in (a, b)]
             + [v[ax].sum(), c[ax].sum(), c.sum(), (c * c).sum()],
             rtol=1e-12,
@@ -641,7 +643,7 @@ def test_a_mirrored_point_on_mirrored_draws_keeps_its_estimate(ref, monkeypatch)
         z = rng.standard_normal((size, geom.k)) @ geom.v22_chol.T
         return conditional.KernelDraws(-z, rng.chisquare(geom.m, size), geom)
 
-    monkeypatch.setitem(montecarlo._ESTIMATORS, "conditioned", (mirrored, montecarlo._ESTIMATORS["conditioned"][1]))
+    monkeypatch.setattr(montecarlo, "_draw_slopes", mirrored)
     for est, other in zip(direct, estimate_points(-points, geom, cfg, runs=RUNS_2, seed=9)):
         assert other.estimate == pytest.approx(est.estimate, rel=1e-13, abs=1e-15)
         assert other.se == pytest.approx(est.se, rel=1e-11)
@@ -776,19 +778,18 @@ def _bufsize(size):
         np.setbufsize(old)
 
 
-def _spy(monkeypatch, estimator, fail_after=None):
-    """Record NumPy's buffer size at each block of ``estimator``; raise after ``fail_after`` blocks."""
-    draw, values = montecarlo._ESTIMATORS[estimator]
-    seen = []
+def _spy(monkeypatch, fail_after=None):
+    """Record NumPy's buffer size at each group of the conditional kernel; raise after ``fail_after`` groups."""
+    blocks, seen = ConditionalKernel.blocks, []
 
-    def spied(*args):
-        for block in values(*args):
+    def spied(self, *args):
+        for group in blocks(self, *args):
             if fail_after is not None and len(seen) >= fail_after:
                 raise RuntimeError("block failed")
             seen.append(np.getbufsize())
-            yield block
+            yield group
 
-    monkeypatch.setitem(montecarlo._ESTIMATORS, estimator, (draw, spied))
+    monkeypatch.setattr(ConditionalKernel, "blocks", spied)
     return seen
 
 
@@ -800,14 +801,14 @@ def test_buffer_is_sized_per_chunk_and_restored(ref, monkeypatch, caller):
     with _bufsize(caller or np.getbufsize()):
         before = np.getbufsize()
         for runs, n_jobs, sizes in ((2000, 1, {2000}), (37, 1, {48}), (CHUNK_SIZE + 100, 2, {CHUNK_SIZE, 112})):
-            seen = _spy(monkeypatch, "conditioned")
+            seen = _spy(monkeypatch)
             estimate_points(points, geom, cfg, "conditioned", runs=runs, seed=1, n_jobs=n_jobs)
             monkeypatch.undo()
             assert set(seen) == sizes
             assert np.getbufsize() == before
         # the second block of a chunk raises
         for runs, n_jobs in ((2000, 1), (CHUNK_SIZE + 100, 2)):
-            seen = _spy(monkeypatch, "conditioned", fail_after=1)
+            seen = _spy(monkeypatch, fail_after=1)
             with pytest.raises(RuntimeError, match="block failed"):
                 estimate_points(points, geom, cfg, "conditioned", runs=runs, seed=1, n_jobs=n_jobs)
             monkeypatch.undo()
@@ -822,29 +823,25 @@ def test_each_chunk_sizes_its_blocks_from_its_own_length(ref, monkeypatch, n_job
     # 10 000 runs are chunks of 8192 and 1808 draws: 2-point and 9-point blocks of at most BLOCK_CELLS
     # cells, which the conditioned kernel takes two at a time; here no point is proven to lie in region C
     _, _, geom, cfg = ref
-    draw, values = montecarlo._ESTIMATORS["conditioned"]
-    seen = []
+    blocks, seen = ConditionalKernel.blocks, []
 
-    def spied(slopes, step, draws, geom, cfg):
+    def spied(self, draws, step):
         rows = []
         seen.append((len(draws.noise.d), rows))
-        for points, sums in values(slopes, step, draws, geom, cfg):
-            if points is not None:  # not the point-free sums
-                rows.append((len(points), sums.shape[-1]))
-            yield points, sums
+        for group in blocks(self, draws, step):
+            rows.append((len(group[0]), group[-1].shape[-1]))
+            yield group
 
-    monkeypatch.setitem(montecarlo._ESTIMATORS, "conditioned", (draw, spied))
+    monkeypatch.setattr(ConditionalKernel, "blocks", spied)
     points = np.random.default_rng(8).uniform(-0.1, 0.1, (20, 3))
     estimate_points(points, geom, cfg, "conditioned", runs=10_000, seed=2, n_jobs=n_jobs)
     assert sorted(seen) == [(1808, [(18, 18), (2, 2)]), (CHUNK_SIZE, [(4, 4)] * 5)]
-    # with 20 points ten times as far out, a chunk's certified points come last, as one row
+    # with 20 points ten times as far out, a chunk's certified points are in no group
     seen.clear()
     estimate_points(np.concatenate([points, 10 * points]), geom, cfg, "conditioned", runs=10_000, seed=2, n_jobs=n_jobs)
     (_, short), (_, full) = sorted(seen)
-    for blocks, step in ((short, 18), (full, 4)):
-        *groups, (certified, one) = blocks
-        assert one == 1 and certified > 1 and sum(g for g, _ in groups) + certified == 40
-        assert all(g == b == step for g, b in groups[:-1]) and groups[-1][0] == groups[-1][1] <= step
+    for groups, step in ((short, 18), (full, 4)):
+        assert 20 <= sum(g for g, _ in groups) < 40 and all(g == b <= step for g, b in groups)
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
@@ -854,18 +851,17 @@ def test_region_c_certification_moves_no_bit(ref, monkeypatch, n_jobs):
     _, _, geom, cfg = ref
     axis = np.linspace(-1.0, 1.0, 5)
     points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    draw, values = montecarlo._ESTIMATORS["conditioned"]
-    certified = []
+    blocks, certified = ConditionalKernel.blocks, []
 
-    def counted(*args):
-        # the rows one column of sums stands for are the certified ones
-        count = 0
-        for rows, sums in values(*args):
-            count += len(rows) if rows is not None and len(rows) > sums.shape[-1] else 0
-            yield rows, sums
+    def counted(self, *args):
+        # the points in no group are the certified ones
+        count = len(self)
+        for group in blocks(self, *args):
+            count -= len(group[0])
+            yield group
         certified.append(count)
 
-    monkeypatch.setitem(montecarlo._ESTIMATORS, "conditioned", (draw, counted))
+    monkeypatch.setattr(ConditionalKernel, "blocks", counted)
     shipped = estimate_points(points, geom, cfg, "conditioned", runs=9000, seed=5, n_jobs=n_jobs)
     assert len(certified) == 2 and 0 < min(certified) and max(certified) < len(points)
     monkeypatch.undo()
