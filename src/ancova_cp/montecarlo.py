@@ -282,7 +282,7 @@ def estimate_points(
     """
     if not isinstance(estimator, str) or estimator not in ("conditioned", "naive"):
         raise DomainError(f"estimator must be one of ['conditioned', 'naive'], got {estimator!r}")
-    slopes, runs = _slopes(points, geom.k), check_count("runs", runs, 1, MAX_RUNS)
+    slopes = _slopes(points, geom.k)
 
     def naive_sums(draws, step):  # of the coverage indicators, per block of points; the point-free parts once
         parts, out = EventNoise.of(*draws, geom), np.empty(len(slopes))
@@ -293,9 +293,11 @@ def estimate_points(
     if estimator == "conditioned":
         kernel = ConditionalKernel(geom, cfg, slopes)
         regions, free = _reduce(estimator, _draw_slopes, kernel.chunk_sums, geom, runs, seed, n_jobs, memo)
+        runs = int(runs)  # checked by _reduce
         mean, rss, q = kernel.controlled(runs, regions, free)
     else:  # the sums of the indicators are the sums of their squares
         (total,) = _reduce(estimator, _draw_full, naive_sums, geom, runs, seed, n_jobs, memo)
+        runs = int(runs)  # checked by _reduce
         mean, q = total / runs, 0
         rss = total - total * mean
     var = rss / (runs - 1 - q) if runs > 1 else np.zeros_like(rss)
@@ -352,13 +354,14 @@ def event_probabilities(
     first test rejecting, all from common draws.  Supports bound checks of
     the form 0 <= Pr(S) - Pr(S and accept) <= Pr(reject).
     """
-    slopes, runs = _slopes([point], geom.k), check_count("runs", runs, 1, MAX_RUNS)
+    slopes = _slopes([point], geom.k)
 
     def sums(draws, step):  # of the three indicators at the one point
         ev = batch_events(*draws, slopes, geom, cfg)
         return (np.stack([ev.covers_tau, ev.covers_tau & ev.in_a, ~ev.in_a]).sum(axis=-1),)
 
     (total,) = _reduce("events", _draw_full, sums, geom, runs, seed, 1)
+    runs = int(runs)  # checked by _reduce
     covers, covers_and_accept, reject = (float(v) for v in total[:, 0] / runs)
     return {
         "covers_tau": covers,

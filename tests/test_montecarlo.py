@@ -841,7 +841,9 @@ def test_each_chunk_sizes_its_blocks_from_its_own_length(ref, monkeypatch, n_job
     estimate_points(np.concatenate([points, 10 * points]), geom, cfg, "conditioned", runs=10_000, seed=2, n_jobs=n_jobs)
     (_, short), (_, full) = sorted(seen)
     for groups, step in ((short, 18), (full, 4)):
-        assert 20 <= sum(g for g, _ in groups) < 40 and all(g == b <= step for g, b in groups)
+        certified = 40 - sum(g for g, _ in groups)
+        assert certified > 1
+        assert all(g == b == step for g, b in groups[:-1]) and groups[-1][0] == groups[-1][1] <= step
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
