@@ -3,8 +3,10 @@
 Subcommands: cp, grid, lines, profile, min, oracle, quantiles.  A JSON config
 file supplies the design (keys k, n, x, contrast) and optional run defaults
 (alpha, sig_tau, sig_xi, runs, seed, estimator); flags override file values;
-without a config the bundled reference design is used.  The thread count for
-chunk fan-out comes from the ANCOVA_CP_THREADS environment variable.
+without a config the bundled reference design is used.  Each subcommand takes
+only the flags it reads: quantiles no --runs, --seed or --estimator, oracle no
+--estimator, and only cp --estimator both.  The thread count for chunk fan-out
+comes from the ANCOVA_CP_THREADS environment variable.
 
 Every table row carries the seed, run count and estimator that produced it,
 and rerunning a command with the same inputs reproduces output files byte
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +41,7 @@ from .design import (
     reference_design,
 )
 from .errors import AncovaError, DomainError, check_count, check_real, check_reals
-from .montecarlo import CoverageEstimate, SlopePoint, default_workers, estimate_conditioned, estimate_naive
+from .montecarlo import CoverageEstimate, default_workers
 from .oracle import _check_inputs, agreement_with_events
 from .search import (
     GridSpec,
@@ -82,19 +84,6 @@ def _parse_floats(text: str, what: str, expect: int | None = None) -> tuple[floa
     return values
 
 
-def _point_arg(text: str) -> tuple[float, ...]:
-    return _parse_floats(text, "--point")
-
-
-def _pair_arg(text: str) -> tuple[float, float]:
-    values = _parse_floats(text, "an interval flag", 2)
-    return values[0], values[1]
-
-
-def _offsets_arg(text: str) -> tuple[float, ...]:
-    return _parse_floats(text, "--offsets")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ancova-cp",
@@ -104,24 +93,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with the design and run defaults")
-    common.add_argument("--alpha", type=float, help="nominal non-coverage level (default 0.05)")
-    common.add_argument("--sig-tau", type=float, help="level of the first-stage F test (default 0.10)")
-    common.add_argument("--sig-xi", type=float, help="level of the second-stage F test (default 0.10)")
-    common.add_argument("--runs", type=int, help="Monte Carlo runs per estimate (default 10000)")
-    common.add_argument("--seed", type=int, help="stream seed (default 0)")
-    common.add_argument(
-        "--estimator",
-        choices=["naive", "conditioned", "both"],
-        help="estimator to use; 'both' is accepted by cp only (default conditioned)",
-    )
-    common.add_argument("--out", help="output file (directory for min)")
+    levels = argparse.ArgumentParser(add_help=False)
+    levels.add_argument("--config", help="JSON file with the design and run defaults")
+    levels.add_argument("--alpha", type=float, help="nominal non-coverage level (default 0.05)")
+    levels.add_argument("--sig-tau", type=float, help="level of the first-stage F test (default 0.10)")
+    levels.add_argument("--sig-xi", type=float, help="level of the second-stage F test (default 0.10)")
+    levels.add_argument("--out", help="output file (directory for min)")
+    budget = argparse.ArgumentParser(add_help=False, parents=[levels])
+    budget.add_argument("--runs", type=int, help="Monte Carlo runs per estimate (default 10000)")
+    budget.add_argument("--seed", type=int, help="stream seed (default 0)")
+    single = argparse.ArgumentParser(add_help=False, parents=[budget])
+    single.add_argument("--estimator", choices=["naive", "conditioned"], help="estimator to use (default conditioned)")
+    point_arg = functools.partial(_parse_floats, what="--point")
+    pair_arg = functools.partial(_parse_floats, what="an interval flag", expect=2)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cp = sub.add_parser("cp", parents=[common], help="coverage probability at one slope point")
-    p_cp.add_argument("--point", type=_point_arg, required=True, help="true scaled slopes, e.g. 0,0.1,0")
+    p_cp = sub.add_parser("cp", parents=[budget], help="coverage probability at one slope point")
+    p_cp.add_argument(
+        "--estimator", choices=["naive", "conditioned", "both"], help="estimator to use (default conditioned)"
+    )
+    p_cp.add_argument("--point", type=point_arg, required=True, help="true scaled slopes, e.g. 0,0.1,0")
     p_cp.add_argument(
         "--thresholds-off",
         action="store_true",
@@ -129,19 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     cube, square = _DEFAULTS.cube, _DEFAULTS.square
-    p_grid = sub.add_parser("grid", parents=[common], help="coverage over a lattice on the cube")
-    p_lines = sub.add_parser("lines", parents=[common], help="fit the two low-coverage line loci")
-    p_prof = sub.add_parser("profile", parents=[common], help="coverage along one line locus")
-    p_min = sub.add_parser("min", parents=[common], help="restricted minimum-coverage search")
+    p_grid = sub.add_parser("grid", parents=[single], help="coverage over a lattice on the cube")
+    p_lines = sub.add_parser("lines", parents=[single], help="fit the two low-coverage line loci")
+    p_prof = sub.add_parser("profile", parents=[single], help="coverage along one line locus")
+    p_min = sub.add_parser("min", parents=[single], help="restricted minimum-coverage search")
     for p in (p_grid, p_lines, p_min):
-        p.add_argument("--bounds", type=_pair_arg, default=cube.bounds, help="axis bounds lo,hi (default %(default)s)")
+        p.add_argument("--bounds", type=pair_arg, default=cube.bounds, help="axis bounds lo,hi (default %(default)s)")
         p.add_argument("--density", type=int, default=cube.points_per_axis, help="axis points (default %(default)s)")
     for p in (p_lines, p_min):
         p.add_argument(
             "--threshold", type=float, default=_DEFAULTS.threshold, help="low-coverage cutoff (default %(default)s)"
         )
     p_min.add_argument(
-        "--square-bounds", type=_pair_arg, default=square.bounds, help="slope-difference bounds (default %(default)s)"
+        "--square-bounds", type=pair_arg, default=square.bounds, help="slope-difference bounds (default %(default)s)"
     )
     p_min.add_argument(
         "--square-density", type=int, default=square.points_per_axis, help="square axis points (default %(default)s)"
@@ -150,19 +142,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-points", type=int, default=_DEFAULTS.profile_points, help="points per profile (default %(default)s)"
     )
 
-    p_prof.add_argument("--offsets", type=_offsets_arg, required=True, help="per-axis offsets, e.g. 0,0.088,0.041")
     p_prof.add_argument(
-        "--c-range", type=_pair_arg, default=cube.bounds, help="range of the line parameter (default %(default)s)"
+        "--offsets", type=functools.partial(_parse_floats, what="--offsets"), required=True,
+        help="per-axis offsets, e.g. 0,0.088,0.041",
+    )
+    p_prof.add_argument(
+        "--c-range", type=pair_arg, default=cube.bounds, help="range of the line parameter (default %(default)s)"
     )
     p_prof.add_argument(
         "--points", type=int, default=_DEFAULTS.profile_points, help="profile points (default %(default)s)"
     )
 
-    p_orc = sub.add_parser("oracle", parents=[common], help="raw-data pipeline with agreement check")
-    p_orc.add_argument("--point", type=_point_arg, required=True, help="true scaled slopes")
+    p_orc = sub.add_parser("oracle", parents=[budget], help="raw-data pipeline with agreement check")
+    p_orc.add_argument("--point", type=point_arg, required=True, help="true scaled slopes")
     p_orc.add_argument("--sigma", type=float, default=1.0, help="error standard deviation (default 1.0)")
 
-    sub.add_parser("quantiles", parents=[common], help="print the cutoffs and t critical points")
+    sub.add_parser("quantiles", parents=[levels], help="print the cutoffs and t critical points")
 
     return parser
 
@@ -204,9 +199,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             return flag
         return file_cfg.get(key, fallback)
 
-    runs = check_count("runs", pick(args.runs, "runs", 10_000), 1)
-    seed = check_count("seed", pick(args.seed, "seed", 0), 0)
-    estimator = str(pick(args.estimator, "estimator", "conditioned"))
+    # quantiles takes no budget and only cp, grid, lines, profile and min an estimator
+    runs = check_count("runs", pick(getattr(args, "runs", None), "runs", 10_000), 1)
+    seed = check_count("seed", pick(getattr(args, "seed", None), "seed", 0), 0)
+    estimator = str(pick(getattr(args, "estimator", None), "estimator", "conditioned"))
 
     geom = build_geometry(layout, contrast)
     cfg = critical_values(
@@ -222,12 +218,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         estimator=estimator,
         out=args.out,
     )
-
-
-def _single_estimator(run: RunConfig) -> str:
-    if run.estimator not in ("naive", "conditioned"):
-        raise DomainError(f"this command needs a single estimator, got {run.estimator!r}")
-    return run.estimator
 
 
 def _est_line(est: CoverageEstimate) -> str:
@@ -257,11 +247,8 @@ def cmd_cp(args, run: RunConfig) -> int:
     cfg = run.cfg
     if args.thresholds_off:
         cfg = dataclasses.replace(cfg, l_tau=0.0, l_xi=0.0)
-    names = ["naive", "conditioned"] if run.estimator == "both" else [_single_estimator(run)]
-    estimates = []
-    for name in names:
-        fn = estimate_naive if name == "naive" else estimate_conditioned
-        estimates.append(fn(SlopePoint.of(args.point), run.geom, cfg, runs=run.runs, seed=run.seed))
+    names = ["naive", "conditioned"] if run.estimator == "both" else [run.estimator]
+    estimates = [montecarlo.estimate_points([args.point], run.geom, cfg, name, run.runs, run.seed)[0] for name in names]
     for est in estimates:
         print(_est_line(est))
     if len(estimates) == 2:
@@ -280,7 +267,7 @@ def cmd_cp(args, run: RunConfig) -> int:
 
 def cmd_grid(args, run: RunConfig) -> int:
     spec = _grid_spec(args, run)
-    table = grid_eval(spec, _single_estimator(run), run.geom, run.cfg)
+    table = grid_eval(spec, run.estimator, run.geom, run.cfg)
     best = min((est for _, est in table), key=lambda e: e.estimate)
     out = run.out or "grid.csv"
     write_grid_csv(table, out)
@@ -302,7 +289,7 @@ def _lines_payload(lines: tuple[LineLocus, LineLocus]) -> dict:
 
 def cmd_lines(args, run: RunConfig) -> int:
     spec = _grid_spec(args, run)
-    table = grid_eval(spec, _single_estimator(run), run.geom, run.cfg)
+    table = grid_eval(spec, run.estimator, run.geom, run.cfg)
     lines = fit_low_cp_lines(table, args.threshold)
     payload = json.dumps(_lines_payload(lines), indent=2)
     if run.out:
@@ -314,15 +301,7 @@ def cmd_lines(args, run: RunConfig) -> int:
 
 def cmd_profile(args, run: RunConfig) -> int:
     line = LineLocus(direction=(1.0,) * run.geom.k, offsets=args.offsets, c_range=args.c_range)
-    profile = line_profile(
-        line,
-        run.geom,
-        run.cfg,
-        n_points=args.points,
-        runs=run.runs,
-        seed=run.seed,
-        estimator=_single_estimator(run),
-    )
+    profile = line_profile(line, run.geom, run.cfg, args.points, run.runs, run.seed, run.estimator)
     out = run.out or "profile.csv"
     write_profile_csv(profile, out)
     print(f"wrote {len(profile.cs)} rows to {out}")
@@ -335,7 +314,7 @@ def cmd_min(args, run: RunConfig) -> int:
     config = SearchConfig(
         geom=run.geom,
         cfg=run.cfg,
-        estimator=_single_estimator(run),
+        estimator=run.estimator,
         cube=_grid_spec(args, run),
         square=square,
         threshold=args.threshold,
@@ -382,8 +361,6 @@ def cmd_oracle(args, run: RunConfig) -> int:
     k = run.geom.k
     sigma = check_real("--sigma", args.sigma)
     slopes = [sigma * v for v in check_reals("--point", args.point, k).tolist()]
-    if not all(map(math.isfinite, slopes)):
-        raise DomainError(f"--point times --sigma must be finite, got {args.point} times {args.sigma}")
     beta, sigma = _check_inputs(np.concatenate([np.zeros(k), slopes]), sigma, run.layout, ("--point", "--sigma"))
     report = agreement_with_events(
         beta,

@@ -288,9 +288,7 @@ class ConditionalKernel:
         shift[3] -= p_c
         kept = np.zeros(len(shift[0]), dtype=int)
         for j, limit in zip((1, 2, 3), limits):
-            keep = (m2[j, j] > limit) & ((j == 3) | (n_a + n_b > 3))
-            if n < 5:  # q + 1 < n for q <= 3 at any larger n
-                keep &= n > kept + 2
+            keep = (m2[j, j] > limit) & ((j == 3) | (n_a + n_b > 3)) & (n > kept + 2)
             gain = np.divide(m2[:, j], m2[j, j], out=np.zeros_like(shift), where=keep)
             m2 -= gain[:, None] * m2[j]
             shift -= gain * shift[j]

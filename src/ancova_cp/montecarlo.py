@@ -160,8 +160,12 @@ def _check_intercepts(intercepts, k):
         raise DomainError(f"intercept override must be one vector of {k} numbers")
 
 
-def _slopes(points, k: int) -> np.ndarray:
-    """``points`` (rows of k numbers, or SlopePoints) as a checked (P, k) float array, P >= 1."""
+def _slopes(points, geom: GeometryBundle) -> np.ndarray:
+    """``points`` (rows of k numbers, or SlopePoints) as a checked (P, k) float array, P >= 1, for a design with
+    k >= 2 and m >= 1, as critical_values requires; a config made for another design can still come with it."""
+    k = geom.k
+    if k < 2 or geom.m < 1:
+        raise DomainError(f"an estimate needs at least two groups and m >= 1, got k = {k} and m = {geom.m}")
     if not isinstance(points, np.ndarray) and np.iterable(points):
         points = [p.values if isinstance(p, SlopePoint) else p for p in points]
     slopes = check_reals("slope point", points, k)
@@ -282,7 +286,7 @@ def estimate_points(
     """
     if not isinstance(estimator, str) or estimator not in ("conditioned", "naive"):
         raise DomainError(f"estimator must be one of ['conditioned', 'naive'], got {estimator!r}")
-    slopes = _slopes(points, geom.k)
+    slopes = _slopes(points, geom)
 
     def naive_sums(draws, step):  # of the coverage indicators, per block of points; the point-free parts once
         parts, out = EventNoise.of(*draws, geom), np.empty(len(slopes))
@@ -354,7 +358,7 @@ def event_probabilities(
     first test rejecting, all from common draws.  Supports bound checks of
     the form 0 <= Pr(S) - Pr(S and accept) <= Pr(reject).
     """
-    slopes = _slopes([point], geom.k)
+    slopes = _slopes([point], geom)
 
     def sums(draws, step):  # of the three indicators at the one point
         ev = batch_events(*draws, slopes, geom, cfg)

@@ -147,9 +147,9 @@ def _raw_hits(pipe: _RawPipeline, cfg: TwoStageConfig, a, scalars, theta, fit: R
 
 
 def _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=None):
-    """Common loop; yields the raw estimate, per-run raw indicators and, when
-    geom is given, the event-path indicators computed from the same noise plus
-    the worst relative error of the zero-slopes residual-sum identity."""
+    """Common loop; returns an AgreementReport's fields: the raw estimate, the event path's coverage rate on the
+    same noise and the share of runs where the two routes agree (both 0.0 without geom), and the worst relative
+    error of the zero-slopes residual-sum identity.  Each chunk is folded into its counts of covering runs."""
     beta, sigma = _check_inputs(beta, sigma, layout)
     a, seed = check_reals("contrast", a, 2 * layout.k), check_count("seed", seed, 0)
     if a.ndim != 1:
@@ -159,24 +159,25 @@ def _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=None):
     theta = float(a @ beta)
     gamma = beta / sigma
 
-    raw_hits, event_hits = [], []
+    raw_covers = event_covers = agree = 0
     worst_rss_rel = 0.0
     for chunk, size in enumerate(_chunk_sizes(runs)):
         eps = sigma * _stream(seed, "oracle", chunk).standard_normal((size, layout.n_total))
         fit = pipe.fit(pipe.x_design @ beta + eps)
-        raw_hits.append(_raw_hits(pipe, cfg, a, scalars, theta, fit))
+        hits = _raw_hits(pipe, cfg, a, scalars, theta, fit)
+        raw_covers += int(np.count_nonzero(hits))
         slopes_hat = fit.beta_hat[:, pipe.k :]
         rss_tau_pred = fit.rss_full + np.sum((slopes_hat @ pipe.v22_inv) * slopes_hat, axis=1)
         worst_rss_rel = max(worst_rss_rel, float(np.max(np.abs(fit.rss_tau - rss_tau_pred) / fit.rss_tau)))
         if geom is not None:
             # the event path sees the same runs as scale-free statistics
             ev = batch_events(fit.beta_hat / sigma - gamma, fit.rss_full / sigma**2, gamma[pipe.k :], geom, cfg)
-            event_hits.append(ev.covers_selected)
-    raw_hits = np.concatenate(raw_hits)
-    p_hat = float(raw_hits.mean())
+            event_covers += int(np.count_nonzero(ev.covers_selected))
+            agree += int(np.count_nonzero(hits == ev.covers_selected))
+    p_hat = raw_covers / runs
     se = math.sqrt(p_hat * (1.0 - p_hat) / runs)
     raw = CoverageEstimate(p_hat, se, int(runs), "oracle", seed, SlopePoint.of(gamma[pipe.k :]))
-    return raw, raw_hits, np.concatenate(event_hits) if geom is not None else None, worst_rss_rel
+    return raw, event_covers / runs, agree / runs, worst_rss_rel
 
 
 def estimate_cp_raw(
@@ -207,10 +208,4 @@ def agreement_with_events(
     response units.  Disagreements can only come from rounding at event
     boundaries, so the agreement rate should be essentially one.
     """
-    raw_est, raw_hits, event_hits, worst_rss = _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=geom)
-    return AgreementReport(
-        raw=raw_est,
-        event_rate=float(event_hits.mean()),
-        agreement=float((raw_hits == event_hits).mean()),
-        worst_rss_rel_error=worst_rss,
-    )
+    return AgreementReport(*_simulate(beta, sigma, layout, cfg, a, runs, seed, geom=geom))

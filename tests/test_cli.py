@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from importlib import resources
@@ -111,10 +112,18 @@ def test_grid_is_reproducible(capsys, tmp_path):
     assert len(body.decode().strip().splitlines()) == 1 + 27
 
 
-def test_grid_rejects_both(capsys):
-    rc, _, err = _run(capsys, "grid", "--estimator", "both", "--runs", "100", "--density", "2")
-    assert rc == 1
-    assert "single estimator" in err
+def test_grid_rejects_both(capsys, tmp_path, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", "--estimator", "both", "--runs", "100", "--density", "2"])
+    assert exc.value.code == 2
+    assert "argument --estimator: invalid choice: 'both'" in capsys.readouterr().err
+    # from a config file, the library's own check refuses it before any estimate
+    calls = _count_estimates(monkeypatch)
+    path, out = tmp_path / "cfg.json", tmp_path / "grid.csv"
+    path.write_text(json.dumps({"estimator": "both"}), encoding="utf-8")
+    rc, stdout, err = _run(capsys, "grid", "--config", str(path), "--runs", "100", "--density", "2", "--out", str(out))
+    assert rc == 1 and stdout == "" and calls == [] and not out.exists()
+    assert err == "error: estimator must be one of ['conditioned', 'naive'], got 'both'\n"
 
 
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):
@@ -582,11 +591,14 @@ def test_oracle_refuses_a_sigma_the_raw_fits_cannot_resolve(capsys, tmp_path, si
 
 @pytest.mark.parametrize(
     "argv, name",
-    [(("cp", "--point", "0,0.1,0", "--alpha", "1e-300"), "alpha"), (("quantiles", "--sig-tau", "1e-300"), "sig_tau")],
+    [
+        (("cp", "--point", "0,0.1,0", "--alpha", "1e-300", "--runs", "100"), "alpha"),
+        (("quantiles", "--sig-tau", "1e-300"), "sig_tau"),
+    ],
 )
 def test_tiny_levels_are_refused_in_their_own_names(capsys, argv, name):
     # 1 - alpha / 2 rounds to 1, which was refused as "quantile level must be in (0, 1), got 1.0"
-    rc, out, err = _run(capsys, *argv, "--runs", "100")
+    rc, out, err = _run(capsys, *argv)
     assert rc == 1 and out == ""
     assert err.startswith(f"error: {name} is too small") and "1e-300" in err
 
@@ -601,3 +613,76 @@ def test_ranges_whose_width_overflows_are_refused(capsys, tmp_path, argv):
     rc, stdout, err = _run(capsys, *argv, "--runs", "100", "--out", str(out))
     assert rc == 1 and stdout == "" and not out.exists()
     assert err.startswith("error:") and "(-1e+308, 1e+308) too wide" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("quantiles", "--runs", "5"), "--runs"),
+        (("quantiles", "--seed", "1"), "--seed"),
+        (("quantiles", "--estimator", "naive"), "--estimator"),
+        (("oracle", "--point", "0,0.1,0", "--estimator", "naive", "--runs", "100"), "--estimator"),
+    ],
+)
+def test_commands_refuse_the_flags_they_never_read(capsys, argv, flag):
+    # every command used to take --runs, --seed and --estimator, and those that never read them ignored them
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lines", "--density", "3"),
+        ("profile", "--offsets", "0,0.069,0.011", "--points", "5"),
+        ("min", "--density", "3", "--square-density", "3", "--profile-points", "5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_single_estimator_commands_refuse_both(capsys, tmp_path, monkeypatch, argv):
+    # as grid does (test_grid_rejects_both)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--estimator", "both", "--runs", "100"])
+    assert exc.value.code == 2
+    assert "argument --estimator: invalid choice: 'both'" in capsys.readouterr().err
+    # from a config file, the library refuses it before any estimate
+    calls = _count_estimates(monkeypatch)
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps({"estimator": "both"}), encoding="utf-8")
+    rc, stdout, err = _run(capsys, *argv, "--config", str(path), "--runs", "100", "--out", str(out))
+    assert rc == 1 and stdout == "" and calls == [] and not out.exists()
+    assert err == "error: estimator must be one of ['conditioned', 'naive'], got 'both'\n"
+
+
+@pytest.mark.parametrize("flag", ["--bounds", "--square-bounds"])
+def test_a_one_value_interval_is_a_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["min", f"{flag}=0.1", "--runs", "100"])
+    assert exc.value.code == 2
+    assert "an interval flag needs 2 values, got 1" in capsys.readouterr().err
+
+
+def test_cp_both_warns_when_the_estimators_disagree(capsys, monkeypatch):
+    # two estimates 0.1 apart, each with SE 0.01: 0.1 exceeds 3 combined SEs (0.042)
+    def fake(points, geom, cfg, name, runs, seed):
+        value = 0.9 if name == "naive" else 0.8
+        return [montecarlo.CoverageEstimate(value, 0.01, runs, name, seed, montecarlo.SlopePoint.of(points[0]))]
+
+    monkeypatch.setattr(montecarlo, "estimate_points", fake)
+    rc, out, err = _run(capsys, "cp", "--point", "0,0.1,0", "--estimator", "both", "--runs", "100")
+    assert rc == 0 and len(out.splitlines()) == 2
+    assert err == "warning: estimators differ by 0.100000, more than 3 combined SEs (0.042426)\n"
+
+
+def test_oracle_warns_when_the_two_routes_disagree(capsys, monkeypatch):
+    from ancova_cp import cli, oracle
+
+    def fake(*args, **kwargs):
+        return dataclasses.replace(oracle.agreement_with_events(*args, **kwargs), agreement=0.99)
+
+    monkeypatch.setattr(cli, "agreement_with_events", fake)
+    rc, out, err = _run(capsys, "oracle", "--point", "0,0.1,0", "--runs", "100")
+    assert rc == 0 and "agreement=0.990000" in out
+    assert err == "warning: agreement 0.990000 below 0.999\n"

@@ -311,6 +311,9 @@ def test_kernel_validation(ref):
         _cp(kernel, np.zeros(3), -2.0)
     with pytest.raises(DomainError):
         _cp(kernel, np.zeros(2), 1.0)
+    # the row interface reads the one point's slopes
+    with pytest.raises(DomainError, match="kernel built for one slope point"):
+        ConditionalKernel(geom, cfg, np.zeros((2, 3))).conditional_cp_batch(np.zeros((4, 3)), np.ones(4))
 
 
 def test_phi_accuracy():

@@ -16,7 +16,10 @@ from ancova_cp import (
     build_design,
     build_geometry,
     critical_values,
+    estimate_conditioned,
+    estimate_naive,
     f_quantile,
+    gate_probability,
     load_design,
     reference_design,
     t_quantile,
@@ -62,6 +65,8 @@ def test_layout_validation_errors():
         AncovaLayout(k=1, n=(2,), x=((1.0, math.nan),))
     with pytest.raises(DomainError):
         AncovaLayout(k=2, n=(2, 2), x=((1, 2), (3, 4, 5)))
+    with pytest.raises(DomainError, match="x must have 2 groups, got 1"):
+        AncovaLayout(k=2, n=(2, 2), x=((1, 2),))
 
 
 def test_build_design_single_group_rows():
@@ -199,6 +204,16 @@ def test_geometry_identity_structure():
     np.testing.assert_allclose(geom.ga_xi, np.eye(2).T @ geom.a, atol=1e-14)
     assert geom.v11 == pytest.approx(1.0, abs=1e-14)
     assert geom.v_star == pytest.approx(0.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("call", [gate_probability, estimate_conditioned, estimate_naive])
+@pytest.mark.parametrize("x", [(0.0, 2.0), (0.0, 1.0, 2.0, 4.0)])
+def test_one_group_geometry_has_no_f_tests(ref, call, x):
+    # critical_values refuses k = 1, so a config made for another design is the only way in; an estimate used to
+    # end in a ZeroDivisionError or numpy's "df <= 0" at m = 0, and the conditioned one in an IndexError at m = 2
+    geom = build_geometry(AncovaLayout(k=1, n=(len(x),), x=(x,)), ContrastSpec(a=(1.0, 1.0)))
+    with pytest.raises(DomainError, match="need.? at least two groups"):
+        call((0.1,), geom, ref[3])
 
 
 def _assert_geometry_invariants(layout, contrast, atol, bound_tol):

@@ -711,6 +711,9 @@ def test_estimator_input_validation(ref):
         estimate_naive(POINT, geom, cfg, runs=100, seed=1.5)
     with pytest.raises(DomainError):
         estimate_naive(POINT, geom, cfg, runs=100, seed=0, intercepts=(1.0,))
+    for estimate in (estimate_naive, estimate_conditioned):
+        with pytest.raises(DomainError, match="intercept override must be one vector of 3 numbers"):
+            estimate(POINT, geom, cfg, runs=100, seed=0, intercepts=np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("runs", [100.5, 100.0, True, False, "100", None, -3, np.float64(100.0)])

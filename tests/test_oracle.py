@@ -191,6 +191,10 @@ def test_input_validation(ref, zero_rng):
         estimate_cp_raw(BETA, -1.0, layout, cfg, contrast.a, runs=10, seed=0)
     with pytest.raises(DomainError):
         estimate_cp_raw(BETA, 1.0, layout, cfg, contrast.a, runs=0, seed=0)
+    with pytest.raises(DomainError, match="^beta must be one vector"):
+        estimate_cp_raw(np.stack([BETA, BETA]), 1.0, layout, cfg, contrast.a, runs=10, seed=0)
+    with pytest.raises(DomainError, match="^contrast must be one vector"):
+        estimate_cp_raw(BETA, 1.0, layout, cfg, np.stack([contrast.a, contrast.a]), runs=10, seed=0)
 
 
 @pytest.mark.parametrize("sigma", [1e-170, 1e-101, 1.1e100, 1e170, 1e300])

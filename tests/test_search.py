@@ -456,6 +456,7 @@ def test_line_profile_refuses_non_integer_n_points(ref, monkeypatch, n_points):
         ((1.0, 1.0, 1.0), (0.0, math.nan, 0.0)),
         ((1.0, math.inf, 1.0), (0.0, 0.05, 0.0)),
         ((1.0, "a", 1.0), (0.0, 0.05, 0.0)),
+        (((1.0, 1.0, 1.0),) * 2, ((0.0, 0.05, 0.0),) * 2),  # two lines where one is asked for
     ],
 )
 def test_line_profile_refuses_bad_line(ref, monkeypatch, direction, offsets):

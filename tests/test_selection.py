@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ancova_cp import DomainError, batch_events, coverage_indicator
+from ancova_cp import AncovaLayout, ContrastSpec, DomainError, batch_events, build_geometry, coverage_indicator
 from ancova_cp.selection import EventBatch
 from oracles import direct_geometry, rss_f_statistics
 
@@ -274,3 +274,8 @@ def test_scalar_input_validation(ref):
         coverage_indicator(gh, 5.0, geom, cfg, np.zeros(4))
     with pytest.raises(DomainError):
         coverage_indicator(gh, -1.0, geom, cfg, np.zeros(6))
+    with pytest.raises(DomainError, match="gamma_hat and gamma must be vectors"):
+        coverage_indicator(np.stack([gh, gh]), 5.0, geom, cfg, np.zeros(6))
+    one = build_geometry(AncovaLayout(k=1, n=(4,), x=((0.0, 1.0, 2.0, 4.0),)), ContrastSpec(a=(1.0, 1.0)))
+    with pytest.raises(DomainError, match="^F statistics need at least two groups$"):
+        coverage_indicator(np.zeros(2), 1.0, one, cfg, np.zeros(2))
