@@ -12,7 +12,9 @@ The sweep covers:
     the conditioned estimator over a wide 9³ lattice on [-1, 1]³, where most
     rows are proven to lie in region C on every draw of a chunk;
   - a bench-sized min_cp_search on the reference design (9³ cube, 9² square,
-    21-point profiles, 2000 runs).
+    21-point profiles, 2000 runs);
+  - the raw-data oracle's agreement_with_events on the reference design at
+    three points, sigma 0.5 and 2, and 37, 2000 and 9000 runs.
 
 Every estimate, SE and run count enters the digest as its float64 bytes, so
 two checkouts or two thread counts print the same digest only if they
@@ -20,8 +22,9 @@ computed every number of the sweep with the same bits.  One line per part
 comes first, then the line of the whole sweep.  The parts are: naive
 estimates; conditioned estimates of one chunk (runs <= CHUNK_SIZE) and of
 several chunks; the conditional_cp_batch rows; the grid_eval tables of each
-estimator (two chunks per estimate); and the search (one chunk per
-estimate).  A part's line tells which numbers moved between two checkouts:
+estimator (two chunks per estimate); the search (one chunk per
+estimate); and the oracle's raw estimate, SE, event rate, agreement and
+worst residual-sum error.  A part's line tells which numbers moved between two checkouts:
 
     PYTHONPATH=src python3 scripts/estimate_digest.py
     ANCOVA_CP_THREADS=2 PYTHONPATH=src python3 scripts/estimate_digest.py
@@ -39,6 +42,7 @@ from ancova_cp import (
     AncovaLayout,
     ConditionalKernel,
     ContrastSpec,
+    agreement_with_events,
     build_geometry,
     critical_values,
     estimate_points,
@@ -50,6 +54,8 @@ from ancova_cp.search import GridSpec, SearchConfig, grid_eval, min_cp_search
 RUNS = (37, 2000, 9000, 10_000)
 ESTIMATORS = ("naive", "conditioned")
 BLOCK = 23
+ORACLE_POINTS = ((0.0, 0.1, 0.0), (0.1, -0.05, 0.15), (-0.3, 0.2, 0.05))
+ORACLE_RUNS, ORACLE_SIGMAS = (37, 2000, 9000), (0.5, 2.0)
 
 
 class Digest:
@@ -154,6 +160,16 @@ def sweep(digest: Parts) -> None:
         digest.estimates("min_cp_search", profile.estimates)
     digest.estimates("min_cp_search", (report.min1, report.min2, report.overall))
     digest.feed("min_cp_search", report.argmin.values)
+    layout, contrast = reference_design()
+    for point in ORACLE_POINTS:
+        for sigma in ORACLE_SIGMAS:
+            beta = sigma * np.concatenate([np.arange(1.0, layout.k + 1), point])
+            for runs in ORACLE_RUNS:
+                rep = agreement_with_events(beta, sigma, layout, geom, cfg, contrast.a, runs=runs, seed=runs)
+                digest.feed(
+                    "agreement_with_events",
+                    [rep.raw.estimate, rep.raw.se, rep.event_rate, rep.agreement, rep.worst_rss_rel_error],
+                )
 
 
 def main() -> None:

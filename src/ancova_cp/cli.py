@@ -172,6 +172,11 @@ def _load_file_config(path: str | None) -> tuple[dict, AncovaLayout | None, Cont
     layout = contrast = None
     if any(key in doc for key in ("k", "n", "x", "contrast")):
         layout, contrast = _parse_design(doc, path)
+    # one document for every command: its budget and estimator are checked whether the command reads them or not
+    for key, low in (("runs", 1), ("seed", 0)):
+        check_count(key, doc.get(key, low), low)
+    if doc.get("estimator", "both") not in ("naive", "conditioned", "both"):
+        raise DomainError(f"estimator must be one of ['both', 'conditioned', 'naive'], got {doc['estimator']!r}")
     return {key: doc[key] for key in _RUN_KEYS if key in doc}, layout, contrast
 
 

@@ -112,13 +112,13 @@ def _control_sums(edges, a, b, cells, xa):
 class KernelDraws:
     """One chunk's draws for one design, as the kernel reads them, with the point-free work its kernels share.
 
-    From the slope noise z = q - gs (n, k) and d (n,): noise, their SlopeNoise,
-    and zs = z'sproj and zv = z'vproj, the draw parts of the interval centres;
-    z itself is not kept.  ``region_c`` forms, per config, the region-C row
-    and its sums, and ``shared`` the per-draw F thresholds and the rejection
-    radii, on first use and keeps them, so draws kept for later estimates
-    (montecarlo's memo) form them once per config, whatever the order of the
-    calls.
+    From the slope noise z = q - gs (n, k) and d (n,): noise, their SlopeNoise
+    in (k, n) rows (from one transposed copy of z), and zs = z'sproj and
+    zv = z'vproj, the draw parts of the interval centres; z is not kept.
+    ``region_c`` forms, per config, the region-C row and its sums, and
+    ``shared`` the per-draw F thresholds and the rejection radii, on first
+    use and keeps them, so draws kept for later estimates (montecarlo's memo)
+    form them once per config, whatever the order of the calls.
     """
 
     def __init__(self, z: np.ndarray, d: np.ndarray, geom: GeometryBundle):
@@ -274,26 +274,28 @@ class ConditionalKernel:
         p_c and a residual sum of squares of 0, exactly.
         """
         c_all, cc_all = free
-        (n_a, n_b), (v_a, v_b), (c_a, c_b), (vc_a, vc_b), (cc_a, cc_b), (vv_a, vv_b) = regions[:6]
-        v_ax, c_ax, n_ax = regions[6:, 0]
-        # sums of v v, v a, v x, v c, a, a x, a c, x, x c and c c, and the means of (v, a, x, c); on region C, v = c
-        sums = np.stack((vv_a + vv_b, v_a, v_b + v_ax, vc_a + vc_b, n_a, n_ax, c_a, n_b + n_ax, c_b + c_ax, n_a))
-        sums[[0, 3]] += cc_all - cc_a - cc_b
-        sums[9] = cc_all
-        shift = np.stack((v_a + v_b + (c_all - c_a - c_b), n_a, sums[7], np.full_like(n_a, c_all))) / n
-        m2 = sums[[[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]]] - n * shift[:, None] * shift  # (4, 4, P)
+        a, b = regions[:6, 0], regions[:6, 1]  # rows: cells, v, c, v c, c^2, v^2; over region A, over region B
+        # sums of v v, v c, a, v a, a c, x, v x, x c, a x and c c, and the means of (v, a, x, c); on region C, v = c
+        sums, shift = np.empty((10, a.shape[1])), np.empty((4, a.shape[1]))
+        np.add(a[[5, 3]], b[[5, 3]], out=sums[:2])
+        sums[:2] += cc_all - a[4] - b[4]
+        sums[2:5], sums[8], sums[9] = a[:3], regions[8, 0], cc_all
+        np.add(b[:3], regions[[8, 6, 7], 0], out=sums[5:8])
+        shift[0], shift[1:3], shift[3] = a[1] + b[1] + (c_all - a[2] - b[2]), sums[2:6:3], c_all
+        shift /= n
+        m2 = sums[[[0, 3, 6, 1], [3, 2, 8, 4], [6, 8, 5, 7], [1, 4, 7, 9]]] - n * shift[:, None] * shift  # (4, 4, P)
         limits = COLLINEAR_SHARE * m2[[1, 2, 3], [1, 2, 3]]
         shift[1:3] -= acceptance(self.terms, self.geom, self.cfg, (limits[:2] > 0.0).T).T
         p_c = separate_mean(self.geom, self.cfg)
         shift[3] -= p_c
-        kept = np.zeros(len(shift[0]), dtype=int)
-        for j, limit in zip((1, 2, 3), limits):
-            keep = (m2[j, j] > limit) & ((j == 3) | (n_a + n_b > 3)) & (n > kept + 2)
+        kept, many = np.zeros(len(shift[0]), dtype=int), a[0] + b[0] > 3
+        for j, limit, enough in zip((1, 2, 3), limits, (many, many, True)):
+            keep = (m2[j, j] > limit) & enough & (n > kept + 2)
             gain = np.divide(m2[:, j], m2[j, j], out=np.zeros_like(shift), where=keep)
             m2 -= gain[:, None] * m2[j]
             shift -= gain * shift[j]
             kept += keep
-        only_c = n_a + n_b == 0
+        only_c = a[0] + b[0] == 0
         value = np.where(only_c, p_c, np.clip(shift[0], 0.0, 1.0))
         return value, np.where(only_c, 0.0, np.maximum(m2[0, 0], 0.0)), kept
 

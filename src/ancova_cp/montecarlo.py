@@ -50,9 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import ConditionalKernel, KernelDraws
-from .design import GeometryBundle, TwoStageConfig
+from .design import GeometryBundle, TwoStageConfig, times_t
 from .errors import DomainError, check_count, check_reals
-from .selection import EventNoise, batch_events, events
+from .selection import EventNoise, SlopeTerms, batch_events, events
 
 __all__ = [
     "CHUNK_SIZE",
@@ -188,12 +188,12 @@ def _checked_point(values: list) -> SlopePoint:
 
 def _draw_slopes(rng, geom, size):
     """Slope noise z ~ N(0, V22) and d ~ chi2_m as the kernel reads them, all the conditioned values need."""
-    return KernelDraws(rng.standard_normal((size, geom.k)) @ geom.v22_chol.T, rng.chisquare(geom.m, size), geom)
+    return KernelDraws(times_t(rng.standard_normal((size, geom.k)), geom.v22_chol), rng.chisquare(geom.m, size), geom)
 
 
 def _draw_full(rng, geom, size):
     """The full 2k-dimensional estimation noise and d, for the raw coverage events."""
-    return rng.standard_normal((size, 2 * geom.k)) @ geom.noise_chol.T, rng.chisquare(geom.m, size)
+    return times_t(rng.standard_normal((size, 2 * geom.k)), geom.noise_chol), rng.chisquare(geom.m, size)
 
 
 def _reduce(tag, draw, sums, geom, runs, seed, n_jobs, memo=None) -> tuple:
@@ -291,7 +291,8 @@ def estimate_points(
     def naive_sums(draws, step):  # of the coverage indicators, per block of points; the point-free parts once
         parts, out = EventNoise.of(*draws, geom), np.empty(len(slopes))
         for i in range(0, len(slopes), step):
-            out[i : i + step] = events(parts, slopes[i : i + step], geom, cfg).covers_selected.sum(axis=-1)
+            block = SlopeTerms(*(field[i : i + step] for field in terms))
+            out[i : i + step] = events(parts, block, geom, cfg).covers_selected.sum(axis=-1)
         return (out,)
 
     if estimator == "conditioned":
@@ -299,7 +300,8 @@ def estimate_points(
         regions, free = _reduce(estimator, _draw_slopes, kernel.chunk_sums, geom, runs, seed, n_jobs, memo)
         runs = int(runs)  # checked by _reduce
         mean, rss, q = kernel.controlled(runs, regions, free)
-    else:  # the sums of the indicators are the sums of their squares
+    else:  # the sums of the indicators are the sums of their squares; the points' terms once per call
+        terms = SlopeTerms.of(slopes, geom)
         (total,) = _reduce(estimator, _draw_full, naive_sums, geom, runs, seed, n_jobs, memo)
         runs = int(runs)  # checked by _reduce
         mean, q = total / runs, 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import AncovaLayout, TwoStageConfig, build_design
+from .design import AncovaLayout, TwoStageConfig, build_design, times_t
 from .errors import DomainError, check_count, check_real, check_reals
 from .montecarlo import CoverageEstimate, SlopePoint, _chunk_sizes, _stream
 from .selection import batch_events, coverage_indicator  # noqa: F401  perfbench/spans.py traces the name
@@ -51,7 +51,7 @@ class RawFit:
 
 
 class _RawPipeline:
-    """Design pieces for repeated raw fits, built once from the layout alone."""
+    """Design pieces for repeated raw fits, built once from the layout alone; fit's matrices in Fortran order."""
 
     def __init__(self, layout: AncovaLayout):
         k = layout.k
@@ -65,14 +65,14 @@ class _RawPipeline:
         ident = np.eye(2 * k)
         self.k = k
         self.m = layout.m
-        self.x_design = x_design
+        self.x_design = np.asfortranarray(x_design)
         self.xtx_inv = xtx_inv
-        self.proj = xtx_inv @ x_design.T
+        self.proj = np.asfortranarray(xtx_inv @ x_design.T)
         self.c_xi = c_xi
         self.v22_inv = np.linalg.inv(xtx_inv[k:, k:])
         self.w22_inv = np.linalg.inv(c_xi.T @ xtx_inv @ c_xi)
-        self.g_tau = ident - xtx_inv @ c_tau @ self.v22_inv @ c_tau.T
-        self.g_xi = ident - xtx_inv @ c_xi @ self.w22_inv @ c_xi.T
+        self.g_tau = np.asfortranarray(ident - xtx_inv @ c_tau @ self.v22_inv @ c_tau.T)
+        self.g_xi = np.asfortranarray(ident - xtx_inv @ c_xi @ self.w22_inv @ c_xi.T)
 
     def contrast_scalars(self, a: np.ndarray) -> tuple[float, float, float]:
         """(v11, v_star, w_star) for the contrast, from explicit inverses."""
@@ -87,12 +87,12 @@ class _RawPipeline:
 
     def fit(self, y: np.ndarray) -> RawFit:
         """Fit responses of shape (runs, n_total), or one (n_total,) vector."""
-        beta_hat = y @ self.proj.T
-        beta_tau = beta_hat @ self.g_tau.T
-        beta_xi = beta_hat @ self.g_xi.T
+        beta_hat = times_t(y, self.proj)
+        beta_tau = times_t(beta_hat, self.g_tau)
+        beta_xi = times_t(beta_hat, self.g_xi)
 
         def rss(beta):
-            return np.sum((y - beta @ self.x_design.T) ** 2, axis=-1)
+            return np.sum((y - times_t(beta, self.x_design)) ** 2, axis=-1)
 
         return RawFit(beta_hat, rss(beta_hat), beta_tau, rss(beta_tau), beta_xi, rss(beta_xi))
 
@@ -122,7 +122,7 @@ def simulate_and_fit(
     beta, sigma = _check_inputs(beta, sigma, layout)
     pipe = _RawPipeline(layout)
     eps = sigma * rng.standard_normal(layout.n_total)
-    return pipe.fit(pipe.x_design @ beta + eps)
+    return pipe.fit(times_t(beta, pipe.x_design) + eps)
 
 
 def _raw_hits(pipe: _RawPipeline, cfg: TwoStageConfig, a, scalars, theta, fit: RawFit) -> np.ndarray:
@@ -163,7 +163,7 @@ def _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=None):
     worst_rss_rel = 0.0
     for chunk, size in enumerate(_chunk_sizes(runs)):
         eps = sigma * _stream(seed, "oracle", chunk).standard_normal((size, layout.n_total))
-        fit = pipe.fit(pipe.x_design @ beta + eps)
+        fit = pipe.fit(times_t(beta, pipe.x_design) + eps)
         hits = _raw_hits(pipe, cfg, a, scalars, theta, fit)
         raw_covers += int(np.count_nonzero(hits))
         slopes_hat = fit.beta_hat[:, pipe.k :]

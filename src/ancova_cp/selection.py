@@ -89,6 +89,8 @@ class SlopeNoise(NamedTuple):
     q'Aq = s'As + 2 s'(Az) + z'Az.  The z terms are computed once per block
     of draws and shared by every slope point evaluated against it, and the
     point only enters through s, so no slope - q difference ever cancels.
+    Built row-major, with the bits of z @ V22^-1 (design.times_t): z is
+    transposed once, to (k, n) rows, and multiplied from the left.
     """
 
     d: np.ndarray  # (n,) scaled residual sums of squares
@@ -101,10 +103,10 @@ class SlopeNoise(NamedTuple):
     def of(cls, z: np.ndarray, d: np.ndarray, geom: GeometryBundle) -> "SlopeNoise":
         if geom.k < 2:
             raise DomainError("F statistics need at least two groups")
-        vz = z @ geom.v22_inv
-        uz = z @ geom.u.T
-        wuz = uz @ geom.w22_inv
-        return cls(d, vz.T.copy(), _inner(vz, z), wuz.T.copy(), _inner(wuz, uz))
+        zt = np.ascontiguousarray(z.T)
+        vz, uz = geom.v22_inv @ zt, geom.u @ zt
+        wuz = geom.w22_inv @ uz
+        return cls(d, vz, _inner(vz.T, zt.T), wuz, _inner(wuz.T, uz.T))
 
 
 class SlopeTerms(NamedTuple):
@@ -288,13 +290,14 @@ def batch_events(
     fields of shape (P, n), every point evaluated against the same draws.
     Intervals are closed, so coverage comparisons use <=.
     """
-    return events(EventNoise.of(delta, d, geom), slopes, geom, cfg)
+    slopes = np.asarray(slopes, dtype=float)
+    batch = events(EventNoise.of(delta, d, geom), SlopeTerms.of(np.atleast_2d(slopes), geom), geom, cfg)
+    return EventBatch(*(field[0] for field in batch)) if slopes.ndim == 1 else batch
 
 
-def events(parts: EventNoise, slopes: np.ndarray, geom: GeometryBundle, cfg: TwoStageConfig) -> EventBatch:
-    """batch_events on draws whose point-free parts are formed already, so blocks of points can share them."""
+def events(parts: EventNoise, terms: SlopeTerms, geom: GeometryBundle, cfg: TwoStageConfig) -> EventBatch:
+    """batch_events, fields (P, n), on draws and points whose parts are formed already, so blocks can share them."""
     m, k, d = geom.m, geom.k, parts.noise.d
-    terms = SlopeTerms.of(np.atleast_2d(np.asarray(slopes, dtype=float)), geom)
     in_a, accept_xi, f_tau, f_xi, quad_v, quad_w = block_f(parts.noise, terms, geom, cfg)
     in_b = ~in_a & accept_xi
 
@@ -304,7 +307,7 @@ def events(parts: EventNoise, slopes: np.ndarray, geom: GeometryBundle, cfg: Two
     half_xi = cfg.t_mk1 * np.sqrt((d + quad_w) / (m + k - 1)) * np.sqrt(geom.w_star)
     half_full = cfg.t_m * np.sqrt(d / m) * np.sqrt(geom.v11)
 
-    fields = (
+    return EventBatch(
         in_a,
         in_b,
         np.abs(center_tau) <= half_tau,
@@ -313,9 +316,6 @@ def events(parts: EventNoise, slopes: np.ndarray, geom: GeometryBundle, cfg: Two
         f_tau,
         f_xi,
     )
-    if np.ndim(slopes) == 1:
-        fields = tuple(f[0] for f in fields)
-    return EventBatch(*fields)
 
 
 def coverage_indicator(gamma_hat, d, geom: GeometryBundle, cfg: TwoStageConfig, gamma) -> bool:

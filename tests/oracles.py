@@ -10,6 +10,10 @@ noncentral F distribution and from simulated F statistics.  ``assembled`` lays o
 conditional kernel as one (points, draws) array, ``certified`` names the
 points the conditional kernel gives the shared region-C row, and
 ``slope_draws`` makes a chunk's (z, d) as the conditioned estimator does.
+The ``*_reference`` routines form the hot path's matrix products the plain
+way, draws in rows on the left of C-ordered matrices and columns copied to
+rows, which the package's Fortran-ordered, row-major route must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -300,7 +304,52 @@ def assembled(groups, points: int, region_c: np.ndarray) -> np.ndarray:
 
 def slope_draws(rng, geom, size):
     """Slope noise z (size, k) and d (size,) drawn from ``rng`` as the conditioned estimator draws a chunk."""
-    return rng.standard_normal((size, geom.k)) @ geom.v22_chol.T, rng.chisquare(geom.m, size)
+    return rng.standard_normal((size, geom.k)) @ np.ascontiguousarray(geom.v22_chol).T, rng.chisquare(geom.m, size)
+
+
+def full_draws(rng, geom, size):
+    """The full noise delta (size, 2k) and d (size,) drawn from ``rng`` as the naive estimator draws a chunk."""
+    delta = rng.standard_normal((size, 2 * geom.k)) @ np.ascontiguousarray(geom.noise_chol).T
+    return delta, rng.chisquare(geom.m, size)
+
+
+def _column_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[:, j] * b[:, j] over the columns of (n, k) arrays, j in increasing order."""
+    out = a[:, 0] * b[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j] * b[:, j]
+    return out
+
+
+def slope_noise_reference(z, d, geom) -> tuple:
+    """(d, vz, zvz, wuz, zwz) of SlopeNoise.of: each product column-major, then copied to (k, n) rows."""
+    vz = z @ np.ascontiguousarray(geom.v22_inv)
+    uz = z @ np.ascontiguousarray(geom.u).T
+    wuz = uz @ np.ascontiguousarray(geom.w22_inv)
+    return d, vz.T.copy(), _column_inner(vz, z), wuz.T.copy(), _column_inner(wuz, uz)
+
+
+def kernel_draws_reference(z, d, geom) -> tuple:
+    """(noise, zs, zv) of KernelDraws: the SlopeNoise reference, z'sproj and z'vproj."""
+    return slope_noise_reference(z, d, geom), z @ geom.sproj, z @ geom.vproj
+
+
+def event_noise_reference(delta, d, geom) -> tuple:
+    """(noise, tau, xi, full) of EventNoise.of."""
+    noise = slope_noise_reference(delta[:, geom.k :], d, geom)
+    return noise, delta @ geom.ga_tau, delta @ geom.ga_xi, delta @ geom.a
+
+
+def raw_fit_reference(pipe, y) -> tuple:
+    """(beta_hat, rss_full, beta_tau, rss_tau, beta_xi, rss_xi) of _RawPipeline.fit, with C-ordered matrices."""
+    proj, g_tau, g_xi, x_design = (np.ascontiguousarray(m) for m in (pipe.proj, pipe.g_tau, pipe.g_xi, pipe.x_design))
+    beta_hat = y @ proj.T
+    beta_tau, beta_xi = beta_hat @ g_tau.T, beta_hat @ g_xi.T
+
+    def rss(beta):
+        return np.sum((y - beta @ x_design.T) ** 2, axis=-1)
+
+    return beta_hat, rss(beta_hat), beta_tau, rss(beta_tau), beta_xi, rss(beta_xi)
 
 
 def past_radii(geom, cfg, noise, slopes) -> np.ndarray:

@@ -656,6 +656,41 @@ def test_single_estimator_commands_refuse_both(capsys, tmp_path, monkeypatch, ar
     assert err == "error: estimator must be one of ['conditioned', 'naive'], got 'both'\n"
 
 
+@pytest.mark.parametrize(
+    "doc, word",
+    [
+        ({"estimator": "bogus"}, "estimator"),
+        ({"estimator": 1}, "estimator"),
+        ({"runs": 0}, "runs"),
+        ({"seed": -1}, "seed"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv", [("oracle", "--point", "0,0.1,0", "--runs", "200"), ("quantiles",)], ids=lambda argv: argv[0]
+)
+def test_a_config_file_is_checked_whatever_the_command_reads(capsys, tmp_path, monkeypatch, argv, doc, word):
+    # the file is shared by every command: oracle reads no estimator and quantiles neither budget nor estimator,
+    # yet a bad value is refused before anything is computed
+    from ancova_cp import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "agreement_with_events", lambda *a, **kw: calls.append(a))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out, err = _run(capsys, *argv, "--config", str(path))
+    assert rc == 1 and out == "" and calls == []
+    assert err.startswith(f"error: {word} must be")
+    if word == "estimator":
+        assert err == f"error: estimator must be one of ['both', 'conditioned', 'naive'], got {doc[word]!r}\n"
+
+
+def test_a_config_file_may_name_both_for_commands_that_read_no_estimator(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"estimator": "both", "runs": 200}), encoding="utf-8")
+    assert _run(capsys, "quantiles", "--config", str(path))[0] == 0
+    assert _run(capsys, "oracle", "--point", "0,0.1,0", "--config", str(path))[0] == 0
+
+
 @pytest.mark.parametrize("flag", ["--bounds", "--square-bounds"])
 def test_a_one_value_interval_is_a_usage_error(capsys, flag):
     with pytest.raises(SystemExit) as exc:

@@ -244,6 +244,14 @@ def test_geometry_invariants(ref):
     np.testing.assert_allclose(want["w22"] @ geom.w22_inv, np.eye(geom.k - 1), atol=1e-10)
 
 
+@pytest.mark.parametrize("fixture", ["ref", "small", "k4"])
+def test_hot_path_transposes_are_c_contiguous(fixture, request):
+    # a transposed view of a C-ordered matrix takes numpy's slow route, three times the time per product
+    geom = request.getfixturevalue(fixture)[2]
+    for name in ("noise_chol", "v22_chol", "u"):
+        assert getattr(geom, name).T.flags.c_contiguous, name
+
+
 def test_geometry_contrast_length_error(ref):
     layout, _, _, _ = ref
     with pytest.raises(DomainError):

@@ -216,9 +216,11 @@ def test_chunk_sums_give_the_moments_of_the_per_draw_values(ref):
         mean = (values + total - c) / RUNS_3
         assert mean == pytest.approx(v.mean(), rel=1e-14)
         assert vv + squares - cc - RUNS_3 * mean * mean == pytest.approx(np.var(v) * RUNS_3, rel=1e-10)
+    terms = SlopeTerms.of(points, geom)
     covers = np.concatenate(
         [
-            events(EventNoise.of(*_draw_full(_stream(3, "naive", chunk), geom, size), geom), points, geom, cfg).covers_selected
+            events(EventNoise.of(*_draw_full(_stream(3, "naive", chunk), geom, size), geom), terms, geom, cfg)
+            .covers_selected
             for chunk, size in enumerate(montecarlo._chunk_sizes(RUNS_3))
         ],
         axis=1,

@@ -16,7 +16,7 @@ from ancova_cp import oracle
 from ancova_cp.design import build_design
 from ancova_cp.montecarlo import CHUNK_SIZE
 from ancova_cp.oracle import _RawPipeline, _raw_hits
-from oracles import restricted_fit_common_slope, restricted_fit_zero_slopes, rss_f_statistics
+from oracles import raw_fit_reference, restricted_fit_common_slope, restricted_fit_zero_slopes, rss_f_statistics
 
 BETA = np.array([4.0, -2.0, 1.5, 0.3, -0.1, 0.2])
 
@@ -52,6 +52,25 @@ def test_restricted_fits_match_projection(ref):
     for row, y in enumerate(ys):
         assert np.allclose(block.beta_tau[row], restricted_fit_zero_slopes(layout, y), rtol=1e-8, atol=1e-10)
         assert np.allclose(block.beta_xi[row], restricted_fit_common_slope(layout, y), rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("fixture", ["ref", "k4"])
+def test_fit_has_the_bits_of_c_ordered_products(fixture, request):
+    # Fortran-ordered matrices for many rows (gemm) and C-ordered ones for one row (gemv): the same bits either way
+    layout = request.getfixturevalue(fixture)[0]
+    pipe = _RawPipeline(layout)
+    for name in ("x_design", "proj", "g_tau", "g_xi"):
+        assert getattr(pipe, name).T.flags.c_contiguous, name
+    rng = np.random.default_rng(33)
+    y = 3.0 * rng.standard_normal((2000, layout.n_total)) + np.linspace(-5.0, 5.0, layout.n_total)
+    for block in (y, y[:37], y[:2], y[:1], y[0], np.asfortranarray(y[:37]), y[::3]):
+        want = raw_fit_reference(pipe, block)
+        assert all(np.array_equal(got, w) for got, w in zip(dataclasses.astuple(pipe.fit(block)), want))
+    beta = np.array([4.0, -2.0, 1.5, 0.3, -0.1, 0.2] + [0.7, -0.4] * (layout.k - 3))
+    eps = 1.3 * np.random.default_rng(34).standard_normal(layout.n_total)
+    want = raw_fit_reference(pipe, np.ascontiguousarray(pipe.x_design) @ beta + eps)
+    got = simulate_and_fit(beta, 1.3, layout, np.random.default_rng(34))
+    assert all(np.array_equal(g, w) for g, w in zip(dataclasses.astuple(got), want))
 
 
 def test_projections_are_idempotent_on_fits(ref):

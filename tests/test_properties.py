@@ -24,9 +24,11 @@ from ancova_cp import (
     estimate_points,
 )
 from ancova_cp.conditional import KernelDraws
+from ancova_cp.montecarlo import _draw_full, _draw_slopes, _stream
 from ancova_cp.oracle import agreement_with_events
-from ancova_cp.selection import SlopeNoise, SlopeTerms, batch_events, block_f, f_thresholds, rejection_radii
-from oracles import assembled, certified, past_radii
+from ancova_cp.selection import EventNoise, SlopeNoise, SlopeTerms, batch_events, block_f, f_thresholds, rejection_radii
+from oracles import assembled, certified, event_noise_reference, full_draws, kernel_draws_reference, past_radii
+from oracles import slope_draws, slope_noise_reference
 
 RUNS = 2000
 SEED = 17
@@ -84,6 +86,51 @@ def test_raw_oracle_agrees_with_event_path(design):
     report = agreement_with_events(beta, sigma, layout, geom, cfg, geom.a, RUNS, SEED)
     assert report.agreement >= 0.999
     assert abs(report.raw.estimate - report.event_rate) <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the row-major noise parts and the Fortran-ordered draws keep the bits of the
+# plain column-major products, for one draw (numpy's gemv) and for many (gemm)
+# ---------------------------------------------------------------------------
+
+
+def _layouts(a: np.ndarray):
+    """a itself (C order), a Fortran-ordered copy and a strided view of the same values."""
+    wide = np.empty((len(a), 2 * a.shape[1]))
+    wide[:, 1::2] = a
+    return {"C": a, "F": np.asfortranarray(a), "strided": wide[:, 1::2]}
+
+
+def _same_bits(got, want) -> bool:
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(_same_bits(g, w) for g, w in zip(got, want))
+    return np.asarray(got).shape == np.asarray(want).shape and np.array_equal(got, want)
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(designs(), st.sampled_from([1, 2, 3]) | st.integers(4, 3000), st.integers(0, 2**32 - 1))
+def test_noise_parts_and_draws_have_the_column_major_bits(design, n, seed):
+    _, geom, _, _ = design
+    rng = np.random.default_rng(seed)
+    # slope noise and full noise at their own scale, times a power of ten, so rounding is tested at every size
+    z0, d = slope_draws(rng, geom, n)
+    delta0 = full_draws(rng, geom, n)[0] * 10.0 ** rng.integers(-3, 4)
+    for order, z in _layouts(z0).items():
+        noise = SlopeNoise.of(z, d, geom)
+        assert _same_bits(tuple(noise), slope_noise_reference(z, d, geom)), order
+        assert all(row.flags.c_contiguous for row in (noise.vz[0], noise.wuz[0]))
+        draws = KernelDraws(z, d, geom)
+        assert _same_bits((tuple(draws.noise), draws.zs, draws.zv), kernel_draws_reference(z, d, geom)), order
+    for order, delta in _layouts(delta0).items():
+        parts = EventNoise.of(delta, d, geom)
+        assert _same_bits((tuple(parts.noise), *parts[1:]), event_noise_reference(delta, d, geom)), order
+    # each chunk's draws from its stream, one draw included
+    for size in (1, 2, n):
+        kept = _draw_slopes(_stream(seed, "conditioned", 0), geom, size)
+        z, d = slope_draws(_stream(seed, "conditioned", 0), geom, size)
+        assert _same_bits((tuple(kept.noise), kept.zs, kept.zv), kernel_draws_reference(z, d, geom))
+        full = _draw_full(_stream(seed, "naive", 0), geom, size)
+        assert _same_bits(full, full_draws(_stream(seed, "naive", 0), geom, size))
 
 
 # ---------------------------------------------------------------------------
