@@ -366,7 +366,7 @@ def cmd_oracle(args, run: RunConfig) -> int:
     k = run.geom.k
     sigma = check_real("--sigma", args.sigma)
     slopes = [sigma * v for v in check_reals("--point", args.point, k).tolist()]
-    beta, sigma = _check_inputs(np.concatenate([np.zeros(k), slopes]), sigma, run.layout, ("--point", "--sigma"))
+    beta, sigma, _ = _check_inputs(np.concatenate([np.zeros(k), slopes]), sigma, run.layout, ("--point", "--sigma"))
     report = agreement_with_events(
         beta,
         sigma,

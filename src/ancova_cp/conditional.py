@@ -155,6 +155,7 @@ class ConditionalKernel:
     """
 
     def __init__(self, geom: GeometryBundle, cfg: TwoStageConfig, slopes):
+        cfg.check_design(geom.k, geom.m)
         slopes = check_reals("slopes", slopes, geom.k)
         if slopes.ndim not in (1, 2):
             raise DomainError(f"slopes must be one point or a block of points, got shape {slopes.shape}")

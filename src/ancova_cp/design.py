@@ -138,7 +138,11 @@ class TwoStageConfig:
     common-slope fits (residual df m, m + k, m + k - 1 respectively).
     Cutoffs are numbers in [0, inf] (0 forces a test to reject, inf to
     accept) and t points finite numbers >= 0; both are stored as floats, -0.0
-    as 0.0, so configs that select alike compare and hash alike.
+    as 0.0, so configs that select alike compare and hash alike.  k and m are
+    the groups and residual df of the design critical_values made the config
+    for (dataclasses.replace keeps them); every function that takes a geometry
+    and a config refuses a config made for another design (check_design).
+    None, for a config made by hand, fits any design.
     """
 
     alpha: float
@@ -149,6 +153,8 @@ class TwoStageConfig:
     t_m: float
     t_mk: float
     t_mk1: float
+    k: int | None = None
+    m: int | None = None
 
     def __post_init__(self):
         for name in ("l_tau", "l_xi", "t_m", "t_mk", "t_mk1"):
@@ -158,6 +164,12 @@ class TwoStageConfig:
             if number < 0.0:
                 raise DomainError(f"{name} must be {'in [0, inf]' if cutoff else 'at least 0'}, got {number}")
             object.__setattr__(self, name, number + 0.0)
+
+    def check_design(self, k: int, m: int) -> None:
+        """DomainError unless the config fits a design of k groups and m residual degrees of freedom."""
+        if (self.k, self.m) not in ((None, None), (k, m)):
+            raise DomainError(f"the config was made for a design with k = {self.k} and m = {self.m}, not for this "
+                              f"one with k = {k} and m = {m}: make it with critical_values for this design")
 
 
 def _design_rows(layout: AncovaLayout) -> np.ndarray:
@@ -359,6 +371,8 @@ def critical_values(
         t_m=t_quantile(p_t, m),
         t_mk=t_quantile(p_t, m + k),
         t_mk1=t_quantile(p_t, m + k - 1),
+        k=k,
+        m=m,
     )
 
 

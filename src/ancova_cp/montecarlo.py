@@ -43,6 +43,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -141,6 +142,18 @@ def _set_malloc_thresholds() -> bool:
 MALLOC_THRESHOLDS_SET = _set_malloc_thresholds()  # whether this process runs under the thresholds above
 
 
+@functools.cache
+def _workers() -> ThreadPoolExecutor:
+    """The chunk workers, made on first use and kept for the life of the process (a pool started by every call cost
+    about 185 us and 6 page faults a call).  A thread starts when a call finds none idle, up to 32 or one per CPU if
+    more; a forked child, which has none of the parent's threads, makes its own."""
+    return ThreadPoolExecutor(max(32, os.cpu_count() or 1), thread_name_prefix="ancova-cp")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_workers.cache_clear)
+
+
 def _chunk_sizes(runs) -> list[int]:
     full, rem = divmod(check_count("runs", runs, 1, MAX_RUNS), CHUNK_SIZE)
     return [CHUNK_SIZE] * full + ([rem] if rem else [])
@@ -160,12 +173,13 @@ def _check_intercepts(intercepts, k):
         raise DomainError(f"intercept override must be one vector of {k} numbers")
 
 
-def _slopes(points, geom: GeometryBundle) -> np.ndarray:
+def _slopes(points, geom: GeometryBundle, cfg: TwoStageConfig) -> np.ndarray:
     """``points`` (rows of k numbers, or SlopePoints) as a checked (P, k) float array, P >= 1, for a design with
-    k >= 2 and m >= 1, as critical_values requires; a config made for another design can still come with it."""
+    k >= 2 and m >= 1, as critical_values requires, and a config made for that design."""
     k = geom.k
     if k < 2 or geom.m < 1:
         raise DomainError(f"an estimate needs at least two groups and m >= 1, got k = {k} and m = {geom.m}")
+    cfg.check_design(k, geom.m)
     if not isinstance(points, np.ndarray) and np.iterable(points):
         points = [p.values if isinstance(p, SlopePoint) else p for p in points]
     slopes = check_reals("slope point", points, k)
@@ -216,8 +230,11 @@ def _reduce(tag, draw, sums, geom, runs, seed, n_jobs, memo=None) -> tuple:
     three times slower per call.  Every pass
     over a block is elementwise, so this changes speed, never bits, and the
     caller's setting is restored when the task ends.  ``n_jobs`` (default:
-    ANCOVA_CP_THREADS), a positive integer, caps the threads; a call opens a
-    pool only when it has more than one chunk to give them.  Every sum
+    ANCOVA_CP_THREADS), a positive integer, caps the threads that work on the
+    call at once: the calling thread and, only when it has more than one chunk
+    to give them, up to min(n_jobs, chunks) - 1 of the process's chunk workers
+    (_workers), each taking the next chunk until none is left (a helper that
+    starts late finds none).  Every sum
     depends only on its chunk's draws, so the thread count cannot change a
     result; the chunks' tuples are added in chunk order.
     """
@@ -243,11 +260,23 @@ def _reduce(tag, draw, sums, geom, runs, seed, n_jobs, memo=None) -> tuple:
     width = min(width, len(jobs))
     if width == 1:
         return functools.reduce(add, map(task, jobs))
-    pool = ThreadPoolExecutor(max_workers=width)
+    parts, order, stop = [None] * len(jobs), itertools.count(), []
+
+    def work():  # the next chunk until none is left, or any thread's task has failed or been interrupted
+        try:
+            while not stop and (i := next(order)) < len(jobs):
+                parts[i] = task(jobs[i])
+        finally:
+            stop.append(True)
+
+    helpers = [_workers().submit(work) for _ in range(width - 1)]
     try:
-        return functools.reduce(add, pool.map(task, jobs))
-    finally:
-        pool.shutdown(cancel_futures=True)
+        work()
+    finally:  # a helper not yet started is cancelled; a running one ends with its chunk
+        errors = [f.exception() for f in helpers if not f.cancel()]
+    for error in filter(None, errors):
+        raise error
+    return functools.reduce(add, parts)
 
 
 def estimate_points(
@@ -286,7 +315,7 @@ def estimate_points(
     """
     if not isinstance(estimator, str) or estimator not in ("conditioned", "naive"):
         raise DomainError(f"estimator must be one of ['conditioned', 'naive'], got {estimator!r}")
-    slopes = _slopes(points, geom)
+    slopes = _slopes(points, geom, cfg)
 
     def naive_sums(draws, step):  # of the coverage indicators, per block of points; the point-free parts once
         parts, out = EventNoise.of(*draws, geom), np.empty(len(slopes))
@@ -360,7 +389,7 @@ def event_probabilities(
     first test rejecting, all from common draws.  Supports bound checks of
     the form 0 <= Pr(S) - Pr(S and accept) <= Pr(reject).
     """
-    slopes = _slopes([point], geom)
+    slopes = _slopes([point], geom, cfg)
 
     def sums(draws, step):  # of the three indicators at the one point
         ev = batch_events(*draws, slopes, geom, cfg)

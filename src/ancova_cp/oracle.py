@@ -16,6 +16,7 @@ C'beta = 0 equals G beta_hat with G = I - (X'X)^-1 C (C'(X'X)^-1 C)^-1 C'.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +52,9 @@ class RawFit:
 
 
 class _RawPipeline:
-    """Design pieces for repeated raw fits, built once from the layout alone; fit's matrices in Fortran order."""
+    """Design pieces for repeated raw fits, built from the layout alone: ``rows`` the design in C order, fit's
+    matrices in Fortran order, every array read-only.  _pipeline keeps one per layout.  SingularDesign if X'X is
+    not positive definite."""
 
     def __init__(self, layout: AncovaLayout):
         k = layout.k
@@ -65,6 +68,7 @@ class _RawPipeline:
         ident = np.eye(2 * k)
         self.k = k
         self.m = layout.m
+        self.rows = x_design
         self.x_design = np.asfortranarray(x_design)
         self.xtx_inv = xtx_inv
         self.proj = np.asfortranarray(xtx_inv @ x_design.T)
@@ -73,6 +77,9 @@ class _RawPipeline:
         self.w22_inv = np.linalg.inv(c_xi.T @ xtx_inv @ c_xi)
         self.g_tau = np.asfortranarray(ident - xtx_inv @ c_tau @ self.v22_inv @ c_tau.T)
         self.g_xi = np.asfortranarray(ident - xtx_inv @ c_xi @ self.w22_inv @ c_xi.T)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def contrast_scalars(self, a: np.ndarray) -> tuple[float, float, float]:
         """(v11, v_star, w_star) for the contrast, from explicit inverses."""
@@ -97,9 +104,26 @@ class _RawPipeline:
         return RawFit(beta_hat, rss(beta_hat), beta_tau, rss(beta_tau), beta_xi, rss(beta_xi))
 
 
-def _check_inputs(beta, sigma, layout: AncovaLayout, names=("beta", "sigma")) -> tuple[np.ndarray, float]:
-    """beta and sigma as floats if the raw fits resolve them (SIGMA_RANGE, SIGNAL_MAX), else DomainError naming
-    ``names``."""
+@functools.lru_cache(maxsize=8)
+def _cached_pipeline(layout: AncovaLayout, bits: bytes) -> _RawPipeline:
+    return _RawPipeline(layout)  # bits, the covariates', only key the cache
+
+
+def _pipeline(layout: AncovaLayout) -> _RawPipeline:
+    """The layout's _RawPipeline, built once and kept (up to 8 layouts).  The key holds the covariates' exact bits,
+    so layouts equal but for the sign of a zero never share one; a singular layout raises on every call."""
+    return _cached_pipeline(layout, np.array([v for xi in layout.x for v in xi]).tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _contrast_scalars(pipe: _RawPipeline, bits: bytes) -> tuple[float, float, float]:
+    """pipe.contrast_scalars of the contrast with these float64 bits, computed once per pipeline and contrast."""
+    return pipe.contrast_scalars(np.frombuffer(bits).copy())
+
+
+def _check_inputs(beta, sigma, layout: AncovaLayout, names=("beta", "sigma")) -> tuple[np.ndarray, float, _RawPipeline]:
+    """beta and sigma as floats, and the layout's pipeline, if the raw fits resolve them (SIGMA_RANGE, SIGNAL_MAX),
+    else DomainError naming ``names``."""
     beta, sigma = check_reals(names[0], beta, 2 * layout.k), check_real(names[1], sigma)
     if beta.ndim != 1:
         raise DomainError(f"{names[0]} must be one vector, got shape {beta.shape}")
@@ -107,22 +131,22 @@ def _check_inputs(beta, sigma, layout: AncovaLayout, names=("beta", "sigma")) ->
         lo, hi = SIGMA_RANGE
         raise DomainError(f"{names[1]} must be from {lo:g} to {hi:g}, where the raw fits' sums of squares stay "
                           f"normal floats, got {sigma}")
+    pipe = _pipeline(layout)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing signal is refused below
-        signal = float(np.abs(build_design(layout) @ (beta / sigma)).max())
+        signal = float(np.abs(pipe.rows @ (beta / sigma)).max())
     if not signal <= SIGNAL_MAX:
         raise DomainError(f"{names[0]} is too large: the responses reach {signal:.3g} sigmas, more than the "
                           f"{SIGNAL_MAX:g} within which the raw fits' rounding stays under 1e-8 of the noise")
-    return beta, sigma
+    return beta, sigma, pipe
 
 
 def simulate_and_fit(
     beta, sigma: float, layout: AncovaLayout, rng: np.random.Generator
 ) -> RawFit:
     """Draw one response vector Y = X beta + sigma * z and fit all three models."""
-    beta, sigma = _check_inputs(beta, sigma, layout)
-    pipe = _RawPipeline(layout)
+    beta, sigma, pipe = _check_inputs(beta, sigma, layout)
     eps = sigma * rng.standard_normal(layout.n_total)
-    return pipe.fit(times_t(beta, pipe.x_design) + eps)
+    return pipe.fit(times_t(beta, pipe.rows) + eps)
 
 
 def _raw_hits(pipe: _RawPipeline, cfg: TwoStageConfig, a, scalars, theta, fit: RawFit) -> np.ndarray:
@@ -150,20 +174,21 @@ def _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=None):
     """Common loop; returns an AgreementReport's fields: the raw estimate, the event path's coverage rate on the
     same noise and the share of runs where the two routes agree (both 0.0 without geom), and the worst relative
     error of the zero-slopes residual-sum identity.  Each chunk is folded into its counts of covering runs."""
-    beta, sigma = _check_inputs(beta, sigma, layout)
+    beta, sigma, pipe = _check_inputs(beta, sigma, layout)
     a, seed = check_reals("contrast", a, 2 * layout.k), check_count("seed", seed, 0)
     if a.ndim != 1:
         raise DomainError(f"contrast must be one vector, got shape {a.shape}")
-    pipe = _RawPipeline(layout)
-    scalars = pipe.contrast_scalars(a)
+    cfg.check_design(layout.k, layout.m)
+    scalars = _contrast_scalars(pipe, a.tobytes())
     theta = float(a @ beta)
     gamma = beta / sigma
+    mean = times_t(beta, pipe.rows)  # the responses' mean, X beta
 
     raw_covers = event_covers = agree = 0
     worst_rss_rel = 0.0
     for chunk, size in enumerate(_chunk_sizes(runs)):
         eps = sigma * _stream(seed, "oracle", chunk).standard_normal((size, layout.n_total))
-        fit = pipe.fit(times_t(beta, pipe.x_design) + eps)
+        fit = pipe.fit(mean + eps)
         hits = _raw_hits(pipe, cfg, a, scalars, theta, fit)
         raw_covers += int(np.count_nonzero(hits))
         slopes_hat = fit.beta_hat[:, pipe.k :]

@@ -83,26 +83,52 @@ class GridSpec:
     runs: int = 10_000
     seed: int = 0
 
-    def axes(self, ndim: int) -> list[np.ndarray]:
+    def checked_bounds(self, ndim: int) -> np.ndarray:
+        """The (ndim, 2) bounds of the axes, once the density and bounds are checked (DomainError), no axis built."""
         check_count("points_per_axis", self.points_per_axis, 2)
         bounds = check_reals("axis bounds", self.bounds, 2)
         if bounds.shape not in ((2,), (ndim, 2)) or not np.all(bounds[..., 0] < bounds[..., 1]):
             raise DomainError(f"axis bounds must be one (lo, hi) pair or {ndim}, with lo < hi, got {self.bounds!r}")
-        return [_axis(lo, hi, self.points_per_axis, "axis bounds") for lo, hi in np.broadcast_to(bounds, (ndim, 2))]
+        bounds = np.broadcast_to(bounds, (ndim, 2))
+        for lo, hi in bounds:
+            _check_width(lo, hi, "axis bounds")
+        return bounds
+
+    def axes(self, ndim: int) -> list[np.ndarray]:
+        return [_axis(lo, hi, self.points_per_axis, "axis bounds") for lo, hi in self.checked_bounds(ndim)]
+
+    def lattice(self, ndim: int) -> np.ndarray:
+        """_lattice(self.axes(ndim)), allocated before any axis is built: one too large fails at once, MemoryError."""
+        n = self.points_per_axis
+        self.checked_bounds(ndim)
+        try:
+            out = np.empty((n,) * ndim + (ndim,))
+        except ValueError:  # more bytes than numpy can count
+            raise MemoryError(f"a lattice of {n}^{ndim} points is too large to allocate") from None
+        return _lattice(self.axes(ndim), out)
+
+
+def _check_width(lo: float, hi: float, name: str) -> None:
+    """DomainError for bounds ``name`` whose width overflows, which linspace would step by inf."""
+    if math.isinf(float(hi) - float(lo)):
+        raise DomainError(f"{name} ({lo}, {hi}) too wide: hi - lo overflows")
 
 
 def _axis(lo: float, hi: float, n: int, name: str) -> np.ndarray:
-    """np.linspace(lo, hi, n); if lo == -hi, its upper half is its negated lower half and an odd centre is 0.0.
-    Bounds ``name`` whose width overflows, which linspace would step by inf, raise DomainError."""
-    if math.isinf(float(hi) - float(lo)):
-        raise DomainError(f"{name} ({lo}, {hi}) too wide: hi - lo overflows")
+    """np.linspace(lo, hi, n); if lo == -hi, its upper half is its negated lower half and an odd centre is 0.0."""
+    _check_width(lo, hi, name)
     axis = np.linspace(lo, hi, n)
     return np.concatenate([axis[: n // 2], np.zeros(n % 2), -axis[n // 2 - 1 :: -1]]) if lo == -hi else axis
 
 
-def _lattice(axes: list[np.ndarray]) -> np.ndarray:
-    """Every combination of one value per axis, one per row, in row-major order (first axis slowest)."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+def _lattice(axes: list[np.ndarray], out=None) -> np.ndarray:
+    """Every combination of one value per axis, one per row, in row-major order (first axis slowest), written into
+    ``out`` (default: a new array) of shape (len(axis) for each axis) + (len(axes),)."""
+    ndim = len(axes)
+    out = np.empty(tuple(len(axis) for axis in axes) + (ndim,)) if out is None else out
+    for i, axis in enumerate(axes):
+        out[..., i] = np.reshape(axis, (-1,) + (1,) * (ndim - 1 - i))
+    return out.reshape(-1, ndim)
 
 
 def _halved(lattice: np.ndarray, points: np.ndarray, *args, memo=None) -> list[CoverageEstimate]:
@@ -125,7 +151,7 @@ def _mirrored(ests, rows: np.ndarray) -> list[CoverageEstimate]:
 
 def grid_points(spec: GridSpec, ndim: int) -> list[SlopePoint]:
     """Lattice points in row-major order (first axis slowest)."""
-    return [SlopePoint.of(row) for row in _lattice(spec.axes(ndim))]
+    return [SlopePoint.of(row) for row in spec.lattice(ndim)]
 
 
 def grid_eval(
@@ -143,7 +169,7 @@ def grid_eval(
     ``memo`` is passed to estimate_points.
     """
     _resolve_estimator(estimator)
-    lattice = _lattice(spec.axes(geom.k))
+    lattice = spec.lattice(geom.k)
     ests = _halved(lattice, lattice, geom, cfg, estimator, spec.runs, spec.seed, n_jobs, memo=memo)
     return [(est.point, est) for est in ests]
 
@@ -279,14 +305,14 @@ def _far_points(deltas: np.ndarray, offset: float, culprit: str) -> np.ndarray:
     return np.concatenate([np.full_like(far[..., :1], offset), far], axis=-1)
 
 
-def _weakest(axes: list[np.ndarray], cov: np.ndarray) -> np.ndarray:
-    """The point of least x' cov^-1 x, the least noncentrality, on the face planes x_i = lo_i, x_i = hi_i of a box.
+def _weakest(faces: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The point of least x' cov^-1 x, the least noncentrality, on the face planes x_i = lo_i, x_i = hi_i of a box,
+    ``faces`` its (ndim, 2) bounds (the end points of its lattice's axes).
 
     On the plane x_i = c the least form is c^2 / cov_ii, at c cov_i / cov_ii.  For a box about the origin every
     point on or outside the boundary has a form at least this one's; the point is on the boundary when it lies
     in the box.  Zeros are +0.0.
     """
-    faces = np.array([[ax[0], ax[-1]] for ax in axes])
     with np.errstate(over="ignore"):  # a face whose form overflows to inf is not the least one
         i, j = np.unravel_index(np.argmin(np.square(faces) / np.diag(cov)[:, None]), faces.shape)
     return faces[i, j] * (cov[i] / cov[i, i]) + 0.0
@@ -338,14 +364,14 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     geom, cfg = config.geom, config.cfg
     cube, square = config.cube, config.square
     # refuse a bad configuration before the first estimate, not after the cube phase
-    cube_axes, square_axes = cube.axes(geom.k), square.axes(geom.k - 1)
+    cube_bounds, square_bounds = cube.checked_bounds(geom.k), square.checked_bounds(geom.k - 1)
     for spec in (cube, square):  # the budget rule montecarlo._reduce applies
         check_count("runs", spec.runs, 1, MAX_RUNS)
         check_count("seed", spec.seed, 0)
     check_count("profile_points", config.profile_points, 3)
     n_jobs = default_workers(config.n_jobs)
     check_real("threshold", config.threshold)
-    deltas = _lattice(square_axes)
+    deltas = square.lattice(geom.k - 1)
     far = _far_points(deltas, FAR_OFFSET, f"square bounds {square.bounds} are too wide")
     warnings: list[str] = []
     memo: dict = {}  # the estimator's chunks, kept for every phase
@@ -378,11 +404,11 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     overall = min1 if min1.estimate <= min2.estimate else min2
 
     gates = []
-    for test, stage, region, axes, chol in (
-        ("tau", "first", "cube", cube_axes, geom.v22_chol),
-        ("xi", "second", "square", square_axes, geom.u @ geom.v22_chol),
+    for test, stage, region, faces, chol in (
+        ("tau", "first", "cube", cube_bounds, geom.v22_chol),
+        ("xi", "second", "square", square_bounds, geom.u @ geom.v22_chol),
     ):
-        point = _weakest(axes, chol @ chol.T)
+        point = _weakest(faces, chol @ chol.T)
         # U (0, delta) = -delta: the square's point has its far point's noncentrality
         slopes = point if test == "tau" else np.concatenate([[0.0], point])
         reject = 1.0 - gate_probability(slopes, geom, cfg, test)

@@ -194,6 +194,7 @@ def gate_probability(point, geom: GeometryBundle, cfg: TwoStageConfig, which: st
         raise DomainError(f'which must be "tau" or "xi", got {which!r}')
     if geom.k < 2:
         raise DomainError("F statistics need at least two groups")
+    cfg.check_design(geom.k, geom.m)
     slopes = check_reals("slope point", getattr(point, "values", point), geom.k)
     if slopes.ndim != 1:
         raise DomainError(f"slope point must be one vector of {geom.k} numbers, got shape {slopes.shape}")
@@ -298,6 +299,7 @@ def batch_events(
 def events(parts: EventNoise, terms: SlopeTerms, geom: GeometryBundle, cfg: TwoStageConfig) -> EventBatch:
     """batch_events, fields (P, n), on draws and points whose parts are formed already, so blocks can share them."""
     m, k, d = geom.m, geom.k, parts.noise.d
+    cfg.check_design(k, m)
     in_a, accept_xi, f_tau, f_xi, quad_v, quad_w = block_f(parts.noise, terms, geom, cfg)
     in_b = ~in_a & accept_xi
 

@@ -8,7 +8,7 @@ import pytest
 import scipy
 
 import ancova_cp
-from ancova_cp import montecarlo
+from ancova_cp import montecarlo, search
 from ancova_cp.cli import main
 
 SMALL_DESIGN = {
@@ -63,6 +63,7 @@ def test_quantiles_json(ref, capsys, tmp_path):
     assert doc["l_tau"] == cfg.l_tau
     assert doc["t_mk1"] == cfg.t_mk1
     assert doc["alpha"] == 0.05
+    assert (doc["k"], doc["m"]) == (3, 18)  # the design the cutoffs were made for
 
 
 def test_cp_default_estimator(capsys):
@@ -529,12 +530,24 @@ def test_min_out_naming_a_file_is_refused_before_any_estimate(capsys, tmp_path, 
 
 @pytest.mark.parametrize("command", ["grid", "min"])
 def test_a_lattice_too_large_to_allocate_is_an_error_line(capsys, tmp_path, command):
-    # a 100 000-point axis asks numpy for a 7.11 PiB cube, which fails at once; it used to end in a MemoryError
-    # traceback
+    # a 100 000-point axis asks numpy for a 21.3 PiB cube lattice, which fails at once; it used to end in a
+    # MemoryError traceback
     rc, stdout, err = _run(capsys, command, "--density", "100000", "--runs", "100", "--out", str(tmp_path / "out"))
     assert rc == 1 and stdout == "" and "Traceback" not in err
     assert err.startswith("error:") and "PiB" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("density", ["100000000", "10000000000"])
+def test_an_oversized_square_fails_before_any_axis_is_built(capsys, tmp_path, monkeypatch, density):
+    # the square lattice is allocated before its axes: two 10^8-point axes (800 MB each) used to come first, and
+    # 10^10 points per axis are more bytes than numpy can count, which is a MemoryError too
+    built = []
+    monkeypatch.setattr(search, "_axis", lambda *args: built.append(args))
+    rc, stdout, err = _run(capsys, "min", "--square-density", density, "--runs", "100", "--out", str(tmp_path / "o"))
+    assert rc == 1 and stdout == "" and "Traceback" not in err
+    assert err.startswith("error:") and "allocate" in err and len(err.splitlines()) == 1
+    assert built == [] and not (tmp_path / "o").exists()
 
 
 def test_min_out_may_need_new_parent_directories(capsys, tmp_path):

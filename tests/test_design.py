@@ -9,19 +9,33 @@ from hypothesis import strategies as st
 
 from ancova_cp import (
     AncovaLayout,
-    ContrastSpec,
+    ConditionalKernel,
     ConditioningFailure,
+    ContrastSpec,
     DomainError,
+    GridSpec,
+    LineLocus,
+    SearchConfig,
     SingularDesign,
+    agreement_with_events,
+    batch_events,
     build_design,
     build_geometry,
+    coverage_indicator,
     critical_values,
     estimate_conditioned,
+    estimate_cp_raw,
     estimate_naive,
+    estimate_points,
+    event_probabilities,
     f_quantile,
     gate_probability,
+    grid_eval,
+    line_profile,
     load_design,
+    min_cp_search,
     reference_design,
+    second_test_only_cp,
     t_quantile,
 )
 from oracles import direct_geometry, mp_f_quantile, mp_t_quantile
@@ -378,6 +392,49 @@ def test_degenerate_cutoffs_by_replace(ref):
     assert forced_full.l_tau == 0.0 and forced_full.l_xi == 0.0
     forced_a = dataclasses.replace(cfg, l_tau=math.inf)
     assert math.isinf(forced_a.l_tau)
+    assert (forced_full.k, forced_full.m) == (forced_a.k, forced_a.m) == (cfg.k, cfg.m) == (3, 18)
+
+
+_GEOMETRY_AND_CONFIG = {
+    "estimate_conditioned": lambda lay, a, geom, cfg: estimate_conditioned((0.0, 0.1), geom, cfg, runs=100),
+    "estimate_naive": lambda lay, a, geom, cfg: estimate_naive((0.0, 0.1), geom, cfg, runs=100),
+    "estimate_points": lambda lay, a, geom, cfg: estimate_points([(0.0, 0.1)], geom, cfg, "naive", runs=100),
+    "event_probabilities": lambda lay, a, geom, cfg: event_probabilities((0.0, 0.1), geom, cfg, runs=100),
+    "gate_probability": lambda lay, a, geom, cfg: gate_probability((0.0, 0.1), geom, cfg),
+    "ConditionalKernel": lambda lay, a, geom, cfg: ConditionalKernel(geom, cfg, (0.0, 0.1)),
+    "batch_events": lambda lay, a, geom, cfg: batch_events(np.zeros((1, 4)), np.ones(1), np.zeros(2), geom, cfg),
+    "coverage_indicator": lambda lay, a, geom, cfg: coverage_indicator(np.zeros(4), 1.0, geom, cfg, np.zeros(4)),
+    "grid_eval": lambda lay, a, geom, cfg: grid_eval(GridSpec(points_per_axis=2, runs=100), "naive", geom, cfg),
+    "line_profile": lambda lay, a, geom, cfg: line_profile(LineLocus((1.0, 1.0), (0.0, 0.1), (-0.1, 0.1)), geom, cfg),
+    "second_test_only_cp": lambda lay, a, geom, cfg: second_test_only_cp((0.1,), geom, cfg, runs=100),
+    "min_cp_search": lambda lay, a, geom, cfg: min_cp_search(SearchConfig(geom, cfg, cube=GridSpec(runs=100))),
+    "estimate_cp_raw": lambda lay, a, geom, cfg: estimate_cp_raw(np.zeros(4), 1.0, lay, cfg, a, runs=100, seed=0),
+    "agreement_with_events": lambda lay, a, geom, cfg: agreement_with_events(
+        np.zeros(4), 1.0, lay, geom, cfg, a, runs=100, seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _GEOMETRY_AND_CONFIG.values(), ids=_GEOMETRY_AND_CONFIG)
+def test_a_config_made_for_another_design_is_refused(ref, small, call):
+    # with the reference design's cutoffs the two-group design read 0.786 at (0, 0.1), 2000 runs, against 0.879
+    # with its own: every function that takes a geometry and a config checks the config's (k, m)
+    layout, contrast, geom, cfg = small
+    for other in (ref[3], dataclasses.replace(ref[3], l_tau=0.0), dataclasses.replace(cfg, m=cfg.m + 1)):
+        with pytest.raises(DomainError, match=f"^the config was made for a design with k = {other.k} and m = "):
+            call(layout, np.asarray(contrast.a), geom, other)
+    # its own config passes, and so does one made by hand, which names no design
+    for fits in (cfg, dataclasses.replace(cfg, k=None, m=None)):
+        call(layout, np.asarray(contrast.a), geom, fits)
+
+
+def test_a_config_without_a_design_keeps_the_estimate(small):
+    _, _, geom, cfg = small
+    by_hand = dataclasses.replace(cfg, k=None, m=None)
+    assert by_hand != cfg
+    assert estimate_conditioned((0.0, 0.1), geom, by_hand, runs=2000) == estimate_conditioned(
+        (0.0, 0.1), geom, cfg, runs=2000
+    )
 
 
 # ---------------------------------------------------------------------------

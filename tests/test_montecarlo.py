@@ -1,7 +1,12 @@
 import contextlib
 import dataclasses
 import math
+import os
+import select
+import signal
+import struct
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -767,6 +772,79 @@ def test_bad_threads_env_refused_before_any_draw(ref, monkeypatch):
     monkeypatch.undo()
     monkeypatch.setenv("ANCOVA_CP_THREADS", "0")
     assert estimate_conditioned(POINT, geom, cfg, runs=100, seed=0, n_jobs=1).runs == 100
+
+
+def test_a_failing_chunk_fails_the_call_and_spares_the_workers(ref, monkeypatch):
+    _, _, geom, cfg = ref
+    want = estimate_conditioned(POINT, geom, cfg, runs=3 * CHUNK_SIZE, seed=0, n_jobs=1)
+
+    def stream(seed, tag, chunk):
+        if chunk == 1:
+            raise MemoryError("chunk 1")
+        return _stream(seed, tag, chunk)
+
+    monkeypatch.setattr(montecarlo, "_stream", stream)
+    for _ in range(3):
+        with pytest.raises(MemoryError, match="chunk 1"):
+            estimate_conditioned(POINT, geom, cfg, runs=3 * CHUNK_SIZE, seed=0, n_jobs=2)
+    monkeypatch.undo()
+    assert estimate_conditioned(POINT, geom, cfg, runs=3 * CHUNK_SIZE, seed=0, n_jobs=2) == want
+
+
+def test_concurrent_calls_share_the_workers_and_keep_their_bits(ref):
+    # more threads than cores, switching often: a chunk lost or taken twice by the shared workers would move a sum
+    _, _, geom, cfg = ref
+    points, runs = [POINT, (0.1, -0.05, 0.15)], 5 * CHUNK_SIZE + 3
+    names = ("conditioned", "naive", "conditioned", "naive")
+    want = {name: estimate_points(points, geom, cfg, name, runs=runs, seed=2, n_jobs=1) for name in set(names)}
+    got = {}
+
+    def call(i):
+        got[i] = estimate_points(points, geom, cfg, names[i], runs=runs, seed=2, n_jobs=2 + i)
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(names))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [got.get(i) for i in range(len(names))] == [want[name] for name in names]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="os.fork on Linux only")
+def test_a_forked_child_starts_its_own_workers_and_gets_the_parents_bits(ref):
+    # the child has none of the parent's worker threads; without starting its own it could wait on them
+    _, _, geom, cfg = ref
+
+    def bits():
+        est = estimate_conditioned(POINT, geom, cfg, runs=2 * CHUNK_SIZE + 1, seed=0, n_jobs=2)
+        return struct.pack("dd", est.estimate, est.se)
+
+    want = bits()  # the parent's workers now run
+    read, write = os.pipe()
+    with warnings.catch_warnings():  # Python 3.12 warns on a fork of a process with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.write(write, bytes([montecarlo._workers.cache_info().currsize == 0]) + bits())
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        ready = select.select([read], [], [], 60)[0]
+        got = os.read(read, 64) if ready else b"timed out"
+    finally:
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(read)
+    assert got == b"\x01" + want
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 from ancova_cp import (
+    AncovaLayout,
+    ContrastSpec,
     DomainError,
+    SingularDesign,
     agreement_with_events,
     batch_events,
+    build_geometry,
+    critical_values,
     estimate_cp_raw,
     estimate_naive,
     simulate_and_fit,
@@ -260,3 +265,77 @@ def test_signal_bound_keeps_the_raw_estimate(ref):
     # the signal counts in sigmas: a beta refused at sigma 1 is resolved at a sigma that makes it small
     beta = np.array([0.0, 0.0, 0.0, 1e16, 0.0, 0.0])
     assert estimate_cp_raw(beta, 1e12, layout, cfg, contrast.a, runs=100, seed=0).runs == 100
+
+
+# ---------------------------------------------------------------------------
+# one pipeline per layout, kept across calls
+# ---------------------------------------------------------------------------
+
+
+def _oracle_bits(layout, contrast, geom, cfg, runs=2000, seed=4):
+    beta = np.linspace(-1.0, 1.5, 2 * layout.k)
+    rep = agreement_with_events(beta, 1.3, layout, geom, cfg, np.asarray(contrast.a), runs=runs, seed=seed)
+    raw = estimate_cp_raw(beta, 1.3, layout, cfg, contrast.a, runs=runs, seed=seed)
+    fields = (rep.raw.estimate, rep.raw.se, rep.event_rate, rep.agreement, rep.worst_rss_rel_error, raw.estimate, raw.se)
+    return tuple(float(v).hex() for v in fields)
+
+
+def test_cold_and_warm_calls_give_the_same_bits(ref, small, k4):
+    designs = (ref, small, k4)
+    cold = []
+    for design in designs:
+        oracle._cached_pipeline.cache_clear()
+        oracle._contrast_scalars.cache_clear()
+        cold.append(_oracle_bits(*design))
+    for _ in range(2):  # interleaved, every pipeline and contrast kept
+        assert [_oracle_bits(*design) for design in designs] == cold
+    assert oracle._cached_pipeline.cache_info().hits >= 2 * len(designs)
+
+
+def test_layouts_equal_but_for_a_zeros_sign_never_share_a_pipeline():
+    # the grand mean is 0.0, so the zero covariate's sign reaches the design rows
+    pos = AncovaLayout(k=2, n=(4, 4), x=((-1.0, 0.0, 1.0, 3.0), (-2.0, 0.0, 1.0, -2.0)))
+    neg = AncovaLayout(k=2, n=(4, 4), x=((-1.0, -0.0, 1.0, 3.0), (-2.0, 0.0, 1.0, -2.0)))
+    assert pos == neg and hash(pos) == hash(neg)
+    assert np.signbit(oracle._pipeline(neg).rows[1, 2]) and not np.signbit(oracle._pipeline(pos).rows[1, 2])
+    contrast = ContrastSpec.treatment_difference(pos, 1, 2)
+    geom, cfg = build_geometry(pos, contrast), critical_values(pos, 0.05, 0.10, 0.10)
+    results = []
+    for order in ((pos, neg), (neg, pos)):
+        oracle._cached_pipeline.cache_clear()
+        results.append({id(layout): _oracle_bits(layout, contrast, geom, cfg) for layout in order})
+        assert oracle._pipeline(pos) is not oracle._pipeline(neg)
+        assert oracle._pipeline(pos) is oracle._pipeline(pos)
+    assert results[0] == results[1]
+    # a contrast that differs only in a zero's sign has its own scalars, whichever came first
+    a = np.asarray(contrast.a)
+    flipped = np.where(a == 0.0, -0.0, a)
+    for order in ((a, flipped), (flipped, a)):
+        oracle._contrast_scalars.cache_clear()
+        got = {arr.tobytes(): oracle._contrast_scalars(oracle._pipeline(pos), arr.tobytes()) for arr in order}
+        assert got == {arr.tobytes(): oracle._RawPipeline(pos).contrast_scalars(arr) for arr in order}
+
+
+def test_a_singular_layout_is_refused_on_every_call():
+    singular = AncovaLayout(k=2, n=(4, 4), x=((1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0)))
+    cfg = critical_values(singular, 0.05, 0.10, 0.10)
+    before = oracle._cached_pipeline.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(SingularDesign):
+            estimate_cp_raw(np.zeros(4), 1.0, singular, cfg, (1.0, -1.0, 0.0, 0.0), runs=10, seed=0)
+        with pytest.raises(SingularDesign):
+            simulate_and_fit(np.zeros(4), 1.0, singular, np.random.default_rng(0))
+    assert oracle._cached_pipeline.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("fixture", ["ref", "small", "k4"])
+def test_kept_pipeline_arrays_are_read_only(fixture, request):
+    pipe = oracle._pipeline(request.getfixturevalue(fixture)[0])
+    arrays = {name: value for name, value in vars(pipe).items() if isinstance(value, np.ndarray)}
+    assert set(arrays) == {"rows", "x_design", "xtx_inv", "proj", "c_xi", "v22_inv", "w22_inv", "g_tau", "g_xi"}
+    for name, value in arrays.items():
+        assert not value.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 1.0
+    # the signal check's gemv reads the rows in C order (design.times_t)
+    assert pipe.rows.flags.c_contiguous

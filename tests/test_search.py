@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -750,27 +751,33 @@ def test_min_cp_search_thread_invariant_through_env(ref, monkeypatch, threads):
 
 
 def test_pools_open_only_for_several_chunks(ref, monkeypatch):
+    # the chunk workers are shared by every call: count the helpers a call asks for and the threads that draw
     _, _, geom, cfg = ref
-    widths = []
+    helpers, threads = [], []
+    workers, stream = montecarlo._workers, montecarlo._stream
 
-    class CountingPool(montecarlo.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            widths.append(self._max_workers)
+    class CountingWorkers:
+        def submit(self, fn):
+            helpers.append(fn)
+            return workers().submit(fn)
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(montecarlo, "_workers", CountingWorkers)
+    monkeypatch.setattr(montecarlo, "_stream", lambda *key: threads.append(threading.get_ident()) or stream(*key))
     monkeypatch.setenv("ANCOVA_CP_THREADS", "2")
-    # every phase of a 900-run search is one chunk: nothing to fan out
+    # every phase of a 900-run search is one chunk: nothing to fan out, every chunk drawn by the calling thread
     assert min_cp_search(_fine_config(geom, cfg)).lines is not None
-    assert widths == []
-    # three chunks need at most three threads
+    assert helpers == [] and set(threads) == {threading.get_ident()}
+    # three chunks need at most three threads: the caller and two helpers
     point = SlopePoint.of((0.0, 0.1, 0.0))
-    estimate_conditioned(point, geom, cfg, runs=2 * montecarlo.CHUNK_SIZE + 1, seed=0, n_jobs=4)
-    assert widths == [3]
-    widths.clear()
+    for _ in range(3):
+        threads.clear()
+        estimate_conditioned(point, geom, cfg, runs=2 * montecarlo.CHUNK_SIZE + 1, seed=0, n_jobs=4)
+        assert len(threads) == 3 and len(set(threads)) <= 3
+    assert len(helpers) == 3 * 2
+    helpers.clear()
     estimate_conditioned(point, geom, cfg, runs=2 * montecarlo.CHUNK_SIZE + 1, seed=0, n_jobs=1)
     min_cp_search(_fine_config(geom, cfg, n_jobs=1))
-    assert widths == []
+    assert helpers == []
 
 
 def test_min_cp_search_skips_lines_on_coarse_lattice(ref):
