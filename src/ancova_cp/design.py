@@ -138,11 +138,11 @@ class TwoStageConfig:
     common-slope fits (residual df m, m + k, m + k - 1 respectively).
     Cutoffs are numbers in [0, inf] (0 forces a test to reject, inf to
     accept) and t points finite numbers >= 0; both are stored as floats, -0.0
-    as 0.0, so configs that select alike compare and hash alike.  k and m are
-    the groups and residual df of the design critical_values made the config
-    for (dataclasses.replace keeps them); every function that takes a geometry
-    and a config refuses a config made for another design (check_design).
-    None, for a config made by hand, fits any design.
+    as 0.0, so configs that select alike compare and hash alike.  k >= 1 and
+    m >= 0, integers, are the groups and residual df of the design the config
+    was made for (critical_values sets them, dataclasses.replace keeps them);
+    every function that takes a geometry and a config refuses a config made
+    for another design (check_design).
     """
 
     alpha: float
@@ -153,10 +153,12 @@ class TwoStageConfig:
     t_m: float
     t_mk: float
     t_mk1: float
-    k: int | None = None
-    m: int | None = None
+    k: int
+    m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", check_count("config k", self.k, 1))
+        object.__setattr__(self, "m", check_count("config m", self.m, 0))
         for name in ("l_tau", "l_xi", "t_m", "t_mk", "t_mk1"):
             value = getattr(self, name)
             cutoff = name.startswith("l_")
@@ -167,7 +169,7 @@ class TwoStageConfig:
 
     def check_design(self, k: int, m: int) -> None:
         """DomainError unless the config fits a design of k groups and m residual degrees of freedom."""
-        if (self.k, self.m) not in ((None, None), (k, m)):
+        if (self.k, self.m) != (k, m):
             raise DomainError(f"the config was made for a design with k = {self.k} and m = {self.m}, not for this "
                               f"one with k = {k} and m = {m}: make it with critical_values for this design")
 

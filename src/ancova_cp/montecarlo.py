@@ -269,10 +269,13 @@ def _reduce(tag, draw, sums, geom, runs, seed, n_jobs, memo=None) -> tuple:
         finally:
             stop.append(True)
 
-    helpers = [_workers().submit(work) for _ in range(width - 1)]
+    helpers = []
     try:
+        for _ in range(width - 1):
+            helpers.append(_workers().submit(work))
         work()
-    finally:  # a helper not yet started is cancelled; a running one ends with its chunk
+    finally:  # also when a submit fails: a helper not yet started is cancelled, a running one ends with its chunk
+        stop.append(True)
         errors = [f.exception() for f in helpers if not f.cancel()]
     for error in filter(None, errors):
         raise error

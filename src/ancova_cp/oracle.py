@@ -17,6 +17,7 @@ C'beta = 0 equals G beta_hat with G = I - (X'X)^-1 C (C'(X'X)^-1 C)^-1 C'.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,8 +54,8 @@ class RawFit:
 
 class _RawPipeline:
     """Design pieces for repeated raw fits, built from the layout alone: ``rows`` the design in C order, fit's
-    matrices in Fortran order, every array read-only.  _pipeline keeps one per layout.  SingularDesign if X'X is
-    not positive definite."""
+    matrices in Fortran order, every array read-only, and the contrast scalars of up to 32 contrasts, kept with it.
+    _pipeline keeps one per layout.  SingularDesign if X'X is not positive definite."""
 
     def __init__(self, layout: AncovaLayout):
         k = layout.k
@@ -80,9 +81,20 @@ class _RawPipeline:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+        self.scalars: dict[bytes, tuple[float, float, float]] = {}
 
     def contrast_scalars(self, a: np.ndarray) -> tuple[float, float, float]:
-        """(v11, v_star, w_star) for the contrast, from explicit inverses."""
+        """(v11, v_star, w_star) for the contrast, from explicit inverses; kept under the contrast's exact bits (the
+        33rd contrast empties the store)."""
+        key = a.tobytes()
+        kept = self.scalars.get(key)
+        if kept is None:
+            if len(self.scalars) >= 32:
+                self.scalars.clear()
+            kept = self.scalars[key] = self._contrast_scalars(a)
+        return kept
+
+    def _contrast_scalars(self, a: np.ndarray) -> tuple[float, float, float]:
         k = self.k
         xtx_inv = self.xtx_inv
         v11 = float(a @ xtx_inv @ a)
@@ -112,13 +124,7 @@ def _cached_pipeline(layout: AncovaLayout, bits: bytes) -> _RawPipeline:
 def _pipeline(layout: AncovaLayout) -> _RawPipeline:
     """The layout's _RawPipeline, built once and kept (up to 8 layouts).  The key holds the covariates' exact bits,
     so layouts equal but for the sign of a zero never share one; a singular layout raises on every call."""
-    return _cached_pipeline(layout, np.array([v for xi in layout.x for v in xi]).tobytes())
-
-
-@functools.lru_cache(maxsize=32)
-def _contrast_scalars(pipe: _RawPipeline, bits: bytes) -> tuple[float, float, float]:
-    """pipe.contrast_scalars of the contrast with these float64 bits, computed once per pipeline and contrast."""
-    return pipe.contrast_scalars(np.frombuffer(bits).copy())
+    return _cached_pipeline(layout, np.fromiter(itertools.chain.from_iterable(layout.x), float).tobytes())
 
 
 def _check_inputs(beta, sigma, layout: AncovaLayout, names=("beta", "sigma")) -> tuple[np.ndarray, float, _RawPipeline]:
@@ -179,7 +185,7 @@ def _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=None):
     if a.ndim != 1:
         raise DomainError(f"contrast must be one vector, got shape {a.shape}")
     cfg.check_design(layout.k, layout.m)
-    scalars = _contrast_scalars(pipe, a.tobytes())
+    scalars = pipe.contrast_scalars(a)
     theta = float(a @ beta)
     gamma = beta / sigma
     mean = times_t(beta, pipe.rows)  # the responses' mean, X beta

@@ -291,15 +291,16 @@ def batch_events(
     fields of shape (P, n), every point evaluated against the same draws.
     Intervals are closed, so coverage comparisons use <=.
     """
+    parts = EventNoise.of(delta, d, geom)  # refuses a geometry of one group first
+    cfg.check_design(geom.k, geom.m)
     slopes = np.asarray(slopes, dtype=float)
-    batch = events(EventNoise.of(delta, d, geom), SlopeTerms.of(np.atleast_2d(slopes), geom), geom, cfg)
+    batch = events(parts, SlopeTerms.of(np.atleast_2d(slopes), geom), geom, cfg)
     return EventBatch(*(field[0] for field in batch)) if slopes.ndim == 1 else batch
 
 
 def events(parts: EventNoise, terms: SlopeTerms, geom: GeometryBundle, cfg: TwoStageConfig) -> EventBatch:
     """batch_events, fields (P, n), on draws and points whose parts are formed already, so blocks can share them."""
     m, k, d = geom.m, geom.k, parts.noise.d
-    cfg.check_design(k, m)
     in_a, accept_xi, f_tau, f_xi, quad_v, quad_w = block_f(parts.noise, terms, geom, cfg)
     in_b = ~in_a & accept_xi
 

@@ -17,6 +17,7 @@ from ancova_cp import (
     LineLocus,
     SearchConfig,
     SingularDesign,
+    TwoStageConfig,
     agreement_with_events,
     batch_events,
     build_design,
@@ -423,18 +424,13 @@ def test_a_config_made_for_another_design_is_refused(ref, small, call):
     for other in (ref[3], dataclasses.replace(ref[3], l_tau=0.0), dataclasses.replace(cfg, m=cfg.m + 1)):
         with pytest.raises(DomainError, match=f"^the config was made for a design with k = {other.k} and m = "):
             call(layout, np.asarray(contrast.a), geom, other)
-    # its own config passes, and so does one made by hand, which names no design
-    for fits in (cfg, dataclasses.replace(cfg, k=None, m=None)):
-        call(layout, np.asarray(contrast.a), geom, fits)
+    call(layout, np.asarray(contrast.a), geom, cfg)  # its own config passes
 
 
-def test_a_config_without_a_design_keeps_the_estimate(small):
-    _, _, geom, cfg = small
-    by_hand = dataclasses.replace(cfg, k=None, m=None)
-    assert by_hand != cfg
-    assert estimate_conditioned((0.0, 0.1), geom, by_hand, runs=2000) == estimate_conditioned(
-        (0.0, 0.1), geom, cfg, runs=2000
-    )
+def test_a_config_names_its_design():
+    # k and m have no default, so a config made by hand names the design it is for
+    with pytest.raises(TypeError, match="missing 2 required positional arguments: 'k' and 'm'"):
+        TwoStageConfig(alpha=0.05, sig_tau=0.1, sig_xi=0.1, l_tau=3.0, l_xi=3.0, t_m=2.0, t_mk=2.0, t_mk1=2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import struct
 import sys
 import threading
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -790,6 +791,28 @@ def test_a_failing_chunk_fails_the_call_and_spares_the_workers(ref, monkeypatch)
     monkeypatch.undo()
     assert estimate_conditioned(POINT, geom, cfg, runs=3 * CHUNK_SIZE, seed=0, n_jobs=2) == want
 
+
+def test_a_failed_submit_stops_the_helpers_already_queued(ref, monkeypatch):
+    # the second submit fails (thread start-up, interpreter shutdown): the first helper is cancelled, and one that
+    # starts anyway takes no chunk of the failed call
+    _, _, geom, cfg = ref
+    queued, drawn = [], []
+
+    class FailingWorkers:
+        def submit(self, fn):
+            if queued:
+                raise RuntimeError("cannot start a thread")
+            queued.append((fn, Future()))
+            return queued[-1][1]
+
+    monkeypatch.setattr(montecarlo, "_workers", FailingWorkers)
+    monkeypatch.setattr(montecarlo, "_stream", lambda *key: drawn.append(key) or _stream(*key))
+    with pytest.raises(RuntimeError, match="cannot start a thread"):
+        estimate_conditioned(POINT, geom, cfg, runs=3 * CHUNK_SIZE, seed=0, n_jobs=3)
+    (work, future), = queued
+    assert future.cancelled() and drawn == []
+    work()
+    assert drawn == []
 
 def test_concurrent_calls_share_the_workers_and_keep_their_bits(ref):
     # more threads than cores, switching often: a chunk lost or taken twice by the shared workers would move a sum

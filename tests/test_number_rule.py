@@ -138,6 +138,12 @@ CASES = {
     "t point nan": (lambda g, c: dataclasses.replace(c, t_m=math.nan), None),
     "t point inf": (lambda g, c: dataclasses.replace(c, t_mk=math.inf), None),
     "t point negative": (lambda g, c: dataclasses.replace(c, t_mk1=-0.5), None),
+    # the design a config was made for is a pair of counts, required: a config that names none would fit any design
+    "config k zero": (lambda g, c: dataclasses.replace(c, k=0), None),
+    "config k float": (lambda g, c: dataclasses.replace(c, k=3.0), None),
+    "config m negative": (lambda g, c: dataclasses.replace(c, m=-1), None),
+    "config m None": (lambda g, c: dataclasses.replace(c, m=None), None),
+    "config m bool": (lambda g, c: dataclasses.replace(c, m=True), None),
     "points longdouble beyond float": (
         # the test module's own binding: estimate_points refuses before any draw
         lambda g, c: estimate_points(np.array([[np.longdouble("1e400"), 0, 0]]), g, c, "naive", runs=100),

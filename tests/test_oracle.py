@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -284,8 +285,7 @@ def test_cold_and_warm_calls_give_the_same_bits(ref, small, k4):
     designs = (ref, small, k4)
     cold = []
     for design in designs:
-        oracle._cached_pipeline.cache_clear()
-        oracle._contrast_scalars.cache_clear()
+        oracle._cached_pipeline.cache_clear()  # and with the pipelines their contrast scalars
         cold.append(_oracle_bits(*design))
     for _ in range(2):  # interleaved, every pipeline and contrast kept
         assert [_oracle_bits(*design) for design in designs] == cold
@@ -311,9 +311,26 @@ def test_layouts_equal_but_for_a_zeros_sign_never_share_a_pipeline():
     a = np.asarray(contrast.a)
     flipped = np.where(a == 0.0, -0.0, a)
     for order in ((a, flipped), (flipped, a)):
-        oracle._contrast_scalars.cache_clear()
-        got = {arr.tobytes(): oracle._contrast_scalars(oracle._pipeline(pos), arr.tobytes()) for arr in order}
+        pipe = oracle._RawPipeline(pos)
+        got = {arr.tobytes(): pipe.contrast_scalars(arr) for arr in order}
         assert got == {arr.tobytes(): oracle._RawPipeline(pos).contrast_scalars(arr) for arr in order}
+        assert set(pipe.scalars) == set(got)
+
+
+def test_contrast_scalars_are_kept_with_their_pipeline(ref):
+    layout, contrast, geom, cfg = ref
+    oracle._cached_pipeline.cache_clear()
+    _oracle_bits(layout, contrast, geom, cfg, runs=10)
+    pipe = oracle._pipeline(layout)
+    assert list(pipe.scalars) == [np.asarray(contrast.a, dtype=float).tobytes()]
+    for c in range(40):  # at most 32 contrasts are kept
+        pipe.contrast_scalars(np.asarray(contrast.a) * (c + 2))
+        assert 1 <= len(pipe.scalars) <= 32
+    # nothing but the layout cache holds the pipeline: evicted, it is freed with its scalars
+    gone = weakref.ref(pipe)
+    del pipe
+    oracle._cached_pipeline.cache_clear()
+    assert gone() is None
 
 
 def test_a_singular_layout_is_refused_on_every_call():
