@@ -48,7 +48,7 @@ class AncovaLayout:
     ----------
     k : number of treatment groups.
     n : per-group sample sizes, length k.
-    x : covariate values, one tuple of length n[i] per group.
+    x : covariate values, one tuple of length n[i] per group; -0.0 is stored as 0.0, so equal layouts give equal bits.
     """
 
     k: int
@@ -65,7 +65,7 @@ class AncovaLayout:
         for i, (ni, xi) in enumerate(zip(self.n, self.x)):
             if len(xi) != ni:
                 raise DomainError(f"group {i + 1}: expected {ni} covariate values, got {len(xi)}")
-        object.__setattr__(self, "x", tuple(tuple(check_real("covariate value", v) for v in xi) for xi in self.x))
+        object.__setattr__(self, "x", tuple(tuple(check_real("covariate value", v) + 0.0 for v in xi) for xi in self.x))
 
     @property
     def n_total(self) -> int:
@@ -138,11 +138,11 @@ class TwoStageConfig:
     common-slope fits (residual df m, m + k, m + k - 1 respectively).
     Cutoffs are numbers in [0, inf] (0 forces a test to reject, inf to
     accept) and t points finite numbers >= 0; both are stored as floats, -0.0
-    as 0.0, so configs that select alike compare and hash alike.  k >= 1 and
-    m >= 0, integers, are the groups and residual df of the design the config
-    was made for (critical_values sets them, dataclasses.replace keeps them);
-    every function that takes a geometry and a config refuses a config made
-    for another design (check_design).
+    as 0.0, so configs that select alike compare and hash alike.  k >= 2 and
+    m >= 1, integers, are the groups and residual df of the design the config
+    was made for, the only designs the procedure is defined on (critical_values
+    sets them, dataclasses.replace keeps them); check_design, the one gate,
+    refuses a config made for another design wherever a geometry meets a config.
     """
 
     alpha: float
@@ -157,8 +157,8 @@ class TwoStageConfig:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", check_count("config k", self.k, 1))
-        object.__setattr__(self, "m", check_count("config m", self.m, 0))
+        object.__setattr__(self, "k", check_count("config k", self.k, 2))
+        object.__setattr__(self, "m", check_count("config m", self.m, 1))
         for name in ("l_tau", "l_xi", "t_m", "t_mk", "t_mk1"):
             value = getattr(self, name)
             cutoff = name.startswith("l_")
@@ -170,8 +170,10 @@ class TwoStageConfig:
     def check_design(self, k: int, m: int) -> None:
         """DomainError unless the config fits a design of k groups and m residual degrees of freedom."""
         if (self.k, self.m) != (k, m):
+            fix = ("make it with critical_values for this design" if k >= 2 and m >= 1
+                   else "the two-stage procedure needs at least two groups and m >= 1")
             raise DomainError(f"the config was made for a design with k = {self.k} and m = {self.m}, not for this "
-                              f"one with k = {k} and m = {m}: make it with critical_values for this design")
+                              f"one with k = {k} and m = {m}: {fix}")
 
 
 def _design_rows(layout: AncovaLayout) -> np.ndarray:
@@ -237,9 +239,7 @@ def times_t(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def _spd_inverse(mat: np.ndarray, what: str, error=ConditioningFailure) -> tuple[np.ndarray, np.ndarray]:
-    """Return (chol_lower, inverse) of a symmetric positive definite matrix; ``error`` if it is not."""
-    if mat.shape[0] == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0))
+    """(chol_lower, inverse) of a symmetric positive definite matrix, empty ones if it is empty; else ``error``."""
     try:
         chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:

@@ -174,11 +174,9 @@ def _check_intercepts(intercepts, k):
 
 
 def _slopes(points, geom: GeometryBundle, cfg: TwoStageConfig) -> np.ndarray:
-    """``points`` (rows of k numbers, or SlopePoints) as a checked (P, k) float array, P >= 1, for a design with
-    k >= 2 and m >= 1, as critical_values requires, and a config made for that design."""
+    """``points`` (rows of k numbers, or SlopePoints) as a checked (P, k) float array, P >= 1, for a config made
+    for the design (so k >= 2 and m >= 1)."""
     k = geom.k
-    if k < 2 or geom.m < 1:
-        raise DomainError(f"an estimate needs at least two groups and m >= 1, got k = {k} and m = {geom.m}")
     cfg.check_design(k, geom.m)
     if not isinstance(points, np.ndarray) and np.iterable(points):
         points = [p.values if isinstance(p, SlopePoint) else p for p in points]

@@ -17,7 +17,6 @@ C'beta = 0 equals G beta_hat with G = I - (X'X)^-1 C (C'(X'X)^-1 C)^-1 C'.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -117,14 +116,10 @@ class _RawPipeline:
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_pipeline(layout: AncovaLayout, bits: bytes) -> _RawPipeline:
-    return _RawPipeline(layout)  # bits, the covariates', only key the cache
-
-
 def _pipeline(layout: AncovaLayout) -> _RawPipeline:
-    """The layout's _RawPipeline, built once and kept (up to 8 layouts).  The key holds the covariates' exact bits,
-    so layouts equal but for the sign of a zero never share one; a singular layout raises on every call."""
-    return _cached_pipeline(layout, np.fromiter(itertools.chain.from_iterable(layout.x), float).tobytes())
+    """The layout's _RawPipeline, built once and kept (up to 8 layouts); equal layouts build the same bits (a layout
+    stores -0.0 as 0.0), so they share one.  A singular layout raises on every call."""
+    return _RawPipeline(layout)
 
 
 def _check_inputs(beta, sigma, layout: AncovaLayout, names=("beta", "sigma")) -> tuple[np.ndarray, float, _RawPipeline]:
@@ -180,11 +175,11 @@ def _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=None):
     """Common loop; returns an AgreementReport's fields: the raw estimate, the event path's coverage rate on the
     same noise and the share of runs where the two routes agree (both 0.0 without geom), and the worst relative
     error of the zero-slopes residual-sum identity.  Each chunk is folded into its counts of covering runs."""
+    cfg.check_design(layout.k, layout.m)
     beta, sigma, pipe = _check_inputs(beta, sigma, layout)
     a, seed = check_reals("contrast", a, 2 * layout.k), check_count("seed", seed, 0)
     if a.ndim != 1:
         raise DomainError(f"contrast must be one vector, got shape {a.shape}")
-    cfg.check_design(layout.k, layout.m)
     scalars = pipe.contrast_scalars(a)
     theta = float(a @ beta)
     gamma = beta / sigma

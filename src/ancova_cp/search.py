@@ -254,7 +254,9 @@ def line_profile(
         raise DomainError(f"line direction and offsets must be vectors, got {line.direction} and {line.offsets}")
     _resolve_estimator(estimator)
     cs = _axis(lo, hi, n_points, "c_range")
-    ests = estimate_points(offsets + cs[:, None] * direction, geom, cfg, estimator, runs, seed, n_jobs, memo=memo)
+    with np.errstate(over="ignore"):  # an overflowing point is refused by estimate_points
+        points = offsets + cs[:, None] * direction
+    ests = estimate_points(points, geom, cfg, estimator, runs, seed, n_jobs, memo=memo)
     return _refined(line, cs, ests)
 
 
@@ -298,7 +300,8 @@ def second_test_only_cp(
 def _far_points(deltas: np.ndarray, offset: float, culprit: str) -> np.ndarray:
     """The far points (offset, offset + delta), one per checked delta row; DomainError led by ``culprit`` if one is
     lost to rounding."""
-    far = offset + deltas
+    with np.errstate(over="ignore"):  # a delta lost to overflow is refused below
+        far = offset + deltas
     lost = np.abs((far - offset) - deltas) > 1e-9
     if lost.any():
         raise DomainError(f"{culprit}: {offset} + delta rounds away the delta {deltas[lost][0]}")

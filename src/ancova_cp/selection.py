@@ -101,8 +101,6 @@ class SlopeNoise(NamedTuple):
 
     @classmethod
     def of(cls, z: np.ndarray, d: np.ndarray, geom: GeometryBundle) -> "SlopeNoise":
-        if geom.k < 2:
-            raise DomainError("F statistics need at least two groups")
         zt = np.ascontiguousarray(z.T)
         vz, uz = geom.v22_inv @ zt, geom.u @ zt
         wuz = geom.w22_inv @ uz
@@ -192,8 +190,6 @@ def gate_probability(point, geom: GeometryBundle, cfg: TwoStageConfig, which: st
     the all-slopes-zero test, "xi" the equal-slopes test; the one-point adapter over ``acceptance``."""
     if which not in ("tau", "xi"):
         raise DomainError(f'which must be "tau" or "xi", got {which!r}')
-    if geom.k < 2:
-        raise DomainError("F statistics need at least two groups")
     cfg.check_design(geom.k, geom.m)
     slopes = check_reals("slope point", getattr(point, "values", point), geom.k)
     if slopes.ndim != 1:
@@ -289,11 +285,16 @@ def batch_events(
     vector of scaled residual sums of squares, slopes the true slope block of
     gamma: one point (k,) gives fields of shape (n,), a block of points (P, k)
     fields of shape (P, n), every point evaluated against the same draws.
-    Intervals are closed, so coverage comparisons use <=.
+    Intervals are closed, so coverage comparisons use <=.  The slopes go
+    through check_reals; delta and d, numeric arrays, are checked by shape.
     """
-    parts = EventNoise.of(delta, d, geom)  # refuses a geometry of one group first
     cfg.check_design(geom.k, geom.m)
-    slopes = np.asarray(slopes, dtype=float)
+    slopes, delta, d = check_reals("slopes", slopes, geom.k), np.asarray(delta), np.asarray(d)
+    if not (slopes.ndim <= 2 and delta.shape[1:] == (2 * geom.k,) and d.shape == delta.shape[:1]
+            and {delta.dtype.kind, d.dtype.kind} <= set("iuf")):
+        raise DomainError(f"need slopes (k,) or (P, k), and numbers delta (n, 2k) and d (n,), k = {geom.k}: got "
+                          f"shapes {slopes.shape}, {delta.shape} and {d.shape}, dtypes {delta.dtype} and {d.dtype}")
+    parts = EventNoise.of(delta, d, geom)
     batch = events(parts, SlopeTerms.of(np.atleast_2d(slopes), geom), geom, cfg)
     return EventBatch(*(field[0] for field in batch)) if slopes.ndim == 1 else batch
 

@@ -415,6 +415,18 @@ def test_contrast_without_intercept_part_exits_one(capsys, tmp_path, contrast):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["cp", "oracle"])
+def test_a_one_group_design_file_is_an_error_line(capsys, tmp_path, command):
+    # the procedure needs two groups: critical_values refuses the design before any estimate
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"k": 1, "n": [4], "x": [[0, 1, 2, 4]], "contrast": [1, 1]}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run(capsys, command, "--config", str(path), "--point", "0.1")
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "needs at least two groups" in err
+
+
 def test_min_prints_boundary_warnings_and_exits_zero(capsys, tmp_path):
     # a low boundary rejection probability is a warning on stderr, never a failure
     out_dir = tmp_path / "search"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,28 @@ def test_one_group_geometry_has_no_f_tests(ref, call, x):
     geom = build_geometry(AncovaLayout(k=1, n=(len(x),), x=(x,)), ContrastSpec(a=(1.0, 1.0)))
     with pytest.raises(DomainError, match="need.? at least two groups"):
         call((0.1,), geom, ref[3])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lay, a, geom, cfg: estimate_cp_raw(np.zeros(2), 1.0, lay, cfg, a, runs=100, seed=0),
+        lambda lay, a, geom, cfg: agreement_with_events(np.zeros(2), 1.0, lay, geom, cfg, a, runs=100, seed=0),
+        lambda lay, a, geom, cfg: ConditionalKernel(geom, cfg, (0.1,)),
+    ],
+    ids=["estimate_cp_raw", "agreement_with_events", "ConditionalKernel"],
+)
+def test_a_one_group_design_is_refused_without_a_warning(ref, call):
+    # a config made by hand for one group used to pass: the oracle read 0.86 after a RuntimeWarning (a NaN F)
+    # and the kernel raised an IndexError; now no config names k = 1, and another design's is refused
+    layout = AncovaLayout(k=1, n=(4,), x=((0.0, 1.0, 2.0, 4.0),))
+    a = np.array([1.0, 1.0])
+    geom = build_geometry(layout, ContrastSpec(a=tuple(a)))
+    for config in (lambda: ref[3], lambda: dataclasses.replace(ref[3], k=1, m=2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="at least two groups|at least 2"):
+                call(layout, a, geom, config())
 
 
 def _assert_geometry_invariants(layout, contrast, atol, bound_tol):

@@ -28,6 +28,7 @@ from ancova_cp import (
     LineLocus,
     SearchConfig,
     SlopePoint,
+    batch_events,
     coverage_indicator,
     critical_values,
     estimate_conditioned,
@@ -144,6 +145,21 @@ CASES = {
     "config m negative": (lambda g, c: dataclasses.replace(c, m=-1), None),
     "config m None": (lambda g, c: dataclasses.replace(c, m=None), None),
     "config m bool": (lambda g, c: dataclasses.replace(c, m=True), None),
+    # the procedure needs two groups (the equal-slopes test has k - 1 numerator df) and m >= 1 (every t point)
+    "config k one": (lambda g, c: dataclasses.replace(c, k=1), None),
+    "config m zero": (lambda g, c: dataclasses.replace(c, m=0), None),
+    # batch_events is public: its slopes go through check_reals, delta and d are checked by shape
+    "events slopes of two": (lambda g, c: batch_events(np.zeros((2, 6)), np.ones(2), np.zeros(2), g, c), None),
+    "events slope string": (lambda g, c: batch_events(np.zeros((2, 6)), np.ones(2), ("0.1", 0, 0), g, c), None),
+    "events nan slopes": (lambda g, c: batch_events(np.zeros((2, 6)), np.ones(2), [[math.nan, 0, 0]], g, c), None),
+    "events slopes of three axes": (
+        lambda g, c: batch_events(np.zeros((2, 6)), np.ones(2), np.zeros((1, 1, 3)), g, c),
+        None,
+    ),
+    "events delta of 5 columns": (lambda g, c: batch_events(np.zeros((2, 5)), np.ones(2), np.zeros(3), g, c), None),
+    "events delta one row": (lambda g, c: batch_events(np.zeros(6), np.ones(1), np.zeros(3), g, c), None),
+    "events delta strings": (lambda g, c: batch_events(np.full((2, 6), "0"), np.ones(2), np.zeros(3), g, c), None),
+    "events d of 3 for 2 rows": (lambda g, c: batch_events(np.zeros((2, 6)), np.ones(3), np.zeros(3), g, c), None),
     "points longdouble beyond float": (
         # the test module's own binding: estimate_points refuses before any draw
         lambda g, c: estimate_points(np.array([[np.longdouble("1e400"), 0, 0]]), g, c, "naive", runs=100),

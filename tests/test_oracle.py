@@ -285,28 +285,28 @@ def test_cold_and_warm_calls_give_the_same_bits(ref, small, k4):
     designs = (ref, small, k4)
     cold = []
     for design in designs:
-        oracle._cached_pipeline.cache_clear()  # and with the pipelines their contrast scalars
+        oracle._pipeline.cache_clear()  # and with the pipelines their contrast scalars
         cold.append(_oracle_bits(*design))
     for _ in range(2):  # interleaved, every pipeline and contrast kept
         assert [_oracle_bits(*design) for design in designs] == cold
-    assert oracle._cached_pipeline.cache_info().hits >= 2 * len(designs)
+    assert oracle._pipeline.cache_info().hits >= 2 * len(designs)
 
 
-def test_layouts_equal_but_for_a_zeros_sign_never_share_a_pipeline():
-    # the grand mean is 0.0, so the zero covariate's sign reaches the design rows
+def test_layouts_equal_but_for_a_zeros_sign_share_one_pipeline():
+    # the grand mean is 0.0, so a zero covariate's sign would reach the design rows: a layout stores -0.0 as 0.0
     pos = AncovaLayout(k=2, n=(4, 4), x=((-1.0, 0.0, 1.0, 3.0), (-2.0, 0.0, 1.0, -2.0)))
     neg = AncovaLayout(k=2, n=(4, 4), x=((-1.0, -0.0, 1.0, 3.0), (-2.0, 0.0, 1.0, -2.0)))
-    assert pos == neg and hash(pos) == hash(neg)
-    assert np.signbit(oracle._pipeline(neg).rows[1, 2]) and not np.signbit(oracle._pipeline(pos).rows[1, 2])
+    assert pos == neg and hash(pos) == hash(neg) and not np.signbit(neg.x[0][1])
+    assert oracle._RawPipeline(neg).rows.tobytes() == oracle._RawPipeline(pos).rows.tobytes()
     contrast = ContrastSpec.treatment_difference(pos, 1, 2)
     geom, cfg = build_geometry(pos, contrast), critical_values(pos, 0.05, 0.10, 0.10)
     results = []
     for order in ((pos, neg), (neg, pos)):
-        oracle._cached_pipeline.cache_clear()
-        results.append({id(layout): _oracle_bits(layout, contrast, geom, cfg) for layout in order})
-        assert oracle._pipeline(pos) is not oracle._pipeline(neg)
-        assert oracle._pipeline(pos) is oracle._pipeline(pos)
-    assert results[0] == results[1]
+        oracle._pipeline.cache_clear()
+        results.append([_oracle_bits(layout, contrast, geom, cfg) for layout in order])
+        assert oracle._pipeline(pos) is oracle._pipeline(neg)
+        assert oracle._pipeline.cache_info().currsize == 1
+    assert results[0][0] == results[0][1] == results[1][0] == results[1][1]
     # a contrast that differs only in a zero's sign has its own scalars, whichever came first
     a = np.asarray(contrast.a)
     flipped = np.where(a == 0.0, -0.0, a)
@@ -319,7 +319,7 @@ def test_layouts_equal_but_for_a_zeros_sign_never_share_a_pipeline():
 
 def test_contrast_scalars_are_kept_with_their_pipeline(ref):
     layout, contrast, geom, cfg = ref
-    oracle._cached_pipeline.cache_clear()
+    oracle._pipeline.cache_clear()
     _oracle_bits(layout, contrast, geom, cfg, runs=10)
     pipe = oracle._pipeline(layout)
     assert list(pipe.scalars) == [np.asarray(contrast.a, dtype=float).tobytes()]
@@ -329,20 +329,20 @@ def test_contrast_scalars_are_kept_with_their_pipeline(ref):
     # nothing but the layout cache holds the pipeline: evicted, it is freed with its scalars
     gone = weakref.ref(pipe)
     del pipe
-    oracle._cached_pipeline.cache_clear()
+    oracle._pipeline.cache_clear()
     assert gone() is None
 
 
 def test_a_singular_layout_is_refused_on_every_call():
     singular = AncovaLayout(k=2, n=(4, 4), x=((1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 3.0, 4.0)))
     cfg = critical_values(singular, 0.05, 0.10, 0.10)
-    before = oracle._cached_pipeline.cache_info().currsize
+    before = oracle._pipeline.cache_info().currsize
     for _ in range(3):
         with pytest.raises(SingularDesign):
             estimate_cp_raw(np.zeros(4), 1.0, singular, cfg, (1.0, -1.0, 0.0, 0.0), runs=10, seed=0)
         with pytest.raises(SingularDesign):
             simulate_and_fit(np.zeros(4), 1.0, singular, np.random.default_rng(0))
-    assert oracle._cached_pipeline.cache_info().currsize == before
+    assert oracle._pipeline.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("fixture", ["ref", "small", "k4"])

@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -537,6 +538,26 @@ def test_second_test_only_validation(ref):
     for offset in (1e9, 1e15, -1e15):
         with pytest.raises(DomainError, match="offset"):
             second_test_only_cp((0.05, 0.0), geom, cfg, runs=100, seed=0, offset=offset)
+
+
+def test_line_profile_refuses_an_overflowing_point_without_a_warning(ref):
+    # offsets + c * direction used to warn "overflow encountered" before estimate_points refused the point
+    _, _, geom, cfg = ref
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="slope point must be finite"):
+            line_profile(LineLocus((1e308, 1, 1), (0, 0, 0), (-10, 10)), geom, cfg, n_points=5, runs=100)
+
+
+def test_second_test_only_refuses_an_overflowing_far_point_without_a_warning(ref, monkeypatch):
+    # offset + deltas used to warn "overflow encountered" before the refusal
+    _, _, geom, cfg = ref
+    calls = _count_estimates(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="offset too large"):
+            second_test_only_cp((1.7e308, 0.1), geom, cfg, runs=100, offset=1.7e308)
+    assert calls == []
 
 
 @pytest.mark.parametrize("design", ["ref", "small", "k4"])
