@@ -31,7 +31,7 @@ import numpy as np
 from scipy import special
 
 from .design import GeometryBundle, TwoStageConfig
-from .errors import DomainError, check_reals
+from .errors import STACK, VECTOR, DomainError, check_reals
 from .selection import SlopeNoise, SlopeTerms, acceptance, block_f, f_thresholds, half_widths
 from .selection import quad_form, rejection_radii
 
@@ -156,11 +156,8 @@ class ConditionalKernel:
 
     def __init__(self, geom: GeometryBundle, cfg: TwoStageConfig, slopes):
         cfg.check_design(geom.k, geom.m)
-        slopes = check_reals("slopes", slopes, geom.k)
-        if slopes.ndim not in (1, 2):
-            raise DomainError(f"slopes must be one point or a block of points, got shape {slopes.shape}")
         self.geom, self.cfg, self.widths = geom, cfg, half_widths(geom, cfg)
-        self.slopes = np.atleast_2d(slopes)
+        self.slopes = np.atleast_2d(check_reals("slopes", slopes, geom.k))
         self.terms = SlopeTerms.of(self.slopes, geom)
 
     def __len__(self) -> int:
@@ -307,10 +304,10 @@ class ConditionalKernel:
         """
         if self.slopes.shape[0] != 1:
             raise DomainError("the row interface needs a kernel built for one slope point")
-        q = check_reals("q", q, self.geom.k)
-        d = check_reals("d", d, len(q))
-        if q.ndim != 2 or d.ndim != 1 or not np.all(d > 0.0):
-            raise DomainError(f"q must be (n, {self.geom.k}) and d (n,) and positive, got {q.shape} and {d}")
+        q = check_reals("q", q, self.geom.k, STACK)
+        d = check_reals("d", d, len(q), VECTOR)
+        if not d.min() > 0.0:
+            raise DomainError(f"d must be positive, got {d.min()}")
         draws = KernelDraws(q - self.slopes[0], d, self.geom)
         _, a, b, v, _ = next(self.blocks(draws, 1))
         row = draws.region_c(self.cfg)[0].copy()

@@ -23,7 +23,8 @@ from importlib import resources
 import numpy as np
 from scipy import special
 
-from .errors import ConditioningFailure, DomainError, SingularDesign, check_count, check_real
+from .errors import VECTOR, ConditioningFailure, DomainError, SingularDesign, _shown
+from .errors import check_count, check_real, check_reals
 
 __all__ = [
     "AncovaLayout",
@@ -38,6 +39,15 @@ __all__ = [
     "load_design",
     "reference_design",
 ]
+
+
+def _per_group(name: str, values, k: int) -> tuple:
+    """``values`` as a tuple of one entry per group, if it is a sequence of k entries, else DomainError."""
+    if not np.iterable(values):
+        raise DomainError(f"{name} must be a sequence of {k} groups, got {_shown(values)}")
+    if len(values := tuple(values)) != k:
+        raise DomainError(f"{name} must have {k} groups, got {len(values)}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -56,16 +66,12 @@ class AncovaLayout:
     x: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        check_count("k", self.k, 1)
-        object.__setattr__(self, "n", tuple(check_count("group size n", ni, 1) for ni in self.n))
-        if len(self.n) != self.k:
-            raise DomainError(f"n must have length k={self.k}, got {len(self.n)}")
-        if len(self.x) != self.k:
-            raise DomainError(f"x must have {self.k} groups, got {len(self.x)}")
-        for i, (ni, xi) in enumerate(zip(self.n, self.x)):
-            if len(xi) != ni:
-                raise DomainError(f"group {i + 1}: expected {ni} covariate values, got {len(xi)}")
-        object.__setattr__(self, "x", tuple(tuple(check_real("covariate value", v) + 0.0 for v in xi) for xi in self.x))
+        k = check_count("k", self.k, 1)
+        n = tuple(check_count("group size n", ni, 1) for ni in _per_group("n", self.n, k))
+        groups = enumerate(zip(n, _per_group("x", self.x, k)), 1)
+        x = (check_reals(f"group {i} covariates", xi, ni, VECTOR) + 0.0 for i, (ni, xi) in groups)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "x", tuple(tuple(xi.tolist()) for xi in x))
 
     @property
     def n_total(self) -> int:
@@ -93,11 +99,12 @@ class ContrastSpec:
     a: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.a) == 0 or len(self.a) % 2 != 0:
-            raise DomainError(f"contrast must have even length 2k, got {len(self.a)}")
-        object.__setattr__(self, "a", tuple(check_real("contrast entry", v) for v in self.a))
-        if all(v == 0.0 for v in self.a):
+        a = check_reals("contrast", self.a, None, VECTOR)
+        if len(a) % 2:
+            raise DomainError(f"contrast must have even length 2k, got {len(a)}")
+        if not a.any():
             raise DomainError("contrast must be nonzero")
+        object.__setattr__(self, "a", tuple(a.tolist()))
 
     @classmethod
     def treatment_difference(
@@ -257,9 +264,7 @@ def build_geometry(layout: AncovaLayout, contrast: ContrastSpec) -> GeometryBund
     strictly positive and finite.
     """
     k = layout.k
-    a = np.asarray(contrast.a, dtype=float)
-    if a.shape != (2 * k,):
-        raise DomainError(f"contrast has length {a.shape[0]}, design needs {2 * k}")
+    a = check_reals("contrast", contrast.a, 2 * k, VECTOR)
 
     x_design = _design_rows(layout)
     _, xtx_inv = _spd_inverse(x_design.T @ x_design, "X'X", SingularDesign)

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the three input rules that raise one.
 
 Every scalar the package takes from outside goes through ``check_count`` (an integer) or ``check_real`` (a
-finite real number), and every vector or stack of vectors through ``check_reals``, so a bad one is a DomainError.
+finite real number), and every vector or stack of vectors through ``check_reals``, which decides its axes and
+length as well as its entries, so a bad one is a DomainError with one message form.
 """
 
 import math
@@ -67,20 +68,28 @@ def check_real(name: str, value) -> float:
     return number
 
 
-def check_reals(name: str, values, length: int) -> np.ndarray:
-    """``values`` as a float array of finite real numbers with ``length`` on its last axis, else DomainError.
+VECTOR, STACK, EITHER = (1,), (2,), (1, 2)  # the axes check_reals allows
+_AXES = {VECTOR: "one vector", STACK: "a nonempty stack of vectors",
+         EITHER: "one vector or a nonempty stack of vectors"}
 
-    A numpy array of integer or float dtype is checked in one pass, for finiteness as float64 alone: its dtype
-    already rules out strings, bools and None.  Anything else goes entry by entry through check_real.  A ragged
-    input, a scalar or another last axis is refused; a caller that needs one vector or a stack checks the axes.
+
+def check_reals(name: str, values, length: int | None, axes: tuple = EITHER) -> np.ndarray:
+    """``values`` as a float array of finite real numbers, in the axes ``axes`` allows (VECTOR, STACK or EITHER),
+    each vector of ``length`` numbers (None: any nonempty length), else DomainError.
+
+    The one rule for a vector's shape, with one message form: "intercept override must be one vector of 3 numbers,
+    got shape (2, 3)".  A numpy array of integer or float dtype is checked in one pass, for finiteness as float64
+    alone: its dtype already rules out strings, bools and None.  Anything else (a ragged input is refused) goes
+    entry by entry through check_real.
     """
     numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
     try:
         array = values if numeric else np.asarray(values, dtype=object)
     except ValueError:  # nested arrays of unequal shapes
         raise DomainError(f"{name} must be numbers on a regular grid, got a ragged input") from None
-    if array.shape[-1:] != (length,):
-        raise DomainError(f"{name} must have {length} numbers on its last axis, got shape {array.shape}")
+    if array.ndim not in axes or not array.size or (length is not None and array.shape[-1] != length):
+        numbers = "numbers" if length is None else f"{length} numbers"
+        raise DomainError(f"{name} must be {_AXES[axes]} of {numbers}, got shape {array.shape}")
     if not numeric:
         return np.array([check_real(name, v) for v in array.flat], dtype=float).reshape(array.shape)
     with np.errstate(over="ignore"):  # a longdouble beyond the float range becomes inf, refused below

@@ -52,7 +52,7 @@ import numpy as np
 
 from .conditional import ConditionalKernel, KernelDraws
 from .design import GeometryBundle, TwoStageConfig, times_t
-from .errors import DomainError, check_count, check_reals
+from .errors import STACK, VECTOR, DomainError, check_count, check_reals
 from .selection import EventNoise, SlopeTerms, batch_events, events
 
 __all__ = [
@@ -85,16 +85,11 @@ class SlopePoint:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = check_reals("slope point", self.values, len(self.values))
-        if values.ndim != 1 or not len(values):
-            raise DomainError(f"slope point must be a nonempty vector, got shape {values.shape}")
-        object.__setattr__(self, "values", tuple(values.tolist()))
+        object.__setattr__(self, "values", tuple(check_reals("slope point", self.values, None, VECTOR).tolist()))
 
     @classmethod
     def of(cls, values) -> "SlopePoint":
-        if not np.iterable(values):
-            raise DomainError(f"slope point must be a vector of numbers, got {values!r}")
-        return cls(values=tuple(values))
+        return cls(values=values)
 
 
 @dataclass(frozen=True)
@@ -169,21 +164,17 @@ def _stream(seed: int, tag: str, chunk: int) -> np.random.Generator:
 
 
 def _check_intercepts(intercepts, k):
-    if intercepts is not None and check_reals("intercept override", intercepts, k).ndim != 1:
-        raise DomainError(f"intercept override must be one vector of {k} numbers")
+    if intercepts is not None:
+        check_reals("intercept override", intercepts, k, VECTOR)
 
 
 def _slopes(points, geom: GeometryBundle, cfg: TwoStageConfig) -> np.ndarray:
     """``points`` (rows of k numbers, or SlopePoints) as a checked (P, k) float array, P >= 1, for a config made
     for the design (so k >= 2 and m >= 1)."""
-    k = geom.k
-    cfg.check_design(k, geom.m)
+    cfg.check_design(geom.k, geom.m)
     if not isinstance(points, np.ndarray) and np.iterable(points):
         points = [p.values if isinstance(p, SlopePoint) else p for p in points]
-    slopes = check_reals("slope point", points, k)
-    if slopes.ndim != 2 or not len(slopes):
-        raise DomainError(f"slope points must be a nonempty (P, {k}) array, got shape {slopes.shape}")
-    return slopes
+    return check_reals("slope point", points, geom.k, STACK)
 
 
 def _checked_point(values: list) -> SlopePoint:
@@ -256,8 +247,6 @@ def _reduce(tag, draw, sums, geom, runs, seed, n_jobs, memo=None) -> tuple:
         return tuple(x + y for x, y in zip(total, part))
 
     width = min(width, len(jobs))
-    if width == 1:
-        return functools.reduce(add, map(task, jobs))
     parts, order, stop = [None] * len(jobs), itertools.count(), []
 
     def work():  # the next chunk until none is left, or any thread's task has failed or been interrupted

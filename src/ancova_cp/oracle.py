@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import AncovaLayout, TwoStageConfig, build_design, times_t
-from .errors import DomainError, check_count, check_real, check_reals
+from .errors import VECTOR, DomainError, check_count, check_real, check_reals
 from .montecarlo import CoverageEstimate, SlopePoint, _chunk_sizes, _stream
-from .selection import batch_events, coverage_indicator  # noqa: F401  perfbench/spans.py traces the name
+from .selection import EventNoise, SlopeTerms, events
+from .selection import coverage_indicator  # noqa: F401  perfbench/spans.py traces the name
 
 __all__ = ["RawFit", "AgreementReport", "simulate_and_fit", "estimate_cp_raw", "agreement_with_events"]
 
@@ -53,8 +54,8 @@ class RawFit:
 
 class _RawPipeline:
     """Design pieces for repeated raw fits, built from the layout alone: ``rows`` the design in C order, fit's
-    matrices in Fortran order, every array read-only, and the contrast scalars of up to 32 contrasts, kept with it.
-    _pipeline keeps one per layout.  SingularDesign if X'X is not positive definite."""
+    matrices in Fortran order, every array read-only.  _pipeline keeps one per layout.  SingularDesign if X'X is not
+    positive definite."""
 
     def __init__(self, layout: AncovaLayout):
         k = layout.k
@@ -80,20 +81,9 @@ class _RawPipeline:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-        self.scalars: dict[bytes, tuple[float, float, float]] = {}
 
     def contrast_scalars(self, a: np.ndarray) -> tuple[float, float, float]:
-        """(v11, v_star, w_star) for the contrast, from explicit inverses; kept under the contrast's exact bits (the
-        33rd contrast empties the store)."""
-        key = a.tobytes()
-        kept = self.scalars.get(key)
-        if kept is None:
-            if len(self.scalars) >= 32:
-                self.scalars.clear()
-            kept = self.scalars[key] = self._contrast_scalars(a)
-        return kept
-
-    def _contrast_scalars(self, a: np.ndarray) -> tuple[float, float, float]:
+        """(v11, v_star, w_star) for the contrast, from explicit inverses."""
         k = self.k
         xtx_inv = self.xtx_inv
         v11 = float(a @ xtx_inv @ a)
@@ -125,9 +115,7 @@ def _pipeline(layout: AncovaLayout) -> _RawPipeline:
 def _check_inputs(beta, sigma, layout: AncovaLayout, names=("beta", "sigma")) -> tuple[np.ndarray, float, _RawPipeline]:
     """beta and sigma as floats, and the layout's pipeline, if the raw fits resolve them (SIGMA_RANGE, SIGNAL_MAX),
     else DomainError naming ``names``."""
-    beta, sigma = check_reals(names[0], beta, 2 * layout.k), check_real(names[1], sigma)
-    if beta.ndim != 1:
-        raise DomainError(f"{names[0]} must be one vector, got shape {beta.shape}")
+    beta, sigma = check_reals(names[0], beta, 2 * layout.k, VECTOR), check_real(names[1], sigma)
     if not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
         lo, hi = SIGMA_RANGE
         raise DomainError(f"{names[1]} must be from {lo:g} to {hi:g}, where the raw fits' sums of squares stay "
@@ -177,12 +165,11 @@ def _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=None):
     error of the zero-slopes residual-sum identity.  Each chunk is folded into its counts of covering runs."""
     cfg.check_design(layout.k, layout.m)
     beta, sigma, pipe = _check_inputs(beta, sigma, layout)
-    a, seed = check_reals("contrast", a, 2 * layout.k), check_count("seed", seed, 0)
-    if a.ndim != 1:
-        raise DomainError(f"contrast must be one vector, got shape {a.shape}")
+    a, seed = check_reals("contrast", a, 2 * layout.k, VECTOR), check_count("seed", seed, 0)
     scalars = pipe.contrast_scalars(a)
     theta = float(a @ beta)
     gamma = beta / sigma
+    terms = SlopeTerms.of(gamma[None, pipe.k :], geom) if geom is not None else None
     mean = times_t(beta, pipe.rows)  # the responses' mean, X beta
 
     raw_covers = event_covers = agree = 0
@@ -196,10 +183,11 @@ def _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=None):
         rss_tau_pred = fit.rss_full + np.sum((slopes_hat @ pipe.v22_inv) * slopes_hat, axis=1)
         worst_rss_rel = max(worst_rss_rel, float(np.max(np.abs(fit.rss_tau - rss_tau_pred) / fit.rss_tau)))
         if geom is not None:
-            # the event path sees the same runs as scale-free statistics
-            ev = batch_events(fit.beta_hat / sigma - gamma, fit.rss_full / sigma**2, gamma[pipe.k :], geom, cfg)
-            event_covers += int(np.count_nonzero(ev.covers_selected))
-            agree += int(np.count_nonzero(hits == ev.covers_selected))
+            # the event path sees the same runs as scale-free statistics; they come from the fits, so unchecked
+            noise = EventNoise.of(fit.beta_hat / sigma - gamma, fit.rss_full / sigma**2, geom)
+            covers = events(noise, terms, geom, cfg).covers_selected[0]
+            event_covers += int(np.count_nonzero(covers))
+            agree += int(np.count_nonzero(hits == covers))
     p_hat = raw_covers / runs
     se = math.sqrt(p_hat * (1.0 - p_hat) / runs)
     raw = CoverageEstimate(p_hat, se, int(runs), "oracle", seed, SlopePoint.of(gamma[pipe.k :]))

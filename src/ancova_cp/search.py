@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import GeometryBundle, TwoStageConfig
-from .errors import DomainError, InsufficientLowCPPoints, check_count, check_real, check_reals
+from .errors import VECTOR, DomainError, InsufficientLowCPPoints, check_count, check_real, check_reals
 from .montecarlo import (
     MAX_RUNS,
     CoverageEstimate,
@@ -245,13 +245,11 @@ def line_profile(
     the vertex falls outside the profiled range, the lattice minimum stands.  ``memo`` is passed to estimate_points.
     """
     check_count("n_points", n_points, 3)
-    c_range = check_reals("c_range", line.c_range, 2)
-    if c_range.shape != (2,) or not c_range[0] < c_range[1]:
-        raise DomainError(f"c_range must be one pair with lo < hi, got {line.c_range}")
-    lo, hi = c_range
-    direction, offsets = check_reals("line direction and offsets", (line.direction, line.offsets), geom.k)
-    if direction.ndim != 1:
-        raise DomainError(f"line direction and offsets must be vectors, got {line.direction} and {line.offsets}")
+    lo, hi = check_reals("c_range", line.c_range, 2, VECTOR)
+    if not lo < hi:
+        raise DomainError(f"c_range must have lo < hi, got {line.c_range}")
+    direction = check_reals("line direction", line.direction, geom.k, VECTOR)
+    offsets = check_reals("offsets of the line along its direction", line.offsets, geom.k, VECTOR)
     _resolve_estimator(estimator)
     cs = _axis(lo, hi, n_points, "c_range")
     with np.errstate(over="ignore"):  # an overflowing point is refused by estimate_points

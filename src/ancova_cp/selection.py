@@ -42,7 +42,7 @@ import numpy as np
 from scipy import special
 
 from .design import GeometryBundle, TwoStageConfig
-from .errors import DomainError, check_real, check_reals
+from .errors import STACK, VECTOR, DomainError, check_reals
 
 __all__ = ["acceptance", "batch_events", "coverage_indicator", "gate_probability"]
 
@@ -191,9 +191,7 @@ def gate_probability(point, geom: GeometryBundle, cfg: TwoStageConfig, which: st
     if which not in ("tau", "xi"):
         raise DomainError(f'which must be "tau" or "xi", got {which!r}')
     cfg.check_design(geom.k, geom.m)
-    slopes = check_reals("slope point", getattr(point, "values", point), geom.k)
-    if slopes.ndim != 1:
-        raise DomainError(f"slope point must be one vector of {geom.k} numbers, got shape {slopes.shape}")
+    slopes = check_reals("slope point", getattr(point, "values", point), geom.k, VECTOR)
     test, terms = int(which == "xi"), SlopeTerms.of(slopes[None, :], geom)
     return float(acceptance(terms, geom, cfg, np.array([[test == 0, test == 1]]))[0, test])
 
@@ -285,15 +283,14 @@ def batch_events(
     vector of scaled residual sums of squares, slopes the true slope block of
     gamma: one point (k,) gives fields of shape (n,), a block of points (P, k)
     fields of shape (P, n), every point evaluated against the same draws.
-    Intervals are closed, so coverage comparisons use <=.  The slopes go
-    through check_reals; delta and d, numeric arrays, are checked by shape.
+    Intervals are closed, so coverage comparisons use <=.  All three go
+    through check_reals, and every d must be positive.
     """
     cfg.check_design(geom.k, geom.m)
-    slopes, delta, d = check_reals("slopes", slopes, geom.k), np.asarray(delta), np.asarray(d)
-    if not (slopes.ndim <= 2 and delta.shape[1:] == (2 * geom.k,) and d.shape == delta.shape[:1]
-            and {delta.dtype.kind, d.dtype.kind} <= set("iuf")):
-        raise DomainError(f"need slopes (k,) or (P, k), and numbers delta (n, 2k) and d (n,), k = {geom.k}: got "
-                          f"shapes {slopes.shape}, {delta.shape} and {d.shape}, dtypes {delta.dtype} and {d.dtype}")
+    slopes, delta = check_reals("slopes", slopes, geom.k), check_reals("delta", delta, 2 * geom.k, STACK)
+    d = check_reals("d", d, len(delta), VECTOR)
+    if not d.min() > 0.0:
+        raise DomainError(f"d must be positive, got {d.min()}")
     parts = EventNoise.of(delta, d, geom)
     batch = events(parts, SlopeTerms.of(np.atleast_2d(slopes), geom), geom, cfg)
     return EventBatch(*(field[0] for field in batch)) if slopes.ndim == 1 else batch
@@ -325,13 +322,10 @@ def events(parts: EventNoise, terms: SlopeTerms, geom: GeometryBundle, cfg: TwoS
 def coverage_indicator(gamma_hat, d, geom: GeometryBundle, cfg: TwoStageConfig, gamma) -> bool:
     """Whether the interval picked by the two-stage rule covers a'gamma for one draw.
 
-    The validated row adapter over batch_events: gamma_hat and gamma have
-    length 2k and finite entries, and d, the scaled residual sum of squares, must be positive and finite.
+    The validated row adapter over batch_events: gamma_hat and gamma are vectors of 2k finite numbers, and d, the
+    scaled residual sum of squares, must be positive and finite.
     """
-    gamma_hat, gamma = check_reals("gamma_hat", gamma_hat, 2 * geom.k), check_reals("gamma", gamma, 2 * geom.k)
-    if gamma_hat.ndim != 1 or gamma.ndim != 1:
-        raise DomainError(f"gamma_hat and gamma must be vectors, got shapes {gamma_hat.shape} and {gamma.shape}")
-    if not check_real("d", d) > 0.0:
-        raise DomainError(f"d must be positive, got {d}")
-    ev = batch_events((gamma_hat - gamma)[None, :], np.asarray([float(d)]), gamma[geom.k :], geom, cfg)
+    gamma_hat = check_reals("gamma_hat", gamma_hat, 2 * geom.k, VECTOR)
+    gamma = check_reals("gamma", gamma, 2 * geom.k, VECTOR)
+    ev = batch_events((gamma_hat - gamma)[None, :], [d], gamma[geom.k :], geom, cfg)
     return bool(ev.covers_selected[0])

@@ -37,6 +37,7 @@ from ancova_cp import (
     event_probabilities,
     f_quantile,
     fit_low_cp_lines,
+    gate_probability,
     grid_eval,
     line_profile,
     load_design,
@@ -160,6 +161,11 @@ CASES = {
     "events delta one row": (lambda g, c: batch_events(np.zeros(6), np.ones(1), np.zeros(3), g, c), None),
     "events delta strings": (lambda g, c: batch_events(np.full((2, 6), "0"), np.ones(2), np.zeros(3), g, c), None),
     "events d of 3 for 2 rows": (lambda g, c: batch_events(np.zeros((2, 6)), np.ones(3), np.zeros(3), g, c), None),
+    # NaN noise read all-False coverage and an infinite d all-True, without a word; d <= 0 warned first
+    "events nan delta": (lambda g, c: batch_events(np.full((2, 6), math.nan), np.ones(2), np.zeros(3), g, c), None),
+    "events inf d": (lambda g, c: batch_events(np.zeros((2, 6)), [1.0, math.inf], np.zeros(3), g, c), None),
+    "events zero d": (lambda g, c: batch_events(np.zeros((2, 6)), np.array([1.0, 0.0]), np.zeros(3), g, c), None),
+    "events negative d": (lambda g, c: batch_events(np.zeros((2, 6)), -np.ones(2), np.zeros(3), g, c), None),
     "points longdouble beyond float": (
         # the test module's own binding: estimate_points refuses before any draw
         lambda g, c: estimate_points(np.array([[np.longdouble("1e400"), 0, 0]]), g, c, "naive", runs=100),
@@ -350,14 +356,82 @@ def test_oracle_refuses_infinite_sigma(capsys):
         lambda g, c: event_probabilities(0.1, g, c, runs=100),
         lambda g, c: SlopePoint.of(0.1),
         lambda g, c: SlopePoint.of([[0.0, 0.1], [0.0, 0.2]]),
+        lambda g, c: SlopePoint(values=5),
+        lambda g, c: SlopePoint(values=None),
+        lambda g, c: ContrastSpec(a=None),
+        lambda g, c: ContrastSpec(a=5),
+        lambda g, c: AncovaLayout(k=2, n=(2, 2), x=((1, 2), 5)),
+        lambda g, c: AncovaLayout(k=2, n=(2, 2), x=None),
+        lambda g, c: AncovaLayout(k=2, n=None, x=((1, 2), (3, 4))),
     ],
-    ids=["1-D points", "no points", "bool points", "scalar point", "point of two axes", "events scalar point", "of scalar", "of matrix"],
+    ids=[
+        "1-D points",
+        "no points",
+        "bool points",
+        "scalar point",
+        "point of two axes",
+        "events scalar point",
+        "of scalar",
+        "of matrix",
+        "point of a scalar",
+        "point of None",
+        "contrast of None",
+        "contrast of a scalar",
+        "covariates of a scalar",
+        "covariates of None",
+        "group sizes of None",
+    ],
 )
 def test_bad_points_are_domain_errors(ref, call):
     # a scalar used to end in a bare TypeError (a float is not iterable), bools were read as numbers
     _, _, geom, cfg = ref
     with pytest.raises(DomainError):
         call(geom, cfg)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (_cp(np.zeros((2, 3))), "intercept override must be one vector of 3 numbers, got shape (2, 3)"),
+        (_raw(np.zeros((2, 6)), 1.0), "beta must be one vector of 6 numbers, got shape (2, 6)"),
+        (
+            lambda g, c: estimate_cp_raw(np.zeros(6), 1.0, _layout(), c, np.stack([g.a, g.a]), runs=100, seed=0),
+            "contrast must be one vector of 6 numbers, got shape (2, 6)",
+        ),
+        (
+            lambda g, c: ConditionalKernel(g, c, np.zeros((1, 2, 3))),
+            "slopes must be one vector or a nonempty stack of vectors of 3 numbers, got shape (1, 2, 3)",
+        ),
+        (
+            lambda g, c: gate_probability(np.zeros((3, 1)), g, c),
+            "slope point must be one vector of 3 numbers, got shape (3, 1)",
+        ),
+        (
+            lambda g, c: coverage_indicator(np.zeros((1, 6)), 18.0, g, c, np.zeros(6)),
+            "gamma_hat must be one vector of 6 numbers, got shape (1, 6)",
+        ),
+        (
+            lambda g, c: line_profile(LineLocus((1.0,) * 3, (0.0,) * 3, ((-0.1, 0.1),)), g, c, 5, 100),
+            "c_range must be one vector of 2 numbers, got shape (1, 2)",
+        ),
+    ],
+    ids=["intercepts", "beta", "contrast", "kernel slopes", "gate point", "gamma_hat", "c_range"],
+)
+def test_a_vector_of_the_wrong_axes_is_refused_with_one_message(ref, call, message):
+    # each of these checks was written out at its own call site, with its own message or none
+    _, _, geom, cfg = ref
+    with pytest.raises(DomainError) as info:
+        call(geom, cfg)
+    assert str(info.value) == message
+
+
+def test_profile_names_the_offsets_of_the_wrong_length(capsys):
+    # the offsets and the direction were checked as one array, so the error line named both
+    rc = main(["profile", "--offsets", "0,0.1", "--points", "5", "--runs", "100"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: offsets") and "got shape (2,)" in captured.err
+    assert "direction and offsets" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -314,7 +314,6 @@ def test_layouts_equal_but_for_a_zeros_sign_share_one_pipeline():
         pipe = oracle._RawPipeline(pos)
         got = {arr.tobytes(): pipe.contrast_scalars(arr) for arr in order}
         assert got == {arr.tobytes(): oracle._RawPipeline(pos).contrast_scalars(arr) for arr in order}
-        assert set(pipe.scalars) == set(got)
 
 
 def test_contrast_scalars_are_kept_with_their_pipeline(ref):
@@ -322,11 +321,7 @@ def test_contrast_scalars_are_kept_with_their_pipeline(ref):
     oracle._pipeline.cache_clear()
     _oracle_bits(layout, contrast, geom, cfg, runs=10)
     pipe = oracle._pipeline(layout)
-    assert list(pipe.scalars) == [np.asarray(contrast.a, dtype=float).tobytes()]
-    for c in range(40):  # at most 32 contrasts are kept
-        pipe.contrast_scalars(np.asarray(contrast.a) * (c + 2))
-        assert 1 <= len(pipe.scalars) <= 32
-    # nothing but the layout cache holds the pipeline: evicted, it is freed with its scalars
+    # nothing but the layout cache holds the pipeline: evicted, it is freed
     gone = weakref.ref(pipe)
     del pipe
     oracle._pipeline.cache_clear()

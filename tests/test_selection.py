@@ -274,7 +274,7 @@ def test_scalar_input_validation(ref):
         coverage_indicator(gh, 5.0, geom, cfg, np.zeros(4))
     with pytest.raises(DomainError):
         coverage_indicator(gh, -1.0, geom, cfg, np.zeros(6))
-    with pytest.raises(DomainError, match="gamma_hat and gamma must be vectors"):
+    with pytest.raises(DomainError, match=r"^gamma_hat must be one vector of 6 numbers, got shape \(2, 6\)$"):
         coverage_indicator(np.stack([gh, gh]), 5.0, geom, cfg, np.zeros(6))
     one = build_geometry(AncovaLayout(k=1, n=(4,), x=((0.0, 1.0, 2.0, 4.0),)), ContrastSpec(a=(1.0, 1.0)))
     with pytest.raises(DomainError, match="the two-stage procedure needs at least two groups and m >= 1$"):
