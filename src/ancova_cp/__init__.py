@@ -48,7 +48,6 @@ from .search import (
     SearchConfig,
     fit_low_cp_lines,
     grid_eval,
-    grid_points,
     line_profile,
     min_cp_search,
     second_test_only_cp,

@@ -77,8 +77,8 @@ def check_reals(name: str, values, length: int | None, axes: tuple = EITHER) -> 
     """``values`` as a float array of finite real numbers, in the axes ``axes`` allows (VECTOR, STACK or EITHER),
     each vector of ``length`` numbers (None: any nonempty length), else DomainError.
 
-    The one rule for a vector's shape, with one message form: "intercept override must be one vector of 3 numbers,
-    got shape (2, 3)".  A numpy array of integer or float dtype is checked in one pass, for finiteness as float64
+    The one rule for a vector's shape, with one message form: "slope point must be one vector of 3 numbers, got
+    shape (2, 3)".  A numpy array of integer or float dtype is checked in one pass, for finiteness as float64
     alone: its dtype already rules out strings, bools and None.  Anything else (a ragged input is refused) goes
     entry by entry through check_real.
     """

@@ -31,11 +31,9 @@ different estimators independent of each other.  Importing the module fixes
 glibc malloc's mmap and trim thresholds (_set_malloc_thresholds), so repeated
 chunks reuse resident pages; no value depends on them.
 
-True intercepts are fixed to zero internally: on every draw the coverage
-indicator is a function of the estimation noise, the true slopes and the
-residual scale only, so intercepts cannot change any estimate.  The
-``intercepts`` override on the estimators exists for tests that pin down
-exactly that invariance.
+The estimators take no intercepts: on every draw the coverage indicator is a
+function of the estimation noise, the true slopes and the residual scale
+only, so intercepts cannot change any estimate.
 """
 
 from __future__ import annotations
@@ -86,10 +84,6 @@ class SlopePoint:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(check_reals("slope point", self.values, None, VECTOR).tolist()))
-
-    @classmethod
-    def of(cls, values) -> "SlopePoint":
-        return cls(values=values)
 
 
 @dataclass(frozen=True)
@@ -161,11 +155,6 @@ def _stream(seed: int, tag: str, chunk: int) -> np.random.Generator:
     key = int.from_bytes(hashlib.blake2b(tag.encode("ascii"), digest_size=8).digest(), "little")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(key, chunk))
     return np.random.Generator(np.random.SFC64(seq))
-
-
-def _check_intercepts(intercepts, k):
-    if intercepts is not None:
-        check_reals("intercept override", intercepts, k, VECTOR)
 
 
 def _slopes(points, geom: GeometryBundle, cfg: TwoStageConfig) -> np.ndarray:
@@ -339,15 +328,9 @@ def estimate_naive(
     cfg: TwoStageConfig,
     runs: int = 10_000,
     seed: int = 0,
-    intercepts=None,
     n_jobs=None,
 ) -> CoverageEstimate:
-    """Average of raw coverage indicators over simulated two-stage fits.
-
-    ``intercepts`` is validated but cannot move the estimate, because each
-    indicator is a function of the noise, the true slopes and d alone.
-    """
-    _check_intercepts(intercepts, geom.k)
+    """Average of raw coverage indicators over simulated two-stage fits."""
     return estimate_points([point], geom, cfg, "naive", runs, seed, n_jobs)[0]
 
 
@@ -357,7 +340,6 @@ def estimate_conditioned(
     cfg: TwoStageConfig,
     runs: int = 10_000,
     seed: int = 0,
-    intercepts=None,
     n_jobs=None,
 ) -> CoverageEstimate:
     """Average of conditional coverage values over draws of (q, d).
@@ -365,7 +347,6 @@ def estimate_conditioned(
     q is drawn from its marginal N(true slopes, V22) and d as a chi-square
     with m degrees of freedom.
     """
-    _check_intercepts(intercepts, geom.k)
     return estimate_points([point], geom, cfg, "conditioned", runs, seed, n_jobs)[0]
 
 

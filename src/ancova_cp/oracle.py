@@ -190,7 +190,7 @@ def _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=None):
             agree += int(np.count_nonzero(hits == covers))
     p_hat = raw_covers / runs
     se = math.sqrt(p_hat * (1.0 - p_hat) / runs)
-    raw = CoverageEstimate(p_hat, se, int(runs), "oracle", seed, SlopePoint.of(gamma[pipe.k :]))
+    raw = CoverageEstimate(p_hat, se, int(runs), "oracle", seed, SlopePoint(gamma[pipe.k :]))
     return raw, event_covers / runs, agree / runs, worst_rss_rel
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "LineProfile",
     "SearchConfig",
     "MinSearchReport",
-    "grid_points",
     "grid_eval",
     "fit_low_cp_lines",
     "line_profile",
@@ -147,11 +146,6 @@ def _mirrored(ests, rows: np.ndarray) -> list[CoverageEstimate]:
     """Row i of ``rows`` with the estimate and SE of ests[-1 - i], whose point is -rows[i]."""
     pairs = zip(ests[::-1], rows.tolist())
     return [CoverageEstimate(e.estimate, e.se, e.runs, e.estimator, e.seed, _checked_point(row)) for e, row in pairs]
-
-
-def grid_points(spec: GridSpec, ndim: int) -> list[SlopePoint]:
-    """Lattice points in row-major order (first axis slowest)."""
-    return [SlopePoint.of(row) for row in spec.lattice(ndim)]
 
 
 def grid_eval(
@@ -291,7 +285,8 @@ def second_test_only_cp(
     offset + deltas loses a delta to rounding raises DomainError.
     """
     estimate = _resolve_estimator(estimator)
-    far = _far_points(check_reals("deltas", deltas, geom.k - 1), check_real("offset", offset), "offset too large")
+    deltas = check_reals("deltas", deltas, geom.k - 1, VECTOR)
+    far = _far_points(deltas, check_real("offset", offset), "offset too large")
     return estimate(far, geom, cfg, runs=runs, seed=seed)
 
 

@@ -728,7 +728,7 @@ def test_cp_both_warns_when_the_estimators_disagree(capsys, monkeypatch):
     # two estimates 0.1 apart, each with SE 0.01: 0.1 exceeds 3 combined SEs (0.042)
     def fake(points, geom, cfg, name, runs, seed):
         value = 0.9 if name == "naive" else 0.8
-        return [montecarlo.CoverageEstimate(value, 0.01, runs, name, seed, montecarlo.SlopePoint.of(points[0]))]
+        return [montecarlo.CoverageEstimate(value, 0.01, runs, name, seed, montecarlo.SlopePoint(points[0]))]
 
     monkeypatch.setattr(montecarlo, "estimate_points", fake)
     rc, out, err = _run(capsys, "cp", "--point", "0,0.1,0", "--estimator", "both", "--runs", "100")

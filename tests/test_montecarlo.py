@@ -36,17 +36,17 @@ from ancova_cp.montecarlo import BLOCK_CELLS, CHUNK_SIZE, _draw_full, _draw_slop
 from ancova_cp.selection import EventNoise, SlopeNoise, SlopeTerms, acceptance, block_f, events
 from oracles import assembled, direct_geometry, gate_prob_mc, gate_prob_ncf, past_radii, slope_draws
 
-POINT = SlopePoint.of((0.05, 0.1, 0.0))
+POINT = SlopePoint((0.05, 0.1, 0.0))
 
 
 def test_slope_point_normalizes_and_validates():
-    p = SlopePoint.of(np.array([0.25, -0.5]))
+    p = SlopePoint(np.array([0.25, -0.5]))
     assert p.values == (0.25, -0.5)
     assert all(isinstance(v, float) for v in p.values)
     with pytest.raises(DomainError):
-        SlopePoint.of(())
+        SlopePoint(())
     with pytest.raises(DomainError):
-        SlopePoint.of((1.0, math.nan))
+        SlopePoint((1.0, math.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_block_matches_single_point_calls(ref, estimator):
     _, _, geom, cfg = ref
     runs = CHUNK_SIZE + 700
     assert BLOCK_CELLS // CHUNK_SIZE < 5
-    points = [SlopePoint.of(p) for p in np.random.default_rng(5).uniform(-0.3, 0.3, (5, 3))]
+    points = [SlopePoint(p) for p in np.random.default_rng(5).uniform(-0.3, 0.3, (5, 3))]
     block = estimate_points(points, geom, cfg, estimator, runs=runs, seed=4)
     for point, est in zip(points, block):
         alone = estimate_points([point], geom, cfg, estimator, runs=runs, seed=4)[0]
@@ -130,7 +130,7 @@ def test_conditioned_block_matches_single_point_where_regions_mix(request, case)
             assert in_a.any() and in_b.any() and in_c.any()
         else:
             assert (in_c if cutoffs[0] == 0.0 else in_a).all()
-    points = [SlopePoint.of(s) for s in slopes]
+    points = [SlopePoint(s) for s in slopes]
     block = estimate_points(points, geom, cfg, "conditioned", runs=runs, seed=seed)
     for point, est in zip(points, block):
         alone = estimate_points([point], geom, cfg, "conditioned", runs=runs, seed=seed)[0]
@@ -142,7 +142,7 @@ def test_shared_draw_blocks_are_thread_invariant(ref, monkeypatch, estimator):
     # many 8-point blocks per chunk; 2000 runs is one chunk and runs serially,
     # CHUNK_SIZE + 100 is two chunks, one per thread
     _, _, geom, cfg = ref
-    points = [SlopePoint.of(p) for p in np.random.default_rng(8).uniform(-0.3, 0.3, (37, 3))]
+    points = [SlopePoint(p) for p in np.random.default_rng(8).uniform(-0.3, 0.3, (37, 3))]
     for runs in (2000, CHUNK_SIZE + 100):
         spec = GridSpec(bounds=(-0.25, 0.25), points_per_axis=4, runs=runs, seed=6)
         serial = estimate_points(points, geom, cfg, estimator, runs=runs, seed=6, n_jobs=1)
@@ -159,7 +159,7 @@ def test_shared_draw_blocks_are_thread_invariant(ref, monkeypatch, estimator):
 
 def test_block_is_thread_invariant_through_env(ref, monkeypatch):
     _, _, geom, cfg = ref
-    points = [SlopePoint.of(p) for p in np.random.default_rng(6).uniform(-0.3, 0.3, (7, 3))]
+    points = [SlopePoint(p) for p in np.random.default_rng(6).uniform(-0.3, 0.3, (7, 3))]
     runs = 3 * CHUNK_SIZE + 11
     serial = estimate_points(points, geom, cfg, "conditioned", runs=runs, seed=2, n_jobs=1)
     for threads in ("2", "4"):
@@ -252,22 +252,13 @@ def test_seed_changes_estimate(ref):
     assert a.estimate != b.estimate
 
 
-def test_intercept_override_cannot_move_estimates(ref):
-    _, _, geom, cfg = ref
-    for estimate in (estimate_naive, estimate_conditioned):
-        base = estimate(POINT, geom, cfg, runs=6000, seed=11)
-        moved = estimate(POINT, geom, cfg, runs=6000, seed=11, intercepts=(5.0, -3.0, 2.0))
-        assert base.estimate == moved.estimate
-        assert base.se == moved.se
-
-
 def test_estimate_metadata(ref):
     _, _, geom, cfg = ref
     est = estimate_naive((0.0, 0.0, 0.0), geom, cfg, runs=500, seed=4)
     assert est.estimator == "naive"
     assert est.seed == 4
     assert est.runs == 500
-    assert est.point == SlopePoint.of((0.0, 0.0, 0.0))
+    assert est.point == SlopePoint((0.0, 0.0, 0.0))
     est2 = estimate_conditioned(POINT, geom, cfg, runs=500, seed=4)
     assert est2.estimator == "conditioned"
 
@@ -301,7 +292,7 @@ def test_draw_full_moments(ref):
 def test_forced_full_model_is_nominal(ref):
     _, _, geom, cfg = ref
     forced = dataclasses.replace(cfg, l_tau=0.0, l_xi=0.0)
-    point = SlopePoint.of((0.3, -0.2, 0.1))
+    point = SlopePoint((0.3, -0.2, 0.1))
     for estimate in (estimate_naive, estimate_conditioned):
         est = estimate(point, geom, forced, runs=20_000, seed=5)
         assert abs(est.estimate - 0.95) <= 3 * est.se
@@ -310,7 +301,7 @@ def test_forced_full_model_is_nominal(ref):
 def test_forced_reduced_model_is_nominal_at_null(ref):
     _, _, geom, cfg = ref
     forced_a = dataclasses.replace(cfg, l_tau=math.inf)
-    zero = SlopePoint.of((0.0, 0.0, 0.0))
+    zero = SlopePoint((0.0, 0.0, 0.0))
     for estimate in (estimate_naive, estimate_conditioned):
         est = estimate(zero, geom, forced_a, runs=20_000, seed=6)
         assert abs(est.estimate - 0.95) <= 3 * est.se
@@ -333,7 +324,7 @@ def test_forced_reduced_model_is_nominal_at_null(ref):
 def test_gate_probability_against_ncf(ref, which, slopes):
     # relative, not bit for bit: another scipy release may compute the CDF with other rounding
     _, _, geom, cfg = ref
-    exact = gate_probability(SlopePoint.of(slopes), geom, cfg, which)
+    exact = gate_probability(SlopePoint(slopes), geom, cfg, which)
     assert type(exact) is float
     assert exact == pytest.approx(gate_prob_ncf(geom, cfg, np.asarray(slopes), which), rel=1e-9)
     assert gate_probability(np.asarray(slopes), geom, cfg, which) == exact
@@ -356,12 +347,12 @@ def test_gate_probability_matches_a_simulated_f(request, design):
 def test_gate_probability_null_level(ref):
     # at zero slopes F is central, so the first test accepts with probability 1 - sig_tau
     _, _, geom, cfg = ref
-    assert gate_probability(SlopePoint.of((0.0, 0.0, 0.0)), geom, cfg, "tau") == pytest.approx(0.90, rel=1e-12)
+    assert gate_probability(SlopePoint((0.0, 0.0, 0.0)), geom, cfg, "tau") == pytest.approx(0.90, rel=1e-12)
 
 
 def test_gate_probability_far_point_rejects(ref):
     _, _, geom, cfg = ref
-    assert gate_probability(SlopePoint.of((10.0, 11.0, 9.0)), geom, cfg, "tau") < 1e-6
+    assert gate_probability(SlopePoint((10.0, 11.0, 9.0)), geom, cfg, "tau") < 1e-6
     # a noncentrality past about 1e19 made ncfdtr return NaN, which no gate warning compared below
     for point in ((1e10, 0.0, 0.0), (0.0, 1e10, -1e10), (1e200, -1e200, 0.0)):
         assert gate_probability(point, geom, cfg, "tau") == 0.0
@@ -664,7 +655,7 @@ def test_a_mirrored_point_on_mirrored_draws_keeps_its_estimate(ref, monkeypatch)
 
 def test_conditioning_reduces_se_at_origin(ref):
     _, _, geom, cfg = ref
-    zero = SlopePoint.of((0.0, 0.0, 0.0))
+    zero = SlopePoint((0.0, 0.0, 0.0))
     wins = 0
     for seed in range(5):
         naive = estimate_naive(zero, geom, cfg, runs=10_000, seed=seed)
@@ -691,7 +682,7 @@ def test_conditioned_draws_lie_in_unit_interval(ref):
 def test_event_probabilities_bounds(ref):
     _, _, geom, cfg = ref
     for seed, slopes in [(0, (0.0, 0.05, 0.1)), (1, (0.2, -0.2, 0.0))]:
-        out = event_probabilities(SlopePoint.of(slopes), geom, cfg, runs=10_000, seed=seed)
+        out = event_probabilities(SlopePoint(slopes), geom, cfg, runs=10_000, seed=seed)
         assert set(out) == {"covers_tau", "covers_tau_and_accept", "reject_tau", "runs"}
         assert out["runs"] == 10_000
         for key in ("covers_tau", "covers_tau_and_accept", "reject_tau"):
@@ -717,11 +708,6 @@ def test_estimator_input_validation(ref):
         estimate_naive(POINT, geom, cfg, runs=100, seed=-1)
     with pytest.raises(DomainError):
         estimate_naive(POINT, geom, cfg, runs=100, seed=1.5)
-    with pytest.raises(DomainError):
-        estimate_naive(POINT, geom, cfg, runs=100, seed=0, intercepts=(1.0,))
-    for estimate in (estimate_naive, estimate_conditioned):
-        with pytest.raises(DomainError, match="intercept override must be one vector of 3 numbers"):
-            estimate(POINT, geom, cfg, runs=100, seed=0, intercepts=np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("runs", [100.5, 100.0, True, False, "100", None, -3, np.float64(100.0)])

@@ -55,7 +55,7 @@ def _low_table():
     rows = []
     for c in (-0.1, 0.0, 0.1):
         for delta, value in (((0.05, 0.02), 0.3), ((-0.05, -0.02), 0.3), ((0.0, 0.2), 0.9)):
-            point = SlopePoint.of((c, c + delta[0], c + delta[1]))
+            point = SlopePoint((c, c + delta[0], c + delta[1]))
             rows.append((point, CoverageEstimate(value, 0.01, 1000, "conditioned", 0, point)))
     return rows
 
@@ -72,10 +72,6 @@ def _far(deltas, offset):
     return lambda g, c: second_test_only_cp(deltas, g, c, runs=100, offset=offset)
 
 
-def _cp(intercepts):
-    return lambda g, c: estimate_conditioned((0, 0.1, 0), g, c, runs=100, intercepts=intercepts)
-
-
 def _raw(beta, sigma):
     return lambda g, c: estimate_cp_raw(beta, sigma, _layout(), c, g.a, runs=100, seed=0)
 
@@ -89,16 +85,15 @@ CASES = {
     "grid bounds bools": (_grid((False, True)), _grid((0.0, 1.0))),
     "offset bool": (_far((0.05, 0.0), True), _far((0.05, 0.0), 1000.0)),
     "delta string": (_far(("a", 0), 1000.0), _far((0.0, 0.0), 1000.0)),
-    "intercept strings": (_cp(("1", "2", "3")), _cp((1, 2, 3))),
     "oracle beta strings": (_raw(("0",) * 6, 1.0), _raw((0,) * 6, 1.0)),
     "oracle sigma inf": (_raw(np.zeros(6), math.inf), _raw(np.zeros(6), 2)),
     "oracle sigma string": (_raw(np.zeros(6), "2"), _raw(np.zeros(6), 2)),
     "threshold string": (_threshold("0.6"), None),
     "threshold nan": (_threshold(math.nan), None),
     "threshold bool": (_threshold(True), None),
-    "slope numeric string": (lambda g, c: SlopePoint.of(("0.1", 0, 0)), None),
-    "slope bool": (lambda g, c: SlopePoint.of((True, 0, 0)), None),
-    "slope string": (lambda g, c: SlopePoint.of(("a", 0, 0)), None),
+    "slope numeric string": (lambda g, c: SlopePoint(("0.1", 0, 0)), None),
+    "slope bool": (lambda g, c: SlopePoint((True, 0, 0)), None),
+    "slope string": (lambda g, c: SlopePoint(("a", 0, 0)), None),
     "covariate string": (lambda g, c: AncovaLayout(k=1, n=(2,), x=((1.0, "2"),)), None),
     "contrast string": (lambda g, c: ContrastSpec(a=("1", 0.0)), None),
     "x_star None": (lambda g, c: ContrastSpec.treatment_difference(_layout(), 1, 2, None), None),
@@ -125,7 +120,7 @@ CASES = {
     "kernel ragged slopes": (lambda g, c: ConditionalKernel(g, c, [[0.0, 0.1, 0.0], [0.0, 0.1]]), None),
     "kernel slopes of three axes": (lambda g, c: ConditionalKernel(g, c, np.zeros((1, 2, 3))), None),
     # an int beyond the float range ended in a bare OverflowError, a longdouble one was read as inf
-    "slope int beyond float": (lambda g, c: SlopePoint.of((10**400, 0, 0)), None),
+    "slope int beyond float": (lambda g, c: SlopePoint((10**400, 0, 0)), None),
     "offset int beyond float": (_far((0.05, 0.0), 10**400), _far((0.05, 0.0), 1000)),
     "grid bounds longdouble beyond float": (
         _grid(np.array([-1, 1]) * np.longdouble("1e400")),
@@ -354,8 +349,8 @@ def test_oracle_refuses_infinite_sigma(capsys):
         lambda g, c: estimate_conditioned(0.1, g, c, runs=100),
         lambda g, c: estimate_conditioned(np.zeros((1, 3)), g, c, runs=100),
         lambda g, c: event_probabilities(0.1, g, c, runs=100),
-        lambda g, c: SlopePoint.of(0.1),
-        lambda g, c: SlopePoint.of([[0.0, 0.1], [0.0, 0.2]]),
+        lambda g, c: SlopePoint(0.1),
+        lambda g, c: SlopePoint([[0.0, 0.1], [0.0, 0.2]]),
         lambda g, c: SlopePoint(values=5),
         lambda g, c: SlopePoint(values=None),
         lambda g, c: ContrastSpec(a=None),
@@ -392,7 +387,7 @@ def test_bad_points_are_domain_errors(ref, call):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (_cp(np.zeros((2, 3))), "intercept override must be one vector of 3 numbers, got shape (2, 3)"),
+        (_far(np.zeros((2, 2)), 1000.0), "deltas must be one vector of 2 numbers, got shape (2, 2)"),
         (_raw(np.zeros((2, 6)), 1.0), "beta must be one vector of 6 numbers, got shape (2, 6)"),
         (
             lambda g, c: estimate_cp_raw(np.zeros(6), 1.0, _layout(), c, np.stack([g.a, g.a]), runs=100, seed=0),
@@ -415,7 +410,7 @@ def test_bad_points_are_domain_errors(ref, call):
             "c_range must be one vector of 2 numbers, got shape (1, 2)",
         ),
     ],
-    ids=["intercepts", "beta", "contrast", "kernel slopes", "gate point", "gamma_hat", "c_range"],
+    ids=["deltas", "beta", "contrast", "kernel slopes", "gate point", "gamma_hat", "c_range"],
 )
 def test_a_vector_of_the_wrong_axes_is_refused_with_one_message(ref, call, message):
     # each of these checks was written out at its own call site, with its own message or none

@@ -54,7 +54,7 @@ def designs(draw):
     # slope points in units of the slope noise, so that every selection region occurs
     coords = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
     points = draw(st.lists(st.tuples(*[coords] * k), min_size=2, max_size=20))
-    return layout, geom, cfg, [SlopePoint.of(geom.v22_chol @ np.asarray(p)) for p in points]
+    return layout, geom, cfg, [SlopePoint(geom.v22_chol @ np.asarray(p)) for p in points]
 
 
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)

@@ -30,7 +30,6 @@ from ancova_cp import (
     fit_low_cp_lines,
     gate_probability,
     grid_eval,
-    grid_points,
     line_profile,
     min_cp_search,
     second_test_only_cp,
@@ -42,7 +41,7 @@ from oracles import direct_geometry, gate_prob_ncf
 
 
 def _fake_est(point, value):
-    pt = SlopePoint.of(point)
+    pt = SlopePoint(point)
     return pt, CoverageEstimate(value, 0.01, 1000, "conditioned", 0, pt)
 
 
@@ -53,16 +52,15 @@ def _fake_est(point, value):
 
 def test_grid_points_row_major():
     spec = GridSpec(bounds=(0.0, 1.0), points_per_axis=2)
-    pts = grid_points(spec, 2)
-    assert [p.values for p in pts] == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    assert spec.lattice(2).tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
 
 
 def test_grid_points_per_axis_bounds():
     spec = GridSpec(bounds=((0.0, 1.0), (-2.0, 2.0)), points_per_axis=3)
-    pts = grid_points(spec, 2)
-    assert len(pts) == 9
-    assert pts[0].values == (0.0, -2.0)
-    assert pts[-1].values == (1.0, 2.0)
+    pts = spec.lattice(2)
+    assert pts.shape == (9, 2)
+    assert pts[0].tolist() == [0.0, -2.0]
+    assert pts[-1].tolist() == [1.0, 2.0]
 
 
 def test_grid_spec_validation():
@@ -789,7 +787,7 @@ def test_pools_open_only_for_several_chunks(ref, monkeypatch):
     assert min_cp_search(_fine_config(geom, cfg)).lines is not None
     assert helpers == [] and set(threads) == {threading.get_ident()}
     # three chunks need at most three threads: the caller and two helpers
-    point = SlopePoint.of((0.0, 0.1, 0.0))
+    point = SlopePoint((0.0, 0.1, 0.0))
     for _ in range(3):
         threads.clear()
         estimate_conditioned(point, geom, cfg, runs=2 * montecarlo.CHUNK_SIZE + 1, seed=0, n_jobs=4)
@@ -890,7 +888,7 @@ def _csv_writer_bytes(rows, path) -> bytes:
 
 
 def test_csv_bytes_match_a_csv_writer_rendering(tmp_path):
-    points = [SlopePoint.of(p) for p in ((-0.25, 1e-05, -0.0), (0.1, -1e-05, 0.0), (-1e-05, -0.0, -0.2))]
+    points = [SlopePoint(p) for p in ((-0.25, 1e-05, -0.0), (0.1, -1e-05, 0.0), (-1e-05, -0.0, -0.2))]
     ests = [
         CoverageEstimate(value, se, 2000, name, seed, point)
         for value, se, name, seed, point in zip(
@@ -966,15 +964,15 @@ def test_search_checks_no_number_it_generated(ref, monkeypatch):
 def test_estimates_carry_the_checked_points_as_floats(ref):
     _, _, geom, cfg = ref
     rows = np.array([[-0.0, 0.1, 0.0], [0.25, -0.125, 5e-324]])
-    for points in (rows, rows.astype(np.float32), rows.tolist(), [SlopePoint.of(r) for r in rows]):
+    for points in (rows, rows.astype(np.float32), rows.tolist(), [SlopePoint(r) for r in rows]):
         ests = estimate_points(points, geom, cfg, runs=100)
         expected = np.asarray(points if not isinstance(points[0], SlopePoint) else rows, dtype=float)
         for row, est in zip(expected, ests):
-            assert est.point == SlopePoint.of(row)
+            assert est.point == SlopePoint(row)
             assert all(type(v) is float for v in est.point.values)
             assert np.array(est.point.values).tobytes() == row.tobytes()
     report = min_cp_search(_tiny_config(geom, cfg, runs=300))
     tables = [report.cube_table, [(est.point, est) for p in report.profiles for est in p.estimates]]
     for point, est in itertools.chain(*tables, [(e.point, e) for _, e in report.square_table]):
-        assert est.point == SlopePoint.of(est.point.values) and point == est.point
+        assert est.point == SlopePoint(est.point.values) and point == est.point
         assert all(type(v) is float for v in est.point.values)
