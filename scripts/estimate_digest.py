@@ -136,7 +136,7 @@ def sweep(digest: Parts) -> None:
                         digest.estimates(part, estimate_points([point], geom, cfg, estimator, runs=runs, seed=runs))
             digest.feed("conditional_cp_batch", ConditionalKernel(geom, cfg, points[0]).conditional_cp_batch(q, d))
     _, geom, cfg = next(designs())
-    for bounds in ((-0.2, 0.2), ((-0.2, 0.2), (-0.1, 0.25), (-0.2, 0.2))):
+    for bounds in ((-0.2, 0.2), (-0.1, 0.25)):
         for estimator in ("naive", "conditioned"):
             for point, est in grid_eval(GridSpec(bounds, 5, 9000, 6), estimator, geom, cfg):
                 digest.feed(f"grid_eval, {estimator}", point.values)

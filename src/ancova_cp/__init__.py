@@ -39,7 +39,7 @@ from .montecarlo import (
     estimate_points,
     event_probabilities,
 )
-from .oracle import AgreementReport, RawFit, agreement_with_events, estimate_cp_raw, simulate_and_fit
+from .oracle import AgreementReport, agreement_with_events, estimate_cp_raw
 from .search import (
     GridSpec,
     LineLocus,

@@ -305,7 +305,7 @@ def cmd_lines(args, run: RunConfig) -> int:
 
 
 def cmd_profile(args, run: RunConfig) -> int:
-    line = LineLocus(direction=(1.0,) * run.geom.k, offsets=args.offsets, c_range=args.c_range)
+    line = LineLocus(offsets=args.offsets, c_range=args.c_range)
     profile = line_profile(line, run.geom, run.cfg, args.points, run.runs, run.seed, run.estimator)
     out = run.out or "profile.csv"
     write_profile_csv(profile, out)
@@ -315,12 +315,13 @@ def cmd_profile(args, run: RunConfig) -> int:
 
 
 def cmd_min(args, run: RunConfig) -> int:
+    cube = _grid_spec(args, run)
     square = GridSpec(bounds=args.square_bounds, points_per_axis=args.square_density, runs=run.runs, seed=run.seed)
     config = SearchConfig(
         geom=run.geom,
         cfg=run.cfg,
         estimator=run.estimator,
-        cube=_grid_spec(args, run),
+        cube=cube,
         square=square,
         threshold=args.threshold,
         profile_points=args.profile_points,

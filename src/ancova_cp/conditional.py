@@ -31,9 +31,9 @@ import numpy as np
 from scipy import special
 
 from .design import GeometryBundle, TwoStageConfig
-from .errors import STACK, VECTOR, DomainError, check_reals
+from .errors import STACK, DomainError, check_reals
 from .selection import SlopeNoise, SlopeTerms, acceptance, block_f, f_thresholds, half_widths
-from .selection import quad_form, rejection_radii
+from .selection import positive_d, quad_form, rejection_radii
 
 __all__ = ["ConditionalKernel", "KernelDraws"]
 
@@ -305,10 +305,7 @@ class ConditionalKernel:
         if self.slopes.shape[0] != 1:
             raise DomainError("the row interface needs a kernel built for one slope point")
         q = check_reals("q", q, self.geom.k, STACK)
-        d = check_reals("d", d, len(q), VECTOR)
-        if not d.min() > 0.0:
-            raise DomainError(f"d must be positive, got {d.min()}")
-        draws = KernelDraws(q - self.slopes[0], d, self.geom)
+        draws = KernelDraws(q - self.slopes[0], positive_d(d, len(q)), self.geom)
         _, a, b, v, _ = next(self.blocks(draws, 1))
         row = draws.region_c(self.cfg)[0].copy()
         row[np.concatenate((a, b))] = v

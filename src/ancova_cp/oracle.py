@@ -28,7 +28,7 @@ from .montecarlo import CoverageEstimate, SlopePoint, _chunk_sizes, _stream
 from .selection import EventNoise, SlopeTerms, events
 from .selection import coverage_indicator  # noqa: F401  perfbench/spans.py traces the name
 
-__all__ = ["RawFit", "AgreementReport", "simulate_and_fit", "estimate_cp_raw", "agreement_with_events"]
+__all__ = ["AgreementReport", "estimate_cp_raw", "agreement_with_events"]
 
 # The fits sum squares of about sigma^2, which leave the normal floats outside SIGMA_RANGE (at sigma 1e-170 every F
 # is 0 / 0), and round at about 1e-16 of the responses X beta, under 1e-8 of the noise within SIGNAL_MAX sigmas (on
@@ -37,7 +37,7 @@ SIGMA_RANGE, SIGNAL_MAX = (1e-100, 1e100), 1e8
 
 
 @dataclass(frozen=True)
-class RawFit:
+class _RawFit:
     """Simulated data sets fitted under all three candidate models.
 
     Each field has one row per data set; a single response vector gives
@@ -93,7 +93,7 @@ class _RawPipeline:
         w_star = v11 - float(w21 @ self.w22_inv @ w21)
         return v11, v_star, w_star
 
-    def fit(self, y: np.ndarray) -> RawFit:
+    def fit(self, y: np.ndarray) -> _RawFit:
         """Fit responses of shape (runs, n_total), or one (n_total,) vector."""
         beta_hat = times_t(y, self.proj)
         beta_tau = times_t(beta_hat, self.g_tau)
@@ -102,7 +102,7 @@ class _RawPipeline:
         def rss(beta):
             return np.sum((y - times_t(beta, self.x_design)) ** 2, axis=-1)
 
-        return RawFit(beta_hat, rss(beta_hat), beta_tau, rss(beta_tau), beta_xi, rss(beta_xi))
+        return _RawFit(beta_hat, rss(beta_hat), beta_tau, rss(beta_tau), beta_xi, rss(beta_xi))
 
 
 @functools.lru_cache(maxsize=8)
@@ -129,16 +129,7 @@ def _check_inputs(beta, sigma, layout: AncovaLayout, names=("beta", "sigma")) ->
     return beta, sigma, pipe
 
 
-def simulate_and_fit(
-    beta, sigma: float, layout: AncovaLayout, rng: np.random.Generator
-) -> RawFit:
-    """Draw one response vector Y = X beta + sigma * z and fit all three models."""
-    beta, sigma, pipe = _check_inputs(beta, sigma, layout)
-    eps = sigma * rng.standard_normal(layout.n_total)
-    return pipe.fit(times_t(beta, pipe.rows) + eps)
-
-
-def _raw_hits(pipe: _RawPipeline, cfg: TwoStageConfig, a, scalars, theta, fit: RawFit) -> np.ndarray:
+def _raw_hits(pipe: _RawPipeline, cfg: TwoStageConfig, a, scalars, theta, fit: _RawFit) -> np.ndarray:
     """Whether the interval the two-stage rule picks covers theta, per fitted data set."""
     v11, v_star, w_star = scalars
     k, m = pipe.k, pipe.m

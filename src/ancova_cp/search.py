@@ -71,51 +71,47 @@ def _resolve_estimator(name: str):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A lattice over slope space: bounds, density, and the estimation budget.
+    """A lattice over slope space: one (lo, hi) pair for every axis, the density, and the estimation budget.
 
-    bounds is either one (lo, hi) pair applied to every axis or a tuple of per-axis pairs.  Each axis is
-    np.linspace(lo, hi, points_per_axis), made exactly antisymmetric when lo == -hi (see _axis).
+    Each axis is _axis(lo, hi, points_per_axis).  Every field is checked when the spec is made (DomainError): the
+    bounds by _interval, stored as floats, points_per_axis >= 2, runs from 1 to MAX_RUNS and seed >= 0.
     """
 
-    bounds: tuple = (-0.25, 0.25)
+    bounds: tuple[float, float] = (-0.25, 0.25)
     points_per_axis: int = 21
     runs: int = 10_000
     seed: int = 0
 
-    def checked_bounds(self, ndim: int) -> np.ndarray:
-        """The (ndim, 2) bounds of the axes, once the density and bounds are checked (DomainError), no axis built."""
+    def __post_init__(self):
         check_count("points_per_axis", self.points_per_axis, 2)
-        bounds = check_reals("axis bounds", self.bounds, 2)
-        if bounds.shape not in ((2,), (ndim, 2)) or not np.all(bounds[..., 0] < bounds[..., 1]):
-            raise DomainError(f"axis bounds must be one (lo, hi) pair or {ndim}, with lo < hi, got {self.bounds!r}")
-        bounds = np.broadcast_to(bounds, (ndim, 2))
-        for lo, hi in bounds:
-            _check_width(lo, hi, "axis bounds")
-        return bounds
-
-    def axes(self, ndim: int) -> list[np.ndarray]:
-        return [_axis(lo, hi, self.points_per_axis, "axis bounds") for lo, hi in self.checked_bounds(ndim)]
+        object.__setattr__(self, "bounds", _interval("axis bounds", self.bounds))
+        check_count("runs", self.runs, 1, MAX_RUNS)  # the budget rule montecarlo._reduce applies
+        check_count("seed", self.seed, 0)
 
     def lattice(self, ndim: int) -> np.ndarray:
-        """_lattice(self.axes(ndim)), allocated before any axis is built: one too large fails at once, MemoryError."""
+        """The ndim-dimensional lattice (see _lattice), allocated before its axis is built: one too large fails at
+        once, MemoryError."""
         n = self.points_per_axis
-        self.checked_bounds(ndim)
         try:
             out = np.empty((n,) * ndim + (ndim,))
         except ValueError:  # more bytes than numpy can count
             raise MemoryError(f"a lattice of {n}^{ndim} points is too large to allocate") from None
-        return _lattice(self.axes(ndim), out)
+        return _lattice([_axis(*self.bounds, n)] * ndim, out)
 
 
-def _check_width(lo: float, hi: float, name: str) -> None:
-    """DomainError for bounds ``name`` whose width overflows, which linspace would step by inf."""
-    if math.isinf(float(hi) - float(lo)):
+def _interval(name: str, pair) -> tuple[float, float]:
+    """``pair`` as two floats (lo, hi) with lo < hi and a width hi - lo that does not overflow (linspace would step
+    by inf), else DomainError."""
+    lo, hi = check_reals(name, pair, 2, VECTOR).tolist()
+    if not lo < hi:
+        raise DomainError(f"{name} must have lo < hi, got {pair!r}")
+    if math.isinf(hi - lo):
         raise DomainError(f"{name} ({lo}, {hi}) too wide: hi - lo overflows")
+    return lo, hi
 
 
-def _axis(lo: float, hi: float, n: int, name: str) -> np.ndarray:
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     """np.linspace(lo, hi, n); if lo == -hi, its upper half is its negated lower half and an odd centre is 0.0."""
-    _check_width(lo, hi, name)
     axis = np.linspace(lo, hi, n)
     return np.concatenate([axis[: n // 2], np.zeros(n % 2), -axis[n // 2 - 1 :: -1]]) if lo == -hi else axis
 
@@ -159,7 +155,7 @@ def grid_eval(
     """Estimate the coverage probability at every lattice point, against the draws of (spec.seed, spec.runs).
 
     Each entry equals the estimate of its point alone, except that on a centrally symmetric lattice
-    (every lo == -hi) row P-1-i of the second half carries row i's estimate and SE (see _halved).
+    (lo == -hi) row P-1-i of the second half carries row i's estimate and SE (see _halved).
     ``memo`` is passed to estimate_points.
     """
     _resolve_estimator(estimator)
@@ -170,11 +166,15 @@ def grid_eval(
 
 @dataclass(frozen=True)
 class LineLocus:
-    """A line c -> offsets + c * direction through slope space."""
+    """A line c -> offsets + c * (1, ..., 1) through slope space, profiled over c in c_range."""
 
-    direction: tuple[float, ...]
     offsets: tuple[float, ...]
     c_range: tuple[float, float]
+
+    @property
+    def direction(self) -> tuple[float, ...]:
+        """(1.0, ..., 1.0): every locus runs along the all-ones direction."""
+        return (1.0,) * len(self.offsets)
 
 
 def fit_low_cp_lines(
@@ -200,13 +200,12 @@ def fit_low_cp_lines(
             f"need at least two points below {threshold} on each side, "
             f"got {len(clusters[0])} and {len(clusters[1])}"
         )
-    ndim = low.shape[1]
     first_axis = [pt.values[0] for pt, _ in table]
     lines = []
     for cluster in clusters:
         offsets = (cluster - cluster[:, :1]).mean(axis=0)
         offsets[0] = 0.0
-        lines.append(LineLocus((1.0,) * ndim, tuple(float(v) for v in offsets), (min(first_axis), max(first_axis))))
+        lines.append(LineLocus(tuple(float(v) for v in offsets), (min(first_axis), max(first_axis))))
     return lines[0], lines[1]
 
 
@@ -239,15 +238,12 @@ def line_profile(
     the vertex falls outside the profiled range, the lattice minimum stands.  ``memo`` is passed to estimate_points.
     """
     check_count("n_points", n_points, 3)
-    lo, hi = check_reals("c_range", line.c_range, 2, VECTOR)
-    if not lo < hi:
-        raise DomainError(f"c_range must have lo < hi, got {line.c_range}")
-    direction = check_reals("line direction", line.direction, geom.k, VECTOR)
+    lo, hi = _interval("c_range", line.c_range)
     offsets = check_reals("offsets of the line along its direction", line.offsets, geom.k, VECTOR)
     _resolve_estimator(estimator)
-    cs = _axis(lo, hi, n_points, "c_range")
+    cs = _axis(lo, hi, n_points)
     with np.errstate(over="ignore"):  # an overflowing point is refused by estimate_points
-        points = offsets + cs[:, None] * direction
+        points = offsets + cs[:, None]
     ests = estimate_points(points, geom, cfg, estimator, runs, seed, n_jobs, memo=memo)
     return _refined(line, cs, ests)
 
@@ -301,17 +297,16 @@ def _far_points(deltas: np.ndarray, offset: float, culprit: str) -> np.ndarray:
     return np.concatenate([np.full_like(far[..., :1], offset), far], axis=-1)
 
 
-def _weakest(faces: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """The point of least x' cov^-1 x, the least noncentrality, on the face planes x_i = lo_i, x_i = hi_i of a box,
-    ``faces`` its (ndim, 2) bounds (the end points of its lattice's axes).
+def _weakest(lo: float, hi: float, cov: np.ndarray) -> np.ndarray:
+    """The point of least x' cov^-1 x, the least noncentrality, on the faces of the box [lo, hi]^ndim.
 
-    On the plane x_i = c the least form is c^2 / cov_ii, at c cov_i / cov_ii.  For a box about the origin every
-    point on or outside the boundary has a form at least this one's; the point is on the boundary when it lies
-    in the box.  Zeros are +0.0.
+    On the plane x_i = c the least form is c^2 / cov_ii, at c cov_i / cov_ii, so over the faces it is
+    min(lo^2, hi^2) / max_i cov_ii: on the nearer face (lo when |lo| <= |hi|) of the first axis with the largest
+    cov_ii.  If lo <= 0 <= hi, every point on or outside the boundary has a form at least this one's, and the point
+    is on the boundary, since |cov_ij| <= cov_ii on that axis.  Zeros are +0.0.
     """
-    with np.errstate(over="ignore"):  # a face whose form overflows to inf is not the least one
-        i, j = np.unravel_index(np.argmin(np.square(faces) / np.diag(cov)[:, None]), faces.shape)
-    return faces[i, j] * (cov[i] / cov[i, i]) + 0.0
+    i = int(np.argmax(np.diag(cov)))
+    return (lo if abs(lo) <= abs(hi) else hi) * (cov[i] / cov[i, i]) + 0.0
 
 
 @dataclass(frozen=True)
@@ -359,11 +354,7 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     """
     geom, cfg = config.geom, config.cfg
     cube, square = config.cube, config.square
-    # refuse a bad configuration before the first estimate, not after the cube phase
-    cube_bounds, square_bounds = cube.checked_bounds(geom.k), square.checked_bounds(geom.k - 1)
-    for spec in (cube, square):  # the budget rule montecarlo._reduce applies
-        check_count("runs", spec.runs, 1, MAX_RUNS)
-        check_count("seed", spec.seed, 0)
+    # refuse a bad configuration before the first estimate, not after the cube phase (a GridSpec checks itself)
     check_count("profile_points", config.profile_points, 3)
     n_jobs = default_workers(config.n_jobs)
     check_real("threshold", config.threshold)
@@ -385,11 +376,11 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
         args = (geom, cfg, config.profile_points, cube.runs, cube.seed, config.estimator, n_jobs, memo)
         one = line_profile(lines[0], *args)
         cs = np.asarray(one.cs)
-        points = [np.asarray(line.offsets) + cs[:, None] * np.asarray(line.direction) for line in lines]
+        points = [np.asarray(line.offsets) + cs[:, None] for line in lines]
         mirror = lines[1].c_range == lines[0].c_range and np.array_equal(points[1], -points[0][::-1])
         two = _refined(lines[1], cs, _mirrored(one.estimates, points[1])) if mirror else line_profile(lines[1], *args)
         profiles = (one, two)
-        minima = np.array([np.asarray(p.line.offsets) + p.c_min * np.asarray(p.line.direction) for p in profiles])
+        minima = np.array([np.asarray(p.line.offsets) + p.c_min for p in profiles])
         candidates += _halved(minima, minima, geom, cfg, config.estimator, cube.runs, cube.seed, n_jobs, memo=memo)
     min1 = min(candidates, key=lambda e: e.estimate)
 
@@ -400,11 +391,11 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     overall = min1 if min1.estimate <= min2.estimate else min2
 
     gates = []
-    for test, stage, region, faces, chol in (
-        ("tau", "first", "cube", cube_bounds, geom.v22_chol),
-        ("xi", "second", "square", square_bounds, geom.u @ geom.v22_chol),
+    for test, stage, region, spec, chol in (
+        ("tau", "first", "cube", cube, geom.v22_chol),
+        ("xi", "second", "square", square, geom.u @ geom.v22_chol),
     ):
-        point = _weakest(faces, chol @ chol.T)
+        point = _weakest(*spec.bounds, chol @ chol.T)
         # U (0, delta) = -delta: the square's point has its far point's noncentrality
         slopes = point if test == "tau" else np.concatenate([[0.0], point])
         reject = 1.0 - gate_probability(slopes, geom, cfg, test)

@@ -270,6 +270,15 @@ class EventNoise(NamedTuple):
         return cls(SlopeNoise.of(delta[:, geom.k :], d, geom), delta @ geom.ga_tau, delta @ geom.ga_xi, delta @ geom.a)
 
 
+def positive_d(d, draws: int) -> np.ndarray:
+    """``d``, the scaled residual sums of squares of ``draws`` draws, checked by check_reals, if every one is
+    positive (not 0.0 or -0.0), else DomainError."""
+    d = check_reals("d", d, draws, VECTOR)
+    if not d.min() > 0.0:
+        raise DomainError(f"d must be positive, got {d.min()}")
+    return d
+
+
 def batch_events(
     delta: np.ndarray,
     d: np.ndarray,
@@ -288,10 +297,7 @@ def batch_events(
     """
     cfg.check_design(geom.k, geom.m)
     slopes, delta = check_reals("slopes", slopes, geom.k), check_reals("delta", delta, 2 * geom.k, STACK)
-    d = check_reals("d", d, len(delta), VECTOR)
-    if not d.min() > 0.0:
-        raise DomainError(f"d must be positive, got {d.min()}")
-    parts = EventNoise.of(delta, d, geom)
+    parts = EventNoise.of(delta, positive_d(d, len(delta)), geom)
     batch = events(parts, SlopeTerms.of(np.atleast_2d(slopes), geom), geom, cfg)
     return EventBatch(*(field[0] for field in batch)) if slopes.ndim == 1 else batch
 

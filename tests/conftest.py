@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from ancova_cp import (
@@ -42,17 +41,3 @@ def k4():
     cfg = critical_values(layout, alpha=0.05, sig_tau=0.10, sig_xi=0.10)
     return layout, contrast, geom, cfg
 
-
-class ZeroRng:
-    """Zero-noise stand-in for a numpy Generator (test hook)."""
-
-    def standard_normal(self, size=None):
-        return np.zeros(size) if size is not None else 0.0
-
-    def standard_gamma(self, shape, size=None):
-        return np.zeros(size) if size is not None else 0.0
-
-
-@pytest.fixture
-def zero_rng():
-    return ZeroRng()

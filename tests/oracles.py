@@ -6,7 +6,8 @@ conditional coverage from resampling instead of the closed form, the
 closed form itself from one nested np.where pass over every cell instead of
 one formula per selection region, restricted fits from re-solved least
 squares instead of projection matrices, and gate probabilities from scipy's
-noncentral F distribution and from simulated F statistics.  ``assembled`` lays out the groups of the
+noncentral F distribution and from simulated F statistics, the weakest boundary point of a search region by
+argmin over its faces instead of the closed form.  ``assembled`` lays out the groups of the
 conditional kernel as one (points, draws) array, ``certified`` names the
 points the conditional kernel gives the shared region-C row, and
 ``slope_draws`` makes a chunk's (z, d) as the conditioned estimator does.
@@ -131,6 +132,14 @@ def gate_prob_ncf(geom, cfg, slopes, which: str) -> float:
     us = geom.u @ slopes
     lam = float(us @ geom.w22_inv @ us)
     return float(stats.ncf.cdf(cfg.l_xi, geom.k - 1, geom.m, lam))
+
+
+def weakest_reference(faces: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The point of least x' cov^-1 x on the face planes of a box, ``faces`` its (ndim, 2) bounds: the face of
+    least c^2 / cov_ii by argmin over every face (the first one on a tie), then c cov_i / cov_ii, zeros +0.0."""
+    with np.errstate(over="ignore"):  # a face whose form overflows to inf is not the least one
+        i, j = np.unravel_index(np.argmin(np.square(faces) / np.diag(cov)[:, None]), faces.shape)
+    return faces[i, j] * (cov[i] / cov[i, i]) + 0.0
 
 
 def gate_prob_mc(layout, a, cfg, slopes, which: str, runs: int, seed: int) -> tuple[float, float]:

@@ -429,7 +429,7 @@ _GEOMETRY_AND_CONFIG = {
     "batch_events": lambda lay, a, geom, cfg: batch_events(np.zeros((1, 4)), np.ones(1), np.zeros(2), geom, cfg),
     "coverage_indicator": lambda lay, a, geom, cfg: coverage_indicator(np.zeros(4), 1.0, geom, cfg, np.zeros(4)),
     "grid_eval": lambda lay, a, geom, cfg: grid_eval(GridSpec(points_per_axis=2, runs=100), "naive", geom, cfg),
-    "line_profile": lambda lay, a, geom, cfg: line_profile(LineLocus((1.0, 1.0), (0.0, 0.1), (-0.1, 0.1)), geom, cfg),
+    "line_profile": lambda lay, a, geom, cfg: line_profile(LineLocus((0.0, 0.1), (-0.1, 0.1)), geom, cfg),
     "second_test_only_cp": lambda lay, a, geom, cfg: second_test_only_cp((0.1,), geom, cfg, runs=100),
     "min_cp_search": lambda lay, a, geom, cfg: min_cp_search(SearchConfig(geom, cfg, cube=GridSpec(runs=100))),
     "estimate_cp_raw": lambda lay, a, geom, cfg: estimate_cp_raw(np.zeros(4), 1.0, lay, cfg, a, runs=100, seed=0),

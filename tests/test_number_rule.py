@@ -219,7 +219,7 @@ def test_estimator_names_must_be_strings(ref, monkeypatch, name, call):
     calls = {
         "estimate_points": lambda: montecarlo.estimate_points([[0, 0, 0]], geom, cfg, name, 100),
         "grid_eval": lambda: grid_eval(GridSpec(points_per_axis=2, runs=100), name, geom, cfg),
-        "line_profile": lambda: line_profile(LineLocus((1.0,) * 3, (0.0,) * 3, (-0.1, 0.1)), geom, cfg, 5, 100, 0, name),
+        "line_profile": lambda: line_profile(LineLocus((0.0,) * 3, (-0.1, 0.1)), geom, cfg, 5, 100, 0, name),
         "second_test_only_cp": lambda: second_test_only_cp((0.05, 0.0), geom, cfg, runs=100, estimator=name),
         "min_cp_search": lambda: _search(geom, cfg, name),
     }
@@ -406,7 +406,7 @@ def test_bad_points_are_domain_errors(ref, call):
             "gamma_hat must be one vector of 6 numbers, got shape (1, 6)",
         ),
         (
-            lambda g, c: line_profile(LineLocus((1.0,) * 3, (0.0,) * 3, ((-0.1, 0.1),)), g, c, 5, 100),
+            lambda g, c: line_profile(LineLocus((0.0,) * 3, ((-0.1, 0.1),)), g, c, 5, 100),
             "c_range must be one vector of 2 numbers, got shape (1, 2)",
         ),
     ],

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ancova_cp import AncovaLayout, ContrastSpec, DomainError, batch_events, build_geometry, coverage_indicator
+from ancova_cp import (
+    AncovaLayout,
+    ConditionalKernel,
+    ContrastSpec,
+    DomainError,
+    batch_events,
+    build_geometry,
+    coverage_indicator,
+)
 from ancova_cp.selection import EventBatch
 from oracles import direct_geometry, rss_f_statistics
 
@@ -90,6 +98,23 @@ def test_f_statistics_requires_positive_d(ref):
     _, _, geom, cfg = ref
     with pytest.raises(DomainError):
         coverage_indicator(_from_q(np.zeros(3)), 0.0, geom, cfg, np.zeros(6))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0])
+def test_the_row_interfaces_refuse_a_d_that_is_not_positive_with_one_message(ref, bad):
+    # one rule (selection.positive_d) for every interface that takes a scale-free d from outside
+    _, _, geom, cfg = ref
+    d = np.array([2.0, bad, 18.0])
+    kernel = ConditionalKernel(geom, cfg, np.zeros(3))
+    calls = {
+        "batch_events": lambda: batch_events(np.zeros((3, 6)), d, np.zeros(3), geom, cfg),
+        "coverage_indicator": lambda: coverage_indicator(np.zeros(6), bad, geom, cfg, np.zeros(6)),
+        "conditional_cp_batch": lambda: kernel.conditional_cp_batch(np.zeros((3, 3)), d),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == f"d must be positive, got {bad}", name
 
 
 # ---------------------------------------------------------------------------
