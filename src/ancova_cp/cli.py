@@ -84,6 +84,10 @@ def _parse_floats(text: str, what: str, expect: int | None = None) -> tuple[floa
     return values
 
 
+# argparse takes a value that starts with - for the next flag, so such a value is given after an = sign
+_MINUS = "write a value that starts with - as "
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ancova-cp",
@@ -113,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cp.add_argument(
         "--estimator", choices=["naive", "conditioned", "both"], help="estimator to use (default conditioned)"
     )
-    p_cp.add_argument("--point", type=point_arg, required=True, help="true scaled slopes, e.g. 0,0.1,0")
+    p_cp.add_argument(
+        "--point", type=point_arg, required=True, help=f"true scaled slopes, e.g. 0,0.1,0; {_MINUS}--point=-0.1,0,0"
+    )
     p_cp.add_argument(
         "--thresholds-off",
         action="store_true",
@@ -126,14 +132,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser("profile", parents=[single], help="coverage along one line locus")
     p_min = sub.add_parser("min", parents=[single], help="restricted minimum-coverage search")
     for p in (p_grid, p_lines, p_min):
-        p.add_argument("--bounds", type=pair_arg, default=cube.bounds, help="axis bounds lo,hi (default %(default)s)")
+        p.add_argument(
+            "--bounds", type=pair_arg, default=cube.bounds,
+            help=f"axis bounds lo,hi (default %(default)s); {_MINUS}--bounds=-0.3,0.3",
+        )
         p.add_argument("--density", type=int, default=cube.points_per_axis, help="axis points (default %(default)s)")
     for p in (p_lines, p_min):
         p.add_argument(
             "--threshold", type=float, default=_DEFAULTS.threshold, help="low-coverage cutoff (default %(default)s)"
         )
     p_min.add_argument(
-        "--square-bounds", type=pair_arg, default=square.bounds, help="slope-difference bounds (default %(default)s)"
+        "--square-bounds", type=pair_arg, default=square.bounds,
+        help=f"slope-difference bounds (default %(default)s); {_MINUS}--square-bounds=-0.2,0.2",
     )
     p_min.add_argument(
         "--square-density", type=int, default=square.points_per_axis, help="square axis points (default %(default)s)"
@@ -144,17 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof.add_argument(
         "--offsets", type=functools.partial(_parse_floats, what="--offsets"), required=True,
-        help="per-axis offsets, e.g. 0,0.088,0.041",
+        help=f"per-axis offsets, e.g. 0,0.088,0.041; {_MINUS}--offsets=-0.1,0,0",
     )
     p_prof.add_argument(
-        "--c-range", type=pair_arg, default=cube.bounds, help="range of the line parameter (default %(default)s)"
+        "--c-range", type=pair_arg, default=cube.bounds,
+        help=f"range of the line parameter (default %(default)s); {_MINUS}--c-range=-0.3,0.3",
     )
     p_prof.add_argument(
         "--points", type=int, default=_DEFAULTS.profile_points, help="profile points (default %(default)s)"
     )
 
     p_orc = sub.add_parser("oracle", parents=[budget], help="raw-data pipeline with agreement check")
-    p_orc.add_argument("--point", type=point_arg, required=True, help="true scaled slopes")
+    p_orc.add_argument("--point", type=point_arg, required=True, help=f"true scaled slopes; {_MINUS}--point=-0.1,0,0")
     p_orc.add_argument("--sigma", type=float, default=1.0, help="error standard deviation (default 1.0)")
 
     sub.add_parser("quantiles", parents=[levels], help="print the cutoffs and t critical points")

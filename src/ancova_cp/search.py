@@ -89,14 +89,18 @@ class GridSpec:
         check_count("seed", self.seed, 0)
 
     def lattice(self, ndim: int) -> np.ndarray:
-        """The ndim-dimensional lattice (see _lattice), allocated before its axis is built: one too large fails at
-        once, MemoryError."""
+        """Every combination of ndim axis values, one per row, in row-major order (first axis slowest): shape
+        (points_per_axis^ndim, ndim).  It is allocated before its axis is built: one too large fails at once,
+        MemoryError."""
         n = self.points_per_axis
         try:
             out = np.empty((n,) * ndim + (ndim,))
         except ValueError:  # more bytes than numpy can count
             raise MemoryError(f"a lattice of {n}^{ndim} points is too large to allocate") from None
-        return _lattice([_axis(*self.bounds, n)] * ndim, out)
+        axis = _axis(*self.bounds, n)
+        for i in range(ndim):
+            out[..., i] = np.reshape(axis, (-1,) + (1,) * (ndim - 1 - i))
+        return out.reshape(-1, ndim)
 
 
 def _interval(name: str, pair) -> tuple[float, float]:
@@ -116,32 +120,17 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.concatenate([axis[: n // 2], np.zeros(n % 2), -axis[n // 2 - 1 :: -1]]) if lo == -hi else axis
 
 
-def _lattice(axes: list[np.ndarray], out=None) -> np.ndarray:
-    """Every combination of one value per axis, one per row, in row-major order (first axis slowest), written into
-    ``out`` (default: a new array) of shape (len(axis) for each axis) + (len(axes),)."""
-    ndim = len(axes)
-    out = np.empty(tuple(len(axis) for axis in axes) + (ndim,)) if out is None else out
-    for i, axis in enumerate(axes):
-        out[..., i] = np.reshape(axis, (-1,) + (1,) * (ndim - 1 - i))
-    return out.reshape(-1, ndim)
-
-
 def _halved(lattice: np.ndarray, points: np.ndarray, *args, memo=None) -> list[CoverageEstimate]:
     """estimate_points(points, *args, memo=memo), evaluating only the first ceil(P/2) rows if ``lattice`` is symmetric.
 
     Symmetric means that row P-1-i is -row i.  Coverage is even in the slopes, so row P-1-i then takes row i's
-    estimate and SE: its value on (-z, d).
+    estimate and SE, under its own point: its value on (-z, d).  This is the one place the search mirrors.
     """
     if not np.array_equal(lattice, -lattice[::-1]):
         return estimate_points(points, *args, memo=memo)
     half = estimate_points(points[: (len(points) + 1) // 2], *args, memo=memo)
-    return half + _mirrored(half[: len(points) // 2], points[len(half) :])
-
-
-def _mirrored(ests, rows: np.ndarray) -> list[CoverageEstimate]:
-    """Row i of ``rows`` with the estimate and SE of ests[-1 - i], whose point is -rows[i]."""
-    pairs = zip(ests[::-1], rows.tolist())
-    return [CoverageEstimate(e.estimate, e.se, e.runs, e.estimator, e.seed, _checked_point(row)) for e, row in pairs]
+    pairs = zip(half[: len(points) // 2][::-1], points[len(half) :].tolist())
+    return half + [CoverageEstimate(e.estimate, e.se, e.runs, e.estimator, e.seed, _checked_point(r)) for e, r in pairs]
 
 
 def grid_eval(
@@ -229,13 +218,12 @@ def line_profile(
     seed: int = 0,
     estimator: str = "conditioned",
     n_jobs=None,
-    memo=None,
 ) -> LineProfile:
     """Profile the coverage along a line and refine its minimum.
 
     The c values are _axis(lo, hi, n_points), exactly antisymmetric when lo == -hi.  The refinement fits a
     parabola through the three lowest profile values and takes its vertex; if the parabola is not convex or
-    the vertex falls outside the profiled range, the lattice minimum stands.  ``memo`` is passed to estimate_points.
+    the vertex falls outside the profiled range, the lattice minimum stands.
     """
     check_count("n_points", n_points, 3)
     lo, hi = _interval("c_range", line.c_range)
@@ -244,8 +232,7 @@ def line_profile(
     cs = _axis(lo, hi, n_points)
     with np.errstate(over="ignore"):  # an overflowing point is refused by estimate_points
         points = offsets + cs[:, None]
-    ests = estimate_points(points, geom, cfg, estimator, runs, seed, n_jobs, memo=memo)
-    return _refined(line, cs, ests)
+    return _refined(line, cs, estimate_points(points, geom, cfg, estimator, runs, seed, n_jobs))
 
 
 def _refined(line: LineLocus, cs: np.ndarray, ests: list[CoverageEstimate]) -> LineProfile:
@@ -302,8 +289,9 @@ def _weakest(lo: float, hi: float, cov: np.ndarray) -> np.ndarray:
 
     On the plane x_i = c the least form is c^2 / cov_ii, at c cov_i / cov_ii, so over the faces it is
     min(lo^2, hi^2) / max_i cov_ii: on the nearer face (lo when |lo| <= |hi|) of the first axis with the largest
-    cov_ii.  If lo <= 0 <= hi, every point on or outside the boundary has a form at least this one's, and the point
-    is on the boundary, since |cov_ij| <= cov_ii on that axis.  Zeros are +0.0.
+    cov_ii.  The box must contain the origin (lo <= 0 <= hi, as min_cp_search requires of its regions): then every
+    point on or outside the boundary has a form at least this one's, and the point is on the boundary, since
+    |cov_ij| <= cov_ii on that axis.  Zeros are +0.0.
     """
     i = int(np.argmax(np.diag(cov)))
     return (lo if abs(lo) <= abs(hi) else hi) * (cov[i] / cov[i, i]) + 0.0
@@ -343,14 +331,14 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
 
     min1 is the smallest coverage estimate found on the cube: the lattice minimum, improved where possible by
     profiling fitted low-CP lines and re-estimating at each profile's refined minimizer.  min2 is the lattice
-    minimum of the second-stage-only coverage over the slope-difference square.  diagnostics["gates"] holds the
-    first test's rejection probability at the cube's weakest boundary point and the second's at the square's
-    (see _weakest); one below GATE_WARN_BELOW becomes a warning in the diagnostics, never an error.  With
-    symmetric bounds the cube and the square (its coverage is even in the slope differences) evaluate one point
-    of each mirrored pair (see _halved), and so do the profile minimizers; the second profile's entry j
-    takes the first's entry n-1-j if its point is that entry's negation (mirrored lines over lo == -hi).  The
-    coverage estimates share one memo (see montecarlo._reduce), so each chunk is drawn once per search, not once
-    per phase; it dies with the call.
+    minimum of the second-stage-only coverage over the slope-difference square.  Both regions must contain the
+    origin (DomainError otherwise).  diagnostics["gates"] holds the first test's rejection probability at the
+    cube's weakest boundary point and the second's at the square's (see _weakest); one below GATE_WARN_BELOW
+    becomes a warning in the diagnostics, never an error.  Every phase goes through _halved, so a centrally
+    symmetric set of points evaluates one point of each mirrored pair: the cube and the square (its coverage is
+    even in the slope differences) with lo == -hi, the profile minimizers, and the two profiles, stacked on their
+    shared c axis, when the lines are each other's mirror.  The coverage estimates share one memo (see
+    montecarlo._reduce), so each chunk is drawn once per search, not once per phase; it dies with the call.
     """
     geom, cfg = config.geom, config.cfg
     cube, square = config.cube, config.square
@@ -358,6 +346,9 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     check_count("profile_points", config.profile_points, 3)
     n_jobs = default_workers(config.n_jobs)
     check_real("threshold", config.threshold)
+    for region, spec in (("cube", cube), ("square", square)):
+        if not spec.bounds[0] <= 0.0 <= spec.bounds[1]:
+            raise DomainError(f"{region} bounds must contain the origin, got {spec.bounds}")
     deltas = square.lattice(geom.k - 1)
     far = _far_points(deltas, FAR_OFFSET, f"square bounds {square.bounds} are too wide")
     warnings: list[str] = []
@@ -366,20 +357,17 @@ def min_cp_search(config: SearchConfig) -> MinSearchReport:
     cube_table = grid_eval(cube, config.estimator, geom, cfg, n_jobs=n_jobs, memo=memo)
     candidates = [min((est for _, est in cube_table), key=lambda e: e.estimate)]
 
-    lines = None
-    profiles: tuple[LineProfile, ...] = ()
+    lines, profiles = None, ()
     try:
         lines = fit_low_cp_lines(cube_table, config.threshold)
     except InsufficientLowCPPoints as exc:
         warnings.append(f"line fitting skipped: {exc}")
-    if lines is not None:
-        args = (geom, cfg, config.profile_points, cube.runs, cube.seed, config.estimator, n_jobs, memo)
-        one = line_profile(lines[0], *args)
-        cs = np.asarray(one.cs)
-        points = [np.asarray(line.offsets) + cs[:, None] for line in lines]
-        mirror = lines[1].c_range == lines[0].c_range and np.array_equal(points[1], -points[0][::-1])
-        two = _refined(lines[1], cs, _mirrored(one.estimates, points[1])) if mirror else line_profile(lines[1], *args)
-        profiles = (one, two)
+    else:
+        cs = _axis(*lines[0].c_range, config.profile_points)  # the fitted lines share one c_range
+        with np.errstate(over="ignore"):  # an overflowing point is refused by estimate_points
+            points = np.concatenate([np.asarray(line.offsets) + cs[:, None] for line in lines])
+        ests = _halved(points, points, geom, cfg, config.estimator, cube.runs, cube.seed, n_jobs, memo=memo)
+        profiles = (_refined(lines[0], cs, ests[: len(cs)]), _refined(lines[1], cs, ests[len(cs) :]))
         minima = np.array([np.asarray(p.line.offsets) + p.c_min for p in profiles])
         candidates += _halved(minima, minima, geom, cfg, config.estimator, cube.runs, cube.seed, n_jobs, memo=memo)
     min1 = min(candidates, key=lambda e: e.estimate)

@@ -716,6 +716,46 @@ def test_a_config_file_may_name_both_for_commands_that_read_no_estimator(capsys,
     assert _run(capsys, "oracle", "--point", "0,0.1,0", "--config", str(path))[0] == 0
 
 
+@pytest.mark.parametrize("flag, region", [("--bounds=0.1,0.3", "cube"), ("--square-bounds=0.05,0.2", "square")])
+def test_min_refuses_a_region_without_the_origin(capsys, tmp_path, monkeypatch, flag, region):
+    calls = _count_estimates(monkeypatch)
+    out = tmp_path / "out"
+    rc, stdout, err = _run(capsys, "min", flag, "--density", "3", "--runs", "100", "--out", str(out))
+    bounds = tuple(float(v) for v in flag.split("=")[1].split(","))
+    assert rc == 1 and stdout == "" and calls == [] and not out.exists()
+    assert err == f"error: {region} bounds must contain the origin, got {bounds}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("min", "--bounds", "-0.3,0.3"),
+        ("min", "--square-bounds", "-0.2,0.1"),
+        ("grid", "--bounds", "-0.3,0.3"),
+        ("profile", "--offsets", "0,0,0", "--c-range", "-0.3,0.3"),
+        ("profile", "--offsets", "-0.1,0,0"),
+        ("cp", "--point", "-0.1,0,0"),
+        ("oracle", "--point", "-0.1,0,0"),
+    ],
+)
+def test_a_value_that_starts_with_a_minus_needs_an_equals_sign(capsys, monkeypatch, argv):
+    # argparse reads "--bounds -0.3,0.3" as a flag without its value; "--bounds=-0.3,0.3" is the way to write it,
+    # and the flag's help says so
+    from ancova_cp.cli import build_parser
+
+    command, *rest, flag, value = argv
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+    args = build_parser().parse_args([command, *rest, f"{flag}={value}"])
+    assert getattr(args, flag[2:].replace("-", "_")) == tuple(float(v) for v in value.split(","))
+    monkeypatch.setenv("COLUMNS", "400")  # no help text wrapped inside the example
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"write a value that starts with - as {flag}=-" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag", ["--bounds", "--square-bounds"])
 def test_a_one_value_interval_is_a_usage_error(capsys, flag):
     with pytest.raises(SystemExit) as exc:

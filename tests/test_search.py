@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ancova_cp import montecarlo
@@ -87,7 +87,7 @@ def test_grid_eval_matches_direct_estimates(small):
     for density in (2, 3):
         spec = GridSpec(bounds=(-0.1, 0.1), points_per_axis=density, runs=500, seed=3)
         table = grid_eval(spec, "conditioned", geom, cfg)
-        rows = search_module._lattice([search_module._axis(-0.1, 0.1, density)] * 2)
+        rows = np.array(list(itertools.product(search_module._axis(-0.1, 0.1, density), repeat=2)))
         assert len(table) == len(rows) == density**2
         for i, (row, (point, est)) in enumerate(zip(rows, table)):
             assert point is est.point and np.array(point.values).tobytes() == row.tobytes()
@@ -99,8 +99,8 @@ def test_grid_eval_matches_direct_estimates(small):
     spec = GridSpec(bounds=(-0.1, 0.15), points_per_axis=3, runs=500, seed=3)
     table = grid_eval(spec, "conditioned", geom, cfg)
     assert len(table) == 9
-    for row, (point, est) in zip(search_module._lattice([search_module._axis(-0.1, 0.15, 3)] * 2), table):
-        assert np.array(point.values).tobytes() == row.tobytes()
+    for row, (point, est) in zip(itertools.product(np.linspace(-0.1, 0.15, 3), repeat=2), table):
+        assert np.array(point.values).tobytes() == np.array(row).tobytes()
         assert est == estimate_conditioned(point, geom, cfg, runs=500, seed=3)
 
 
@@ -174,8 +174,22 @@ def test_symmetric_lattices_evaluate_one_point_of_each_pair(ref, monkeypatch):
 
     cube, square = GridSpec((-0.25, 0.3), 9, 2000, 4), GridSpec((-0.2, 0.25), 9, 2000, 4)
     min_cp_search(_bench_config(geom, cfg, cube=cube, square=square))
-    sizes = [len(c[0]) for c in calls]
-    assert sizes[0] == 729 and sizes[-1] == 81
+    # lines that do not mirror: both 21-point profiles in one call, and both minimizers
+    assert [len(c[0]) for c in calls] == [729, 42, 2, 81]
+
+
+def test_unmirrored_profiles_equal_their_lines_profiled_alone(ref):
+    # over the cube (-0.25, 0.3) the fitted lines have negated offsets, but their c range is not symmetric, so
+    # their points do not mirror: the stacked profile call (one 42-row call, see above) evaluates every point,
+    # each against the draws a profile of its line alone uses
+    _, _, geom, cfg = ref
+    report = min_cp_search(_bench_config(geom, cfg, cube=GridSpec((-0.25, 0.3), 9, 2000, 4)))
+    stack = np.concatenate([np.array([e.point.values for e in p.estimates]) for p in report.profiles])
+    assert not np.array_equal(stack, -stack[::-1])
+    for profile in report.profiles:
+        alone = line_profile(profile.line, geom, cfg, 21, 2000, 4)
+        assert profile == alone
+        assert [(e.estimate, e.se) for e in profile.estimates] == [(e.estimate, e.se) for e in alone.estimates]
 
 
 def _count_streams(monkeypatch):
@@ -574,6 +588,32 @@ def test_min_cp_search_names_the_square_when_its_delta_is_lost(ref):
         min_cp_search(dataclasses.replace(_tiny_config(geom, cfg), square=square))
 
 
+@pytest.mark.parametrize(
+    "region, bounds, density", [("cube", (0.1, 0.3), 3), ("square", (0.05, 0.2), 10**8), ("cube", (-0.3, -0.1), 3)]
+)
+def test_min_cp_search_refuses_a_region_without_the_origin(ref, monkeypatch, region, bounds, density):
+    # the weakest boundary point assumes a box about the origin: cube (0.1, 0.3) used to report (0.0, 0.1, 0.0),
+    # outside the cube, and square (0.05, 0.2) the point (0.05, 0.0182), outside the square; the refusal comes
+    # before the square lattice is allocated (10^16 points would be a MemoryError)
+    _, _, geom, cfg = ref
+    calls = _count_estimates(monkeypatch)
+    config = dataclasses.replace(_tiny_config(geom, cfg), **{region: GridSpec(bounds, density, 300)})
+    with pytest.raises(DomainError) as exc:
+        min_cp_search(config)
+    assert str(exc.value) == f"{region} bounds must contain the origin, got {bounds}"
+    assert calls == []
+
+
+def test_a_region_may_end_at_the_origin(ref):
+    # with lo = 0 the weakest boundary point is the origin itself, where each test rejects at its level
+    _, _, geom, cfg = ref
+    cube, square = GridSpec((0.0, 0.3), 3, 100), GridSpec((-0.2, 0.0), 3, 100)
+    config = dataclasses.replace(_tiny_config(geom, cfg, runs=100), cube=cube, square=square, profile_points=3)
+    tau, xi = min_cp_search(config).diagnostics["gates"]
+    assert tau["point"] == (0.0, 0.0, 0.0) and xi["point"] == (0.0, 0.0)
+    assert tau["reject_prob"] == pytest.approx(0.10, abs=1e-12) and xi["reject_prob"] == pytest.approx(0.10, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # full search
 # ---------------------------------------------------------------------------
@@ -943,14 +983,18 @@ def test_csv_bytes_match_a_csv_writer_rendering(tmp_path):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    st.lists(
-        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4), min_size=1, max_size=4
-    )
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.booleans(),
+    st.integers(2, 5),
+    st.integers(1, 4),
 )
-def test_lattice_is_itertools_product_bit_for_bit(axes):
-    axes = [np.asarray(ax) for ax in axes]
-    expected = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, len(axes))
-    assert search_module._lattice(axes).tobytes() == expected.tobytes()
+def test_lattice_is_itertools_product_bit_for_bit(lo, hi, symmetric, n, ndim):
+    lo = -hi if symmetric else lo  # lo == -hi mirrors the axis's upper half
+    assume(lo < hi)
+    spec = GridSpec((lo, hi), n)
+    expected = np.array(list(itertools.product(search_module._axis(lo, hi, n), repeat=ndim)), dtype=float)
+    assert spec.lattice(ndim).tobytes() == expected.reshape(-1, ndim).tobytes()
 
 
 def _count_check_real(monkeypatch):
