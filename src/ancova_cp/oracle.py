@@ -99,8 +99,10 @@ class _RawPipeline:
         beta_tau = times_t(beta_hat, self.g_tau)
         beta_xi = times_t(beta_hat, self.g_xi)
 
-        def rss(beta):
-            return np.sum((y - times_t(beta, self.x_design)) ** 2, axis=-1)
+        def rss(beta):  # the residuals overwrite the C-ordered X beta, whose rows sum with the bits of y - X beta
+            res = times_t(beta, self.x_design)
+            np.subtract(y, res, out=res)
+            return np.sum(np.square(res, out=res), axis=-1)
 
         return _RawFit(beta_hat, rss(beta_hat), beta_tau, rss(beta_tau), beta_xi, rss(beta_xi))
 
@@ -133,8 +135,9 @@ def _raw_hits(pipe: _RawPipeline, cfg: TwoStageConfig, a, scalars, theta, fit: _
     """Whether the interval the two-stage rule picks covers theta, per fitted data set."""
     v11, v_star, w_star = scalars
     k, m = pipe.k, pipe.m
-    f_tau = ((fit.rss_tau - fit.rss_full) / k) / (fit.rss_full / m)
-    f_xi = ((fit.rss_xi - fit.rss_full) / (k - 1)) / (fit.rss_full / m)
+    s2_full = fit.rss_full / m
+    f_tau = ((fit.rss_tau - fit.rss_full) / k) / s2_full
+    f_xi = ((fit.rss_xi - fit.rss_full) / (k - 1)) / s2_full
     in_a = f_tau <= cfg.l_tau
     in_b = ~in_a & (f_xi <= cfg.l_xi)
     center = np.where(in_a, fit.beta_tau @ a, np.where(in_b, fit.beta_xi @ a, fit.beta_hat @ a))
@@ -144,7 +147,7 @@ def _raw_hits(pipe: _RawPipeline, cfg: TwoStageConfig, a, scalars, theta, fit: _
         np.where(
             in_b,
             cfg.t_mk1 * np.sqrt(fit.rss_xi / (m + k - 1)) * math.sqrt(w_star),
-            cfg.t_m * np.sqrt(fit.rss_full / m) * math.sqrt(v11),
+            cfg.t_m * np.sqrt(s2_full) * math.sqrt(v11),
         ),
     )
     return np.abs(center - theta) <= half
@@ -163,22 +166,29 @@ def _simulate(beta, sigma, layout, cfg, a, runs, seed, geom=None):
     terms = SlopeTerms.of(gamma[None, pipe.k :], geom) if geom is not None else None
     mean = times_t(beta, pipe.rows)  # the responses' mean, X beta
 
-    raw_covers = event_covers = agree = 0
-    worst_rss_rel = 0.0
-    for chunk, size in enumerate(_chunk_sizes(runs)):
-        eps = sigma * _stream(seed, "oracle", chunk).standard_normal((size, layout.n_total))
-        fit = pipe.fit(mean + eps)
+    def counts(chunk, size):
+        """The chunk's covering raw runs, covering event runs, agreeing runs and worst residual-sum error; its
+        arrays die on return, before the next chunk is drawn."""
+        y = _stream(seed, "oracle", chunk).standard_normal((size, layout.n_total))
+        y *= sigma  # the responses in place, with the bits of mean + sigma * eps: both operations commute
+        y += mean
+        fit = pipe.fit(y)
         hits = _raw_hits(pipe, cfg, a, scalars, theta, fit)
-        raw_covers += int(np.count_nonzero(hits))
         slopes_hat = fit.beta_hat[:, pipe.k :]
         rss_tau_pred = fit.rss_full + np.sum((slopes_hat @ pipe.v22_inv) * slopes_hat, axis=1)
-        worst_rss_rel = max(worst_rss_rel, float(np.max(np.abs(fit.rss_tau - rss_tau_pred) / fit.rss_tau)))
-        if geom is not None:
-            # the event path sees the same runs as scale-free statistics; they come from the fits, so unchecked
-            noise = EventNoise.of(fit.beta_hat / sigma - gamma, fit.rss_full / sigma**2, geom)
-            covers = events(noise, terms, geom, cfg).covers_selected[0]
-            event_covers += int(np.count_nonzero(covers))
-            agree += int(np.count_nonzero(hits == covers))
+        worst = float(np.max(np.abs(fit.rss_tau - rss_tau_pred) / fit.rss_tau))
+        if geom is None:
+            return int(np.count_nonzero(hits)), 0, 0, worst
+        # the event path sees the same runs as scale-free statistics; they come from the fits, so unchecked
+        delta = fit.beta_hat  # read no more, so made scale-free in place
+        delta /= sigma
+        delta -= gamma
+        covers = events(EventNoise.of(delta, fit.rss_full / sigma**2, geom), terms, geom, cfg).covers_selected[0]
+        return int(np.count_nonzero(hits)), int(np.count_nonzero(covers)), int(np.count_nonzero(hits == covers)), worst
+
+    totals = list(zip(*(counts(chunk, size) for chunk, size in enumerate(_chunk_sizes(runs)))))
+    raw_covers, event_covers, agree = map(sum, totals[:3])
+    worst_rss_rel = max(0.0, *totals[3])
     p_hat = raw_covers / runs
     se = math.sqrt(p_hat * (1.0 - p_hat) / runs)
     raw = CoverageEstimate(p_hat, se, int(runs), "oracle", seed, SlopePoint(gamma[pipe.k :]))

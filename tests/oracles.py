@@ -14,7 +14,8 @@ points the conditional kernel gives the shared region-C row, and
 The ``*_reference`` routines form the hot path's matrix products the plain
 way, draws in rows on the left of C-ordered matrices and columns copied to
 rows, which the package's Fortran-ordered, row-major route must match bit
-for bit.
+for bit; ``raw_simulate_reference`` runs the raw oracle's chunk loop with a
+fresh array for every step, which the in-place chunks must match bit for bit.
 """
 
 from __future__ import annotations
@@ -372,3 +373,48 @@ def past_radii(geom, cfg, noise, slopes) -> np.ndarray:
 def certified(geom, cfg, noise, slopes) -> np.ndarray:
     """Whether each slope point lies beyond both rejection radii, so the kernel skips it."""
     return past_radii(geom, cfg, noise, slopes).all(axis=1)
+
+
+def raw_simulate_reference(beta, sigma, layout, cfg, a, runs, seed, geom=None) -> tuple:
+    """(raw estimate, SE, event rate, agreement, worst residual-sum error) of the oracle's chunk loop, drawn and
+    fitted the plain way: responses mean + sigma * eps, residual sums np.sum((y - X beta) ** 2, axis=-1) and the
+    event path's slopes beta_hat / sigma - gamma, each a fresh array.  The oracle must match it bit for bit."""
+    from ancova_cp.montecarlo import _chunk_sizes, _stream
+    from ancova_cp.oracle import _pipeline
+    from ancova_cp.selection import EventNoise, SlopeTerms, events
+
+    beta, a = np.asarray(beta, dtype=float), np.asarray(a, dtype=float)
+    pipe = _pipeline(layout)
+    k, m = pipe.k, pipe.m
+    v11, v_star, w_star = pipe.contrast_scalars(a)
+    theta, gamma = float(a @ beta), beta / sigma
+    mean = pipe.rows @ beta
+    raw_covers = event_covers = agree = 0
+    worst = 0.0
+    for chunk, size in enumerate(_chunk_sizes(runs)):
+        eps = sigma * _stream(seed, "oracle", chunk).standard_normal((size, layout.n_total))
+        beta_hat, rss_full, beta_tau, rss_tau, beta_xi, rss_xi = raw_fit_reference(pipe, mean + eps)
+        in_a = ((rss_tau - rss_full) / k) / (rss_full / m) <= cfg.l_tau
+        in_b = ~in_a & (((rss_xi - rss_full) / (k - 1)) / (rss_full / m) <= cfg.l_xi)
+        center = np.where(in_a, beta_tau @ a, np.where(in_b, beta_xi @ a, beta_hat @ a))
+        half = np.where(
+            in_a,
+            cfg.t_mk * np.sqrt(rss_tau / (m + k)) * math.sqrt(v_star),
+            np.where(
+                in_b,
+                cfg.t_mk1 * np.sqrt(rss_xi / (m + k - 1)) * math.sqrt(w_star),
+                cfg.t_m * np.sqrt(rss_full / m) * math.sqrt(v11),
+            ),
+        )
+        hits = np.abs(center - theta) <= half
+        raw_covers += int(np.count_nonzero(hits))
+        slopes_hat = beta_hat[:, k:]
+        pred = rss_full + np.sum((slopes_hat @ pipe.v22_inv) * slopes_hat, axis=1)
+        worst = max(worst, float(np.max(np.abs(rss_tau - pred) / rss_tau)))
+        if geom is not None:
+            noise = EventNoise.of(beta_hat / sigma - gamma, rss_full / sigma**2, geom)
+            covers = events(noise, SlopeTerms.of(gamma[None, k:], geom), geom, cfg).covers_selected[0]
+            event_covers += int(np.count_nonzero(covers))
+            agree += int(np.count_nonzero(hits == covers))
+    p_hat = raw_covers / runs
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / runs), event_covers / runs, agree / runs, worst

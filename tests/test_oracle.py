@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -21,7 +22,13 @@ from ancova_cp import oracle
 from ancova_cp.design import build_design, times_t
 from ancova_cp.montecarlo import CHUNK_SIZE
 from ancova_cp.oracle import _RawPipeline, _raw_hits
-from oracles import raw_fit_reference, restricted_fit_common_slope, restricted_fit_zero_slopes, rss_f_statistics
+from oracles import (
+    raw_fit_reference,
+    raw_simulate_reference,
+    restricted_fit_common_slope,
+    restricted_fit_zero_slopes,
+    rss_f_statistics,
+)
 
 BETA = np.array([4.0, -2.0, 1.5, 0.3, -0.1, 0.2])
 
@@ -79,6 +86,49 @@ def test_fit_has_the_bits_of_c_ordered_products(fixture, request):
     got = kept.fit(times_t(beta, kept.rows) + eps)
     assert all(np.array_equal(g, w) for g, w in zip(dataclasses.astuple(got), want))
 
+
+
+@pytest.mark.parametrize("fixture", ["ref", "small", "k4"])
+@pytest.mark.parametrize("runs", [1, 37, 2000, CHUNK_SIZE + 1, 20_000])
+def test_chunks_drawn_and_fitted_in_place_keep_the_bits_of_the_plain_loop(fixture, runs, request):
+    # at CHUNK_SIZE + 1 the last chunk is one row, fitted through gemv
+    layout, contrast, geom, cfg = request.getfixturevalue(fixture)
+    beta = np.linspace(-1.0, 1.5, 2 * layout.k)
+    rep = agreement_with_events(beta, 1.3, layout, geom, cfg, contrast.a, runs=runs, seed=runs)
+    raw = estimate_cp_raw(beta, 1.3, layout, cfg, contrast.a, runs=runs, seed=runs)
+    want = raw_simulate_reference(beta, 1.3, layout, cfg, contrast.a, runs, runs, geom)
+    got = (rep.raw.estimate, rep.raw.se, rep.event_rate, rep.agreement, rep.worst_rss_rel_error)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert rep.raw == raw and raw.runs == runs
+
+
+def _traced_peak(call) -> int:
+    """The tracemalloc peak of call(), run once before tracing so that kept pipelines and first-call set-up stay out."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fixture", ["ref", "small", "k4"])
+@pytest.mark.parametrize("entry", ["agreement_with_events", "estimate_cp_raw"])
+def test_working_memory_does_not_grow_with_the_chunks(fixture, entry, request):
+    # each chunk's arrays die before the next chunk is drawn; the plain loop kept the last chunk's alive while it drew
+    # the next, 1.19-1.55 times the one-chunk peak at three chunks, and held 4.84 response blocks at 2000 runs on ref
+    layout, contrast, geom, cfg = request.getfixturevalue(fixture)
+    beta = np.linspace(-1.0, 1.5, 2 * layout.k)
+
+    def peak(runs):
+        if entry == "agreement_with_events":
+            return _traced_peak(lambda: agreement_with_events(beta, 1.3, layout, geom, cfg, contrast.a, runs, 4))
+        return _traced_peak(lambda: estimate_cp_raw(beta, 1.3, layout, cfg, contrast.a, runs, 4))
+
+    assert peak(3 * CHUNK_SIZE) <= 1.05 * peak(CHUNK_SIZE)
+    if fixture == "ref":  # a response block is one double per row of the chunk and response of a data set
+        assert peak(2000) <= 3.5 * 2000 * layout.n_total * 8
 
 def test_projections_are_idempotent_on_fits(ref):
     layout, _, _, _ = ref
